@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.dfg.graph import DFG, PortRef
 
 
@@ -33,7 +31,8 @@ class CriticalityReport:
     class_a: list[int] = field(default_factory=list)
     class_b: list[int] = field(default_factory=list)
     class_c: list[int] = field(default_factory=list)
-    #: Non-trivial SCCs containing at least one carry (recurrences).
+    #: Non-trivial SCCs containing at least one carry (recurrences),
+    #: ordered by smallest member node id.
     recurrences: list[frozenset[int]] = field(default_factory=list)
 
     def klass(self, nid: int) -> str:
@@ -51,15 +50,67 @@ class CriticalityReport:
         }
 
 
-def dependence_graph(dfg: DFG) -> nx.DiGraph:
-    """The DFG's token-dependence digraph (port edges only)."""
-    graph = nx.DiGraph()
-    graph.add_nodes_from(dfg.nodes)
+def dependence_graph(dfg: DFG) -> dict[int, list[int]]:
+    """The DFG's token-dependence digraph (port edges only).
+
+    ``{nid: [successor nid, ...]}`` with one entry per port edge, so a
+    consumer reading two ports of one producer appears twice.
+    """
+    graph: dict[int, list[int]] = {nid: [] for nid in dfg.nodes}
     for node in dfg.nodes.values():
         for inp in node.inputs:
             if isinstance(inp, PortRef):
-                graph.add_edge(inp.src, node.nid)
+                graph[inp.src].append(node.nid)
     return graph
+
+
+def strongly_connected_components(
+    graph: dict[int, list[int]],
+) -> list[set[int]]:
+    """Tarjan's SCC algorithm over a successor dict.
+
+    Iterative (an explicit DFS stack of ``(node, successor iterator)``
+    frames): lowered kernels chain thousands of nodes, far past the
+    interpreter's recursion limit.
+    """
+    index: dict[int, int] = {}
+    lowlink: dict[int, int] = {}
+    on_stack: set[int] = set()
+    stack: list[int] = []
+    components: list[set[int]] = []
+    for root in graph:
+        if root in index:
+            continue
+        index[root] = lowlink[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        frames = [(root, iter(graph[root]))]
+        while frames:
+            node, successors = frames[-1]
+            for succ in successors:
+                if succ not in index:
+                    index[succ] = lowlink[succ] = len(index)
+                    stack.append(succ)
+                    on_stack.add(succ)
+                    frames.append((succ, iter(graph[succ])))
+                    break
+                if succ in on_stack:
+                    lowlink[node] = min(lowlink[node], index[succ])
+            else:
+                frames.pop()
+                if frames:
+                    parent = frames[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[node])
+                if lowlink[node] == index[node]:
+                    component = set()
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.add(member)
+                        if member == node:
+                            break
+                    components.append(component)
+    return components
 
 
 def leaf_loops(dfg: DFG) -> set[int]:
@@ -76,13 +127,14 @@ def analyze_criticality(dfg: DFG) -> CriticalityReport:
     report = CriticalityReport()
 
     recurrence_members: set[int] = set()
-    for component in nx.strongly_connected_components(graph):
+    for component in strongly_connected_components(graph):
         if len(component) < 2:
             continue
         has_carry = any(dfg.nodes[n].op == "carry" for n in component)
         if has_carry:
             report.recurrences.append(frozenset(component))
             recurrence_members |= component
+    report.recurrences.sort(key=min)
 
     leaves = leaf_loops(dfg)
     for node in dfg.nodes.values():

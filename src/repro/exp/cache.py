@@ -4,16 +4,19 @@ Two layers:
 
 * an in-process dict (always on) — one compile per key per process;
 * an optional on-disk pickle store — compiled kernels survive across
-  benchmark invocations and are shared between the parallel harness's
-  worker processes, so a (workload, fabric, policy, parallelism, seed)
-  point is placed-and-routed once per machine, not once per process.
+  benchmark invocations and are how the parallel harness's worker
+  processes share a (workload, fabric, policy, parallelism, seed)
+  artifact instead of each placing-and-routing it.
 
 Disk entries are keyed by a digest of ``(CACHE_SCHEMA_VERSION, key)``;
 bump :data:`CACHE_SCHEMA_VERSION` whenever the pickled layout of
 :class:`~repro.pnr.result.CompiledKernel` (or anything it references)
 changes, and stale entries are simply never looked up again. Writes are
-atomic (temp file + ``os.replace``) so concurrent workers racing on the
-same key at worst compile twice — never read a torn pickle.
+atomic (temp file + ``os.replace``) so concurrent *invocations* racing
+on the same key at worst compile twice — never read a torn pickle. The
+cache itself takes no lock; within one pooled sweep the supervisor
+(:mod:`repro.exp.resilient`) keeps a key's readers behind its one
+compile task, so there each key is compiled once.
 """
 
 from __future__ import annotations

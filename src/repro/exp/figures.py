@@ -305,8 +305,9 @@ def fig11(
     """Monaco vs Ideal / UPEA2 / NUMA-UPEA2 across workloads (Fig. 11).
 
     ``jobs > 1`` fans the (workload x config) sweep out over worker
-    processes via :func:`repro.exp.runner.run_parallel`; rows are
-    bit-identical to the serial sweep (the simulator is deterministic).
+    processes via :func:`repro.exp.resilient.run_resilient`; each kernel
+    is still compiled once, and rows are bit-identical to the serial
+    sweep (the simulator is deterministic).
 
     ``sweep_policy`` (a :class:`repro.exp.resilient.SweepPolicy` with
     ``on_failure != "abort"``) renders whatever the sweep salvaged:

@@ -26,17 +26,28 @@ scheduler:
   (:mod:`repro.obs.manifest`) and :func:`run_resilient` with
   ``resume=True`` skips any point whose validated journal entry already
   succeeded — a crash halfway through an overnight sweep costs only the
-  unfinished points.
+  unfinished points;
+* a pooled sweep places-and-routes each distinct compile key once: the
+  dispatcher (:func:`_dispatch_pooled`) runs one cache-warming compile
+  task per key and holds the key's points back until it was attempted,
+  so idle workers compile *other* kernels instead of racing on one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import signal
+import tempfile
 import threading
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
@@ -172,7 +183,8 @@ class SweepPolicy:
     #: Per-job wall-clock budget in seconds (None = unlimited).
     job_timeout_s: float | None = None
     max_retries: int = 2
-    #: Base backoff; attempt ``n`` sleeps ``backoff_s * 2**(n-1)``.
+    #: Base backoff; attempt ``n`` starts no sooner than
+    #: ``backoff_s * 2**(n-1)`` after its predecessor failed.
     backoff_s: float = 0.0
     on_failure: str = "abort"
     retryable_kinds: tuple[str, ...] = (
@@ -321,10 +333,116 @@ class _Job:
     attempts: int = 0
     pnr_seed: int | None = None
     pnr_seeds: list[int] = field(default_factory=list)
+    #: ``time.monotonic()`` before which a retry must not start (backoff).
+    not_before: float = 0.0
 
     @property
     def key(self) -> tuple[str, str, int]:
         return (self.name, self.config.name, self.seed)
+
+    @property
+    def compile_key(self) -> tuple[str, int, int]:
+        """What distinguishes this point's PnR artifact within a sweep:
+        workload, input seed, placement seed (scale, fabric, arch, policy
+        and profiling are sweep constants)."""
+        placement = self.seed if self.pnr_seed is None else self.pnr_seed
+        return (self.name, self.seed, placement)
+
+
+def _dispatch_pooled(
+    pending: deque, workers: int, job_fn, compile_fn, job_args, settle
+) -> None:
+    """Run ``pending`` (and whatever ``settle`` requeues onto it) over a
+    pool of ``workers`` processes, compiling each key once.
+
+    Each round takes the current ``pending`` jobs. Every compile key no
+    task has attempted yet gets one ``compile_fn`` task, which only
+    warms the shared disk cache; a key's points become *ready* once that
+    task finished — succeeded or not, a point that cannot compile fails
+    on its own, under its own policy. At most ``workers + 1`` tasks are
+    in flight (one queued, so no worker idles on the parent), and a free
+    slot goes to the lowest-numbered ready point before a new compile,
+    so results keep arriving in near job order. Completions are buffered
+    and handed to ``settle(job, future)`` strictly in job order — the
+    serial/parallel manifest-equivalence contract.
+
+    A dead worker poisons every outstanding future of its pool: those
+    points settle as worker deaths, the pool is replaced, and the rest
+    of the round carries on.
+    """
+    attempted: set[tuple] = set()
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        while pending:
+            batch = list(pending)
+            pending.clear()
+            parked: dict[tuple, list[int]] = {}
+            ready: list[int] = []
+            for index, job in enumerate(batch):
+                if job.compile_key in attempted:
+                    ready.append(index)
+                else:
+                    parked.setdefault(job.compile_key, []).append(index)
+            compiles = deque(parked)
+            inflight: dict[Future, int | tuple] = {}
+            settled: dict[int, Future] = {}
+            emitted = 0
+            while emitted < len(batch):
+                now = time.monotonic()
+                while len(inflight) <= workers:
+                    index = next(
+                        (i for i in ready if batch[i].not_before <= now), None
+                    )
+                    if index is not None:
+                        ready.remove(index)
+                        fn, tag = job_fn, index
+                    elif compiles:
+                        tag = compiles.popleft()
+                        attempted.add(tag)
+                        fn, index = compile_fn, parked[tag][0]
+                    else:
+                        break
+                    try:
+                        future = pool.submit(fn, *job_args(batch[index]))
+                    except BrokenProcessPool as exc:
+                        future = Future()
+                        future.set_exception(exc)
+                    inflight[future] = tag
+                # Wake for the next backoff expiry too; with nothing in
+                # flight this is a plain sleep until then.
+                wake = min(
+                    (
+                        batch[i].not_before
+                        for i in ready
+                        if batch[i].not_before > now
+                    ),
+                    default=None,
+                )
+                done, _ = wait(
+                    inflight,
+                    timeout=None if wake is None else wake - now,
+                    return_when=FIRST_COMPLETED,
+                )
+                if any(
+                    isinstance(f.exception(), BrokenProcessPool) for f in done
+                ):
+                    done, _ = wait(inflight)
+                    pool.shutdown()
+                    pool = ProcessPoolExecutor(max_workers=workers)
+                for future in done:
+                    tag = inflight.pop(future)
+                    if isinstance(tag, int):
+                        settled[tag] = future
+                    else:
+                        ready.extend(parked.pop(tag))
+                        ready.sort()
+                while emitted in settled:
+                    settle(batch[emitted], settled.pop(emitted))
+                    emitted += 1
+    finally:
+        # Reached with work still queued only when ``settle`` raised
+        # (fail-fast abort): drop it instead of running it out.
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def run_resilient(
@@ -372,6 +490,14 @@ def run_resilient(
     ``job_fn`` is a test seam: a picklable callable with
     :func:`repro.exp.runner._run_sweep_job`'s signature.
 
+    With a pool (``max_workers`` None or > 1) the jobs go through
+    :func:`_dispatch_pooled`: one
+    :func:`repro.exp.runner._compile_sweep_job` task per distinct
+    compile key warms the shared disk cache before that key's points
+    run, so each key is placed-and-routed once per sweep. Without a
+    ``cache_dir`` the workers share a sweep-scoped temporary directory,
+    removed on return.
+
     ``profile_guided`` compiles every point with profile-refined
     criticality (the profiling input is each point's own instance); the
     journal identity gains a ``profile: "guided"`` marker, so profiled
@@ -380,6 +506,7 @@ def run_resilient(
     from repro.exp.runner import (
         DEFAULT_FABRIC_SPEC,
         PAPER_DIVIDER,
+        _compile_sweep_job,
         _fault_signature,
         _run_sweep_job,
     )
@@ -487,7 +614,7 @@ def run_resilient(
                 ),
             )
 
-    def handle_failure(job: _Job, exc: BaseException, pending) -> None:
+    def handle_failure(job: _Job, exc: BaseException) -> None:
         kind = classify_failure(exc)
         job.attempts += 1
         if sweep_policy.on_failure == "abort":
@@ -496,10 +623,11 @@ def run_resilient(
             if kind in PNR_KINDS:
                 job.pnr_seed = job.seed + PNR_SEED_STRIDE * job.attempts
                 job.pnr_seeds.append(job.pnr_seed)
-            if sweep_policy.backoff_s:
-                time.sleep(
-                    sweep_policy.backoff_s * (2 ** (job.attempts - 1))
-                )
+            # A not-before time, not a sleep: the supervisor keeps
+            # feeding workers while this one point backs off.
+            job.not_before = time.monotonic() + sweep_policy.backoff_s * (
+                2 ** (job.attempts - 1)
+            )
             pending.append(job)
             return
         failure = FailureRecord(
@@ -528,37 +656,41 @@ def run_resilient(
 
     pending: deque[_Job] = deque(jobs)
     if max_workers is not None and max_workers <= 1:
-        # In-process twin of the pool path — same supervision, no fork.
+        # In-process twin of the pool path — same supervision, no fork,
+        # and the in-memory cache already compiles each key once.
         while pending:
             job = pending.popleft()
+            time.sleep(max(0.0, job.not_before - time.monotonic()))
             try:
                 run = job_fn(*job_args(job))
             except Exception as exc:
-                handle_failure(job, exc, pending)
+                handle_failure(job, exc)
             else:
                 emit_success(job, run)
         return outcome
 
-    while pending:
-        batch = list(pending)
-        pending.clear()
-        # One pool per retry round: a BrokenProcessPool poisons every
-        # outstanding future, so the round collects what it can, the
-        # survivors are requeued, and the next round gets fresh workers.
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            submitted: list[tuple[_Job, object]] = []
-            for job in batch:
-                try:
-                    submitted.append((job, pool.submit(job_fn, *job_args(job))))
-                except BrokenProcessPool as exc:
-                    handle_failure(job, exc, pending)
-            # Collect in submission order so manifests stay in job order
-            # (the serial/parallel manifest-equivalence contract).
-            for job, future in submitted:
-                try:
-                    run = future.result()
-                except Exception as exc:
-                    handle_failure(job, exc, pending)
-                else:
-                    emit_success(job, run)
+    def settle(job: _Job, future: Future) -> None:
+        try:
+            run = future.result()
+        except Exception as exc:
+            handle_failure(job, exc)
+        else:
+            emit_success(job, run)
+
+    # Workers share compiles only through a disk cache; without one every
+    # worker would PnR every kernel it touches. The scratch directory is
+    # theirs alone: the parent's GLOBAL_CACHE is never pointed at it.
+    with (
+        tempfile.TemporaryDirectory(prefix="repro-sweep-cache-")
+        if cache_str is None
+        else contextlib.nullcontext(cache_str)
+    ) as cache_str:
+        _dispatch_pooled(
+            pending,
+            max_workers or os.cpu_count() or 1,
+            job_fn,
+            _compile_sweep_job,
+            job_args,
+            settle,
+        )
     return outcome

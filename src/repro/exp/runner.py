@@ -6,8 +6,10 @@ meaningless.
 
 :func:`run_parallel` fans a (workload x config x seed) sweep out over a
 ``ProcessPoolExecutor``; simulation and PnR are deterministic, so the
-parallel sweep is bit-identical to the serial one, and an on-disk compile
-cache (see :mod:`repro.exp.cache`) shares PnR results between workers.
+parallel sweep is bit-identical to the serial one. Workers share PnR
+results through an on-disk compile cache (see :mod:`repro.exp.cache`),
+and the supervisor compiles each distinct key once, ahead of the points
+that simulate it (:func:`_compile_sweep_job`).
 
 Both :func:`run_parallel` and :func:`run_workload_on_configs` run their
 jobs under the resilient sweep supervisor (:mod:`repro.exp.resilient`):
@@ -350,6 +352,76 @@ def run_workload_on_configs(
 # -- parallel sweep ---------------------------------------------------------
 
 
+def _attach_cache(cache_dir: str | None) -> None:
+    """Point this process's compile cache at the sweep's directory."""
+    if cache_dir is not None and (
+        GLOBAL_CACHE.disk_dir is None
+        or str(GLOBAL_CACHE.disk_dir) != cache_dir
+    ):
+        # Always point at the *requested* dir: warm in-process reuse
+        # (max_workers <= 1) must not silently keep a previous sweep's
+        # cache directory.
+        GLOBAL_CACHE.enable_disk(cache_dir)
+
+
+def _compile_point(
+    name: str,
+    scale: str,
+    seed: int,
+    arch: ArchParams,
+    policy_name: str,
+    fabric_spec: FabricSpec,
+    pnr_seed: int | None,
+    profile_guided: bool,
+) -> tuple[WorkloadInstance, CompiledKernel]:
+    """Build one sweep point's workload and compile it through the cache."""
+    instance = make_workload(name, scale=scale, seed=seed)
+    compiled = compile_cached(
+        instance,
+        build_fabric(*fabric_spec),
+        arch,
+        policy=get_policy(policy_name),
+        seed=seed if pnr_seed is None else pnr_seed,
+        profile_guided=profile_guided,
+    )
+    return instance, compiled
+
+
+def _compile_sweep_job(
+    name: str,
+    config: MachineConfig,
+    scale: str,
+    seed: int,
+    arch: ArchParams,
+    divider: int,
+    policy_name: str,
+    fabric_spec: FabricSpec,
+    cache_dir: str | None,
+    pnr_seed: int | None = None,
+    timeout_s: float | None = None,
+    snapshot: dict | None = None,
+    profile_guided: bool = False,
+) -> None:
+    """The PnR half of :func:`_run_sweep_job`, run once per compile key.
+
+    Takes a point's argument list unchanged (``config``, ``divider`` and
+    ``snapshot`` play no part in PnR) and leaves the compiled kernel in
+    the shared disk cache, so every point of the key disk-hits. Returns
+    nothing: the artifact travels through ``cache_dir``, not the pipe.
+    """
+    from repro.exp.resilient import call_with_timeout
+
+    _attach_cache(cache_dir)
+    call_with_timeout(
+        timeout_s,
+        lambda: _compile_point(
+            name, scale, seed, arch, policy_name, fabric_spec, pnr_seed,
+            profile_guided,
+        ),
+        label=f"{name}/compile/seed{seed}",
+    )
+
+
 def _run_sweep_job(
     name: str,
     config: MachineConfig,
@@ -386,15 +458,7 @@ def _run_sweep_job(
     """
     from repro.exp.resilient import call_with_timeout
 
-    if cache_dir is not None and (
-        GLOBAL_CACHE.disk_dir is None
-        or str(GLOBAL_CACHE.disk_dir) != cache_dir
-    ):
-        # Always point at the *requested* dir: warm in-process reuse
-        # (max_workers <= 1) must not silently keep a previous sweep's
-        # cache directory.
-        GLOBAL_CACHE.enable_disk(cache_dir)
-
+    _attach_cache(cache_dir)
     watchdog = None
     grace_s = 5.0
     if snapshot is not None:
@@ -404,16 +468,9 @@ def _run_sweep_job(
         grace_s = snapshot.get("grace_s", 5.0)
 
     def job() -> RunResult:
-        policy = get_policy(policy_name)
-        fabric = build_fabric(*fabric_spec)
-        instance = make_workload(name, scale=scale, seed=seed)
-        compiled = compile_cached(
-            instance,
-            fabric,
-            arch,
-            policy=policy,
-            seed=seed if pnr_seed is None else pnr_seed,
-            profile_guided=profile_guided,
+        instance, compiled = _compile_point(
+            name, scale, seed, arch, policy_name, fabric_spec, pnr_seed,
+            profile_guided,
         )
         checkpoint = resume_from = None
         resume_policy = "strict"
@@ -491,13 +548,17 @@ def run_parallel(
 
     Returns ``{(workload, config_name, seed): RunResult}``. Results are
     bit-identical to running each point serially: compilation and
-    simulation are deterministic, and every job recompiles (or loads from
-    the shared on-disk cache) its own kernel, so no cross-job state leaks.
+    simulation are deterministic, and every job loads its kernel from the
+    shared on-disk cache (or recompiles it), so no cross-job state leaks.
 
-    ``max_workers <= 1`` runs in-process — same code path minus the pool,
-    which keeps the serial-vs-parallel equivalence testable without fork
-    overhead. ``cache_dir`` points workers at a shared persistent compile
-    cache so each distinct PnR key is placed-and-routed once per machine.
+    ``max_workers <= 1`` runs in-process — same job function minus the
+    pool, which keeps the serial-vs-parallel equivalence testable without
+    fork overhead. With a pool, each distinct PnR key of the sweep is
+    placed-and-routed once, by a compile task the key's points wait for
+    (see :func:`repro.exp.resilient._dispatch_pooled`); ``cache_dir``
+    makes those artifacts outlive the sweep, so a later invocation on
+    the same directory compiles nothing. Without it the workers share a
+    temporary directory that is removed when the sweep returns.
 
     ``manifest_path`` appends one JSONL record per run (see
     :mod:`repro.obs.manifest`). Records are written by the parent in job

@@ -114,8 +114,42 @@ def test_dependence_graph_mirrors_edges():
     kernel, _, _ = zoo_instance("dot")
     dfg = lower_kernel(kernel)
     graph = dependence_graph(dfg)
-    assert graph.number_of_nodes() == len(dfg)
-    assert graph.number_of_edges() == len(dfg.edge_list())
+    assert set(graph) == set(dfg.nodes)
+    assert sorted(
+        (src, dst) for src, succs in graph.items() for dst in succs
+    ) == sorted((src, dst) for src, dst, _ in dfg.edge_list())
+
+
+def test_deep_chain_does_not_recurse():
+    """A 5000-node dependence chain closed by one carry: a recursive SCC
+    would blow the interpreter stack; the recurrence is still found."""
+    import sys
+
+    from repro.dfg.graph import DFG, ImmRef, PortRef
+
+    depth = 5 * sys.getrecursionlimit()
+    dfg = DFG("chain")
+    dfg.declare_array("a", 8)
+    carry = dfg.add("carry", [ImmRef("const", 0)])
+    load = dfg.add("load", [PortRef(carry)], array="a")
+    tail = load
+    for _ in range(depth):
+        tail = dfg.add("unop", [PortRef(tail)], opname="neg")
+    dfg.nodes[carry].inputs.append(PortRef(tail))
+    stray = dfg.add("load", [ImmRef("const", 0)], array="a")
+
+    report = analyze_criticality(dfg)
+    assert report.recurrences == [frozenset(range(carry, tail + 1))]
+    assert report.class_a == [load]
+    assert report.class_c == [stray]
+
+
+def test_recurrences_ordered_by_min_node_id():
+    kernel, _, _ = zoo_instance("join")
+    report = analyze_criticality(lower_kernel(kernel))
+    assert len(report.recurrences) > 1
+    firsts = [min(component) for component in report.recurrences]
+    assert firsts == sorted(firsts)
 
 
 def test_counts_and_klass_helpers():

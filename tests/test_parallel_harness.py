@@ -20,6 +20,8 @@ from repro.exp.cache import CACHE_SCHEMA_VERSION, CompileCache
 from repro.exp.configs import MONACO, upea
 from repro.exp.runner import (
     PAPER_DIVIDER,
+    _compile_sweep_job,
+    _run_sweep_job,
     run_config,
     run_parallel,
     run_workload_on_configs,
@@ -88,6 +90,110 @@ def test_process_pool_sweep_matches_serial(tmp_path, reference):
     # (workload, seed) PnR key.
     entries = list((tmp_path / "cache").glob("*.pkl"))
     assert len(entries) == len(WORKLOADS) * len(SEEDS)
+
+
+# -- compile-once dispatch --------------------------------------------------
+# Doubles around the real point job and the real compile task that note
+# every cache miss (= one PnR) in WORKER_LOG. Workers are forked, so they
+# see the path the test set; one short append per line never interleaves.
+
+WORKER_LOG = None
+
+
+def _noting_misses(real, args):
+    from repro.exp.cache import GLOBAL_CACHE
+
+    before = GLOBAL_CACHE.misses
+    result = real(*args)
+    if GLOBAL_CACHE.misses > before:
+        with open(WORKER_LOG, "a") as handle:
+            handle.write(f"{args[0]}\n")
+    return result
+
+
+def _miss_noting_job(*args):
+    return _noting_misses(_run_sweep_job, args)
+
+
+def _miss_noting_compile(*args):
+    return _noting_misses(_compile_sweep_job, args)
+
+
+@pytest.fixture
+def miss_log(tmp_path, monkeypatch):
+    """Arms both doubles; returns a reader of the kernels PnR'd so far."""
+    import sys
+
+    from repro.exp import runner
+    from repro.exp.cache import GLOBAL_CACHE
+
+    log = tmp_path / "misses.log"
+    monkeypatch.setattr(sys.modules[__name__], "WORKER_LOG", log)
+    monkeypatch.setattr(runner, "_run_sweep_job", _miss_noting_job)
+    monkeypatch.setattr(runner, "_compile_sweep_job", _miss_noting_compile)
+    monkeypatch.setattr(GLOBAL_CACHE, "_store", {})  # workers fork empty
+
+    def misses():
+        return sorted(log.read_text().split()) if log.exists() else []
+
+    return misses
+
+
+def test_pool_sweep_compiles_each_key_once(tmp_path, miss_log):
+    workloads = ["spmspv", "dmv", "spmv"]
+    configs = [MONACO, upea(2), upea(3)]
+    kwargs = dict(
+        scale="tiny", max_workers=2, cache_dir=tmp_path / "cache",
+    )
+    cold = run_parallel(workloads, configs, **kwargs)
+    assert len(cold) == 9
+    assert miss_log() == sorted(workloads)
+    warm = run_parallel(workloads, configs, **kwargs)
+    assert warm == cold
+    assert miss_log() == sorted(workloads)  # nothing compiled again
+
+
+def _slow_first_point_job(*args):
+    import time
+
+    run = _run_sweep_job(*args)
+    if (args[0], args[1].name) == ("spmspv", "monaco"):
+        time.sleep(1.0)
+    with open(WORKER_LOG, "a") as handle:
+        handle.write(f"{args[0]}/{args[1].name}\n")
+    return run
+
+
+def test_pool_manifest_stays_in_job_order(tmp_path, monkeypatch):
+    """Points finishing out of order are still journaled in job order."""
+    import sys
+
+    from repro.exp.resilient import run_resilient
+    from repro.obs.manifest import read_manifest, stable_view
+
+    finished = tmp_path / "finished.log"
+    monkeypatch.setattr(sys.modules[__name__], "WORKER_LOG", finished)
+    kwargs = dict(
+        scale="tiny", cache_dir=tmp_path / "cache",
+        job_fn=_slow_first_point_job,
+    )
+    for label, workers in (("serial", 1), ("pooled", 2)):
+        finished.write_text("")
+        run_resilient(
+            WORKLOADS, CONFIGS, max_workers=workers,
+            manifest_path=tmp_path / f"{label}.jsonl", **kwargs,
+        )
+    # The pooled run really overtook its first point...
+    assert finished.read_text().split()[0] != "spmspv/monaco"
+    # ...and its journal does not show it.
+    serial, pooled = (
+        [stable_view(r) for r in read_manifest(tmp_path / f"{label}.jsonl")]
+        for label in ("serial", "pooled")
+    )
+    assert pooled == serial
+    assert [(r["workload"], r["config"]) for r in pooled] == [
+        (w, c.name) for w in WORKLOADS for c in CONFIGS
+    ]
 
 
 class TestDiskCache:
@@ -284,16 +390,20 @@ def test_compiled_kernel_pickle_roundtrip():
     assert a.memory == b.memory
 
 
-def test_fig11_jobs_matches_serial():
-    """fig11 fanned over >=4 workers matches the serial path bit-for-bit.
-
-    (This container exposes one CPU, so the assertion here is correctness
-    of the 4-worker fan-out; wall-clock scaling is documented in
-    EXPERIMENTS.md and shows up on multi-core machines.)
-    """
+def test_fig11_jobs_matches_serial(miss_log, monkeypatch):
+    """fig11 fanned over 4 workers matches the serial path bit-for-bit,
+    and — with no cache directory configured, as from the CLI — still
+    places-and-routes each kernel once (the workers share a sweep-scoped
+    temporary cache)."""
+    from repro.exp.cache import GLOBAL_CACHE
     from repro.exp.figures import fig11
 
-    serial = fig11(scale="tiny", workloads=["spmspv"])
-    fanned = fig11(scale="tiny", workloads=["spmspv"], jobs=4)
+    monkeypatch.setattr(GLOBAL_CACHE, "disk_dir", None)
+    workloads = ["spmspv", "dmv"]
+    serial = fig11(scale="tiny", workloads=workloads)
+    GLOBAL_CACHE.clear()  # forked workers must not inherit the kernels
+    fanned = fig11(scale="tiny", workloads=workloads, jobs=4)
     assert fanned.rows == serial.rows
     assert fanned.raw == serial.raw
+    assert miss_log() == sorted(workloads)
+    assert GLOBAL_CACHE.disk_dir is None

@@ -287,6 +287,210 @@ def test_worker_death_is_retried_with_a_fresh_pool(tmp_path):
     assert (tmp_path / "died-once").exists()
 
 
+# -- pooled dispatcher ------------------------------------------------------
+# Doubles log to files in ``cache_dir`` (the one path every worker
+# receives); one short append per line, so lines never interleave. The
+# compile-task double goes in by patching ``runner._compile_sweep_job``,
+# which ``run_resilient`` resolves at call time.
+
+
+def _log(cache_dir, name, line):
+    with open(Path(cache_dir) / name, "a") as handle:
+        handle.write(line + "\n")
+
+
+def _read_log(cache_dir, name):
+    path = Path(cache_dir) / name
+    return path.read_text().splitlines() if path.exists() else []
+
+
+def _noop_compile(*args):
+    return None
+
+
+def _patch_compile(monkeypatch, double):
+    from repro.exp import runner
+
+    monkeypatch.setattr(runner, "_compile_sweep_job", double)
+
+
+def _routing_compile(*args):
+    name, seed, cache_dir, pnr_seed = args[0], args[3], args[8], args[9]
+    _log(cache_dir, "compiles.log", f"{name} {seed} {pnr_seed}")
+    if pnr_seed is None:
+        raise RoutingError("congested under the original placement seed")
+
+
+def _timed_compile(*args):
+    start = time.monotonic()
+    time.sleep(0.2)
+    _log(args[8], "spans.log", f"compile {start} {time.monotonic()}")
+
+
+def _timed_job(*args):
+    start = time.monotonic()
+    time.sleep(0.5)
+    _log(args[8], "spans.log", f"sim {start} {time.monotonic()}")
+    return (args[0], args[1].name)
+
+
+def _first_fails_rest_sleep_job(*args):
+    name, config, cache_dir = args[0], args[1], args[8]
+    if config.name == "monaco":
+        raise SimulationError("first job fails at once")
+    _log(cache_dir, "started.log", config.name)
+    time.sleep(1.0)
+    return (name, config.name)
+
+
+def _first_fails_once_job(*args):
+    name, config, cache_dir = args[0], args[1], args[8]
+    _log(cache_dir, "starts.log", f"{config.name} {time.monotonic()}")
+    marker = Path(cache_dir) / "failed-once"
+    if config.name == "monaco" and not marker.exists():
+        marker.write_text("x")
+        raise JobTimeout("transient")
+    time.sleep(0.2)
+    return (name, config.name)
+
+
+def _die_once_others_sleep_job(*args):
+    name, config, cache_dir = args[0], args[1], args[8]
+    if config.name == "monaco":
+        marker = Path(cache_dir) / "died-once"
+        if not marker.exists():
+            marker.write_text("x")
+            os._exit(1)
+    time.sleep(0.2)
+    return (name, config.name)
+
+
+def test_failed_compile_task_leaves_the_verdict_to_each_point(
+    tmp_path, monkeypatch
+):
+    """A compile task that cannot route releases its points anyway: under
+    ``skip`` each point records its own failure; under ``retry`` the
+    three points' common perturbed seed is one new key, compiled once."""
+    _patch_compile(monkeypatch, _routing_compile)
+    configs = [MONACO, upea(2), upea(3)]
+    kwargs = dict(
+        scale="tiny", max_workers=2, job_fn=_routing_until_perturbed_job
+    )
+
+    skipped = run_resilient(
+        ["spmspv"], configs, cache_dir=tmp_path,
+        sweep_policy=SweepPolicy(on_failure="skip"), **kwargs,
+    )
+    assert not skipped.results
+    assert [(f.config, f.kind, f.attempts) for f in skipped.failures] == [
+        (c.name, "routing", 1) for c in configs
+    ]
+    assert _read_log(tmp_path, "compiles.log") == ["spmspv 0 None"]
+
+    (tmp_path / "compiles.log").unlink()
+    retried = run_resilient(
+        ["spmspv"], configs, cache_dir=tmp_path,
+        sweep_policy=SweepPolicy(on_failure="retry", max_retries=2), **kwargs,
+    )
+    assert retried.ok
+    assert {r[3] for r in retried.results.values()} == {PNR_SEED_STRIDE}
+    assert _read_log(tmp_path, "compiles.log") == [
+        "spmspv 0 None",
+        f"spmspv 0 {PNR_SEED_STRIDE}",
+    ]
+
+
+def test_one_key_runs_one_compile_then_every_sim_at_once(
+    tmp_path, monkeypatch
+):
+    """Fewer keys than workers: the sims start together behind the one
+    compile task — none queues behind a sibling."""
+    _patch_compile(monkeypatch, _timed_compile)
+    outcome = run_resilient(
+        ["spmspv"], [MONACO, upea(2), upea(3)], scale="tiny", max_workers=3,
+        cache_dir=tmp_path, job_fn=_timed_job,
+    )
+    assert len(outcome.results) == 3
+    spans = [line.split() for line in _read_log(tmp_path, "spans.log")]
+    compiles = [(float(a), float(b)) for k, a, b in spans if k == "compile"]
+    sims = [(float(a), float(b)) for k, a, b in spans if k == "sim"]
+    assert len(compiles) == 1 and len(sims) == 3
+    assert min(start for start, _ in sims) >= compiles[0][1]
+    assert max(start for start, _ in sims) < min(end for _, end in sims)
+
+
+def test_abort_cancels_queued_jobs(tmp_path, monkeypatch):
+    """Fail-fast means fast: the first failure drops what is queued
+    rather than running the sweep out (10 x 1 s on 2 workers = 5 s)."""
+    _patch_compile(monkeypatch, _noop_compile)
+    configs = [MONACO] + [upea(n) for n in range(2, 12)]
+    before = time.perf_counter()
+    with pytest.raises(SimulationError):
+        run_resilient(
+            ["spmspv"], configs, scale="tiny", max_workers=2,
+            cache_dir=tmp_path, job_fn=_first_fails_rest_sleep_job,
+        )
+    assert time.perf_counter() - before < 3.0
+    assert len(_read_log(tmp_path, "started.log")) <= 3  # the window
+
+
+def test_backoff_delays_the_retry_not_the_supervisor(tmp_path, monkeypatch):
+    """A point's backoff is a not-before time on that point: the other
+    points keep being dispatched while it waits."""
+    _patch_compile(monkeypatch, _noop_compile)
+    configs = [MONACO] + [upea(n) for n in range(2, 9)]
+    backoff = 1.0
+    outcome = run_resilient(
+        ["spmspv"], configs, scale="tiny", max_workers=2, cache_dir=tmp_path,
+        sweep_policy=SweepPolicy(
+            on_failure="retry", max_retries=1, backoff_s=backoff
+        ),
+        job_fn=_first_fails_once_job,
+    )
+    assert outcome.ok and len(outcome.results) == len(configs)
+    starts = [line.split() for line in _read_log(tmp_path, "starts.log")]
+    first, retry = [float(t) for name, t in starts if name == "monaco"]
+    assert retry - first >= backoff
+    # upea8 sat beyond the in-flight window when monaco failed; a
+    # supervisor asleep for the backoff could not have dispatched it.
+    (last,) = [float(t) for name, t in starts if name == configs[-1].name]
+    assert last < first + backoff
+
+
+def test_backoff_applies_in_process_too(tmp_path):
+    outcome = run_resilient(
+        ["spmspv"], [MONACO, upea(2)], scale="tiny", max_workers=1,
+        cache_dir=tmp_path,
+        sweep_policy=SweepPolicy(
+            on_failure="retry", max_retries=1, backoff_s=0.5
+        ),
+        job_fn=_first_fails_once_job,
+    )
+    assert outcome.ok
+    starts = [line.split() for line in _read_log(tmp_path, "starts.log")]
+    first, retry = [float(t) for name, t in starts if name == "monaco"]
+    assert retry - first >= 0.5
+
+
+def test_worker_death_poisons_only_the_window(tmp_path, monkeypatch):
+    """Only points in flight when the worker died are charged the death;
+    the undispatched rest of the round runs on a fresh pool, once."""
+    _patch_compile(monkeypatch, _noop_compile)
+    configs = [MONACO] + [upea(n) for n in range(2, 10)]
+    workers = 2
+    outcome = run_resilient(
+        ["spmspv"], configs, scale="tiny", max_workers=workers,
+        cache_dir=tmp_path, sweep_policy=SweepPolicy(on_failure="skip"),
+        job_fn=_die_once_others_sleep_job,
+    )
+    dead = {f.config for f in outcome.failures}
+    assert "monaco" in dead and len(dead) <= workers + 1
+    assert {f.kind for f in outcome.failures} == {"worker-death"}
+    assert {key[1] for key in outcome.results} == {
+        c.name for c in configs
+    } - dead
+
+
 # -- real-simulator equivalence with a mid-sweep failure --------------------
 
 
