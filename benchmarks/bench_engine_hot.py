@@ -8,22 +8,19 @@ best-of-``--rounds``; the stable stats+memory digest is asserted equal
 across rounds, so the benchmark never reports a number for a
 non-deterministic build.
 
-Unlike ``bench_pnr_compile.py``, the pre-optimization engine is not kept
-behind a flag (the rewrite replaces single-implementation hot loops in
-the engine, memory system and FM-NoC frontend at once), so the A/B
-baseline is *pinned*: ``--capture-pre-pr`` was run once on the last
-pre-rewrite revision to record ``pre_pr_s`` wall times, and the reported
-speedup is ``pre_pr_s / current_s`` on the same machine. Raw walls are
-machine-dependent, so the CI guard normalizes by a fixed pure-Python
-calibration loop timed in the same process:
+The committed baseline holds absolute numbers only (``current_s`` per
+workload plus the calibration constant of the host that measured them);
+before/after ratios come from ``benchmarks/e2e/run.py --compare`` on two
+checkouts, which anyone can re-run. Raw walls are machine-dependent, so
+the CI guard normalizes by a fixed pure-Python calibration loop timed in
+the same process:
 
     PYTHONPATH=src python benchmarks/bench_engine_hot.py \
         --check benchmarks/results/BENCH_engine_hot.json --tolerance 0.25
 
 fails when the calibration-normalized suite wall rises more than 25%
 above the committed baseline's. ``--update-baseline`` re-measures
-``current_s`` (and the calibration) after an intentional change,
-preserving the pinned ``pre_pr_s`` column.
+``current_s`` (and the calibration) after an intentional change.
 """
 
 from __future__ import annotations
@@ -124,48 +121,21 @@ def run_suite(workloads, scale: str, rounds: int) -> dict:
     }
 
 
-def merge_pre_pr(results: dict, baseline: dict | None) -> dict:
-    """Attach the pinned ``pre_pr_s`` column and per-workload speedups."""
-    pinned = (baseline or {}).get("workloads", {})
-    total_pre = 0.0
-    for name, entry in results["workloads"].items():
-        pre = pinned.get(name, {}).get("pre_pr_s")
-        if pre is None:
-            continue
-        entry["pre_pr_s"] = pre
-        entry["speedup"] = round(pre / entry["current_s"], 2)
-        total_pre += pre
-    if total_pre:
-        results["total_pre_pr_s"] = round(total_pre, 4)
-        results["speedup_vs_pre_pr"] = round(
-            total_pre / results["total_current_s"], 2
-        )
-    return results
-
-
 def render(results: dict) -> str:
     lines = [
         f"Engine hot-path benchmark — scale={results['scale']}, "
         f"best of {results['rounds']} round(s), "
         f"calibration {results['calib_s']:.3f}s",
-        f"{'workload':<12}{'cycles':>10}{'firings':>10}{'pre-PR':>9}"
-        f"{'current':>9}{'speedup':>9}  digest",
+        f"{'workload':<12}{'cycles':>10}{'firings':>10}{'current':>9}  digest",
     ]
     for name, e in results["workloads"].items():
-        pre = f"{e['pre_pr_s']:>8.3f}s" if "pre_pr_s" in e else f"{'-':>9}"
-        spd = f"{e['speedup']:>8.2f}x" if "speedup" in e else f"{'-':>9}"
         lines.append(
-            f"{name:<12}{e['cycles']:>10}{e['firings']:>10}{pre}"
-            f"{e['current_s']:>8.3f}s{spd}  {e['digest']}"
+            f"{name:<12}{e['cycles']:>10}{e['firings']:>10}"
+            f"{e['current_s']:>8.3f}s  {e['digest']}"
         )
-    total = f"{results['total_current_s']:>8.3f}s"
-    if "total_pre_pr_s" in results:
-        lines.append(
-            f"{'TOTAL':<12}{'':>20}{results['total_pre_pr_s']:>8.3f}s{total}"
-            f"{results['speedup_vs_pre_pr']:>8.2f}x"
-        )
-    else:
-        lines.append(f"{'TOTAL':<12}{'':>20}{'':>9}{total}")
+    lines.append(
+        f"{'TOTAL':<12}{'':>20}{results['total_current_s']:>8.3f}s"
+    )
     return "\n".join(lines)
 
 
@@ -215,31 +185,17 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--update-baseline", action="store_true",
-        help=f"rewrite {BASELINE_PATH} (current_s; keeps pinned pre_pr_s)",
-    )
-    parser.add_argument(
-        "--capture-pre-pr", action="store_true",
-        help="record the measured walls as the pinned pre_pr_s column "
-        "(run once, on the last pre-rewrite revision)",
+        help=f"rewrite {BASELINE_PATH} (current_s and calib_s)",
     )
     args = parser.parse_args(argv)
 
     if args.check and not pathlib.Path(args.check).is_file():
         parser.error(f"baseline not found: {args.check}")
 
-    baseline = (
-        json.loads(BASELINE_PATH.read_text())
-        if BASELINE_PATH.is_file()
-        else None
-    )
     results = run_suite(args.workloads, args.scale, max(1, args.rounds))
-    if args.capture_pre_pr:
-        for entry in results["workloads"].values():
-            entry["pre_pr_s"] = entry["current_s"]
-    results = merge_pre_pr(results, baseline)
     print(render(results))
 
-    if args.update_baseline or args.capture_pre_pr:
+    if args.update_baseline:
         record_bench(
             "engine_hot",
             wall_s=results["total_current_s"],

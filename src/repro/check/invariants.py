@@ -119,11 +119,12 @@ class InvariantChecker:
 
     # -- hooks (called by the engine, gated on ``check is not None``) ------
 
-    def fire(self, now: int, nid: int, decision) -> None:
-        """A node committed a firing at fabric tick ``now``."""
+    def fire(self, now: int, nid: int, pops: tuple[int, ...]) -> None:
+        """A node committed a firing at fabric tick ``now``, consuming a
+        token from each input port index in ``pops``."""
         node = self.dfg.nodes[nid]
         self.fired[node.op] = self.fired.get(node.op, 0) + 1
-        for index in decision.pops:
+        for index in pops:
             key = (nid, index)
             queue = self.shadow[key]
             if not queue:

@@ -10,12 +10,11 @@ from repro.dfg.graph import (
 )
 from repro.dfg.interp import InterpResult, run_dfg
 from repro.dfg.lower import eliminate_dead, lower_kernel, mem_token_var
-from repro.dfg.ops import NO_EMIT, Decision, MemRequest, decide, fresh_state
+from repro.dfg.ops import NO_EMIT, MemRequest, compile_rule, fresh_state
 
 __all__ = [
     "ALL_OPS",
     "DFG",
-    "Decision",
     "ImmRef",
     "InterpResult",
     "MEMORY_OPS",
@@ -23,7 +22,7 @@ __all__ = [
     "NO_EMIT",
     "Node",
     "PortRef",
-    "decide",
+    "compile_rule",
     "eliminate_dead",
     "fresh_state",
     "lower_kernel",

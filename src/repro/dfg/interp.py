@@ -15,41 +15,12 @@ from __future__ import annotations
 import random as _random
 from collections import deque
 
-from repro.dfg.graph import DFG, Node, PortRef
-from repro.dfg.ops import NO_EMIT, FifoLike, decide, fresh_state
+from repro.dfg.graph import DFG, PortRef
+from repro.dfg.ops import NO_EMIT, compile_rule, fresh_state
 from repro.errors import DFGError
 
 #: Safety net against graphs that never quiesce.
 MAX_FIRINGS = 100_000_000
-
-
-class _Fifos(FifoLike):
-    def __init__(self, dfg: DFG):
-        self.queues: dict[tuple[int, int], deque] = {}
-        for node in dfg.nodes.values():
-            for index, inp in enumerate(node.inputs):
-                if isinstance(inp, PortRef):
-                    self.queues[(node.nid, index)] = deque()
-
-    def has(self, node: Node, index: int) -> bool:
-        return bool(self.queues[(node.nid, index)])
-
-    def peek(self, node: Node, index: int):
-        return self.queues[(node.nid, index)][0]
-
-    def pop(self, node: Node, index: int):
-        return self.queues[(node.nid, index)].popleft()
-
-    def push(self, nid: int, index: int, value) -> None:
-        self.queues[(nid, index)].append(value)
-
-    def residue(self) -> list[tuple[int, int, int]]:
-        """Non-empty FIFOs at quiescence: (node, port, depth)."""
-        return [
-            (nid, idx, len(q))
-            for (nid, idx), q in self.queues.items()
-            if q
-        ]
 
 
 class InterpResult:
@@ -101,9 +72,24 @@ def run_dfg(
             data = [zero] * size
         memory[name] = data
 
-    fifos = _Fifos(dfg)
+    # Per node: one unbounded deque per port input (None for immediates),
+    # the firing rule compiled over them, and the deques it feeds.
+    rows = {
+        nid: [
+            deque() if isinstance(inp, PortRef) else None
+            for inp in node.inputs
+        ]
+        for nid, node in dfg.nodes.items()
+    }
+    rules = {
+        nid: compile_rule(node, rows[nid], params)
+        for nid, node in dfg.nodes.items()
+    }
+    sinks = {
+        nid: [(consumer, rows[consumer][index]) for consumer, index in edges]
+        for nid, edges in dfg.consumers().items()
+    }
     states = {nid: fresh_state(node) for nid, node in dfg.nodes.items()}
-    consumers = dfg.consumers()
     rng = _random.Random(seed)
 
     pending: deque[int] = deque(sorted(dfg.nodes))
@@ -129,22 +115,22 @@ def run_dfg(
         else:
             raise DFGError(f"unknown scheduling order {order!r}")
         in_pending.discard(nid)
-        node = dfg.nodes[nid]
-        decision = decide(node, states[nid], fifos, params)
-        if decision is None:
+        fired = rules[nid](states[nid])
+        if fired is None:
             continue
+        pops, emit, request, new_state = fired
         fired_total += 1
         if fired_total > max_firings:
             raise DFGError("DFG exceeded the firing safety limit")
-        firings[node.op] = firings.get(node.op, 0) + 1
+        op = dfg.nodes[nid].op
+        firings[op] = firings.get(op, 0) + 1
         node_firings[nid] = node_firings.get(nid, 0) + 1
-        for index in decision.pops:
-            fifos.pop(node, index)
-        if decision.state is not None:
-            states[nid].update(decision.state)
-        emit = decision.emit
-        if decision.mem is not None:
-            request = decision.mem
+        row = rows[nid]
+        for index in pops:
+            row[index].popleft()
+        if new_state is not None:
+            states[nid].update(new_state)
+        if request is not None:
             data = memory[request.array]
             if not 0 <= request.index < len(data):
                 raise DFGError(
@@ -157,18 +143,24 @@ def run_dfg(
                 data[request.index] = request.value
                 emit = 0  # the store's ordering token
         if emit is not NO_EMIT:
-            for consumer, index in consumers[nid]:
-                fifos.push(consumer, index, emit)
+            for consumer, queue in sinks[nid]:
+                queue.append(emit)
                 wake(consumer)
         # The node may be ready again immediately (queued tokens).
         wake(nid)
 
-    _check_quiescent(dfg, fifos, states)
+    _check_quiescent(dfg, rows, states)
     return InterpResult(memory, firings, node_firings)
 
 
-def _check_quiescent(dfg: DFG, fifos: _Fifos, states: dict) -> None:
-    residue = fifos.residue()
+def _check_quiescent(dfg: DFG, rows: dict, states: dict) -> None:
+    # Non-empty FIFOs at quiescence: (node, port, depth).
+    residue = [
+        (nid, idx, len(queue))
+        for nid, row in rows.items()
+        for idx, queue in enumerate(row)
+        if queue
+    ]
     if residue:
         nid, idx, depth = residue[0]
         node = dfg.nodes[nid]

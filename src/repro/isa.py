@@ -11,8 +11,6 @@ matching what effcc-compiled C kernels would compute.
 
 from __future__ import annotations
 
-import math
-
 from repro.errors import ReproError
 
 Number = int | float
@@ -66,19 +64,21 @@ COMPARISON_OPS = frozenset(("<", "<=", ">", ">=", "==", "!=", "not"))
 
 
 def apply_binop(op: str, lhs: Number, rhs: Number) -> Number:
-    """Evaluate a binary operator with the library-wide semantics."""
+    """Evaluate a binary operator with the library-wide semantics.
+
+    The one-shot form over :data:`BINARY_IMPLS`; compiled DFG firing
+    rules (:func:`repro.dfg.ops.compile_rule`) bind the table entry once.
+    """
     try:
         impl = BINARY_IMPLS[op]
     except KeyError:
         raise ReproError(f"unknown binary operator {op!r}") from None
-    result = impl(lhs, rhs)
-    if isinstance(result, float) and math.isnan(result):
-        return result
-    return result
+    return impl(lhs, rhs)
 
 
 def apply_unop(op: str, operand: Number) -> Number:
-    """Evaluate a unary operator with the library-wide semantics."""
+    """Evaluate a unary operator with the library-wide semantics
+    (one-shot form over :data:`UNARY_IMPLS`, see :func:`apply_binop`)."""
     try:
         impl = UNARY_IMPLS[op]
     except KeyError:

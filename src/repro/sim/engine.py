@@ -23,11 +23,14 @@ Firing-dense workloads execute nearly every fabric tick, so per-tick
 cost is wall clock. The dispatch state is therefore laid out in dense
 ``nid``-indexed parallel arrays built once at init (node refs, consumer
 edge lists with pre-resolved FIFO deques and hop counts, producer ids
-per input port, response queues), the active and emit-candidate sets are
-incrementally-maintained ordered lists (:class:`_OrderedIntSet` — same
-iteration order as the ``sorted(set)`` they replace), and per-op firing
-counts accumulate in an interned int array folded into
-``SimStats.firings`` at quiescence. All of it is an *optimization, not
+per input port, response queues, and one firing rule per node compiled
+by :func:`repro.dfg.ops.compile_rule` — the firing loop and the probe
+path's ``_stall_reason`` call the same rules), the active and
+emit-candidate sets are incrementally-maintained ordered lists
+(:class:`_OrderedIntSet` — same iteration order as the ``sorted(set)``
+they replace), and per-op firing counts accumulate in an interned int
+array folded into ``SimStats.firings`` at quiescence. All of it is an
+*optimization, not
 an approximation*: results are bit-identical to the per-tick-``sorted``
 engine (pinned pre-rewrite digests in ``tests/test_engine_hot.py``), and
 the :meth:`state_dict` schema is unchanged, so pre-rewrite snapshots
@@ -42,7 +45,7 @@ from collections import deque
 from repro.arch.memory import AddressMap
 from repro.arch.params import ArchParams
 from repro.dfg.graph import DFG, PortRef
-from repro.dfg.ops import NO_EMIT, FifoLike, decide, fresh_state
+from repro.dfg.ops import NO_EMIT, compile_rule, fresh_state
 from repro.errors import DeadlockError, SimulationError
 from repro.obs.events import FIRE
 from repro.pnr.result import CompiledKernel
@@ -51,15 +54,16 @@ from repro.sim.memsys import MemorySystem, RequestRecord
 from repro.sim.stats import SimStats
 
 
-class _Fifos(FifoLike):
+class _Fifos:
     """Per-port input FIFOs with two views of the same deques.
 
     ``queues`` keys by ``(nid, index)`` — the stable identity tests and
     the snapshot layer use. ``by_node`` is a dense nid-indexed table of
-    per-port deque refs (None for immediates) so :func:`decide`'s
-    ``has``/``peek`` resolve with an int index instead of hashing a
-    fresh tuple per call. Both views alias the *same* deque objects, and
-    restore refills them in place, so neither ever goes stale.
+    per-port deque refs (None for immediates): ``by_node[nid]`` is the
+    ``row`` the node's firing rule is compiled over
+    (:func:`repro.dfg.ops.compile_rule`) and the firing loop pops from.
+    Both views, and every rule, alias the *same* deque objects, and
+    restore refills them in place, so none ever goes stale.
     """
 
     def __init__(self, dfg: DFG):
@@ -74,12 +78,6 @@ class _Fifos(FifoLike):
                     self.queues[(node.nid, index)] = queue
                     row[index] = queue
             self.by_node[node.nid] = row
-
-    def has(self, node, index):
-        return bool(self.by_node[node.nid][index])
-
-    def peek(self, node, index):
-        return self.by_node[node.nid][index][0]
 
 
 class _OrderedIntSet:
@@ -422,10 +420,12 @@ class _Engine:
             self.active.add(nid)
         self.emit_candidates = _OrderedIntSet(self._size)
         #: Tokens pushed earlier in the *current* fabric tick but not yet
-        #: committed, per consumer FIFO. ``can_emit`` counts these so two
-        #: capacity checks within one tick cannot both claim the same
-        #: remaining slot (intra-tick FIFO-overflow fix).
-        self.pending_pushes: dict[tuple[int, int], int] = {}
+        #: committed, per producer nid — a FIFO has exactly one producer,
+        #: so this is the uncommitted count of every FIFO it feeds.
+        #: ``can_emit`` counts these so two capacity checks within one
+        #: tick cannot both claim the same remaining slot (intra-tick
+        #: FIFO-overflow fix).
+        self.pending_pushes: dict[int, int] = {}
         self.arrivals: list[tuple[int, int, RequestRecord]] = []
         self._arrival_order = 0
         self._seq = 0
@@ -465,7 +465,11 @@ class _Engine:
         size = self._size
         self._node_by_id = [None] * size
         self._state_by_id: list[dict | None] = [None] * size
-        #: Per nid: [(fifo_key, consumer_fifo, hops, consumer_nid), ...].
+        #: Per nid: the firing rule, compiled once over the node's FIFO
+        #: row (:func:`repro.dfg.ops.compile_rule`). Unbound parameters
+        #: and unknown operators raise here, before cycle 0.
+        self._rules: list = [None] * size
+        #: Per nid: [(consumer_fifo, consumer_nid, port_index, hops), ...].
         self._consumer_edges: list[list[tuple]] = [[] for _ in range(size)]
         self._resp_by_id: list[deque | None] = [None] * size
         #: Per nid, per input port: producer nid (PortRef inputs only).
@@ -481,6 +485,9 @@ class _Engine:
         for nid, node in self.dfg.nodes.items():
             self._node_by_id[nid] = node
             self._state_by_id[nid] = self.states[nid]
+            self._rules[nid] = compile_rule(
+                node, self.fifos.by_node[nid], self.params
+            )
             self._nid_op[nid] = op_index.setdefault(node.op, len(op_index))
             self._placement_by_id[nid] = self.compiled.placement.get(nid)
             row: list[int | None] = [None] * len(node.inputs)
@@ -496,10 +503,10 @@ class _Engine:
         for producer, consumers in self.consumers.items():
             self._consumer_edges[producer] = [
                 (
-                    (consumer, index),
                     queues[(consumer, index)],
-                    self.edge_hops[(producer, consumer)],
                     consumer,
+                    index,
+                    self.edge_hops[(producer, consumer)],
                 )
                 for consumer, index in consumers
             ]
@@ -550,23 +557,16 @@ class _Engine:
     # -- helpers ---------------------------------------------------------
 
     def can_emit(self, nid: int) -> bool:
-        capacity = self.capacity
-        pending = self.pending_pushes
-        if pending:
-            for key, queue, _hops, _consumer in self._consumer_edges[nid]:
-                if len(queue) + pending.get(key, 0) >= capacity:
-                    return False
-        else:
-            for _key, queue, _hops, _consumer in self._consumer_edges[nid]:
-                if len(queue) >= capacity:
-                    return False
+        limit = self.capacity - self.pending_pushes.get(nid, 0)
+        for edge in self._consumer_edges[nid]:
+            if len(edge[0]) >= limit:
+                return False
         return True
 
     def push_output(self, nid: int, value, pushes: list) -> None:
         pushes.append((nid, value))
         pending = self.pending_pushes
-        for key, _queue, _hops, _consumer in self._consumer_edges[nid]:
-            pending[key] = pending.get(key, 0) + 1
+        pending[nid] = pending.get(nid, 0) + 1
 
     def commit_pushes(self, pushes: list) -> None:
         capacity = self.capacity
@@ -575,11 +575,10 @@ class _Engine:
         tokens = 0
         hops_total = 0
         for nid, value in pushes:
-            for _key, queue, hops, consumer in edges[nid]:
+            for queue, consumer, index, hops in edges[nid]:
                 queue.append(value)
                 if len(queue) > capacity:
                     node = self.dfg.nodes[consumer]
-                    index = _key[1]
                     raise SimulationError(
                         f"FIFO overflow: node {consumer} ({node.op} "
                         f"{node.tag!r}) port {node.port_name(index)} holds "
@@ -609,6 +608,12 @@ class _Engine:
         arrivals = self.arrivals
         frontend_tick = self.frontend.tick
         enqueue = memsys.enqueue
+
+        def deliver(record):
+            # ``self.now`` is the cycle being executed: it is written at
+            # the bottom of every iteration and re-read at the top.
+            enqueue(record, self.now)
+
         obs = self.obs
         while True:
             if self.snapshots is not None:
@@ -642,7 +647,7 @@ class _Engine:
                     memsys.stats.record_arrival(record, now)
                 self.emit_candidates.add(record.nid)
                 progressed = True
-            if frontend_tick(now, lambda rec: enqueue(rec, now)):
+            if frontend_tick(now, deliver):
                 # Requests advancing through the fabric-memory network
                 # (e.g. Monaco's arbiter chain) count as forward progress
                 # for the deadlock detector.
@@ -696,31 +701,30 @@ class _Engine:
         the deadlock detector and the ``max_cycles`` safety net still
         trip at exactly the cycle the per-cycle loop would have raised.
         """
-        candidates = []
+        # Start from the clamps (where the per-cycle loop would diagnose
+        # the deadlock, and the ``max_cycles`` net), then take the
+        # minimum with every hint; the final ``max`` keeps a stale hint
+        # from moving time backwards.
+        target = min(last_event + deadlock_after + 1, max_cycles + 1)
         nxt = self.memsys.next_event(now)
-        if nxt is not None:
-            candidates.append(nxt)
-        if self.arrivals:
-            candidates.append(max(now, self.arrivals[0][0]))
+        if nxt is not None and nxt < target:
+            target = nxt
+        if self.arrivals and self.arrivals[0][0] < target:
+            target = self.arrivals[0][0]
         if self._frontend_next is not None:
             nxt = self._frontend_next(now)
         else:
             # Frontends without a hint: never skip while they hold state.
             nxt = now if self.frontend.busy() else None
-        if nxt is not None:
-            candidates.append(nxt)
+        if nxt is not None and nxt < target:
+            target = nxt
         if self.active.count or self.emit_candidates.count:
             # A node may be ready (or retry a blocked emit) at the next
             # fabric tick; idle PEs wake only via the sources above.
             divider = self.divider
-            candidates.append(((now + divider - 1) // divider) * divider)
-        if candidates:
-            target = min(candidates)
-        else:
-            # Nothing can ever happen again: jump straight to where the
-            # per-cycle loop would diagnose the deadlock.
-            target = last_event + deadlock_after + 1
-        target = min(target, last_event + deadlock_after + 1, max_cycles + 1)
+            nxt = ((now + divider - 1) // divider) * divider
+            if nxt < target:
+                target = nxt
         return max(now, target)
 
     def _finished(self, now: int) -> bool:
@@ -810,28 +814,26 @@ class _Engine:
 
     def _stall_reason(self, nid: int) -> str:
         """Why ``nid`` cannot fire right now (side-effect-free peek)."""
-        node = self.dfg.nodes[nid]
-        queue = self.resp_queue.get(nid)
+        queue = self._resp_by_id[nid]
         if queue and queue[0].arrived_cycle is not None:
             # A memory response is back at the PE but cannot be emitted.
             if not self.can_emit(nid):
                 return "fifo-full"
         try:
-            decision = decide(
-                node, self.states[nid], self.fifos, self.params
-            )
+            fired = self._rules[nid](self._state_by_id[nid])
         except Exception:  # pragma: no cover - diagnostic path only
             return "operand-wait"
-        if decision is None:
+        if fired is None:
             # No new firing possible; if this PE has requests in flight,
             # the wait is the memory round-trip itself (the paper's
             # critical-load stall), not operand starvation.
             return "memory-outstanding" if queue else "operand-wait"
-        if decision.mem is not None:
+        _pops, emit, mem, _new_state = fired
+        if mem is not None:
             if queue is not None and len(queue) >= self.max_outstanding:
                 return "memory-outstanding"
             return "ready"
-        if decision.emit is not NO_EMIT and not self.can_emit(nid):
+        if emit is not NO_EMIT and not self.can_emit(nid):
             return "output-backpressure"
         return "ready"
 
@@ -881,17 +883,17 @@ class _Engine:
         member = active._member
         discard = active.discard
         add = active.add
-        nodes = self._node_by_id
+        rules = self._rules
         states = self._state_by_id
         resp = self._resp_by_id
         producers = self._producer_by_port
         in_fifos = self.fifos.by_node
         fire_counts = self._fire_counts
         nid_op = self._nid_op
-        fifos = self.fifos
-        params = self.params
         capacity = self.capacity
         max_outstanding = self.max_outstanding
+        can_emit = self.can_emit
+        push_output = self.push_output
         obs = self.obs
         faults = self.faults
         check = self.check
@@ -899,16 +901,16 @@ class _Engine:
         for nid in active.iter_ordered():
             if not member[nid]:
                 continue
-            decision = decide(nodes[nid], states[nid], fifos, params)
-            if decision is None:
+            fired = rules[nid](states[nid])
+            if fired is None:
                 discard(nid)
                 continue
-            mem = decision.mem
+            pops, emit, mem, new_state = fired
             if mem is not None:
                 if len(resp[nid]) >= max_outstanding:
                     discard(nid)
                     continue
-            elif decision.emit is not NO_EMIT and not self.can_emit(nid):
+            elif emit is not NO_EMIT and not can_emit(nid):
                 discard(nid)
                 continue
             if faults is not None and faults.stall_pe():
@@ -921,9 +923,8 @@ class _Engine:
                 # Shadow pops + cadence check for exactly the tokens
                 # this firing consumes (after the fault gate, so a
                 # suppressed firing is not counted).
-                check.fire(now, nid, decision)
+                check.fire(now, nid, pops)
             # Commit the firing.
-            pops = decision.pops
             if pops:
                 fifo_row = in_fifos[nid]
                 producer_row = producers[nid]
@@ -932,24 +933,25 @@ class _Engine:
                     if len(queue) >= capacity:
                         add(producer_row[index])
                     queue.popleft()
-                    tokens_popped += 1
-            if decision.state is not None:
-                states[nid].update(decision.state)
+                tokens_popped += len(pops)
+            if new_state is not None:
+                states[nid].update(new_state)
             if mem is not None:
                 self._issue_memory(nid, mem, now)
-            elif decision.emit is not NO_EMIT:
-                self.push_output(nid, decision.emit, pushes)
+            elif emit is not NO_EMIT:
+                push_output(nid, emit, pushes)
             fire_counts[nid_op[nid]] += 1
             if obs is not None:
-                node = nodes[nid]
                 self._tick_fired.add(nid)
-                obs.fire(now, node, self._placement_by_id[nid])
+                obs.fire(
+                    now, self._node_by_id[nid], self._placement_by_id[nid]
+                )
                 obs.fire_pops(
                     now,
                     nid,
                     pops,
                     mem is not None,
-                    mem is None and decision.emit is not NO_EMIT,
+                    mem is None and emit is not NO_EMIT,
                 )
             progressed = True
             # The node may be ready again next tick; keep it active.

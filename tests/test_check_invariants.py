@@ -106,9 +106,8 @@ def mem_nid(dfg, op="load"):
 def test_pop_from_empty_shadow_is_token_conservation():
     checker, _dfg = make_checker()
     consumer, port = edge_key(checker)
-    decision = SimpleNamespace(pops=(port,))
     with pytest.raises(InvariantViolation, match="token-conservation"):
-        checker.fire(5, consumer, decision)
+        checker.fire(5, consumer, (port,))
 
 
 def test_same_tick_consume_is_token_cadence():
@@ -117,12 +116,11 @@ def test_same_tick_consume_is_token_cadence():
     producer = dfg.nodes[consumer].inputs[port].src
     consumers = {producer: [(consumer, port)]}
     checker.commit(7, [(producer, 1)], consumers)
-    decision = SimpleNamespace(pops=(port,))
     with pytest.raises(InvariantViolation, match="token-cadence"):
-        checker.fire(7, consumer, decision)  # pushed at 7, popped at 7
+        checker.fire(7, consumer, (port,))  # pushed at 7, popped at 7
     # ...but the next tick is fine.
     checker.commit(7, [(producer, 1)], consumers)
-    checker.fire(8, consumer, decision)
+    checker.fire(8, consumer, (port,))
 
 
 def test_overfull_fifo_is_fifo_capacity():

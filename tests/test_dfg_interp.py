@@ -5,7 +5,7 @@ import pytest
 from repro.dfg.graph import DFG, ImmRef, PortRef
 from repro.dfg.interp import run_dfg
 from repro.dfg.lower import lower_kernel
-from repro.errors import DFGError
+from repro.errors import DFGError, ReproError
 from repro.ir.interp import run_kernel
 
 from kernels import ZOO, zoo_instance
@@ -63,6 +63,24 @@ def test_token_leak_detected():
     dfg.nodes[blocked].inputs[1] = PortRef(blocked)  # self-loop, no token
     with pytest.raises(DFGError, match="token leak"):
         run_dfg(dfg)
+
+
+def test_unbound_parameter_raises_before_the_first_firing():
+    # max_firings=0 makes any firing raise the safety-limit error, so
+    # seeing the parameter error proves nothing fired first (rules — and
+    # their immediates — are compiled before the scheduling loop).
+    kernel, _params, arrays = zoo_instance("dot")
+    dfg = lower_kernel(kernel)
+    with pytest.raises(DFGError, match=r"node \d+ .*unbound.*'n'"):
+        run_dfg(dfg, {}, arrays, max_firings=0)
+
+
+def test_unknown_operator_raises_before_the_first_firing():
+    dfg = DFG("badop")
+    src = dfg.add("source", [])
+    bad = dfg.add("binop", [PortRef(src), ImmRef("const", 2)], opname="**")
+    with pytest.raises(ReproError, match=rf"node {bad} .*operator '\*\*'"):
+        run_dfg(dfg, max_firings=0)
 
 
 def test_array_size_mismatch_rejected():

@@ -5,10 +5,11 @@ import pytest
 from repro.arch.fabric import monaco
 from repro.arch.params import ArchParams, SimParams
 from repro.core.policy import EFFCC
-from repro.errors import DeadlockError
+from repro.errors import DeadlockError, DFGError, ReproError
 from repro.ir.interp import run_kernel
 from repro.pnr.flow import compile_once
 from repro.sim.engine import simulate
+from repro.sim.snapshot import CheckpointConfig
 from repro.sim.upea import NumaFrontend, UniformFrontend
 
 from kernels import ZOO, zoo_instance
@@ -158,3 +159,34 @@ def test_frontend_name_recorded():
     ck, params, arrays = compiled("dot")
     res = simulate(ck, params, arrays, ARCH)
     assert res.stats.frontend == "monaco"
+
+
+class TestRuleCompileErrorsPrecedeCycleZero:
+    """Immediates and operators resolve when the engine is built, so a
+    bad launch fails before any cycle runs — in particular before the
+    every-cycle checkpoint below could write a snapshot."""
+
+    def _checkpoint(self, tmp_path):
+        return CheckpointConfig(
+            path=str(tmp_path / "run.snap"), every_cycles=1
+        )
+
+    def test_unbound_parameter(self, tmp_path):
+        ck, _params, arrays = compiled("dot")
+        with pytest.raises(DFGError, match=r"node \d+ .*unbound.*'n'"):
+            simulate(
+                ck, {}, arrays, ARCH, checkpoint=self._checkpoint(tmp_path)
+            )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unknown_operator(self, tmp_path):
+        ck, params, arrays = compiled("dot")
+        bad = next(n for n in ck.dfg.nodes.values() if n.op == "binop")
+        bad.attrs["opname"] = "**"
+        with pytest.raises(
+            ReproError, match=rf"node {bad.nid} .*operator '\*\*'"
+        ):
+            simulate(
+                ck, params, arrays, ARCH, checkpoint=self._checkpoint(tmp_path)
+            )
+        assert list(tmp_path.iterdir()) == []

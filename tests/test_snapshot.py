@@ -186,6 +186,41 @@ class TestSplitRunBitIdentity:
         assert _digest(resumed) == _digest(full)
         assert resumed.memory == full.memory
 
+    def test_rules_compile_once_per_node_and_survive_restore(
+        self, tmp_path, monkeypatch
+    ):
+        """Firing rules are built when the engine is (one per node, never
+        per firing), and a restore refills the deques they closed over in
+        place: the resumed run compiles nothing after its own init and
+        still ends on the uninterrupted digest."""
+        import repro.sim.engine as engine_mod
+
+        compiles = []
+        real = engine_mod.compile_rule
+
+        def counting(node, row, params):
+            compiles.append(node.nid)
+            return real(node, row, params)
+
+        monkeypatch.setattr(engine_mod, "compile_rule", counting)
+        _instance, compiled = _compiled("spmspv")
+        nodes = sorted(compiled.dfg.nodes)
+
+        full = _simulate("spmspv", ArchParams())
+        assert sorted(compiles) == nodes
+        assert sum(full.stats.firings.values()) > 10 * len(nodes)
+
+        compiles.clear()
+        budget = full.stats.executed_cycles // 2
+        resumed = _split(
+            "spmspv", ArchParams(), budget, str(tmp_path / "rules.snap")
+        )
+        # Two simulate() calls (preempted + resumed), one build each.
+        assert sorted(compiles) == sorted(nodes * 2)
+        assert resumed.resume_info["from_cycle"] > 0
+        assert _digest(resumed) == _digest(full)
+        assert resumed.memory == full.memory
+
     def test_periodic_writes_are_detached_and_check_verified(self, tmp_path):
         # sim.check on: every periodic write round-trips the payload and
         # compares it against the live machine (verify_roundtrip), so a
