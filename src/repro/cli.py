@@ -41,13 +41,14 @@ import json
 import sys
 
 from repro.arch.fabric import TOPOLOGIES, build_fabric
-from repro.arch.params import ArchParams
+from repro.arch.params import ArchParams, SimParams
 from repro.core.criticality import format_report
 from repro.core.policy import POLICIES, get_policy
 from repro.exp import figures as figures_mod
 from repro.exp.configs import MONACO, ideal, numa, upea
 from repro.exp.report import format_figure
-from repro.exp.runner import PAPER_DIVIDER, compile_cached, run_config
+from repro.exp.runner import PAPER_DIVIDER, compile_point, run_config
+from repro.exp.spec import RunSpec
 from repro.exp.tables import format_table1, table1
 from repro.pnr.viz import fabric_map, placement_map
 from repro.sim.energy import estimate_energy
@@ -82,6 +83,25 @@ def _config_for(name: str):
     )
 
 
+def _add_sim_args(p, **workload_kwargs) -> None:
+    """The argument block every compile-and-simulate command shares
+    (read back by :func:`_spec_from_args`)."""
+    p.add_argument(
+        "workload", choices=sorted(ALL_WORKLOADS), **workload_kwargs
+    )
+    p.add_argument("--scale", default="small")
+    p.add_argument(
+        "--config", default="monaco",
+        help="monaco | ideal | upeaN | numaN (default: monaco)",
+    )
+    p.add_argument("--policy", choices=sorted(POLICIES), default="effcc")
+    p.add_argument("--rows", type=int, default=12)
+    p.add_argument("--cols", type=int, default=12)
+    p.add_argument("--topology", default="monaco")
+    p.add_argument("--tracks", type=int, default=3)
+    p.add_argument("--seed", type=int, default=0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -101,20 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser(
         "run", help="compile + simulate one workload"
     )
-    p_run.add_argument("workload", choices=sorted(ALL_WORKLOADS))
-    p_run.add_argument("--scale", default="small")
-    p_run.add_argument(
-        "--config", default="monaco",
-        help="monaco | ideal | upeaN | numaN (default: monaco)",
-    )
-    p_run.add_argument(
-        "--policy", choices=sorted(POLICIES), default="effcc"
-    )
-    p_run.add_argument("--rows", type=int, default=12)
-    p_run.add_argument("--cols", type=int, default=12)
-    p_run.add_argument("--topology", default="monaco")
-    p_run.add_argument("--tracks", type=int, default=3)
-    p_run.add_argument("--seed", type=int, default=0)
+    _add_sim_args(p_run)
     p_run.add_argument(
         "--map", action="store_true", help="print the placement map"
     )
@@ -168,28 +175,12 @@ def build_parser() -> argparse.ArgumentParser:
         "(see repro.core.profile)",
     )
 
-    def add_sim_args(p):
-        p.add_argument("workload", choices=sorted(ALL_WORKLOADS))
-        p.add_argument("--scale", default="small")
-        p.add_argument(
-            "--config", default="monaco",
-            help="monaco | ideal | upeaN | numaN (default: monaco)",
-        )
-        p.add_argument(
-            "--policy", choices=sorted(POLICIES), default="effcc"
-        )
-        p.add_argument("--rows", type=int, default=12)
-        p.add_argument("--cols", type=int, default=12)
-        p.add_argument("--topology", default="monaco")
-        p.add_argument("--tracks", type=int, default=3)
-        p.add_argument("--seed", type=int, default=0)
-
     p_profile = sub.add_parser(
         "profile",
         help="simulate with cycle-attribution tracing and print the "
         "stall-taxonomy tables and traffic heatmaps",
     )
-    add_sim_args(p_profile)
+    _add_sim_args(p_profile)
     p_profile.add_argument(
         "--top", type=int, default=20,
         help="rows of the per-node attribution table (default 20)",
@@ -211,22 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
         "system_cycles); --validate scores the static class-A/B "
         "heuristic against measured criticality on every workload",
     )
-    p_crit.add_argument(
-        "workload", choices=sorted(ALL_WORKLOADS), nargs="?", default=None,
-    )
-    p_crit.add_argument("--scale", default="small")
-    p_crit.add_argument(
-        "--config", default="monaco",
-        help="monaco | ideal | upeaN | numaN (default: monaco)",
-    )
-    p_crit.add_argument(
-        "--policy", choices=sorted(POLICIES), default="effcc"
-    )
-    p_crit.add_argument("--rows", type=int, default=12)
-    p_crit.add_argument("--cols", type=int, default=12)
-    p_crit.add_argument("--topology", default="monaco")
-    p_crit.add_argument("--tracks", type=int, default=3)
-    p_crit.add_argument("--seed", type=int, default=0)
+    _add_sim_args(p_crit, nargs="?")
     p_crit.add_argument(
         "--top", type=int, default=10,
         help="rows of the critical-memory-node table (default 10)",
@@ -251,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulate with tracing and export a Chrome trace_event "
         "JSON (Perfetto / chrome://tracing)",
     )
-    add_sim_args(p_trace)
+    _add_sim_args(p_trace)
     p_trace.add_argument(
         "--out", default="trace.json", metavar="PATH",
         help="where to write the trace (default: trace.json)",
@@ -262,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="feedback-directed placement: compile -> profiled run -> "
         "per-node blame -> reweighted PnR, iterated to convergence",
     )
-    add_sim_args(p_fdo)
+    _add_sim_args(p_fdo)
     p_fdo.add_argument(
         "--rounds", type=int, default=3, metavar="N",
         help="bound on feedback rounds after the static round 0 "
@@ -301,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a (workload x config x seed) sweep, optionally parallel",
     )
     p_sweep.add_argument(
-        "--workloads", nargs="*", default=["spmspv", "dmv"],
+        "--workloads", nargs="+", choices=sorted(ALL_WORKLOADS),
+        default=["spmspv", "dmv"], metavar="WORKLOAD",
         help="workloads to sweep (default: spmspv dmv)",
     )
     p_sweep.add_argument(
@@ -493,65 +470,114 @@ def cmd_fabric(args) -> int:
     return 0
 
 
-def cmd_run(args) -> int:
-    from repro.arch.params import SimParams
+def _spec_from_args(
+    args, workload: str | None = None, profile_guided: bool = False, **sim
+) -> RunSpec:
+    """The point the shared sim-argument block names; ``sim`` are the
+    command's own :class:`~repro.arch.params.SimParams` settings."""
+    return RunSpec(
+        workload=workload or args.workload,
+        config=_config_for(args.config),
+        scale=args.scale,
+        seed=args.seed,
+        arch=ArchParams(noc_tracks=args.tracks, sim=SimParams(**sim)),
+        policy=args.policy,
+        fabric=(args.topology, args.rows, args.cols),
+        profile_guided=profile_guided,
+    )
 
-    instance = make_workload(args.workload, scale=args.scale, seed=args.seed)
+
+def _compile_and_run(spec, on_compiled=None, resume_from=None, **pnr_knobs):
+    """Compile ``spec`` through the cache, then simulate it at the
+    divider the routed design achieved (never below the paper's).
+
+    ``on_compiled(compiled)`` runs between the two, for output that
+    should appear before a long simulation does.
+    """
+    instance, compiled = compile_point(spec, **pnr_knobs)
+    if on_compiled is not None:
+        on_compiled(compiled)
+    run = run_config(
+        instance,
+        compiled,
+        spec.config,
+        spec.arch,
+        divider=max(PAPER_DIVIDER, compiled.timing.clock_divider),
+        resume_from=resume_from,
+    )
+    return compiled, run
+
+
+def _print_run(spec, run, stats: bool = True) -> None:
+    print(
+        f"{spec.workload} on {spec.config.name}: {run.cycles} system cycles "
+        f"(output verified)"
+    )
+    if stats:
+        print("stats:", run.stats.summary())
+
+
+def _write_json(path, payload, what: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"{what} written to {path}")
+
+
+def _stats_payload(stats) -> dict:
+    """``--stats-json`` payload: the full stats dict plus the energy
+    breakdown (deterministic from stable counters, so machine consumers
+    get the Sec. 1 headline metric without re-pricing the run)."""
+    return {**stats.to_dict(), "energy": estimate_energy(stats).to_dict()}
+
+
+def cmd_run(args) -> int:
+    from repro.errors import SimulationPreempted
+
     checkpoint_path = args.checkpoint
     if checkpoint_path is None and args.checkpoint_every:
         checkpoint_path = f"{args.workload}.snap"
-    arch = ArchParams(
-        noc_tracks=args.tracks,
-        sim=SimParams(
-            cycle_skip=not args.no_cycle_skip,
-            checkpoint_path=checkpoint_path,
-            checkpoint_every=args.checkpoint_every,
-        ),
-    )
-    fabric = build_fabric(args.topology, args.rows, args.cols)
-    policy = get_policy(args.policy)
-    compiled = compile_cached(
-        instance,
-        fabric,
-        arch,
-        policy=policy,
-        seed=args.seed,
-        incremental=not args.naive_pnr,
-        portfolio_jobs=args.portfolio_jobs,
+    spec = _spec_from_args(
+        args,
         profile_guided=args.profile_guided,
+        cycle_skip=not args.no_cycle_skip,
+        checkpoint_path=checkpoint_path,
+        checkpoint_every=args.checkpoint_every,
     )
-    print(compiled.summary())
-    profile_report = compiled.meta.get("profile")
-    if profile_report is not None:
-        promoted = profile_report.get("promoted", [])
-        demoted = profile_report.get("demoted", [])
-        print(
-            f"profile-guided: promoted {len(promoted)} node(s) C->B "
-            f"{promoted}, demoted {len(demoted)} node(s) B->C {demoted}"
-        )
-        if profile_report.get("note"):
-            print(f"profile-guided: {profile_report['note']}")
-    if compiled.pnr is not None:
-        pnr = compiled.pnr
-        print(
-            f"pnr: {pnr.total_wall_s:.2f}s compile "
-            f"({pnr.moves_per_s:,.0f} moves/s, "
-            f"{pnr.route_iterations} route iters, "
-            f"{pnr.nets_rerouted} reroutes, "
-            f"{pnr.candidates} candidates x {pnr.portfolio_jobs} jobs)"
-        )
-    if args.criticality:
-        print(format_report(compiled.dfg, compiled.criticality))
-    if args.map:
-        print(placement_map(compiled))
-    config = _config_for(args.config)
-    divider = max(PAPER_DIVIDER, compiled.timing.clock_divider)
-    from repro.errors import SimulationPreempted
+
+    def show(compiled) -> None:
+        print(compiled.summary())
+        profile_report = compiled.meta.get("profile")
+        if profile_report is not None:
+            promoted = profile_report.get("promoted", [])
+            demoted = profile_report.get("demoted", [])
+            print(
+                f"profile-guided: promoted {len(promoted)} node(s) C->B "
+                f"{promoted}, demoted {len(demoted)} node(s) B->C {demoted}"
+            )
+            if profile_report.get("note"):
+                print(f"profile-guided: {profile_report['note']}")
+        if compiled.pnr is not None:
+            pnr = compiled.pnr
+            print(
+                f"pnr: {pnr.total_wall_s:.2f}s compile "
+                f"({pnr.moves_per_s:,.0f} moves/s, "
+                f"{pnr.route_iterations} route iters, "
+                f"{pnr.nets_rerouted} reroutes, "
+                f"{pnr.candidates} candidates x {pnr.portfolio_jobs} jobs)"
+            )
+        if args.criticality:
+            print(format_report(compiled.dfg, compiled.criticality))
+        if args.map:
+            print(placement_map(compiled))
 
     try:
-        run = run_config(
-            instance, compiled, config, arch, divider=divider,
+        _compiled, run = _compile_and_run(
+            spec,
+            on_compiled=show,
             resume_from=args.resume_from,
+            incremental=not args.naive_pnr,
+            portfolio_jobs=args.portfolio_jobs,
         )
     except SimulationPreempted as exc:
         # Exit 75 (EX_TEMPFAIL): the run was preempted but left a
@@ -566,66 +592,12 @@ def cmd_run(args) -> int:
             f"resumed from {run.resume_info['snapshot']} at cycle "
             f"{run.resume_info['from_cycle']}"
         )
-    print(
-        f"{args.workload} on {config.name}: {run.cycles} system cycles "
-        f"(output verified)"
-    )
-    print("stats:", run.stats.summary())
+    _print_run(spec, run)
     if args.energy:
         print("energy:", estimate_energy(run.stats).summary())
     if args.stats_json:
-        with open(args.stats_json, "w", encoding="utf-8") as fh:
-            json.dump(_stats_payload(run.stats), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"stats JSON written to {args.stats_json}")
+        _write_json(args.stats_json, _stats_payload(run.stats), "stats JSON")
     return 0
-
-
-def _stats_payload(stats) -> dict:
-    """``--stats-json`` payload: the full stats dict plus the energy
-    breakdown (deterministic from stable counters, so machine consumers
-    get the Sec. 1 headline metric without re-pricing the run)."""
-    return {**stats.to_dict(), "energy": estimate_energy(stats).to_dict()}
-
-
-def _traced_run(args, trace_path=None):
-    """Shared setup for ``profile`` and ``trace``: one traced simulation."""
-    from repro.arch.params import SimParams
-
-    instance = make_workload(args.workload, scale=args.scale, seed=args.seed)
-    arch = ArchParams(
-        noc_tracks=args.tracks,
-        sim=SimParams(trace=True, trace_path=trace_path),
-    )
-    fabric = build_fabric(args.topology, args.rows, args.cols)
-    policy = get_policy(args.policy)
-    compiled = compile_cached(
-        instance, fabric, arch, policy=policy, seed=args.seed
-    )
-    config = _config_for(args.config)
-    divider = max(PAPER_DIVIDER, compiled.timing.clock_divider)
-    run = run_config(instance, compiled, config, arch, divider=divider)
-    return fabric, compiled, config, run
-
-
-def _critpath_run(args, workload: str):
-    """One profiled run: compile ``workload`` and simulate with the
-    critical-path recorder attached."""
-    from repro.arch.params import SimParams
-
-    instance = make_workload(workload, scale=args.scale, seed=args.seed)
-    arch = ArchParams(
-        noc_tracks=args.tracks, sim=SimParams(critpath=True)
-    )
-    fabric = build_fabric(args.topology, args.rows, args.cols)
-    policy = get_policy(args.policy)
-    compiled = compile_cached(
-        instance, fabric, arch, policy=policy, seed=args.seed
-    )
-    config = _config_for(args.config)
-    divider = max(PAPER_DIVIDER, compiled.timing.clock_divider)
-    run = run_config(instance, compiled, config, arch, divider=divider)
-    return compiled, config, run
 
 
 def cmd_critpath(args) -> int:
@@ -634,23 +606,26 @@ def cmd_critpath(args) -> int:
         validate_against_dynamic,
     )
 
+    def profiled(workload):
+        spec = _spec_from_args(args, workload, critpath=True)
+        compiled, run = _compile_and_run(spec)
+        rows = validate_against_dynamic(
+            workload,
+            compiled.criticality,
+            run.obs.critpath.dynamic_criticality(),
+            threshold=args.threshold,
+        )
+        return spec, compiled, run, rows
+
     if args.validate:
         rows = []
         reports = {}
         for name in sorted(ALL_WORKLOADS):
-            compiled, config, run = _critpath_run(args, name)
-            recorder = run.obs.critpath
-            rows.extend(
-                validate_against_dynamic(
-                    name,
-                    compiled.criticality,
-                    recorder.dynamic_criticality(),
-                    threshold=args.threshold,
-                )
-            )
-            reports[name] = recorder.report
+            spec, _compiled, run, name_rows = profiled(name)
+            rows.extend(name_rows)
+            reports[name] = run.obs.critpath.report
             print(
-                f"{name:12s} {run.cycles:>10d} cycles on {config.name} "
+                f"{name:12s} {run.cycles:>10d} cycles on {spec.config.name} "
                 "(output verified)"
             )
         print()
@@ -672,47 +647,28 @@ def cmd_critpath(args) -> int:
                 ],
                 "reports": reports,
             }
-            with open(args.json, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"validation JSON written to {args.json}")
+            _write_json(args.json, payload, "validation JSON")
         return 0
     if args.workload is None:
         raise SystemExit("pass a workload, or --validate for all of them")
-    compiled, config, run = _critpath_run(args, args.workload)
+    spec, compiled, run, rows = profiled(args.workload)
     recorder = run.obs.critpath
     print(compiled.summary())
-    print(
-        f"{args.workload} on {config.name}: {run.cycles} system cycles "
-        f"(output verified)"
-    )
-    print("stats:", run.stats.summary())
+    _print_run(spec, run)
     print()
     print(recorder.render(top=args.top))
     print()
-    rows = validate_against_dynamic(
-        args.workload,
-        compiled.criticality,
-        recorder.dynamic_criticality(),
-        threshold=args.threshold,
-    )
     print(format_validation_table(rows, args.threshold))
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(recorder.report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"attribution JSON written to {args.json}")
+        _write_json(args.json, recorder.report, "attribution JSON")
     return 0
 
 
 def cmd_profile(args) -> int:
-    fabric, compiled, config, run = _traced_run(args)
+    spec = _spec_from_args(args, trace=True)
+    compiled, run = _compile_and_run(spec)
     print(compiled.summary())
-    print(
-        f"{args.workload} on {config.name}: {run.cycles} system cycles "
-        f"(output verified)"
-    )
-    print("stats:", run.stats.summary())
+    _print_run(spec, run)
     obs = run.obs
     print()
     print(obs.attribution.render(top=args.top))
@@ -727,23 +683,18 @@ def cmd_profile(args) -> int:
         f"{n_nodes} nodes vs {run.cycles} system cycles"
     )
     print()
-    print(obs.noc_heatmap.render(fabric.rows, fabric.cols))
+    print(obs.noc_heatmap.render(compiled.fabric.rows, compiled.fabric.cols))
     print()
     print(obs.fmnoc_heatmap.render())
     if args.stats_json:
-        with open(args.stats_json, "w", encoding="utf-8") as fh:
-            json.dump(_stats_payload(run.stats), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"stats JSON written to {args.stats_json}")
+        _write_json(args.stats_json, _stats_payload(run.stats), "stats JSON")
     return 0
 
 
 def cmd_trace(args) -> int:
-    _fabric, _compiled, config, run = _traced_run(args, trace_path=args.out)
-    print(
-        f"{args.workload} on {config.name}: {run.cycles} system cycles "
-        f"(output verified)"
-    )
+    spec = _spec_from_args(args, trace=True, trace_path=args.out)
+    _compiled, run = _compile_and_run(spec)
+    _print_run(spec, run, stats=False)
     n_events = len(run.obs.chrome.events)
     print(
         f"{n_events} timeline events (+ metadata) written to {args.out} "
@@ -755,15 +706,16 @@ def cmd_trace(args) -> int:
 def cmd_fdo(args) -> int:
     from repro.exp.fdo import run_fdo
 
+    spec = _spec_from_args(args)
     result = run_fdo(
-        args.workload,
+        spec.workload,
         rounds=args.rounds,
-        scale=args.scale,
-        seed=args.seed,
-        config=_config_for(args.config),
-        arch=ArchParams(noc_tracks=args.tracks),
-        fabric_spec=(args.topology, args.rows, args.cols),
-        policy=get_policy(args.policy),
+        scale=spec.scale,
+        seed=spec.seed,
+        config=spec.config,
+        arch=spec.arch,
+        fabric_spec=spec.fabric,
+        policy=get_policy(spec.policy),
         portfolio_jobs=args.portfolio_jobs,
         manifest_path=args.manifest,
     )
@@ -771,10 +723,7 @@ def cmd_fdo(args) -> int:
     if args.manifest:
         print(f"round journal appended to {args.manifest}")
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"fdo JSON written to {args.json}")
+        _write_json(args.json, result.to_dict(), "fdo JSON")
     return 0
 
 
@@ -876,10 +825,7 @@ def cmd_sweep(args) -> int:
             f"{workload}/{config}/seed{seed}": _stats_payload(run.stats)
             for (workload, config, seed), run in sorted(results.items())
         }
-        with open(args.stats_json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"stats JSON written to {args.stats_json}")
+        _write_json(args.stats_json, payload, "stats JSON")
     return 1 if outcome.failures else 0
 
 

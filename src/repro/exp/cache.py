@@ -5,8 +5,8 @@ Two layers:
 * an in-process dict (always on) — one compile per key per process;
 * an optional on-disk pickle store — compiled kernels survive across
   benchmark invocations and are how the parallel harness's worker
-  processes share a (workload, fabric, policy, parallelism, seed)
-  artifact instead of each placing-and-routing it.
+  processes share one artifact per :func:`repro.exp.spec.compile_key`
+  instead of each placing-and-routing it.
 
 Disk entries are keyed by a digest of ``(CACHE_SCHEMA_VERSION, key)``;
 bump :data:`CACHE_SCHEMA_VERSION` whenever the pickled layout of
@@ -33,7 +33,10 @@ from repro.pnr.result import CompiledKernel
 #: Bump when the pickled CompiledKernel layout changes; old on-disk
 #: entries become unreachable (different digest) instead of unpicklable.
 #: v2: CompiledKernel.pnr (PnRStats), RoutingResult.nets_rerouted/wall_s.
-CACHE_SCHEMA_VERSION = 2
+#: v3: keys are :func:`repro.exp.spec.compile_key` tuples (fixed arity,
+#: covering ``noc_model`` and ``timing``); v2 keys lacked both, so a v2
+#: entry may hold an artifact compiled under another timing model.
+CACHE_SCHEMA_VERSION = 3
 
 
 def default_cache_dir() -> Path:

@@ -37,12 +37,11 @@ from repro.arch.fabric import build_fabric
 from repro.arch.params import ArchParams
 from repro.core.policy import EFFCC, PlacementPolicy
 from repro.exp.configs import MONACO, MachineConfig
-from repro.exp.runner import (
+from repro.exp.runner import compile_cached, run_config
+from repro.exp.spec import (
     DEFAULT_FABRIC_SPEC,
     PAPER_DIVIDER,
     FabricSpec,
-    compile_cached,
-    run_config,
     weight_map_digest,
 )
 from repro.obs.manifest import append_manifest

@@ -49,7 +49,7 @@ from concurrent.futures import (
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.arch.params import ArchParams
 from repro.core.policy import EFFCC, PlacementPolicy
@@ -65,14 +65,18 @@ from repro.errors import (
     SimulationPreempted,
     ValidationError,
 )
+from repro.exp.spec import (
+    DEFAULT_FABRIC_SPEC,
+    PAPER_DIVIDER,
+    RunSpec,
+    SweepEnv,
+)
 from repro.obs.manifest import (
     MANIFEST_SCHEMA,
     append_manifest,
     build_manifest,
     completed_points,
-    config_digest,
     git_rev,
-    point_fields,
 )
 
 #: Stride between perturbed placement seeds on PnR retry. A large prime
@@ -261,33 +265,14 @@ class FailureRecord:
             f"[{self.kind}]{extra} {self.message.splitlines()[0]}"
         )
 
-    def to_manifest(
-        self,
-        *,
-        scale: str,
-        divider: int,
-        fabric_spec=None,
-        policy: str | None = None,
-        faults: str | None = None,
-        profile: str | None = None,
-    ) -> dict:
-        """A ``status: failed`` journal record for this failure."""
-        identity = point_fields(
-            workload=self.workload,
-            config=self.config,
-            scale=scale,
-            seed=self.seed,
-            divider=divider,
-            fabric=fabric_spec,
-            policy=policy,
-            faults=faults,
-            profile=profile,
-        )
+    def to_manifest(self, spec: RunSpec) -> dict:
+        """A ``status: failed`` journal record for this failure of the
+        point ``spec``."""
         return {
             "schema": MANIFEST_SCHEMA,
             "status": "failed",
-            "point_digest": config_digest(identity),
-            **identity,
+            "point_digest": spec.point_digest(),
+            **spec.point_fields(),
             "kind": self.kind,
             "message": self.message,
             "attempts": self.attempts,
@@ -325,38 +310,26 @@ class SweepOutcome:
 
 @dataclass
 class _Job:
-    """Mutable supervision state for one sweep point."""
+    """One sweep point plus its mutable supervision state."""
 
-    name: str
-    config: object  # MachineConfig
-    seed: int
+    #: Replaced (never mutated) when a PnR retry perturbs ``pnr_seed``.
+    spec: RunSpec
     attempts: int = 0
-    pnr_seed: int | None = None
     pnr_seeds: list[int] = field(default_factory=list)
     #: ``time.monotonic()`` before which a retry must not start (backoff).
     not_before: float = 0.0
 
-    @property
-    def key(self) -> tuple[str, str, int]:
-        return (self.name, self.config.name, self.seed)
-
-    @property
-    def compile_key(self) -> tuple[str, int, int]:
-        """What distinguishes this point's PnR artifact within a sweep:
-        workload, input seed, placement seed (scale, fabric, arch, policy
-        and profiling are sweep constants)."""
-        placement = self.seed if self.pnr_seed is None else self.pnr_seed
-        return (self.name, self.seed, placement)
-
 
 def _dispatch_pooled(
-    pending: deque, workers: int, job_fn, compile_fn, job_args, settle
+    pending: deque, workers: int, job_fn, compile_fn, env: SweepEnv, settle
 ) -> None:
     """Run ``pending`` (and whatever ``settle`` requeues onto it) over a
     pool of ``workers`` processes, compiling each key once.
 
-    Each round takes the current ``pending`` jobs. Every compile key no
-    task has attempted yet gets one ``compile_fn`` task, which only
+    Each round takes the current ``pending`` jobs; tasks are submitted
+    as ``fn(job.spec, env)``. Every compile key
+    (:attr:`RunSpec.compile_key <repro.exp.spec.RunSpec.compile_key>`)
+    no task has attempted yet gets one ``compile_fn`` task, which only
     warms the shared disk cache; a key's points become *ready* once that
     task finished — succeeded or not, a point that cannot compile fails
     on its own, under its own policy. At most ``workers + 1`` tasks are
@@ -379,10 +352,11 @@ def _dispatch_pooled(
             parked: dict[tuple, list[int]] = {}
             ready: list[int] = []
             for index, job in enumerate(batch):
-                if job.compile_key in attempted:
+                key = job.spec.compile_key
+                if key in attempted:
                     ready.append(index)
                 else:
-                    parked.setdefault(job.compile_key, []).append(index)
+                    parked.setdefault(key, []).append(index)
             compiles = deque(parked)
             inflight: dict[Future, int | tuple] = {}
             settled: dict[int, Future] = {}
@@ -403,7 +377,7 @@ def _dispatch_pooled(
                     else:
                         break
                     try:
-                        future = pool.submit(fn, *job_args(batch[index]))
+                        future = pool.submit(fn, batch[index].spec, env)
                     except BrokenProcessPool as exc:
                         future = Future()
                         future.set_exception(exc)
@@ -487,8 +461,11 @@ def run_resilient(
     mismatched snapshots are detected, discarded and the point restarts
     fresh — never wedging the retry loop.
 
-    ``job_fn`` is a test seam: a picklable callable with
-    :func:`repro.exp.runner._run_sweep_job`'s signature.
+    ``job_fn`` is a test seam: a picklable callable taking
+    ``(spec, env)`` like :func:`repro.exp.runner._run_sweep_job` — one
+    :class:`~repro.exp.spec.RunSpec` naming the point and the sweep's
+    :class:`~repro.exp.spec.SweepEnv`, the same two arguments on the
+    serial and the pooled path, whatever features are armed.
 
     With a pool (``max_workers`` None or > 1) the jobs go through
     :func:`_dispatch_pooled`: one
@@ -500,50 +477,38 @@ def run_resilient(
 
     ``profile_guided`` compiles every point with profile-refined
     criticality (the profiling input is each point's own instance); the
-    journal identity gains a ``profile: "guided"`` marker, so profiled
-    and static sweeps can never resume from each other's journals.
+    journal identity carries ``profile: "guided"``, so profiled and
+    static sweeps can never resume from each other's journals.
     """
-    from repro.exp.runner import (
-        DEFAULT_FABRIC_SPEC,
-        PAPER_DIVIDER,
-        _compile_sweep_job,
-        _fault_signature,
-        _run_sweep_job,
-    )
+    from repro.exp.runner import _compile_sweep_job, _run_sweep_job
 
-    arch = arch or ArchParams()
-    divider = divider if divider is not None else PAPER_DIVIDER
-    fabric_spec = fabric_spec or DEFAULT_FABRIC_SPEC
     sweep_policy = sweep_policy or ABORT
     job_fn = job_fn or _run_sweep_job
-    cache_str = str(cache_dir) if cache_dir is not None else None
-    faults_sig = _fault_signature(arch)
-    profile_sig = "guided" if profile_guided else None
-    snapshot_str = str(snapshot_dir) if snapshot_dir is not None else None
-    if snapshot_str is not None:
-        os.makedirs(snapshot_str, exist_ok=True)
-
+    if snapshot_dir is not None:
+        os.makedirs(snapshot_dir, exist_ok=True)
+    env = SweepEnv(
+        cache_dir=None if cache_dir is None else str(cache_dir),
+        timeout_s=sweep_policy.job_timeout_s,
+        snapshot_dir=None if snapshot_dir is None else str(snapshot_dir),
+        checkpoint_every=sweep_policy.checkpoint_every,
+        cycle_budget=sweep_policy.job_cycle_budget,
+        grace_s=sweep_policy.grace_s,
+        journal=None if manifest_path is None else str(manifest_path),
+    )
+    common = dict(
+        scale=scale,
+        arch=arch or ArchParams(),
+        divider=PAPER_DIVIDER if divider is None else divider,
+        policy=policy.name,
+        fabric=tuple(fabric_spec or DEFAULT_FABRIC_SPEC),
+        profile_guided=profile_guided,
+    )
     jobs = [
-        _Job(name, config, seed)
+        _Job(RunSpec(name, config, seed=seed, **common))
         for name in workloads
         for config in configs
         for seed in seeds
     ]
-
-    def digest_of(job: _Job) -> str:
-        return config_digest(
-            point_fields(
-                workload=job.name,
-                config=job.config.name,
-                scale=scale,
-                seed=job.seed,
-                divider=divider,
-                fabric=fabric_spec,
-                policy=policy.name,
-                faults=faults_sig,
-                profile=profile_sig,
-            )
-        )
 
     outcome = SweepOutcome()
     if resume:
@@ -552,77 +517,28 @@ def run_resilient(
         done = completed_points(manifest_path)
         remaining = []
         for job in jobs:
-            if digest_of(job) in done:
-                outcome.skipped.append(job.key)
+            if job.spec.point_digest() in done:
+                outcome.skipped.append(job.spec.key)
             else:
                 remaining.append(job)
         jobs = remaining
 
-    def job_args(job: _Job) -> tuple:
-        args = [
-            job.name,
-            job.config,
-            scale,
-            job.seed,
-            arch,
-            divider,
-            policy.name,
-            fabric_spec,
-            cache_str,
-            job.pnr_seed,
-            sweep_policy.job_timeout_s,
-        ]
-        if snapshot_str is not None:
-            # Appended only when snapshotting is armed, so job_fn doubles
-            # with the historical 11-argument signature keep working.
-            args.append(
-                {
-                    "dir": snapshot_str,
-                    "every": sweep_policy.checkpoint_every,
-                    "cycle_budget": sweep_policy.job_cycle_budget,
-                    "grace_s": sweep_policy.grace_s,
-                    "journal": (
-                        str(manifest_path)
-                        if manifest_path is not None
-                        else None
-                    ),
-                }
-            )
-        elif profile_guided:
-            # Placeholder so profile_guided lands in its own slot; like
-            # the snapshot dict, trailing args appear only when the
-            # feature is on, keeping historical job_fn doubles working.
-            args.append(None)
-        if profile_guided:
-            args.append(True)
-        return tuple(args)
-
     def emit_success(job: _Job, run) -> None:
-        outcome.results[job.key] = run
+        outcome.results[job.spec.key] = run
         if manifest_path is not None:
-            append_manifest(
-                manifest_path,
-                build_manifest(
-                    run,
-                    scale=scale,
-                    seed=job.seed,
-                    divider=divider,
-                    fabric_spec=fabric_spec,
-                    policy=policy.name,
-                    faults=faults_sig,
-                    profile=profile_sig,
-                ),
-            )
+            append_manifest(manifest_path, build_manifest(run, job.spec))
 
     def handle_failure(job: _Job, exc: BaseException) -> None:
         kind = classify_failure(exc)
         job.attempts += 1
         if sweep_policy.on_failure == "abort":
             raise exc
+        spec = job.spec
         if sweep_policy.wants_retry(kind, job.attempts):
             if kind in PNR_KINDS:
-                job.pnr_seed = job.seed + PNR_SEED_STRIDE * job.attempts
-                job.pnr_seeds.append(job.pnr_seed)
+                pnr_seed = spec.seed + PNR_SEED_STRIDE * job.attempts
+                job.spec = replace(spec, pnr_seed=pnr_seed)
+                job.pnr_seeds.append(pnr_seed)
             # A not-before time, not a sleep: the supervisor keeps
             # feeding workers while this one point backs off.
             job.not_before = time.monotonic() + sweep_policy.backoff_s * (
@@ -631,28 +547,18 @@ def run_resilient(
             pending.append(job)
             return
         failure = FailureRecord(
-            workload=job.name,
-            config=job.config.name,
-            seed=job.seed,
+            workload=spec.workload,
+            config=spec.config.name,
+            seed=spec.seed,
             kind=kind,
             message=str(exc),
             attempts=job.attempts,
             pnr_seeds=tuple(job.pnr_seeds),
-            point_digest=digest_of(job),
+            point_digest=spec.point_digest(),
         )
         outcome.failures.append(failure)
         if manifest_path is not None:
-            append_manifest(
-                manifest_path,
-                failure.to_manifest(
-                    scale=scale,
-                    divider=divider,
-                    fabric_spec=fabric_spec,
-                    policy=policy.name,
-                    faults=faults_sig,
-                    profile=profile_sig,
-                ),
-            )
+            append_manifest(manifest_path, failure.to_manifest(spec))
 
     pending: deque[_Job] = deque(jobs)
     if max_workers is not None and max_workers <= 1:
@@ -662,7 +568,7 @@ def run_resilient(
             job = pending.popleft()
             time.sleep(max(0.0, job.not_before - time.monotonic()))
             try:
-                run = job_fn(*job_args(job))
+                run = job_fn(job.spec, env)
             except Exception as exc:
                 handle_failure(job, exc)
             else:
@@ -682,15 +588,15 @@ def run_resilient(
     # theirs alone: the parent's GLOBAL_CACHE is never pointed at it.
     with (
         tempfile.TemporaryDirectory(prefix="repro-sweep-cache-")
-        if cache_str is None
-        else contextlib.nullcontext(cache_str)
-    ) as cache_str:
+        if env.cache_dir is None
+        else contextlib.nullcontext(env.cache_dir)
+    ) as shared_cache:
         _dispatch_pooled(
             pending,
             max_workers or os.cpu_count() or 1,
             job_fn,
             _compile_sweep_job,
-            job_args,
+            replace(env, cache_dir=shared_cache),
             settle,
         )
     return outcome

@@ -11,12 +11,14 @@ results through an on-disk compile cache (see :mod:`repro.exp.cache`),
 and the supervisor compiles each distinct key once, ahead of the points
 that simulate it (:func:`_compile_sweep_job`).
 
-Both :func:`run_parallel` and :func:`run_workload_on_configs` run their
-jobs under the resilient sweep supervisor (:mod:`repro.exp.resilient`):
-pass a :class:`~repro.exp.resilient.SweepPolicy` to get per-job
-timeouts, retries with deterministic placement-seed perturbation, and
-typed failure records instead of a crashed sweep. The default policy is
-fail-fast ``abort`` — exactly the historical behavior.
+Both :func:`run_parallel` and :func:`run_workload_on_configs` are
+facades over the resilient sweep supervisor
+(:mod:`repro.exp.resilient`): pass a
+:class:`~repro.exp.resilient.SweepPolicy` to get per-job timeouts,
+retries with deterministic placement-seed perturbation, and typed
+failure records instead of a crashed sweep. The default policy is
+fail-fast ``abort``. A point is named by one
+:class:`~repro.exp.spec.RunSpec`; jobs take ``(spec, env)``.
 """
 
 from __future__ import annotations
@@ -25,35 +27,25 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from repro.arch.fabric import Fabric, build_fabric, monaco
+from repro.arch.fabric import Fabric, build_fabric
 from repro.arch.params import ArchParams
 from repro.core.policy import EFFCC, PlacementPolicy, get_policy
 from repro.exp.cache import GLOBAL_CACHE
 from repro.exp.configs import MachineConfig
-from repro.obs.manifest import append_manifest, build_manifest
+from repro.exp.spec import (
+    DEFAULT_FABRIC_SPEC,
+    PAPER_DIVIDER,
+    FabricSpec,
+    RunSpec,
+    SweepEnv,
+    compile_key,
+)
 from repro.pnr.flow import compile_kernel
 from repro.pnr.result import CompiledKernel
 from repro.sim.engine import simulate
 from repro.sim.stats import SimStats
 from repro.workloads.base import WorkloadInstance
 from repro.workloads.registry import make_workload
-
-#: The paper's evaluated fabric clock divider (Sec. 6).
-PAPER_DIVIDER = 2
-
-#: (topology, rows, cols) triple — picklable stand-in for a Fabric when
-#: shipping jobs to worker processes.
-FabricSpec = tuple[str, int, int]
-
-DEFAULT_FABRIC_SPEC: FabricSpec = ("monaco", 12, 12)
-
-
-def _fault_signature(arch: ArchParams) -> str | None:
-    """Stable fault-model signature for manifest/journal records."""
-    faults = arch.sim.faults
-    if faults is None or not faults.active():
-        return None
-    return faults.signature()
 
 
 @dataclass
@@ -95,18 +87,6 @@ class RunResult:
     profile: dict | None = field(default=None, compare=False, repr=False)
 
 
-def weight_map_digest(node_weights: dict[int, float]) -> str:
-    """Stable 16-hex digest of a per-node weight override map."""
-    import hashlib
-    import json
-
-    payload = json.dumps(
-        {str(int(n)): float(w) for n, w in node_weights.items()},
-        sort_keys=True,
-    ).encode()
-    return hashlib.sha256(payload).hexdigest()[:16]
-
-
 def compile_cached(
     instance: WorkloadInstance,
     fabric: Fabric,
@@ -121,35 +101,30 @@ def compile_cached(
 ) -> CompiledKernel:
     """Compile with the shared cache (PnR is deterministic given the key).
 
-    ``incremental`` and ``portfolio_jobs`` only change *how fast* the
-    same artifact is produced (bit-identical outputs, see
-    :mod:`repro.pnr.flow`), so they are deliberately not part of the
-    cache key.
+    The key is :func:`repro.exp.spec.compile_key` — the declared compile
+    subset, covering every ``arch`` field ``compile_once`` reads
+    (``noc_tracks``, ``noc_model``, ``timing``); the simulator's knobs
+    (``arch.sim``, ``arch.memory``) are not in it. ``incremental`` and
+    ``portfolio_jobs`` only change *how fast* the same artifact is
+    produced (bit-identical outputs, see :mod:`repro.pnr.flow`), so they
+    are not in it either.
 
     ``profile_guided`` refines class-B/C criticality by a profiling run
     on the instance's own inputs; ``node_weights`` overrides per-node
     placement weights outright (:mod:`repro.exp.fdo`). Both change the
-    compiled artifact, so both extend the cache key — a profile-guided
-    or weight-overridden compile can never alias the static entry (and
-    vice versa: the base key is unchanged when neither is set, so every
-    pre-existing cache entry and pinned digest stays reachable).
+    compiled artifact, so both are key members (``None`` when off).
     """
-    key = (
+    key = compile_key(
         instance.name,
         instance.meta.get("table1"),
         fabric.name,
-        arch.noc_tracks,
+        arch,
         policy.name,
         parallelism,
         seed,
+        profile_guided,
+        node_weights,
     )
-    if profile_guided:
-        # The profiling inputs ARE the instance (name/table1/seed are
-        # already in the key); the marker separates refined artifacts
-        # from static ones.
-        key = key + ("profile-guided",)
-    if node_weights:
-        key = key + ("node-weights", weight_map_digest(node_weights))
     profile = (instance.params, instance.arrays) if profile_guided else None
     return GLOBAL_CACHE.get_or_compile(
         key,
@@ -219,7 +194,7 @@ def run_workload_on_configs(
     scale: str = "small",
     seed: int = 0,
     arch: ArchParams | None = None,
-    fabric: Fabric | None = None,
+    fabric_spec: FabricSpec = DEFAULT_FABRIC_SPEC,
     policy: PlacementPolicy = EFFCC,
     divider: int = PAPER_DIVIDER,
     manifest_path: str | os.PathLike | None = None,
@@ -229,127 +204,36 @@ def run_workload_on_configs(
 ) -> dict[str, RunResult]:
     """Compile once, then simulate under each interconnect config.
 
-    ``manifest_path`` appends one JSONL record per config (the serial
-    twin of :func:`run_parallel`'s manifest emission).
-
-    ``sweep_policy`` (a :class:`repro.exp.resilient.SweepPolicy`) puts
-    each config's run under supervision: with ``on_failure`` other than
-    ``"abort"``, failing configs are recorded as
-    :class:`~repro.exp.resilient.FailureRecord` s (appended to the
-    ``failures`` list when given, and journaled to the manifest) while
-    the healthy configs still return.
-
-    ``profile_guided`` refines criticality classes by a profiling run on
-    the instance's own inputs before placement (see
-    :mod:`repro.core.profile`); the manifest identity gains a
-    ``profile: "guided"`` marker and each record carries the
-    refinement's ``profile_report``.
+    The one-workload, one-seed, in-process case of
+    :func:`repro.exp.resilient.run_resilient`, returning
+    ``{config_name: RunResult}``. With a ``sweep_policy`` whose
+    ``on_failure`` is not ``"abort"``, failing configs are appended to
+    ``failures`` (when given) as
+    :class:`~repro.exp.resilient.FailureRecord` s and journaled to the
+    manifest, while the healthy configs still return.
     """
-    from repro.exp.resilient import (
-        ABORT,
-        PNR_KINDS,
-        PNR_SEED_STRIDE,
-        FailureRecord,
-        call_with_timeout,
-        classify_failure,
+    from repro.exp.resilient import run_resilient
+
+    outcome = run_resilient(
+        [name],
+        configs,
+        scale=scale,
+        seeds=(seed,),
+        arch=arch,
+        policy=policy,
+        divider=divider,
+        fabric_spec=fabric_spec,
+        max_workers=1,
+        manifest_path=manifest_path,
+        sweep_policy=sweep_policy,
+        profile_guided=profile_guided,
     )
-
-    arch = arch or ArchParams()
-    fabric = fabric or monaco(12, 12)
-    sweep_policy = sweep_policy or ABORT
-    faults_sig = _fault_signature(arch)
-    profile_sig = "guided" if profile_guided else None
-    fabric_spec = (fabric.name, fabric.rows, fabric.cols)
-    instance = make_workload(name, scale=scale, seed=seed)
-    results: dict[str, RunResult] = {}
-
-    def emit(run: RunResult) -> None:
-        if manifest_path is not None:
-            append_manifest(
-                manifest_path,
-                build_manifest(
-                    run,
-                    scale=scale,
-                    seed=seed,
-                    divider=divider,
-                    fabric_spec=fabric_spec,
-                    policy=policy.name,
-                    faults=faults_sig,
-                    profile=profile_sig,
-                ),
-            )
-
-    def one_config(config: MachineConfig, pnr_seed: int | None) -> RunResult:
-        compiled = compile_cached(
-            instance,
-            fabric,
-            arch,
-            policy=policy,
-            seed=seed if pnr_seed is None else pnr_seed,
-            profile_guided=profile_guided,
-        )
-        run = run_config(instance, compiled, config, arch, divider)
-        run.pnr_seed = pnr_seed
-        run.profile = compiled.meta.get("profile")
-        return run
-
-    for config in configs:
-        attempts = 0
-        pnr_seed: int | None = None
-        pnr_seeds: list[int] = []
-        while True:
-            try:
-                run = call_with_timeout(
-                    sweep_policy.job_timeout_s,
-                    lambda: one_config(config, pnr_seed),
-                    label=f"{name}/{config.name}/seed{seed}",
-                )
-            except Exception as exc:
-                kind = classify_failure(exc)
-                attempts += 1
-                if sweep_policy.on_failure == "abort":
-                    raise
-                if sweep_policy.wants_retry(kind, attempts):
-                    if kind in PNR_KINDS:
-                        pnr_seed = seed + PNR_SEED_STRIDE * attempts
-                        pnr_seeds.append(pnr_seed)
-                    if sweep_policy.backoff_s:
-                        time.sleep(
-                            sweep_policy.backoff_s * (2 ** (attempts - 1))
-                        )
-                    continue
-                failure = FailureRecord(
-                    workload=name,
-                    config=config.name,
-                    seed=seed,
-                    kind=kind,
-                    message=str(exc),
-                    attempts=attempts,
-                    pnr_seeds=tuple(pnr_seeds),
-                )
-                if failures is not None:
-                    failures.append(failure)
-                if manifest_path is not None:
-                    append_manifest(
-                        manifest_path,
-                        failure.to_manifest(
-                            scale=scale,
-                            divider=divider,
-                            fabric_spec=fabric_spec,
-                            policy=policy.name,
-                            faults=faults_sig,
-                            profile=profile_sig,
-                        ),
-                    )
-                break
-            else:
-                results[config.name] = run
-                emit(run)
-                break
-    return results
+    if failures is not None:
+        failures.extend(outcome.failures)
+    return {config: run for (_, config, _), run in outcome.results.items()}
 
 
-# -- parallel sweep ---------------------------------------------------------
+# -- sweep jobs -------------------------------------------------------------
 
 
 def _attach_cache(cache_dir: str | None) -> None:
@@ -364,166 +248,103 @@ def _attach_cache(cache_dir: str | None) -> None:
         GLOBAL_CACHE.enable_disk(cache_dir)
 
 
-def _compile_point(
-    name: str,
-    scale: str,
-    seed: int,
-    arch: ArchParams,
-    policy_name: str,
-    fabric_spec: FabricSpec,
-    pnr_seed: int | None,
-    profile_guided: bool,
+def compile_point(
+    spec: RunSpec, **pnr_knobs
 ) -> tuple[WorkloadInstance, CompiledKernel]:
-    """Build one sweep point's workload and compile it through the cache."""
-    instance = make_workload(name, scale=scale, seed=seed)
+    """Build ``spec``'s workload and compile it through the cache.
+
+    ``pnr_knobs`` are :func:`compile_cached`'s speed-only options
+    (``incremental``, ``portfolio_jobs``).
+    """
+    instance = make_workload(spec.workload, scale=spec.scale, seed=spec.seed)
     compiled = compile_cached(
         instance,
-        build_fabric(*fabric_spec),
-        arch,
-        policy=get_policy(policy_name),
-        seed=seed if pnr_seed is None else pnr_seed,
-        profile_guided=profile_guided,
+        build_fabric(*spec.fabric),
+        spec.arch,
+        policy=get_policy(spec.policy),
+        seed=spec.placement_seed,
+        profile_guided=spec.profile_guided,
+        **pnr_knobs,
     )
     return instance, compiled
 
 
-def _compile_sweep_job(
-    name: str,
-    config: MachineConfig,
-    scale: str,
-    seed: int,
-    arch: ArchParams,
-    divider: int,
-    policy_name: str,
-    fabric_spec: FabricSpec,
-    cache_dir: str | None,
-    pnr_seed: int | None = None,
-    timeout_s: float | None = None,
-    snapshot: dict | None = None,
-    profile_guided: bool = False,
-) -> None:
+def _compile_sweep_job(spec: RunSpec, env: SweepEnv) -> None:
     """The PnR half of :func:`_run_sweep_job`, run once per compile key.
 
-    Takes a point's argument list unchanged (``config``, ``divider`` and
-    ``snapshot`` play no part in PnR) and leaves the compiled kernel in
-    the shared disk cache, so every point of the key disk-hits. Returns
-    nothing: the artifact travels through ``cache_dir``, not the pipe.
+    Leaves the compiled kernel in the shared disk cache, so every point
+    of the key disk-hits. Returns nothing: the artifact travels through
+    ``env.cache_dir``, not the pipe.
     """
     from repro.exp.resilient import call_with_timeout
 
-    _attach_cache(cache_dir)
+    _attach_cache(env.cache_dir)
     call_with_timeout(
-        timeout_s,
-        lambda: _compile_point(
-            name, scale, seed, arch, policy_name, fabric_spec, pnr_seed,
-            profile_guided,
-        ),
-        label=f"{name}/compile/seed{seed}",
+        env.timeout_s,
+        lambda: compile_point(spec),
+        label=f"{spec.workload}/compile/seed{spec.seed}",
     )
 
 
-def _run_sweep_job(
-    name: str,
-    config: MachineConfig,
-    scale: str,
-    seed: int,
-    arch: ArchParams,
-    divider: int,
-    policy_name: str,
-    fabric_spec: FabricSpec,
-    cache_dir: str | None,
-    pnr_seed: int | None = None,
-    timeout_s: float | None = None,
-    snapshot: dict | None = None,
-    profile_guided: bool = False,
-) -> RunResult:
-    """One (workload, config, seed) point; runs inside a worker process.
+def _run_sweep_job(spec: RunSpec, env: SweepEnv) -> RunResult:
+    """One sweep point; runs inside a worker process.
 
-    ``pnr_seed`` overrides the *placement* seed only (the supervisor's
-    deterministic perturbation on PnR retry); the workload's input seed
-    is always ``seed``. ``timeout_s`` arms a ``SIGALRM`` wall-clock
-    budget around compile+simulate (see
-    :func:`repro.exp.resilient.call_with_timeout`).
+    ``env.timeout_s`` arms a ``SIGALRM`` wall-clock budget around
+    compile+simulate (see :func:`repro.exp.resilient.call_with_timeout`).
 
-    ``profile_guided`` compiles with profile-refined criticality classes
-    (the profiling input is the point's own workload instance).
-
-    ``snapshot`` (``{"dir", "every", "cycle_budget", "grace_s",
-    "journal"}``, supplied by the supervisor when a ``snapshot_dir`` is
-    set) arms mid-simulation checkpointing: the snapshot path is derived
-    from the point's identity digest, any valid snapshot already there
-    is resumed (invalid ones are discarded), SIGTERM/SIGINT and timeout
-    expiry snapshot-then-raise instead of killing the attempt cold, and
-    snapshot writes are journaled to the sweep manifest.
+    ``env.snapshot_dir`` arms mid-simulation checkpointing: the snapshot
+    path is derived from the point digest, any valid snapshot already
+    there is resumed (invalid ones are discarded), SIGTERM/SIGINT and
+    timeout expiry snapshot-then-raise instead of killing the attempt
+    cold, and snapshot writes are journaled to ``env.journal``.
     """
     from repro.exp.resilient import call_with_timeout
 
-    _attach_cache(cache_dir)
+    _attach_cache(env.cache_dir)
     watchdog = None
-    grace_s = 5.0
-    if snapshot is not None:
-        from repro.sim.snapshot import Watchdog
+    checkpointing = {}
+    if env.snapshot_dir is not None:
+        from repro.sim.snapshot import CheckpointConfig, Watchdog
 
         watchdog = Watchdog()
-        grace_s = snapshot.get("grace_s", 5.0)
-
-    def job() -> RunResult:
-        instance, compiled = _compile_point(
-            name, scale, seed, arch, policy_name, fabric_spec, pnr_seed,
-            profile_guided,
-        )
-        checkpoint = resume_from = None
-        resume_policy = "strict"
-        if snapshot is not None:
-            from repro.obs.manifest import config_digest, point_fields
-            from repro.sim.snapshot import CheckpointConfig
-
-            identity = point_fields(
-                workload=name,
-                config=config.name,
-                scale=scale,
-                seed=seed,
-                divider=divider,
-                fabric=fabric_spec,
-                policy=policy_name,
-                faults=_fault_signature(arch),
-                profile="guided" if profile_guided else None,
-            )
-            digest = config_digest(identity)
-            path = os.path.join(snapshot["dir"], f"{digest}.snap")
-            checkpoint = CheckpointConfig(
+        digest = spec.point_digest()
+        path = os.path.join(env.snapshot_dir, f"{digest}.snap")
+        checkpointing = {
+            "checkpoint": CheckpointConfig(
                 path=path,
-                every_cycles=snapshot.get("every", 0) or 0,
-                cycle_budget=snapshot.get("cycle_budget"),
+                every_cycles=env.checkpoint_every,
+                cycle_budget=env.cycle_budget,
                 install_signals=True,
                 watchdog=watchdog,
-                journal_path=snapshot.get("journal"),
-                journal_fields={"point_digest": digest, **identity},
-            )
+                journal_path=env.journal,
+                journal_fields={"point_digest": digest, **spec.point_fields()},
+            ),
             # A retried attempt continues from its predecessor's
             # snapshot; torn/stale files are discarded, never fatal.
-            resume_from = path
-            resume_policy = "discard"
+            "resume_from": path,
+            "resume_policy": "discard",
+        }
+
+    def job() -> RunResult:
+        instance, compiled = compile_point(spec)
         run = run_config(
             instance,
             compiled,
-            config,
-            arch,
-            divider,
-            checkpoint=checkpoint,
-            resume_from=resume_from,
-            resume_policy=resume_policy,
+            spec.config,
+            spec.arch,
+            spec.divider,
+            **checkpointing,
         )
-        run.pnr_seed = pnr_seed
+        run.pnr_seed = spec.pnr_seed
         run.profile = compiled.meta.get("profile")
         return run
 
     return call_with_timeout(
-        timeout_s,
+        env.timeout_s,
         job,
-        label=f"{name}/{config.name}/seed{seed}",
+        label=spec.label,
         watchdog=watchdog,
-        grace_s=grace_s,
+        grace_s=env.grace_s,
     )
 
 
@@ -548,14 +369,17 @@ def run_parallel(
 
     Returns ``{(workload, config_name, seed): RunResult}``. Results are
     bit-identical to running each point serially: compilation and
-    simulation are deterministic, and every job loads its kernel from the
-    shared on-disk cache (or recompiles it), so no cross-job state leaks.
+    simulation are deterministic, and every job — one picklable
+    :class:`~repro.exp.spec.RunSpec` plus the sweep's
+    :class:`~repro.exp.spec.SweepEnv` — loads its kernel from the shared
+    on-disk cache (or recompiles it), so no cross-job state leaks.
 
     ``max_workers <= 1`` runs in-process — same job function minus the
     pool, which keeps the serial-vs-parallel equivalence testable without
-    fork overhead. With a pool, each distinct PnR key of the sweep is
-    placed-and-routed once, by a compile task the key's points wait for
-    (see :func:`repro.exp.resilient._dispatch_pooled`); ``cache_dir``
+    fork overhead. With a pool, each distinct compile key of the sweep
+    (:attr:`RunSpec.compile_key <repro.exp.spec.RunSpec.compile_key>`)
+    is placed-and-routed once, by a compile task the key's points wait
+    for (see :func:`repro.exp.resilient._dispatch_pooled`); ``cache_dir``
     makes those artifacts outlive the sweep, so a later invocation on
     the same directory compiles nothing. Without it the workers share a
     temporary directory that is removed when the sweep returns.
@@ -567,16 +391,16 @@ def run_parallel(
 
     This is the results-only facade over
     :func:`repro.exp.resilient.run_resilient`: with the default
-    fail-fast policy the first failure raises, exactly as before the
-    supervisor existed. Pass ``sweep_policy`` / ``resume`` for graceful
-    degradation — but use :func:`~repro.exp.resilient.run_resilient`
-    directly when you need the typed
-    :class:`~repro.exp.resilient.FailureRecord` s and the skipped-point
-    list, since this facade returns the healthy results alone.
+    fail-fast policy the first failure raises. Pass ``sweep_policy`` /
+    ``resume`` for graceful degradation — but use
+    :func:`~repro.exp.resilient.run_resilient` directly when you need
+    the typed :class:`~repro.exp.resilient.FailureRecord` s and the
+    skipped-point list, since this facade returns the healthy results
+    alone.
     """
     from repro.exp.resilient import run_resilient
 
-    outcome = run_resilient(
+    return run_resilient(
         workloads,
         configs,
         scale=scale,
@@ -592,5 +416,4 @@ def run_parallel(
         resume=resume,
         snapshot_dir=snapshot_dir,
         profile_guided=profile_guided,
-    )
-    return outcome.results
+    ).results

@@ -11,9 +11,9 @@ parallel, any ``--jobs`` — differ only in ``wall_time_s`` and
 The manifest doubles as the resilient sweep's checkpoint journal
 (see :mod:`repro.exp.resilient`): every record carries a ``status``
 (``"ok"`` / ``"failed"``) and a ``point_digest`` — a stable digest of the
-*pre-run* point configuration (workload, config, scale, seed, divider,
-fabric, policy, fault signature; everything except run outputs). On
-``sweep --resume`` a point is skipped only when the journal holds an
+*pre-run* point identity (:data:`POINT_FIELDS`, built by
+:meth:`repro.exp.spec.RunSpec.point_fields`; everything except run
+outputs). On ``sweep --resume`` a point is skipped only when the journal holds an
 ``ok`` record whose stored digest both matches the digest recomputed
 from the record's own fields (integrity: a hand-edited or truncated
 journal entry is ignored) and equals the digest of the point about to
@@ -31,7 +31,23 @@ import time
 
 #: Manifest schema version; bump on incompatible layout changes.
 #: v2: ``status``, ``point_digest`` and ``faults`` fields (resume journal).
-MANIFEST_SCHEMA = 2
+#: v3: the identity is the fixed column set :data:`POINT_FIELDS`
+#: (``profile`` always present, ``None`` when off).
+MANIFEST_SCHEMA = 3
+
+#: The point subset: the record columns that are a point's pre-run
+#: identity. ``point_digest`` covers exactly these.
+POINT_FIELDS = (
+    "workload",
+    "config",
+    "scale",
+    "seed",
+    "divider",
+    "fabric",
+    "policy",
+    "faults",
+    "profile",
+)
 
 #: Keys that legitimately differ between two runs of the same point.
 #: ``pnr`` is compile-time telemetry (moves/s, per-phase wall times) —
@@ -67,48 +83,13 @@ def config_digest(fields: dict) -> str:
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
-def point_fields(
-    *,
-    workload: str,
-    config: str,
-    scale: str,
-    seed: int,
-    divider: int,
-    fabric=None,
-    policy: str | None = None,
-    faults: str | None = None,
-    profile: str | None = None,
-) -> dict:
-    """The *pre-run* identity of one sweep point.
+def point_digest(fields: dict) -> str:
+    """Digest of the :data:`POINT_FIELDS` columns of ``fields``.
 
-    Everything here is known before the point executes (unlike e.g. the
-    PnR-chosen parallelism), so the resume journal can match records
-    against points it has not run yet.
-
-    ``profile`` marks profile-guided compilation (``"guided"``); the
-    profiling inputs themselves are the point's own workload/scale/seed,
-    already in the identity. The key is included only when set, so every
-    digest of a non-profiled point — including all pre-existing resume
-    journals — is unchanged.
+    ``fields`` is a :meth:`~repro.exp.spec.RunSpec.point_fields` dict or
+    a journal record; a missing column raises ``KeyError``.
     """
-    fields = {
-        "workload": workload,
-        "config": config,
-        "scale": scale,
-        "seed": seed,
-        "divider": divider,
-        "fabric": list(fabric) if fabric else None,
-        "policy": policy,
-        "faults": faults,
-    }
-    if profile is not None:
-        fields["profile"] = profile
-    return fields
-
-
-def point_digest(**fields) -> str:
-    """Stable digest of one sweep point's pre-run identity."""
-    return config_digest(point_fields(**fields))
+    return config_digest({name: fields[name] for name in POINT_FIELDS})
 
 
 def _energy_block(stats) -> dict:
@@ -123,37 +104,16 @@ def _energy_block(stats) -> dict:
     return estimate_energy(stats).to_dict()
 
 
-def build_manifest(
-    run,
-    *,
-    scale: str,
-    seed: int,
-    divider: int,
-    fabric_spec=None,
-    policy: str | None = None,
-    faults: str | None = None,
-    profile: str | None = None,
-    extra: dict | None = None,
-) -> dict:
-    """One manifest record for a :class:`~repro.exp.runner.RunResult`."""
-    identity = point_fields(
-        workload=run.workload,
-        config=run.config,
-        scale=scale,
-        seed=seed,
-        divider=divider,
-        fabric=fabric_spec,
-        policy=policy,
-        faults=faults,
-        profile=profile,
-    )
+def build_manifest(run, spec, extra: dict | None = None) -> dict:
+    """One manifest record for a :class:`~repro.exp.runner.RunResult`
+    of the point ``spec`` (a :class:`~repro.exp.spec.RunSpec`)."""
+    identity = spec.point_fields()
     config_fields = {**identity, "parallelism": run.parallelism}
-    pnr_seed = getattr(run, "pnr_seed", None)
     record = {
         "schema": MANIFEST_SCHEMA,
         "status": "ok",
         "digest": config_digest(config_fields),
-        "point_digest": config_digest(identity),
+        "point_digest": point_digest(identity),
         **config_fields,
         "git_rev": git_rev(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -162,10 +122,10 @@ def build_manifest(
         "stats": run.stats.to_dict(),
         "energy": _energy_block(run.stats),
     }
-    if pnr_seed is not None and pnr_seed != seed:
+    if spec.pnr_seed is not None:
         # The supervisor retried PnR under a perturbed placement seed;
         # journal it so the result stays reproducible from the record.
-        record["pnr_seed"] = pnr_seed
+        record["pnr_seed"] = spec.pnr_seed
     pnr = getattr(run, "pnr", None)
     if pnr is not None:
         record["pnr"] = pnr.to_dict()
@@ -205,25 +165,12 @@ def completed_points(path) -> set[str]:
             continue
         if record.get("status", "ok") != "ok":
             continue
-        stored = record.get("point_digest")
-        if not stored:
-            continue
         try:
-            recomputed = point_digest(
-                workload=record["workload"],
-                config=record["config"],
-                scale=record["scale"],
-                seed=record["seed"],
-                divider=record["divider"],
-                fabric=record.get("fabric"),
-                policy=record.get("policy"),
-                faults=record.get("faults"),
-                profile=record.get("profile"),
-            )
+            recomputed = point_digest(record)
         except KeyError:
             continue
-        if stored == recomputed:
-            done.add(stored)
+        if record.get("point_digest") == recomputed:
+            done.add(recomputed)
     return done
 
 

@@ -162,6 +162,19 @@ class TestCLI:
         assert code == 0
         assert "effcc" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("names", [[], ["nope"], ["dmv", "nope"]])
+    def test_sweep_rejects_empty_and_unknown_workloads_at_parse_time(
+        self, names, capsys
+    ):
+        """Regression: an empty list died at ``max()`` after the sweep,
+        an unknown name inside a worker."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "--workloads", *names, "--scale", "tiny"])
+        assert err.value.code == 2
+        assert "--workloads" in capsys.readouterr().err
+
     def test_bad_config_rejected(self):
         from repro.cli import _config_for
 

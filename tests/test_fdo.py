@@ -24,7 +24,8 @@ from repro.arch.params import ArchParams
 from repro.core.policy import EFFCC, PlacementPolicy
 from repro.exp.cache import GLOBAL_CACHE
 from repro.exp.fdo import FdoRound, blame_to_weights, run_fdo
-from repro.exp.runner import compile_cached, weight_map_digest
+from repro.exp.runner import compile_cached
+from repro.exp.spec import weight_map_digest
 from repro.obs.critpath import blame_shares
 from repro.pnr.flow import compile_once
 from repro.pnr.netlist import build_netlist

@@ -26,6 +26,7 @@ from repro.exp.runner import (
     run_parallel,
     run_workload_on_configs,
 )
+from repro.exp.spec import RunSpec, SweepEnv
 from repro.pnr.flow import compile_once
 from repro.sim.engine import simulate
 from repro.workloads.registry import make_workload
@@ -100,23 +101,23 @@ def test_process_pool_sweep_matches_serial(tmp_path, reference):
 WORKER_LOG = None
 
 
-def _noting_misses(real, args):
+def _noting_misses(real, spec, env):
     from repro.exp.cache import GLOBAL_CACHE
 
     before = GLOBAL_CACHE.misses
-    result = real(*args)
+    result = real(spec, env)
     if GLOBAL_CACHE.misses > before:
         with open(WORKER_LOG, "a") as handle:
-            handle.write(f"{args[0]}\n")
+            handle.write(f"{spec.workload}\n")
     return result
 
 
-def _miss_noting_job(*args):
-    return _noting_misses(_run_sweep_job, args)
+def _miss_noting_job(spec, env):
+    return _noting_misses(_run_sweep_job, spec, env)
 
 
-def _miss_noting_compile(*args):
-    return _noting_misses(_compile_sweep_job, args)
+def _miss_noting_compile(spec, env):
+    return _noting_misses(_compile_sweep_job, spec, env)
 
 
 @pytest.fixture
@@ -153,14 +154,14 @@ def test_pool_sweep_compiles_each_key_once(tmp_path, miss_log):
     assert miss_log() == sorted(workloads)  # nothing compiled again
 
 
-def _slow_first_point_job(*args):
+def _slow_first_point_job(spec, env):
     import time
 
-    run = _run_sweep_job(*args)
-    if (args[0], args[1].name) == ("spmspv", "monaco"):
+    run = _run_sweep_job(spec, env)
+    if spec.key[:2] == ("spmspv", "monaco"):
         time.sleep(1.0)
     with open(WORKER_LOG, "a") as handle:
-        handle.write(f"{args[0]}/{args[1].name}\n")
+        handle.write(f"{spec.workload}/{spec.config.name}\n")
     return run
 
 
@@ -360,8 +361,8 @@ def test_sweep_job_attaches_requested_cache_dir(tmp_path, monkeypatch):
     wanted = tmp_path / "wanted"
     GLOBAL_CACHE.enable_disk(stale)
     run = _run_sweep_job(
-        "spmspv", MONACO, "tiny", 0, ArchParams(), PAPER_DIVIDER,
-        EFFCC.name, ("monaco", 12, 12), str(wanted),
+        RunSpec("spmspv", MONACO, scale="tiny"),
+        SweepEnv(cache_dir=str(wanted)),
     )
     assert run.cycles > 0
     assert str(GLOBAL_CACHE.disk_dir) == str(wanted)

@@ -16,6 +16,7 @@ from repro.arch.fabric import monaco
 from repro.arch.params import ArchParams
 from repro.exp.configs import MONACO
 from repro.exp.runner import compile_cached, run_config
+from repro.exp.spec import RunSpec
 from repro.obs.manifest import build_manifest, stable_view
 from repro.pnr.flow import compile_once, shutdown_portfolio_pool
 from repro.workloads.registry import make_workload
@@ -84,7 +85,9 @@ def test_manifest_carries_pnr_and_stable_view_drops_it():
         instance, monaco(12, 12), arch, parallelism=1, seed=0
     )
     run = run_config(instance, compiled, MONACO, arch)
-    record = build_manifest(run, scale="tiny", seed=0, divider=4)
+    record = build_manifest(
+        run, RunSpec("dmv", MONACO, scale="tiny", divider=4)
+    )
     assert record["pnr"]["anneal_moves"] > 0
     assert record["pnr"]["candidates"] >= 1
     assert "pnr" not in stable_view(record)

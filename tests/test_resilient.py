@@ -133,54 +133,43 @@ def test_call_with_timeout_passthrough_when_unlimited():
 
 # -- supervised sweeps over fake jobs ---------------------------------------
 # job_fn doubles must be module-level (pickled into pool workers) and
-# match _run_sweep_job's signature.
+# take _run_sweep_job's ``(spec, env)``.
 
 
-def _ok_job(
-    name, config, scale, seed, arch, divider, policy_name, fabric_spec,
-    cache_dir, pnr_seed=None, timeout_s=None,
-):
-    return (name, config.name, seed, pnr_seed)
+def _point(spec):
+    return (spec.workload, spec.config.name, spec.seed, spec.pnr_seed)
 
 
-def _fail_one_job(
-    name, config, scale, seed, arch, divider, policy_name, fabric_spec,
-    cache_dir, pnr_seed=None, timeout_s=None,
-):
-    if name == "dmv" and config.name == "upea2":
+def _ok_job(spec, env):
+    return _point(spec)
+
+
+def _fail_one_job(spec, env):
+    if spec.key[:2] == ("dmv", "upea2"):
         raise SimulationError("injected mid-sweep failure")
-    return (name, config.name, seed, pnr_seed)
+    return _point(spec)
 
 
-def _routing_until_perturbed_job(
-    name, config, scale, seed, arch, divider, policy_name, fabric_spec,
-    cache_dir, pnr_seed=None, timeout_s=None,
-):
-    if pnr_seed is None:
+def _routing_until_perturbed_job(spec, env):
+    if spec.pnr_seed is None:
         raise RoutingError("congested under the original placement seed")
-    return (name, config.name, seed, pnr_seed)
+    return _point(spec)
 
 
-def _sleepy_job(
-    name, config, scale, seed, arch, divider, policy_name, fabric_spec,
-    cache_dir, pnr_seed=None, timeout_s=None,
-):
+def _sleepy_job(spec, env):
     def body():
         time.sleep(10)
 
-    return call_with_timeout(timeout_s, body, label=f"{name}/{config.name}")
+    return call_with_timeout(env.timeout_s, body, label=spec.label)
 
 
-def _die_once_job(
-    name, config, scale, seed, arch, divider, policy_name, fabric_spec,
-    cache_dir, pnr_seed=None, timeout_s=None,
-):
-    if name == "spmv" and config.name == "monaco":
-        marker = Path(cache_dir) / "died-once"
+def _die_once_job(spec, env):
+    if spec.key[:2] == ("spmv", "monaco"):
+        marker = Path(env.cache_dir) / "died-once"
         if not marker.exists():
             marker.write_text("x")
             os._exit(1)  # worker death -> BrokenProcessPool in the parent
-    return (name, config.name, seed, pnr_seed)
+    return _point(spec)
 
 
 def test_skip_policy_returns_healthy_results_serial_and_pool():
@@ -222,7 +211,7 @@ def test_retry_perturbs_placement_seed_deterministically():
 
 
 def test_retry_budget_exhaustion_records_failure():
-    def always_routing(*args, **kwargs):
+    def always_routing(spec, env):
         raise RoutingError("never routes")
 
     outcome = run_resilient(
@@ -288,7 +277,7 @@ def test_worker_death_is_retried_with_a_fresh_pool(tmp_path):
 
 
 # -- pooled dispatcher ------------------------------------------------------
-# Doubles log to files in ``cache_dir`` (the one path every worker
+# Doubles log to files in ``env.cache_dir`` (the one path every worker
 # receives); one short append per line, so lines never interleave. The
 # compile-task double goes in by patching ``runner._compile_sweep_job``,
 # which ``run_resilient`` resolves at call time.
@@ -304,7 +293,7 @@ def _read_log(cache_dir, name):
     return path.read_text().splitlines() if path.exists() else []
 
 
-def _noop_compile(*args):
+def _noop_compile(spec, env):
     return None
 
 
@@ -314,55 +303,57 @@ def _patch_compile(monkeypatch, double):
     monkeypatch.setattr(runner, "_compile_sweep_job", double)
 
 
-def _routing_compile(*args):
-    name, seed, cache_dir, pnr_seed = args[0], args[3], args[8], args[9]
-    _log(cache_dir, "compiles.log", f"{name} {seed} {pnr_seed}")
-    if pnr_seed is None:
+def _routing_compile(spec, env):
+    _log(
+        env.cache_dir,
+        "compiles.log",
+        f"{spec.workload} {spec.seed} {spec.pnr_seed}",
+    )
+    if spec.pnr_seed is None:
         raise RoutingError("congested under the original placement seed")
 
 
-def _timed_compile(*args):
+def _timed_compile(spec, env):
     start = time.monotonic()
     time.sleep(0.2)
-    _log(args[8], "spans.log", f"compile {start} {time.monotonic()}")
+    _log(env.cache_dir, "spans.log", f"compile {start} {time.monotonic()}")
 
 
-def _timed_job(*args):
+def _timed_job(spec, env):
     start = time.monotonic()
     time.sleep(0.5)
-    _log(args[8], "spans.log", f"sim {start} {time.monotonic()}")
-    return (args[0], args[1].name)
+    _log(env.cache_dir, "spans.log", f"sim {start} {time.monotonic()}")
+    return spec.key[:2]
 
 
-def _first_fails_rest_sleep_job(*args):
-    name, config, cache_dir = args[0], args[1], args[8]
-    if config.name == "monaco":
+def _first_fails_rest_sleep_job(spec, env):
+    if spec.config.name == "monaco":
         raise SimulationError("first job fails at once")
-    _log(cache_dir, "started.log", config.name)
+    _log(env.cache_dir, "started.log", spec.config.name)
     time.sleep(1.0)
-    return (name, config.name)
+    return spec.key[:2]
 
 
-def _first_fails_once_job(*args):
-    name, config, cache_dir = args[0], args[1], args[8]
-    _log(cache_dir, "starts.log", f"{config.name} {time.monotonic()}")
-    marker = Path(cache_dir) / "failed-once"
-    if config.name == "monaco" and not marker.exists():
+def _first_fails_once_job(spec, env):
+    _log(
+        env.cache_dir, "starts.log", f"{spec.config.name} {time.monotonic()}"
+    )
+    marker = Path(env.cache_dir) / "failed-once"
+    if spec.config.name == "monaco" and not marker.exists():
         marker.write_text("x")
         raise JobTimeout("transient")
     time.sleep(0.2)
-    return (name, config.name)
+    return spec.key[:2]
 
 
-def _die_once_others_sleep_job(*args):
-    name, config, cache_dir = args[0], args[1], args[8]
-    if config.name == "monaco":
-        marker = Path(cache_dir) / "died-once"
+def _die_once_others_sleep_job(spec, env):
+    if spec.config.name == "monaco":
+        marker = Path(env.cache_dir) / "died-once"
         if not marker.exists():
             marker.write_text("x")
             os._exit(1)
     time.sleep(0.2)
-    return (name, config.name)
+    return spec.key[:2]
 
 
 def test_failed_compile_task_leaves_the_verdict_to_each_point(
@@ -494,11 +485,10 @@ def test_worker_death_poisons_only_the_window(tmp_path, monkeypatch):
 # -- real-simulator equivalence with a mid-sweep failure --------------------
 
 
-def _real_but_one_fails_job(*args, **kwargs):
-    name, config = args[0], args[1]
-    if name == "dmv" and config.name == "upea2":
+def _real_but_one_fails_job(spec, env):
+    if spec.key[:2] == ("dmv", "upea2"):
         raise DeadlockError("injected mid-sweep failure")
-    return _run_sweep_job(*args, **kwargs)
+    return _run_sweep_job(spec, env)
 
 
 def test_serial_vs_parallel_identical_around_a_failure(tmp_path):
@@ -628,7 +618,7 @@ def test_resume_survives_a_torn_final_line(tmp_path):
         cache_dir=tmp_path / "cache", manifest_path=manifest,
     )
     with open(manifest, "a") as handle:
-        handle.write('{"schema": 2, "status": "ok", "trunca')  # killed mid-append
+        handle.write('{"schema": 3, "status": "ok", "trunca')  # killed mid-append
     assert len(completed_points(manifest)) == 1
     with pytest.raises(json.JSONDecodeError):
         read_manifest(manifest, strict=True)
@@ -666,39 +656,6 @@ def test_run_workload_on_configs_supervised(tmp_path):
 
 
 # -- profile-guided sweeps ---------------------------------------------------
-# The job_args protocol appends trailing arguments only when a feature is
-# on, so historical 11-arg job_fn doubles (everything above) keep working.
-
-
-def _record_args_job(*args):
-    return args
-
-
-def test_job_args_protocol_is_stable_without_profile_guided():
-    outcome = run_resilient(
-        ["spmspv"],
-        [MONACO],
-        scale="tiny",
-        max_workers=1,
-        job_fn=_record_args_job,
-    )
-    (args,) = outcome.results.values()
-    assert len(args) == 11  # the historical signature, nothing appended
-
-
-def test_profile_guided_appends_trailing_job_args():
-    outcome = run_resilient(
-        ["spmspv"],
-        [MONACO],
-        scale="tiny",
-        max_workers=1,
-        job_fn=_record_args_job,
-        profile_guided=True,
-    )
-    (args,) = outcome.results.values()
-    assert len(args) == 13
-    assert args[11] is None  # snapshot placeholder keeps positions fixed
-    assert args[12] is True  # the profile_guided flag itself
 
 
 def test_profile_guided_sweep_journals_profile(tmp_path):
@@ -752,15 +709,6 @@ def test_static_resume_does_not_alias_guided_journal(tmp_path):
     (record,) = read_manifest(manifest)
     done = completed_points(manifest)
     assert record["point_digest"] in done  # the guided identity is proven
-    static_digest = point_digest(
-        workload=record["workload"],
-        config=record["config"],
-        scale=record["scale"],
-        seed=record["seed"],
-        divider=record["divider"],
-        fabric=record.get("fabric"),
-        policy=record.get("policy"),
-        faults=record.get("faults"),
-        # no profile field: the static identity of the same point
-    )
+    # The static identity of the same point: everything but the marker.
+    static_digest = point_digest({**record, "profile": None})
     assert static_digest not in done

@@ -1,0 +1,260 @@
+"""The sweep-point identity: one ``RunSpec``, two declared subsets.
+
+The contract under test (see ``repro.exp.spec``): a point is one frozen,
+picklable object; its journal digest changes exactly with the point
+subset and its compile key exactly with the compile subset; every job —
+serial or pooled, whatever features are armed — receives ``(spec, env)``;
+and the compile cache and the resume journal trust nothing keyed any
+other way.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import pickle
+from dataclasses import replace
+
+import pytest
+
+from repro.arch.fabric import monaco
+from repro.arch.params import (
+    ArchParams,
+    FaultParams,
+    MemoryParams,
+    SimParams,
+    TimingParams,
+)
+from repro.errors import RoutingError
+from repro.exp.cache import GLOBAL_CACHE
+from repro.exp.configs import MONACO, upea
+from repro.exp.resilient import PNR_SEED_STRIDE, SweepPolicy, run_resilient
+from repro.exp.runner import _run_sweep_job, compile_cached
+from repro.exp.spec import RunSpec, SweepEnv
+from repro.obs.manifest import (
+    MANIFEST_SCHEMA,
+    POINT_FIELDS,
+    completed_points,
+    read_manifest,
+)
+from repro.pnr.flow import compile_kernel
+from repro.workloads.registry import make_workload
+
+BASE = RunSpec("dmv", MONACO, scale="tiny")
+
+
+def _arch(**fields) -> ArchParams:
+    return replace(BASE.arch, **fields)
+
+
+def _sim(**fields) -> ArchParams:
+    return _arch(sim=replace(BASE.arch.sim, **fields))
+
+
+# Every RunSpec field (ArchParams by the part that matters), flipped.
+FLIPS = {
+    "workload": replace(BASE, workload="spmspv"),
+    "config": replace(BASE, config=upea(2)),
+    "scale": replace(BASE, scale="small"),
+    "seed": replace(BASE, seed=1),
+    "pnr_seed": replace(BASE, pnr_seed=PNR_SEED_STRIDE),
+    "divider": replace(BASE, divider=4),
+    "policy": replace(BASE, policy="domain-unaware"),
+    "fabric": replace(BASE, fabric=("monaco", 10, 10)),
+    "profile_guided": replace(BASE, profile_guided=True),
+    "arch.noc_tracks": replace(BASE, arch=_arch(noc_tracks=5)),
+    "arch.noc_model": replace(BASE, arch=_arch(noc_model="monaco-tracks")),
+    "arch.timing": replace(
+        BASE, arch=_arch(timing=TimingParams(hop_units=3.0))
+    ),
+    "arch.memory": replace(
+        BASE, arch=_arch(memory=MemoryParams(hit_cycles=3))
+    ),
+    "arch.sim.cycle_skip": replace(BASE, arch=_sim(cycle_skip=False)),
+    "arch.sim.faults": replace(
+        BASE, arch=_sim(faults=FaultParams(mem_delay_prob=0.5))
+    ),
+}
+
+#: Flips that change what a point measures before it runs.
+POINT_SUBSET = {
+    "workload", "config", "scale", "seed", "divider", "policy", "fabric",
+    "profile_guided", "arch.sim.faults",
+}
+#: Flips that must NOT move the journal digest: a retry's perturbed
+#: placement seed, and a knob with bit-identical results.
+POINT_INVARIANT = {"pnr_seed", "arch.sim.cycle_skip"}
+#: Flips of anything ``compile_once`` reads.
+COMPILE_SUBSET = {
+    "workload", "scale", "seed", "pnr_seed", "policy", "fabric",
+    "profile_guided", "arch.noc_tracks", "arch.noc_model", "arch.timing",
+}
+
+
+def test_every_flip_is_a_different_spec():
+    assert all(flipped != BASE for flipped in FLIPS.values())
+    assert POINT_SUBSET | POINT_INVARIANT | COMPILE_SUBSET <= set(FLIPS)
+
+
+@pytest.mark.parametrize("name", sorted(FLIPS))
+def test_pickle_round_trip_keeps_identity(name):
+    spec = FLIPS[name]
+    clone = pickle.loads(pickle.dumps(spec))
+    assert clone == spec
+    assert clone.point_digest() == spec.point_digest()
+    assert clone.compile_key == spec.compile_key
+
+
+def test_point_fields_are_the_declared_columns():
+    assert tuple(BASE.point_fields()) == POINT_FIELDS
+    json.dumps(BASE.point_fields())  # JSON-ready as is
+
+
+@pytest.mark.parametrize("name", sorted(POINT_SUBSET))
+def test_point_subset_flip_changes_point_digest(name):
+    assert FLIPS[name].point_digest() != BASE.point_digest()
+
+
+@pytest.mark.parametrize("name", sorted(POINT_INVARIANT))
+def test_point_digest_ignores_fields_outside_its_subset(name):
+    assert FLIPS[name].point_digest() == BASE.point_digest()
+
+
+@pytest.mark.parametrize("name", sorted(FLIPS))
+def test_compile_key_changes_with_exactly_the_compile_subset(name):
+    changed = FLIPS[name].compile_key != BASE.compile_key
+    assert changed == (name in COMPILE_SUBSET)
+
+
+# -- the compile cache trusts only the compile subset -----------------------
+
+
+@pytest.fixture
+def empty_cache(monkeypatch):
+    monkeypatch.setattr(GLOBAL_CACHE, "_store", {})
+    monkeypatch.setattr(GLOBAL_CACHE, "disk_dir", None)
+
+
+def test_compile_cached_never_serves_another_timing_or_noc_model(empty_cache):
+    """Regression: the key carried ``noc_tracks`` but neither ``timing``
+    nor ``noc_model``, so a compile under another timing model got the
+    default artifact back."""
+    instance = make_workload("dmv", scale="tiny")
+    fabric = monaco(12, 12)
+    default = compile_cached(instance, fabric, ArchParams())
+    for arch in (
+        ArchParams(timing=TimingParams(hop_units=3.0)),
+        ArchParams(noc_model="monaco-tracks"),
+    ):
+        cached = compile_cached(instance, fabric, arch)
+        fresh = compile_kernel(instance.kernel, fabric, arch)
+        assert cached is not default
+        assert cached.timing.clock_divider == fresh.timing.clock_divider
+    # What only the simulator reads shares the default's entry.
+    sim_only = ArchParams(
+        memory=MemoryParams(hit_cycles=3), sim=SimParams(cycle_skip=False)
+    )
+    assert compile_cached(instance, fabric, sim_only) is default
+
+
+# -- every job gets (spec, env) ---------------------------------------------
+
+
+def _echo_job(spec, env):
+    return (spec, env)
+
+
+def _noop_compile(spec, env):
+    return None
+
+
+@pytest.mark.parametrize("snapshotting", [False, True])
+@pytest.mark.parametrize("profile_guided", [False, True])
+def test_serial_and_pooled_jobs_get_equal_spec_and_env(
+    tmp_path, monkeypatch, snapshotting, profile_guided
+):
+    from repro.exp import runner
+
+    monkeypatch.setattr(runner, "_compile_sweep_job", _noop_compile)
+    snapshot_dir = tmp_path / "snaps" if snapshotting else None
+    kwargs = dict(
+        scale="tiny",
+        seeds=(0, 1),
+        cache_dir=tmp_path / "cache",
+        sweep_policy=SweepPolicy(job_timeout_s=30.0, checkpoint_every=500),
+        snapshot_dir=snapshot_dir,
+        profile_guided=profile_guided,
+        job_fn=_echo_job,
+    )
+    workloads, configs = ["spmspv", "dmv"], [MONACO, upea(2)]
+    serial = run_resilient(workloads, configs, max_workers=1, **kwargs)
+    pooled = run_resilient(workloads, configs, max_workers=2, **kwargs)
+    assert len(serial.results) == 8
+    assert serial.results == pooled.results
+    for key, (spec, env) in serial.results.items():
+        assert isinstance(spec, RunSpec) and isinstance(env, SweepEnv)
+        assert spec.key == key
+        assert spec.profile_guided == profile_guided
+        assert env == SweepEnv(
+            cache_dir=str(tmp_path / "cache"),
+            timeout_s=30.0,
+            snapshot_dir=str(snapshot_dir) if snapshotting else None,
+            checkpoint_every=500,
+        )
+
+
+# -- the journal trusts only the current identity ---------------------------
+
+
+def _routes_only_when_perturbed_job(spec, env):
+    if spec.pnr_seed is None:
+        raise RoutingError("congested under the original placement seed")
+    return _run_sweep_job(spec, env)
+
+
+def test_retried_point_journals_pnr_seed_under_its_own_digest(tmp_path):
+    manifest = tmp_path / "journal.jsonl"
+    outcome = run_resilient(
+        ["spmspv"], [MONACO], scale="tiny", max_workers=1,
+        manifest_path=manifest,
+        sweep_policy=SweepPolicy(on_failure="retry", max_retries=1),
+        job_fn=_routes_only_when_perturbed_job,
+    )
+    assert outcome.ok
+    (record,) = read_manifest(manifest)
+    assert record["pnr_seed"] == PNR_SEED_STRIDE
+    # The retry did not move the point: a resume of the unperturbed
+    # sweep finds it complete.
+    unperturbed = RunSpec("spmspv", MONACO, scale="tiny")
+    assert record["point_digest"] == unperturbed.point_digest()
+    assert completed_points(manifest) == {unperturbed.point_digest()}
+
+
+def test_resume_reruns_the_points_of_a_schema_2_journal(tmp_path):
+    """A journal written before the identity was one object is ignored
+    whole, however self-consistent its records are."""
+    manifest = tmp_path / "journal.jsonl"
+    kwargs = dict(scale="tiny", max_workers=1, manifest_path=manifest)
+    run_resilient(["spmspv"], [MONACO], **kwargs)
+    (record,) = read_manifest(manifest)
+    assert completed_points(manifest) == {record["point_digest"]}
+
+    # The same record as schema 2 wrote it: no ``profile`` column on a
+    # static point, digests taken over ``{"schema": 2, ...}``.
+    old = {k: v for k, v in record.items() if k != "profile"}
+    old["schema"] = 2
+    identity = {k: old[k] for k in POINT_FIELDS if k != "profile"}
+    old["point_digest"] = hashlib.sha256(
+        json.dumps({"schema": 2, **identity}, sort_keys=True).encode()
+    ).hexdigest()[:16]
+    manifest.write_text(json.dumps(old, sort_keys=True) + "\n")
+    assert completed_points(manifest) == set()
+
+    outcome = run_resilient(["spmspv"], [MONACO], resume=True, **kwargs)
+    assert not outcome.skipped
+    assert set(outcome.results) == {("spmspv", "monaco", 0)}
+    # The rerun is journaled under the current schema, after the old line.
+    assert [r["schema"] for r in read_manifest(manifest)] == [
+        2,
+        MANIFEST_SCHEMA,
+    ]
