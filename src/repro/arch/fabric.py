@@ -27,6 +27,17 @@ from repro.errors import ArchError
 class Fabric:
     """A fabric: a grid of PEs plus NUPEA-domain and port structure."""
 
+    #: Anneal tables derived from the grid
+    #: (:class:`repro.pnr.place.FabricTables`), built by the first anneal
+    #: on this fabric and shared by every later one; never pickled (a
+    #: ``CompiledKernel`` carries its fabric into the compile cache).
+    place_tables = None
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("place_tables", None)
+        return state
+
     def __init__(
         self,
         name: str,

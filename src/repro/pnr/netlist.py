@@ -29,6 +29,16 @@ class Netlist:
     nets: list[Net] = field(default_factory=list)
     #: cell -> indices of nets it participates in (as source or sink).
     nets_of: dict[int, list[int]] = field(default_factory=dict)
+    #: Anneal tables derived from ``cells``/``nets``
+    #: (:class:`repro.pnr.place.NetlistTables`), built by the first anneal
+    #: on this netlist and shared by every later one. They die with the
+    #: netlist and are never pickled: a portfolio worker builds its own.
+    place_tables: object = field(default=None, repr=False, compare=False)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("place_tables", None)
+        return state
 
     @property
     def n_memory(self) -> int:

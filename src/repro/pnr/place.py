@@ -10,10 +10,12 @@ locality with a throughput-reduction factor for memory latency.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 import time
 from collections import deque
+from itertools import repeat
 
 from repro.arch.fabric import Fabric
 from repro.arch.pe import PE, manhattan
@@ -30,6 +32,13 @@ MEM_WEIGHT = 6.0
 #: Quadratic penalty that discourages individual long nets (a proxy for
 #: the max-path-delay objective static timing later enforces).
 QUAD_WEIGHT = 0.3
+
+
+def _pe_rank(fabric: Fabric, pe: PE) -> float:
+    """Memory-latency rank of an LS PE (the position factor of mem_cost)."""
+    return domain_latency_rank(
+        fabric.domains[pe.domain].arbiter_hops, pe.column_rank
+    )
 
 
 class Placement:
@@ -93,20 +102,23 @@ class Placement:
             cost += dist + QUAD_WEIGHT * dist * dist
         return cost
 
-    def mem_cost(self, nid: int) -> float:
+    def mem_base(self, nid: int) -> float | None:
+        """Position-independent factor of :meth:`mem_cost` (None: no term)."""
         node = self.netlist.dfg.nodes[nid]
         if not node.is_memory():
-            return 0.0
+            return None
         weight = self.policy.node_weight(
             node.criticality, nid, self.node_weights
         )
         if weight == 0.0:
+            return None
+        return MEM_WEIGHT * self.mem_scale * weight
+
+    def mem_cost(self, nid: int) -> float:
+        base = self.mem_base(nid)
+        if base is None:
             return 0.0
-        pe = self.fabric.pes[self.loc[nid]]
-        rank = domain_latency_rank(
-            self.fabric.domains[pe.domain].arbiter_hops, pe.column_rank
-        )
-        return MEM_WEIGHT * self.mem_scale * weight * rank
+        return base * _pe_rank(self.fabric, self.fabric.pes[self.loc[nid]])
 
     def cell_cost(self, nid: int) -> float:
         cost = self.mem_cost(nid)
@@ -127,28 +139,22 @@ class CostTable:
     value-for-value: every cached entry is the exact float the placement
     would recompute fresh at the current positions. Sums over cached
     entries therefore use the *same addition order and the same operand
-    bits* as the naive :meth:`Placement.cell_cost` / :func:`_pair_cost`,
-    which is what makes the incremental anneal's accept/reject trajectory
-    bit-identical to the full-recompute one (asserted at every step by
-    ``tests/test_pnr_incremental.py``'s property suite).
+    bits* as the naive :meth:`Placement.cell_cost` / :func:`_pair_cost`
+    (asserted at every step by ``tests/test_pnr_incremental.py``'s
+    property suite).
 
     Protocol: read the cached "before" via :meth:`cell_cost` /
     :meth:`pair_cost`, mutate the placement, compute the "after" via
     :meth:`fresh_cell_cost` / :meth:`fresh_pair_cost` (which stages the
     recomputed entries), then :meth:`commit` on accept or :meth:`discard`
-    on revert.
+    on revert. This is the readable form of what
+    :func:`_anneal_incremental` does on flat state: that loop starts
+    from this table's ``net``/``mem`` values and :meth:`total`, and
+    follows the protocol without staging (it re-derives the entries of
+    the few accepted proposals instead).
     """
 
-    __slots__ = (
-        "placement",
-        "net",
-        "mem",
-        "_mem_base",
-        "_rank",
-        "_pins",
-        "_staged_nets",
-        "_staged_mem",
-    )
+    __slots__ = ("placement", "net", "mem", "_staged_nets", "_staged_mem")
 
     def __init__(self, placement: Placement):
         self.placement = placement
@@ -159,38 +165,6 @@ class CostTable:
         self.mem: dict[int, float] = {
             nid: placement.mem_cost(nid) for nid in netlist.cells
         }
-        # Position-independent part of mem_cost, precomputed per cell with
-        # the same association order as Placement.mem_cost:
-        # ((MEM_WEIGHT * mem_scale) * weight) * rank.
-        dfg = netlist.dfg
-        policy = placement.policy
-        self._mem_base: dict[int, float] = {}
-        for nid in netlist.cells:
-            node = dfg.nodes[nid]
-            if not node.is_memory():
-                continue
-            weight = policy.node_weight(
-                node.criticality, nid, placement.node_weights
-            )
-            if weight == 0.0:
-                continue
-            self._mem_base[nid] = (
-                MEM_WEIGHT * placement.mem_scale * weight
-            )
-        fabric = placement.fabric
-        self._rank: dict[Coord, float] = {
-            pe.coord: domain_latency_rank(
-                fabric.domains[pe.domain].arbiter_hops, pe.column_rank
-            )
-            for pe in fabric.ls_pes()
-        }
-        # Per-net (src, sinks-excluding-src) in pin order: the skip of
-        # self-loop pins in Placement.net_cost is placement-independent,
-        # so it can be folded out of the hot recompute loop.
-        self._pins: list[tuple[int, tuple[int, ...]]] = [
-            (n.src, tuple(s for s in n.sinks if s != n.src))
-            for n in netlist.nets
-        ]
         self._staged_nets: list[tuple[int, float]] = []
         self._staged_mem: list[tuple[int, float]] = []
 
@@ -218,31 +192,13 @@ class CostTable:
 
     # -- fresh recomputes (the "after" side; staged until commit) --------
 
-    def _fresh_net(self, index: int) -> float:
-        """Inlined twin of :meth:`Placement.net_cost` (same arithmetic)."""
-        src, sinks = self._pins[index]
-        loc = self.placement.loc
-        sx, sy = loc[src]
-        cost = 0.0
-        for sink in sinks:
-            tx, ty = loc[sink]
-            dist = abs(sx - tx) + abs(sy - ty)
-            cost += dist + QUAD_WEIGHT * dist * dist
-        return cost
-
-    def _fresh_mem(self, nid: int) -> float:
-        base = self._mem_base.get(nid)
-        if base is None:
-            return 0.0
-        return base * self._rank[self.placement.loc[nid]]
-
     def fresh_cell_cost(self, nid: int) -> float:
         """Recompute ``cell_cost(nid)`` fresh; stages the new entries."""
-        mem = self._fresh_mem(nid)
+        mem = self.placement.mem_cost(nid)
         cost = mem
         self._staged_mem = [(nid, mem)]
         staged = self._staged_nets = []
-        fresh_net = self._fresh_net
+        fresh_net = self.placement.net_cost
         for index in self.placement.netlist.nets_of[nid]:
             value = fresh_net(index)
             staged.append((index, value))
@@ -251,12 +207,12 @@ class CostTable:
 
     def fresh_pair_cost(self, a: int, b: int, nets) -> float:
         """Recompute ``_pair_cost(a, b)`` fresh; stages the new entries."""
-        mem_a = self._fresh_mem(a)
-        mem_b = self._fresh_mem(b)
+        mem_a = self.placement.mem_cost(a)
+        mem_b = self.placement.mem_cost(b)
         cost = mem_a + mem_b
         self._staged_mem = [(a, mem_a), (b, mem_b)]
         staged = self._staged_nets = []
-        fresh_net = self._fresh_net
+        fresh_net = self.placement.net_cost
         for index in nets:
             value = fresh_net(index)
             staged.append((index, value))
@@ -520,9 +476,12 @@ def anneal(
 ) -> float:
     """Refine ``placement`` in place; returns the final (exact) cost.
 
-    ``incremental=True`` (default) drives the accept/reject loop off a
-    :class:`CostTable`, so each proposal costs O(fanout) instead of
-    recomputing every incident net from scratch. The trajectory is
+    ``incremental=True`` (default) runs :func:`_anneal_incremental`:
+    cached per-net costs over flat integer state, so each proposal costs
+    O(fanout) instead of recomputing every incident net from scratch,
+    with the netlist- and fabric-derived tables built once and shared
+    by every anneal on the same ``placement.netlist`` /
+    ``placement.fabric``. The trajectory is
     bit-identical to the naive full-recompute path (``incremental=False``,
     kept as the A/B baseline): same rng call sequence, same operand bits
     in every delta, hence the same accept/reject decisions and the same
@@ -646,6 +605,95 @@ def _anneal_naive(
     return cost, proposals, accepted
 
 
+class NetlistTables:
+    """What the anneal loop reads of a netlist, by dense cell index.
+
+    Cell ``c`` is ``netlist.cells[c]`` (node ids need not be dense).
+    Built once per netlist (``netlist.place_tables``): every mem-scale
+    candidate and restart of a compile anneals the same netlist.
+    """
+
+    __slots__ = ("pins", "cell_nets", "net_sets", "swap_nets")
+
+    def __init__(self, netlist: Netlist):
+        cell = {nid: c for c, nid in enumerate(netlist.cells)}
+        #: Per net ``(src, sinks-excluding-src)`` in pin order: the skip
+        #: of self-loop pins in Placement.net_cost is placement-independent.
+        self.pins = [
+            (cell[n.src], tuple(cell[s] for s in n.sinks if s != n.src))
+            for n in netlist.nets
+        ]
+        self.cell_nets = [
+            tuple(netlist.nets_of[nid]) for nid in netlist.cells
+        ]
+        # Built like ``set(nets_of[a])`` in _pair_cost, so ``net_sets[a] |
+        # net_sets[b]`` iterates in the naive union's order.
+        self.net_sets = [set(nets) for nets in self.cell_nets]
+        #: ``swap_nets[a][b]``: that iteration order as a tuple, memoised
+        #: the first time ``a`` is proposed to swap with ``b``.
+        self.swap_nets: list[dict[int, tuple[int, ...]]] = [
+            {} for _ in netlist.cells
+        ]
+
+
+class FabricTables:
+    """What the anneal loop reads of a fabric, by position ``y*cols + x``.
+
+    Built once per fabric (``fabric.place_tables``).
+    """
+
+    __slots__ = ("xs", "ys", "dist_cost", "rank", "_pes", "_legal")
+
+    def __init__(self, fabric: Fabric):
+        cols, rows = fabric.cols, fabric.rows
+        self.xs = [x for _ in range(rows) for x in range(cols)]
+        self.ys = [y for y in range(rows) for _ in range(cols)]
+        # Manhattan distances are small ints, so the per-sink term of
+        # Placement.net_cost takes rows+cols-1 distinct values; every row
+        # of ``dist_cost`` points at these same floats.
+        dcost = [
+            float(d) + QUAD_WEIGHT * d * d for d in range(cols + rows - 1)
+        ]
+        coords = list(zip(self.xs, self.ys))
+        self.dist_cost = [
+            [dcost[abs(sx - tx) + abs(sy - ty)] for tx, ty in coords]
+            for sx, sy in coords
+        ]
+        self._pes = [fabric.pes[xy] for xy in coords]
+        #: mem_cost's domain rank per position (None off the LS PEs).
+        self.rank = [
+            _pe_rank(fabric, pe) if pe.is_ls else None for pe in self._pes
+        ]
+        self._legal: dict[str, list[bool]] = {}
+
+    def legal(self, op: str) -> list[bool]:
+        """``PE.supports(op)`` per position (the twin of Placement.legal)."""
+        mask = self._legal.get(op)
+        if mask is None:
+            mask = self._legal[op] = [pe.supports(op) for pe in self._pes]
+        return mask
+
+
+def _window_segments(moves: int, max_window: int) -> list[tuple[int, int]]:
+    """The VPR range-limit schedule as run-length ``(steps, window)`` pairs.
+
+    The window never grows with the step, so each value's last step is
+    found by bisection on the naive loop's own expression.
+    """
+
+    def narrowness(step: int) -> int:
+        return -max(2, round(max_window * (1.0 - step / moves)))
+
+    segments = []
+    step = 0
+    while step < moves:
+        key = narrowness(step)
+        end = bisect.bisect_right(range(moves), key, lo=step, key=narrowness)
+        segments.append((end - step, -key))
+        step = end
+    return segments
+
+
 def _anneal_incremental(
     placement: Placement,
     rng: random.Random,
@@ -654,191 +702,148 @@ def _anneal_incremental(
     alpha: float,
     t_start: float,
 ) -> tuple[float, int, int]:
-    """Delta-cost anneal loop over a :class:`CostTable`.
+    """Delta-cost anneal loop over flat integer state.
 
-    Mirrors :func:`_anneal_naive` decision-for-decision: the rng is
-    consulted in the same order (choice, randint x2, then random() only
-    when delta > 0), and every cost the naive loop would compute is
-    reproduced bit-for-bit from the cache (see :class:`CostTable`). The
-    rng calls are inlined to their ``_randbelow`` cores —
-    ``choice(cells)`` is ``cells[_randbelow(len(cells))]`` and
-    ``randint(-w, w)`` is ``-w + _randbelow(2w + 1)`` — which consume
-    the identical underlying random stream without ``randrange``'s
-    per-call bounds checking. The delta recomputes are likewise inlined
-    from the :class:`CostTable` methods; the table's cached state
-    (``net``/``mem``) is read and written directly.
+    Mirrors :func:`_anneal_naive` decision-for-decision, on three
+    obligations. *Rng stream*: ``choice(cells)`` and ``randint(-w, w)``
+    are inlined to their ``_randbelow`` cores (draw ``n.bit_length()``
+    bits, redraw while >= n; ``rng`` must be getrandbits-based, as
+    ``random.Random`` is) and ``random()`` is drawn only when delta > 0.
+    *Operand bits*: cached per-net and per-cell values start as
+    :class:`CostTable`'s and are replaced by floats summed from
+    ``dist_cost`` in pin order, i.e. what Placement.net_cost would
+    return. *Addition order*: ``before``/``after`` add the memory terms
+    first, then the nets in ``nets_of`` order (move) or in the order
+    ``set(nets_of[a]) | set(nets_of[b])`` iterates (swap).
+
+    A proposal is priced with only ``pos`` rewritten; a reject restores
+    ``pos`` and nothing else. An accept stores the new per-net values and
+    replays the move on ``placement`` (so ``loc`` keeps its key order).
     """
     fabric = placement.fabric
     netlist = placement.netlist
-    table = CostTable(placement)
-    temperature = t_start
-    cost = table.total()
-    max_window = max(fabric.rows, fabric.cols)
-    proposals = accepted = 0
+    nt = netlist.place_tables
+    if nt is None:
+        nt = netlist.place_tables = NetlistTables(netlist)
+    ft = fabric.place_tables
+    if ft is None:
+        ft = fabric.place_tables = FabricTables(fabric)
+    pins, cell_nets = nt.pins, nt.cell_nets
+    net_sets, swap_nets = nt.net_sets, nt.swap_nets
+    xs, ys, dist_cost, rank = ft.xs, ft.ys, ft.dist_cost, ft.rank
 
+    # Per candidate: positions, occupants (-1: free), legality rows, the
+    # mem_scale-dependent memory factors and the cached costs.
+    cols = fabric.cols
     loc = placement.loc
-    occupant = placement.occupant
-    occupant_get = occupant.get
-    nets_of = netlist.nets_of
-    ls_coords = {pe.coord for pe in fabric.ls_pes()}
-    dfg_nodes = netlist.dfg.nodes
-    needs_ls = {
-        nid for nid in cells if dfg_nodes[nid].op in ("load", "store")
-    }
-    cols_max = fabric.cols - 1
+    pos = [loc[nid][1] * cols + loc[nid][0] for nid in cells]
+    occupant = [-1] * fabric.size()
+    for c, p in enumerate(pos):
+        occupant[p] = c
+    nodes = netlist.dfg.nodes
+    legal = [ft.legal(nodes[nid].op) for nid in cells]
+    mem_base = [placement.mem_base(nid) for nid in cells]
+    table = CostTable(placement)
+    cost = table.total()
+    net = table.net
+    mem = [table.mem[nid] for nid in cells]
+
+    cols_max = cols - 1
     rows_max = fabric.rows - 1
     getrandbits = rng.getrandbits
     rand = rng.random
     exp = math.exp
-    net = table.net
-    mem = table.mem
-    mem_base_get = table._mem_base.get
-    rank = table._rank
-    pins = table._pins
     ncells = len(cells)
-
-    # Manhattan distances are small ints, so the per-sink cost term
-    # ``dist + QUAD_WEIGHT * dist**2`` takes only rows+cols distinct
-    # values; tabulating it (with the identical expression) turns two
-    # multiplies per sink into one list index, bit-for-bit.
-    dcost = [
-        float(d) + QUAD_WEIGHT * d * d
-        for d in range(cols_max + rows_max + 1)
-    ]
-    # abs(sx - px) via a wraparound lookup: axis deltas lie in
-    # [-max, max], and Python's negative indexing maps ax[-d] onto the
-    # mirrored tail, so ax[sx - px] == abs(sx - px) with no call.
-    ax = list(range(cols_max + 1)) + list(range(cols_max, 0, -1))
-    ay = list(range(rows_max + 1)) + list(range(rows_max, 0, -1))
-    # Building ``set(nets_of[a]) | set(nets_of[b])`` from cached per-cell
-    # sets yields the same union (same elements, same small-int hashing,
-    # hence the same iteration order) without two throwaway set() builds
-    # per swap proposal.
-    net_sets = {cell: set(nets_of[cell]) for cell in cells}
-
-    # The VPR window schedule depends only on the step index; tabulate
-    # (window, randint span, span bit length) for the whole anneal. The
-    # rng calls below are the unrolled cores of ``choice(cells)`` /
-    # ``randint(-window, window)``: each is ``_randbelow(n)``, i.e.
-    # draw ``n.bit_length()`` bits and reject draws >= n, which consumes
-    # the identical random stream as the naive loop's method calls
-    # (``rng`` must be getrandbits-based, as ``random.Random`` is).
     kcells = ncells.bit_length()
-    wtab = []
-    for step in range(moves):
-        window = max(2, round(max_window * (1.0 - step / moves)))
+    proposals = accepted = 0
+    cooled = t_start
+
+    for steps, window in _window_segments(
+        moves, max(fabric.rows, fabric.cols)
+    ):
         span = window + window + 1
-        wtab.append((window, span, span.bit_length()))
-
-    for window, span, kspan in wtab:
-        r = getrandbits(kcells)
-        while r >= ncells:
-            r = getrandbits(kcells)
-        nid = cells[r]
-        origin = loc[nid]
-        cx, cy = origin
-        r = getrandbits(kspan)
-        while r >= span:
+        kspan = span.bit_length()
+        for _ in repeat(None, steps):
+            # The naive loop's ``temperature *= alpha`` at every exit.
+            temperature = cooled
+            cooled = temperature * alpha
+            a = getrandbits(kcells)
+            while a >= ncells:
+                a = getrandbits(kcells)
+            origin = pos[a]
             r = getrandbits(kspan)
-        tx = cx - window + r
-        if tx < 0:
-            tx = 0
-        elif tx > cols_max:
-            tx = cols_max
-        r = getrandbits(kspan)
-        while r >= span:
+            while r >= span:
+                r = getrandbits(kspan)
+            tx = xs[origin] - window + r
+            if tx < 0:
+                tx = 0
+            elif tx > cols_max:
+                tx = cols_max
             r = getrandbits(kspan)
-        ty = cy - window + r
-        if ty < 0:
-            ty = 0
-        elif ty > rows_max:
-            ty = rows_max
-        target = (tx, ty)
-        if target == origin:
-            temperature *= alpha
-            continue
-        other = occupant_get(target)
-        if nid in needs_ls and target not in ls_coords:
-            temperature *= alpha
-            continue
-        if (
-            other is not None
-            and other in needs_ls
-            and origin not in ls_coords
-        ):
-            temperature *= alpha
-            continue
+            while r >= span:
+                r = getrandbits(kspan)
+            ty = ys[origin] - window + r
+            if ty < 0:
+                ty = 0
+            elif ty > rows_max:
+                ty = rows_max
+            target = ty * cols + tx
+            if target == origin or not legal[a][target]:
+                continue
+            b = occupant[target]
+            if b >= 0 and not legal[b][origin]:
+                continue
 
-        proposals += 1
-        if other is None:
-            # MOVE: inlined cell_cost (cached) / fresh_cell_cost.
-            nid_nets = nets_of[nid]
-            before = mem[nid]
-            for index in nid_nets:
-                before += net[index]
-            del occupant[origin]
-            loc[nid] = target
-            occupant[target] = nid
-            base = mem_base_get(nid)
-            new_mem = 0.0 if base is None else base * rank[target]
-            after = new_mem
-            staged = []
-            for index in nid_nets:
-                src, sinks = pins[index]
-                sx, sy = loc[src]
-                value = 0.0
-                for sink in sinks:
-                    px, py = loc[sink]
-                    value += dcost[ax[sx - px] + ay[sy - py]]
-                staged.append(value)
-                after += value
-            delta = after - before
-            if delta > 0 and rand() >= exp(-delta / temperature):
-                del occupant[target]
-                loc[nid] = origin
-                occupant[origin] = nid
-            else:
-                cost += delta
-                mem[nid] = new_mem
-                for index, value in zip(nid_nets, staged):
-                    net[index] = value
-                accepted += 1
-        else:
-            # SWAP: inlined pair_cost (cached) / fresh_pair_cost. One
-            # set object drives both sums, so they iterate in one order.
-            nets = net_sets[nid] | net_sets[other]
-            before = mem[nid] + mem[other]
-            for index in nets:
-                before += net[index]
-            loc[nid], loc[other] = target, origin
-            occupant[origin], occupant[target] = other, nid
-            base = mem_base_get(nid)
+            proposals += 1
+            base = mem_base[a]
             new_mem_a = 0.0 if base is None else base * rank[target]
-            base = mem_base_get(other)
-            new_mem_b = 0.0 if base is None else base * rank[origin]
-            after = new_mem_a + new_mem_b
-            staged = []
+            pos[a] = target
+            if b < 0:
+                nets = cell_nets[a]
+                before = mem[a]
+                after = new_mem_a
+            else:
+                nets = swap_nets[a].get(b)
+                if nets is None:
+                    nets = tuple(net_sets[a] | net_sets[b])
+                    swap_nets[a][b] = nets
+                base = mem_base[b]
+                new_mem_b = 0.0 if base is None else base * rank[origin]
+                pos[b] = origin
+                before = mem[a] + mem[b]
+                after = new_mem_a + new_mem_b
             for index in nets:
+                before += net[index]
                 src, sinks = pins[index]
-                sx, sy = loc[src]
+                row = dist_cost[pos[src]]
                 value = 0.0
                 for sink in sinks:
-                    px, py = loc[sink]
-                    value += dcost[ax[sx - px] + ay[sy - py]]
-                staged.append((index, value))
+                    value += row[pos[sink]]
                 after += value
             delta = after - before
             if delta > 0 and rand() >= exp(-delta / temperature):
-                loc[nid], loc[other] = origin, target
-                occupant[origin], occupant[target] = nid, other
+                pos[a] = origin
+                if b >= 0:
+                    pos[b] = target
+                continue
+
+            cost += delta
+            accepted += 1
+            occupant[target] = a
+            occupant[origin] = b  # -1 (free) when this was a move
+            mem[a] = new_mem_a
+            if b < 0:
+                placement.move(cells[a], (tx, ty))
             else:
-                cost += delta
-                mem[nid] = new_mem_a
-                mem[other] = new_mem_b
-                for index, value in staged:
-                    net[index] = value
-                accepted += 1
-        temperature *= alpha
+                mem[b] = new_mem_b
+                placement.swap(cells[a], cells[b])
+            for index in nets:
+                src, sinks = pins[index]
+                row = dist_cost[pos[src]]
+                value = 0.0
+                for sink in sinks:
+                    value += row[pos[sink]]
+                net[index] = value
     return cost, proposals, accepted
 
 

@@ -1,22 +1,30 @@
 """Equivalence suite for the incremental PnR hot path.
 
-The incremental structures (CostTable anneal, dirty-net rerouting, the
-optimized greedy seeding) are *optimizations, not approximations*: every
-test here asserts exact — mostly bit-exact — agreement with the naive
-full-recompute implementations, which are kept behind ``incremental=False``
-flags precisely so this suite can diff against them forever.
+The incremental structures (the compiled-problem anneal and the
+CostTable protocol it follows, dirty-net rerouting, the optimized greedy
+seeding) are *optimizations, not approximations*: every test here
+asserts exact — mostly bit-exact — agreement with the naive
+full-recompute implementations, which are kept behind
+``incremental=False`` flags precisely so this suite can diff against
+them forever.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import gc
+import pickle
 import random
+import tracemalloc
 
 import pytest
 
 from repro.arch.fabric import monaco
 from repro.arch.noc import build_channel_graph
 from repro.arch.params import ArchParams
+from repro.arch.pe import PE
 from repro.core.policy import DOMAIN_AWARE, EFFCC, PlacementPolicy
+from repro.dfg.graph import DFG, PortRef
 from repro.dfg.lower import lower_kernel
 from repro.errors import RoutingError
 from repro.pnr.flow import compile_once
@@ -25,6 +33,7 @@ from repro.pnr.place import (
     CostTable,
     _neighbors_map,
     _pair_cost,
+    _window_segments,
     anneal,
     initial_placement,
     manhattan,
@@ -201,6 +210,45 @@ def test_cost_table_random_walk(workload):
 # -- anneal equivalence -------------------------------------------------
 
 
+def _anneal_both_ways(
+    netlist, fabric, policy, seed, moves=4000, node_weights=None
+):
+    """One anneal per loop from the same seed; asserts they agree.
+
+    Returns the two annealed placements, fast (compiled problem) first.
+    """
+    placements = []
+    costs = []
+    counts = []
+    for incremental in (True, False):
+        rng = random.Random(seed)
+        placement = initial_placement(
+            netlist, fabric, policy, rng, node_weights=node_weights
+        )
+        stats: dict = {}
+        costs.append(
+            anneal(
+                placement,
+                rng,
+                moves=moves,
+                incremental=incremental,
+                check=True,
+                stats=stats,
+            )
+        )
+        # Both loops must leave the rng at the same point of its stream.
+        counts.append(
+            (stats["moves"], stats["proposals"], stats["accepted"],
+             rng.random())
+        )
+        placements.append(placement)
+    fast, naive = placements
+    assert fast.loc == naive.loc
+    assert costs[0] == costs[1]
+    assert counts[0] == counts[1]
+    return fast, naive
+
+
 @pytest.mark.parametrize("workload", ["spmspm", "mergesort"])
 @pytest.mark.parametrize("policy", [EFFCC, DOMAIN_AWARE])
 @pytest.mark.parametrize("seed", [0, 3])
@@ -208,27 +256,188 @@ def test_anneal_incremental_matches_naive(
     workload: str, policy: PlacementPolicy, seed: int
 ):
     """Same seed -> identical final placement and cost, both paths."""
-    netlist = _netlist(workload)
-    fabric = monaco(12, 12)
+    fast, _ = _anneal_both_ways(
+        _netlist(workload), monaco(12, 12), policy, seed
+    )
+    assert fast.netlist.place_tables is not None
 
-    outcomes = []
-    for incremental in (True, False):
-        rng = random.Random(seed)
-        placement = initial_placement(netlist, fabric, policy, rng)
-        stats: dict = {}
-        cost = anneal(
-            placement,
-            rng,
-            moves=4000,
-            incremental=incremental,
-            check=True,
-            stats=stats,
+
+def _sparse_ids(dfg: DFG) -> DFG:
+    """The same graph under node ids ``3 * nid + 7`` (not dense from 0)."""
+    out = DFG(dfg.name)
+    for nid, node in dfg.nodes.items():
+        out.nodes[3 * nid + 7] = dataclasses.replace(
+            node,
+            nid=3 * nid + 7,
+            inputs=[
+                PortRef(3 * inp.src + 7) if isinstance(inp, PortRef) else inp
+                for inp in node.inputs
+            ],
         )
-        assert stats["proposals"] >= stats["accepted"] > 0
-        outcomes.append((dict(placement.loc), cost))
-    (fast_loc, fast_cost), (naive_loc, naive_cost) = outcomes
-    assert fast_loc == naive_loc
-    assert fast_cost == naive_cost
+    return out
+
+
+def _memory_weights(netlist) -> dict[int, float]:
+    """A non-trivial override map: distinct weights, one of them zero."""
+    mems = [n for n in netlist.cells if netlist.dfg.nodes[n].is_memory()]
+    return {nid: (i % 4) * 0.75 for i, nid in enumerate(mems)}
+
+
+#: Axes the 12x12 / 4000-move / class-weight grid above cannot see. On a
+#: square fabric ``y*cols + x`` and ``x*rows + y`` index the same range,
+#: so the flat layout is only pinned down by rectangular ones.
+WIDER_CASES = {
+    "wide-8x16": dict(fabric=(8, 16)),
+    "tall-16x8": dict(fabric=(16, 8)),
+    "tall-16x8-domain-aware": dict(fabric=(16, 8), policy=DOMAIN_AWARE),
+    "node-weights": dict(weights=True),
+    "node-weights-wide": dict(weights=True, fabric=(8, 16)),
+    "moves-0": dict(moves=0),
+    "moves-1": dict(moves=1),
+    "moves-default": dict(moves=None),
+    "sparse-node-ids": dict(sparse=True),
+    "sparse-node-ids-weights-tall": dict(
+        sparse=True, weights=True, fabric=(16, 8)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WIDER_CASES))
+def test_anneal_incremental_matches_naive_wider(case: str):
+    """The equivalence over fabric shape, overrides, length and node ids."""
+    spec = WIDER_CASES[case]
+    dfg = lower_kernel(make_workload("spmspm", scale="tiny", seed=0).kernel)
+    netlist = build_netlist(_sparse_ids(dfg) if spec.get("sparse") else dfg)
+    weights = _memory_weights(netlist) if spec.get("weights") else None
+    fast, naive = _anneal_both_ways(
+        netlist,
+        monaco(*spec.get("fabric", (12, 12))),
+        spec.get("policy", EFFCC),
+        seed=5,
+        moves=spec.get("moves", 4000),
+        node_weights=weights,
+    )
+    assert fast.occupant == naive.occupant
+    if spec.get("sparse"):
+        assert min(fast.loc) == 7 and max(fast.loc) > len(fast.loc)
+
+
+@pytest.mark.parametrize("max_window", [12, 16])
+@pytest.mark.parametrize("moves", [1, 7, 4000, 25800, 60000])
+def test_window_segments_expand_to_the_per_step_schedule(moves, max_window):
+    """Run-length segments == the naive loop's window at every step."""
+    segments = _window_segments(moves, max_window)
+    assert len(segments) <= max_window
+    expanded = [w for steps, w in segments for _ in range(steps)]
+    assert expanded == [
+        max(2, round(max_window * (1.0 - step / moves)))
+        for step in range(moves)
+    ]
+
+
+def test_window_segments_of_an_empty_anneal():
+    assert _window_segments(0, 12) == []
+
+
+def test_anneal_leaves_placement_dicts_as_naive_does():
+    """``loc`` keeps its key order and pickles to the naive run's bytes.
+
+    ``loc`` is keyed in greedy-placement order, not ``cells`` order; the
+    naive loop only ever assigns existing keys, so a write-back that
+    re-keys it (``loc.clear()`` + refill) would reorder every artifact
+    pickled from it.
+    """
+    fast, naive = _anneal_both_ways(
+        _netlist("mergesort"), monaco(12, 12), EFFCC, seed=1
+    )
+    assert list(fast.loc) == list(naive.loc)
+    assert list(fast.loc) != sorted(fast.loc)
+    assert pickle.dumps(dict(fast.loc)) == pickle.dumps(dict(naive.loc))
+    assert fast.occupant == naive.occupant
+    assert {c: n for n, c in fast.loc.items()} == fast.occupant
+
+
+def test_anneal_legality_is_pe_supports(monkeypatch):
+    """The fast loop's legality mask is ``PE.supports``, as the naive's.
+
+    With ``supports`` patched to also keep ``steer`` off LS PEs, a loop
+    that hard-coded "only load/store are restricted" would still move
+    steers onto LS PEs and diverge from the naive trajectory.
+    """
+    original = PE.supports
+
+    def picky(self, op):
+        if op == "steer":
+            return not self.is_ls
+        return original(self, op)
+
+    netlist = _netlist("mergesort")
+    assert any(netlist.dfg.nodes[n].op == "steer" for n in netlist.cells)
+    # Unpatched fast run on its own fabric: the reference the patched
+    # run must differ from, or the patch would be vacuous.
+    rng = random.Random(2)
+    free = initial_placement(netlist, monaco(12, 12), EFFCC, rng)
+    anneal(free, rng, moves=4000)
+
+    monkeypatch.setattr(PE, "supports", picky)
+    fast, _ = _anneal_both_ways(netlist, monaco(12, 12), EFFCC, seed=2)
+    assert fast.loc != free.loc
+
+
+#: Peak traced bytes of the anneal below at the parent of the compiled
+#: problem (CPython 3.11), whose per-step ``(window, span, bits)`` table
+#: alone held ~26 000 tuples for ``ic``.
+PARENT_ANNEAL_PEAK_BYTES = 1_986_688
+
+
+def test_anneal_peak_memory_is_no_higher_than_the_per_step_table_was():
+    """Tables and memo included, one default-length anneal stays below."""
+    netlist = _netlist("ic")
+    fabric = monaco(12, 12)
+    rng = random.Random(0)
+    placement = initial_placement(netlist, fabric, EFFCC, rng)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        anneal(placement, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= PARENT_ANNEAL_PEAK_BYTES
+
+
+def test_anneal_tables_die_with_their_netlist_and_fabric():
+    """Nothing the anneal builds outlives the objects it hangs off.
+
+    A per-``moves`` schedule cache or a module-level swap memo (both
+    tried, both cost tens of MiB over a sweep) would survive the drop.
+    """
+    import repro.pnr.place as place_mod
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        baseline, _ = tracemalloc.get_traced_memory()
+        for workload in ("dmv", "spmspm", "ic"):
+            netlist = _netlist(workload)
+            fabric = monaco(12, 12)
+            rng = random.Random(0)
+            placement = initial_placement(netlist, fabric, EFFCC, rng)
+            anneal(placement, rng)
+            assert netlist.place_tables is not None
+            assert fabric.place_tables is not None
+        del netlist, fabric, placement
+        gc.collect()
+        residue = tracemalloc.get_traced_memory()[0] - baseline
+    finally:
+        tracemalloc.stop()
+    # One 12x12 distance table alone is ~170 KiB, ic's memo ~1 MiB.
+    assert residue < 64 * 1024
+    for name, value in vars(place_mod).items():
+        if name.startswith("__"):
+            continue
+        assert not isinstance(value, (list, dict, set, tuple)), name
+        assert not hasattr(value, "cache_info"), name
 
 
 def test_anneal_drift_check_is_clean():

@@ -9,16 +9,22 @@ that rides on every compile, and its plumbing into run manifests.
 
 from __future__ import annotations
 
+import pickle
+import random
+
 import pytest
 
 from benchmarks.bench_pnr_compile import pnr_digest
 from repro.arch.fabric import monaco
 from repro.arch.params import ArchParams
+from repro.core.policy import EFFCC
 from repro.exp.configs import MONACO
 from repro.exp.runner import compile_cached, run_config
 from repro.exp.spec import RunSpec
 from repro.obs.manifest import build_manifest, stable_view
 from repro.pnr.flow import compile_once, shutdown_portfolio_pool
+from repro.pnr.netlist import build_netlist
+from repro.pnr.place import anneal, initial_placement
 from repro.workloads.registry import make_workload
 
 
@@ -55,6 +61,36 @@ def test_portfolio_restarts_match_serial():
     pooled = _compile("spmspv", portfolio_jobs=3, portfolio_restarts=2)
     assert pnr_digest(pooled) == pnr_digest(serial)
     assert serial.pnr.candidates == pooled.pnr.candidates >= 1
+
+
+def test_three_jobs_match_serial_and_workers_build_their_own_tables():
+    """One worker per mem scale, each annealing an unpickled netlist.
+
+    The anneal tables (and the swap-order memo, whose set iteration
+    order would not survive a pickle round trip by contract) hang off
+    the netlist and the fabric but never travel with them: a clone
+    arrives bare, builds its own, and anneals to the same placement.
+    """
+    serial = _compile("mergesort", portfolio_jobs=1)
+    pooled = _compile("mergesort", portfolio_jobs=3)
+    assert pooled.pnr.portfolio_jobs == 3
+    assert pnr_digest(pooled) == pnr_digest(serial)
+
+    netlist = build_netlist(serial.dfg)
+    fabric = monaco(12, 12)
+    outcomes = []
+    for _ in range(2):
+        rng = random.Random(0)
+        placement = initial_placement(netlist, fabric, EFFCC, rng)
+        cost = anneal(placement, rng, moves=4000)
+        outcomes.append((cost, dict(placement.loc)))
+        assert any(netlist.place_tables.swap_nets)
+        assert fabric.place_tables is not None
+        assert pickle.dumps(fabric) == pickle.dumps(monaco(12, 12))
+        netlist, fabric = pickle.loads(pickle.dumps((netlist, fabric)))
+        assert netlist.place_tables is None
+        assert fabric.place_tables is None
+    assert outcomes[0] == outcomes[1]
 
 
 def test_pnr_stats_populated():
