@@ -12,8 +12,9 @@ Five checks, all deterministic except the timing ratios:
    median (with slack for CI noise): if the off path ever does the on
    path's work, the two medians collapse together from the wrong side.
 4. **Detached critical-path profiler** — with ``sim.critpath`` false
-   (the default), the profiler's publish sites (``fire_pops``/``push``)
-   must vanish behind the same None gate: stats and memory bit-identical
+   (the default), the engine's tick-record appends and its one
+   ``obs.tick`` dispatch, which are all the recorder listens to, must
+   vanish behind the same None gate: stats and memory bit-identical
    to the plain off run, wall time within the same noise bound, and
    ``stats.critpath`` empty. A critpath-on run must carry the recorder
    and a report whose category costs sum to ``system_cycles`` exactly.

@@ -3,9 +3,12 @@
 The subsystem is **zero-overhead when off**: with ``ArchParams.sim.trace``
 false (the default) the engine holds ``obs = None`` and every publish
 site is a single attribute check — simulated results are bit-identical
-and the measured slowdown is within noise. With tracing on, the engine,
-memory system and fabric-memory frontends publish structured events to an
-:class:`~repro.obs.events.EventBus`; sinks turn the stream into
+and the measured slowdown is within noise. It is **O(events) when on**:
+the engine hands the bus one record per executed fabric tick (emissions,
+firings, stall-bucket *changes*, pushes) and the sinks count at the
+source, so a probe costs per thing that happened, not per node per tick.
+The memory system and fabric-memory frontends publish their own events
+to the same :class:`~repro.obs.events.EventBus`; sinks turn the stream into
 
 * a per-node / per-PE **cycle-attribution table** over the stall taxonomy
   (:data:`~repro.obs.events.STALL_KINDS`),

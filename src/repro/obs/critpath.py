@@ -148,12 +148,11 @@ def blame_shares(report: dict) -> dict[int, dict]:
 class CriticalPathRecorder:
     """Last-arrival edge recorder + backward-walk blame attribution.
 
-    Subscribes to ``fire_pops`` (committed firings with their popped
-    ports), ``push`` (token commits, to mirror the engine's FIFOs),
-    ``mem`` (response emissions with the full
-    :class:`~repro.sim.memsys.RequestRecord` milestone ledger) and
-    ``finish`` (runs the walk and publishes the report into
-    ``stats.critpath``).
+    Subscribes to ``tick`` — of each record the emitted responses (with
+    the full :class:`~repro.sim.memsys.RequestRecord` milestone ledger),
+    the committed firings (with their popped ports) and the pushes (to
+    mirror the engine's FIFOs) — and to ``finish`` (runs the walk and
+    publishes the report into ``stats.critpath``).
     """
 
     def __init__(
@@ -175,8 +174,8 @@ class CriticalPathRecorder:
             self.node_meta[nid] = (label, node.criticality, node.op)
 
         # Shadow token FIFOs holding *event ids* of the pushes, mirrored
-        # via on_push/on_fire_pops (pushes commit at end-of-tick while
-        # pops see only earlier ticks, so mirror order is exact).
+        # from each tick record (pushes commit at end-of-tick while pops
+        # see only earlier ticks, so mirror order is exact).
         self._fifo: dict[tuple[int, int], deque] = {}
         for node in dfg.nodes.values():
             for index, inp in enumerate(node.inputs):
@@ -196,11 +195,6 @@ class CriticalPathRecorder:
         }
         self._last_emit: dict[int, int] = {}
         self._last_fire: dict[int, int] = {}
-
-        # Per-tick push-source events (emission first, then firing; the
-        # engine's ``slot`` indexes into this list).
-        self._tick = -1
-        self._tick_src: dict[int, list[int]] = {}
 
         # The event log: parallel lists (compact, pickle-fast).
         self.ev_cycle: list[int] = []
@@ -236,19 +230,28 @@ class CriticalPathRecorder:
         self.ev_edge.append(edge)
         return eid
 
-    def _roll_tick(self, now: int) -> None:
-        if now != self._tick:
-            self._tick = now
-            self._tick_src.clear()
-
     # -- hooks -------------------------------------------------------------
 
-    def on_fire_pops(
-        self, now: int, nid: int, pops, mem: bool, emits: bool
-    ) -> None:
+    def on_tick(self, now: int, emitted, fired, changes, pushes) -> None:
+        """One fabric tick: emissions, then firings, then the pushes —
+        each mirrored into the consumers' shadow FIFOs tagged with the
+        event that produced it (a node's emission before its firing)."""
+        tick_src: dict[int, list[int]] = {}
+        for record, _node, _domain in emitted:
+            tick_src.setdefault(record.nid, []).append(self._emit(now, record))
+        for nid, pops, mem, emits in fired:
+            eid = self._fire(now, nid, pops, mem, emits)
+            if emits:
+                tick_src.setdefault(nid, []).append(eid)
+        fifo = self._fifo
+        for src, _value in pushes:
+            eid = tick_src[src].pop(0)
+            for key in self._consumer_keys.get(src, ()):
+                fifo[key].append(eid)
+
+    def _fire(self, now: int, nid: int, pops, mem: bool, emits: bool) -> int:
         """A committed firing: ``pops`` port indices were consumed;
         ``mem`` issued a memory request; ``emits`` pushes a token."""
-        self._roll_tick(now)
         cands: list[tuple[int, int, int]] = []
         freed: list[tuple[int, int]] = []
         for index in pops:
@@ -288,14 +291,12 @@ class CriticalPathRecorder:
         if mem:
             self._issue[nid].append(eid)
             self._out_count[nid] = self._out_count.get(nid, 0) + 1
-        if emits:
-            self._tick_src.setdefault(nid, []).append(eid)
         self._last_fire[nid] = eid
+        return eid
 
-    def on_mem(self, now: int, record, node, domain) -> None:
+    def _emit(self, now: int, record) -> int:
         """A memory response was emitted at its PE: chain back to the
         issuing firing, unless ordering or backpressure bound later."""
-        self._roll_tick(now)
         nid = record.nid
         issue_ev = self._issue[nid].popleft()
         cands = [(record.arrived_cycle, issue_ev, CHAIN)]
@@ -320,19 +321,7 @@ class CriticalPathRecorder:
         if was >= self.max_outstanding:
             self._out_unblock[nid] = (now, eid)
         self._last_emit[nid] = eid
-        self._tick_src.setdefault(nid, []).append(eid)
-
-    def on_push(
-        self, now: int, src: int, dst: int, index: int, slot: int
-    ) -> None:
-        """A token commit: mirror it into the shadow FIFO, tagged with
-        the event (emission or firing) that produced it this tick."""
-        if now != self._tick:
-            raise SimulationError(
-                f"critpath: push at cycle {now} without a source event "
-                f"(last tick {self._tick})"
-            )
-        self._fifo[(dst, index)].append(self._tick_src[src][slot])
+        return eid
 
     def on_finish(self, stats) -> None:
         """Walk the path, check the sum invariant, publish the report."""

@@ -4,7 +4,9 @@ Publishers (the engine, :class:`~repro.sim.memsys.MemorySystem`, the
 Monaco/UPEA/NUMA frontends) call the ``EventBus`` methods below; sinks
 subscribe by implementing the matching ``on_*`` hooks. Handler lists are
 resolved once at :meth:`EventBus.attach` time so a publish is a plain
-loop over bound methods — no ``hasattr`` in the hot path.
+loop over bound methods — no ``hasattr`` in the hot path. The engine
+publishes one :meth:`EventBus.tick` record per executed fabric tick,
+never one event per firing, token or node.
 
 Stall taxonomy (per DFG node, per executed fabric tick):
 
@@ -12,7 +14,9 @@ Stall taxonomy (per DFG node, per executed fabric tick):
     the node committed a firing (including a load emitting its response).
 ``operand-wait``
     the firing rule is unsatisfied — an input FIFO the node needs is
-    empty (also covers drained sources with nothing left to do).
+    empty (also covers drained sources with nothing left to do, a node
+    whose blocker cleared only after it was scanned this tick, and a
+    firing suppressed by an injected PE stall).
 ``output-backpressure``
     the node is ready but a downstream consumer FIFO is full.
 ``fifo-full``
@@ -54,12 +58,7 @@ _HOOKS = {
     "gap": "on_gap",
     "skip": "on_skip",
     "tick": "on_tick",
-    "fire": "on_fire",
-    "fire_pops": "on_fire_pops",
-    "mem": "on_mem",
     "mem_service": "on_mem_service",
-    "token": "on_token",
-    "push": "on_push",
     "fmnoc": "on_fmnoc",
     "counter": "on_counter",
     "finish": "on_finish",
@@ -72,10 +71,15 @@ class EventBus:
     def __init__(self) -> None:
         self.sinks: list = []
         self._handlers: dict[str, list] = {name: [] for name in _HOOKS}
+        #: Whether any attached sink reads the tick record's bucket
+        #: changes (it says so with a true ``TAKES_BUCKETS``); the engine
+        #: classifies stalls only then.
+        self.wants_buckets = False
 
     def attach(self, sink) -> None:
         """Subscribe ``sink``; its ``on_*`` hooks are resolved now."""
         self.sinks.append(sink)
+        self.wants_buckets |= getattr(sink, "TAKES_BUCKETS", False)
         for publish, hook in _HOOKS.items():
             method = getattr(sink, hook, None)
             if method is not None:
@@ -94,49 +98,23 @@ class EventBus:
         for handler in self._handlers["skip"]:
             handler(now, target)
 
-    def tick(self, now: int, classification: dict[int, str]) -> None:
-        """One executed fabric tick: every node's bucket (TICK_KINDS)."""
+    def tick(self, now: int, emitted, fired, changes, pushes) -> None:
+        """One executed fabric tick, as one record of what happened in it,
+        in engine order: ``emitted`` memory responses ``(record, node,
+        domain)``; committed firings ``fired`` ``(nid, pops, issued_mem,
+        emits)``; ``changes`` — ``(nid, bucket)`` for each node whose
+        TICK_KINDS bucket differs from the previous executed tick's (every
+        node on the first tick and the first after a restore; empty
+        unless :attr:`wants_buckets`); and the ``pushes`` ``(src, value)``
+        about to commit onto every consumer FIFO of ``src`` — a node's
+        emission precedes its firing there as in ``emitted``/``fired``."""
         for handler in self._handlers["tick"]:
-            handler(now, classification)
-
-    def fire(self, now: int, node, pe: tuple[int, int]) -> None:
-        """Node ``node`` (a DFG Node) committed a firing at ``now``."""
-        for handler in self._handlers["fire"]:
-            handler(now, node, pe)
-
-    def fire_pops(
-        self, now: int, nid: int, pops, mem: bool, emits: bool
-    ) -> None:
-        """Structural detail of a committed firing: which input port
-        indices were popped, whether a memory request was issued, and
-        whether an output token is pushed this tick (used by the
-        critical-path recorder's last-arrival bookkeeping)."""
-        for handler in self._handlers["fire_pops"]:
-            handler(now, nid, pops, mem, emits)
-
-    def mem(self, now: int, record, node, domain) -> None:
-        """A memory response reached its PE (full lifecycle known)."""
-        for handler in self._handlers["mem"]:
-            handler(now, record, node, domain)
+            handler(now, emitted, fired, changes, pushes)
 
     def mem_service(self, now: int, record) -> None:
         """A bank served ``record`` (hit/miss and latency decided)."""
         for handler in self._handlers["mem_service"]:
             handler(now, record)
-
-    def token(self, now: int, src: int, dst: int) -> None:
-        """A token crossed the data NoC from node ``src`` to ``dst``."""
-        for handler in self._handlers["token"]:
-            handler(now, src, dst)
-
-    def push(
-        self, now: int, src: int, dst: int, index: int, slot: int
-    ) -> None:
-        """A token commit onto consumer FIFO ``(dst, index)``; ``slot``
-        names which of ``src``'s push events this tick produced it (an
-        emission and a firing can both push in one tick)."""
-        for handler in self._handlers["push"]:
-            handler(now, src, dst, index, slot)
 
     def fmnoc(self, now: int, stage: tuple) -> None:
         """A request advanced through FM-NoC ``stage``:

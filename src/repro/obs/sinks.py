@@ -35,16 +35,21 @@ class CycleAttribution:
             == executed_cycles + skipped_cycles == system_cycles + 1
 
     (the +1 is the final quiescence-check cycle, which is executed but
-    does not advance the clock).
+    does not advance the clock). A node's bucket is held as an open run
+    and booked into ``per_node`` when the bucket changes and at finish,
+    so the cost is per change, not per node per tick.
     """
 
+    TAKES_BUCKETS = True
+
     def __init__(self, node_info: dict[int, tuple]):
-        #: nid -> (label, criticality, pe coord[, op]). The op entry was
-        #: appended for the class rollup; absent in older pickles.
+        #: nid -> (label, criticality, pe coord, op).
         self.node_info = node_info
         self.per_node: dict[int, Counter] = {
             nid: Counter() for nid in node_info
         }
+        #: nid -> (bucket, tick index it was entered at): the open runs.
+        self._open: dict[int, tuple[str, int]] = {}
         self.divider_gap = 0
         self.skipped = 0
         self.ticks = 0
@@ -58,10 +63,20 @@ class CycleAttribution:
     def on_skip(self, now: int, target: int) -> None:
         self.skipped += target - now
 
-    def on_tick(self, now: int, classification: dict[int, str]) -> None:
-        self.ticks += 1
-        for nid, kind in classification.items():
-            self.per_node[nid][kind] += 1
+    def on_tick(self, now: int, emitted, fired, changes, pushes) -> None:
+        tick = self.ticks
+        self.ticks = tick + 1
+        runs = self._open
+        for nid, kind in changes:
+            run = runs.get(nid)
+            if run is not None:
+                self.per_node[nid][run[0]] += tick - run[1]
+            runs[nid] = (kind, tick)
+
+    def on_finish(self, stats) -> None:
+        for nid, (kind, since) in self._open.items():
+            self.per_node[nid][kind] += self.ticks - since
+        self._open.clear()
 
     def on_counter(self, name: str, amount: int) -> None:
         self.counters[name] += amount
@@ -110,9 +125,8 @@ class CycleAttribution:
         """
         out: dict[str, tuple[int, Counter]] = {}
         for nid, counts in self.per_node.items():
-            info = self.node_info[nid]
-            op = info[3] if len(info) > 3 else ""
-            key = info[1] if op in ("load", "store") else "non-mem"
+            _label, klass, _coord, op = self.node_info[nid]
+            key = klass if op in ("load", "store") else "non-mem"
             nodes, total = out.setdefault(key, (0, Counter()))
             total.update(counts)
             out[key] = (nodes + 1, total)
@@ -212,18 +226,38 @@ class NocHeatmap:
     A token from producer to consumer is charged to every channel of the
     producing net's routed tree (the tree is shared across sinks, so this
     is a per-net upper bound — exact per-sink splits would need flit-level
-    routing the engine does not model).
+    routing the engine does not model). Only pushes per producer are
+    counted during the run; the per-edge and per-channel tables follow
+    from the static fan-out and routed trees when read.
     """
 
-    def __init__(self, edge_channels: dict[tuple[int, int], tuple]):
+    def __init__(self, edge_channels: dict[tuple[int, int], tuple], fanout=()):
         self.edge_channels = edge_channels
-        self.channel_tokens: Counter = Counter()
-        self.edge_tokens: Counter = Counter()
+        #: producer nid -> consumer nid of each consumer *port* it feeds
+        #: (a consumer wired to it twice takes two tokens per push).
+        self.fanout: dict[int, tuple] = dict(fanout)
+        self.pushes: Counter = Counter()
 
-    def on_token(self, now: int, src: int, dst: int) -> None:
-        self.edge_tokens[(src, dst)] += 1
-        for key in self.edge_channels.get((src, dst), ()):
-            self.channel_tokens[key] += 1
+    def on_tick(self, now: int, emitted, fired, changes, pushes) -> None:
+        counts = self.pushes
+        for src, _value in pushes:
+            counts[src] += 1
+
+    @property
+    def edge_tokens(self) -> Counter:
+        out: Counter = Counter()
+        for src, count in self.pushes.items():
+            for dst in self.fanout.get(src, ()):
+                out[(src, dst)] += count
+        return out
+
+    @property
+    def channel_tokens(self) -> Counter:
+        out: Counter = Counter()
+        for edge, count in self.edge_tokens.items():
+            for key in self.edge_channels.get(edge, ()):
+                out[key] += count
+        return out
 
     def cell_load(self) -> dict[Coord, int]:
         """Traffic per fabric cell: channels charged to their source."""
@@ -295,56 +329,78 @@ class ChromeTraceSink:
     spans). Timestamps are system cycles.
     """
 
+    TAKES_BUCKETS = True
+
     def __init__(
         self,
         divider: int,
-        node_info: dict[int, tuple[str, str, Coord]],
+        node_info: dict[int, tuple[str, str, Coord, str]],
         bank_of=None,
-        counter_every: int = 1,
     ):
         self.divider = divider
         self.node_info = node_info
         self.bank_of = bank_of  # address -> bank index, or None
-        self.counter_every = max(1, counter_every)
         self.events: list[dict] = []
-        self._tick_index = 0
+        #: Each node's current bucket and the running nodes-per-bucket
+        #: histogram the per-tick ``stalls`` counter snapshots.
+        self._bucket: dict[int, str] = {}
+        self._stalls: dict[str, int] = dict.fromkeys(TICK_KINDS, 0)
 
     # -- hooks ------------------------------------------------------------
 
-    def on_fire(self, now: int, node, pe: Coord) -> None:
-        self.events.append(
+    def on_tick(self, now: int, emitted, fired, changes, pushes) -> None:
+        append = self.events.append
+        for record, node, domain in emitted:
+            request = record.request
+            append(
+                {
+                    "name": f"{request.kind} {request.array}[{request.index}]",
+                    "cat": "mem",
+                    "ph": "X",
+                    "ts": record.issue_cycle,
+                    "dur": max(1, now - record.issue_cycle),
+                    "pid": 1,
+                    "tid": record.nid,
+                    "args": {
+                        "hit": bool(record.hit),
+                        "criticality": node.criticality,
+                        "domain": domain,
+                        "response_hops": record.response_hops,
+                        "bank_wait": max(
+                            0, record.serve_cycle - record.enqueue_cycle
+                        ),
+                    },
+                }
+            )
+        for nid, _pops, _mem, _emits in fired:
+            label, _klass, pe, op = self.node_info[nid]
+            append(
+                {
+                    "name": label,
+                    "cat": op,
+                    "ph": "X",
+                    "ts": now,
+                    "dur": self.divider,
+                    "pid": 0,
+                    "tid": nid,
+                    "args": {"pe": f"{pe[0]},{pe[1]}"},
+                }
+            )
+        stalls = self._stalls
+        for nid, kind in changes:
+            was = self._bucket.get(nid)
+            if was is not None:
+                stalls[was] -= 1
+            stalls[kind] += 1
+            self._bucket[nid] = kind
+        append(
             {
-                "name": _node_label(node),
-                "cat": node.op,
-                "ph": "X",
+                "name": "stalls",
+                "ph": "C",
                 "ts": now,
-                "dur": self.divider,
                 "pid": 0,
-                "tid": node.nid,
-                "args": {"pe": f"{pe[0]},{pe[1]}"},
-            }
-        )
-
-    def on_mem(self, now: int, record, node, domain) -> None:
-        request = record.request
-        self.events.append(
-            {
-                "name": f"{request.kind} {request.array}[{request.index}]",
-                "cat": "mem",
-                "ph": "X",
-                "ts": record.issue_cycle,
-                "dur": max(1, now - record.issue_cycle),
-                "pid": 1,
-                "tid": record.nid,
-                "args": {
-                    "hit": bool(record.hit),
-                    "criticality": node.criticality,
-                    "domain": domain,
-                    "response_hops": record.response_hops,
-                    "bank_wait": max(
-                        0, record.serve_cycle - record.enqueue_cycle
-                    ),
-                },
+                "tid": 0,
+                "args": dict(stalls),
             }
         )
 
@@ -361,22 +417,6 @@ class ChromeTraceSink:
                 "pid": 1,
                 "tid": 10_000 + self.bank_of(record.address),
                 "args": {"address": record.address},
-            }
-        )
-
-    def on_tick(self, now: int, classification: dict[int, str]) -> None:
-        self._tick_index += 1
-        if self._tick_index % self.counter_every:
-            return
-        counts = Counter(classification.values())
-        self.events.append(
-            {
-                "name": "stalls",
-                "ph": "C",
-                "ts": now,
-                "pid": 0,
-                "tid": 0,
-                "args": {kind: counts.get(kind, 0) for kind in TICK_KINDS},
             }
         )
 
@@ -434,7 +474,7 @@ def _meta(name: str, pid: int, tid: int, args: dict) -> dict:
 
 
 class Observation(EventBus):
-    """The standard bus: attribution + heatmaps (+ optional Chrome trace).
+    """The bus plus the sinks a run asked for (None when not attached).
 
     Built by :func:`make_observation`; the simulator publishes into it and
     callers read the sinks back off the returned object (also exposed as
@@ -484,26 +524,31 @@ def make_observation(
     compiled,
     divider: int,
     address_map=None,
+    trace: bool = True,
     chrome: bool = False,
-    counter_every: int = 1,
     critpath: bool = False,
     fifo_capacity: int = 2,
     max_outstanding: int = 2,
 ) -> Observation:
-    """Assemble the standard sink set for one run of ``compiled``."""
+    """Assemble the sinks one run of ``compiled`` asked for: ``trace``
+    attaches attribution and both heatmaps, ``chrome`` the exporter,
+    ``critpath`` the recorder — each switch pays only for what it names."""
     obs = Observation()
-    info = node_info_of(compiled)
-    obs.attribution = CycleAttribution(info)
-    obs.attach(obs.attribution)
-    obs.noc_heatmap = NocHeatmap(_edge_channel_map(compiled))
-    obs.attach(obs.noc_heatmap)
-    obs.fmnoc_heatmap = FmnocHeatmap()
-    obs.attach(obs.fmnoc_heatmap)
+    info = node_info_of(compiled) if trace or chrome else None
+    if trace:
+        obs.attribution = CycleAttribution(info)
+        obs.attach(obs.attribution)
+        fanout = {
+            src: tuple(dst for dst, _port in sinks)
+            for src, sinks in compiled.dfg.consumers().items()
+        }
+        obs.noc_heatmap = NocHeatmap(_edge_channel_map(compiled), fanout)
+        obs.attach(obs.noc_heatmap)
+        obs.fmnoc_heatmap = FmnocHeatmap()
+        obs.attach(obs.fmnoc_heatmap)
     if chrome:
         bank_of = address_map.bank if address_map is not None else None
-        obs.chrome = ChromeTraceSink(
-            divider, info, bank_of=bank_of, counter_every=counter_every
-        )
+        obs.chrome = ChromeTraceSink(divider, info, bank_of=bank_of)
         obs.attach(obs.chrome)
     if critpath:
         from repro.obs.critpath import CriticalPathRecorder

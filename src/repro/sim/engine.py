@@ -33,8 +33,7 @@ array folded into ``SimStats.firings`` at quiescence. All of it is an
 *optimization, not
 an approximation*: results are bit-identical to the per-tick-``sorted``
 engine (pinned pre-rewrite digests in ``tests/test_engine_hot.py``), and
-the :meth:`state_dict` schema is unchanged, so pre-rewrite snapshots
-restore into the dense layout.
+:meth:`state_dict` still writes plain containers, not the dense layout.
 """
 
 from __future__ import annotations
@@ -189,6 +188,11 @@ class _OrderedIntSet:
     def members(self) -> list[int]:
         return list(self.iter_ordered())
 
+    def touched(self) -> list[int]:
+        """Ids the last :meth:`iter_ordered` snapshot visited (discarded
+        since or not) plus the ids added after it was taken."""
+        return self._items + self._pending
+
 
 class SimResult:
     """Final memory state plus statistics for one run."""
@@ -276,7 +280,8 @@ def simulate(
             compiled,
             divider,
             address_map=address_map,
-            chrome=arch.sim.trace_path is not None,
+            trace=arch.sim.trace,
+            chrome=arch.sim.trace and arch.sim.trace_path is not None,
             critpath=arch.sim.critpath,
             fifo_capacity=arch.sim.fifo_capacity,
             max_outstanding=arch.sim.max_outstanding,
@@ -443,9 +448,18 @@ class _Engine:
         #: only reads engine state; with it on, results are still
         #: bit-identical, and a violation raises InvariantViolation.
         self.check = check
-        #: Per-tick scratch for attribution (None while tracing is off).
-        self._tick_fired: set[int] | None = None
-        self._tick_fifo_full: set[int] | None = None
+        #: The tick record under construction while ``obs`` is attached
+        #: (see ``EventBus.tick``): emitted responses, committed firings,
+        #: and the nids whose matured response found a full consumer FIFO.
+        self._tick_emitted: list = []
+        self._tick_fired: list = []
+        self._tick_blocked: list = []
+        #: Stall-bucket cache (:meth:`_bucket_changes`): bucket per nid
+        #: as of the last executed tick (None: classify every node), and
+        #: the nids whose bucket then was an *event* (FIRE, emission-phase
+        #: ``fifo-full``) rather than a state.
+        self._buckets: list | None = None
+        self._eventful: dict[int, str] = {}
         #: Current system cycle and last-progress cycle — instance state
         #: (not ``run()`` locals) so snapshots capture the scheduler.
         self.now = 0
@@ -757,32 +771,24 @@ class _Engine:
         progressed = False
         obs = self.obs
         if obs is not None:
-            self._tick_fired = set()
-            self._tick_fifo_full = set()
+            self._tick_emitted = []
+            self._tick_fired = []
+            self._tick_blocked = []
         if self.emit_candidates.count:
             progressed |= self._emit_responses(now, pushes)
         progressed |= self._fire_nodes(now, pushes)
         if obs is not None:
-            # Classify *before* committing pushes: tokens land at the
-            # next tick, so the pre-commit FIFO state is what this tick's
-            # firing rules actually saw.
-            obs.tick(now, self._classify_tick())
-            self._tick_fired = None
-            self._tick_fifo_full = None
+            # One record per tick, built *before* committing pushes:
+            # tokens land at the next tick, so the pre-commit FIFO state
+            # is what this tick's firing rules actually saw.
+            obs.tick(
+                now,
+                self._tick_emitted,
+                self._tick_fired,
+                self._bucket_changes() if obs.wants_buckets else (),
+                pushes,
+            )
         if pushes:
-            if obs is not None:
-                # Publish token movements at the same point they are
-                # committed; kept out of commit_pushes so its signature
-                # stays a plain (pushes) hook for capacity tests. The
-                # per-source slot ordinal disambiguates a node that both
-                # emitted a memory response and fired in this tick.
-                slots: dict[int, int] = {}
-                for nid, _value in pushes:
-                    slot = slots.get(nid, 0)
-                    slots[nid] = slot + 1
-                    for consumer, index in self.consumers[nid]:
-                        obs.token(now, nid, consumer)
-                        obs.push(now, nid, consumer, index, slot)
             if self.check is not None:
                 # Shadow-FIFO stamps mirror the commit (same point, same
                 # order) so capacity and cadence are checked against
@@ -792,25 +798,47 @@ class _Engine:
             progressed = True
         return progressed
 
-    def _classify_tick(self) -> dict[int, str]:
-        """Attribute this executed fabric tick: one bucket per node."""
-        fired = self._tick_fired
-        fifo_full = self._tick_fifo_full
-        classification: dict[int, str] = {}
-        for nid in self.dfg.nodes:
-            if nid in fired:
-                classification[nid] = FIRE
-            elif nid in fifo_full:
-                classification[nid] = "fifo-full"
-            else:
-                reason = self._stall_reason(nid)
-                # "ready" means tokens became visible only after the fire
-                # phase scanned the node — it was operand-starved when it
-                # mattered this tick.
-                classification[nid] = (
-                    "operand-wait" if reason == "ready" else reason
-                )
-        return classification
+    def _bucket_changes(self) -> list[tuple[int, str]]:
+        """Attribute this executed fabric tick: ``(nid, bucket)`` for each
+        node whose bucket differs from the last executed tick's.
+
+        Only nodes whose situation may have changed are re-derived — the
+        ones the emit and fire loops scanned or woke this tick, plus last
+        tick's eventful nodes (nothing need wake a node that emitted its
+        last response, yet it stops being FIRE). Any other node keeps its
+        cached bucket: its input FIFOs, state, response queue and
+        ``can_emit`` only change through an event that puts it on one of
+        the two lists (argument in docs/INTERNALS.md, Sec. 6).
+        """
+        cache = self._buckets
+        if cache is None:
+            cache = self._buckets = [None] * self._size
+            touched = set(self.dfg.nodes)
+        else:
+            touched = set(self._eventful)
+            touched.update(
+                self.emit_candidates.touched(), self.active.touched()
+            )
+        events = dict.fromkeys(self._tick_blocked, "fifo-full")
+        for record, _node, _domain in self._tick_emitted:
+            events[record.nid] = FIRE
+        for firing in self._tick_fired:
+            events[firing[0]] = FIRE
+        self._eventful = events
+        changes = []
+        for nid in sorted(touched):
+            bucket = events.get(nid)
+            if bucket is None:
+                bucket = self._stall_reason(nid)
+                if bucket == "ready":
+                    # Tokens became visible (or a slot freed, or a fault
+                    # suppressed the firing) only after the fire phase
+                    # scanned the node: it was starved when it mattered.
+                    bucket = "operand-wait"
+            if bucket != cache[nid]:
+                cache[nid] = bucket
+                changes.append((nid, bucket))
+        return changes
 
     def _stall_reason(self, nid: int) -> str:
         """Why ``nid`` cannot fire right now (side-effect-free peek)."""
@@ -853,7 +881,7 @@ class _Engine:
                 continue
             if not self.can_emit(nid):
                 if obs is not None:
-                    self._tick_fifo_full.add(nid)
+                    self._tick_blocked.append(nid)
                 continue  # retry next fabric tick
             queue.popleft()
             self.mem_inflight -= 1
@@ -868,8 +896,7 @@ class _Engine:
                     node.criticality, self.domain_of[nid], latency
                 )
             if obs is not None:
-                self._tick_fired.add(nid)
-                obs.mem(now, record, node, self.domain_of[nid])
+                self._tick_emitted.append((record, node, self.domain_of[nid]))
             # The PE may issue again now that a slot freed up.
             self.active.add(nid)
             if not queue or queue[0].arrived_cycle is None:
@@ -942,16 +969,9 @@ class _Engine:
                 push_output(nid, emit, pushes)
             fire_counts[nid_op[nid]] += 1
             if obs is not None:
-                self._tick_fired.add(nid)
-                obs.fire(
-                    now, self._node_by_id[nid], self._placement_by_id[nid]
-                )
-                obs.fire_pops(
-                    now,
-                    nid,
-                    pops,
-                    mem is not None,
-                    mem is None and emit is not NO_EMIT,
+                self._tick_fired.append(
+                    (nid, pops, mem is not None,
+                     mem is None and emit is not NO_EMIT)
                 )
             progressed = True
             # The node may be ready again next tick; keep it active.
@@ -988,9 +1008,10 @@ class _Engine:
         arrivals heap, bank queues and frontend latches). The ``obs``
         and ``check`` entries are the live objects themselves: they are
         closures over nothing but plain data, so they pickle wholesale.
-        The schema is the pre-dense-rewrite one — ``active`` and
-        ``emit_candidates`` serialize as plain sets, firing counters are
-        folded first — so snapshots stay portable across engine layouts.
+        ``active`` and ``emit_candidates`` serialize as plain sets and
+        firing counters are folded first, so the engine fields do not
+        depend on the dense layout; the pickled sinks' layout is what
+        ``SNAPSHOT_VERSION`` guards.
         """
         self._fold_firings()
         return {
@@ -1032,8 +1053,7 @@ class _Engine:
         freshly-built ones — their accumulated history is part of the
         machine state — and the aliases on the memory system and
         frontend are re-pointed accordingly. The plain-set ``active``/
-        ``emit_candidates`` entries (the portable schema, unchanged
-        since before the dense rewrite) rebuild the ordered lists.
+        ``emit_candidates`` entries rebuild the ordered lists.
         """
         for side, present in (
             ("faults", state["faults"] is not None),
@@ -1083,6 +1103,10 @@ class _Engine:
             self.obs = state["obs"]
             self.memsys.obs = self.obs
             self.frontend.obs = self.obs
+            # The restored sinks hold their own per-node runs; re-derive
+            # every bucket on the next tick rather than trust this
+            # engine's cache (a sink takes a "change" to the same bucket).
+            self._buckets = None
         if state["check"] is not None:
             self.check = state["check"]
 

@@ -55,8 +55,10 @@ from repro.errors import SimulationError, SimulationPreempted, SnapshotError
 
 SNAPSHOT_MAGIC = "repro-sim-snapshot"
 #: Bump on any change to the engine state layout — resuming across
-#: versions is refused rather than silently mis-restored.
-SNAPSHOT_VERSION = 1
+#: versions is refused rather than silently mis-restored. The sinks are
+#: pickled whole, so their layout counts: 2 = sinks that hold open stall
+#: runs, a running histogram and per-producer push counts.
+SNAPSHOT_VERSION = 2
 
 #: Wall-budget deadlines consult ``time.monotonic`` only once per this
 #: many boundaries, so an armed checkpointer costs one attribute test

@@ -4,10 +4,10 @@ The executed-tick rebuild (dense nid-indexed dispatch arrays, the
 incrementally-maintained ordered active list, interned firing counters,
 the memory system's busy-bank calendar, the resolved-reference FM-NoC
 tick) is an *optimization, not an approximation*: every observable —
-``SimStats``, final memory, fault schedules, snapshot layouts — must be
-exactly what the pre-PR per-tick loop produced.
+``SimStats``, final memory, fault schedules — must be exactly what the
+pre-PR per-tick loop produced.
 
-Three layers of evidence:
+Two layers of evidence (plus a mid-run checkpoint round trip):
 
 1. **Pinned digests** (``tests/data/engine_hot_digests.json``): the
    stable stats+memory digest of every Table 1 workload at tiny scale,
@@ -21,10 +21,6 @@ Three layers of evidence:
 2. **Order property**: the ordered active list must visit exactly the
    nodes ``sorted(set)`` would, under adversarial add/discard
    interleavings (the pre-PR loop's snapshot semantics).
-
-3. **Snapshot portability**: a mid-run snapshot written by the pre-PR
-   engine (``tests/data/engine_hot_pre_pr.snap``) must restore into the
-   dense layout and finish bit-identically.
 """
 
 from __future__ import annotations
@@ -45,10 +41,8 @@ from repro.workloads.registry import ALL_WORKLOADS, make_workload
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 DIGEST_PATH = DATA_DIR / "engine_hot_digests.json"
-SNAP_PATH = DATA_DIR / "engine_hot_pre_pr.snap"
-#: The workload the committed pre-PR snapshot fixture was taken from.
+#: The workload the mid-run checkpoint round trip runs.
 SNAP_WORKLOAD = "spmspv"
-SNAP_EVERY = 400
 
 FABRIC = monaco(12, 12)
 
@@ -193,38 +187,7 @@ def test_active_list_additions_during_iteration_not_visited():
     assert list(active.iter_ordered()) == [1, 3, 7]
 
 
-# -- 3. old snapshots restore into the new layout ----------------------------
-
-
-def _snapshot_digest_parts():
-    from repro.sim.snapshot import sim_config_digest
-
-    instance, compiled = compiled_for(SNAP_WORKLOAD)
-    arch = ArchParams(sim=SimParams(cycle_skip=True))
-    from repro.sim.fmnoc_sim import MonacoFrontend
-
-    frontend = MonacoFrontend(compiled.fabric)
-    digest = sim_config_digest(
-        compiled, arch, compiled.timing.clock_divider, frontend,
-        dict(instance.params),
-    )
-    return instance, compiled, arch, digest
-
-
-def test_pre_pr_snapshot_restores_into_dense_layout():
-    """The committed pre-PR mid-run snapshot resumes bit-identically."""
-    from repro.sim.snapshot import load_snapshot
-
-    instance, compiled, arch, digest = _snapshot_digest_parts()
-    snap = load_snapshot(str(SNAP_PATH), expect_digest=digest)
-    assert snap.cycle > 0
-    arrays = {k: list(v) for k, v in instance.arrays.items()}
-    result = simulate(
-        compiled, instance.params, arrays, arch, resume_from=snap
-    )
-    assert result.resume_info["from_cycle"] == snap.cycle
-    instance.check(result.memory)
-    assert run_digest(result) == pinned()[SNAP_WORKLOAD]["clean"]
+# -- 3. a mid-run snapshot restores into a fresh engine ----------------------
 
 
 def test_state_dict_roundtrip_mid_run_new_layout():
@@ -262,7 +225,7 @@ def test_state_dict_roundtrip_mid_run_new_layout():
 
 
 def _regen() -> None:
-    """Capture the pinned digests and the snapshot fixture.
+    """Capture the pinned digests.
 
     Run this ONLY on a revision whose engine behavior is the intended
     reference (originally: the pre-PR per-tick loop).
@@ -278,25 +241,6 @@ def _regen() -> None:
         print(f"{name:12s} clean={clean} faults={faulty}")
     DIGEST_PATH.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
     print(f"wrote {DIGEST_PATH}")
-
-    # Mid-run snapshot fixture: preempt SNAP_WORKLOAD after a cycle
-    # budget, keeping the snapshot file for the restore test.
-    from repro.errors import SimulationPreempted
-    from repro.sim.snapshot import CheckpointConfig
-
-    instance, compiled = compiled_for(SNAP_WORKLOAD)
-    arch = ArchParams(sim=SimParams(cycle_skip=True))
-    arrays = {k: list(v) for k, v in instance.arrays.items()}
-    checkpoint = CheckpointConfig(path=str(SNAP_PATH), cycle_budget=SNAP_EVERY)
-    try:
-        simulate(
-            compiled, instance.params, arrays, arch, checkpoint=checkpoint
-        )
-    except SimulationPreempted as exc:
-        print(f"snapshot fixture written at cycle {exc.cycle}: {SNAP_PATH}")
-    else:  # pragma: no cover - regen-time sanity
-        raise SystemExit("run completed before the snapshot budget; "
-                         "lower SNAP_EVERY")
 
 
 if __name__ == "__main__":

@@ -317,17 +317,33 @@ class TestEventBus:
     def test_attach_binds_only_implemented_hooks(self):
         class Sink:
             def __init__(self):
-                self.fired = []
+                self.ticks = []
 
-            def on_fire(self, now, node, pe):
-                self.fired.append((now, node, pe))
+            def on_tick(self, now, emitted, fired, changes, pushes):
+                self.ticks.append((now, emitted, fired, changes, pushes))
 
         bus = EventBus()
         sink = Sink()
         bus.attach(sink)
-        bus.fire(3, "n", (0, 0))
+        record = ([], [(7, (0,), False, True)], [(7, FIRE)], [(7, 42)])
+        bus.tick(3, *record)
         bus.gap(4)  # no on_gap handler: must be a no-op, not an error
-        assert sink.fired == [(3, "n", (0, 0))]
+        assert sink.ticks == [(3, *record)]
+
+    def test_bus_knows_at_attach_time_who_takes_bucket_changes(self):
+        class Plain:
+            def on_tick(self, now, emitted, fired, changes, pushes):
+                pass
+
+        class Bucketed(Plain):
+            TAKES_BUCKETS = True
+
+        bus = EventBus()
+        bus.attach(Plain())
+        assert not bus.wants_buckets
+        bus.attach(Bucketed())
+        bus.attach(Plain())
+        assert bus.wants_buckets
 
     def test_counter_default_amount(self):
         class Sink:
