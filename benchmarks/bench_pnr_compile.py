@@ -23,8 +23,11 @@ suite speedup against the committed baseline's speedup:
         --check benchmarks/results/pnr_baseline.json --tolerance 0.25
 
 fails when either measured speedup drops more than 25% below the
-baseline ratio. ``--update-baseline`` rewrites the baseline JSON after
-an intentional change.
+baseline ratio, or when the anneal's estimate leaves more than 5% of the
+suite's proposals to the full pricing (``repriced / proposals``: a loop
+that always fell back would still be bit-identical, only slow).
+``--update-baseline`` rewrites the baseline JSON after an intentional
+change.
 """
 
 from __future__ import annotations
@@ -33,12 +36,17 @@ import argparse
 import hashlib
 import json
 import pathlib
+import random
 import sys
 import time
 
 from repro.arch.fabric import monaco
 from repro.arch.params import ArchParams
+from repro.core.policy import EFFCC
+from repro.dfg.lower import lower_kernel
 from repro.pnr.flow import compile_once, shutdown_portfolio_pool
+from repro.pnr.netlist import build_netlist
+from repro.pnr.place import anneal, initial_placement
 from repro.workloads.registry import ALL_WORKLOADS, make_workload
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -46,6 +54,10 @@ BASELINE_PATH = RESULTS_DIR / "pnr_baseline.json"
 
 #: Matches the portfolio size (len(MEM_SCALE_SCHEDULE)).
 DEFAULT_JOBS = 3
+
+#: Most of the suite's proposals the anneal may price the full way
+#: (accepted ones always are: 2.3-2.9 % per kernel).
+REPRICED_CEILING = 0.05
 
 
 def pnr_digest(compiled) -> str:
@@ -68,6 +80,26 @@ def pnr_digest(compiled) -> str:
     }
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def repriced_share(kernels: dict, fabric) -> dict:
+    """What the estimate leaves undecided: one default anneal per kernel.
+
+    ``PnRStats`` does not carry the count, so the anneals run here, on
+    the seed placements ``compile_once`` starts from.
+    """
+    totals = {"proposals": 0, "accepted": 0, "repriced": 0}
+    for kernel in kernels.values():
+        rng = random.Random(0)
+        placement = initial_placement(
+            build_netlist(lower_kernel(kernel)), fabric, EFFCC, rng
+        )
+        stats: dict = {}
+        anneal(placement, rng, stats=stats)
+        for key in totals:
+            totals[key] += stats[key]
+    share = totals["repriced"] / max(1, totals["proposals"])
+    return {**totals, "repriced_share": round(share, 4)}
 
 
 #: mode name -> compile_once kwargs.
@@ -130,6 +162,7 @@ def run_suite(workloads, scale: str, jobs: int, rounds: int) -> dict:
         "scale": scale,
         "portfolio_jobs": jobs,
         "rounds": rounds,
+        "anneal": repriced_share(kernels, fabric),
         "workloads": per_workload,
         "totals": {mode: round(t, 3) for mode, t in totals.items()},
         "speedup": {
@@ -161,6 +194,11 @@ def render(results: dict) -> str:
         f"speedup vs naive: incremental {s['incremental']:.2f}x, "
         f"portfolio {s['portfolio']:.2f}x"
     )
+    a = results["anneal"]
+    lines.append(
+        f"anneal: {a['repriced']} of {a['proposals']} proposals priced in "
+        f"full ({a['repriced_share']:.2%}; {a['accepted']} accepted)"
+    )
     return "\n".join(lines)
 
 
@@ -178,6 +216,14 @@ def check_against(results: dict, baseline_path: str, tolerance: float) -> int:
         )
         if got < floor:
             status = 1
+    share = results["anneal"]["repriced_share"]
+    verdict = "ok" if share <= REPRICED_CEILING else "REGRESSION"
+    print(
+        f"check repriced share: {share:.2%} of proposals "
+        f"(ceiling {REPRICED_CEILING:.0%}) — {verdict}"
+    )
+    if share > REPRICED_CEILING:
+        status = 1
     return status
 
 

@@ -18,6 +18,7 @@ artifact — is identical to the serial path's.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -32,7 +33,7 @@ from repro.errors import PlacementError, PnRError, RoutingError
 from repro.ir.ast import Kernel
 from repro.ir.transform import parallelize
 from repro.pnr.netlist import build_netlist
-from repro.pnr.place import anneal, initial_placement
+from repro.pnr.place import Placement, anneal, initial_placement
 from repro.pnr.result import CompiledKernel, PnRStats
 from repro.pnr.route import route_design
 from repro.pnr.timing import analyze_timing
@@ -87,7 +88,7 @@ def _evaluate_mem_scale(
     channels,
     timing_params,
     mem_scale: float,
-    seed: int,
+    seeded,
     anneal_moves: int | None,
     incremental: bool,
     check: bool,
@@ -95,26 +96,27 @@ def _evaluate_mem_scale(
 ):
     """Evaluate one (mem_scale, seed) portfolio candidate.
 
-    Picklable module-level worker so it runs under ProcessPoolExecutor.
-    Returns one of::
+    ``seeded`` is the candidate seed's seed placement as ``(loc, rng
+    state after seeding)``; the candidate anneals its own copy (same
+    ``loc`` key order) with its own rng. Picklable module-level worker so
+    it runs under ProcessPoolExecutor. Returns one of::
 
         ("ok", (divider, cost, loc, routing, timing), stats)
         ("error", (exc_type_name, message), {})   # routing failed
-        ("fatal", (exc_type_name, message), {})   # placement failed
 
     Routing failures participate in the schedule's continue-on-failure
-    negotiation; placement failures abort the whole compile (matching the
-    historical behavior where ``initial_placement`` raised through).
+    negotiation.
     """
     stats: dict = {}
-    try:
-        rng = random.Random(seed)
-        placement = initial_placement(
-            netlist, fabric, policy, rng, mem_scale=mem_scale,
-            node_weights=node_weights,
-        )
-    except PnRError as error:
-        return ("fatal", (type(error).__name__, str(error)), {})
+    loc, rng_state = seeded
+    placement = Placement(
+        netlist, fabric, policy, mem_scale=mem_scale,
+        node_weights=node_weights,
+    )
+    for nid, coord in loc.items():
+        placement.assign(nid, coord)
+    rng = random.Random()
+    rng.setstate(rng_state)
     cost = anneal(
         placement,
         rng,
@@ -224,43 +226,46 @@ def compile_once(
         for r in range(restarts)
     ]
 
+    # One seeding per distinct candidate seed (initial_placement reads
+    # mem_scale only to store it), on first use: the serial path's early
+    # exit never seeds a restart it does not reach, and a placement that
+    # cannot be seeded raises through, as it always has. The rng state
+    # rides along because DOMAIN_AWARE seeding draws from it.
+    @functools.cache
+    def seeded(cand_seed: int):
+        rng = random.Random(cand_seed)
+        placement = initial_placement(
+            netlist, fabric, policy, rng, node_weights=node_weights
+        )
+        return placement.loc, rng.getstate()
+
+    def candidate_args(mem_scale: float, cand_seed: int) -> tuple:
+        return (
+            netlist,
+            fabric,
+            policy,
+            channels,
+            arch.timing,
+            mem_scale,
+            seeded(cand_seed),
+            anneal_moves,
+            incremental,
+            check,
+            node_weights,
+        )
+
     jobs = max(1, min(portfolio_jobs, len(plan)))
     if jobs > 1:
         pool = _portfolio_pool(jobs)
         futures = [
-            pool.submit(
-                _evaluate_mem_scale,
-                netlist,
-                fabric,
-                policy,
-                channels,
-                arch.timing,
-                mem_scale,
-                cand_seed,
-                anneal_moves,
-                incremental,
-                check,
-                node_weights,
-            )
-            for mem_scale, cand_seed in plan
+            pool.submit(_evaluate_mem_scale, *candidate_args(*candidate))
+            for candidate in plan
         ]
         outcomes = (future.result() for future in futures)
     else:
         outcomes = (
-            _evaluate_mem_scale(
-                netlist,
-                fabric,
-                policy,
-                channels,
-                arch.timing,
-                mem_scale,
-                cand_seed,
-                anneal_moves,
-                incremental,
-                check,
-                node_weights,
-            )
-            for mem_scale, cand_seed in plan
+            _evaluate_mem_scale(*candidate_args(*candidate))
+            for candidate in plan
         )
 
     # Selection: identical for serial and parallel — walk outcomes in
@@ -274,8 +279,6 @@ def compile_once(
     for outcome in outcomes:
         kind, payload, stats = outcome
         considered += 1
-        if kind == "fatal":
-            raise _rebuild_error(*payload)
         if kind == "error":
             failure = _rebuild_error(*payload)
             continue

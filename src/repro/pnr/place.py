@@ -15,7 +15,6 @@ import math
 import random
 import time
 from collections import deque
-from itertools import repeat
 
 from repro.arch.fabric import Fabric
 from repro.arch.pe import PE, manhattan
@@ -414,13 +413,17 @@ def _greedy_rest(
     O(n)); scan order and the strict ``<`` first-minimum tie-break match
     the original list-based implementation, so placements are
     bit-identical (asserted on all 13 workloads by the test suite).
+    Legality is ``PE.supports``, read off the rows the anneal uses.
     """
     dfg = netlist.dfg
     adjacency = _neighbors_map(dfg)
+    tables = _fabric_tables(fabric)
+    cols = fabric.cols
     # Insertion order == the original (y, x)-sorted scan order; dict
-    # deletion preserves the order of the remaining coords.
-    free: dict[Coord, bool] = {
-        pe.coord: pe.is_ls
+    # deletion preserves the order of the remaining coords. The value is
+    # the coord's position in FabricTables' rows.
+    free: dict[Coord, int] = {
+        pe.coord: pe.y * cols + pe.x
         for pe in sorted(fabric.pes.values(), key=lambda p: (p.y, p.x))
         if pe.coord not in placement.occupant
     }
@@ -444,10 +447,10 @@ def _greedy_rest(
         anchors = [
             placement.loc[a] for a in adjacency[nid] if a in placement.loc
         ]
-        needs_ls = dfg.nodes[nid].op in ("load", "store")
+        legal = tables.legal(dfg.nodes[nid].op)
         best, best_cost = None, None
-        for coord, is_ls in free.items():
-            if needs_ls and not is_ls:
+        for coord, position in free.items():
+            if not legal[position]:
                 continue
             cx, cy = coord
             cost = 0
@@ -477,24 +480,31 @@ def anneal(
     """Refine ``placement`` in place; returns the final (exact) cost.
 
     ``incremental=True`` (default) runs :func:`_anneal_incremental`:
-    cached per-net costs over flat integer state, so each proposal costs
-    O(fanout) instead of recomputing every incident net from scratch,
-    with the netlist- and fabric-derived tables built once and shared
-    by every anneal on the same ``placement.netlist`` /
-    ``placement.fabric``. The trajectory is
+    cached per-net costs over flat integer state, with the netlist- and
+    fabric-derived tables built once and shared by every anneal on the
+    same ``placement.netlist`` / ``placement.fabric``. A proposal is
+    refused on an O(changed pins) estimate of its delta when the
+    estimate alone settles that the naive path would refuse it, and is
+    otherwise priced over every pin of its incident nets, as the naive
+    path prices it. The trajectory is
     bit-identical to the naive full-recompute path (``incremental=False``,
     kept as the A/B baseline): same rng call sequence, same operand bits
     in every delta, hence the same accept/reject decisions and the same
     final placement for a given seed.
 
     ``check=True`` asserts the incrementally accumulated cost matches
-    ``total_cost()`` at anneal end within 1e-6 (relative). In either mode
+    ``total_cost()`` at anneal end within 1e-6 (relative), and prices
+    every proposal the estimate refuses the full way as well, raising
+    ``PlacementError`` (step, cells, estimate, delta, margin) if the two
+    ever disagree. In either mode
     the returned value is reconciled to the exact recomputed total, so a
     cached ``CompiledKernel.place_cost`` is float-drift-free.
 
     ``stats``, if given, is filled with ``proposals`` (moves surviving
-    the window/legality filters), ``accepted``, ``moves``, ``wall_s``,
-    and ``moves_per_s``.
+    the window/legality filters), ``accepted``, ``repriced`` (proposals
+    priced the full way: the accepted ones plus the few the estimate
+    could not refuse; all of them under ``check`` or
+    ``incremental=False``), ``moves``, ``wall_s``, and ``moves_per_s``.
     """
     t0 = time.perf_counter()
     netlist = placement.netlist
@@ -504,6 +514,7 @@ def anneal(
             stats.update(
                 proposals=0,
                 accepted=0,
+                repriced=0,
                 moves=0,
                 wall_s=0.0,
                 moves_per_s=0.0,
@@ -514,13 +525,14 @@ def anneal(
     alpha = (t_end / t_start) ** (1.0 / max(1, moves))
 
     if incremental:
-        cost, proposals, accepted = _anneal_incremental(
-            placement, rng, cells, moves, alpha, t_start
+        cost, proposals, accepted, repriced = _anneal_incremental(
+            placement, rng, cells, moves, alpha, t_start, check
         )
     else:
         cost, proposals, accepted = _anneal_naive(
             placement, rng, cells, moves, alpha, t_start
         )
+        repriced = proposals
 
     exact = placement.total_cost()
     if check and abs(cost - exact) > 1e-6 * max(1.0, abs(exact)):
@@ -531,6 +543,7 @@ def anneal(
     if stats is not None:
         stats["proposals"] = proposals
         stats["accepted"] = accepted
+        stats["repriced"] = repriced
         stats["moves"] = moves
         stats["wall_s"] = wall
         stats["moves_per_s"] = moves / wall if wall > 0 else 0.0
@@ -613,7 +626,7 @@ class NetlistTables:
     candidate and restart of a compile anneals the same netlist.
     """
 
-    __slots__ = ("pins", "cell_nets", "net_sets", "swap_nets")
+    __slots__ = ("pins", "cell_nets", "net_sets", "own_sinks", "sink_srcs")
 
     def __init__(self, netlist: Netlist):
         cell = {nid: c for c, nid in enumerate(netlist.cells)}
@@ -629,11 +642,23 @@ class NetlistTables:
         # Built like ``set(nets_of[a])`` in _pair_cost, so ``net_sets[a] |
         # net_sets[b]`` iterates in the naive union's order.
         self.net_sets = [set(nets) for nets in self.cell_nets]
-        #: ``swap_nets[a][b]``: that iteration order as a tuple, memoised
-        #: the first time ``a`` is proposed to swap with ``b``.
-        self.swap_nets: list[dict[int, tuple[int, ...]]] = [
-            {} for _ in netlist.cells
+        #: What the estimate reads. ``own_sinks[c]``: the one net cell
+        #: ``c`` sources (a netlist has one net per producer) as ``(net
+        #: index, sinks)``, None when it drives no pin. ``sink_srcs[c]``:
+        #: the source cell of every net that merely sinks ``c``.
+        self.own_sinks: list[tuple[int, tuple[int, ...]] | None] = [
+            None for _ in netlist.cells
         ]
+        self.sink_srcs: list[tuple[int, ...]] = []
+        for c, nets in enumerate(self.cell_nets):
+            srcs = []
+            for index in nets:
+                src, sinks = self.pins[index]
+                if src != c:
+                    srcs.append(src)
+                elif sinks:
+                    self.own_sinks[c] = (index, sinks)
+            self.sink_srcs.append(tuple(srcs))
 
 
 class FabricTables:
@@ -674,6 +699,13 @@ class FabricTables:
         return mask
 
 
+def _fabric_tables(fabric: Fabric) -> FabricTables:
+    tables = fabric.place_tables
+    if tables is None:
+        tables = fabric.place_tables = FabricTables(fabric)
+    return tables
+
+
 def _window_segments(moves: int, max_window: int) -> list[tuple[int, int]]:
     """The VPR range-limit schedule as run-length ``(steps, window)`` pairs.
 
@@ -694,6 +726,48 @@ def _window_segments(moves: int, max_window: int) -> list[tuple[int, int]]:
     return segments
 
 
+#: How far the estimate's margin sits above the worst-case rounding
+#: error of the two evaluations it separates (:func:`_estimate_margin`).
+ESTIMATE_HEADROOM = 1024.0
+#: ``exp`` is monotone only up to libm's error (< 1 ulp) and the rounding
+#: of its quotient argument (|x| < 746, so < 2**-42 relative in the
+#: result): the cap on the spec's acceptance probability is raised by
+#: 2**-30, thousands of times either.
+EXP_SLACK = 1.0 + 2.0**-30
+
+
+def _estimate_margin(
+    nt: NetlistTables, ft: FabricTables, mem_base: list[float | None]
+) -> float:
+    """How far the estimate may sit from the spec's ``after - before``.
+
+    Both are floating evaluations of one real number: the sum of signed
+    operands (``dist_cost`` entries, cached and new memory terms) a
+    proposal changes. Each floating addition is off by at most 2**-53 of
+    its result and additions carry earlier errors through unamplified, so
+    an evaluation is off by at most *additions x largest partial sum x
+    2**-53*. The spec's ``before`` (or ``after``) of a swap adds two
+    memory terms, the pins of every net either cell touches (each cached
+    ``net[]`` value is itself such a pin-order sum) and those nets'
+    values; the estimate adds a subset of the same operands, but its
+    partial sums may hold both sides at once.
+    """
+    # The most pins, and the most nets, one cell's incident nets hold.
+    pins = max(
+        sum(len(nt.pins[index][1]) for index in nets) for nets in nt.cell_nets
+    )
+    nets = max(map(len, nt.cell_nets))
+    # Row 0 is a corner's: it holds every distance the fabric has.
+    farthest = max(map(abs, ft.dist_cost[0]))
+    heaviest = max(
+        (abs(b) for b in mem_base if b is not None), default=0.0
+    ) * max((abs(r) for r in ft.rank if r is not None), default=0.0)
+    side = 2 * heaviest + 2 * pins * farthest
+    additions = 2 * (2 * pins + 2 * nets + 1) + 1
+    worst = (2 * additions) * (2 * side) * 2.0**-53
+    return ESTIMATE_HEADROOM * worst
+
+
 def _anneal_incremental(
     placement: Placement,
     rng: random.Random,
@@ -701,10 +775,11 @@ def _anneal_incremental(
     moves: int,
     alpha: float,
     t_start: float,
-) -> tuple[float, int, int]:
+    check: bool = False,
+) -> tuple[float, int, int, int]:
     """Delta-cost anneal loop over flat integer state.
 
-    Mirrors :func:`_anneal_naive` decision-for-decision, on three
+    Mirrors :func:`_anneal_naive` decision-for-decision, on four
     obligations. *Rng stream*: ``choice(cells)`` and ``randint(-w, w)``
     are inlined to their ``_randbelow`` cores (draw ``n.bit_length()``
     bits, redraw while >= n; ``rng`` must be getrandbits-based, as
@@ -714,22 +789,34 @@ def _anneal_incremental(
     ``dist_cost`` in pin order, i.e. what Placement.net_cost would
     return. *Addition order*: ``before``/``after`` add the memory terms
     first, then the nets in ``nets_of`` order (move) or in the order
-    ``set(nets_of[a]) | set(nets_of[b])`` iterates (swap).
+    ``set(nets_of[a]) | set(nets_of[b])`` iterates (swap). *An estimate
+    may only reject*: ~97 % of proposals are refused, so each is first
+    priced by a changed-pins estimate ``est`` of the same delta — the
+    memory terms, one pin of every net that merely sinks a moved cell
+    (O(1): ``dist_cost`` is symmetric, so the new and old rows of the
+    moved cell are read at the net's source), and the pin-order sum of
+    the net each moved cell sources against its cached value (a moved
+    source changes every pin). ``est`` and ``delta`` differ by at most
+    ``margin`` (:func:`_estimate_margin`), so ``est > margin`` makes
+    ``delta > 0`` certain: ``u = rand()`` is drawn where the spec would
+    draw it, and the proposal is refused if ``u`` exceeds the most the
+    spec's ``exp(-delta / temperature)`` can be. Everything else — and
+    every accept — is priced by the spec below, reusing ``u``.
 
     A proposal is priced with only ``pos`` rewritten; a reject restores
     ``pos`` and nothing else. An accept stores the new per-net values and
     replays the move on ``placement`` (so ``loc`` keeps its key order).
+    Under ``check`` the estimate's refusals are priced by the spec too,
+    and a disagreement raises.
     """
     fabric = placement.fabric
     netlist = placement.netlist
     nt = netlist.place_tables
     if nt is None:
         nt = netlist.place_tables = NetlistTables(netlist)
-    ft = fabric.place_tables
-    if ft is None:
-        ft = fabric.place_tables = FabricTables(fabric)
-    pins, cell_nets = nt.pins, nt.cell_nets
-    net_sets, swap_nets = nt.net_sets, nt.swap_nets
+    ft = _fabric_tables(fabric)
+    pins, cell_nets, net_sets = nt.pins, nt.cell_nets, nt.net_sets
+    own_sinks, sink_srcs = nt.own_sinks, nt.sink_srcs
     xs, ys, dist_cost, rank = ft.xs, ft.ys, ft.dist_cost, ft.rank
 
     # Per candidate: positions, occupants (-1: free), legality rows, the
@@ -743,6 +830,7 @@ def _anneal_incremental(
     nodes = netlist.dfg.nodes
     legal = [ft.legal(nodes[nid].op) for nid in cells]
     mem_base = [placement.mem_base(nid) for nid in cells]
+    margin = _estimate_margin(nt, ft, mem_base)
     table = CostTable(placement)
     cost = table.total()
     net = table.net
@@ -753,17 +841,19 @@ def _anneal_incremental(
     getrandbits = rng.getrandbits
     rand = rng.random
     exp = math.exp
+    slack = EXP_SLACK
     ncells = len(cells)
     kcells = ncells.bit_length()
-    proposals = accepted = 0
+    proposals = accepted = repriced = 0
     cooled = t_start
+    first = 0
 
     for steps, window in _window_segments(
         moves, max(fabric.rows, fabric.cols)
     ):
         span = window + window + 1
         kspan = span.bit_length()
-        for _ in repeat(None, steps):
+        for step in range(first, first + steps):
             # The naive loop's ``temperature *= alpha`` at every exit.
             temperature = cooled
             cooled = temperature * alpha
@@ -795,21 +885,67 @@ def _anneal_incremental(
                 continue
 
             proposals += 1
+            pos[a] = target
+            there = dist_cost[target]
+            here = dist_cost[origin]
+            base = mem_base[a]
+            est = 0.0 if base is None else base * rank[target] - mem[a]
+            if b < 0:
+                for src in sink_srcs[a]:
+                    p = pos[src]
+                    est += there[p] - here[p]
+            else:
+                pos[b] = origin
+                base = mem_base[b]
+                if base is not None:
+                    est += base * rank[origin] - mem[b]
+                # A net the other cell sources is priced whole, as its own.
+                for src in sink_srcs[a]:
+                    if src != b:
+                        p = pos[src]
+                        est += there[p] - here[p]
+                for src in sink_srcs[b]:
+                    if src != a:
+                        p = pos[src]
+                        est += here[p] - there[p]
+                own = own_sinks[b]
+                if own is not None:
+                    index, sinks = own
+                    value = 0.0
+                    for sink in sinks:
+                        value += here[pos[sink]]
+                    est += value - net[index]
+            own = own_sinks[a]
+            if own is not None:
+                index, sinks = own
+                value = 0.0
+                for sink in sinks:
+                    value += there[pos[sink]]
+                est += value - net[index]
+
+            if est > margin:
+                u = rand()
+                cap = exp((margin - est) / temperature) * slack
+                if u > cap and not check:
+                    pos[a] = origin
+                    if b >= 0:
+                        pos[b] = target
+                    continue
+            else:
+                u = None
+
+            # The spec: every pin of every incident net, in naive order.
+            repriced += 1
             base = mem_base[a]
             new_mem_a = 0.0 if base is None else base * rank[target]
-            pos[a] = target
             if b < 0:
                 nets = cell_nets[a]
                 before = mem[a]
                 after = new_mem_a
             else:
-                nets = swap_nets[a].get(b)
-                if nets is None:
-                    nets = tuple(net_sets[a] | net_sets[b])
-                    swap_nets[a][b] = nets
                 base = mem_base[b]
                 new_mem_b = 0.0 if base is None else base * rank[origin]
-                pos[b] = origin
+                nets = net_sets[a] | net_sets[b]
                 before = mem[a] + mem[b]
                 after = new_mem_a + new_mem_b
             for index in nets:
@@ -821,11 +957,28 @@ def _anneal_incremental(
                     value += row[pos[sink]]
                 after += value
             delta = after - before
-            if delta > 0 and rand() >= exp(-delta / temperature):
-                pos[a] = origin
-                if b >= 0:
-                    pos[b] = target
-                continue
+            if check and (
+                abs(est - delta) > margin
+                or (
+                    u is not None
+                    and u > cap
+                    and (delta <= 0 or u < exp(-delta / temperature))
+                )
+            ):
+                raise PlacementError(
+                    f"anneal estimate disagrees with the spec at step "
+                    f"{step}: cells {cells[a]} -> "
+                    f"{cells[b] if b >= 0 else (tx, ty)}, est {est!r}, "
+                    f"delta {delta!r}, margin {margin!r}"
+                )
+            if delta > 0:
+                if u is None:
+                    u = rand()
+                if u >= exp(-delta / temperature):
+                    pos[a] = origin
+                    if b >= 0:
+                        pos[b] = target
+                    continue
 
             cost += delta
             accepted += 1
@@ -844,7 +997,8 @@ def _anneal_incremental(
                 for sink in sinks:
                     value += row[pos[sink]]
                 net[index] = value
-    return cost, proposals, accepted
+        first += steps
+    return cost, proposals, accepted, repriced
 
 
 def _pair_cost(placement: Placement, a: int, b: int) -> float:

@@ -24,13 +24,17 @@ from repro.arch.noc import build_channel_graph
 from repro.arch.params import ArchParams
 from repro.arch.pe import PE
 from repro.core.policy import DOMAIN_AWARE, EFFCC, PlacementPolicy
-from repro.dfg.graph import DFG, PortRef
+from repro.dfg.graph import DFG, Node, PortRef
 from repro.dfg.lower import lower_kernel
-from repro.errors import RoutingError
+from repro.errors import PlacementError, RoutingError
 from repro.pnr.flow import compile_once
 from repro.pnr.netlist import build_netlist
 from repro.pnr.place import (
     CostTable,
+    NetlistTables,
+    Placement,
+    _estimate_margin,
+    _fabric_tables,
     _neighbors_map,
     _pair_cost,
     _window_segments,
@@ -211,41 +215,42 @@ def test_cost_table_random_walk(workload):
 
 
 def _anneal_both_ways(
-    netlist, fabric, policy, seed, moves=4000, node_weights=None
+    netlist, fabric, policy, seed, moves=4000, node_weights=None, **schedule
 ):
     """One anneal per loop from the same seed; asserts they agree.
 
-    Returns the two annealed placements, fast (compiled problem) first.
+    The fast loop runs twice: as shipped, where its estimate refuses most
+    proposals unpriced, and under ``check``, where each of those is also
+    priced the full way and a disagreement raises. ``schedule`` is
+    ``t_start`` / ``t_end``. Returns the as-shipped fast placement and
+    the naive one.
     """
     placements = []
-    costs = []
-    counts = []
-    for incremental in (True, False):
+    outcomes = []
+    for incremental, check in ((True, False), (True, True), (False, True)):
         rng = random.Random(seed)
         placement = initial_placement(
             netlist, fabric, policy, rng, node_weights=node_weights
         )
         stats: dict = {}
-        costs.append(
-            anneal(
-                placement,
-                rng,
-                moves=moves,
-                incremental=incremental,
-                check=True,
-                stats=stats,
-            )
+        cost = anneal(
+            placement,
+            rng,
+            moves=moves,
+            incremental=incremental,
+            check=check,
+            stats=stats,
+            **schedule,
         )
-        # Both loops must leave the rng at the same point of its stream.
-        counts.append(
-            (stats["moves"], stats["proposals"], stats["accepted"],
+        # All loops must leave the rng at the same point of its stream.
+        outcomes.append(
+            (cost, stats["moves"], stats["proposals"], stats["accepted"],
              rng.random())
         )
         placements.append(placement)
-    fast, naive = placements
-    assert fast.loc == naive.loc
-    assert costs[0] == costs[1]
-    assert counts[0] == counts[1]
+    fast, checked, naive = placements
+    assert fast.loc == naive.loc == checked.loc
+    assert outcomes[0] == outcomes[2] == outcomes[1]
     return fast, naive
 
 
@@ -380,8 +385,230 @@ def test_anneal_legality_is_pe_supports(monkeypatch):
     anneal(free, rng, moves=4000)
 
     monkeypatch.setattr(PE, "supports", picky)
-    fast, _ = _anneal_both_ways(netlist, monaco(12, 12), EFFCC, seed=2)
+    fabric = monaco(12, 12)
+    # The greedy seeding asks the same question: no steer starts on a PE
+    # that refuses it (a seeding that hard-coded load/store put 15 there).
+    seeded = initial_placement(netlist, fabric, EFFCC, random.Random(2))
+    for nid, coord in seeded.loc.items():
+        assert fabric.pes[coord].supports(netlist.dfg.nodes[nid].op), nid
+    fast, _ = _anneal_both_ways(netlist, fabric, EFFCC, seed=2)
     assert fast.loc != free.loc
+
+
+# -- the estimate may only reject ---------------------------------------
+
+
+@pytest.mark.parametrize("quad", [0.0, 1 / 3, 0.5])
+@pytest.mark.parametrize("workload", ["spmspm", "fft"])
+def test_anneal_matches_naive_on_other_cost_landscapes(
+    workload, quad, monkeypatch
+):
+    """Tie-rich (0, 0.5: every sum exact) and non-dyadic (1/3) weights.
+
+    With exact sums a zero delta is common and must be accepted, as the
+    naive loop accepts it; with 1/3 no table entry is a short binary
+    fraction, so the estimate and the delta round differently.
+    """
+    import repro.pnr.place as place_mod
+
+    monkeypatch.setattr(place_mod, "QUAD_WEIGHT", quad)
+    # A fresh fabric: FabricTables bakes QUAD_WEIGHT into dist_cost.
+    _anneal_both_ways(_netlist(workload), monaco(12, 12), EFFCC, seed=4)
+
+
+def _weights_by_decade(netlist) -> dict[int, float]:
+    mems = [n for n in netlist.cells if netlist.dfg.nodes[n].is_memory()]
+    return {nid: 10.0 ** (3 * (i % 7) - 9) for i, nid in enumerate(mems)}
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        lambda netlist: dict.fromkeys(_weights_by_decade(netlist), 1e9),
+        lambda netlist: dict.fromkeys(_weights_by_decade(netlist), 1e-9),
+        _weights_by_decade,
+    ],
+    ids=["1e9", "1e-9", "mixed-decades"],
+)
+def test_anneal_matches_naive_under_extreme_node_weights(weights):
+    """The margin scales with the memory terms; it does not break."""
+    netlist = _netlist("mergesort")
+    fabric = monaco(12, 12)
+    node_weights = weights(netlist)
+    _anneal_both_ways(netlist, fabric, EFFCC, seed=6, node_weights=node_weights)
+    rng = random.Random(6)
+    placement = initial_placement(
+        netlist, fabric, EFFCC, rng, node_weights=node_weights
+    )
+    stats: dict = {}
+    anneal(placement, rng, moves=4000, stats=stats)
+    # A margin that grew past the deltas would send everything back to
+    # the full pricing; it grows with the weights, not faster.
+    assert stats["repriced"] < stats["proposals"] // 2
+
+
+@pytest.mark.parametrize(
+    "schedule", [dict(t_end=1e-4), dict(t_start=1e3)], ids=["cold", "hot"]
+)
+def test_anneal_matches_naive_on_other_schedules(schedule):
+    """Cold: the acceptance bound underflows to 0. Hot: it is near 1."""
+    _anneal_both_ways(
+        _netlist("spmspm"), monaco(12, 12), EFFCC, seed=8, **schedule
+    )
+
+
+def _knot() -> DFG:
+    """Seven nodes holding every way two moved cells can share a net.
+
+    1 and 2 each source a net the other sinks, and both sink 0's; 5 sinks
+    its own net (a pin no cost counts); 4 and 6 have no consumers.
+    """
+    dfg = DFG("knot")
+    for nid, op, srcs in [
+        (0, "source", []),
+        (1, "binop", [2, 0]),
+        (2, "binop", [1, 0]),
+        (3, "load", [1]),
+        (4, "store", [3, 2]),
+        (5, "carry", [0, 5, 1]),
+        (6, "binop", [3, 5]),
+    ]:
+        dfg.nodes[nid] = Node(
+            nid, op, [PortRef(src) for src in srcs], criticality="A"
+        )
+    return dfg
+
+
+def test_anneal_matches_naive_where_moved_cells_share_nets(monkeypatch):
+    """The hand-built knot on a fabric small enough to swap constantly."""
+    netlist = build_netlist(_knot())
+    tables = NetlistTables(netlist)
+    assert tables.sink_srcs[1] == (0, 2) and tables.sink_srcs[2] == (0, 1)
+    assert tables.own_sinks[4] is None and tables.own_sinks[6] is None
+    assert tables.own_sinks[5] == (netlist.nets_of[5][-1], (6,))
+
+    # The naive loop swaps or moves on every proposal it prices.
+    swapped, moved = set(), set()
+    swap, move = Placement.swap, Placement.move
+    monkeypatch.setattr(
+        Placement, "swap",
+        lambda self, a, b: (swapped.add(frozenset((a, b))), swap(self, a, b)),
+    )
+    monkeypatch.setattr(
+        Placement, "move",
+        lambda self, nid, coord: (moved.add(nid), move(self, nid, coord)),
+    )
+    for seed in range(3):
+        _anneal_both_ways(netlist, monaco(4, 4), EFFCC, seed, moves=3000)
+    assert {frozenset((1, 2)), frozenset((0, 1)), frozenset((3, 4))} <= swapped
+    assert {4, 5, 6} <= moved
+
+
+def test_estimate_margin_is_derived_from_the_tables(monkeypatch):
+    """>= 1000x the worst-case rounding error, and that bound holds.
+
+    The worst case is recomputed here from the tables' extremes. Then the
+    headroom is taken away: a checked anneal raises when an estimate and
+    its delta differ by more than the margin, so passing on the bare
+    bound — with non-dyadic costs, so sums do round — shows the rounding
+    error stays under it, and the shipped margin 1000x above that.
+    """
+    import repro.pnr.place as place_mod
+
+    netlist = _netlist("mergesort")
+    fabric = monaco(12, 12)
+    rng = random.Random(0)
+    weights = _weights_by_decade(netlist)
+    placement = initial_placement(
+        netlist, fabric, EFFCC, rng, node_weights=weights
+    )
+    nt, ft = NetlistTables(netlist), _fabric_tables(fabric)
+    mem_base = [placement.mem_base(nid) for nid in netlist.cells]
+    margin = _estimate_margin(nt, ft, mem_base)
+
+    # Recounted off the netlist: a cell's incident nets hold at most
+    # ``pins`` pins over ``incident`` nets; no term is farther than the
+    # fabric's diagonal or heavier than the largest weight at the worst
+    # rank.
+    pins = max(
+        sum(len(set(netlist.nets[i].sinks) - {netlist.nets[i].src}) for i in nets)
+        for nets in netlist.nets_of.values()
+    )
+    incident = max(len(nets) for nets in netlist.nets_of.values())
+    diagonal = manhattan((0, 0), (fabric.cols - 1, fabric.rows - 1))
+    farthest = diagonal + place_mod.QUAD_WEIGHT * diagonal * diagonal
+    heaviest = max(b for b in mem_base if b is not None) * max(
+        r for r in ft.rank if r is not None
+    )
+    largest = 2 * (2 * heaviest + 2 * pins * farthest)
+    additions = 2 * (2 * (2 * pins + 2 * incident + 1) + 1)
+    assert margin >= 1000 * additions * largest * 2.0**-53 > 0.0
+    assert _estimate_margin(nt, ft, [None] * len(mem_base)) < margin
+
+    monkeypatch.setattr(place_mod, "ESTIMATE_HEADROOM", 1.0)
+    monkeypatch.setattr(place_mod, "QUAD_WEIGHT", 1 / 3)
+    _anneal_both_ways(
+        netlist, monaco(12, 12), EFFCC, seed=0, node_weights=weights
+    )
+
+
+def _corrupt_sink_srcs(netlist, fabric, placement):
+    tables = netlist.place_tables = NetlistTables(netlist)
+    cell = max(range(len(netlist.cells)), key=lambda c: len(tables.sink_srcs[c]))
+    tables.sink_srcs[cell] = ()
+
+
+def _corrupt_dist_cost(netlist, fabric, placement):
+    # The entry the estimate reads to price moving the first net's first
+    # sink away: the sink's row, at the source's position.
+    net = netlist.nets[0]
+    (sx, sy), (tx, ty) = placement.loc[net.src], placement.loc[net.sinks[0]]
+    row = _fabric_tables(fabric).dist_cost[ty * fabric.cols + tx]
+    row[sy * fabric.cols + sx] = -1000.0
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_sink_srcs, _corrupt_dist_cost])
+def test_check_names_an_estimate_that_disagrees_with_the_spec(corrupt):
+    """A table corrupted after build is caught by name, not by drift."""
+    netlist = _netlist("spmspm")
+    fabric = monaco(12, 12)
+    rng = random.Random(0)
+    placement = initial_placement(netlist, fabric, EFFCC, rng)
+    corrupt(netlist, fabric, placement)
+    with pytest.raises(PlacementError) as caught:
+        anneal(placement, rng, moves=4000, check=True)
+    message = str(caught.value)
+    for word in ("estimate", "step", "cells", "est ", "delta", "margin"):
+        assert word in message, message
+
+
+def test_the_estimate_decides_all_but_the_accepted_proposals():
+    """What reaches the full pricing, over the 13 kernels at full length.
+
+    A loop that silently always fell back would still be bit-identical,
+    and merely run at the old speed; this is where it fails instead.
+    """
+    proposals = accepted = repriced = 0
+    fabric = monaco(12, 12)
+    for workload in ALL_WORKLOADS:
+        rng = random.Random(0)
+        placement = initial_placement(_netlist(workload), fabric, EFFCC, rng)
+        stats: dict = {}
+        anneal(placement, rng, stats=stats)
+        assert stats["accepted"] <= stats["repriced"] <= stats["proposals"]
+        proposals += stats["proposals"]
+        accepted += stats["accepted"]
+        repriced += stats["repriced"]
+    assert repriced - accepted <= 0.01 * proposals
+    assert repriced <= 0.05 * proposals
+
+    # The naive loop and a checked one price every proposal the full way.
+    for kwargs in (dict(incremental=False), dict(check=True)):
+        rng = random.Random(0)
+        placement = initial_placement(_netlist("dmv"), fabric, EFFCC, rng)
+        stats = {}
+        anneal(placement, rng, stats=stats, **kwargs)
+        assert stats["repriced"] == stats["proposals"] > stats["accepted"]
 
 
 #: Peak traced bytes of the anneal below at the parent of the compiled
@@ -391,7 +618,7 @@ PARENT_ANNEAL_PEAK_BYTES = 1_986_688
 
 
 def test_anneal_peak_memory_is_no_higher_than_the_per_step_table_was():
-    """Tables and memo included, one default-length anneal stays below."""
+    """Tables included, one default-length anneal stays below."""
     netlist = _netlist("ic")
     fabric = monaco(12, 12)
     rng = random.Random(0)
@@ -431,7 +658,7 @@ def test_anneal_tables_die_with_their_netlist_and_fabric():
         residue = tracemalloc.get_traced_memory()[0] - baseline
     finally:
         tracemalloc.stop()
-    # One 12x12 distance table alone is ~170 KiB, ic's memo ~1 MiB.
+    # One 12x12 distance table alone is ~170 KiB.
     assert residue < 64 * 1024
     for name, value in vars(place_mod).items():
         if name.startswith("__"):
