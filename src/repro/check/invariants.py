@@ -51,6 +51,7 @@ monotone) with ``issue_cycle <= arrived_cycle <= now``.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 
 from repro.dfg.graph import DFG, PortRef
@@ -201,10 +202,17 @@ class InvariantChecker:
         else:
             self._emits[nid] = (entry[0] + 1, entry[1])
 
-    def commit(self, now: int, pushes: list, consumers: dict) -> None:
+    @functools.cached_property
+    def _fanout(self) -> dict[int, list[tuple[int, int]]]:
+        # Derived on first use, not in __init__: a checker restored from
+        # a snapshot is unpickled, never constructed.
+        return self.dfg.consumers()
+
+    def commit(self, now: int, pushes: list) -> None:
         """The engine commits this tick's token pushes."""
+        fanout = self._fanout
         for nid, _value in pushes:
-            for key in consumers[nid]:
+            for key in fanout[nid]:
                 queue = self.shadow[key]
                 queue.append(now)
                 self.pushed[key] += 1

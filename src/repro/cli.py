@@ -147,11 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(bit-identical result, just faster compiles)",
     )
     p_run.add_argument(
-        "--naive-pnr", action="store_true",
-        help="use the full-recompute anneal and full-reroute PathFinder "
-        "(results are bit-identical either way; this is the A/B knob)",
-    )
-    p_run.add_argument(
         "--checkpoint-every", type=int, default=0, metavar="CYCLES",
         help="snapshot the simulation every N system cycles (and on "
         "SIGTERM/SIGINT); resumable with --resume-from "
@@ -487,14 +482,16 @@ def _spec_from_args(
     )
 
 
-def _compile_and_run(spec, on_compiled=None, resume_from=None, **pnr_knobs):
+def _compile_and_run(
+    spec, on_compiled=None, resume_from=None, portfolio_jobs: int = 1
+):
     """Compile ``spec`` through the cache, then simulate it at the
     divider the routed design achieved (never below the paper's).
 
     ``on_compiled(compiled)`` runs between the two, for output that
     should appear before a long simulation does.
     """
-    instance, compiled = compile_point(spec, **pnr_knobs)
+    instance, compiled = compile_point(spec, portfolio_jobs=portfolio_jobs)
     if on_compiled is not None:
         on_compiled(compiled)
     run = run_config(
@@ -576,7 +573,6 @@ def cmd_run(args) -> int:
             spec,
             on_compiled=show,
             resume_from=args.resume_from,
-            incremental=not args.naive_pnr,
             portfolio_jobs=args.portfolio_jobs,
         )
     except SimulationPreempted as exc:

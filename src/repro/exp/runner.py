@@ -94,7 +94,6 @@ def compile_cached(
     policy: PlacementPolicy = EFFCC,
     parallelism: int | None = None,
     seed: int = 0,
-    incremental: bool = True,
     portfolio_jobs: int = 1,
     profile_guided: bool = False,
     node_weights: dict[int, float] | None = None,
@@ -104,10 +103,9 @@ def compile_cached(
     The key is :func:`repro.exp.spec.compile_key` — the declared compile
     subset, covering every ``arch`` field ``compile_once`` reads
     (``noc_tracks``, ``noc_model``, ``timing``); the simulator's knobs
-    (``arch.sim``, ``arch.memory``) are not in it. ``incremental`` and
-    ``portfolio_jobs`` only change *how fast* the same artifact is
-    produced (bit-identical outputs, see :mod:`repro.pnr.flow`), so they
-    are not in it either.
+    (``arch.sim``, ``arch.memory``) are not in it. ``portfolio_jobs``
+    only changes *how fast* the same artifact is produced (bit-identical
+    output, see :mod:`repro.pnr.flow`), so it is not in it either.
 
     ``profile_guided`` refines class-B/C criticality by a profiling run
     on the instance's own inputs; ``node_weights`` overrides per-node
@@ -135,7 +133,6 @@ def compile_cached(
             policy=policy,
             parallelism=parallelism,
             seed=seed,
-            incremental=incremental,
             portfolio_jobs=portfolio_jobs,
             profile=profile,
             node_weights=node_weights,
@@ -249,12 +246,11 @@ def _attach_cache(cache_dir: str | None) -> None:
 
 
 def compile_point(
-    spec: RunSpec, **pnr_knobs
+    spec: RunSpec, portfolio_jobs: int = 1
 ) -> tuple[WorkloadInstance, CompiledKernel]:
     """Build ``spec``'s workload and compile it through the cache.
 
-    ``pnr_knobs`` are :func:`compile_cached`'s speed-only options
-    (``incremental``, ``portfolio_jobs``).
+    ``portfolio_jobs`` is :func:`compile_cached`'s speed-only option.
     """
     instance = make_workload(spec.workload, scale=spec.scale, seed=spec.seed)
     compiled = compile_cached(
@@ -264,7 +260,7 @@ def compile_point(
         policy=get_policy(spec.policy),
         seed=spec.placement_seed,
         profile_guided=spec.profile_guided,
-        **pnr_knobs,
+        portfolio_jobs=portfolio_jobs,
     )
     return instance, compiled
 

@@ -90,7 +90,6 @@ def _evaluate_mem_scale(
     mem_scale: float,
     seeded,
     anneal_moves: int | None,
-    incremental: bool,
     check: bool,
     node_weights: dict[int, float] | None = None,
 ):
@@ -118,21 +117,10 @@ def _evaluate_mem_scale(
     rng = random.Random()
     rng.setstate(rng_state)
     cost = anneal(
-        placement,
-        rng,
-        moves=anneal_moves,
-        incremental=incremental,
-        check=check,
-        stats=stats,
+        placement, rng, moves=anneal_moves, check=check, stats=stats
     )
     try:
-        routing = route_design(
-            netlist,
-            placement,
-            channels,
-            incremental=incremental,
-            check=check,
-        )
+        routing = route_design(netlist, placement, channels, check=check)
     except PnRError as error:
         return ("error", (type(error).__name__, str(error)), {})
     timing = analyze_timing(routing, timing_params)
@@ -162,7 +150,6 @@ def compile_once(
     mem_mode: str = "raw",
     seed: int = 0,
     anneal_moves: int | None = None,
-    incremental: bool = True,
     portfolio_jobs: int = 1,
     portfolio_restarts: int = 1,
     profile: tuple[dict | None, dict | None] | None = None,
@@ -176,8 +163,6 @@ def compile_once(
     candidate wins. ``portfolio_jobs > 1`` evaluates the candidates
     concurrently (same result, see module docstring);
     ``portfolio_restarts > 1`` adds extra placement seeds per mem scale.
-    ``incremental=False`` selects the naive full-recompute anneal and
-    full-reroute PathFinder (the A/B baseline).
 
     ``profile`` — a ``(params, arrays)`` pair of profiling inputs —
     enables profile-guided criticality: the lowered DFG is executed once
@@ -249,7 +234,6 @@ def compile_once(
             mem_scale,
             seeded(cand_seed),
             anneal_moves,
-            incremental,
             check,
             node_weights,
         )
@@ -302,7 +286,6 @@ def compile_once(
         nets_rerouted=best_stats.get("nets_rerouted", 0),
         candidates=considered,
         portfolio_jobs=jobs,
-        incremental=incremental,
     )
     return CompiledKernel(
         dfg=dfg,
@@ -329,7 +312,6 @@ def compile_kernel(
     mem_mode: str = "raw",
     seed: int = 0,
     anneal_moves: int | None = None,
-    incremental: bool = True,
     portfolio_jobs: int = 1,
     portfolio_restarts: int = 1,
     profile: tuple[dict | None, dict | None] | None = None,
@@ -347,8 +329,8 @@ def compile_kernel(
     if parallelism is not None:
         return compile_once(
             kernel, fabric, arch, policy, parallelism, mem_mode, seed,
-            anneal_moves, incremental, portfolio_jobs, portfolio_restarts,
-            profile, node_weights,
+            anneal_moves, portfolio_jobs, portfolio_restarts, profile,
+            node_weights,
         )
     t0 = time.perf_counter()
     best: CompiledKernel | None = None
@@ -358,8 +340,8 @@ def compile_kernel(
         try:
             candidate = compile_once(
                 kernel, fabric, arch, policy, degree, mem_mode, seed,
-                anneal_moves, incremental, portfolio_jobs,
-                portfolio_restarts, profile, node_weights,
+                anneal_moves, portfolio_jobs, portfolio_restarts, profile,
+                node_weights,
             )
         except PnRError:
             break

@@ -131,116 +131,6 @@ class Placement:
         return cost
 
 
-class CostTable:
-    """Per-net cached costs for O(fanout) anneal move/swap deltas.
-
-    The table mirrors :meth:`Placement.net_cost` / :meth:`Placement.mem_cost`
-    value-for-value: every cached entry is the exact float the placement
-    would recompute fresh at the current positions. Sums over cached
-    entries therefore use the *same addition order and the same operand
-    bits* as the naive :meth:`Placement.cell_cost` / :func:`_pair_cost`
-    (asserted at every step by ``tests/test_pnr_incremental.py``'s
-    property suite).
-
-    Protocol: read the cached "before" via :meth:`cell_cost` /
-    :meth:`pair_cost`, mutate the placement, compute the "after" via
-    :meth:`fresh_cell_cost` / :meth:`fresh_pair_cost` (which stages the
-    recomputed entries), then :meth:`commit` on accept or :meth:`discard`
-    on revert. This is the readable form of what
-    :func:`_anneal_incremental` does on flat state: that loop starts
-    from this table's ``net``/``mem`` values and :meth:`total`, and
-    follows the protocol without staging (it re-derives the entries of
-    the few accepted proposals instead).
-    """
-
-    __slots__ = ("placement", "net", "mem", "_staged_nets", "_staged_mem")
-
-    def __init__(self, placement: Placement):
-        self.placement = placement
-        netlist = placement.netlist
-        self.net: list[float] = [
-            placement.net_cost(i) for i in range(len(netlist.nets))
-        ]
-        self.mem: dict[int, float] = {
-            nid: placement.mem_cost(nid) for nid in netlist.cells
-        }
-        self._staged_nets: list[tuple[int, float]] = []
-        self._staged_mem: list[tuple[int, float]] = []
-
-    # -- cached reads (the "before" side of a delta) ---------------------
-
-    def cell_cost(self, nid: int) -> float:
-        """Cached twin of :meth:`Placement.cell_cost` (bit-identical)."""
-        cost = self.mem[nid]
-        net = self.net
-        for index in self.placement.netlist.nets_of[nid]:
-            cost += net[index]
-        return cost
-
-    def pair_cost(self, a: int, b: int, nets) -> float:
-        """Cached twin of :func:`_pair_cost` over an explicit net set.
-
-        ``nets`` must be the same set object later passed to
-        :meth:`fresh_pair_cost` so both sums iterate in one order.
-        """
-        cost = self.mem[a] + self.mem[b]
-        net = self.net
-        for index in nets:
-            cost += net[index]
-        return cost
-
-    # -- fresh recomputes (the "after" side; staged until commit) --------
-
-    def fresh_cell_cost(self, nid: int) -> float:
-        """Recompute ``cell_cost(nid)`` fresh; stages the new entries."""
-        mem = self.placement.mem_cost(nid)
-        cost = mem
-        self._staged_mem = [(nid, mem)]
-        staged = self._staged_nets = []
-        fresh_net = self.placement.net_cost
-        for index in self.placement.netlist.nets_of[nid]:
-            value = fresh_net(index)
-            staged.append((index, value))
-            cost += value
-        return cost
-
-    def fresh_pair_cost(self, a: int, b: int, nets) -> float:
-        """Recompute ``_pair_cost(a, b)`` fresh; stages the new entries."""
-        mem_a = self.placement.mem_cost(a)
-        mem_b = self.placement.mem_cost(b)
-        cost = mem_a + mem_b
-        self._staged_mem = [(a, mem_a), (b, mem_b)]
-        staged = self._staged_nets = []
-        fresh_net = self.placement.net_cost
-        for index in nets:
-            value = fresh_net(index)
-            staged.append((index, value))
-            cost += value
-        return cost
-
-    def commit(self) -> None:
-        """Fold the staged recomputes into the cache (move accepted)."""
-        net = self.net
-        for index, value in self._staged_nets:
-            net[index] = value
-        mem = self.mem
-        for nid, value in self._staged_mem:
-            mem[nid] = value
-        self._staged_nets = []
-        self._staged_mem = []
-
-    def discard(self) -> None:
-        """Drop the staged recomputes (move reverted)."""
-        self._staged_nets = []
-        self._staged_mem = []
-
-    def total(self) -> float:
-        """Cached twin of :meth:`Placement.total_cost` (bit-identical)."""
-        cost = sum(self.net)
-        cost += sum(self.mem[nid] for nid in self.placement.netlist.cells)
-        return cost
-
-
 def initial_placement(
     netlist: Netlist,
     fabric: Fabric,
@@ -486,11 +376,11 @@ def anneal(
     refused on an O(changed pins) estimate of its delta when the
     estimate alone settles that the naive path would refuse it, and is
     otherwise priced over every pin of its incident nets, as the naive
-    path prices it. The trajectory is
-    bit-identical to the naive full-recompute path (``incremental=False``,
-    kept as the A/B baseline): same rng call sequence, same operand bits
-    in every delta, hence the same accept/reject decisions and the same
-    final placement for a given seed.
+    path prices it. The trajectory is bit-identical to the naive
+    full-recompute path (``incremental=False``, kept as the tests'
+    reference; no caller in ``src/`` passes it): same rng call sequence,
+    same operand bits in every delta, hence the same accept/reject
+    decisions and the same final placement for a given seed.
 
     ``check=True`` asserts the incrementally accumulated cost matches
     ``total_cost()`` at anneal end within 1e-6 (relative), and prices
@@ -558,7 +448,7 @@ def _anneal_naive(
     alpha: float,
     t_start: float,
 ) -> tuple[float, int, int]:
-    """Full-recompute anneal loop (the pre-incremental baseline)."""
+    """Full-recompute anneal loop (the reference the tests diff against)."""
     fabric = placement.fabric
     temperature = t_start
     cost = placement.total_cost()
@@ -785,8 +675,8 @@ def _anneal_incremental(
     bits, redraw while >= n; ``rng`` must be getrandbits-based, as
     ``random.Random`` is) and ``random()`` is drawn only when delta > 0.
     *Operand bits*: cached per-net and per-cell values start as
-    :class:`CostTable`'s and are replaced by floats summed from
-    ``dist_cost`` in pin order, i.e. what Placement.net_cost would
+    Placement.net_cost's and mem_cost's and are replaced by floats summed
+    from ``dist_cost`` in pin order, i.e. what Placement.net_cost would
     return. *Addition order*: ``before``/``after`` add the memory terms
     first, then the nets in ``nets_of`` order (move) or in the order
     ``set(nets_of[a]) | set(nets_of[b])`` iterates (swap). *An estimate
@@ -831,10 +721,10 @@ def _anneal_incremental(
     legal = [ft.legal(nodes[nid].op) for nid in cells]
     mem_base = [placement.mem_base(nid) for nid in cells]
     margin = _estimate_margin(nt, ft, mem_base)
-    table = CostTable(placement)
-    cost = table.total()
-    net = table.net
-    mem = [table.mem[nid] for nid in cells]
+    # Summed as total_cost() sums them: nets, then cells.
+    net = [placement.net_cost(i) for i in range(len(netlist.nets))]
+    mem = [placement.mem_cost(nid) for nid in cells]
+    cost = sum(net) + sum(mem)
 
     cols_max = cols - 1
     rows_max = fabric.rows - 1

@@ -30,7 +30,6 @@ class PnRStats:
     #: Mem-scale candidates actually evaluated for the winning compile.
     candidates: int = 0
     portfolio_jobs: int = 1
-    incremental: bool = True
     #: Parallelism-search overhead (compile_kernel only).
     search_wall_s: float = 0.0
     degrees_tried: int = 0
@@ -48,7 +47,6 @@ class PnRStats:
             "nets_rerouted": self.nets_rerouted,
             "candidates": self.candidates,
             "portfolio_jobs": self.portfolio_jobs,
-            "incremental": self.incremental,
             "search_wall_s": self.search_wall_s,
             "degrees_tried": self.degrees_tried,
         }

@@ -63,7 +63,8 @@ def route_design(
     With ``incremental=True`` (default), negotiation iterations after the
     first skip clean nets — but only when skipping is *provably* safe,
     so the result stays bit-identical to a full reroute
-    (``incremental=False``). A skipped net would reproduce its old tree
+    (``incremental=False``, kept as the tests' reference; no caller in
+    ``src/`` passes it). A skipped net would reproduce its old tree
     exactly iff its cost landscape changed by benign increases only:
 
     * Increases on channels *off* its tree can never flip its choice

@@ -17,23 +17,23 @@ Ordered dataflow discipline: every input port has a bounded token FIFO
 at most once per fabric cycle; loads may pipeline up to ``max_outstanding``
 requests but always deliver responses in issue order.
 
-Executed-tick hot path
-----------------------
+Machine state
+-------------
 Firing-dense workloads execute nearly every fabric tick, so per-tick
-cost is wall clock. The dispatch state is therefore laid out in dense
-``nid``-indexed parallel arrays built once at init (node refs, consumer
-edge lists with pre-resolved FIFO deques and hop counts, producer ids
-per input port, response queues, and one firing rule per node compiled
-by :func:`repro.dfg.ops.compile_rule` — the firing loop and the probe
-path's ``_stall_reason`` call the same rules), the active and
-emit-candidate sets are incrementally-maintained ordered lists
-(:class:`_OrderedIntSet` — same iteration order as the ``sorted(set)``
-they replace), and per-op firing counts accumulate in an interned int
-array folded into ``SimStats.firings`` at quiescence. All of it is an
-*optimization, not
-an approximation*: results are bit-identical to the per-tick-``sorted``
-engine (pinned pre-rewrite digests in ``tests/test_engine_hot.py``), and
-:meth:`state_dict` still writes plain containers, not the dense layout.
+cost is wall clock. The machine state is therefore one ``nid``-indexed
+table per kind, built once at init (:meth:`_Engine._init_tables`): FIFO
+rows (one deque per input port), node states, response queues, consumer
+edges (each with its FIFO deque and hop count pre-resolved), producer
+ids per input port, placement, memory domain, and one firing rule per
+node compiled by :func:`repro.dfg.ops.compile_rule` — the firing loop
+and the probe path's ``_stall_reason`` call the same rules. The active
+and emit-candidate sets are incrementally-maintained ordered lists
+(:class:`_OrderedIntSet` — same iteration order as a per-tick
+``sorted(set)``), and per-op firing counts accumulate in an interned int
+array folded into ``SimStats.firings`` at quiescence. Results are pinned
+bit for bit by ``tests/test_engine_hot.py``; :meth:`state_dict` writes
+the tables out as plain keyed containers, so the snapshot format does
+not depend on this layout.
 """
 
 from __future__ import annotations
@@ -51,32 +51,6 @@ from repro.pnr.result import CompiledKernel
 from repro.sim.fmnoc_sim import MonacoFrontend
 from repro.sim.memsys import MemorySystem, RequestRecord
 from repro.sim.stats import SimStats
-
-
-class _Fifos:
-    """Per-port input FIFOs with two views of the same deques.
-
-    ``queues`` keys by ``(nid, index)`` — the stable identity tests and
-    the snapshot layer use. ``by_node`` is a dense nid-indexed table of
-    per-port deque refs (None for immediates): ``by_node[nid]`` is the
-    ``row`` the node's firing rule is compiled over
-    (:func:`repro.dfg.ops.compile_rule`) and the firing loop pops from.
-    Both views, and every rule, alias the *same* deque objects, and
-    restore refills them in place, so none ever goes stale.
-    """
-
-    def __init__(self, dfg: DFG):
-        self.queues: dict[tuple[int, int], deque] = {}
-        size = max(dfg.nodes, default=-1) + 1
-        self.by_node: list[list[deque | None] | None] = [None] * size
-        for node in dfg.nodes.values():
-            row: list[deque | None] = [None] * len(node.inputs)
-            for index, inp in enumerate(node.inputs):
-                if isinstance(inp, PortRef):
-                    queue: deque = deque()
-                    self.queues[(node.nid, index)] = queue
-                    row[index] = queue
-            self.by_node[node.nid] = row
 
 
 class _OrderedIntSet:
@@ -395,31 +369,10 @@ class _Engine:
 
         self.capacity = arch.sim.fifo_capacity
         self.max_outstanding = arch.sim.max_outstanding
-        self.fifos = _Fifos(self.dfg)
-        self.states = {
-            nid: fresh_state(node) for nid, node in self.dfg.nodes.items()
-        }
-        self.consumers = self.dfg.consumers()
-        self.producer_of: dict[tuple[int, int], int] = {}
-        for node in self.dfg.nodes.values():
-            for index, inp in enumerate(node.inputs):
-                if isinstance(inp, PortRef):
-                    self.producer_of[(node.nid, index)] = inp.src
-        self.resp_queue: dict[int, deque] = {
-            n.nid: deque() for n in self.dfg.memory_nodes()
-        }
-        # Hops per (producer, consumer) edge from the routed design, for
-        # data-movement energy accounting. Falls back to Manhattan
-        # distance for edges the router did not record.
-        self.edge_hops: dict[tuple[int, int], int] = {}
-        self._init_edge_hops()
-        self.domain_of = {
-            n.nid: compiled.domain_of(n.nid) for n in self.dfg.memory_nodes()
-        }
-        #: Dense dispatch tables indexed by nid (and the active/emit
-        #: ordered lists they pair with); see the module docstring.
+        #: The nid-indexed tables (and the active/emit ordered lists
+        #: they pair with); see the module docstring.
         self._size = max(self.dfg.nodes, default=-1) + 1
-        self._dense_init()
+        self._init_tables()
         self.active = _OrderedIntSet(self._size)
         for nid in self.dfg.nodes:
             self.active.add(nid)
@@ -468,62 +421,65 @@ class _Engine:
         #: same zero-overhead contract: ``run`` polls one attribute).
         self.snapshots = None
 
-    def _dense_init(self) -> None:
-        """Build the nid-indexed dispatch tables once.
+    def _init_tables(self) -> None:
+        """Build the nid-indexed tables, the machine's only state.
 
-        Every entry aliases the canonical dict-keyed structure it
-        mirrors (``fifos.queues`` deques, ``states`` dicts, ``consumers``
-        lists, ``resp_queue`` deques), and restore refills those in
-        place, so the tables never go stale across a snapshot resume.
+        The wiring (``consumer_edges``, the rules) holds the FIFO deques
+        themselves, so restore refills every container in place.
         """
         size = self._size
-        self._node_by_id = [None] * size
-        self._state_by_id: list[dict | None] = [None] * size
+        #: Per nid, per input port: the token FIFO (None: an immediate).
+        #: ``fifos[nid]`` is the row the node's rule is compiled over.
+        self.fifos: list[list[deque | None]] = [[] for _ in range(size)]
+        self.states: list[dict | None] = [None] * size
         #: Per nid: the firing rule, compiled once over the node's FIFO
         #: row (:func:`repro.dfg.ops.compile_rule`). Unbound parameters
         #: and unknown operators raise here, before cycle 0.
         self._rules: list = [None] * size
-        #: Per nid: [(consumer_fifo, consumer_nid, port_index, hops), ...].
-        self._consumer_edges: list[list[tuple]] = [[] for _ in range(size)]
-        self._resp_by_id: list[deque | None] = [None] * size
+        #: Per nid: [(consumer_fifo, consumer_nid, port_index, hops), ...]
+        #: in ``DFG.consumers()`` order.
+        self.consumer_edges: list[list[tuple]] = [[] for _ in range(size)]
+        #: Per memory nid: requests in flight, in issue order.
+        self.resp_queue: list[deque | None] = [None] * size
         #: Per nid, per input port: producer nid (PortRef inputs only).
-        self._producer_by_port: list[list[int | None]] = [
-            [] for _ in range(size)
-        ]
-        self._placement_by_id: list[tuple[int, int] | None] = [None] * size
+        self.producers: list[list[int | None]] = [[] for _ in range(size)]
+        self.placement: list[tuple[int, int] | None] = [None] * size
+        #: Per memory nid: NUPEA domain of the hosting PE.
+        self.domain_of: list[int | None] = [None] * size
         #: Interned per-op firing counters, folded into
         #: ``SimStats.firings`` at quiescence (and at every snapshot).
         op_index: dict[str, int] = {}
         self._nid_op = [0] * size
         self._source_nids: list[int] = []
+        routed = self._routed_hops()
+        placement = self.compiled.placement
         for nid, node in self.dfg.nodes.items():
-            self._node_by_id[nid] = node
-            self._state_by_id[nid] = self.states[nid]
-            self._rules[nid] = compile_rule(
-                node, self.fifos.by_node[nid], self.params
-            )
-            self._nid_op[nid] = op_index.setdefault(node.op, len(op_index))
-            self._placement_by_id[nid] = self.compiled.placement.get(nid)
-            row: list[int | None] = [None] * len(node.inputs)
+            self.states[nid] = fresh_state(node)
+            row: list[deque | None] = [None] * len(node.inputs)
+            producers: list[int | None] = [None] * len(node.inputs)
             for index, inp in enumerate(node.inputs):
                 if isinstance(inp, PortRef):
-                    row[index] = inp.src
-            self._producer_by_port[nid] = row
+                    queue = row[index] = deque()
+                    producers[index] = inp.src
+                    # Hops for data-movement energy accounting: Manhattan
+                    # distance for an edge the router did not record.
+                    hops = routed.get((inp.src, nid))
+                    if hops is None:
+                        (ax, ay), (bx, by) = placement[inp.src], placement[nid]
+                        hops = abs(ax - bx) + abs(ay - by)
+                    self.consumer_edges[inp.src].append(
+                        (queue, nid, index, hops)
+                    )
+            self.fifos[nid] = row
+            self.producers[nid] = producers
+            self._rules[nid] = compile_rule(node, row, self.params)
+            self._nid_op[nid] = op_index.setdefault(node.op, len(op_index))
+            self.placement[nid] = placement.get(nid)
+            if node.is_memory():
+                self.resp_queue[nid] = deque()
+                self.domain_of[nid] = self.compiled.domain_of(nid)
             if node.op == "source":
                 self._source_nids.append(nid)
-        for nid in self.resp_queue:
-            self._resp_by_id[nid] = self.resp_queue[nid]
-        queues = self.fifos.queues
-        for producer, consumers in self.consumers.items():
-            self._consumer_edges[producer] = [
-                (
-                    queues[(consumer, index)],
-                    consumer,
-                    index,
-                    self.edge_hops[(producer, consumer)],
-                )
-                for consumer, index in consumers
-            ]
         self._op_names = list(op_index)
         self._fire_counts = [0] * len(op_index)
         self._frontend_next = getattr(self.frontend, "next_event", None)
@@ -545,34 +501,22 @@ class _Engine:
                 firings[name] = firings.get(name, 0) + count
                 counts[op_id] = 0
 
-    def _init_edge_hops(self) -> None:
+    def _routed_hops(self) -> dict[tuple[int, int], int]:
+        """Hops per (producer, consumer) edge the router recorded."""
         from repro.pnr.netlist import build_netlist
 
-        netlist = build_netlist(self.dfg)
         routed: dict[tuple[int, int], int] = {}
-        for index, net in enumerate(netlist.nets):
+        for index, net in enumerate(build_netlist(self.dfg).nets):
             hops = self.compiled.routing.sink_hops.get(index, {})
             for sink, count in hops.items():
                 routed[(net.src, sink)] = count
-        placement = self.compiled.placement
-        for producer, consumers in self.consumers.items():
-            for consumer, _ in consumers:
-                key = (producer, consumer)
-                if key in self.edge_hops:
-                    continue
-                if key in routed:
-                    self.edge_hops[key] = routed[key]
-                else:
-                    (ax, ay), (bx, by) = placement[producer], placement[
-                        consumer
-                    ]
-                    self.edge_hops[key] = abs(ax - bx) + abs(ay - by)
+        return routed
 
     # -- helpers ---------------------------------------------------------
 
     def can_emit(self, nid: int) -> bool:
         limit = self.capacity - self.pending_pushes.get(nid, 0)
-        for edge in self._consumer_edges[nid]:
+        for edge in self.consumer_edges[nid]:
             if len(edge[0]) >= limit:
                 return False
         return True
@@ -584,7 +528,7 @@ class _Engine:
 
     def commit_pushes(self, pushes: list) -> None:
         capacity = self.capacity
-        edges = self._consumer_edges
+        edges = self.consumer_edges
         active_add = self.active.add
         tokens = 0
         hops_total = 0
@@ -758,7 +702,7 @@ class _Engine:
         # could still act. Sources are enumerated once at init, so this
         # is O(#sources) membership checks, not a scan of ``active``.
         active_has = self.active.has
-        states = self._state_by_id
+        states = self.states
         for nid in self._source_nids:
             if active_has(nid) and not states[nid]["fired"]:
                 return True
@@ -793,7 +737,7 @@ class _Engine:
                 # Shadow-FIFO stamps mirror the commit (same point, same
                 # order) so capacity and cadence are checked against
                 # exactly what the engine's FIFOs will hold next tick.
-                self.check.commit(now, pushes, self.consumers)
+                self.check.commit(now, pushes)
             self.commit_pushes(pushes)
             progressed = True
         return progressed
@@ -842,13 +786,13 @@ class _Engine:
 
     def _stall_reason(self, nid: int) -> str:
         """Why ``nid`` cannot fire right now (side-effect-free peek)."""
-        queue = self._resp_by_id[nid]
+        queue = self.resp_queue[nid]
         if queue and queue[0].arrived_cycle is not None:
             # A memory response is back at the PE but cannot be emitted.
             if not self.can_emit(nid):
                 return "fifo-full"
         try:
-            fired = self._rules[nid](self._state_by_id[nid])
+            fired = self._rules[nid](self.states[nid])
         except Exception:  # pragma: no cover - diagnostic path only
             return "operand-wait"
         if fired is None:
@@ -870,7 +814,7 @@ class _Engine:
         obs = self.obs
         emit = self.emit_candidates
         member = emit._member
-        resp = self._resp_by_id
+        resp = self.resp_queue
         for nid in emit.iter_ordered():
             if not member[nid]:
                 continue
@@ -889,7 +833,7 @@ class _Engine:
                 self.check.response(now, nid, record)
             self.push_output(nid, record.value, pushes)
             self.stats.fmnoc_hops += 2 * record.response_hops
-            node = self._node_by_id[nid]
+            node = self.dfg.nodes[nid]
             latency = record.arrived_cycle - record.issue_cycle
             if record.request.kind == "load":
                 self.stats.record_load(
@@ -911,10 +855,10 @@ class _Engine:
         discard = active.discard
         add = active.add
         rules = self._rules
-        states = self._state_by_id
-        resp = self._resp_by_id
-        producers = self._producer_by_port
-        in_fifos = self.fifos.by_node
+        states = self.states
+        resp = self.resp_queue
+        producers = self.producers
+        in_fifos = self.fifos
         fire_counts = self._fire_counts
         nid_op = self._nid_op
         capacity = self.capacity
@@ -990,10 +934,10 @@ class _Engine:
             seq=self._seq,
             request=request,
             address=self.address_map.address(request.array, request.index),
-            pe_coord=self._placement_by_id[nid],
+            pe_coord=self.placement[nid],
             issue_cycle=now,
         )
-        self._resp_by_id[nid].append(record)
+        self.resp_queue[nid].append(record)
         self.mem_inflight += 1
         self.frontend.inject(record, now)
 
@@ -1008,23 +952,29 @@ class _Engine:
         arrivals heap, bank queues and frontend latches). The ``obs``
         and ``check`` entries are the live objects themselves: they are
         closures over nothing but plain data, so they pickle wholesale.
-        ``active`` and ``emit_candidates`` serialize as plain sets and
-        firing counters are folded first, so the engine fields do not
-        depend on the dense layout; the pickled sinks' layout is what
-        ``SNAPSHOT_VERSION`` guards.
+        The tables are written keyed — FIFOs by ``(nid, port)``, states
+        and response queues by nid, in ``dfg.nodes`` order — ``active``
+        and ``emit_candidates`` as plain sets, and firing counters are
+        folded first, so the engine fields do not depend on the table
+        layout; the pickled sinks' layout is what ``SNAPSHOT_VERSION``
+        guards.
         """
         self._fold_firings()
+        nodes = self.dfg.nodes
         return {
             "now": self.now,
             "last_event": self.last_event,
             "fifos": {
-                key: list(queue) for key, queue in self.fifos.queues.items()
+                (nid, index): list(queue)
+                for nid in nodes
+                for index, queue in enumerate(self.fifos[nid])
+                if queue is not None
             },
-            "states": {
-                nid: dict(state) for nid, state in self.states.items()
-            },
+            "states": {nid: dict(self.states[nid]) for nid in nodes},
             "resp_queue": {
-                nid: list(queue) for nid, queue in self.resp_queue.items()
+                nid: list(self.resp_queue[nid])
+                for nid in nodes
+                if self.resp_queue[nid] is not None
             },
             "arrivals": list(self.arrivals),
             "arrival_order": self._arrival_order,
@@ -1046,9 +996,9 @@ class _Engine:
     def load_state_dict(self, state: dict) -> None:
         """Restore a :meth:`state_dict` in place (resume path).
 
-        Structural containers (FIFO dict, node states, resp queues,
+        Structural containers (FIFO deques, node states, resp queues,
         memory arrays) are refilled rather than replaced, preserving the
-        identities the constructor — and :meth:`_dense_init` — wired up;
+        identities :meth:`_init_tables` wired up;
         the ``obs``/``check`` objects from the snapshot *replace* the
         freshly-built ones — their accumulated history is part of the
         machine state — and the aliases on the memory system and
@@ -1067,8 +1017,8 @@ class _Engine:
                 )
         self.now = state["now"]
         self.last_event = state["last_event"]
-        for key, items in state["fifos"].items():
-            queue = self.fifos.queues[key]
+        for (nid, index), items in state["fifos"].items():
+            queue = self.fifos[nid][index]
             queue.clear()
             queue.extend(items)
         for nid, node_state in state["states"].items():
@@ -1131,25 +1081,20 @@ class _Engine:
         entries = []
         for nid, node in self.dfg.nodes.items():
             occupancy = {
-                node.port_name(index): len(
-                    self.fifos.queues[(nid, index)]
-                )
-                for index, inp in enumerate(node.inputs)
-                if isinstance(inp, PortRef)
+                node.port_name(index): len(queue)
+                for index, queue in enumerate(self.fifos[nid])
+                if queue is not None
             }
             held = sum(occupancy.values())
-            outstanding = len(self.resp_queue.get(nid, ()))
+            requests = self.resp_queue[nid] or ()
+            outstanding = len(requests)
             if not held and not outstanding:
                 continue
             reason = self._stall_reason(nid)
             fifos = ", ".join(
                 f"{port}:{depth}" for port, depth in occupancy.items()
             )
-            dropped = sum(
-                1
-                for record in self.resp_queue.get(nid, ())
-                if record.dropped
-            )
+            dropped = sum(1 for record in requests if record.dropped)
             lost = f" ({dropped} dropped by fault injection)" if dropped else ""
             entries.append(
                 (
@@ -1172,8 +1117,8 @@ class _Engine:
         return "\n".join(lines)
 
     def _check_final_state(self) -> None:
-        for nid, state in self.states.items():
-            node = self.dfg.nodes[nid]
+        for nid, node in self.dfg.nodes.items():
+            state = self.states[nid]
             if node.op == "carry" and state["phase"] != "init":
                 raise SimulationError(
                     f"carry node {nid} ({node.tag!r}) finished in RUN phase"

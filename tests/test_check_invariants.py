@@ -114,12 +114,11 @@ def test_same_tick_consume_is_token_cadence():
     checker, dfg = make_checker()
     consumer, port = edge_key(checker)
     producer = dfg.nodes[consumer].inputs[port].src
-    consumers = {producer: [(consumer, port)]}
-    checker.commit(7, [(producer, 1)], consumers)
+    checker.commit(7, [(producer, 1)])
     with pytest.raises(InvariantViolation, match="token-cadence"):
         checker.fire(7, consumer, (port,))  # pushed at 7, popped at 7
     # ...but the next tick is fine.
-    checker.commit(7, [(producer, 1)], consumers)
+    checker.commit(7, [(producer, 1)])
     checker.fire(8, consumer, (port,))
 
 
@@ -127,11 +126,10 @@ def test_overfull_fifo_is_fifo_capacity():
     checker, dfg = make_checker(capacity=2)
     consumer, port = edge_key(checker)
     producer = dfg.nodes[consumer].inputs[port].src
-    consumers = {producer: [(consumer, port)]}
-    checker.commit(1, [(producer, 1)], consumers)
-    checker.commit(2, [(producer, 1)], consumers)
+    checker.commit(1, [(producer, 1)])
+    checker.commit(2, [(producer, 1)])
     with pytest.raises(InvariantViolation, match="fifo-capacity"):
-        checker.commit(3, [(producer, 1)], consumers)
+        checker.commit(3, [(producer, 1)])
 
 
 def test_issue_over_limit_is_max_outstanding():
@@ -267,7 +265,7 @@ def test_finish_flags_leftover_tokens_per_edge():
     checker, dfg = make_checker()
     consumer, port = edge_key(checker)
     producer = dfg.nodes[consumer].inputs[port].src
-    checker.commit(1, [(producer, 1)], {producer: [(consumer, port)]})
+    checker.commit(1, [(producer, 1)])
     stats, engine = _quiescent_stats()
     with pytest.raises(InvariantViolation, match="token-conservation"):
         checker.finish(stats, engine)

@@ -47,17 +47,16 @@ def make_engine(name="join", arch=ARCH):
 
 class TestIntraTickFifoCapacity:
     def _producer_consumer(self, engine):
-        """Pick any routed producer -> (consumer, port) edge."""
-        for nid, consumers in engine.consumers.items():
-            if consumers:
-                return nid, consumers[0]
+        """Pick any routed producer -> consumer FIFO edge."""
+        for nid, edges in enumerate(engine.consumer_edges):
+            if edges:
+                return nid, edges[0][0]
         raise AssertionError("no edges")
 
     def test_can_emit_counts_pending_pushes(self):
         engine = make_engine()
-        producer, key = self._producer_consumer(engine)
+        producer, queue = self._producer_consumer(engine)
         # Fill the consumer FIFO to capacity - 1 committed tokens...
-        queue = engine.fifos.queues[key]
         for _ in range(engine.capacity - 1):
             queue.append(0)
         assert engine.can_emit(producer)
@@ -77,8 +76,7 @@ class TestIntraTickFifoCapacity:
     def test_commit_rejects_overflow(self):
         """commit_pushes enforces len(queue) <= capacity at every commit."""
         engine = make_engine()
-        producer, key = self._producer_consumer(engine)
-        queue = engine.fifos.queues[key]
+        producer, queue = self._producer_consumer(engine)
         for _ in range(engine.capacity):
             queue.append(0)
         pushes = []
@@ -102,7 +100,7 @@ class TestIntraTickFifoCapacity:
         def checked(self, pushes):
             original(self, pushes)
             occupancies.append(
-                max(len(q) for q in self.fifos.queues.values())
+                max(len(q) for row in self.fifos for q in row if q is not None)
             )
 
         engine_mod._Engine.commit_pushes = checked

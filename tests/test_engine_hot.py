@@ -16,7 +16,7 @@ Two layers of evidence (plus a mid-run checkpoint round trip):
    supports must still land on those exact digests. Regenerate — only
    after an *intentional* semantic change — with::
 
-       PYTHONPATH=src:tests python tests/test_engine_hot.py --regen
+       PYTHONPATH=src:tests:. python tests/test_engine_hot.py --regen
 
 2. **Order property**: the ordered active list must visit exactly the
    nodes ``sorted(set)`` would, under adversarial add/discard
@@ -25,13 +25,13 @@ Two layers of evidence (plus a mid-run checkpoint round trip):
 
 from __future__ import annotations
 
-import hashlib
 import json
 import pathlib
 import random
 
 import pytest
 
+from benchmarks.e2e.digests import run_digest
 from repro.arch.fabric import monaco
 from repro.arch.params import ArchParams, FaultParams, SimParams
 from repro.core.policy import EFFCC
@@ -83,30 +83,16 @@ def compiled_for(name: str):
     return _COMPILED[name]
 
 
-def run_digest(result) -> str:
-    """Stable digest of one run's observable outcome.
-
-    Covers the full machine-readable stats plus the final memory image.
-    ``executed_cycles``/``skipped_cycles`` are scheduler telemetry
-    (excluded from ``SimStats`` equality by design) and ``critpath`` is
-    a profiling artifact — both are stripped so every variant of the
-    same point digests identically.
-    """
-    stats = result.stats.to_dict()
-    stats.pop("executed_cycles", None)
-    stats.pop("skipped_cycles", None)
-    stats.pop("critpath", None)
-    blob = json.dumps(
-        {"stats": stats, "memory": result.memory}, sort_keys=True
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
 def run_variant(name: str, sim_kwargs: dict):
     instance, compiled = compiled_for(name)
     arch = ArchParams(sim=SimParams(**sim_kwargs))
     arrays = {k: list(v) for k, v in instance.arrays.items()}
     return simulate(compiled, instance.params, arrays, arch)
+
+
+def digest_of(result) -> str:
+    """The repo's stable stats + final-memory digest of one run."""
+    return run_digest(result.stats.to_dict(), result.memory)
 
 
 def pinned() -> dict:
@@ -120,7 +106,7 @@ def pinned() -> dict:
 @pytest.mark.parametrize("name", ALL_WORKLOADS)
 def test_digest_matches_pre_pr(name, variant, sim_kwargs, key):
     result = run_variant(name, sim_kwargs)
-    assert run_digest(result) == pinned()[name][key], (
+    assert digest_of(result) == pinned()[name][key], (
         f"{name} [{variant}] diverged from the pinned pre-PR digest — "
         "the hot-path rebuild is no longer bit-identical"
     )
@@ -218,7 +204,7 @@ def test_state_dict_roundtrip_mid_run_new_layout():
             compiled, instance.params, arrays, arch, resume_from=path
         )
         assert result.resume_info is not None
-        assert run_digest(result) == pinned()[SNAP_WORKLOAD]["clean"]
+        assert digest_of(result) == pinned()[SNAP_WORKLOAD]["clean"]
 
 
 # -- regeneration entry point ------------------------------------------------
@@ -233,8 +219,8 @@ def _regen() -> None:
     DATA_DIR.mkdir(exist_ok=True)
     digests: dict[str, dict[str, str]] = {}
     for name in ALL_WORKLOADS:
-        clean = run_digest(run_variant(name, dict(cycle_skip=True)))
-        faulty = run_digest(
+        clean = digest_of(run_variant(name, dict(cycle_skip=True)))
+        faulty = digest_of(
             run_variant(name, dict(cycle_skip=True, faults=FAULTS))
         )
         digests[name] = {"clean": clean, "faults": faulty}

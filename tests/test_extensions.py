@@ -175,6 +175,24 @@ class TestCLI:
         assert err.value.code == 2
         assert "--workloads" in capsys.readouterr().err
 
+    def test_run_rejects_the_retired_naive_pnr_flag_at_parse_time(
+        self, capsys
+    ):
+        """The reference PnR paths are the tests', not a user option."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as err:
+            main(["run", "dmv", "--scale", "tiny", "--naive-pnr"])
+        assert err.value.code == 2
+        assert "--naive-pnr" in capsys.readouterr().err
+        # ...nor a keyword the sweep layer forwards: it fails at the call.
+        from repro.exp.configs import MONACO
+        from repro.exp.runner import compile_point
+        from repro.exp.spec import RunSpec
+
+        with pytest.raises(TypeError, match="incremental"):
+            compile_point(RunSpec("dmv", MONACO, scale="tiny"), incremental=False)
+
     def test_bad_config_rejected(self):
         from repro.cli import _config_for
 

@@ -19,6 +19,7 @@ import random
 
 import pytest
 
+from benchmarks.e2e.digests import pnr_digest
 from repro.arch.fabric import monaco
 from repro.arch.params import ArchParams
 from repro.core.policy import EFFCC, PlacementPolicy
@@ -30,7 +31,7 @@ from repro.obs.critpath import blame_shares
 from repro.pnr.flow import compile_once
 from repro.pnr.netlist import build_netlist
 from repro.dfg.lower import lower_kernel
-from repro.pnr.place import CostTable, anneal, initial_placement
+from repro.pnr.place import anneal, initial_placement
 from repro.workloads.registry import make_workload
 
 from test_pnr_incremental import PINNED_DIGESTS
@@ -74,8 +75,6 @@ def test_placement_normalizes_empty_override_map():
 @pytest.mark.parametrize("workload", sorted(PINNED_DIGESTS))
 def test_empty_override_map_preserves_pinned_digest(workload):
     """compile_once(node_weights={}) == the pre-override pinned artifact."""
-    from benchmarks.bench_pnr_compile import pnr_digest
-
     kernel = make_workload(workload, scale="tiny", seed=0).kernel
     compiled = compile_once(
         kernel,
@@ -92,8 +91,6 @@ def test_empty_override_map_preserves_pinned_digest(workload):
 def test_nonempty_override_map_changes_the_artifact():
     """Inverting the class weights (demote A, promote C) must steer the
     anneal somewhere else."""
-    from benchmarks.bench_pnr_compile import pnr_digest
-
     kernel = make_workload("spmv", scale="tiny", seed=0).kernel
     base = compile_once(
         kernel, monaco(12, 12), ArchParams(), parallelism=1, seed=0
@@ -114,13 +111,13 @@ def test_nonempty_override_map_changes_the_artifact():
     assert pnr_digest(overridden) != pnr_digest(base)
 
 
-# -- incremental CostTable with overrides --------------------------------
+# -- incremental anneal with overrides -----------------------------------
 
 
 @pytest.mark.parametrize("workload", ["spmspm", "mergesort"])
 @pytest.mark.parametrize("seed", [0, 3])
 def test_anneal_with_overrides_incremental_matches_naive(workload, seed):
-    """Per-node weights through the CostTable == naive recompute path."""
+    """Per-node weights through the cached costs == naive recompute path."""
     netlist = _netlist(workload)
     fabric = monaco(12, 12)
     mems = [n.nid for n in netlist.dfg.memory_nodes()]
@@ -141,17 +138,6 @@ def test_anneal_with_overrides_incremental_matches_naive(workload, seed):
     (fast_loc, fast_cost), (naive_loc, naive_cost) = outcomes
     assert fast_loc == naive_loc
     assert fast_cost == naive_cost
-
-
-def test_cost_table_total_matches_with_overrides():
-    netlist = _netlist("spmv")
-    fabric = monaco(12, 12)
-    mems = [n.nid for n in netlist.dfg.memory_nodes()]
-    weights = {nid: 4.25 for nid in mems}
-    placement = initial_placement(
-        netlist, fabric, EFFCC, random.Random(1), node_weights=weights
-    )
-    assert CostTable(placement).total() == placement.total_cost()
 
 
 # -- blame -> weights mapping --------------------------------------------

@@ -1,12 +1,12 @@
 """Equivalence suite for the incremental PnR hot path.
 
-The incremental structures (the compiled-problem anneal and the
-CostTable protocol it follows, dirty-net rerouting, the optimized greedy
-seeding) are *optimizations, not approximations*: every test here
-asserts exact — mostly bit-exact — agreement with the naive
-full-recompute implementations, which are kept behind
-``incremental=False`` flags precisely so this suite can diff against
-them forever.
+The incremental structures (the compiled-problem anneal, dirty-net
+rerouting, the optimized greedy seeding) are *optimizations, not
+approximations*: every test here asserts exact — mostly bit-exact —
+agreement with the naive full-recompute implementations, which stay
+behind the ``incremental=False`` keyword of ``place.anneal`` and
+``route.route_design`` (and of nothing that calls them) precisely so
+this suite can diff against them forever.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import tracemalloc
 
 import pytest
 
+from benchmarks.e2e.digests import pnr_digest
 from repro.arch.fabric import monaco
 from repro.arch.noc import build_channel_graph
 from repro.arch.params import ArchParams
@@ -30,13 +31,11 @@ from repro.errors import PlacementError, RoutingError
 from repro.pnr.flow import compile_once
 from repro.pnr.netlist import build_netlist
 from repro.pnr.place import (
-    CostTable,
     NetlistTables,
     Placement,
     _estimate_margin,
     _fabric_tables,
     _neighbors_map,
-    _pair_cost,
     _window_segments,
     anneal,
     initial_placement,
@@ -154,61 +153,6 @@ def test_greedy_seeding_matches_naive(workload, monkeypatch):
     monkeypatch.setattr(place_mod, "_greedy_rest", _greedy_rest_naive)
     slow = initial_placement(netlist, fabric, EFFCC, random.Random(7))
     assert fast.loc == slow.loc
-
-
-# -- CostTable property suite -------------------------------------------
-
-
-@pytest.mark.parametrize("workload", ["spmspm", "vww"])
-def test_cost_table_random_walk(workload):
-    """1k random legal moves/swaps: cached deltas == fresh recomputes.
-
-    At every step the CostTable's before/after values must equal the
-    naive fresh computation *exactly* (``==`` on floats, no tolerance),
-    through both commits and discards, and the cached total must end
-    bit-equal to ``Placement.total_cost()``.
-    """
-    netlist = _netlist(workload)
-    fabric = monaco(12, 12)
-    rng = random.Random(123)
-    placement = initial_placement(netlist, fabric, EFFCC, rng)
-    table = CostTable(placement)
-    cells = list(netlist.cells)
-    coords = list(fabric.pes)
-
-    for step in range(1000):
-        nid = rng.choice(cells)
-        target = rng.choice(coords)
-        origin = placement.loc[nid]
-        if target == origin or not placement.legal(nid, target):
-            continue
-        other = placement.occupant.get(target)
-        if other is not None and not placement.legal(other, origin):
-            continue
-        if other is None:
-            assert table.cell_cost(nid) == placement.cell_cost(nid)
-            placement.move(nid, target)
-            fresh = table.fresh_cell_cost(nid)
-            assert fresh == placement.cell_cost(nid)
-            if rng.random() < 0.5:
-                table.commit()
-            else:
-                placement.move(nid, origin)
-                table.discard()
-        else:
-            nets = set(netlist.nets_of[nid]) | set(netlist.nets_of[other])
-            assert table.pair_cost(nid, other, nets) == _pair_cost(
-                placement, nid, other
-            )
-            placement.swap(nid, other)
-            fresh = table.fresh_pair_cost(nid, other, nets)
-            assert fresh == _pair_cost(placement, nid, other)
-            if rng.random() < 0.5:
-                table.commit()
-            else:
-                placement.swap(nid, other)
-                table.discard()
-    assert table.total() == placement.total_cost()
 
 
 # -- anneal equivalence -------------------------------------------------
@@ -741,12 +685,9 @@ def test_check_usage_detects_drift():
 @pytest.mark.parametrize("workload", sorted(PINNED_DIGESTS))
 def test_pinned_compile_digest(workload):
     """compile_once reproduces the pre-incremental artifact exactly."""
-    from benchmarks.bench_pnr_compile import pnr_digest
-
     kernel = make_workload(workload, scale="tiny", seed=0).kernel
     compiled = compile_once(
         kernel, monaco(12, 12), ArchParams(), parallelism=1, seed=0
     )
     assert pnr_digest(compiled) == PINNED_DIGESTS[workload]
     assert compiled.pnr is not None
-    assert compiled.pnr.incremental

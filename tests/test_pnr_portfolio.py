@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from benchmarks.bench_pnr_compile import pnr_digest
+from benchmarks.e2e.digests import pnr_digest
 from repro.arch.fabric import monaco
 from repro.arch.noc import build_channel_graph
 from repro.arch.params import ArchParams
@@ -102,8 +102,14 @@ def test_three_jobs_match_serial_and_workers_build_their_own_tables():
     assert outcomes[0] == outcomes[1]
 
 
-def _compile_seeding_every_candidate(kernel, fabric, arch, policy, seed):
-    """The serial flow as it was: each mem-scale candidate seeds itself."""
+def _compile_seeding_every_candidate(
+    kernel, fabric, arch, policy, seed, **leaf
+):
+    """The serial flow as it was: each mem-scale candidate seeds itself.
+
+    ``leaf`` goes to both leaf functions: ``incremental=False`` runs the
+    whole flow on the reference anneal and the full-reroute router.
+    """
     dfg = lower_kernel(kernel)
     analyze_criticality(dfg)
     netlist = build_netlist(dfg)
@@ -114,13 +120,13 @@ def _compile_seeding_every_candidate(kernel, fabric, arch, policy, seed):
         placement = initial_placement(
             netlist, fabric, policy, rng, mem_scale=mem_scale
         )
-        cost = anneal(placement, rng)
+        cost = anneal(placement, rng, **leaf)
         try:
-            routing = route_design(netlist, placement, channels)
+            routing = route_design(netlist, placement, channels, **leaf)
         except PnRError:
             continue
         divider = analyze_timing(routing, arch.timing).clock_divider
-        candidate = (divider, cost, placement.loc, routing.net_channels)
+        candidate = (divider, cost, placement.loc, routing)
         if best is None or candidate[:2] < best[:2]:
             best = candidate
         if divider <= 2:
@@ -143,7 +149,7 @@ def test_one_seeding_serves_every_mem_scale_candidate(
 
     kernel = make_workload("fft", scale="tiny", seed=0).kernel
     arch = ArchParams()
-    (divider, cost, loc, trees), considered = (
+    (divider, cost, loc, routing), considered = (
         _compile_seeding_every_candidate(kernel, monaco(12, 12), arch, policy, 0)
     )
     assert considered == len(MEM_SCALE_SCHEDULE)
@@ -164,7 +170,7 @@ def test_one_seeding_serves_every_mem_scale_candidate(
     assert compiled.timing.clock_divider == divider
     assert compiled.place_cost == cost
     assert list(compiled.placement.items()) == list(loc.items())
-    assert compiled.routing.net_channels == trees
+    assert compiled.routing.net_channels == routing.net_channels
 
 
 def test_pnr_stats_populated():
@@ -172,7 +178,6 @@ def test_pnr_stats_populated():
     compiled = _compile("dmv", portfolio_jobs=2)
     stats = compiled.pnr
     assert stats is not None
-    assert stats.incremental
     assert stats.portfolio_jobs == 2
     assert stats.anneal_moves > 0
     assert stats.anneal_proposals >= stats.anneal_accepted > 0
@@ -182,9 +187,25 @@ def test_pnr_stats_populated():
     d = stats.to_dict()
     assert d["anneal_moves"] == stats.anneal_moves
 
-    naive = _compile("dmv", incremental=False)
-    assert not naive.pnr.incremental
-    assert pnr_digest(naive) == pnr_digest(compiled)
+
+def test_flow_on_the_reference_leaves_matches_the_compiled_artifact():
+    """Reference anneal + full-reroute router, candidate by candidate,
+    land on the artifact ``compile_once`` produces."""
+    kernel = make_workload("dmv", scale="tiny", seed=0).kernel
+    (divider, cost, loc, routing), considered = (
+        _compile_seeding_every_candidate(
+            kernel, monaco(12, 12), ArchParams(), EFFCC, 0, incremental=False
+        )
+    )
+    compiled = _compile("dmv")
+    assert compiled.pnr.candidates == considered
+    assert compiled.timing.clock_divider == divider
+    assert compiled.place_cost == cost
+    assert list(compiled.placement.items()) == list(loc.items())
+    assert compiled.routing.net_channels == routing.net_channels
+    assert compiled.routing.sink_hops == routing.sink_hops
+    assert compiled.routing.max_hops == routing.max_hops
+    assert compiled.routing.iterations == routing.iterations
 
 
 def test_manifest_carries_pnr_and_stable_view_drops_it():

@@ -38,9 +38,10 @@ def test_fifo_capacity_never_exceeded():
 
     def checked(self, pushes):
         original(self, pushes)
-        for queue in self.fifos.queues.values():
-            if len(queue) > self.capacity:
-                violations.append(len(queue))
+        for row in self.fifos:
+            for queue in row:
+                if queue is not None and len(queue) > self.capacity:
+                    violations.append(len(queue))
 
     engine_mod._Engine.commit_pushes = checked
     try:

@@ -50,7 +50,7 @@ from repro.exp.configs import MONACO, upea
 from repro.exp.resilient import SweepPolicy, call_with_timeout, run_resilient
 from repro.exp.runner import PAPER_DIVIDER, compile_cached
 from repro.obs.manifest import completed_points, read_manifest, stable_view
-from repro.sim.engine import simulate
+from repro.sim.engine import _Engine, simulate
 from repro.sim.faults import _Stream
 from repro.sim.snapshot import (
     SNAPSHOT_MAGIC,
@@ -266,11 +266,22 @@ class TestSplitRunBitIdentity:
         assert run.memory == base.memory
         assert not os.path.exists(path)
 
-    def test_sim_knobs_arm_checkpointer(self, tmp_path):
+    def test_sim_knobs_arm_checkpointer(self, tmp_path, monkeypatch):
+        armed = []
+        run_engine = _Engine.run
+
+        def spy(engine):
+            armed.append(engine.snapshots is not None)
+            return run_engine(engine)
+
+        monkeypatch.setattr(_Engine, "run", spy)
         path = str(tmp_path / "auto.snap")
         arch = _arch(checkpoint_path=path, checkpoint_every=100)
         base = _simulate("dmv", ArchParams())
         run = _simulate("dmv", arch)
+        # Knobs off: no checkpointer on the engine, no telemetry block.
+        assert armed == [False, True]
+        assert base.snapshot_stats is None
         assert run.snapshot_stats["writes"] >= 1
         assert _digest(run) == _digest(base)
         assert not os.path.exists(path)
