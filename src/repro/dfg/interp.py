@@ -56,9 +56,16 @@ def run_dfg(
 
     Raises :class:`DFGError` if tokens remain in flight at quiescence or if
     any node is left mid-protocol (a carry outside its INIT phase, a held
-    invariant) — both indicate a lowering bug.
+    invariant) — both indicate a lowering bug — and, before the first
+    firing, if ``arrays`` names an array the kernel does not declare.
     """
     params = dict(params or {})
+    unknown = sorted(set(arrays or ()) - set(dfg.arrays))
+    if unknown:
+        raise DFGError(
+            f"arrays {unknown} are not declared by kernel {dfg.name!r} "
+            f"(declared: {sorted(dfg.arrays)})"
+        )
     memory: dict[str, list] = {}
     for name, size in dfg.arrays.items():
         if arrays and name in arrays:

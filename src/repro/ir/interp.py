@@ -42,7 +42,8 @@ def run_kernel(
     """Execute ``kernel`` and return its final array state.
 
     ``arrays`` supplies initial contents (copied; the caller's lists are not
-    mutated). Missing arrays are zero-initialized at their declared size.
+    mutated). Missing arrays are zero-initialized at their declared size;
+    a name the kernel does not declare raises :class:`IRError`.
     ``counts``, when given, is filled with dynamic operation counts
     (``load``/``store``/``binop``/``unop``/``select``) — the ledger the
     conformance oracle (:mod:`repro.check.oracle`) diffs against DFG
@@ -55,6 +56,13 @@ def run_kernel(
     missing = set(kernel.params) - set(params)
     if missing:
         raise IRError(f"missing kernel parameters: {sorted(missing)}")
+    declared = [spec.name for spec in kernel.arrays]
+    unknown = sorted(set(arrays or ()) - set(declared))
+    if unknown:
+        raise IRError(
+            f"arrays {unknown} are not declared by kernel {kernel.name!r} "
+            f"(declared: {sorted(declared)})"
+        )
     memory: dict[str, list] = {}
     for spec in kernel.arrays:
         if arrays and spec.name in arrays:

@@ -26,20 +26,26 @@ rows (one deque per input port), node states, response queues, consumer
 edges (each with its FIFO deque and hop count pre-resolved), producer
 ids per input port, placement, memory domain, and one firing rule per
 node compiled by :func:`repro.dfg.ops.compile_rule` — the firing loop
-and the probe path's ``_stall_reason`` call the same rules. The active
-and emit-candidate sets are incrementally-maintained ordered lists
-(:class:`_OrderedIntSet` — same iteration order as a per-tick
-``sorted(set)``), and per-op firing counts accumulate in an interned int
-array folded into ``SimStats.firings`` at quiescence. Results are pinned
-bit for bit by ``tests/test_engine_hot.py``; :meth:`state_dict` writes
-the tables out as plain keyed containers, so the snapshot format does
-not depend on this layout.
+and the probe path's ``_stall_reason`` call the same rules. Scheduling
+is two flag arrays, one byte per nid (``active``, ``emit_candidates``):
+waking a node stores 1, putting it to sleep stores 0, and a fabric tick
+visits ``compress(range(size), bytes(flags))`` — an ascending scan of a
+*copy*, so a node woken during the scan waits for the next tick, the
+order a per-tick ``sorted(set)`` gives. The fire and emit loops inline
+their capacity checks and pushes: on the plain path the compiled rule
+(and ``_issue_memory`` for a memory op) is the only Python call per
+visited node, which ``tests/test_engine_hot.py`` pins as calls per
+firing. Per-op firing counts accumulate in an interned int array folded
+into ``SimStats.firings`` at quiescence. Results are pinned bit for bit
+by the same test file; :meth:`state_dict` writes the tables out as plain
+keyed containers, so the snapshot format does not depend on this layout.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
+from itertools import compress
 
 from repro.arch.memory import AddressMap
 from repro.arch.params import ArchParams
@@ -51,121 +57,6 @@ from repro.pnr.result import CompiledKernel
 from repro.sim.fmnoc_sim import MonacoFrontend
 from repro.sim.memsys import MemorySystem, RequestRecord
 from repro.sim.stats import SimStats
-
-
-class _OrderedIntSet:
-    """Int set with O(1) membership and ascending-order iteration.
-
-    Replaces the engine's per-tick ``sorted(set)``: membership lives in a
-    dense flag table, adds buffer in an unsorted pending list, and
-    discards are lazy (flag cleared, the sorted list keeps a stale
-    entry). :meth:`iter_ordered` merges the pending adds in — dropping
-    stale entries and deduplicating a discarded-then-readded id against
-    its stale copy — and returns the compacted ascending snapshot.
-    That reproduces the replaced loop's semantics exactly: ids added
-    *before* an iteration are visited in ascending order; ids added
-    *during* one land in the next snapshot; callers skip mid-iteration
-    discards with :meth:`has`. When the set is unchanged between ticks,
-    taking the snapshot costs nothing.
-    """
-
-    __slots__ = ("_member", "_items", "_pending", "count")
-
-    def __init__(self, size: int):
-        self._member = bytearray(size)
-        #: Ascending ids; may hold stale (discarded) entries until the
-        #: next compaction.
-        self._items: list[int] = []
-        self._pending: list[int] = []
-        self.count = 0
-
-    def add(self, nid: int) -> None:
-        if not self._member[nid]:
-            self._member[nid] = 1
-            self._pending.append(nid)
-            self.count += 1
-
-    def discard(self, nid: int) -> None:
-        if self._member[nid]:
-            self._member[nid] = 0
-            self.count -= 1
-
-    def has(self, nid: int) -> bool:
-        return bool(self._member[nid])
-
-    __contains__ = has
-
-    def __bool__(self) -> bool:
-        return self.count > 0
-
-    def __len__(self) -> int:
-        return self.count
-
-    def iter_ordered(self):
-        """Compacted ascending snapshot (see class docstring)."""
-        pending = self._pending
-        items = self._items
-        if pending or len(items) != self.count:
-            member = self._member
-            if pending:
-                pending.sort()
-                if len(pending) > 1:
-                    # Repeated discard-then-readd within one tick queues
-                    # the same id more than once; keep one copy so the
-                    # merge's items-vs-pending dedup stays pairwise.
-                    pending = [
-                        nid
-                        for pos, nid in enumerate(pending)
-                        if pos == 0 or nid != pending[pos - 1]
-                    ]
-                self._pending = []
-                merged: list[int] = []
-                append = merged.append
-                i = j = 0
-                ni, nj = len(items), len(pending)
-                while i < ni and j < nj:
-                    a, b = items[i], pending[j]
-                    if a < b:
-                        i += 1
-                        if member[a]:
-                            append(a)
-                    elif b < a:
-                        j += 1
-                        if member[b]:
-                            append(b)
-                    else:
-                        # The stale copy of a discarded-then-readded id
-                        # meets its pending re-add: emit once.
-                        i += 1
-                        j += 1
-                        if member[a]:
-                            append(a)
-                while i < ni:
-                    a = items[i]
-                    i += 1
-                    if member[a]:
-                        append(a)
-                while j < nj:
-                    b = pending[j]
-                    j += 1
-                    if member[b]:
-                        append(b)
-                items = self._items = merged
-            else:
-                items = self._items = [n for n in items if member[n]]
-        return iter(items)
-
-    def __iter__(self):
-        # Members only — compaction guarantees the snapshot is exact.
-        return self.iter_ordered()
-
-    def members(self) -> list[int]:
-        return list(self.iter_ordered())
-
-    def touched(self) -> list[int]:
-        """Ids the last :meth:`iter_ordered` snapshot visited (discarded
-        since or not) plus the ids added after it was taken."""
-        return self._items + self._pending
 
 
 class SimResult:
@@ -209,6 +100,9 @@ def simulate(
     ``arch.sim.trace`` is set, the standard sink set
     (:func:`repro.obs.make_observation`) is assembled automatically;
     with tracing off nothing is published and results are bit-identical.
+    ``arrays`` supplies initial contents by declared name (the rest are
+    zero-filled); a name the kernel does not declare raises
+    :class:`~repro.errors.SimulationError` before cycle 0.
 
     ``checkpoint`` is an optional
     :class:`repro.sim.snapshot.CheckpointConfig` arming mid-run
@@ -231,6 +125,12 @@ def simulate(
 
     injector = make_injector(arch.sim)
 
+    unknown = sorted(set(arrays or ()) - set(dfg.arrays))
+    if unknown:
+        raise SimulationError(
+            f"arrays {unknown} are not declared by kernel {dfg.name!r} "
+            f"(declared: {sorted(dfg.arrays)})"
+        )
     memory: dict[str, list] = {}
     for name, size in dfg.arrays.items():
         if arrays and name in arrays:
@@ -369,19 +269,22 @@ class _Engine:
 
         self.capacity = arch.sim.fifo_capacity
         self.max_outstanding = arch.sim.max_outstanding
-        #: The nid-indexed tables (and the active/emit ordered lists
-        #: they pair with); see the module docstring.
+        #: The nid-indexed tables; see the module docstring.
         self._size = max(self.dfg.nodes, default=-1) + 1
         self._init_tables()
-        self.active = _OrderedIntSet(self._size)
+        #: Scheduler flags, one byte per nid: ``active[nid]`` has the
+        #: fire loop visit the node at the next fabric tick,
+        #: ``emit_candidates[nid]`` the emit loop. Every node starts
+        #: awake; a visit that finds nothing to do clears the flag.
+        self.active = bytearray(self._size)
         for nid in self.dfg.nodes:
-            self.active.add(nid)
-        self.emit_candidates = _OrderedIntSet(self._size)
+            self.active[nid] = 1
+        self.emit_candidates = bytearray(self._size)
         #: Tokens pushed earlier in the *current* fabric tick but not yet
         #: committed, per producer nid — a FIFO has exactly one producer,
-        #: so this is the uncommitted count of every FIFO it feeds.
-        #: ``can_emit`` counts these so two capacity checks within one
-        #: tick cannot both claim the same remaining slot (intra-tick
+        #: so this is the uncommitted count of every FIFO it feeds. Every
+        #: capacity check counts these so two checks within one tick
+        #: cannot both claim the same remaining slot (intra-tick
         #: FIFO-overflow fix).
         self.pending_pushes: dict[int, int] = {}
         self.arrivals: list[tuple[int, int, RequestRecord]] = []
@@ -403,10 +306,12 @@ class _Engine:
         self.check = check
         #: The tick record under construction while ``obs`` is attached
         #: (see ``EventBus.tick``): emitted responses, committed firings,
-        #: and the nids whose matured response found a full consumer FIFO.
+        #: the nids whose matured response found a full consumer FIFO,
+        #: and the flag snapshots the emit and fire loops scanned.
         self._tick_emitted: list = []
         self._tick_fired: list = []
         self._tick_blocked: list = []
+        self._tick_scanned: tuple[bytes, bytes] = (b"", b"")
         #: Stall-bucket cache (:meth:`_bucket_changes`): bucket per nid
         #: as of the last executed tick (None: classify every node), and
         #: the nids whose bucket then was an *event* (FIRE, emission-phase
@@ -515,21 +420,21 @@ class _Engine:
     # -- helpers ---------------------------------------------------------
 
     def can_emit(self, nid: int) -> bool:
+        """Whether every FIFO ``nid`` feeds has a free slot this tick.
+
+        The probes' side-effect-free peek; the emit and fire loops run
+        the same check inline.
+        """
         limit = self.capacity - self.pending_pushes.get(nid, 0)
         for edge in self.consumer_edges[nid]:
             if len(edge[0]) >= limit:
                 return False
         return True
 
-    def push_output(self, nid: int, value, pushes: list) -> None:
-        pushes.append((nid, value))
-        pending = self.pending_pushes
-        pending[nid] = pending.get(nid, 0) + 1
-
     def commit_pushes(self, pushes: list) -> None:
         capacity = self.capacity
         edges = self.consumer_edges
-        active_add = self.active.add
+        active = self.active
         tokens = 0
         hops_total = 0
         for nid, value in pushes:
@@ -544,7 +449,7 @@ class _Engine:
                     )
                 tokens += 1
                 hops_total += hops
-                active_add(consumer)
+                active[consumer] = 1
         self.tokens += tokens
         self.stats.noc_hops += hops_total
         self.pending_pushes.clear()
@@ -603,7 +508,7 @@ class _Engine:
                     # Arrival-side latency ledger (fault-dropped replies
                     # never reach this point, so they never contribute).
                     memsys.stats.record_arrival(record, now)
-                self.emit_candidates.add(record.nid)
+                self.emit_candidates[record.nid] = 1
                 progressed = True
             if frontend_tick(now, deliver):
                 # Requests advancing through the fabric-memory network
@@ -676,7 +581,7 @@ class _Engine:
             nxt = now if self.frontend.busy() else None
         if nxt is not None and nxt < target:
             target = nxt
-        if self.active.count or self.emit_candidates.count:
+        if 1 in self.active or 1 in self.emit_candidates:
             # A node may be ready (or retry a blocked emit) at the next
             # fabric tick; idle PEs wake only via the sources above.
             divider = self.divider
@@ -701,10 +606,10 @@ class _Engine:
         # With zero tokens in flight, only a source that has not fired yet
         # could still act. Sources are enumerated once at init, so this
         # is O(#sources) membership checks, not a scan of ``active``.
-        active_has = self.active.has
+        active = self.active
         states = self.states
         for nid in self._source_nids:
-            if active_has(nid) and not states[nid]["fired"]:
+            if active[nid] and not states[nid]["fired"]:
                 return True
         return False
 
@@ -718,10 +623,16 @@ class _Engine:
             self._tick_emitted = []
             self._tick_fired = []
             self._tick_blocked = []
-        if self.emit_candidates.count:
-            progressed |= self._emit_responses(now, pushes)
-        progressed |= self._fire_nodes(now, pushes)
+        # Each loop scans a *copy* of its flags, taken as it starts: a
+        # node woken during the scan waits for the next tick, and the
+        # emit loop's wakes are in the fire loop's copy.
+        emit_scan = bytes(self.emit_candidates)
+        if 1 in emit_scan:
+            progressed |= self._emit_responses(now, pushes, emit_scan)
+        fire_scan = bytes(self.active)
+        progressed |= self._fire_nodes(now, pushes, fire_scan)
         if obs is not None:
+            self._tick_scanned = (emit_scan, fire_scan)
             # One record per tick, built *before* committing pushes:
             # tokens land at the next tick, so the pre-commit FIFO state
             # is what this tick's firing rules actually saw.
@@ -751,17 +662,24 @@ class _Engine:
         tick's eventful nodes (nothing need wake a node that emitted its
         last response, yet it stops being FIRE). Any other node keeps its
         cached bucket: its input FIFOs, state, response queue and
-        ``can_emit`` only change through an event that puts it on one of
-        the two lists (argument in docs/INTERNALS.md, Sec. 6).
+        ``can_emit`` only change through an event that sets one of its
+        two flags (argument in docs/INTERNALS.md, Sec. 6).
         """
         cache = self._buckets
         if cache is None:
             cache = self._buckets = [None] * self._size
             touched = set(self.dfg.nodes)
         else:
+            # Scanned (the two snapshots) or woken since (flags set now):
+            # OR the four byte strings as ints, then one pass.
+            size = self._size
+            bits = int.from_bytes(self.emit_candidates, "little")
+            bits |= int.from_bytes(self.active, "little")
+            for scan in self._tick_scanned:
+                bits |= int.from_bytes(scan, "little")
             touched = set(self._eventful)
             touched.update(
-                self.emit_candidates.touched(), self.active.touched()
+                compress(range(size), bits.to_bytes(size, "little"))
             )
         events = dict.fromkeys(self._tick_blocked, "fifo-full")
         for record, _node, _domain in self._tick_emitted:
@@ -809,21 +727,28 @@ class _Engine:
             return "output-backpressure"
         return "ready"
 
-    def _emit_responses(self, now: int, pushes: list) -> bool:
+    def _emit_responses(self, now: int, pushes: list, scan: bytes) -> bool:
         progressed = False
         obs = self.obs
-        emit = self.emit_candidates
-        member = emit._member
+        emit_flags = self.emit_candidates
+        active = self.active
         resp = self.resp_queue
-        for nid in emit.iter_ordered():
-            if not member[nid]:
-                continue
+        edges = self.consumer_edges
+        capacity = self.capacity
+        pending = self.pending_pushes
+        for nid in compress(range(len(scan)), scan):
             queue = resp[nid]
             record = queue[0] if queue else None
             if record is None or record.arrived_cycle is None:
-                emit.discard(nid)
+                emit_flags[nid] = 0
                 continue
-            if not self.can_emit(nid):
+            limit = capacity - pending.get(nid, 0)
+            full = False
+            for edge in edges[nid]:
+                if len(edge[0]) >= limit:
+                    full = True
+                    break
+            if full:
                 if obs is not None:
                     self._tick_blocked.append(nid)
                 continue  # retry next fabric tick
@@ -831,7 +756,8 @@ class _Engine:
             self.mem_inflight -= 1
             if self.check is not None:
                 self.check.response(now, nid, record)
-            self.push_output(nid, record.value, pushes)
+            pushes.append((nid, record.value))
+            pending[nid] = pending.get(nid, 0) + 1
             self.stats.fmnoc_hops += 2 * record.response_hops
             node = self.dfg.nodes[nid]
             latency = record.arrived_cycle - record.issue_cycle
@@ -842,48 +768,50 @@ class _Engine:
             if obs is not None:
                 self._tick_emitted.append((record, node, self.domain_of[nid]))
             # The PE may issue again now that a slot freed up.
-            self.active.add(nid)
+            active[nid] = 1
             if not queue or queue[0].arrived_cycle is None:
-                emit.discard(nid)
+                emit_flags[nid] = 0
             progressed = True
         return progressed
 
-    def _fire_nodes(self, now: int, pushes: list) -> bool:
+    def _fire_nodes(self, now: int, pushes: list, scan: bytes) -> bool:
         progressed = False
         active = self.active
-        member = active._member
-        discard = active.discard
-        add = active.add
         rules = self._rules
         states = self.states
         resp = self.resp_queue
         producers = self.producers
         in_fifos = self.fifos
+        edges = self.consumer_edges
+        pending = self.pending_pushes
         fire_counts = self._fire_counts
         nid_op = self._nid_op
         capacity = self.capacity
         max_outstanding = self.max_outstanding
-        can_emit = self.can_emit
-        push_output = self.push_output
         obs = self.obs
         faults = self.faults
         check = self.check
         tokens_popped = 0
-        for nid in active.iter_ordered():
-            if not member[nid]:
-                continue
+        for nid in compress(range(len(scan)), scan):
             fired = rules[nid](states[nid])
             if fired is None:
-                discard(nid)
+                active[nid] = 0
                 continue
             pops, emit, mem, new_state = fired
             if mem is not None:
                 if len(resp[nid]) >= max_outstanding:
-                    discard(nid)
+                    active[nid] = 0
                     continue
-            elif emit is not NO_EMIT and not can_emit(nid):
-                discard(nid)
-                continue
+            elif emit is not NO_EMIT:
+                limit = capacity - pending.get(nid, 0)
+                full = False
+                for edge in edges[nid]:
+                    if len(edge[0]) >= limit:
+                        full = True
+                        break
+                if full:
+                    active[nid] = 0
+                    continue
             if faults is not None and faults.stall_pe():
                 # Injected PE stall: the firing was legal but is
                 # suppressed this tick. The node stays active and
@@ -902,7 +830,8 @@ class _Engine:
                 for index in pops:
                     queue = fifo_row[index]
                     if len(queue) >= capacity:
-                        add(producer_row[index])
+                        # A slot frees up: the blocked producer may emit.
+                        active[producer_row[index]] = 1
                     queue.popleft()
                 tokens_popped += len(pops)
             if new_state is not None:
@@ -910,7 +839,8 @@ class _Engine:
             if mem is not None:
                 self._issue_memory(nid, mem, now)
             elif emit is not NO_EMIT:
-                push_output(nid, emit, pushes)
+                pushes.append((nid, emit))
+                pending[nid] = pending.get(nid, 0) + 1
             fire_counts[nid_op[nid]] += 1
             if obs is not None:
                 self._tick_fired.append(
@@ -981,8 +911,10 @@ class _Engine:
             "seq": self._seq,
             "tokens": self.tokens,
             "mem_inflight": self.mem_inflight,
-            "active": set(self.active),
-            "emit_candidates": set(self.emit_candidates),
+            "active": set(compress(range(self._size), self.active)),
+            "emit_candidates": set(
+                compress(range(self._size), self.emit_candidates)
+            ),
             "stats": self.stats.state_dict(),
             "memsys": self.memsys.state_dict(),
             "frontend": self.frontend.state_dict(),
@@ -1003,7 +935,7 @@ class _Engine:
         freshly-built ones — their accumulated history is part of the
         machine state — and the aliases on the memory system and
         frontend are re-pointed accordingly. The plain-set ``active``/
-        ``emit_candidates`` entries rebuild the ordered lists.
+        ``emit_candidates`` entries refill the flag arrays.
         """
         for side, present in (
             ("faults", state["faults"] is not None),
@@ -1034,12 +966,13 @@ class _Engine:
         self._seq = state["seq"]
         self.tokens = state["tokens"]
         self.mem_inflight = state["mem_inflight"]
-        self.active = _OrderedIntSet(self._size)
-        for nid in state["active"]:
-            self.active.add(nid)
-        self.emit_candidates = _OrderedIntSet(self._size)
-        for nid in state["emit_candidates"]:
-            self.emit_candidates.add(nid)
+        for flags, awake in (
+            (self.active, state["active"]),
+            (self.emit_candidates, state["emit_candidates"]),
+        ):
+            flags[:] = bytes(self._size)
+            for nid in awake:
+                flags[nid] = 1
         self.pending_pushes.clear()
         self.stats.load_state_dict(state["stats"])
         # The restored firings dict is the complete pre-snapshot ledger

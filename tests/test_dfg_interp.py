@@ -90,6 +90,17 @@ def test_array_size_mismatch_rejected():
         run_dfg(dfg, params, {"x": [1]})
 
 
+def test_undeclared_array_name_rejected():
+    """A misspelt input must not run on zeros."""
+    kernel, params, arrays = zoo_instance("dot")
+    dfg = lower_kernel(kernel)
+    with pytest.raises(
+        DFGError, match=r"\['X'\] are not declared by kernel 'dot' "
+        r"\(declared: \['out', 'x', 'y'\]\)"
+    ):
+        run_dfg(dfg, params, {"X": arrays["x"], "y": arrays["y"]})
+
+
 def test_out_of_bounds_index_rejected():
     kernel, params, _ = zoo_instance("chase")
     dfg = lower_kernel(kernel)

@@ -64,8 +64,8 @@ class TestIntraTickFifoCapacity:
         # remaining slot is spoken for, so a second capacity check within
         # this tick must refuse. (Pre-fix, can_emit only saw committed
         # tokens and both checks would claim the same slot.)
-        pushes = []
-        engine.push_output(producer, 1, pushes)
+        pushes = [(producer, 1)]
+        engine.pending_pushes[producer] = 1
         assert not engine.can_emit(producer)
         # Committing the staged push lands exactly at capacity.
         engine.commit_pushes(pushes)
@@ -79,10 +79,8 @@ class TestIntraTickFifoCapacity:
         producer, queue = self._producer_consumer(engine)
         for _ in range(engine.capacity):
             queue.append(0)
-        pushes = []
-        engine.push_output(producer, 1, pushes)
         with pytest.raises(SimulationError, match="FIFO overflow"):
-            engine.commit_pushes(pushes)
+            engine.commit_pushes([(producer, 1)])
 
     @pytest.mark.parametrize("name", ["spmspv", "mergesort", "fft"])
     def test_capacity_invariant_across_workloads(self, name):

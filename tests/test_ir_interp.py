@@ -45,6 +45,17 @@ def test_wrong_array_length_raises():
         run_kernel(kernel, params, {"x": [1, 2]})
 
 
+def test_undeclared_array_name_raises():
+    """A misspelt input must not run on zeros."""
+    kernel, params, arrays = zoo_instance("dot")
+    arrays = {**arrays, "X": arrays["x"], "z": [0]}
+    with pytest.raises(
+        IRError, match=r"\['X', 'z'\] are not declared by kernel 'dot' "
+        r"\(declared: \['out', 'x', 'y'\]\)"
+    ):
+        run_kernel(kernel, params, arrays)
+
+
 def test_missing_arrays_zero_initialized():
     kernel, params, _ = zoo_instance("dot")
     out = run_kernel(kernel, params)

@@ -5,7 +5,12 @@ import pytest
 from repro.arch.fabric import monaco
 from repro.arch.params import ArchParams, SimParams
 from repro.core.policy import EFFCC
-from repro.errors import DeadlockError, DFGError, ReproError
+from repro.errors import (
+    DeadlockError,
+    DFGError,
+    ReproError,
+    SimulationError,
+)
 from repro.ir.interp import run_kernel
 from repro.pnr.flow import compile_once
 from repro.sim.engine import simulate
@@ -162,9 +167,9 @@ def test_frontend_name_recorded():
 
 
 class TestRuleCompileErrorsPrecedeCycleZero:
-    """Immediates and operators resolve when the engine is built, so a
-    bad launch fails before any cycle runs — in particular before the
-    every-cycle checkpoint below could write a snapshot."""
+    """Immediates, operators and array names resolve when the engine is
+    built, so a bad launch fails before any cycle runs — in particular
+    before the every-cycle checkpoint below could write a snapshot."""
 
     def _checkpoint(self, tmp_path):
         return CheckpointConfig(
@@ -176,6 +181,20 @@ class TestRuleCompileErrorsPrecedeCycleZero:
         with pytest.raises(DFGError, match=r"node \d+ .*unbound.*'n'"):
             simulate(
                 ck, {}, arrays, ARCH, checkpoint=self._checkpoint(tmp_path)
+            )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_undeclared_array_name(self, tmp_path):
+        """A misspelt input must not run on zeros."""
+        ck, params, arrays = compiled("dot")
+        arrays = {"X": arrays["x"], "y": arrays["y"]}
+        with pytest.raises(
+            SimulationError, match=r"\['X'\] are not declared by kernel "
+            r"'dot' \(declared: \['out', 'x', 'y'\]\)"
+        ):
+            simulate(
+                ck, params, arrays, ARCH,
+                checkpoint=self._checkpoint(tmp_path),
             )
         assert list(tmp_path.iterdir()) == []
 
