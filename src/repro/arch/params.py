@@ -132,13 +132,6 @@ class SimParams:
     deadlock_cycles: int = 50_000
     #: Absolute cycle budget (safety net).
     max_cycles: int = 200_000_000
-    #: Event-driven cycle skipping: when the whole machine is quiescent
-    #: (no bank traffic, frontend idle, no ready fabric node), jump the
-    #: system clock straight to the next interesting cycle instead of
-    #: ticking through idle memory-latency and clock-divider gaps.
-    #: Results are bit-identical either way; this knob exists so the
-    #: equivalence can be asserted (and the per-cycle loop A/B-tested).
-    cycle_skip: bool = True
     #: Cycle-attribution tracing (see :mod:`repro.obs`). Off by default:
     #: with ``trace=False`` the engine publishes nothing and stats are
     #: bit-identical to a build without the observability layer.

@@ -133,11 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--energy", action="store_true", help="print the energy estimate"
     )
     p_run.add_argument(
-        "--no-cycle-skip", action="store_true",
-        help="disable the event-driven cycle-skipping scheduler "
-        "(results are bit-identical either way; this is the A/B knob)",
-    )
-    p_run.add_argument(
         "--stats-json", default=None, metavar="PATH",
         help="also write the run's SimStats as machine-readable JSON",
     )
@@ -537,7 +532,6 @@ def cmd_run(args) -> int:
     spec = _spec_from_args(
         args,
         profile_guided=args.profile_guided,
-        cycle_skip=not args.no_cycle_skip,
         checkpoint_path=checkpoint_path,
         checkpoint_every=args.checkpoint_every,
     )

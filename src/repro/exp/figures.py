@@ -109,8 +109,8 @@ def fig_stalls(
         result.rows[name] = {kind: fractions[kind] for kind in kinds}
         result.raw[name] = {"cycles": float(run.cycles)}
     result.notes.append(
-        "rows sum to 1.0; divider-gap/skipped are global machine states, "
-        "the rest attribute executed fabric ticks per node "
+        "rows sum to 1.0; divider-gap is a global machine state, "
+        "the rest attribute fabric ticks per node "
         "(repro profile <workload> breaks these down per node/PE)"
     )
     return result

@@ -8,7 +8,7 @@ loop over bound methods — no ``hasattr`` in the hot path. The engine
 publishes one :meth:`EventBus.tick` record per executed fabric tick,
 never one event per firing, token or node.
 
-Stall taxonomy (per DFG node, per executed fabric tick):
+Stall taxonomy (per DFG node, per fabric tick):
 
 ``fire``
     the node committed a firing (including a load emitting its response).
@@ -27,16 +27,16 @@ Stall taxonomy (per DFG node, per executed fabric tick):
     the response has not completed the round-trip yet (the paper's
     critical-load stall) or the ``max_outstanding`` issue queue is full.
 ``divider-gap``
-    executed system cycles between fabric ticks (global, applies to all
-    nodes equally — the fabric clock simply is not edging).
-``skipped``
-    system cycles the event-driven scheduler jumped over as provably
-    quiescent; synthesized coarsely as one span event per jump.
+    system cycles between fabric ticks (global, applies to all nodes
+    equally — the fabric clock simply is not edging).
+
+Cycles the scheduler jumps over while the fabric sleeps are booked as if
+executed (``CycleAttribution.on_skip``): the taxonomy is of the machine.
 """
 
 from __future__ import annotations
 
-#: Classification of a node firing (not a stall, but the seventh bucket
+#: Classification of a node firing (not a stall, but the sixth bucket
 #: every attributed fabric tick falls into).
 FIRE = "fire"
 
@@ -47,10 +47,9 @@ STALL_KINDS = (
     "fifo-full",
     "memory-outstanding",
     "divider-gap",
-    "skipped",
 )
 
-#: Buckets a single executed fabric tick can put one node into.
+#: Buckets a single fabric tick can put one node into.
 TICK_KINDS = (FIRE,) + STALL_KINDS[:4]
 
 #: publisher method name -> sink hook name.

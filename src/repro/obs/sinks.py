@@ -26,32 +26,34 @@ def _node_label(node) -> str:
 class CycleAttribution:
     """Per-node / per-PE cycle accounting over the stall taxonomy.
 
-    Every executed fabric tick attributes exactly one system cycle per
-    node to one of :data:`~repro.obs.events.TICK_KINDS`; executed cycles
-    between fabric ticks land in the global ``divider_gap`` bucket and
-    scheduler jumps in ``skipped``. For every node::
+    Every fabric tick attributes exactly one system cycle per node to
+    one of :data:`~repro.obs.events.TICK_KINDS`; system cycles between
+    fabric ticks land in the global ``divider_gap`` bucket. For every
+    node::
 
-        sum(per_node[nid].values()) + divider_gap + skipped
-            == executed_cycles + skipped_cycles == system_cycles + 1
+        sum(per_node[nid].values()) + divider_gap == system_cycles + 1
 
     (the +1 is the final quiescence-check cycle, which is executed but
     does not advance the clock). A node's bucket is held as an open run
     and booked into ``per_node`` when the bucket changes and at finish,
-    so the cost is per change, not per node per tick.
+    so the cost is per change, not per node per tick. The scheduler
+    jumps only while the fabric sleeps and no bucket can change, so a
+    jump just lengthens the open runs by the fabric ticks it spans.
     """
 
     TAKES_BUCKETS = True
 
-    def __init__(self, node_info: dict[int, tuple]):
+    def __init__(self, node_info: dict[int, tuple], divider: int):
         #: nid -> (label, criticality, pe coord, op).
         self.node_info = node_info
+        #: Fabric clock divider: which cycles of a jumped span are ticks.
+        self.divider = divider
         self.per_node: dict[int, Counter] = {
             nid: Counter() for nid in node_info
         }
         #: nid -> (bucket, tick index it was entered at): the open runs.
         self._open: dict[int, tuple[str, int]] = {}
         self.divider_gap = 0
-        self.skipped = 0
         self.ticks = 0
         self.counters: Counter = Counter()
 
@@ -61,7 +63,9 @@ class CycleAttribution:
         self.divider_gap += 1
 
     def on_skip(self, now: int, target: int) -> None:
-        self.skipped += target - now
+        ticks = (target - 1) // self.divider - (now - 1) // self.divider
+        self.ticks += ticks
+        self.divider_gap += target - now - ticks
 
     def on_tick(self, now: int, emitted, fired, changes, pushes) -> None:
         tick = self.ticks
@@ -85,18 +89,15 @@ class CycleAttribution:
 
     def node_total(self, nid: int) -> int:
         """Cycles attributed to ``nid`` (identical for every node)."""
-        return (
-            sum(self.per_node[nid].values()) + self.divider_gap + self.skipped
-        )
+        return sum(self.per_node[nid].values()) + self.divider_gap
 
     def aggregate(self) -> Counter:
-        """Machine-wide node-cycles per bucket (gap/skip once per node)."""
+        """Machine-wide node-cycles per bucket (the gap once per node)."""
         total: Counter = Counter()
         for counts in self.per_node.values():
             total.update(counts)
         n = len(self.per_node)
         total["divider-gap"] = self.divider_gap * n
-        total["skipped"] = self.skipped * n
         return total
 
     def fractions(self) -> dict[str, float]:
@@ -176,7 +177,7 @@ class CycleAttribution:
         """
         width = 11
         lines = ["per-node cycle attribution (system cycles):"]
-        if not self.ticks and not self.divider_gap and not self.skipped:
+        if not self.ticks and not self.divider_gap:
             lines.append("  (no events recorded)")
             return "\n".join(lines)
         lines.append(
@@ -207,13 +208,13 @@ class CycleAttribution:
             lines.append(f"  ... {len(ranked) - top} more node(s)")
         lines.append(
             f"  global: divider-gap={self.divider_gap} "
-            f"skipped={self.skipped} fabric-ticks={self.ticks}"
+            f"fabric-ticks={self.ticks}"
         )
         if self.per_node:
             nid = next(iter(self.per_node))
             lines.append(
                 f"  attributed per node: {self.node_total(nid)} cycles "
-                "(= executed + skipped = system_cycles + 1)"
+                "(= system_cycles + 1)"
             )
         for name in sorted(self.counters):
             lines.append(f"  counter {name} = {self.counters[name]}")
@@ -324,9 +325,10 @@ class ChromeTraceSink:
     """Chrome ``trace_event`` JSON (load it in Perfetto).
 
     Tracks: pid 0 = fabric (one thread per DFG node, firings as complete
-    events + a per-tick stall counter), pid 1 = memory (per-node request
-    lifecycles, per-bank service slices), pid 2 = scheduler (cycle-skip
-    spans). Timestamps are system cycles.
+    events + a stall counter sampled when it moves), pid 1 = memory
+    (per-node request lifecycles, per-bank service slices), pid 2 =
+    scheduler (cycle-skip spans: the one lane that depends on which
+    cycles the simulator executed). Timestamps are system cycles.
     """
 
     TAKES_BUCKETS = True
@@ -341,10 +343,11 @@ class ChromeTraceSink:
         self.node_info = node_info
         self.bank_of = bank_of  # address -> bank index, or None
         self.events: list[dict] = []
-        #: Each node's current bucket and the running nodes-per-bucket
-        #: histogram the per-tick ``stalls`` counter snapshots.
+        #: Each node's current bucket, the running nodes-per-bucket
+        #: histogram, and its last sample on the ``stalls`` counter track.
         self._bucket: dict[int, str] = {}
         self._stalls: dict[str, int] = dict.fromkeys(TICK_KINDS, 0)
+        self._sampled: dict[str, int] | None = None
 
     # -- hooks ------------------------------------------------------------
 
@@ -393,16 +396,21 @@ class ChromeTraceSink:
                 stalls[was] -= 1
             stalls[kind] += 1
             self._bucket[nid] = kind
-        append(
-            {
-                "name": "stalls",
-                "ph": "C",
-                "ts": now,
-                "pid": 0,
-                "tid": 0,
-                "args": dict(stalls),
-            }
-        )
+        if changes and stalls != self._sampled:
+            # A counter track holds its value until the next sample, so
+            # a tick that moves no node between buckets adds none — and
+            # the timeline does not depend on which ticks were executed.
+            self._sampled = dict(stalls)
+            append(
+                {
+                    "name": "stalls",
+                    "ph": "C",
+                    "ts": now,
+                    "pid": 0,
+                    "tid": 0,
+                    "args": self._sampled,
+                }
+            )
 
     def on_mem_service(self, now: int, record) -> None:
         if self.bank_of is None:
@@ -536,7 +544,7 @@ def make_observation(
     obs = Observation()
     info = node_info_of(compiled) if trace or chrome else None
     if trace:
-        obs.attribution = CycleAttribution(info)
+        obs.attribution = CycleAttribution(info, divider)
         obs.attach(obs.attribution)
         fanout = {
             src: tuple(dst for dst, _port in sinks)

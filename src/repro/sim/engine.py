@@ -459,7 +459,6 @@ class _Engine:
     def run(self) -> SimStats:
         max_cycles = self.arch.sim.max_cycles
         deadlock_after = self.arch.sim.deadlock_cycles
-        cycle_skip = self.arch.sim.cycle_skip
         divider = self.divider
         stats = self.stats
         memsys = self.memsys
@@ -469,6 +468,8 @@ class _Engine:
         # cycle on the (common) idle-completions path.
         completions = memsys._completions
         arrivals = self.arrivals
+        active = self.active
+        emit_candidates = self.emit_candidates
         frontend_tick = self.frontend.tick
         enqueue = memsys.enqueue
 
@@ -508,7 +509,7 @@ class _Engine:
                     # Arrival-side latency ledger (fault-dropped replies
                     # never reach this point, so they never contribute).
                     memsys.stats.record_arrival(record, now)
-                self.emit_candidates[record.nid] = 1
+                emit_candidates[record.nid] = 1
                 progressed = True
             if frontend_tick(now, deliver):
                 # Requests advancing through the fabric-memory network
@@ -529,15 +530,18 @@ class _Engine:
             if now > max_cycles:
                 raise SimulationError("simulation exceeded max_cycles")
             now += 1
-            if cycle_skip:
+            if (
+                not progressed
+                and 1 not in active
+                and 1 not in emit_candidates
+            ):
+                # The fabric sleeps: no state and no stall bucket changes
+                # before memory, the frontend or an arrival wakes it.
                 target = self._skip_target(
                     now, self.last_event, deadlock_after, max_cycles
                 )
                 if target > now:
                     if obs is not None:
-                        # Coarse synthesis: the whole quiescent span is
-                        # one "skipped" event (nothing happened in it by
-                        # construction, so no finer events exist).
                         obs.skip(now, target)
                     stats.skipped_cycles += target - now
                     now = target
@@ -555,14 +559,15 @@ class _Engine:
     def _skip_target(
         self, now: int, last_event: int, deadlock_after: int, max_cycles: int
     ) -> int:
-        """Earliest cycle >= ``now`` at which anything can happen.
+        """Earliest cycle >= ``now`` at which a sleeping fabric can wake.
 
-        Every component contributes a ``next_event`` hint; in the gap up
-        to the minimum of those hints the machine is provably quiescent,
-        so executing the skipped cycles would change nothing — results
-        are bit-identical with skipping on or off. The jump is clamped so
-        the deadlock detector and the ``max_cycles`` safety net still
-        trip at exactly the cycle the per-cycle loop would have raised.
+        ``run`` asks only after a cycle that made no progress and left
+        both flag arrays clear, so no PE acts before memory, the frontend
+        or an arrival hands it something. Each contributes a
+        ``next_event`` hint; up to their minimum the machine is provably
+        quiescent (docs/INTERNALS.md, Sec. 5). The jump is clamped so the
+        deadlock detector and the ``max_cycles`` safety net still trip at
+        exactly the cycle the per-cycle loop would have raised.
         """
         # Start from the clamps (where the per-cycle loop would diagnose
         # the deadlock, and the ``max_cycles`` net), then take the
@@ -581,13 +586,6 @@ class _Engine:
             nxt = now if self.frontend.busy() else None
         if nxt is not None and nxt < target:
             target = nxt
-        if 1 in self.active or 1 in self.emit_candidates:
-            # A node may be ready (or retry a blocked emit) at the next
-            # fabric tick; idle PEs wake only via the sources above.
-            divider = self.divider
-            nxt = ((now + divider - 1) // divider) * divider
-            if nxt < target:
-                target = nxt
         return max(now, target)
 
     def _finished(self, now: int) -> bool:

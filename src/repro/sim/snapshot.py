@@ -57,8 +57,10 @@ SNAPSHOT_MAGIC = "repro-sim-snapshot"
 #: Bump on any change to the engine state layout — resuming across
 #: versions is refused rather than silently mis-restored. The sinks are
 #: pickled whole, so their layout counts: 2 = sinks that hold open stall
-#: runs, a running histogram and per-producer push counts.
-SNAPSHOT_VERSION = 2
+#: runs, a running histogram and per-producer push counts; 3 = an
+#: attribution sink that books scheduler jumps into the open runs (no
+#: ``skipped`` bucket), and ``SimParams`` one field shorter.
+SNAPSHOT_VERSION = 3
 
 #: Wall-budget deadlines consult ``time.monotonic`` only once per this
 #: many boundaries, so an armed checkpointer costs one attribute test

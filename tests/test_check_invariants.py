@@ -33,7 +33,6 @@ from kernels import dot_kernel
 FABRIC = monaco(12, 12)
 PLAIN = ArchParams()
 CHECKED = ArchParams(sim=SimParams(check=True))
-CHECKED_NOSKIP = ArchParams(sim=SimParams(check=True, cycle_skip=False))
 
 _COMPILED: dict[str, object] = {}
 
@@ -60,18 +59,18 @@ def _run(name, arch):
 
 
 @pytest.mark.parametrize("name", ALL_WORKLOADS)
-def test_checked_run_is_bit_identical_and_skip_invariant(name):
-    """Every workload passes every invariant, skip on and off, and the
-
-    checker perturbs nothing: stats and memory equal the unchecked run.
-    """
+def test_checked_run_is_bit_identical_and_skip_invariant(name, request):
+    """Every workload passes every invariant, under the skipping
+    scheduler and the per-cycle loop, and the checker perturbs nothing:
+    stats and memory equal the unchecked run."""
     plain = _run(name, PLAIN)
     checked = _run(name, CHECKED)
-    checked_noskip = _run(name, CHECKED_NOSKIP)
+    request.getfixturevalue("per_cycle_loop")
+    checked_noskip = _run(name, CHECKED)
     assert checked.stats == plain.stats
     assert checked.memory == plain.memory
     # SimStats equality already excludes executed/skipped by design;
-    # pin the invariant ledger across the scheduler A/B explicitly.
+    # pin the invariant ledger across the two loops explicitly.
     assert checked_noskip.stats == checked.stats
     assert checked_noskip.memory == checked.memory
     assert checked_noskip.stats.skipped_cycles == 0

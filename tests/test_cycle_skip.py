@@ -1,138 +1,183 @@
-"""Event-driven cycle skipping must be bit-identical to the per-cycle loop.
+"""The scheduler is invisible: skipping == the per-cycle reference loop.
 
-The scheduler (``repro/sim/engine.py``) jumps the system clock over
-provably-idle gaps (memory latency, clock-divider dead cycles). These
-tests pin the skip-safety contract: identical ``system_cycles``, identical
-``SimStats`` (``executed_cycles``/``skipped_cycles`` are excluded from
-dataclass equality by design), identical final memory — across all 13
-Table 1 workloads and all three frontend families.
+The engine (``repro/sim/engine.py``) jumps the system clock over spans in
+which the fabric sleeps waiting on memory. There is no option for it;
+the per-cycle loop it replaces is the ``per_cycle_loop`` fixture
+(``tests/conftest.py``). This module is the identity test: on every
+Table 1 workload, on all three frontend families, clean and
+fault-injected, at the default memory system and at a latency-bound one,
+with every probe attached and the invariant checker armed, the two loops
+agree on ``SimStats`` (``executed_cycles`` / ``skipped_cycles`` are
+excluded from dataclass equality by design), on final memory and on
+every probe output — the Chrome timeline minus its scheduler lane, which
+is telemetry of the simulator. It also holds the scheduler to what it is
+for: a latency-bound run executes at most a quarter of its cycles.
 """
+
+from itertools import product
 
 import pytest
 
-from repro.arch.fabric import monaco
-from repro.arch.params import ArchParams, SimParams
+# The session's tiny seed-0 artifacts, fault mix, machine configurations
+# and probe digests of the two pinned-digest modules.
+from test_engine_hot import FABRIC, FAULTS, compiled_for
+from test_obs_pins import CONFIGS, obs_digests
+
+from repro.arch.params import ArchParams, MemoryParams, SimParams
 from repro.core.policy import EFFCC
-from repro.errors import DeadlockError, SimulationError
+from repro.errors import DeadlockError, SimulationError, SimulationPreempted
+from repro.exp.runner import PAPER_DIVIDER
 from repro.pnr.flow import compile_once
 from repro.sim.engine import simulate
+from repro.sim.snapshot import CheckpointConfig
 from repro.sim.upea import NumaFrontend, UniformFrontend
-from repro.workloads.registry import ALL_WORKLOADS, make_workload
+from repro.workloads.registry import ALL_WORKLOADS
 
 from kernels import zoo_instance
 
-FABRIC = monaco(12, 12)
-SKIP_ON = ArchParams(sim=SimParams(cycle_skip=True))
-SKIP_OFF = ArchParams(sim=SimParams(cycle_skip=False))
+#: No cache, slow main memory: the regime the scheduler pays in.
+LATENCY_BOUND = MemoryParams(cache_lines=0, memory_cycles=256)
+MEMORIES = {"default": MemoryParams(), "latency-bound": LATENCY_BOUND}
+FAULT_MIXES = {"clean": None, "faults": FAULTS}
 
 FRONTENDS = {
-    "monaco": None,  # engine default
+    "monaco": None,  # the machine configuration's own
     "upea": lambda fabric, amap: UniformFrontend(4),
     "numa": lambda fabric, amap: NumaFrontend(4, fabric, amap, seed=0),
 }
 
 
-def _compile(instance):
-    return compile_once(
-        instance.kernel, FABRIC, ArchParams(), EFFCC, parallelism=1
+def _simulate(
+    name, config="monaco", memory="default", sim=None, frontend_factory=None,
+    **kwargs,
+):
+    instance, compiled = compiled_for(name)
+    arrays = {key: list(data) for key, data in instance.arrays.items()}
+    arch = ArchParams(memory=MEMORIES[memory], sim=SimParams(**(sim or {})))
+    return simulate(
+        compiled, instance.params, arrays, arch,
+        frontend_factory=frontend_factory
+        or CONFIGS[config].frontend_factory(PAPER_DIVIDER),
+        divider=PAPER_DIVIDER,
+        **kwargs,
     )
 
 
-def _run(compiled, instance, arch, frontend):
-    kwargs = {}
-    if FRONTENDS[frontend] is not None:
-        kwargs["frontend_factory"] = FRONTENDS[frontend]
-    arrays = {name: list(data) for name, data in instance.arrays.items()}
-    return simulate(compiled, instance.params, arrays, arch, **kwargs)
+def _probed(name, config, memory, faults, tmp_path, **kwargs):
+    """One run with every probe attached and the checker armed."""
+    sim = dict(
+        trace=True, critpath=True, check=True, faults=FAULT_MIXES[faults],
+        trace_path=str(tmp_path / "trace.json"),
+    )
+    return _simulate(name, config, memory, sim=sim, **kwargs)
+
+
+def _reported(result) -> tuple:
+    """Everything a run reports, in comparable form."""
+    return result.stats, result.memory, obs_digests(result.obs)
+
+
+def _split(stats) -> tuple[int, int]:
+    return stats.executed_cycles, stats.skipped_cycles
 
 
 @pytest.mark.parametrize("name", ALL_WORKLOADS)
-def test_skip_bit_identical_all_workloads(name):
-    """Acceptance: identical cycles/stats on every Table 1 workload."""
-    instance = make_workload(name, scale="tiny")
-    compiled = _compile(instance)
-    on = _run(compiled, instance, SKIP_ON, "monaco")
-    off = _run(compiled, instance, SKIP_OFF, "monaco")
-    assert on.stats.system_cycles == off.stats.system_cycles
-    assert on.stats == off.stats  # full SimStats equality, incl. memstats
-    assert on.memory == off.memory
-    assert on.stats.executed_cycles < off.stats.executed_cycles
-    assert on.stats.skipped_cycles > 0
-    assert (
-        on.stats.executed_cycles + on.stats.skipped_cycles
-        == off.stats.executed_cycles
-    )
+def test_skip_bit_identical_all_workloads(name, tmp_path, request):
+    points = list(product(CONFIGS, MEMORIES, FAULT_MIXES))
+    skipping = [_reported(_probed(name, *point, tmp_path)) for point in points]
+    request.getfixturevalue("per_cycle_loop")
+    for point, (stats, memory, digests) in zip(points, skipping):
+        loop_stats, loop_memory, loop_digests = _reported(
+            _probed(name, *point, tmp_path)
+        )
+        assert stats == loop_stats, point
+        assert memory == loop_memory, point
+        assert digests == loop_digests, point
+        executed, skipped = _split(stats)
+        # The loop runs cycles 0..system_cycles inclusive.
+        assert _split(loop_stats) == (stats.system_cycles + 1, 0), point
+        assert executed + skipped == stats.system_cycles + 1, point
+        if point[1] == "latency-bound":
+            assert skipped > 0 and executed < loop_stats.executed_cycles
 
 
 @pytest.mark.parametrize("frontend", sorted(FRONTENDS))
 @pytest.mark.parametrize("name", ["spmspv", "fft", "mergesort"])
-def test_skip_bit_identical_across_frontends(name, frontend):
-    """Determinism holds for monaco, upea, and numa frontends alike."""
-    instance = make_workload(name, scale="tiny")
-    compiled = _compile(instance)
-    on = _run(compiled, instance, SKIP_ON, frontend)
-    off = _run(compiled, instance, SKIP_OFF, frontend)
+def test_skip_bit_identical_across_frontends(name, frontend, request):
+    """The plain path (no probe, no checker) on hand-built frontends."""
+    on = _simulate(name, frontend_factory=FRONTENDS[frontend])
+    request.getfixturevalue("per_cycle_loop")
+    off = _simulate(name, frontend_factory=FRONTENDS[frontend])
     assert on.stats.system_cycles == off.stats.system_cycles
     assert on.stats == off.stats
     assert on.memory == off.memory
 
 
+@pytest.mark.parametrize("config", ["monaco", "upea2"])
+@pytest.mark.parametrize("name", ["spmspv", "fft"])
+def test_latency_bound_run_executes_a_quarter_at_most(name, config):
+    """The scheduler's reason to exist, as a count no host can move
+    (measured 0.05-0.09): a fabric asleep on 256-cycle memory is not
+    ticked through. The split itself is deterministic."""
+    first, again = (
+        _simulate(name, config, "latency-bound").stats for _ in range(2)
+    )
+    assert first.executed_cycles <= 0.25 * (first.system_cycles + 1)
+    assert _split(first) == _split(again)
+
+
 def test_skip_enabled_by_default():
-    assert ArchParams().sim.cycle_skip is True
-    kernel, params, arrays = zoo_instance("dot")
+    """A run nobody configured skips: there is nothing to turn on."""
+    kernel, params, arrays = zoo_instance("chase")
     ck = compile_once(kernel, FABRIC, ArchParams(), EFFCC, parallelism=1)
-    res = simulate(ck, params, arrays, ArchParams())
-    assert res.stats.skipped_cycles > 0
+    assert simulate(ck, params, arrays).stats.skipped_cycles > 0
 
 
-def test_skip_off_executes_every_cycle():
+def test_skip_off_executes_every_cycle(per_cycle_loop):
     kernel, params, arrays = zoo_instance("dot")
     ck = compile_once(kernel, FABRIC, ArchParams(), EFFCC, parallelism=1)
-    res = simulate(ck, params, arrays, SKIP_OFF)
+    res = simulate(ck, params, arrays)
     assert res.stats.skipped_cycles == 0
-    # The loop runs cycles 0..system_cycles inclusive.
     assert res.stats.executed_cycles == res.stats.system_cycles + 1
 
 
-def test_skip_jumps_over_upea_delay():
+def test_skip_jumps_over_upea_delay(request):
     """A fixed-delay pipe is the canonical skippable gap."""
     kernel, params, arrays = zoo_instance("chase")
     ck = compile_once(kernel, FABRIC, ArchParams(), EFFCC, parallelism=1)
-    results = {}
-    for arch in (SKIP_ON, SKIP_OFF):
-        results[arch.sim.cycle_skip] = simulate(
-            ck, params, dict(arrays), arch,
+
+    def run():
+        return simulate(
+            ck, params, dict(arrays),
             frontend_factory=lambda f, a: UniformFrontend(40),
-        )
-    assert (
-        results[True].stats.system_cycles
-        == results[False].stats.system_cycles
-    )
+        ).stats
+
+    on = run()
+    request.getfixturevalue("per_cycle_loop")
+    off = run()
+    assert on.system_cycles == off.system_cycles
     # The pointer chase idles through each 40-cycle pipe delay; skipping
     # must elide the bulk of the simulated cycles.
-    assert (
-        results[True].stats.executed_cycles
-        < results[False].stats.executed_cycles / 2
-    )
+    assert on.executed_cycles < off.executed_cycles / 2
 
 
-def test_skip_preserves_deadlock_diagnosis():
-    """The detector trips at the same cycle with skipping on or off."""
+def test_skip_preserves_deadlock_diagnosis(request):
+    """The detector trips at the same cycle under either loop."""
     from repro.dfg.graph import PortRef
 
-    errors = {}
-    for cycle_skip in (True, False):
+    def diagnosis():
         kernel, params, arrays = zoo_instance("join")
         ck = compile_once(kernel, FABRIC, ArchParams(), EFFCC, parallelism=1)
         victim = next(n for n in ck.dfg.nodes.values() if n.op == "binop")
         victim.inputs[0] = PortRef(victim.nid)
-        arch = ArchParams(
-            sim=SimParams(deadlock_cycles=2_000, cycle_skip=cycle_skip)
-        )
+        arch = ArchParams(sim=SimParams(deadlock_cycles=2_000))
         with pytest.raises(DeadlockError) as excinfo:
             simulate(ck, params, arrays, arch)
-        errors[cycle_skip] = str(excinfo.value)
-    assert errors[True] == errors[False]
+        return str(excinfo.value)
+
+    skipping = diagnosis()
+    request.getfixturevalue("per_cycle_loop")
+    assert skipping == diagnosis()
 
 
 def test_skip_preserves_max_cycles_guard():
@@ -143,10 +188,35 @@ def test_skip_preserves_max_cycles_guard():
         simulate(ck, params, arrays, arch)
 
 
+def test_snapshot_after_a_jump_resumes_to_the_same_report(tmp_path):
+    """A cycle budget that runs out on the cycle the scheduler jumps
+    from snapshots the machine at the far end of the span, the span
+    already booked into the sinks' open runs; the resumed run reports
+    what the uninterrupted one does."""
+    point = ("spmspv", "monaco", "latency-bound", "clean", tmp_path)
+    full = _probed(*point)
+    jumps = [event for event in full.obs.chrome.events if event["pid"] == 2]
+    longest = max(jumps, key=lambda event: event["dur"])
+    # Cycles executed when the longest jump is taken: every cycle before
+    # it that no earlier jump covered.
+    budget = longest["ts"] - sum(
+        event["dur"] for event in jumps if event["ts"] < longest["ts"]
+    )
+    path = str(tmp_path / "jump.snap")
+    with pytest.raises(SimulationPreempted):
+        _probed(
+            *point, checkpoint=CheckpointConfig(path=path, cycle_budget=budget)
+        )
+    resumed = _probed(*point, resume_from=path)
+    assert resumed.resume_info["executed_before"] == budget
+    assert resumed.resume_info["from_cycle"] == longest["ts"] + longest["dur"]
+    assert _reported(resumed) == _reported(full)
+    assert _split(resumed.stats) == _split(full.stats)
+
+
 def test_frontends_expose_next_event_hints():
     """Idle components report None; busy ones report a concrete cycle."""
     from repro.arch.memory import AddressMap
-    from repro.arch.params import MemoryParams
     from repro.sim.memsys import MemorySystem
 
     fe = UniformFrontend(7)

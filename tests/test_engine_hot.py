@@ -11,8 +11,9 @@ Three layers of evidence (plus a mid-run checkpoint round trip):
 1. **Pinned digests** (``tests/data/engine_hot_digests.json``): the
    stable stats+memory digest of every Table 1 workload at tiny scale,
    captured on the pre-PR engine, for a clean run and a fault-injected
-   run. Every (skip, trace, check, critpath, faults) variant the engine
-   supports must still land on those exact digests. Regenerate — only
+   run. Every (trace, check, critpath, faults) variant the engine
+   supports, and the per-cycle reference loop, must still land on those
+   exact digests. Regenerate — only
    after an *intentional* semantic change — with::
 
        PYTHONPATH=src:tests:. python tests/test_engine_hot.py --regen
@@ -62,15 +63,16 @@ FAULTS = FaultParams(
     grant_skip_prob=0.1,
 )
 
-#: (variant name, SimParams kwargs, pinned-digest key).
+#: (variant name, SimParams kwargs, pinned-digest key). A ``noskip``
+#: variant runs under the ``per_cycle_loop`` fixture.
 VARIANTS = [
-    ("skip", dict(cycle_skip=True), "clean"),
-    ("noskip", dict(cycle_skip=False), "clean"),
-    ("trace", dict(cycle_skip=True, trace=True), "clean"),
-    ("check", dict(cycle_skip=True, check=True), "clean"),
-    ("critpath", dict(cycle_skip=True, critpath=True), "clean"),
-    ("faults", dict(cycle_skip=True, faults=FAULTS), "faults"),
-    ("faults-noskip", dict(cycle_skip=False, faults=FAULTS), "faults"),
+    ("skip", {}, "clean"),
+    ("noskip", {}, "clean"),
+    ("trace", dict(trace=True), "clean"),
+    ("check", dict(check=True), "clean"),
+    ("critpath", dict(critpath=True), "clean"),
+    ("faults", dict(faults=FAULTS), "faults"),
+    ("faults-noskip", dict(faults=FAULTS), "faults"),
 ]
 
 _COMPILED: dict[str, object] = {}
@@ -110,7 +112,9 @@ def pinned() -> dict:
 
 @pytest.mark.parametrize("variant,sim_kwargs,key", VARIANTS)
 @pytest.mark.parametrize("name", ALL_WORKLOADS)
-def test_digest_matches_pre_pr(name, variant, sim_kwargs, key):
+def test_digest_matches_pre_pr(name, variant, sim_kwargs, key, request):
+    if variant.endswith("noskip"):
+        request.getfixturevalue("per_cycle_loop")
     result = run_variant(name, sim_kwargs)
     assert digest_of(result) == pinned()[name][key], (
         f"{name} [{variant}] diverged from the pinned pre-PR digest — "
@@ -147,7 +151,7 @@ class _DrivenScheduler:
                 "run",
                 lambda engine: captured.append(engine) or engine.stats,
             )
-            run_variant("ic", dict(cycle_skip=True))
+            run_variant("ic", {})
         self.engine = engine = captured[0]
         self.nids = sorted(engine.dfg.nodes)
         self.live = set(self.nids)  # every node starts awake
@@ -282,7 +286,7 @@ def python_calls_per_firing(name: str, monkeypatch) -> tuple[int, int]:
 
     with monkeypatch.context() as patch:
         patch.setattr(_Engine, "run", profiled_run)
-        result = run_variant(name, dict(cycle_skip=True))
+        result = run_variant(name, {})
     return calls, sum(result.stats.firings.values())
 
 
@@ -313,7 +317,7 @@ def test_state_dict_roundtrip_mid_run_new_layout():
     instance, compiled = compiled_for(SNAP_WORKLOAD)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "mid.snap")
-        arch = ArchParams(sim=SimParams(cycle_skip=True))
+        arch = ArchParams()
         arrays = {k: list(v) for k, v in instance.arrays.items()}
         from repro.errors import SimulationPreempted
 
@@ -343,10 +347,8 @@ def _regen() -> None:
     DATA_DIR.mkdir(exist_ok=True)
     digests: dict[str, dict[str, str]] = {}
     for name in ALL_WORKLOADS:
-        clean = digest_of(run_variant(name, dict(cycle_skip=True)))
-        faulty = digest_of(
-            run_variant(name, dict(cycle_skip=True, faults=FAULTS))
-        )
+        clean = digest_of(run_variant(name, {}))
+        faulty = digest_of(run_variant(name, dict(faults=FAULTS)))
         digests[name] = {"clean": clean, "faults": faulty}
         print(f"{name:12s} clean={clean} faults={faulty}")
     DIGEST_PATH.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")

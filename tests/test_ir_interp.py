@@ -142,18 +142,11 @@ def test_par_blocks_do_not_share_scalars():
 
 
 def test_iteration_safety_limit():
-    import repro.ir.interp as interp_mod
-
     b = KernelBuilder("forever")
     out = b.array("out", 1)
     i = b.let("i", 0)
     with b.while_(i < 10):
         b.set(i, i * 1)  # never advances
     out.store(0, i)
-    old = interp_mod.MAX_LOOP_ITERATIONS
-    interp_mod.MAX_LOOP_ITERATIONS = 1000
-    try:
-        with pytest.raises(IRError, match="safety limit"):
-            run_kernel(b.build())
-    finally:
-        interp_mod.MAX_LOOP_ITERATIONS = old
+    with pytest.raises(IRError, match="safety limit"):
+        run_kernel(b.build(), max_iterations=1000)

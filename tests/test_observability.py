@@ -35,10 +35,8 @@ WORKLOAD = "spmspv"
 SCALE = "tiny"
 
 
-def _traced_arch(trace=True, trace_path=None, cycle_skip=True):
-    return ArchParams(
-        sim=SimParams(trace=trace, trace_path=trace_path, cycle_skip=cycle_skip)
-    )
+def _traced_arch(trace=True, trace_path=None):
+    return ArchParams(sim=SimParams(trace=trace, trace_path=trace_path))
 
 
 def _compile(arch):
@@ -67,9 +65,9 @@ class TestZeroOverheadOff:
         assert on.cycles == off.cycles
         assert on.stats == off.stats
 
-    def test_stats_bit_identical_without_cycle_skip(self):
-        off = _run(ArchParams(sim=SimParams(cycle_skip=False)))
-        on = _run(_traced_arch(cycle_skip=False))
+    def test_stats_bit_identical_without_cycle_skip(self, per_cycle_loop):
+        off = _run(ArchParams())
+        on = _run(_traced_arch())
         assert on.stats == off.stats
 
 
@@ -103,17 +101,18 @@ class TestAttribution:
     def test_render_mentions_stall_columns(self, traced):
         text = traced.obs.attribution.render(top=5)
         assert "fire" in text and "op-wait" in text
-        assert "divider-gap" in text and "skipped" in text
+        assert "divider-gap" in text and "skipped" not in text
 
-    def test_skip_on_off_attribution_identical(self):
-        on = _run(_traced_arch(cycle_skip=True))
-        off = _run(_traced_arch(cycle_skip=False))
-        a, b = on.obs.attribution, off.obs.attribution
+    def test_skip_on_off_attribution_identical(self, traced, request):
+        request.getfixturevalue("per_cycle_loop")
+        off = _run(_traced_arch())
+        assert off.stats.skipped_cycles == 0
+        a, b = traced.obs.attribution, off.obs.attribution
         assert a.per_node == b.per_node
-        # Skipped cycles become executed divider-gap cycles when the
-        # scheduler never jumps; their sum is invariant.
-        assert a.divider_gap + a.skipped == b.divider_gap + b.skipped
-        assert b.skipped == 0
+        # A jump books its fabric ticks into the open runs and the rest
+        # into the gap, exactly as executing the span would have.
+        assert (a.ticks, a.divider_gap) == (b.ticks, b.divider_gap)
+        assert a.render() == b.render()
 
     def test_heatmaps_render(self, traced):
         noc = traced.obs.noc_heatmap.render(12, 12)

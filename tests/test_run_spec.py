@@ -70,7 +70,7 @@ FLIPS = {
     "arch.memory": replace(
         BASE, arch=_arch(memory=MemoryParams(hit_cycles=3))
     ),
-    "arch.sim.cycle_skip": replace(BASE, arch=_sim(cycle_skip=False)),
+    "arch.sim.trace": replace(BASE, arch=_sim(trace=True)),
     "arch.sim.faults": replace(
         BASE, arch=_sim(faults=FaultParams(mem_delay_prob=0.5))
     ),
@@ -83,7 +83,7 @@ POINT_SUBSET = {
 }
 #: Flips that must NOT move the journal digest: a retry's perturbed
 #: placement seed, and a knob with bit-identical results.
-POINT_INVARIANT = {"pnr_seed", "arch.sim.cycle_skip"}
+POINT_INVARIANT = {"pnr_seed", "arch.sim.trace"}
 #: Flips of anything ``compile_once`` reads.
 COMPILE_SUBSET = {
     "workload", "scale", "seed", "pnr_seed", "policy", "fabric",
@@ -152,7 +152,7 @@ def test_compile_cached_never_serves_another_timing_or_noc_model(empty_cache):
         assert cached.timing.clock_divider == fresh.timing.clock_divider
     # What only the simulator reads shares the default's entry.
     sim_only = ArchParams(
-        memory=MemoryParams(hit_cycles=3), sim=SimParams(cycle_skip=False)
+        memory=MemoryParams(hit_cycles=3), sim=SimParams(trace=True)
     )
     assert compile_cached(instance, fabric, sim_only) is default
 

@@ -4,8 +4,9 @@ Contracts under test:
 
 * **split-run bit-identity** — preempt at a pseudo-random cycle, resume
   from the snapshot, and the stats digest + final memory equal an
-  uninterrupted run, on every workload, with cycle skipping, fault
-  injection and critical-path profiling each on or off;
+  uninterrupted run, on every workload, with fault injection and
+  critical-path profiling each on or off, under the skipping scheduler
+  and the per-cycle reference loop;
 * **edge budgets** — preemption before the first executed cycle and one
   cycle before quiescence both resume exactly;
 * **crash-safe files** — a torn snapshot, a foreign file, version skew,
@@ -145,13 +146,11 @@ class TestSplitRunBitIdentity:
     @pytest.mark.parametrize("crit", [True, False], ids=["critpath", "plain"])
     @pytest.mark.parametrize("name", sorted(ALL_WORKLOADS))
     def test_resume_matches_uninterrupted_run(
-        self, name, skip, faults, crit, tmp_path
+        self, name, skip, faults, crit, tmp_path, request
     ):
-        arch = _arch(
-            cycle_skip=skip,
-            critpath=crit,
-            faults=FAULTS if faults else None,
-        )
+        if not skip:
+            request.getfixturevalue("per_cycle_loop")
+        arch = _arch(critpath=crit, faults=FAULTS if faults else None)
         full = _simulate(name, arch)
         executed = full.stats.executed_cycles
         # Pseudo-random but reproducible split point per combination.
@@ -171,17 +170,15 @@ class TestSplitRunBitIdentity:
     @pytest.mark.parametrize("skip", [True, False], ids=["skip", "noskip"])
     @pytest.mark.parametrize("name", sorted(ALL_WORKLOADS))
     def test_traced_resume_reproduces_every_probe_output(
-        self, name, skip, tmp_path
+        self, name, skip, tmp_path, request
     ):
         """The sinks hold run-length state (open stall runs, a running
         histogram, per-producer push counts) and the engine's bucket
         cache does not survive a restore: the resumed run must still
         report exactly what the uninterrupted one does."""
-        arch = _arch(
-            cycle_skip=skip,
-            trace=True,
-            trace_path=str(tmp_path / "trace.json"),
-        )
+        if not skip:
+            request.getfixturevalue("per_cycle_loop")
+        arch = _arch(trace=True, trace_path=str(tmp_path / "trace.json"))
         full = _simulate(name, arch)
         rng = random.Random(f"{name}:{skip}:traced")
         budget = rng.randint(1, max(1, full.stats.executed_cycles - 1))
@@ -348,11 +345,12 @@ class TestRejection:
             load_snapshot(path)
 
     def test_version_skew_refused(self, tmp_path):
-        # Version 1 is real history: its pickled sinks have another
-        # layout (no open runs, per-edge token counters), so a probed
-        # snapshot from that build must be refused by name, up front.
+        # Versions 1 and 2 are real history: their pickled sinks have
+        # another layout (1: no open runs, per-edge token counters; 2: a
+        # ``skipped`` bucket beside the open runs), so a probed snapshot
+        # from those builds must be refused by name, up front.
         path = self._snap(tmp_path)
-        for version in (99, 1):
+        for version in (99, 1, 2):
             self._rewrite(
                 path, lambda blob: blob.__setitem__("version", version)
             )
@@ -429,7 +427,7 @@ class TestConfigDigest:
         div = max(PAPER_DIVIDER, compiled.timing.clock_divider)
         base = sim_config_digest(compiled, ArchParams(), div, self._FE())
         assert (
-            sim_config_digest(compiled, _arch(cycle_skip=False), div, self._FE())
+            sim_config_digest(compiled, _arch(fifo_capacity=4), div, self._FE())
             != base
         )
         assert (
