@@ -17,9 +17,20 @@ Two models are provided:
   switch traversal), so diagonal/skip tracks shorten routed *delay* for
   long nets exactly as they do in the silicon.
 
-Both expose the same interface to the router: ``edges_from(coord)`` yields
-``(dst, channel_key, wire_units)`` and ``capacity(channel_key)`` bounds
-concurrent nets per segment.
+Both are one build (:class:`_TrackGraph`) over a list of track kinds and
+expose the graph twice. By coordinate, for everything that inspects a
+routed design: ``edges_from(coord)`` yields ``(dst, channel_key,
+wire_units)`` and ``capacity(channel_key)`` bounds concurrent nets per
+segment. And as flat tables, which are all the router's search reads: a
+cell is the integer ``x * rows + y`` (so ``(cost, cell)`` heap entries
+order exactly as ``(cost, (x, y))`` would), a channel is its position in
+``keys``, ``cells[cell]`` is the row of ``(neighbour cell, channel id,
+wire)`` in ``edges_from`` order, ``cap[channel id]`` the capacity,
+``cardinal[cell]`` maps a neighbour cell to the row entry of the cardinal
+channel reaching it, and ``lower_x[tx][cell] + lower_y[ty][cell]`` is the
+admissible distance from ``cell`` to a target at ``(tx, ty)`` the search
+prunes with (``unit`` wire per Manhattan cell: 1.0 on the mesh, 0.5 where
+a diagonal covers four cells with two units of wire).
 """
 
 from __future__ import annotations
@@ -36,27 +47,63 @@ _DIAGONAL_STEPS = ((2, 2), (2, -2), (-2, 2), (-2, -2))
 _SKIP_STEPS = ((2, 0), (-2, 0), (0, 2), (0, -2))
 
 
-class ChannelGraph:
-    """Uniform mesh: unit channels, one capacity for all of them."""
+class _TrackGraph:
+    """Channels of some track kinds over a fabric's full grid of cells."""
 
-    name = "simple"
-
-    def __init__(self, fabric: Fabric, tracks: int):
-        if tracks < 1:
-            raise ArchError("need at least one track")
+    def _build(self, fabric: Fabric, kinds) -> None:
+        """``kinds``: ``(kind, steps, wire, capacity)`` rows; a kind of
+        capacity 0 has no channels."""
+        rows, cols = fabric.rows, fabric.cols
+        kinds = [row for row in kinds if row[3] > 0]
         self.fabric = fabric
-        self.tracks = tracks
+        self.unit = min(
+            wire / (abs(dx) + abs(dy))
+            for _, steps, wire, _ in kinds
+            for dx, dy in steps
+        )
+        # The router compares sums of wire, congestion and history terms
+        # against a bound, ties kept; short binary fractions add exactly.
+        if not all(
+            (value * 1024.0).is_integer()
+            for value in (self.unit, *(wire for _, _, wire, _ in kinds))
+        ):
+            raise ArchError("wire lengths must be short binary fractions")
         self._edges: dict[Coord, list[tuple[Coord, ChannelKey, float]]] = {}
-        for y in range(fabric.rows):
-            for x in range(fabric.cols):
+        self.keys: list[ChannelKey] = []
+        self.cap: list[int] = []
+        self.cells: list[tuple] = [()] * (rows * cols)
+        self.cardinal: list[dict[int, tuple]] = [{} for _ in self.cells]
+        # No channel covers a Manhattan cell for less than ``unit`` wire,
+        # so no path from a cell to a target in column ``tx`` and row
+        # ``ty`` is cheaper than ``lower_x[tx][cell] + lower_y[ty][cell]``.
+        least = [self.unit * d for d in range(max(rows, cols))]
+        self.lower_x = [
+            [least[abs(x - tx)] for x in range(cols) for _ in range(rows)]
+            for tx in range(cols)
+        ]
+        self.lower_y = [
+            [least[abs(y - ty)] for _ in range(cols) for y in range(rows)]
+            for ty in range(rows)
+        ]
+        for y in range(rows):
+            for x in range(cols):
                 here = (x, y)
-                edges = []
-                for dx, dy in _CARDINAL_STEPS:
-                    nx_, ny_ = x + dx, y + dy
-                    if 0 <= nx_ < fabric.cols and 0 <= ny_ < fabric.rows:
-                        dst = (nx_, ny_)
-                        edges.append((dst, (here, dst, "cardinal"), 1.0))
+                edges, row = [], []
+                for kind, steps, wire, capacity in kinds:
+                    for dx, dy in steps:
+                        nx_, ny_ = x + dx, y + dy
+                        if 0 <= nx_ < cols and 0 <= ny_ < rows:
+                            dst = (nx_, ny_)
+                            key = (here, dst, kind)
+                            entry = (nx_ * rows + ny_, len(self.keys), wire)
+                            self.keys.append(key)
+                            self.cap.append(capacity)
+                            edges.append((dst, key, wire))
+                            row.append(entry)
+                            if kind == "cardinal":
+                                self.cardinal[x * rows + y][entry[0]] = entry
                 self._edges[here] = edges
+                self.cells[x * rows + y] = tuple(row)
 
     def edges_from(self, coord: Coord):
         return self._edges[coord]
@@ -65,9 +112,19 @@ class ChannelGraph:
         return [dst for dst, _, _ in self._edges[coord]]
 
     def channels(self) -> list[ChannelKey]:
-        return [
-            key for edges in self._edges.values() for _, key, _ in edges
-        ]
+        return list(self.keys)
+
+
+class ChannelGraph(_TrackGraph):
+    """Uniform mesh: unit channels, one capacity for all of them."""
+
+    name = "simple"
+
+    def __init__(self, fabric: Fabric, tracks: int):
+        if tracks < 1:
+            raise ArchError("need at least one track")
+        self.tracks = tracks
+        self._build(fabric, [("cardinal", _CARDINAL_STEPS, 1.0, tracks)])
 
     def capacity(self, key: ChannelKey) -> int:
         src, dst, _ = key
@@ -76,7 +133,7 @@ class ChannelGraph:
         return self.tracks
 
 
-class MonacoTrackGraph:
+class MonacoTrackGraph(_TrackGraph):
     """Heterogeneous tracks: cardinal + diagonal + skip segments."""
 
     name = "monaco-tracks"
@@ -90,41 +147,19 @@ class MonacoTrackGraph:
     ):
         if min(cardinal, diagonal, skip) < 0 or cardinal < 1:
             raise ArchError("need at least one cardinal track")
-        self.fabric = fabric
         self.capacities = {
             "cardinal": cardinal,
             "diagonal": diagonal,
             "skip": skip,
         }
-        self._edges: dict[Coord, list[tuple[Coord, ChannelKey, float]]] = {}
-        for y in range(fabric.rows):
-            for x in range(fabric.cols):
-                here = (x, y)
-                edges = []
-                for kind, steps, wire, cap in (
-                    ("cardinal", _CARDINAL_STEPS, 1.0, cardinal),
-                    ("diagonal", _DIAGONAL_STEPS, 2.0, diagonal),
-                    ("skip", _SKIP_STEPS, 2.0, skip),
-                ):
-                    if cap == 0:
-                        continue
-                    for dx, dy in steps:
-                        nx_, ny_ = x + dx, y + dy
-                        if 0 <= nx_ < fabric.cols and 0 <= ny_ < fabric.rows:
-                            dst = (nx_, ny_)
-                            edges.append((dst, (here, dst, kind), wire))
-                self._edges[here] = edges
-
-    def edges_from(self, coord: Coord):
-        return self._edges[coord]
-
-    def neighbors(self, coord: Coord) -> list[Coord]:
-        return [dst for dst, _, _ in self._edges[coord]]
-
-    def channels(self) -> list[ChannelKey]:
-        return [
-            key for edges in self._edges.values() for _, key, _ in edges
-        ]
+        self._build(
+            fabric,
+            [
+                ("cardinal", _CARDINAL_STEPS, 1.0, cardinal),
+                ("diagonal", _DIAGONAL_STEPS, 2.0, diagonal),
+                ("skip", _SKIP_STEPS, 2.0, skip),
+            ],
+        )
 
     def capacity(self, key: ChannelKey) -> int:
         return self.capacities[key[2]]

@@ -4,7 +4,8 @@ The repository's central claim is three-level equivalence: the IR
 interpreter, the untimed DFG token interpreter and the cycle-level
 simulator must compute identical answers for every kernel. Until this
 package that equivalence was only spot-checked per workload; ``repro.check``
-makes it a first-class, always-runnable guarantee with four pillars:
+makes it a first-class, always-runnable guarantee with four pillars, and
+guards the compiler's output with a fifth:
 
 * :mod:`repro.check.oracle` — a **three-way differential oracle**
   (:func:`check_kernel` / :func:`check_workload`) that runs one kernel
@@ -20,7 +21,11 @@ makes it a first-class, always-runnable guarantee with four pillars:
   automatically after lowering under ``lower_kernel(..., strict=True)``;
 * :mod:`repro.check.fuzz` — a **seeded random kernel generator** and
   shrinker behind ``repro check --fuzz N --seed S``, writing minimal
-  reproducers to a corpus directory.
+  reproducers to a corpus directory;
+* :mod:`repro.check.pnr` — an **independent routing verifier**
+  (:func:`verify_routing`): per-net trees, hop counts, channel occupancy
+  and the clock divider re-derived from a compiled artifact with no
+  code shared with the router or static timing.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from repro.check.oracle import (
     check_workload,
     run_conformance,
 )
+from repro.check.pnr import PnRVerifyError, verify_routing
 
 __all__ = [
     "ConformanceReport",
@@ -44,10 +50,12 @@ __all__ = [
     "InvariantChecker",
     "InvariantViolation",
     "LintIssue",
+    "PnRVerifyError",
     "check_kernel",
     "check_workload",
     "fuzz",
     "lint_dfg",
     "lint_strict",
     "run_conformance",
+    "verify_routing",
 ]

@@ -37,6 +37,7 @@ import hashlib
 import json
 
 from repro.arch.params import ArchParams
+from repro.check.pnr import verify_routing
 from repro.dfg.interp import run_dfg
 from repro.errors import DFGError, PnRError, ReproError, SimulationError
 from repro.ir.ast import Kernel
@@ -438,6 +439,7 @@ def check_workload(
     arch = arch or ArchParams()
     instance = make_workload(name, scale, seed)
     compiled = compile_cached(instance, monaco(), arch, seed=seed)
+    verify_routing(compiled, arch)
     return check_kernel(
         instance.kernel,
         instance.params,

@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 
 from repro.arch.params import ArchParams
 from repro.core.policy import EFFCC
 from repro.exp.configs import MachineConfig
-from repro.obs.manifest import point_digest
+from repro.obs.manifest import ARCH_COMPILE_FIELDS, point_digest
 
 #: The paper's evaluated fabric clock divider (Sec. 6).
 PAPER_DIVIDER = 2
@@ -38,10 +38,10 @@ FabricSpec = tuple[str, int, int]
 
 DEFAULT_FABRIC_SPEC: FabricSpec = ("monaco", 12, 12)
 
-#: The ``ArchParams`` fields ``compile_once`` reads. ``memory`` and
-#: ``sim`` belong to the simulator (``sim.check`` arms PnR's self-checks,
-#: which verify an artifact without changing it).
-ARCH_COMPILE_FIELDS = ("noc_tracks", "noc_model", "timing")
+
+def _column(value):
+    """A point-identity value as JSON: a params dataclass as its dict."""
+    return asdict(value) if is_dataclass(value) else value
 
 
 def weight_map_digest(node_weights: dict[int, float]) -> str:
@@ -128,7 +128,11 @@ class RunSpec:
         journaled beside the identity, not in it), so the resume journal
         can match records against points it has not run yet. ``faults``
         is the fault model's signature and ``profile`` the
-        profile-guided marker; both are ``None`` when off.
+        profile-guided marker; both are ``None`` when off. The
+        ``ArchParams`` fields PnR reads (``ARCH_COMPILE_FIELDS``, the
+        list ``compile_key`` is built from) are columns too: a journal
+        written under other ``noc_tracks`` / ``noc_model`` / ``timing``
+        holds different artifacts' results.
         """
         faults = self.arch.sim.faults
         return {
@@ -145,6 +149,10 @@ class RunSpec:
                 else None
             ),
             "profile": "guided" if self.profile_guided else None,
+            **{
+                name: _column(getattr(self.arch, name))
+                for name in ARCH_COMPILE_FIELDS
+            },
         }
 
     def point_digest(self) -> str:

@@ -35,8 +35,16 @@ import time
 #: (``profile`` always present, ``None`` when off).
 MANIFEST_SCHEMA = 3
 
+#: The ``ArchParams`` fields ``pnr/flow.py::compile_once`` reads: the one
+#: list behind both the compile-cache key
+#: (:func:`repro.exp.spec.compile_key`) and the point identity below.
+#: ``memory`` and ``sim`` belong to the simulator (``sim.check`` arms
+#: PnR's self-checks, which verify an artifact without changing it).
+ARCH_COMPILE_FIELDS = ("noc_tracks", "noc_model", "timing")
+
 #: The point subset: the record columns that are a point's pre-run
-#: identity. ``point_digest`` covers exactly these.
+#: identity. ``point_digest`` covers exactly these. A journal record
+#: written before a column existed lacks it and is rerun, not trusted.
 POINT_FIELDS = (
     "workload",
     "config",
@@ -47,6 +55,7 @@ POINT_FIELDS = (
     "policy",
     "faults",
     "profile",
+    *ARCH_COMPILE_FIELDS,
 )
 
 #: Keys that legitimately differ between two runs of the same point.

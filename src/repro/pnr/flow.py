@@ -287,7 +287,7 @@ def compile_once(
         candidates=considered,
         portfolio_jobs=jobs,
     )
-    return CompiledKernel(
+    compiled = CompiledKernel(
         dfg=dfg,
         fabric=fabric,
         policy=policy,
@@ -300,6 +300,13 @@ def compile_once(
         meta=meta,
         pnr=pnr,
     )
+    if check:
+        # Not a PnRError: the degree search must not read a wrong
+        # artifact as one that merely does not fit.
+        from repro.check.pnr import verify_routing
+
+        verify_routing(compiled, arch)
+    return compiled
 
 
 def compile_kernel(

@@ -7,12 +7,19 @@ growing present-congestion and history penalties until no channel is over
 capacity, or raises :class:`RoutingError` — the signal effcc's parallelism
 search uses to back off (Sec. 5).
 
-The router is channel-model agnostic: it consumes the
-``edges_from``/``capacity`` interface of :mod:`repro.arch.noc`, so the
-same negotiation loop routes the uniform mesh and the heterogeneous
-cardinal/diagonal/skip track graph. Path *lengths* are wire units (a
-two-cell diagonal segment costs two units but one switch), which is what
-static timing consumes.
+The router is channel-model agnostic: it reads the flat tables every
+graph of :mod:`repro.arch.noc` carries (integer cells, channel ids,
+``cells`` / ``cap`` / ``cardinal`` / ``lower_x`` / ``lower_y``), so the same
+negotiation loop routes the uniform mesh and the heterogeneous
+cardinal/diagonal/skip track graph, and keeps its own ``usage`` and
+``history`` as lists by channel id. Coordinates and channel keys appear
+only in the :class:`RoutingResult` it hands back. Path *lengths* are wire
+units (a two-cell diagonal segment costs two units but one switch), which
+is what static timing consumes.
+
+Each sink's search is a Dijkstra from the whole tree built so far, pruned
+by a bound that cannot change its answer (:func:`_route_net`; the
+argument is in docs/INTERNALS.md §4, "The bounded search").
 """
 
 from __future__ import annotations
@@ -85,26 +92,34 @@ def route_design(
 
     ``check=True`` re-derives channel usage from the routed trees after
     every pass and raises if it disagrees with the incrementally
-    maintained counts.
+    maintained counts, and repeats every net's bounded search with an
+    infinite bound, raising if the tree or the hop table differs.
     """
     if max_iters < 1:
         raise RoutingError(
             f"route_design needs max_iters >= 1, got {max_iters}"
         )
     t0 = time.perf_counter()
-    usage: dict = {}
-    history: dict = {}
-    routes: dict[int, set] = {}
+    rows = channels.fabric.rows
+    cap = channels.cap
+    usage = [0] * len(cap)
+    history = [0.0] * len(cap)
+    routes: dict[int, set[int]] = {}
     hops: dict[int, dict[int, float]] = {}
-    # Capacities are static per channel graph; snapshotting them once
-    # spares the Dijkstra relaxation a method call per edge.
-    cap = {key: channels.capacity(key) for key in channels.channels()}
 
-    routable = [
-        index
-        for index, net in enumerate(netlist.nets)
-        if any(s != net.src for s in net.sinks)
-    ]
+    # Per routable net, its source cell and its ``(sink, cell)`` pins,
+    # nearest the source first: the order the tree grows in.
+    loc = placement.loc
+    cell_of = {nid: x * rows + y for nid, (x, y) in loc.items()}
+    pins: dict[int, tuple[int, list[tuple[int, int]]]] = {}
+    for index, net in enumerate(netlist.nets):
+        sinks = [s for s in net.sinks if s != net.src]
+        if sinks:
+            sx, sy = loc[net.src]
+            sinks.sort(
+                key=lambda s: abs(loc[s][0] - sx) + abs(loc[s][1] - sy)
+            )
+            pins[index] = cell_of[net.src], [(s, cell_of[s]) for s in sinks]
 
     present_factor = 0.5
     rerouted = 0
@@ -116,7 +131,7 @@ def route_design(
         full_pass = decreased or not incremental
         decreased = False
         changed: set = set()
-        for index in routable:
+        for index, (src, sinks) in pins.items():
             old = routes.get(index)
             if not full_pass and not decreased:
                 if not (old & dirty or old & changed):
@@ -126,37 +141,41 @@ def route_design(
                     if usage[channel] >= cap[channel]:
                         decreased = True
                     usage[channel] -= 1
-            tree_channels, sink_hops = _route_net(
-                netlist, placement, channels, index, usage, history,
-                present_factor, cap,
-            )
+            net = (index, src, sinks, usage, history, present_factor)
+            routed = _route_net(channels, *net)
+            if check and routed != _route_net(channels, *net, bounded=False):
+                raise RoutingError(
+                    f"net {index}: the bounded search and the unbounded "
+                    "one route it differently"
+                )
+            tree_channels, hops[index] = routed
             routes[index] = tree_channels
-            hops[index] = sink_hops
             for channel in tree_channels:
-                usage[channel] = usage.get(channel, 0) + 1
+                usage[channel] += 1
             changed.update(tree_channels.symmetric_difference(old or ()))
             rerouted += 1
         if check:
             _check_usage(usage, routes)
-        overused = {c: u for c, u in usage.items() if u > cap[c]}
+        overused = [c for c, use in enumerate(usage) if use > cap[c]]
         if not overused:
-            result = RoutingResult(
+            keys = channels.keys
+            return RoutingResult(
                 sink_hops=hops,
-                net_channels=routes,
+                net_channels={
+                    index: {keys[c] for c in tree}
+                    for index, tree in routes.items()
+                },
+                max_hops=max(
+                    (h for per_net in hops.values() for h in per_net.values()),
+                    default=0.0,
+                ),
                 iterations=iteration,
-                total_channel_use=sum(usage.values()),
+                total_channel_use=sum(usage),
                 nets_rerouted=rerouted,
                 wall_s=time.perf_counter() - t0,
             )
-            result.max_hops = max(
-                (h for per_net in hops.values() for h in per_net.values()),
-                default=0.0,
-            )
-            return result
-        for channel, use in overused.items():
-            history[channel] = history.get(channel, 0.0) + (
-                use - cap[channel]
-            )
+        for channel in overused:
+            history[channel] += usage[channel] - cap[channel]
         present_factor *= 2.0
         dirty = set(overused)
         dirty.update(changed)
@@ -166,107 +185,131 @@ def route_design(
     )
 
 
-def _check_usage(usage: dict, routes: dict[int, set]) -> None:
+def _check_usage(usage: list[int], routes: dict[int, set[int]]) -> None:
     """Assert incrementally maintained usage matches a fresh recount."""
-    recount: dict = {}
+    recount = [0] * len(usage)
     for tree in routes.values():
         for channel in tree:
-            recount[channel] = recount.get(channel, 0) + 1
-    live = {c: u for c, u in usage.items() if u}
-    if live != recount:
-        diff = {
-            c: (usage.get(c, 0), recount.get(c, 0))
-            for c in set(live) | set(recount)
-            if live.get(c, 0) != recount.get(c, 0)
-        }
+            recount[channel] += 1
+    if recount != usage:
+        diff = [
+            (channel, (have, want))
+            for channel, (have, want) in enumerate(zip(usage, recount))
+            if have != want
+        ]
         raise RoutingError(
-            f"usage accounting drift on {len(diff)} channels: "
-            f"{sorted(diff.items())[:5]}"
+            f"usage accounting drift on {len(diff)} channels: {diff[:5]}"
         )
 
 
 def _route_net(
-    netlist: Netlist,
-    placement: Placement,
     channels,
     index: int,
-    usage: dict,
-    history: dict,
+    src: int,
+    sinks: list[tuple[int, int]],
+    usage: list[int],
+    history: list[float],
     present_factor: float,
-    cap: dict,
-) -> tuple[set, dict[int, float]]:
-    net = netlist.nets[index]
-    src_coord = placement.loc[net.src]
-    tree_channels: set = set()
-    depth: dict[Coord, float] = {src_coord: 0.0}
-    sink_hops: dict[int, float] = {}
+    bounded: bool = True,
+) -> tuple[set[int], dict[int, float]]:
+    """Grow one net's tree sink by sink; ``(channel ids, sink hops)``.
 
-    # The congestion cost of claiming a channel, inlined below:
-    # ``wire + present_factor * max(0, use + 1 - cap) + history`` —
-    # adding ``present_factor * 0`` is a bitwise no-op, so the
-    # uncongested fast path skips the multiply outright.
-    usage_get = usage.get
-    history_get = history.get
-    edges_from = channels.edges_from
+    Each sink is reached by the cheapest path from any cell of the tree
+    so far, found by Dijkstra over ``(cost, cell)``. Claiming a channel
+    costs ``wire + present_factor * max(0, use + 1 - cap) + history``.
+
+    The search is bounded: one concrete path is priced first — the
+    cardinal x-then-y walk from the tree cell nearest the sink — and a
+    relaxation whose cost so far plus the graph's lower bound to the sink
+    exceeds that price is dropped, as is a tree cell that far away. This
+    cannot change the tree (INTERNALS §4): prices hold still for the
+    whole call, the lower bound is consistent, so a kept cell keeps every
+    cheapest predecessor and is popped at the same cost in the same
+    order; ``==`` the bound is kept, so ties are as they were; and every
+    operand is a short binary fraction, so the sums compared are exact.
+    ``bounded=False`` is the same search with an infinite bound.
+    """
+    cells = channels.cells
+    cap = channels.cap
+    cardinal = channels.cardinal
+    rows = channels.fabric.rows
     heappop = heapq.heappop
     heappush = heapq.heappush
     inf = float("inf")
 
-    sinks = sorted(
-        (s for s in net.sinks if s != net.src),
-        key=lambda s: abs(placement.loc[s][0] - src_coord[0])
-        + abs(placement.loc[s][1] - src_coord[1]),
-    )
-    for sink in sinks:
-        target = placement.loc[sink]
+    tree_channels: set[int] = set()
+    depth: dict[int, float] = {src: 0.0}
+    sink_hops: dict[int, float] = {}
+    for sink, target in sinks:
         if target in depth:
             sink_hops[sink] = depth[target]
             continue
-        came: dict[Coord, tuple[Coord, object, float]] = {}
-        dist: dict[Coord, float] = {c: 0.0 for c in depth}
-        dist_get = dist.get
-        heap = [(0.0, c) for c in depth]
+        column, row = divmod(target, rows)
+        lower_x, lower_y = channels.lower_x[column], channels.lower_y[row]
+        bound = inf
+        if bounded:
+            bound = 0.0
+            cell = min(depth, key=lambda c: lower_x[c] + lower_y[c])
+            while cell != target:
+                if cell // rows != column:
+                    step = cell + rows if cell // rows < column else cell - rows
+                else:
+                    step = cell + 1 if cell < target else cell - 1
+                _, channel, wire = cardinal[cell][step]
+                over = usage[channel] + 1 - cap[channel]
+                bound += (
+                    wire + present_factor * max(over, 0) + history[channel]
+                )
+                cell = step
+        dist = [inf] * len(cells)
+        for cell in depth:
+            dist[cell] = 0.0
+        came: list = [None] * len(cells)
+        heap = [
+            (0.0, cell)
+            for cell in depth
+            if lower_x[cell] + lower_y[cell] <= bound
+        ]
         heapq.heapify(heap)
-        seen: set[Coord] = set()
-        seen_add = seen.add
         while heap:
-            d, coord = heappop(heap)
-            if coord in seen:
-                continue
-            seen_add(coord)
-            if coord == target:
+            d, cell = heappop(heap)
+            if d > dist[cell]:
+                continue  # a cheaper entry for this cell was popped first
+            if cell == target:
                 break
-            for neighbor, key, wire in edges_from(coord):
-                if neighbor in seen:
-                    continue
-                over = usage_get(key, 0) + 1 - cap[key]
+            for edge in cells[cell]:
+                neighbor, channel, wire = edge
+                # Adding ``present_factor * 0`` is a bitwise no-op, so
+                # the uncongested fast path skips the multiply outright.
+                over = usage[channel] + 1 - cap[channel]
                 if over > 0:
                     nd = d + (
-                        wire + present_factor * over + history_get(key, 0.0)
+                        wire + present_factor * over + history[channel]
                     )
                 else:
-                    nd = d + (wire + history_get(key, 0.0))
-                if nd < dist_get(neighbor, inf):
+                    nd = d + (wire + history[channel])
+                if (
+                    nd < dist[neighbor]
+                    and nd + lower_x[neighbor] + lower_y[neighbor] <= bound
+                ):
                     dist[neighbor] = nd
-                    came[neighbor] = (coord, key, wire)
+                    came[neighbor] = cell, edge
                     heappush(heap, (nd, neighbor))
-        if target not in seen:
+        else:
             raise RoutingError(
-                f"net {index}: no path {src_coord} -> {target}"
+                f"net {index}: no path {divmod(src, rows)} -> "
+                f"{divmod(target, rows)}"
             )
         # Walk back to the existing tree, claiming channels.
-        path: list[tuple[Coord, object, float]] = []
-        coord = target
-        while coord not in depth:
-            prev, key, wire = came[coord]
-            path.append((coord, key, wire))
-            coord = prev
-        base_depth = depth[coord]
-        wire_sum = 0.0
-        for coord, key, wire in reversed(path):
-            tree_channels.add(key)
-            wire_sum += wire
-            if coord not in depth:
-                depth[coord] = base_depth + wire_sum
+        path = []
+        cell = target
+        while cell not in depth:
+            cell, edge = came[cell]
+            path.append(edge)
+        reached = depth[cell]
+        for cell, channel, wire in reversed(path):
+            tree_channels.add(channel)
+            reached += wire
+            depth[cell] = reached
         sink_hops[sink] = depth[target]
     return tree_channels, sink_hops

@@ -623,15 +623,19 @@ def test_anneal_drift_check_is_clean():
 # -- routing equivalence ------------------------------------------------
 
 
-def _routed(workload, tracks, model, incremental, seed=0):
+def _placed(workload, tracks=3, model="simple"):
+    """``route_design``'s three arguments for a briefly annealed kernel."""
     netlist = _netlist(workload)
     fabric = monaco(12, 12)
-    rng = random.Random(seed)
+    rng = random.Random(0)
     placement = initial_placement(netlist, fabric, EFFCC, rng)
     anneal(placement, rng, moves=2000)
-    channels = build_channel_graph(fabric, tracks, model)
+    return netlist, placement, build_channel_graph(fabric, tracks, model)
+
+
+def _routed(workload, tracks, model, incremental):
     return route_design(
-        netlist, placement, channels, incremental=incremental, check=True
+        *_placed(workload, tracks, model), incremental=incremental, check=True
     )
 
 
@@ -672,11 +676,93 @@ def test_route_unroutable_raises_in_both_modes():
 
 def test_check_usage_detects_drift():
     """The check=True usage recount raises on inconsistent accounting."""
-    routes = {0: {"a", "b"}, 1: {"b"}}
-    good = {"a": 1, "b": 2}
-    _check_usage(good, routes)  # consistent: no raise
+    routes = {0: {0, 1}, 1: {1}}
+    _check_usage([1, 2, 0], routes)  # consistent: no raise
     with pytest.raises(RoutingError, match="usage accounting drift"):
-        _check_usage({"a": 1, "b": 1}, routes)
+        _check_usage([1, 1, 0], routes)
+
+
+# -- the bounded search ---------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "workload,parent_pops_per_net", [("spmspv", 25.68), ("ic", 42.96)]
+)
+def test_route_search_stays_inside_the_bound(
+    workload, parent_pops_per_net, monkeypatch
+):
+    """Heap pops per routed net: deterministic, and a third of the flood's.
+
+    The tuple/dict Dijkstra this search replaced (commit 57a7eb2) flooded
+    outward from the whole tree for every sink: 1,053 pops over spmspv's
+    41 routed nets (25.68 a net) and 22,338 over ic's 520 (42.96) on this
+    placement. The bounded search pops 258 (6.29) and 6,372 (12.25). A
+    wall clock cannot hold that on a shared host; this count can, and it
+    fails at the parent.
+    """
+    import heapq
+
+    pops = []
+
+    def counting_pop(heap, _pop=heapq.heappop):
+        pops[-1] += 1
+        return _pop(heap)
+
+    monkeypatch.setattr(heapq, "heappop", counting_pop)
+    per_net = []
+    for _ in range(2):
+        pops.append(0)
+        routing = route_design(*_placed(workload))
+        per_net.append(pops[-1] / routing.nets_rerouted)
+    assert per_net[0] == per_net[1]
+    assert 1.0 <= per_net[0] <= parent_pops_per_net / 3
+
+
+@pytest.mark.parametrize("model", ["simple", "monaco-tracks"])
+def test_check_refuses_a_bound_that_is_not_a_lower_bound(model):
+    """``check`` repeats each search unbounded and compares.
+
+    Tables built with ``unit`` doubled overshoot, so the search drops
+    cells the cheapest path needs: it finds a dearer tree or none, and
+    either way the refusal names the net.
+    """
+    netlist, placement, channels = _placed("ic", 3, model)
+    route_design(netlist, placement, channels, check=True)
+    channels.lower_x = [[2 * b for b in row] for row in channels.lower_x]
+    channels.lower_y = [[2 * b for b in row] for row in channels.lower_y]
+    with pytest.raises(RoutingError, match=r"^net \d+: "):
+        route_design(netlist, placement, channels, check=True)
+
+
+def test_check_compares_each_bounded_tree_with_the_unbounded_one():
+    """A bound that prunes the cheapest path but leaves a dearer one.
+
+    One track. Net 0 runs (0,0) -> (7,0) along row 0; net 1, (1,0) ->
+    (6,0), then prices its walk over five full channels at 7.5 and finds
+    the detour through row 1 at 7. A lower bound one too high off row 0
+    drops the detour (1 + 6 + 1 > 7.5) and keeps the walk, so the bounded
+    search succeeds, with the wrong tree; only the comparison sees it.
+    """
+    from types import SimpleNamespace
+
+    from repro.arch.noc import ChannelGraph
+    from repro.pnr.netlist import Net
+
+    netlist = SimpleNamespace(nets=[Net(0, (1,)), Net(2, (3,))])
+    placement = SimpleNamespace(
+        loc={0: (0, 0), 1: (7, 0), 2: (1, 0), 3: (6, 0)}
+    )
+    channels = ChannelGraph(monaco(8, 8), 1)
+    routing = route_design(netlist, placement, channels, max_iters=1, check=True)
+    assert routing.sink_hops == {0: {1: 7.0}, 1: {3: 7.0}}
+    assert ((1, 0), (1, 1), "cardinal") in routing.net_channels[1]
+
+    channels.lower_y = [
+        [bound + (cell % 8 != 0) for cell, bound in enumerate(row)]
+        for row in channels.lower_y
+    ]
+    with pytest.raises(RoutingError, match="net 1: the bounded search"):
+        route_design(netlist, placement, channels, max_iters=1, check=True)
 
 
 # -- the pinned end-to-end digests --------------------------------------

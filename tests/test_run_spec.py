@@ -80,6 +80,8 @@ FLIPS = {
 POINT_SUBSET = {
     "workload", "config", "scale", "seed", "divider", "policy", "fabric",
     "profile_guided", "arch.sim.faults",
+    # What PnR reads off ArchParams changes the artifact a point runs.
+    "arch.noc_tracks", "arch.noc_model", "arch.timing",
 }
 #: Flips that must NOT move the journal digest: a retry's perturbed
 #: placement seed, and a knob with bit-identical results.
@@ -228,6 +230,29 @@ def test_retried_point_journals_pnr_seed_under_its_own_digest(tmp_path):
     unperturbed = RunSpec("spmspv", MONACO, scale="tiny")
     assert record["point_digest"] == unperturbed.point_digest()
     assert completed_points(manifest) == {unperturbed.point_digest()}
+
+
+def test_resume_reruns_every_point_across_a_noc_tracks_flip(tmp_path):
+    """A journal written under other ``noc_tracks`` proves nothing.
+
+    ``point_fields`` used to omit the ``ArchParams`` fields PnR reads,
+    so this resume skipped both points and reported the 3-track
+    artifacts' cycles as the 7-track sweep's.
+    """
+    manifest = tmp_path / "journal.jsonl"
+    kwargs = dict(scale="tiny", max_workers=1, manifest_path=manifest)
+    points = (["dmv", "spmspv"], [MONACO])
+    run_resilient(*points, **kwargs)
+    same = run_resilient(*points, resume=True, **kwargs)
+    assert len(same.skipped) == 2 and not same.results
+
+    flipped = run_resilient(
+        *points, resume=True, arch=ArchParams(noc_tracks=7), **kwargs
+    )
+    assert not flipped.skipped
+    assert set(flipped.results) == {("dmv", "monaco", 0), ("spmspv", "monaco", 0)}
+    tracks = [record["noc_tracks"] for record in read_manifest(manifest)]
+    assert tracks == [3, 3, 7, 7]
 
 
 def test_resume_reruns_the_points_of_a_schema_2_journal(tmp_path):
