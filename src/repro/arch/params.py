@@ -124,10 +124,6 @@ class SimParams:
     fifo_capacity: int = 2
     #: Outstanding memory requests a single LS PE may have in flight.
     max_outstanding: int = 2
-    #: Fabric-clock divider (fabric period = divider system cycles). The
-    #: paper's evaluation runs Monaco at divider 2; PnR may raise it when
-    #: static timing requires.
-    clock_divider: int = 2
     #: Give up if no progress for this many system cycles.
     deadlock_cycles: int = 50_000
     #: Absolute cycle budget (safety net).
@@ -176,8 +172,6 @@ class SimParams:
             raise ArchError("fifo capacity must be >= 2 (carry loops)")
         if self.max_outstanding < 1:
             raise ArchError("max outstanding must be >= 1")
-        if self.clock_divider < 1:
-            raise ArchError("clock divider must be >= 1")
         if self.checkpoint_every < 0:
             raise ArchError("checkpoint_every must be >= 0")
 

@@ -17,15 +17,18 @@ Commands:
 * ``fdo`` — feedback-directed placement: iterate compile -> profiled
   run -> per-node blame -> reweighted PnR until the weight map or the
   makespan converges (see :mod:`repro.exp.fdo`);
-* ``figure`` — regenerate one of the paper's evaluation figures;
+* ``figure`` — regenerate one reproduced table (a paper figure, Table
+  1, the LS-PE placement DSE, an ablation, the energy breakdown, the
+  hybrid extension: every entry of :data:`repro.exp.figures.FIGURES`)
+  and print the paper's claims about it; ``figure all --out DIR``
+  writes one ``NAME.txt`` per entry plus ``fidelity.json`` and exits
+  non-zero when a claim fails on the full default grid;
 * ``sweep`` — run a (workload x config x seed) sweep, optionally across
   worker processes sharing a persistent compile cache; supervised by
   the resilient sweep layer (``--timeout/--retries/--on-failure``),
   checkpointed to the manifest journal (``--resume``), and able to
   inject deterministic faults (``--fault-*``);
 * ``cache`` — inspect, clear, or LRU-prune the persistent compile cache;
-* ``table1`` — regenerate the workload-inventory table;
-* ``dse`` — run the LS-PE placement design-space exploration;
 * ``check`` — cross-layer conformance: run the three-way differential
   oracle (IR interpreter vs. DFG token interpreter vs. cycle-level
   simulator, with the static lint pass and runtime invariant checkers
@@ -38,35 +41,22 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from repro.arch.fabric import TOPOLOGIES, build_fabric
 from repro.arch.params import ArchParams, SimParams
 from repro.core.criticality import format_report
 from repro.core.policy import POLICIES, get_policy
-from repro.exp import figures as figures_mod
 from repro.exp.configs import MONACO, ideal, numa, upea
-from repro.exp.report import format_figure
+from repro.exp.figures import FIGURES, Grid, run_figure
+from repro.exp.report import fidelity_record, format_claim, format_figure
 from repro.exp.runner import PAPER_DIVIDER, compile_point, run_config
 from repro.exp.spec import RunSpec
-from repro.exp.tables import format_table1, table1
+from repro.exp.tables import table1
 from repro.pnr.viz import fabric_map, placement_map
 from repro.sim.energy import estimate_energy
 from repro.workloads.registry import ALL_WORKLOADS, make_workload
-
-FIGURES = {
-    "fig6c": figures_mod.fig6c,
-    "fig11": figures_mod.fig11,
-    "fig12": figures_mod.fig12,
-    "fig14": figures_mod.fig14,
-    "fig15": figures_mod.fig15,
-    "fig16": figures_mod.fig16,
-    "fig17": figures_mod.fig17,
-    "stalls": figures_mod.fig_stalls,
-    "jitter": figures_mod.fig_jitter,
-    "critblame": figures_mod.fig_critblame,
-    "fdo": figures_mod.fig_fdo,
-}
 
 
 def _config_for(name: str):
@@ -249,17 +239,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_fig = sub.add_parser(
-        "figure", help="regenerate one evaluation figure"
+        "figure",
+        help="regenerate one reproduced table (or all) and check the "
+        "paper's claims about it",
     )
-    p_fig.add_argument("name", choices=sorted(FIGURES))
+    p_fig.add_argument("name", choices=[*FIGURES, "all"])
     p_fig.add_argument("--scale", default="small")
     p_fig.add_argument(
         "--workloads", nargs="*", default=None,
-        help="subset of workloads (fig11/12/14/15, stalls, jitter)",
+        help="run these workloads instead of the entry's own list "
+        "(claims are then printed unchecked)",
     )
     p_fig.add_argument(
         "--jobs", "-j", type=int, default=1,
-        help="worker processes for the simulation sweep (fig11 only)",
+        help="worker processes for the entry that is a sweep (fig11)",
+    )
+    p_fig.add_argument(
+        "--out", default=None, metavar="DIR",
+        help="also write NAME.txt per entry and fidelity.json there",
     )
 
     p_sweep = sub.add_parser(
@@ -389,17 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-size", default="256M", metavar="BYTES",
         help="prune target; accepts suffixes K/M/G (default 256M)",
     )
-
-    p_table = sub.add_parser("table1", help="regenerate Table 1")
-    p_table.add_argument("--scale", default="small")
-
-    p_dse = sub.add_parser(
-        "dse", help="LS-PE placement design-space exploration"
-    )
-    p_dse.add_argument(
-        "--workloads", nargs="*", default=["spmspv", "dmv"]
-    )
-    p_dse.add_argument("--scale", default="small")
 
     p_regions = sub.add_parser(
         "regions",
@@ -718,17 +704,35 @@ def cmd_fdo(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    fig = FIGURES[args.name]
-    kwargs = {"scale": args.scale}
-    if args.workloads and args.name in (
-        "fig11", "fig12", "fig14", "fig15", "stalls", "jitter",
-        "critblame", "fdo",
-    ):
-        kwargs["workloads"] = args.workloads
-    if args.jobs > 1 and args.name == "fig11":
-        kwargs["jobs"] = args.jobs
-    print(format_figure(fig(**kwargs)))
-    return 0
+    grid = Grid(
+        scale=args.scale,
+        workloads=tuple(args.workloads) if args.workloads else None,
+        jobs=args.jobs,
+    )
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+    fidelity, failed = {}, []
+    for name in FIGURES if args.name == "all" else [args.name]:
+        result = run_figure(name, grid)
+        text = format_figure(result)
+        print(text)
+        if args.out:
+            path = os.path.join(args.out, f"{name}.txt")
+            with open(path, "w", encoding="utf-8") as fh:
+                print(text, file=fh)
+        fidelity[name] = fidelity_record(result)
+        failed += [
+            f"{name}: {format_claim(claim)}"
+            for claim in result.claims
+            if claim.holds is False
+        ]
+    if args.out:
+        _write_json(
+            os.path.join(args.out, "fidelity.json"), fidelity, "claims"
+        )
+    for line in failed:
+        print(f"FAILED {line}")
+    return 1 if failed else 0
 
 
 def _fault_params(args):
@@ -862,21 +866,6 @@ def cmd_cache(args) -> int:
     return 0
 
 
-def cmd_table1(args) -> int:
-    print(format_table1(table1(scale=args.scale)))
-    return 0
-
-
-def cmd_dse(args) -> int:
-    from repro.exp.dse import ls_placement_dse
-
-    result = ls_placement_dse(
-        workloads=tuple(args.workloads), scale=args.scale
-    )
-    print(format_figure(result, precision=0))
-    return 0
-
-
 def cmd_regions(args) -> int:
     from repro.arch.fabric import monaco as monaco_fabric
     from repro.pnr.regions import compile_region_program
@@ -975,8 +964,6 @@ COMMANDS = {
     "figure": cmd_figure,
     "sweep": cmd_sweep,
     "cache": cmd_cache,
-    "table1": cmd_table1,
-    "dse": cmd_dse,
     "regions": cmd_regions,
     "check": cmd_check,
 }

@@ -18,7 +18,6 @@ from repro.core.policy import (
     EFFCC,
     POLICIES,
     PlacementPolicy,
-    domain_latency_rank,
     get_policy,
 )
 from repro.core.profile import (
@@ -39,7 +38,6 @@ __all__ = [
     "analyze_criticality",
     "analyze_with_profile",
     "dependence_graph",
-    "domain_latency_rank",
     "format_report",
     "get_policy",
     "leaf_loops",

@@ -21,10 +21,6 @@ from dataclasses import dataclass
 
 from repro.errors import PnRError
 
-#: Latency-rank penalty of one column step within a domain, relative to a
-#: full arbitration hop between domains.
-COLUMN_STEP = 0.25
-
 
 @dataclass(frozen=True)
 class PlacementPolicy:
@@ -34,6 +30,9 @@ class PlacementPolicy:
     weight_a: float
     weight_b: float
     weight_c: float
+    #: Latency-rank penalty of one column step within a domain, relative
+    #: to a full arbitration hop between domains.
+    column_step: float = 0.25
 
     def weight(self, criticality: str) -> float:
         if criticality == "A":
@@ -65,6 +64,16 @@ class PlacementPolicy:
                 return float(override)
         return self.weight(criticality)
 
+    def latency_rank(self, arbiter_hops: int, column_rank: int) -> float:
+        """Scalar preference rank of an LS PE slot, lower = better.
+
+        Encodes the paper's ordering ``... D1.c0 <= D0.c2 <= D0.c1 <=
+        D0.c0``: a column step costs a fraction of an arbitration hop, so
+        all columns of a faster domain beat the best column of a slower
+        one.
+        """
+        return arbiter_hops + self.column_step * column_rank
+
     @property
     def domain_aware(self) -> bool:
         return (self.weight_a, self.weight_b, self.weight_c) != (0, 0, 0)
@@ -78,6 +87,10 @@ class PlacementPolicy:
 DOMAIN_UNAWARE = PlacementPolicy("domain-unaware", 0.0, 0.0, 0.0)
 DOMAIN_AWARE = PlacementPolicy("only-domain-aware", 1.0, 1.0, 1.0)
 EFFCC = PlacementPolicy("effcc", 8.0, 3.0, 1.0)
+#: effcc with the intra-domain column preference collapsed: the
+#: column-preference ablation's variant (``repro figure
+#: ablation_column_pref``), not a ``--policy`` choice.
+EFFCC_FLAT = PlacementPolicy("effcc-flat", 8.0, 3.0, 1.0, column_step=0.0)
 
 POLICIES = {
     policy.name: policy for policy in (DOMAIN_UNAWARE, DOMAIN_AWARE, EFFCC)
@@ -91,13 +104,3 @@ def get_policy(name: str) -> PlacementPolicy:
         raise PnRError(
             f"unknown policy {name!r}; available: {sorted(POLICIES)}"
         ) from None
-
-
-def domain_latency_rank(arbiter_hops: int, column_rank: int) -> float:
-    """Scalar preference rank of an LS PE slot, lower = better.
-
-    Encodes the paper's ordering ``... D1.c0 <= D0.c2 <= D0.c1 <= D0.c0``:
-    a column step costs a fraction of an arbitration hop, so all columns of
-    a faster domain beat the best column of a slower one.
-    """
-    return arbiter_hops + COLUMN_STEP * column_rank

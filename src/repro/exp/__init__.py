@@ -4,12 +4,12 @@ from repro.exp.cache import GLOBAL_CACHE, CompileCache
 from repro.exp.configs import (
     MONACO,
     MachineConfig,
+    hybrid,
     ideal,
     numa,
     primary_configs,
     upea,
 )
-from repro.exp.dse import ls_placement_dse
 from repro.exp.fdo import (
     FdoResult,
     FdoRound,
@@ -17,14 +17,11 @@ from repro.exp.fdo import (
     run_fdo,
 )
 from repro.exp.figures import (
+    FIGURES,
+    Claim,
     FigureResult,
-    fig6c,
-    fig11,
-    fig12,
-    fig14,
-    fig15,
-    fig16,
-    fig17,
+    Grid,
+    run_figure,
 )
 from repro.exp.report import format_figure
 from repro.exp.runner import (
@@ -34,14 +31,16 @@ from repro.exp.runner import (
     run_config,
     run_workload_on_configs,
 )
-from repro.exp.tables import format_table1, table1
 
 __all__ = [
+    "Claim",
     "CompileCache",
+    "FIGURES",
     "FdoResult",
     "FdoRound",
     "FigureResult",
     "GLOBAL_CACHE",
+    "Grid",
     "blame_to_weights",
     "run_fdo",
     "MONACO",
@@ -49,21 +48,13 @@ __all__ = [
     "PAPER_DIVIDER",
     "RunResult",
     "compile_cached",
-    "fig6c",
-    "fig11",
-    "fig12",
-    "fig14",
-    "fig15",
-    "fig16",
-    "fig17",
     "format_figure",
-    "format_table1",
+    "hybrid",
     "ideal",
-    "ls_placement_dse",
     "numa",
     "primary_configs",
     "run_config",
+    "run_figure",
     "run_workload_on_configs",
-    "table1",
     "upea",
 ]

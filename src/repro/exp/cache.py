@@ -36,7 +36,8 @@ from repro.pnr.result import CompiledKernel
 #: v3: keys are :func:`repro.exp.spec.compile_key` tuples (fixed arity,
 #: covering ``noc_model`` and ``timing``); v2 keys lacked both, so a v2
 #: entry may hold an artifact compiled under another timing model.
-CACHE_SCHEMA_VERSION = 3
+#: v4: the pickled ``PlacementPolicy`` carries ``column_step``.
+CACHE_SCHEMA_VERSION = 4
 
 
 def default_cache_dir() -> Path:

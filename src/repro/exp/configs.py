@@ -6,6 +6,8 @@
   delay on every request and no port arbitration (N=0 is **Ideal**).
 * ``numa(n)`` — UPEA plus NUMA memory: random LS-PE-to-domain assignment,
   line-interleaved address space, local accesses skip the delay.
+* ``hybrid(n)`` — the Sec. 3 extension: Monaco's arbiter hierarchy with
+  NUMA-partitioned memory behind the ports; remote regions pay the delay.
 
 All configurations share the fabric topology, PE mix, memory ports and
 memory system; only the fabric-memory interconnect model differs.
@@ -24,8 +26,9 @@ class MachineConfig:
     """A named fabric-memory interconnect model."""
 
     name: str
-    kind: str  # "monaco" | "upea" | "numa"
-    #: Uniform PE-access delay in *fabric* cycles (upea/numa kinds).
+    kind: str  # "monaco" | "upea" | "numa" | "hybrid"
+    #: Uniform PE-access delay in *fabric* cycles (upea/numa kinds); the
+    #: remote-region penalty of the hybrid kind.
     upea_fabric_cycles: int = 0
     numa_domains: int = 4
     numa_seed: int = 0
@@ -45,6 +48,12 @@ class MachineConfig:
                 n_domains=self.numa_domains,
                 seed=self.numa_seed,
             )
+        if self.kind == "hybrid":
+            from repro.sim.hybrid import HybridFrontend
+
+            return lambda fabric, amap: HybridFrontend(
+                fabric, amap, remote_cycles=delay
+            )
         raise ValueError(f"unknown config kind {self.kind!r}")
 
 
@@ -62,6 +71,10 @@ def upea(n: int) -> MachineConfig:
 
 def numa(n: int, seed: int = 0) -> MachineConfig:
     return MachineConfig(f"numa-upea{n}", "numa", n, numa_seed=seed)
+
+
+def hybrid(n: int) -> MachineConfig:
+    return MachineConfig(f"monaco-numa{n}", "hybrid", n)
 
 
 #: Fig. 11's comparison set: Ideal, realistic UPEA, NUMA-UPEA, Monaco.

@@ -19,7 +19,7 @@ from collections import deque
 from repro.arch.fabric import Fabric
 from repro.arch.pe import PE, manhattan
 
-from repro.core.policy import PlacementPolicy, domain_latency_rank
+from repro.core.policy import PlacementPolicy
 from repro.dfg.graph import DFG, PortRef
 from repro.errors import PlacementError
 from repro.pnr.netlist import Netlist
@@ -31,13 +31,6 @@ MEM_WEIGHT = 6.0
 #: Quadratic penalty that discourages individual long nets (a proxy for
 #: the max-path-delay objective static timing later enforces).
 QUAD_WEIGHT = 0.3
-
-
-def _pe_rank(fabric: Fabric, pe: PE) -> float:
-    """Memory-latency rank of an LS PE (the position factor of mem_cost)."""
-    return domain_latency_rank(
-        fabric.domains[pe.domain].arbiter_hops, pe.column_rank
-    )
 
 
 class Placement:
@@ -113,11 +106,18 @@ class Placement:
             return None
         return MEM_WEIGHT * self.mem_scale * weight
 
+    def pe_rank(self, pe: PE) -> float:
+        """Memory-latency rank of an LS PE (the position factor of
+        :meth:`mem_cost`), under this placement's policy."""
+        return self.policy.latency_rank(
+            self.fabric.domains[pe.domain].arbiter_hops, pe.column_rank
+        )
+
     def mem_cost(self, nid: int) -> float:
         base = self.mem_base(nid)
         if base is None:
             return 0.0
-        return base * _pe_rank(self.fabric, self.fabric.pes[self.loc[nid]])
+        return base * self.pe_rank(self.fabric.pes[self.loc[nid]])
 
     def cell_cost(self, nid: int) -> float:
         cost = self.mem_cost(nid)
@@ -554,10 +554,13 @@ class NetlistTables:
 class FabricTables:
     """What the anneal loop reads of a fabric, by position ``y*cols + x``.
 
-    Built once per fabric (``fabric.place_tables``).
+    Built once per fabric (``fabric.place_tables``) and shared by every
+    compile on that object, so it holds only what the fabric alone
+    decides: ``mem_cost``'s rank is the policy's and is derived per
+    anneal, like ``mem_base``.
     """
 
-    __slots__ = ("xs", "ys", "dist_cost", "rank", "_pes", "_legal")
+    __slots__ = ("xs", "ys", "dist_cost", "pes", "_legal")
 
     def __init__(self, fabric: Fabric):
         cols, rows = fabric.cols, fabric.rows
@@ -574,18 +577,14 @@ class FabricTables:
             [dcost[abs(sx - tx) + abs(sy - ty)] for tx, ty in coords]
             for sx, sy in coords
         ]
-        self._pes = [fabric.pes[xy] for xy in coords]
-        #: mem_cost's domain rank per position (None off the LS PEs).
-        self.rank = [
-            _pe_rank(fabric, pe) if pe.is_ls else None for pe in self._pes
-        ]
+        self.pes = [fabric.pes[xy] for xy in coords]
         self._legal: dict[str, list[bool]] = {}
 
     def legal(self, op: str) -> list[bool]:
         """``PE.supports(op)`` per position (the twin of Placement.legal)."""
         mask = self._legal.get(op)
         if mask is None:
-            mask = self._legal[op] = [pe.supports(op) for pe in self._pes]
+            mask = self._legal[op] = [pe.supports(op) for pe in self.pes]
         return mask
 
 
@@ -627,7 +626,10 @@ EXP_SLACK = 1.0 + 2.0**-30
 
 
 def _estimate_margin(
-    nt: NetlistTables, ft: FabricTables, mem_base: list[float | None]
+    nt: NetlistTables,
+    ft: FabricTables,
+    mem_base: list[float | None],
+    rank: list[float | None],
 ) -> float:
     """How far the estimate may sit from the spec's ``after - before``.
 
@@ -651,7 +653,7 @@ def _estimate_margin(
     farthest = max(map(abs, ft.dist_cost[0]))
     heaviest = max(
         (abs(b) for b in mem_base if b is not None), default=0.0
-    ) * max((abs(r) for r in ft.rank if r is not None), default=0.0)
+    ) * max((abs(r) for r in rank if r is not None), default=0.0)
     side = 2 * heaviest + 2 * pins * farthest
     additions = 2 * (2 * pins + 2 * nets + 1) + 1
     worst = (2 * additions) * (2 * side) * 2.0**-53
@@ -707,10 +709,12 @@ def _anneal_incremental(
     ft = _fabric_tables(fabric)
     pins, cell_nets, net_sets = nt.pins, nt.cell_nets, nt.net_sets
     own_sinks, sink_srcs = nt.own_sinks, nt.sink_srcs
-    xs, ys, dist_cost, rank = ft.xs, ft.ys, ft.dist_cost, ft.rank
+    xs, ys, dist_cost = ft.xs, ft.ys, ft.dist_cost
 
     # Per candidate: positions, occupants (-1: free), legality rows, the
-    # mem_scale-dependent memory factors and the cached costs.
+    # memory term's two factors (mem_scale- and policy-dependent: the
+    # weight per cell, mem_cost's rank per position, None off the LS PEs)
+    # and the cached costs.
     cols = fabric.cols
     loc = placement.loc
     pos = [loc[nid][1] * cols + loc[nid][0] for nid in cells]
@@ -720,7 +724,8 @@ def _anneal_incremental(
     nodes = netlist.dfg.nodes
     legal = [ft.legal(nodes[nid].op) for nid in cells]
     mem_base = [placement.mem_base(nid) for nid in cells]
-    margin = _estimate_margin(nt, ft, mem_base)
+    rank = [placement.pe_rank(pe) if pe.is_ls else None for pe in ft.pes]
+    margin = _estimate_margin(nt, ft, mem_base, rank)
     # Summed as total_cost() sums them: nets, then cells.
     net = [placement.net_cost(i) for i in range(len(netlist.nets))]
     mem = [placement.mem_cost(nid) for nid in cells]

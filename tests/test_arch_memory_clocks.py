@@ -59,8 +59,6 @@ class TestParams:
         with pytest.raises(ArchError):
             SimParams(fifo_capacity=1)
         with pytest.raises(ArchError):
-            SimParams(clock_divider=0)
-        with pytest.raises(ArchError):
             ArchParams(noc_tracks=0)
 
 

@@ -11,7 +11,6 @@ from repro.core.policy import (
     DOMAIN_AWARE,
     DOMAIN_UNAWARE,
     EFFCC,
-    domain_latency_rank,
     get_policy,
 )
 from repro.errors import ArchError, PnRError
@@ -77,7 +76,7 @@ class TestPolicies:
 
     def test_latency_rank_orders_as_paper(self):
         # ... D1.c0 is worse than D0.c2 which is worse than D0.c0.
-        d0c0 = domain_latency_rank(0, 0)
-        d0c2 = domain_latency_rank(0, 2)
-        d1c0 = domain_latency_rank(1, 0)
+        d0c0 = EFFCC.latency_rank(0, 0)
+        d0c2 = EFFCC.latency_rank(0, 2)
+        d1c0 = EFFCC.latency_rank(1, 0)
         assert d0c0 < d0c2 < d1c0

@@ -11,10 +11,21 @@ from repro.exp.configs import (
     primary_configs,
     upea,
 )
-from repro.exp.figures import FigureResult, fig6c, fig12, fig14, fig16, fig17
+from repro.exp.figures import (
+    FigureResult,
+    Grid,
+    fig6c,
+    fig12,
+    fig14,
+    fig16,
+    fig17,
+)
 from repro.exp.report import format_figure
 from repro.exp.runner import run_workload_on_configs
 from repro.exp.tables import PAPER_TABLE1, format_table1, table1
+
+TINY = Grid(scale="tiny")
+TINY_SPMSPV = Grid(scale="tiny", workloads=("spmspv",))
 
 
 class TestConfigs:
@@ -72,33 +83,33 @@ class TestRunner:
 
 class TestFigures:
     def test_fig6c_shape(self):
-        result = fig6c(scale="tiny")
+        result = fig6c(TINY)
         row = result.rows["spmspv"]
         assert row["nupea"] == 1.0
         assert row["upea2"] > row["upea0"] * 0.99
         assert result.raw["spmspv"]["upea2"] > 0
 
     def test_fig12_policies_ordered(self):
-        result = fig12(scale="tiny", workloads=["spmspv"])
+        result = fig12(TINY_SPMSPV)
         row = result.rows["spmspv"]
         assert row["domain-unaware"] == 1.0
         assert row["effcc"] >= row["only-domain-aware"] * 0.95
         assert row["effcc"] > 1.0
 
     def test_fig14_degrades_with_latency(self):
-        result = fig14(scale="tiny", workloads=["spmspv"])
+        result = fig14(TINY_SPMSPV)
         row = result.rows["spmspv"]
         sweep = [row[f"upea{n}"] for n in range(5)]
         assert sweep == sorted(sweep)
 
     def test_fig16_fig17_structure(self):
         result = fig16(
-            scale="tiny", sizes=(8,), tracks=(7,), topologies=("monaco",)
+            TINY, sizes=(8,), tracks=(7,), topologies=("monaco",)
         )
         assert "monaco" in result.rows
         assert "8x8/7trk" in result.rows["monaco"]
         timing = fig17(
-            scale="tiny", sizes=(8,), tracks=(7,), topologies=("monaco",)
+            TINY, sizes=(8,), tracks=(7,), topologies=("monaco",)
         )
         assert timing.rows["monaco"]["8x8/7trk"] > 0
 

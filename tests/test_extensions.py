@@ -108,11 +108,10 @@ class TestHybridFrontend:
 
 class TestDSE:
     def test_dse_produces_grid(self):
-        from repro.exp.dse import ls_placement_dse
+        from repro.exp.figures import Grid, dse_ls_placement
 
-        result = ls_placement_dse(
-            workloads=("spmspv",),
-            scale="tiny",
+        result = dse_ls_placement(
+            Grid(scale="tiny", workloads=("spmspv",)),
             widths=(2, 3),
             strides=(2,),
         )
@@ -138,7 +137,7 @@ class TestCLI:
     def test_table1_command(self, capsys):
         from repro.cli import main
 
-        assert main(["table1", "--scale", "tiny"]) == 0
+        assert main(["figure", "table1", "--scale", "tiny"]) == 0
         assert "mergesort" in capsys.readouterr().out
 
     def test_run_command(self, capsys):

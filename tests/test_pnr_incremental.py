@@ -468,7 +468,8 @@ def test_estimate_margin_is_derived_from_the_tables(monkeypatch):
     )
     nt, ft = NetlistTables(netlist), _fabric_tables(fabric)
     mem_base = [placement.mem_base(nid) for nid in netlist.cells]
-    margin = _estimate_margin(nt, ft, mem_base)
+    rank = [placement.pe_rank(pe) if pe.is_ls else None for pe in ft.pes]
+    margin = _estimate_margin(nt, ft, mem_base, rank)
 
     # Recounted off the netlist: a cell's incident nets hold at most
     # ``pins`` pins over ``incident`` nets; no term is farther than the
@@ -482,12 +483,12 @@ def test_estimate_margin_is_derived_from_the_tables(monkeypatch):
     diagonal = manhattan((0, 0), (fabric.cols - 1, fabric.rows - 1))
     farthest = diagonal + place_mod.QUAD_WEIGHT * diagonal * diagonal
     heaviest = max(b for b in mem_base if b is not None) * max(
-        r for r in ft.rank if r is not None
+        r for r in rank if r is not None
     )
     largest = 2 * (2 * heaviest + 2 * pins * farthest)
     additions = 2 * (2 * (2 * pins + 2 * incident + 1) + 1)
     assert margin >= 1000 * additions * largest * 2.0**-53 > 0.0
-    assert _estimate_margin(nt, ft, [None] * len(mem_base)) < margin
+    assert _estimate_margin(nt, ft, [None] * len(mem_base), rank) < margin
 
     monkeypatch.setattr(place_mod, "ESTIMATE_HEADROOM", 1.0)
     monkeypatch.setattr(place_mod, "QUAD_WEIGHT", 1 / 3)

@@ -175,3 +175,50 @@ class TestAnneal:
         ]
         placement.move(mem.nid, free_far[0].coord)
         assert placement.mem_cost(mem.nid) > 0
+
+
+class TestPolicyIsACompileInput:
+    """Regression: the column-preference ablation used to patch
+    ``repro.core.policy.COLUMN_STEP`` between two compiles on one
+    ``Fabric`` whose cached rank table (``fabric.place_tables``) kept the
+    first policy's floats — seeding and ``total_cost()`` saw one step,
+    the anneal loop the other."""
+
+    @staticmethod
+    def _artifact(policy, fabric):
+        from repro.arch.params import ArchParams
+        from repro.pnr.flow import compile_kernel
+        from repro.workloads.registry import make_workload
+
+        kernel = make_workload("spmspm", scale="small").kernel
+        compiled = compile_kernel(kernel, fabric, ArchParams(), policy, seed=0)
+        return (
+            compiled.placement,
+            compiled.place_cost,
+            compiled.timing.clock_divider,
+        )
+
+    def test_shared_fabric_compiles_match_fresh_fabrics_in_both_orders(self):
+        from repro.core.policy import EFFCC_FLAT
+
+        fresh = {
+            policy.name: self._artifact(policy, monaco(12, 12))
+            for policy in (EFFCC, EFFCC_FLAT)
+        }
+        assert fresh[EFFCC.name] != fresh[EFFCC_FLAT.name]
+        for order in ((EFFCC, EFFCC_FLAT), (EFFCC_FLAT, EFFCC)):
+            shared = monaco(12, 12)
+            for policy in order:
+                assert self._artifact(policy, shared) == fresh[policy.name]
+
+    def test_second_policy_on_a_shared_fabric_anneals_without_drift(self):
+        from repro.core.policy import EFFCC_FLAT
+
+        netlist = compiled_netlist()
+        fabric = monaco(12, 12)
+        for policy in (EFFCC, EFFCC_FLAT, EFFCC):
+            rng = random.Random(0)
+            placement = initial_placement(netlist, fabric, policy, rng)
+            # check=True raises PlacementError on accumulated-cost drift.
+            cost = anneal(placement, rng, moves=4000, check=True)
+            assert cost == pytest.approx(placement.total_cost())
