@@ -262,11 +262,17 @@ TOPOLOGIES = {
 }
 
 
-def build_fabric(topology: str, rows: int, cols: int) -> Fabric:
+def build_fabric(topology: str, rows: int, cols: int, *variant) -> Fabric:
+    """``variant``: Monaco's ``(domain_width, ls_row_stride)`` axes, for
+    a :func:`monaco_variant` (``monaco`` only)."""
     try:
         builder = TOPOLOGIES[topology]
     except KeyError:
         raise ArchError(
             f"unknown topology {topology!r}; available: {sorted(TOPOLOGIES)}"
         ) from None
+    if variant:
+        if topology != "monaco":
+            raise ArchError(f"{topology} has no LS-placement axes")
+        return monaco_variant(rows, cols, *variant)
     return builder(rows, cols)

@@ -49,10 +49,10 @@ from repro.arch.params import ArchParams, SimParams
 from repro.core.criticality import format_report
 from repro.core.policy import POLICIES, get_policy
 from repro.exp.configs import MONACO, ideal, numa, upea
-from repro.exp.figures import FIGURES, Grid, run_figure
+from repro.exp.figures import FIGURES, Grid, run_figures
 from repro.exp.report import fidelity_record, format_claim, format_figure
-from repro.exp.runner import PAPER_DIVIDER, compile_point, run_config
-from repro.exp.spec import RunSpec
+from repro.exp.runner import compile_point, run_point
+from repro.exp.spec import RunSpec, sweep_specs
 from repro.exp.tables import table1
 from repro.pnr.viz import fabric_map, placement_map
 from repro.sim.energy import estimate_energy
@@ -252,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fig.add_argument(
         "--jobs", "-j", type=int, default=1,
-        help="worker processes for the entry that is a sweep (fig11)",
+        help="worker processes the selected entries' deduplicated points "
+        "run on (<=1 runs in-process; the tables are identical)",
     )
     p_fig.add_argument(
         "--out", default=None, metavar="DIR",
@@ -449,14 +450,16 @@ def cmd_fabric(args) -> int:
 def _spec_from_args(
     args, workload: str | None = None, profile_guided: bool = False, **sim
 ) -> RunSpec:
-    """The point the shared sim-argument block names; ``sim`` are the
-    command's own :class:`~repro.arch.params.SimParams` settings."""
+    """The point the shared sim-argument block names, at the divider its
+    routed design achieves; ``sim`` are the command's own
+    :class:`~repro.arch.params.SimParams` settings."""
     return RunSpec(
         workload=workload or args.workload,
         config=_config_for(args.config),
         scale=args.scale,
         seed=args.seed,
         arch=ArchParams(noc_tracks=args.tracks, sim=SimParams(**sim)),
+        divider=None,
         policy=args.policy,
         fabric=(args.topology, args.rows, args.cols),
         profile_guided=profile_guided,
@@ -466,8 +469,7 @@ def _spec_from_args(
 def _compile_and_run(
     spec, on_compiled=None, resume_from=None, portfolio_jobs: int = 1
 ):
-    """Compile ``spec`` through the cache, then simulate it at the
-    divider the routed design achieved (never below the paper's).
+    """Compile ``spec`` through the cache, then simulate it.
 
     ``on_compiled(compiled)`` runs between the two, for output that
     should appear before a long simulation does.
@@ -475,14 +477,7 @@ def _compile_and_run(
     instance, compiled = compile_point(spec, portfolio_jobs=portfolio_jobs)
     if on_compiled is not None:
         on_compiled(compiled)
-    run = run_config(
-        instance,
-        compiled,
-        spec.config,
-        spec.arch,
-        divider=max(PAPER_DIVIDER, compiled.timing.clock_divider),
-        resume_from=resume_from,
-    )
+    run = run_point(spec, instance, compiled, resume_from=resume_from)
     return compiled, run
 
 
@@ -711,9 +706,10 @@ def cmd_figure(args) -> int:
     )
     if args.out:
         os.makedirs(args.out, exist_ok=True)
+    names = list(FIGURES) if args.name == "all" else [args.name]
+    results = run_figures({name: FIGURES[name] for name in names}, grid)
     fidelity, failed = {}, []
-    for name in FIGURES if args.name == "all" else [args.name]:
-        result = run_figure(name, grid)
+    for name, result in results.items():
         text = format_figure(result)
         print(text)
         if args.out:
@@ -775,20 +771,22 @@ def cmd_sweep(args) -> int:
         grace_s=args.grace,
     )
     outcome = run_resilient(
-        args.workloads,
-        configs,
-        scale=args.scale,
-        seeds=tuple(args.seeds),
-        arch=arch,
+        sweep_specs(
+            args.workloads,
+            configs,
+            args.seeds,
+            scale=args.scale,
+            arch=arch,
+            profile_guided=args.profile_guided,
+        ),
         max_workers=args.jobs,
         cache_dir=cache_dir,
         manifest_path=args.manifest,
         sweep_policy=sweep_policy,
         resume=args.resume,
         snapshot_dir=snapshot_dir,
-        profile_guided=args.profile_guided,
     )
-    results = outcome.results
+    results = {spec.key: run for spec, run in outcome.results.items()}
     width = max(len(w) for w in args.workloads)
     for (workload, config, seed), run in sorted(results.items()):
         resumed = (

@@ -98,8 +98,9 @@ POLICIES = {
 
 
 def get_policy(name: str) -> PlacementPolicy:
+    """A ``--policy`` choice, or the ablation's variant, by name."""
     try:
-        return POLICIES[name]
+        return {**POLICIES, EFFCC_FLAT.name: EFFCC_FLAT}[name]
     except KeyError:
         raise PnRError(
             f"unknown policy {name!r}; available: {sorted(POLICIES)}"

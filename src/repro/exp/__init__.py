@@ -22,6 +22,7 @@ from repro.exp.figures import (
     FigureResult,
     Grid,
     run_figure,
+    run_figures,
 )
 from repro.exp.report import format_figure
 from repro.exp.runner import (
@@ -55,6 +56,7 @@ __all__ = [
     "primary_configs",
     "run_config",
     "run_figure",
+    "run_figures",
     "run_workload_on_configs",
     "upea",
 ]

@@ -37,7 +37,9 @@ from repro.pnr.result import CompiledKernel
 #: covering ``noc_model`` and ``timing``); v2 keys lacked both, so a v2
 #: entry may hold an artifact compiled under another timing model.
 #: v4: the pickled ``PlacementPolicy`` carries ``column_step``.
-CACHE_SCHEMA_VERSION = 4
+#: v5: keys end in ``mem_mode`` (a memory-ordering ablation compile
+#: used to bypass the cache).
+CACHE_SCHEMA_VERSION = 5
 
 
 def default_cache_dir() -> Path:

@@ -33,19 +33,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.arch.fabric import build_fabric
 from repro.arch.params import ArchParams
 from repro.core.policy import EFFCC, PlacementPolicy
 from repro.exp.configs import MONACO, MachineConfig
-from repro.exp.runner import compile_cached, run_config
+from repro.exp.runner import compile_cached, compile_point, run_point
 from repro.exp.spec import (
     DEFAULT_FABRIC_SPEC,
-    PAPER_DIVIDER,
     FabricSpec,
+    RunSpec,
     weight_map_digest,
 )
 from repro.obs.manifest import append_manifest
-from repro.workloads.registry import make_workload
 
 #: FDO round-journal schema; bump on incompatible layout changes.
 FDO_SCHEMA = 1
@@ -224,50 +222,57 @@ def run_fdo(
     with it on or off), so round cycles are directly comparable to
     unprofiled runs of the same artifact.
     """
-    config = config or MONACO
     arch = arch or ArchParams()
-    arch = replace(arch, sim=replace(arch.sim, critpath=True))
-    fabric = build_fabric(*fabric_spec)
-    instance = make_workload(workload, scale=scale, seed=seed)
+    # Every round simulates at the divider its routed design achieved.
+    spec = RunSpec(
+        workload,
+        config or MONACO,
+        scale=scale,
+        seed=seed,
+        arch=replace(arch, sim=replace(arch.sim, critpath=True)),
+        divider=None,
+        policy=policy.name,
+        fabric=tuple(fabric_spec),
+    )
+    # Round 0 is the static compile: a cache hit when anything compiled
+    # this point before.
+    instance, compiled = compile_point(spec, portfolio_jobs=portfolio_jobs)
 
     identity = {
         "workload": workload,
-        "config": config.name,
+        "config": spec.config.name,
         "scale": scale,
         "seed": seed,
         "policy": policy.name,
     }
     journal: list[FdoRound] = []
     weights: dict[int, float] = {}
-    parallelism: int | None = None
     seen_cycles: set[int] = set()
     stopped = "round-bound"
 
     for rnd in range(rounds + 1):
-        compiled = compile_cached(
-            instance,
-            fabric,
-            arch,
-            policy=policy,
-            parallelism=parallelism,
-            seed=seed,
-            portfolio_jobs=portfolio_jobs,
-            node_weights=weights if rnd else None,
-        )
-        if parallelism is None:
-            # Pin the degree round 0's search chose: later rounds must
+        if rnd:
+            # At the degree round 0's search chose: every round must
             # lower the *same* DFG so the node ids the weight map names
             # keep meaning the same loads.
-            parallelism = compiled.parallelism
-        divider = max(PAPER_DIVIDER, compiled.timing.clock_divider)
-        run = run_config(instance, compiled, config, arch, divider=divider)
+            compiled = compile_cached(
+                instance,
+                compiled.fabric,
+                spec.arch,
+                policy=policy,
+                parallelism=compiled.parallelism,
+                seed=seed,
+                portfolio_jobs=portfolio_jobs,
+                node_weights=weights,
+            )
+        run = run_point(spec, instance, compiled)
         blame = run.obs.critpath.per_node_blame()
         next_weights = blame_to_weights(blame, policy)
         record = FdoRound(
             round=rnd,
             weights=dict(weights),
             parallelism=compiled.parallelism,
-            divider=divider,
+            divider=run.stats.clock_divider,
             cycles=run.cycles,
             next_weights=next_weights,
             degenerate=not next_weights,
@@ -293,7 +298,7 @@ def run_fdo(
 
     return FdoResult(
         workload=workload,
-        config=config.name,
+        config=spec.config.name,
         scale=scale,
         seed=seed,
         policy=policy.name,

@@ -51,8 +51,6 @@ from concurrent.futures import (
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 
-from repro.arch.params import ArchParams
-from repro.core.policy import EFFCC, PlacementPolicy
 from repro.errors import (
     DeadlockError,
     ExperimentError,
@@ -65,12 +63,7 @@ from repro.errors import (
     SimulationPreempted,
     ValidationError,
 )
-from repro.exp.spec import (
-    DEFAULT_FABRIC_SPEC,
-    PAPER_DIVIDER,
-    RunSpec,
-    SweepEnv,
-)
+from repro.exp.spec import RunSpec, SweepEnv
 from repro.obs.manifest import (
     MANIFEST_SCHEMA,
     append_manifest,
@@ -286,33 +279,30 @@ class FailureRecord:
 class SweepOutcome:
     """What a supervised sweep produced.
 
-    ``results`` holds every healthy point, ``failures`` a typed record
-    per point that exhausted its policy, ``skipped`` the keys resumed
-    from the journal (already complete, not rerun).
+    ``results`` maps every healthy point (the spec as requested, also
+    when a retry perturbed its placement seed) to its result,
+    ``failures`` holds a typed record per point that exhausted its
+    policy, ``skipped`` the points resumed from the journal (already
+    complete, not rerun).
     """
 
-    results: dict = field(default_factory=dict)
+    results: dict[RunSpec, object] = field(default_factory=dict)
     failures: list[FailureRecord] = field(default_factory=list)
-    skipped: list[tuple[str, str, int]] = field(default_factory=list)
+    skipped: list[RunSpec] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    def summary(self) -> str:
-        parts = [f"{len(self.results)} ok"]
-        if self.skipped:
-            parts.append(f"{len(self.skipped)} resumed")
-        if self.failures:
-            parts.append(f"{len(self.failures)} failed")
-        return ", ".join(parts)
 
 
 @dataclass
 class _Job:
     """One sweep point plus its mutable supervision state."""
 
-    #: Replaced (never mutated) when a PnR retry perturbs ``pnr_seed``.
+    #: The point as requested: its key in the outcome.
+    point: RunSpec
+    #: What the job runs; replaced (never mutated) when a PnR retry
+    #: perturbs ``pnr_seed``.
     spec: RunSpec
     attempts: int = 0
     pnr_seeds: list[int] = field(default_factory=list)
@@ -420,14 +410,7 @@ def _dispatch_pooled(
 
 
 def run_resilient(
-    workloads: list[str],
-    configs: list,
-    scale: str = "small",
-    seeds: tuple[int, ...] = (0,),
-    arch: ArchParams | None = None,
-    policy: PlacementPolicy = EFFCC,
-    divider: int | None = None,
-    fabric_spec=None,
+    specs: list[RunSpec],
     max_workers: int | None = None,
     cache_dir=None,
     manifest_path=None,
@@ -435,16 +418,17 @@ def run_resilient(
     resume: bool = False,
     snapshot_dir=None,
     job_fn=None,
-    profile_guided: bool = False,
 ) -> SweepOutcome:
-    """Supervised (workload x config x seed) sweep.
+    """Supervised sweep over the points ``specs``, in that order.
 
-    Mirrors :func:`repro.exp.runner.run_parallel` (which delegates here)
-    but returns a :class:`SweepOutcome` of ``(results, failures,
-    skipped)`` instead of raising on the first bad point. With the
-    default :data:`ABORT` policy the behavior — results, manifest
-    records, raised exception — is bit-identical to the historical
-    fail-fast sweep.
+    Returns a :class:`SweepOutcome` of ``(results, failures, skipped)``
+    keyed by the spec as given, instead of raising on the first bad
+    point; :func:`repro.exp.spec.sweep_specs` builds the (workload x
+    config x seed) product a sweep usually is, and
+    :func:`repro.exp.runner.run_parallel` is the results-only facade
+    over that. With the default :data:`ABORT` policy the behavior —
+    results, manifest records, raised exception — is bit-identical to
+    the historical fail-fast sweep.
 
     ``resume=True`` requires ``manifest_path`` and skips every point the
     journal proves complete (see
@@ -474,11 +458,6 @@ def run_resilient(
     run, so each key is placed-and-routed once per sweep. Without a
     ``cache_dir`` the workers share a sweep-scoped temporary directory,
     removed on return.
-
-    ``profile_guided`` compiles every point with profile-refined
-    criticality (the profiling input is each point's own instance); the
-    journal identity carries ``profile: "guided"``, so profiled and
-    static sweeps can never resume from each other's journals.
     """
     from repro.exp.runner import _compile_sweep_job, _run_sweep_job
 
@@ -495,20 +474,7 @@ def run_resilient(
         grace_s=sweep_policy.grace_s,
         journal=None if manifest_path is None else str(manifest_path),
     )
-    common = dict(
-        scale=scale,
-        arch=arch or ArchParams(),
-        divider=PAPER_DIVIDER if divider is None else divider,
-        policy=policy.name,
-        fabric=tuple(fabric_spec or DEFAULT_FABRIC_SPEC),
-        profile_guided=profile_guided,
-    )
-    jobs = [
-        _Job(RunSpec(name, config, seed=seed, **common))
-        for name in workloads
-        for config in configs
-        for seed in seeds
-    ]
+    jobs = [_Job(spec, spec) for spec in specs]
 
     outcome = SweepOutcome()
     if resume:
@@ -518,13 +484,13 @@ def run_resilient(
         remaining = []
         for job in jobs:
             if job.spec.point_digest() in done:
-                outcome.skipped.append(job.spec.key)
+                outcome.skipped.append(job.point)
             else:
                 remaining.append(job)
         jobs = remaining
 
     def emit_success(job: _Job, run) -> None:
-        outcome.results[job.spec.key] = run
+        outcome.results[job.point] = run
         if manifest_path is not None:
             append_manifest(manifest_path, build_manifest(run, job.spec))
 

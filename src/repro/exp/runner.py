@@ -39,6 +39,7 @@ from repro.exp.spec import (
     RunSpec,
     SweepEnv,
     compile_key,
+    sweep_specs,
 )
 from repro.pnr.flow import compile_kernel
 from repro.pnr.result import CompiledKernel
@@ -97,6 +98,7 @@ def compile_cached(
     portfolio_jobs: int = 1,
     profile_guided: bool = False,
     node_weights: dict[int, float] | None = None,
+    mem_mode: str = "raw",
 ) -> CompiledKernel:
     """Compile with the shared cache (PnR is deterministic given the key).
 
@@ -110,7 +112,8 @@ def compile_cached(
     ``profile_guided`` refines class-B/C criticality by a profiling run
     on the instance's own inputs; ``node_weights`` overrides per-node
     placement weights outright (:mod:`repro.exp.fdo`). Both change the
-    compiled artifact, so both are key members (``None`` when off).
+    compiled artifact, so both are key members (``None`` when off), as
+    is ``mem_mode``, the memory-ordering lowering.
     """
     key = compile_key(
         instance.name,
@@ -122,6 +125,7 @@ def compile_cached(
         seed,
         profile_guided,
         node_weights,
+        mem_mode,
     )
     profile = (instance.params, instance.arrays) if profile_guided else None
     return GLOBAL_CACHE.get_or_compile(
@@ -132,6 +136,7 @@ def compile_cached(
             arch,
             policy=policy,
             parallelism=parallelism,
+            mem_mode=mem_mode,
             seed=seed,
             portfolio_jobs=portfolio_jobs,
             profile=profile,
@@ -193,7 +198,7 @@ def run_workload_on_configs(
     arch: ArchParams | None = None,
     fabric_spec: FabricSpec = DEFAULT_FABRIC_SPEC,
     policy: PlacementPolicy = EFFCC,
-    divider: int = PAPER_DIVIDER,
+    divider: int | None = PAPER_DIVIDER,
     manifest_path: str | os.PathLike | None = None,
     sweep_policy=None,
     failures: list | None = None,
@@ -212,22 +217,35 @@ def run_workload_on_configs(
     from repro.exp.resilient import run_resilient
 
     outcome = run_resilient(
-        [name],
-        configs,
-        scale=scale,
-        seeds=(seed,),
-        arch=arch,
-        policy=policy,
-        divider=divider,
-        fabric_spec=fabric_spec,
+        sweep_specs(
+            [name],
+            configs,
+            (seed,),
+            **_shared_fields(
+                scale, arch, policy, divider, fabric_spec, profile_guided
+            ),
+        ),
         max_workers=1,
         manifest_path=manifest_path,
         sweep_policy=sweep_policy,
-        profile_guided=profile_guided,
     )
     if failures is not None:
         failures.extend(outcome.failures)
-    return {config: run for (_, config, _), run in outcome.results.items()}
+    return {spec.config.name: run for spec, run in outcome.results.items()}
+
+
+def _shared_fields(
+    scale, arch, policy, divider, fabric_spec, profile_guided
+) -> dict:
+    """The :class:`RunSpec` fields every point of a facade's sweep shares."""
+    return dict(
+        scale=scale,
+        arch=arch or ArchParams(),
+        divider=divider,
+        policy=policy.name,
+        fabric=tuple(fabric_spec),
+        profile_guided=profile_guided,
+    )
 
 
 # -- sweep jobs -------------------------------------------------------------
@@ -258,11 +276,37 @@ def compile_point(
         build_fabric(*spec.fabric),
         spec.arch,
         policy=get_policy(spec.policy),
+        parallelism=spec.parallelism,
         seed=spec.placement_seed,
         profile_guided=spec.profile_guided,
         portfolio_jobs=portfolio_jobs,
+        mem_mode=spec.mem_mode,
     )
     return instance, compiled
+
+
+def run_point(
+    spec: RunSpec,
+    instance: WorkloadInstance,
+    compiled: CompiledKernel,
+    **options,
+) -> RunResult:
+    """Simulate ``spec`` on its compiled kernel (``options`` pass through
+    to :func:`run_config`).
+
+    ``spec.divider=None`` runs at the divider the routed design achieved,
+    never below :data:`PAPER_DIVIDER` — so a congested design pays in
+    fabric frequency, the Fig. 16 mechanism.
+    """
+    divider = spec.divider
+    if divider is None:
+        divider = max(PAPER_DIVIDER, compiled.timing.clock_divider)
+    run = run_config(
+        instance, compiled, spec.config, spec.arch, divider, **options
+    )
+    run.pnr_seed = spec.pnr_seed
+    run.profile = compiled.meta.get("profile")
+    return run
 
 
 def _compile_sweep_job(spec: RunSpec, env: SweepEnv) -> None:
@@ -321,23 +365,9 @@ def _run_sweep_job(spec: RunSpec, env: SweepEnv) -> RunResult:
             "resume_policy": "discard",
         }
 
-    def job() -> RunResult:
-        instance, compiled = compile_point(spec)
-        run = run_config(
-            instance,
-            compiled,
-            spec.config,
-            spec.arch,
-            spec.divider,
-            **checkpointing,
-        )
-        run.pnr_seed = spec.pnr_seed
-        run.profile = compiled.meta.get("profile")
-        return run
-
     return call_with_timeout(
         env.timeout_s,
-        job,
+        lambda: run_point(spec, *compile_point(spec), **checkpointing),
         label=spec.label,
         watchdog=watchdog,
         grace_s=env.grace_s,
@@ -351,7 +381,7 @@ def run_parallel(
     seeds: tuple[int, ...] = (0,),
     arch: ArchParams | None = None,
     policy: PlacementPolicy = EFFCC,
-    divider: int = PAPER_DIVIDER,
+    divider: int | None = PAPER_DIVIDER,
     fabric_spec: FabricSpec = DEFAULT_FABRIC_SPEC,
     max_workers: int | None = None,
     cache_dir: str | os.PathLike | None = None,
@@ -396,20 +426,20 @@ def run_parallel(
     """
     from repro.exp.resilient import run_resilient
 
-    return run_resilient(
-        workloads,
-        configs,
-        scale=scale,
-        seeds=seeds,
-        arch=arch,
-        policy=policy,
-        divider=divider,
-        fabric_spec=fabric_spec,
+    outcome = run_resilient(
+        sweep_specs(
+            workloads,
+            configs,
+            seeds,
+            **_shared_fields(
+                scale, arch, policy, divider, fabric_spec, profile_guided
+            ),
+        ),
         max_workers=max_workers,
         cache_dir=cache_dir,
         manifest_path=manifest_path,
         sweep_policy=sweep_policy,
         resume=resume,
         snapshot_dir=snapshot_dir,
-        profile_guided=profile_guided,
-    ).results
+    )
+    return {spec.key: run for spec, run in outcome.results.items()}

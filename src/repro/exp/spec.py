@@ -33,8 +33,11 @@ from repro.obs.manifest import ARCH_COMPILE_FIELDS, point_digest
 #: The paper's evaluated fabric clock divider (Sec. 6).
 PAPER_DIVIDER = 2
 
-#: (topology, rows, cols) triple — picklable stand-in for a Fabric.
-FabricSpec = tuple[str, int, int]
+#: ``(topology, rows, cols)``, optionally followed by Monaco's two
+#: LS-placement axes ``(domain_width, ls_row_stride)`` — the picklable
+#: stand-in for a Fabric (:func:`repro.arch.fabric.build_fabric` takes
+#: it unpacked).
+FabricSpec = tuple
 
 DEFAULT_FABRIC_SPEC: FabricSpec = ("monaco", 12, 12)
 
@@ -63,6 +66,7 @@ def compile_key(
     seed: int,
     profile_guided: bool = False,
     node_weights: dict[int, float] | None = None,
+    mem_mode: str = "raw",
 ) -> tuple:
     """The compile subset as a hashable key: every input that changes
     the PnR artifact, each member always present (``None`` when off).
@@ -82,6 +86,7 @@ def compile_key(
         seed,
         "profile-guided" if profile_guided else None,
         weight_map_digest(node_weights) if node_weights else None,
+        mem_mode,
     )
 
 
@@ -98,13 +103,20 @@ class RunSpec:
     #: perturbation on a PnR retry. None places with ``seed``.
     pnr_seed: int | None = None
     arch: ArchParams = field(default_factory=ArchParams)
-    divider: int = PAPER_DIVIDER
+    #: Fabric clock divider to simulate at; None = the one the routed
+    #: design achieved, never below :data:`PAPER_DIVIDER`
+    #: (:func:`repro.exp.runner.run_point`).
+    divider: int | None = PAPER_DIVIDER
     #: Placement policy, by name (see :func:`repro.core.policy.get_policy`).
     policy: str = EFFCC.name
     fabric: FabricSpec = DEFAULT_FABRIC_SPEC
     #: Refine class-B/C criticality by profiling the point's own
     #: instance before placement (:mod:`repro.core.profile`).
     profile_guided: bool = False
+    #: Parallelism degree to compile at (None = PnR searches it).
+    parallelism: int | None = None
+    #: Memory-ordering lowering (``raw`` fences or ``serialize``).
+    mem_mode: str = "raw"
 
     @property
     def key(self) -> tuple[str, str, int]:
@@ -124,7 +136,8 @@ class RunSpec:
         the JSON-ready columns every manifest record carries.
 
         Everything here is known before the point executes (unlike the
-        PnR-chosen parallelism) and survives a retry (``pnr_seed`` is
+        PnR-chosen ``parallelism`` of the record, so the requested one is
+        ``requested_parallelism``) and survives a retry (``pnr_seed`` is
         journaled beside the identity, not in it), so the resume journal
         can match records against points it has not run yet. ``faults``
         is the fault model's signature and ``profile`` the
@@ -132,9 +145,13 @@ class RunSpec:
         ``ArchParams`` fields PnR reads (``ARCH_COMPILE_FIELDS``, the
         list ``compile_key`` is built from) are columns too: a journal
         written under other ``noc_tracks`` / ``noc_model`` / ``timing``
-        holds different artifacts' results.
+        holds different artifacts' results. So are the simulator knobs
+        that change the cycles (``memory``, ``fifo_capacity``,
+        ``max_outstanding``); the probes (``trace``, ``critpath``,
+        ``check``) are bit-identical and stay out.
         """
-        faults = self.arch.sim.faults
+        sim = self.arch.sim
+        faults = sim.faults
         return {
             "workload": self.workload,
             "config": self.config.name,
@@ -149,10 +166,15 @@ class RunSpec:
                 else None
             ),
             "profile": "guided" if self.profile_guided else None,
+            "requested_parallelism": self.parallelism,
+            "mem_mode": self.mem_mode,
             **{
                 name: _column(getattr(self.arch, name))
                 for name in ARCH_COMPILE_FIELDS
             },
+            "memory": _column(self.arch.memory),
+            "fifo_capacity": sim.fifo_capacity,
+            "max_outstanding": sim.max_outstanding,
         }
 
     def point_digest(self) -> str:
@@ -175,10 +197,22 @@ class RunSpec:
             self.fabric,
             self.arch,
             self.policy,
-            None,
+            self.parallelism,
             self.placement_seed,
             self.profile_guided,
+            mem_mode=self.mem_mode,
         )
+
+
+def sweep_specs(workloads, configs, seeds=(0,), **fields) -> list[RunSpec]:
+    """The (workload x config x seed) product in sweep order; ``fields``
+    are the :class:`RunSpec` fields every point shares."""
+    return [
+        RunSpec(name, config, seed=seed, **fields)
+        for name in workloads
+        for config in configs
+        for seed in seeds
+    ]
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,10 @@ import time
 #: v2: ``status``, ``point_digest`` and ``faults`` fields (resume journal).
 #: v3: the identity is the fixed column set :data:`POINT_FIELDS`
 #: (``profile`` always present, ``None`` when off).
-MANIFEST_SCHEMA = 3
+#: v4: ``requested_parallelism``, ``mem_mode``, ``memory``,
+#: ``fifo_capacity`` and ``max_outstanding`` columns; ``divider`` may be
+#: ``None`` (the routed design's own).
+MANIFEST_SCHEMA = 4
 
 #: The ``ArchParams`` fields ``pnr/flow.py::compile_once`` reads: the one
 #: list behind both the compile-cache key
@@ -55,7 +58,12 @@ POINT_FIELDS = (
     "policy",
     "faults",
     "profile",
+    "requested_parallelism",
+    "mem_mode",
     *ARCH_COMPILE_FIELDS,
+    "memory",
+    "fifo_capacity",
+    "max_outstanding",
 )
 
 #: Keys that legitimately differ between two runs of the same point.

@@ -14,11 +14,10 @@ from repro.exp.configs import (
 from repro.exp.figures import (
     FigureResult,
     Grid,
-    fig6c,
-    fig12,
-    fig14,
     fig16,
     fig17,
+    run_figure,
+    run_figures,
 )
 from repro.exp.report import format_figure
 from repro.exp.runner import run_workload_on_configs
@@ -83,35 +82,32 @@ class TestRunner:
 
 class TestFigures:
     def test_fig6c_shape(self):
-        result = fig6c(TINY)
+        result = run_figure("fig6c", TINY)
         row = result.rows["spmspv"]
         assert row["nupea"] == 1.0
         assert row["upea2"] > row["upea0"] * 0.99
         assert result.raw["spmspv"]["upea2"] > 0
 
     def test_fig12_policies_ordered(self):
-        result = fig12(TINY_SPMSPV)
+        result = run_figure("fig12", TINY_SPMSPV)
         row = result.rows["spmspv"]
         assert row["domain-unaware"] == 1.0
         assert row["effcc"] >= row["only-domain-aware"] * 0.95
         assert row["effcc"] > 1.0
 
     def test_fig14_degrades_with_latency(self):
-        result = fig14(TINY_SPMSPV)
+        result = run_figure("fig14", TINY_SPMSPV)
         row = result.rows["spmspv"]
         sweep = [row[f"upea{n}"] for n in range(5)]
         assert sweep == sorted(sweep)
 
     def test_fig16_fig17_structure(self):
-        result = fig16(
-            TINY, sizes=(8,), tracks=(7,), topologies=("monaco",)
+        one = dict(sizes=(8,), tracks=(7,), topologies=("monaco",))
+        results = run_figures(
+            {"fig16": fig16(**one), "fig17": fig17(**one)}, TINY
         )
-        assert "monaco" in result.rows
-        assert "8x8/7trk" in result.rows["monaco"]
-        timing = fig17(
-            TINY, sizes=(8,), tracks=(7,), topologies=("monaco",)
-        )
-        assert timing.rows["monaco"]["8x8/7trk"] > 0
+        assert "8x8/7trk" in results["fig16"].rows["monaco"]
+        assert results["fig17"].rows["monaco"]["8x8/7trk"] > 0
 
     def test_geomean(self):
         result = FigureResult("f", "t", ["a"])

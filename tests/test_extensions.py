@@ -108,13 +108,12 @@ class TestHybridFrontend:
 
 class TestDSE:
     def test_dse_produces_grid(self):
-        from repro.exp.figures import Grid, dse_ls_placement
+        from repro.exp.figures import Grid, dse_ls_placement, run_figures
 
-        result = dse_ls_placement(
+        result = run_figures(
+            {"dse": dse_ls_placement(widths=(2, 3), strides=(2,))},
             Grid(scale="tiny", workloads=("spmspv",)),
-            widths=(2, 3),
-            strides=(2,),
-        )
+        )["dse"]
         row = result.rows["spmspv"]
         assert set(row) == {"w2/s2", "w3/s2"}
         assert all(v > 0 for v in row.values())

@@ -26,7 +26,7 @@ from repro.exp.runner import (
     run_parallel,
     run_workload_on_configs,
 )
-from repro.exp.spec import RunSpec, SweepEnv
+from repro.exp.spec import RunSpec, SweepEnv, sweep_specs
 from repro.pnr.flow import compile_once
 from repro.sim.engine import simulate
 from repro.workloads.registry import make_workload
@@ -174,15 +174,14 @@ def test_pool_manifest_stays_in_job_order(tmp_path, monkeypatch):
 
     finished = tmp_path / "finished.log"
     monkeypatch.setattr(sys.modules[__name__], "WORKER_LOG", finished)
-    kwargs = dict(
-        scale="tiny", cache_dir=tmp_path / "cache",
-        job_fn=_slow_first_point_job,
-    )
     for label, workers in (("serial", 1), ("pooled", 2)):
         finished.write_text("")
         run_resilient(
-            WORKLOADS, CONFIGS, max_workers=workers,
-            manifest_path=tmp_path / f"{label}.jsonl", **kwargs,
+            sweep_specs(WORKLOADS, CONFIGS, scale="tiny"),
+            max_workers=workers,
+            cache_dir=tmp_path / "cache",
+            manifest_path=tmp_path / f"{label}.jsonl",
+            job_fn=_slow_first_point_job,
         )
     # The pooled run really overtook its first point...
     assert finished.read_text().split()[0] != "spmspv/monaco"
@@ -397,16 +396,19 @@ def test_fig11_jobs_matches_serial(miss_log, monkeypatch):
     CLI — still places-and-routes each kernel once (the workers share a
     sweep-scoped temporary cache)."""
     from repro.exp.cache import GLOBAL_CACHE
-    from repro.exp.figures import Grid, fig11
+    from repro.exp.figures import Grid, run_figure
 
     monkeypatch.setattr(GLOBAL_CACHE, "disk_dir", None)
     workloads = ("spmspv", "dmv")
-    serial = fig11(Grid(scale="tiny", workloads=workloads))
+    serial = run_figure("fig11", Grid(scale="tiny", workloads=workloads))
     assert miss_log() == sorted(workloads)
     GLOBAL_CACHE.clear()  # forked workers must not inherit the kernels
-    fanned = fig11(Grid(scale="tiny", workloads=workloads, jobs=4))
+    fanned = run_figure(
+        "fig11", Grid(scale="tiny", workloads=workloads, jobs=4)
+    )
     assert fanned.rows == serial.rows
     assert fanned.raw == serial.raw
     # Both sweeps ran through the supervisor; each compiled each kernel once.
     assert miss_log() == sorted(workloads * 2)
+    # The graph's temporary cache is gone with it.
     assert GLOBAL_CACHE.disk_dir is None

@@ -39,9 +39,19 @@ from repro.exp.resilient import (
     run_resilient,
 )
 from repro.exp.runner import _run_sweep_job, run_workload_on_configs
+from repro.exp.spec import sweep_specs
 from repro.obs.manifest import completed_points, read_manifest
 
 CONFIGS = [MONACO, upea(2)]
+
+
+def _specs(workloads, configs=CONFIGS, **fields):
+    """The tiny (workload x config) sweep over ``workloads``."""
+    return sweep_specs(workloads, configs, scale="tiny", **fields)
+
+
+def _keys(points) -> set:
+    return {spec.key for spec in points}
 
 
 # -- taxonomy ---------------------------------------------------------------
@@ -174,15 +184,12 @@ def _die_once_job(spec, env):
 
 def test_skip_policy_returns_healthy_results_serial_and_pool():
     policy = SweepPolicy(on_failure="skip")
-    kwargs = dict(
-        scale="tiny",
-        sweep_policy=policy,
-        job_fn=_fail_one_job,
-    )
-    serial = run_resilient(["spmspv", "dmv"], CONFIGS, max_workers=1, **kwargs)
-    pooled = run_resilient(["spmspv", "dmv"], CONFIGS, max_workers=2, **kwargs)
+    kwargs = dict(sweep_policy=policy, job_fn=_fail_one_job)
+    specs = _specs(["spmspv", "dmv"])
+    serial = run_resilient(specs, max_workers=1, **kwargs)
+    pooled = run_resilient(specs, max_workers=2, **kwargs)
     for outcome in (serial, pooled):
-        assert set(outcome.results) == {
+        assert _keys(outcome.results) == {
             ("spmspv", "monaco", 0),
             ("spmspv", "upea2", 0),
             ("dmv", "monaco", 0),
@@ -197,16 +204,16 @@ def test_skip_policy_returns_healthy_results_serial_and_pool():
 
 
 def test_retry_perturbs_placement_seed_deterministically():
+    (spec,) = _specs(["spmspv"], [MONACO])
     outcome = run_resilient(
-        ["spmspv"],
-        [MONACO],
-        scale="tiny",
+        [spec],
         max_workers=1,
         sweep_policy=SweepPolicy(on_failure="retry", max_retries=2),
         job_fn=_routing_until_perturbed_job,
     )
     assert outcome.ok
-    name, config, seed, pnr_seed = outcome.results[("spmspv", "monaco", 0)]
+    # Keyed by the point as requested, not by the perturbed retry.
+    name, config, seed, pnr_seed = outcome.results[spec]
     assert pnr_seed == 0 + PNR_SEED_STRIDE * 1  # first retry's seed
 
 
@@ -215,9 +222,7 @@ def test_retry_budget_exhaustion_records_failure():
         raise RoutingError("never routes")
 
     outcome = run_resilient(
-        ["spmspv"],
-        [MONACO],
-        scale="tiny",
+        _specs(["spmspv"], [MONACO]),
         max_workers=1,
         sweep_policy=SweepPolicy(on_failure="retry", max_retries=2),
         job_fn=always_routing,
@@ -235,9 +240,7 @@ def test_retry_budget_exhaustion_records_failure():
 def test_abort_policy_reraises_first_failure():
     with pytest.raises(SimulationError):
         run_resilient(
-            ["spmspv", "dmv"],
-            CONFIGS,
-            scale="tiny",
+            _specs(["spmspv", "dmv"]),
             max_workers=1,
             job_fn=_fail_one_job,  # default ABORT policy
         )
@@ -246,9 +249,7 @@ def test_abort_policy_reraises_first_failure():
 def test_job_timeout_is_classified_and_bounded():
     before = time.perf_counter()
     outcome = run_resilient(
-        ["spmspv"],
-        [MONACO],
-        scale="tiny",
+        _specs(["spmspv"], [MONACO]),
         max_workers=1,
         sweep_policy=SweepPolicy(job_timeout_s=0.2, on_failure="skip"),
         job_fn=_sleepy_job,
@@ -260,16 +261,14 @@ def test_job_timeout_is_classified_and_bounded():
 
 def test_worker_death_is_retried_with_a_fresh_pool(tmp_path):
     outcome = run_resilient(
-        ["spmv", "spmspv"],
-        [MONACO],
-        scale="tiny",
+        _specs(["spmv", "spmspv"], [MONACO]),
         max_workers=2,
         cache_dir=tmp_path,  # doubles as the death-marker scratch dir
         sweep_policy=SweepPolicy(on_failure="retry", max_retries=3),
         job_fn=_die_once_job,
     )
     assert outcome.ok, [f.describe() for f in outcome.failures]
-    assert set(outcome.results) == {
+    assert _keys(outcome.results) == {
         ("spmv", "monaco", 0),
         ("spmspv", "monaco", 0),
     }
@@ -364,12 +363,10 @@ def test_failed_compile_task_leaves_the_verdict_to_each_point(
     three points' common perturbed seed is one new key, compiled once."""
     _patch_compile(monkeypatch, _routing_compile)
     configs = [MONACO, upea(2), upea(3)]
-    kwargs = dict(
-        scale="tiny", max_workers=2, job_fn=_routing_until_perturbed_job
-    )
+    kwargs = dict(max_workers=2, job_fn=_routing_until_perturbed_job)
 
     skipped = run_resilient(
-        ["spmspv"], configs, cache_dir=tmp_path,
+        _specs(["spmspv"], configs), cache_dir=tmp_path,
         sweep_policy=SweepPolicy(on_failure="skip"), **kwargs,
     )
     assert not skipped.results
@@ -380,7 +377,7 @@ def test_failed_compile_task_leaves_the_verdict_to_each_point(
 
     (tmp_path / "compiles.log").unlink()
     retried = run_resilient(
-        ["spmspv"], configs, cache_dir=tmp_path,
+        _specs(["spmspv"], configs), cache_dir=tmp_path,
         sweep_policy=SweepPolicy(on_failure="retry", max_retries=2), **kwargs,
     )
     assert retried.ok
@@ -398,7 +395,7 @@ def test_one_key_runs_one_compile_then_every_sim_at_once(
     compile task — none queues behind a sibling."""
     _patch_compile(monkeypatch, _timed_compile)
     outcome = run_resilient(
-        ["spmspv"], [MONACO, upea(2), upea(3)], scale="tiny", max_workers=3,
+        _specs(["spmspv"], [MONACO, upea(2), upea(3)]), max_workers=3,
         cache_dir=tmp_path, job_fn=_timed_job,
     )
     assert len(outcome.results) == 3
@@ -418,7 +415,7 @@ def test_abort_cancels_queued_jobs(tmp_path, monkeypatch):
     before = time.perf_counter()
     with pytest.raises(SimulationError):
         run_resilient(
-            ["spmspv"], configs, scale="tiny", max_workers=2,
+            _specs(["spmspv"], configs), max_workers=2,
             cache_dir=tmp_path, job_fn=_first_fails_rest_sleep_job,
         )
     assert time.perf_counter() - before < 3.0
@@ -432,7 +429,7 @@ def test_backoff_delays_the_retry_not_the_supervisor(tmp_path, monkeypatch):
     configs = [MONACO] + [upea(n) for n in range(2, 9)]
     backoff = 1.0
     outcome = run_resilient(
-        ["spmspv"], configs, scale="tiny", max_workers=2, cache_dir=tmp_path,
+        _specs(["spmspv"], configs), max_workers=2, cache_dir=tmp_path,
         sweep_policy=SweepPolicy(
             on_failure="retry", max_retries=1, backoff_s=backoff
         ),
@@ -450,8 +447,7 @@ def test_backoff_delays_the_retry_not_the_supervisor(tmp_path, monkeypatch):
 
 def test_backoff_applies_in_process_too(tmp_path):
     outcome = run_resilient(
-        ["spmspv"], [MONACO, upea(2)], scale="tiny", max_workers=1,
-        cache_dir=tmp_path,
+        _specs(["spmspv"]), max_workers=1, cache_dir=tmp_path,
         sweep_policy=SweepPolicy(
             on_failure="retry", max_retries=1, backoff_s=0.5
         ),
@@ -470,14 +466,14 @@ def test_worker_death_poisons_only_the_window(tmp_path, monkeypatch):
     configs = [MONACO] + [upea(n) for n in range(2, 10)]
     workers = 2
     outcome = run_resilient(
-        ["spmspv"], configs, scale="tiny", max_workers=workers,
+        _specs(["spmspv"], configs), max_workers=workers,
         cache_dir=tmp_path, sweep_policy=SweepPolicy(on_failure="skip"),
         job_fn=_die_once_others_sleep_job,
     )
     dead = {f.config for f in outcome.failures}
     assert "monaco" in dead and len(dead) <= workers + 1
     assert {f.kind for f in outcome.failures} == {"worker-death"}
-    assert {key[1] for key in outcome.results} == {
+    assert {spec.config.name for spec in outcome.results} == {
         c.name for c in configs
     } - dead
 
@@ -495,17 +491,16 @@ def test_serial_vs_parallel_identical_around_a_failure(tmp_path):
     """One failing point must not disturb any healthy point's result."""
     policy = SweepPolicy(on_failure="skip")
     kwargs = dict(
-        scale="tiny",
         cache_dir=tmp_path / "cache",
         sweep_policy=policy,
         job_fn=_real_but_one_fails_job,
     )
     serial = run_resilient(
-        ["spmspv", "dmv"], CONFIGS, max_workers=1,
+        _specs(["spmspv", "dmv"]), max_workers=1,
         manifest_path=tmp_path / "serial.jsonl", **kwargs,
     )
     pooled = run_resilient(
-        ["spmspv", "dmv"], CONFIGS, max_workers=2,
+        _specs(["spmspv", "dmv"]), max_workers=2,
         manifest_path=tmp_path / "pooled.jsonl", **kwargs,
     )
     assert serial.results == pooled.results
@@ -535,7 +530,7 @@ def test_serial_vs_parallel_identical_around_a_failure(tmp_path):
 def test_resume_requires_manifest():
     with pytest.raises(ExperimentError):
         run_resilient(
-            ["spmspv"], [MONACO], scale="tiny", max_workers=1, resume=True,
+            _specs(["spmspv"], [MONACO]), max_workers=1, resume=True,
             job_fn=_ok_job,
         )
 
@@ -543,9 +538,7 @@ def test_resume_requires_manifest():
 def test_resume_skips_completed_and_reruns_failed(tmp_path):
     manifest = tmp_path / "journal.jsonl"
     first = run_resilient(
-        ["spmspv", "dmv"],
-        CONFIGS,
-        scale="tiny",
+        _specs(["spmspv", "dmv"]),
         max_workers=1,
         cache_dir=tmp_path / "cache",
         manifest_path=manifest,
@@ -556,24 +549,20 @@ def test_resume_skips_completed_and_reruns_failed(tmp_path):
 
     # Resume with the failure "fixed": only the failed point reruns.
     second = run_resilient(
-        ["spmspv", "dmv"],
-        CONFIGS,
-        scale="tiny",
+        _specs(["spmspv", "dmv"]),
         max_workers=1,
         cache_dir=tmp_path / "cache",
         manifest_path=manifest,
         sweep_policy=SweepPolicy(on_failure="skip"),
         resume=True,
     )
-    assert sorted(second.skipped) == sorted(first.results)
-    assert set(second.results) == {("dmv", "upea2", 0)}
+    assert second.skipped == list(first.results)
+    assert _keys(second.results) == {("dmv", "upea2", 0)}
     assert second.ok
 
     # A third resume finds everything journaled and runs nothing.
     third = run_resilient(
-        ["spmspv", "dmv"],
-        CONFIGS,
-        scale="tiny",
+        _specs(["spmspv", "dmv"]),
         max_workers=1,
         cache_dir=tmp_path / "cache",
         manifest_path=manifest,
@@ -586,23 +575,23 @@ def test_resume_ignores_stale_journal_configuration(tmp_path):
     """A journal from a different sweep configuration skips nothing."""
     manifest = tmp_path / "journal.jsonl"
     run_resilient(
-        ["spmspv"], [MONACO], scale="tiny", max_workers=1,
+        _specs(["spmspv"], [MONACO]), max_workers=1,
         cache_dir=tmp_path / "cache", manifest_path=manifest, job_fn=None,
     )
     assert len(completed_points(manifest)) == 1
     # Same points, different divider: digests differ, so nothing skips.
     outcome = run_resilient(
-        ["spmspv"], [MONACO], scale="tiny", divider=4, max_workers=1,
+        _specs(["spmspv"], [MONACO], divider=4), max_workers=1,
         cache_dir=tmp_path / "cache", manifest_path=manifest, resume=True,
     )
     assert not outcome.skipped
-    assert set(outcome.results) == {("spmspv", "monaco", 0)}
+    assert _keys(outcome.results) == {("spmspv", "monaco", 0)}
 
 
 def test_resume_ignores_tampered_journal_records(tmp_path):
     manifest = tmp_path / "journal.jsonl"
     run_resilient(
-        ["spmspv"], [MONACO], scale="tiny", max_workers=1,
+        _specs(["spmspv"], [MONACO]), max_workers=1,
         cache_dir=tmp_path / "cache", manifest_path=manifest,
     )
     (record,) = read_manifest(manifest)
@@ -614,11 +603,11 @@ def test_resume_ignores_tampered_journal_records(tmp_path):
 def test_resume_survives_a_torn_final_line(tmp_path):
     manifest = tmp_path / "journal.jsonl"
     run_resilient(
-        ["spmspv"], [MONACO], scale="tiny", max_workers=1,
+        _specs(["spmspv"], [MONACO]), max_workers=1,
         cache_dir=tmp_path / "cache", manifest_path=manifest,
     )
     with open(manifest, "a") as handle:
-        handle.write('{"schema": 3, "status": "ok", "trunca')  # killed mid-append
+        handle.write('{"schema": 4, "status": "ok", "trunca')  # killed mid-append
     assert len(completed_points(manifest)) == 1
     with pytest.raises(json.JSONDecodeError):
         read_manifest(manifest, strict=True)
@@ -662,14 +651,8 @@ def test_profile_guided_sweep_journals_profile(tmp_path):
     """A real profile-guided sweep marks its manifest identity and
     carries the refinement report; resume honors the new digest."""
     manifest = tmp_path / "man.jsonl"
-    outcome = run_resilient(
-        ["spmspv"],
-        [MONACO],
-        scale="tiny",
-        max_workers=1,
-        manifest_path=manifest,
-        profile_guided=True,
-    )
+    specs = _specs(["spmspv"], [MONACO], profile_guided=True)
+    outcome = run_resilient(specs, max_workers=1, manifest_path=manifest)
     assert outcome.ok
     (run,) = outcome.results.values()
     assert run.profile is not None
@@ -679,15 +662,9 @@ def test_profile_guided_sweep_journals_profile(tmp_path):
     assert record["profile_report"] == dict(run.profile)
     # The journal proves the point complete under the *guided* digest...
     resumed = run_resilient(
-        ["spmspv"],
-        [MONACO],
-        scale="tiny",
-        max_workers=1,
-        manifest_path=manifest,
-        profile_guided=True,
-        resume=True,
+        specs, max_workers=1, manifest_path=manifest, resume=True
     )
-    assert resumed.skipped == [("spmspv", "monaco", 0)]
+    assert resumed.skipped == specs
     # (A static sweep's refusal to alias this journal is covered by
     # test_static_resume_does_not_alias_guided_journal below.)
 
@@ -699,12 +676,9 @@ def test_static_resume_does_not_alias_guided_journal(tmp_path):
 
     manifest = tmp_path / "man.jsonl"
     run_resilient(
-        ["spmspv"],
-        [MONACO],
-        scale="tiny",
+        _specs(["spmspv"], [MONACO], profile_guided=True),
         max_workers=1,
         manifest_path=manifest,
-        profile_guided=True,
     )
     (record,) = read_manifest(manifest)
     done = completed_points(manifest)

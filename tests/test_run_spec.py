@@ -30,7 +30,7 @@ from repro.exp.cache import GLOBAL_CACHE
 from repro.exp.configs import MONACO, upea
 from repro.exp.resilient import PNR_SEED_STRIDE, SweepPolicy, run_resilient
 from repro.exp.runner import _run_sweep_job, compile_cached
-from repro.exp.spec import RunSpec, SweepEnv
+from repro.exp.spec import RunSpec, SweepEnv, sweep_specs
 from repro.obs.manifest import (
     MANIFEST_SCHEMA,
     POINT_FIELDS,
@@ -59,9 +59,13 @@ FLIPS = {
     "seed": replace(BASE, seed=1),
     "pnr_seed": replace(BASE, pnr_seed=PNR_SEED_STRIDE),
     "divider": replace(BASE, divider=4),
+    "divider.routed": replace(BASE, divider=None),
     "policy": replace(BASE, policy="domain-unaware"),
     "fabric": replace(BASE, fabric=("monaco", 10, 10)),
+    "fabric.variant": replace(BASE, fabric=("monaco", 12, 12, 2, 3)),
     "profile_guided": replace(BASE, profile_guided=True),
+    "parallelism": replace(BASE, parallelism=2),
+    "mem_mode": replace(BASE, mem_mode="serialize"),
     "arch.noc_tracks": replace(BASE, arch=_arch(noc_tracks=5)),
     "arch.noc_model": replace(BASE, arch=_arch(noc_model="monaco-tracks")),
     "arch.timing": replace(
@@ -71,31 +75,43 @@ FLIPS = {
         BASE, arch=_arch(memory=MemoryParams(hit_cycles=3))
     ),
     "arch.sim.trace": replace(BASE, arch=_sim(trace=True)),
+    "arch.sim.critpath": replace(BASE, arch=_sim(critpath=True)),
+    "arch.sim.check": replace(BASE, arch=_sim(check=True)),
     "arch.sim.faults": replace(
         BASE, arch=_sim(faults=FaultParams(mem_delay_prob=0.5))
     ),
+    "arch.sim.fifo_capacity": replace(BASE, arch=_sim(fifo_capacity=4)),
+    "arch.sim.max_outstanding": replace(BASE, arch=_sim(max_outstanding=4)),
 }
 
 #: Flips that change what a point measures before it runs.
 POINT_SUBSET = {
-    "workload", "config", "scale", "seed", "divider", "policy", "fabric",
-    "profile_guided", "arch.sim.faults",
+    "workload", "config", "scale", "seed", "divider", "divider.routed",
+    "policy", "fabric", "fabric.variant", "profile_guided", "parallelism",
+    "mem_mode", "arch.sim.faults",
     # What PnR reads off ArchParams changes the artifact a point runs.
     "arch.noc_tracks", "arch.noc_model", "arch.timing",
+    # Simulator knobs that move the cycles. Regression: a default, a
+    # hit_cycles=3 and a fifo/outstanding=4 dmv point measured 208, 224
+    # and 176 cycles under one digest (and one snapshot file name).
+    "arch.memory", "arch.sim.fifo_capacity", "arch.sim.max_outstanding",
 }
 #: Flips that must NOT move the journal digest: a retry's perturbed
-#: placement seed, and a knob with bit-identical results.
-POINT_INVARIANT = {"pnr_seed", "arch.sim.trace"}
+#: placement seed, and the probes, whose results are bit-identical.
+POINT_INVARIANT = {
+    "pnr_seed", "arch.sim.trace", "arch.sim.critpath", "arch.sim.check",
+}
 #: Flips of anything ``compile_once`` reads.
 COMPILE_SUBSET = {
     "workload", "scale", "seed", "pnr_seed", "policy", "fabric",
-    "profile_guided", "arch.noc_tracks", "arch.noc_model", "arch.timing",
+    "fabric.variant", "profile_guided", "parallelism", "mem_mode",
+    "arch.noc_tracks", "arch.noc_model", "arch.timing",
 }
 
 
 def test_every_flip_is_a_different_spec():
     assert all(flipped != BASE for flipped in FLIPS.values())
-    assert POINT_SUBSET | POINT_INVARIANT | COMPILE_SUBSET <= set(FLIPS)
+    assert POINT_SUBSET | POINT_INVARIANT | COMPILE_SUBSET == set(FLIPS)
 
 
 @pytest.mark.parametrize("name", sorted(FLIPS))
@@ -180,22 +196,22 @@ def test_serial_and_pooled_jobs_get_equal_spec_and_env(
     monkeypatch.setattr(runner, "_compile_sweep_job", _noop_compile)
     snapshot_dir = tmp_path / "snaps" if snapshotting else None
     kwargs = dict(
-        scale="tiny",
-        seeds=(0, 1),
         cache_dir=tmp_path / "cache",
         sweep_policy=SweepPolicy(job_timeout_s=30.0, checkpoint_every=500),
         snapshot_dir=snapshot_dir,
-        profile_guided=profile_guided,
         job_fn=_echo_job,
     )
-    workloads, configs = ["spmspv", "dmv"], [MONACO, upea(2)]
-    serial = run_resilient(workloads, configs, max_workers=1, **kwargs)
-    pooled = run_resilient(workloads, configs, max_workers=2, **kwargs)
+    specs = sweep_specs(
+        ["spmspv", "dmv"], [MONACO, upea(2)], (0, 1), scale="tiny",
+        profile_guided=profile_guided,
+    )
+    serial = run_resilient(specs, max_workers=1, **kwargs)
+    pooled = run_resilient(specs, max_workers=2, **kwargs)
     assert len(serial.results) == 8
     assert serial.results == pooled.results
-    for key, (spec, env) in serial.results.items():
+    for point, (spec, env) in serial.results.items():
         assert isinstance(spec, RunSpec) and isinstance(env, SweepEnv)
-        assert spec.key == key
+        assert spec == point
         assert spec.profile_guided == profile_guided
         assert env == SweepEnv(
             cache_dir=str(tmp_path / "cache"),
@@ -217,7 +233,7 @@ def _routes_only_when_perturbed_job(spec, env):
 def test_retried_point_journals_pnr_seed_under_its_own_digest(tmp_path):
     manifest = tmp_path / "journal.jsonl"
     outcome = run_resilient(
-        ["spmspv"], [MONACO], scale="tiny", max_workers=1,
+        sweep_specs(["spmspv"], [MONACO], scale="tiny"), max_workers=1,
         manifest_path=manifest,
         sweep_policy=SweepPolicy(on_failure="retry", max_retries=1),
         job_fn=_routes_only_when_perturbed_job,
@@ -240,17 +256,22 @@ def test_resume_reruns_every_point_across_a_noc_tracks_flip(tmp_path):
     artifacts' cycles as the 7-track sweep's.
     """
     manifest = tmp_path / "journal.jsonl"
-    kwargs = dict(scale="tiny", max_workers=1, manifest_path=manifest)
+    kwargs = dict(max_workers=1, manifest_path=manifest)
     points = (["dmv", "spmspv"], [MONACO])
-    run_resilient(*points, **kwargs)
-    same = run_resilient(*points, resume=True, **kwargs)
+    run_resilient(sweep_specs(*points, scale="tiny"), **kwargs)
+    same = run_resilient(
+        sweep_specs(*points, scale="tiny"), resume=True, **kwargs
+    )
     assert len(same.skipped) == 2 and not same.results
 
     flipped = run_resilient(
-        *points, resume=True, arch=ArchParams(noc_tracks=7), **kwargs
+        sweep_specs(*points, scale="tiny", arch=ArchParams(noc_tracks=7)),
+        resume=True, **kwargs,
     )
     assert not flipped.skipped
-    assert set(flipped.results) == {("dmv", "monaco", 0), ("spmspv", "monaco", 0)}
+    assert {spec.key for spec in flipped.results} == {
+        ("dmv", "monaco", 0), ("spmspv", "monaco", 0),
+    }
     tracks = [record["noc_tracks"] for record in read_manifest(manifest)]
     assert tracks == [3, 3, 7, 7]
 
@@ -259,8 +280,9 @@ def test_resume_reruns_the_points_of_a_schema_2_journal(tmp_path):
     """A journal written before the identity was one object is ignored
     whole, however self-consistent its records are."""
     manifest = tmp_path / "journal.jsonl"
-    kwargs = dict(scale="tiny", max_workers=1, manifest_path=manifest)
-    run_resilient(["spmspv"], [MONACO], **kwargs)
+    specs = sweep_specs(["spmspv"], [MONACO], scale="tiny")
+    kwargs = dict(max_workers=1, manifest_path=manifest)
+    run_resilient(specs, **kwargs)
     (record,) = read_manifest(manifest)
     assert completed_points(manifest) == {record["point_digest"]}
 
@@ -275,9 +297,9 @@ def test_resume_reruns_the_points_of_a_schema_2_journal(tmp_path):
     manifest.write_text(json.dumps(old, sort_keys=True) + "\n")
     assert completed_points(manifest) == set()
 
-    outcome = run_resilient(["spmspv"], [MONACO], resume=True, **kwargs)
+    outcome = run_resilient(specs, resume=True, **kwargs)
     assert not outcome.skipped
-    assert set(outcome.results) == {("spmspv", "monaco", 0)}
+    assert list(outcome.results) == specs
     # The rerun is journaled under the current schema, after the old line.
     assert [r["schema"] for r in read_manifest(manifest)] == [
         2,

@@ -50,6 +50,7 @@ from repro.errors import (
 from repro.exp.configs import MONACO, upea
 from repro.exp.resilient import SweepPolicy, call_with_timeout, run_resilient
 from repro.exp.runner import PAPER_DIVIDER, compile_cached
+from repro.exp.spec import sweep_specs
 from repro.obs.manifest import completed_points, read_manifest, stable_view
 from repro.sim.engine import _Engine, simulate
 from repro.sim.faults import _Stream
@@ -572,17 +573,10 @@ class TestStateDictRoundTrips:
 
 class TestSweepRecovery:
     def test_preempted_sweep_resumes_bit_identically(self, tmp_path):
-        workloads = ["dmv", "spmspv"]
-        kwargs = dict(
-            scale=SCALE,
-            seeds=(0,),
-            max_workers=1,
-            cache_dir=tmp_path / "cache",
-        )
+        specs = sweep_specs(["dmv", "spmspv"], [MONACO], scale=SCALE)
+        kwargs = dict(max_workers=1, cache_dir=tmp_path / "cache")
         clean_manifest = tmp_path / "clean.jsonl"
-        clean = run_resilient(
-            workloads, [MONACO], manifest_path=clean_manifest, **kwargs
-        )
+        clean = run_resilient(specs, manifest_path=clean_manifest, **kwargs)
         assert not clean.failures
 
         # Budget 150 < both points' executed cycles: every point is
@@ -593,8 +587,7 @@ class TestSweepRecovery:
             on_failure="retry", max_retries=10, job_cycle_budget=150
         )
         swept = run_resilient(
-            workloads,
-            [MONACO],
+            specs,
             manifest_path=snap_manifest,
             sweep_policy=policy,
             snapshot_dir=snap_dir,
