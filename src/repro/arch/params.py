@@ -155,25 +155,12 @@ class SimParams:
     #: on, the checker only *reads* simulator state, so results are
     #: still bit-identical — a violation raises instead.
     check: bool = False
-    #: Mid-simulation checkpointing (see :mod:`repro.sim.snapshot`).
-    #: With ``checkpoint_path`` set, the engine writes a crash-safe
-    #: snapshot of the complete machine state there every
-    #: ``checkpoint_every`` system cycles (0 = only on preemption) and
-    #: installs SIGTERM/SIGINT handlers that snapshot-then-exit.
-    #: ``None`` = off: the engine carries no checkpointer and the run is
-    #: bit-identical to a build without the snapshot layer. Checkpoint
-    #: knobs are excluded from the snapshot config digest, so a resume
-    #: may change cadence or path freely.
-    checkpoint_path: str | None = None
-    checkpoint_every: int = 0
 
     def __post_init__(self):
         if self.fifo_capacity < 2:
             raise ArchError("fifo capacity must be >= 2 (carry loops)")
         if self.max_outstanding < 1:
             raise ArchError("max outstanding must be >= 1")
-        if self.checkpoint_every < 0:
-            raise ArchError("checkpoint_every must be >= 0")
 
 
 @dataclass(frozen=True)

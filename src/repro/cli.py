@@ -42,6 +42,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shlex
 import sys
 
 from repro.arch.fabric import TOPOLOGIES, build_fabric
@@ -64,18 +65,28 @@ def _config_for(name: str):
         return MONACO
     if name == "ideal":
         return ideal()
-    if name.startswith("upea"):
-        return upea(int(name[4:] or 2))
-    if name.startswith("numa"):
-        return numa(int(name.rsplit("a", 1)[-1] or 2))
+    try:
+        if name.startswith("upea"):
+            return upea(int(name[4:] or 2))
+        if name.startswith("numa"):
+            return numa(int(name.rsplit("a", 1)[-1] or 2))
+    except ValueError:
+        pass
     raise SystemExit(
         f"unknown config {name!r}; use monaco | ideal | upeaN | numaN"
     )
 
 
+#: The options of the shared sim-argument block, in declaration order.
+_SIM_OPTIONS = (
+    "scale", "config", "policy", "rows", "cols", "topology", "tracks", "seed"
+)
+
+
 def _add_sim_args(p, **workload_kwargs) -> None:
     """The argument block every compile-and-simulate command shares
-    (read back by :func:`_spec_from_args`)."""
+    (read back by :func:`_spec_from_args`; its options are
+    :data:`_SIM_OPTIONS`)."""
     p.add_argument(
         "workload", choices=sorted(ALL_WORKLOADS), **workload_kwargs
     )
@@ -125,11 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--stats-json", default=None, metavar="PATH",
         help="also write the run's SimStats as machine-readable JSON",
-    )
-    p_run.add_argument(
-        "--portfolio-jobs", type=int, default=1, metavar="N",
-        help="evaluate the mem-scale PnR portfolio on N processes "
-        "(bit-identical result, just faster compiles)",
     )
     p_run.add_argument(
         "--checkpoint-every", type=int, default=0, metavar="CYCLES",
@@ -227,11 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fdo.add_argument(
         "--manifest", default=None, metavar="PATH",
         help="append one deterministic JSONL record per round",
-    )
-    p_fdo.add_argument(
-        "--portfolio-jobs", type=int, default=1, metavar="N",
-        help="evaluate each round's PnR portfolio on N processes "
-        "(bit-identical result and journal, just faster compiles)",
     )
     p_fdo.add_argument(
         "--json", default=None, metavar="PATH",
@@ -466,18 +467,17 @@ def _spec_from_args(
     )
 
 
-def _compile_and_run(
-    spec, on_compiled=None, resume_from=None, portfolio_jobs: int = 1
-):
-    """Compile ``spec`` through the cache, then simulate it.
+def _compile_and_run(spec, on_compiled=None, **options):
+    """Compile ``spec`` through the cache, then simulate it (``options``
+    pass through to :func:`~repro.exp.runner.run_point`).
 
     ``on_compiled(compiled)`` runs between the two, for output that
     should appear before a long simulation does.
     """
-    instance, compiled = compile_point(spec, portfolio_jobs=portfolio_jobs)
+    instance, compiled = compile_point(spec)
     if on_compiled is not None:
         on_compiled(compiled)
-    run = run_point(spec, instance, compiled, resume_from=resume_from)
+    run = run_point(spec, instance, compiled, **options)
     return compiled, run
 
 
@@ -504,18 +504,36 @@ def _stats_payload(stats) -> dict:
     return {**stats.to_dict(), "energy": estimate_energy(stats).to_dict()}
 
 
+def _resume_command(args, checkpoint) -> str:
+    """The ``repro run`` command that continues a run preempted into
+    ``checkpoint.path``: every sim argument it was given, so the resume
+    compiles the same placement and passes the snapshot's config check,
+    and its checkpointing."""
+    words = ["repro", "run", args.workload]
+    for option in _SIM_OPTIONS:
+        words += [f"--{option}", str(getattr(args, option))]
+    if args.profile_guided:
+        words.append("--profile-guided")
+    words += [
+        "--checkpoint", checkpoint.path,
+        "--checkpoint-every", str(checkpoint.every_cycles),
+        "--resume-from", checkpoint.path,
+    ]
+    return shlex.join(words)
+
+
 def cmd_run(args) -> int:
     from repro.errors import SimulationPreempted
+    from repro.sim.snapshot import CheckpointConfig
 
-    checkpoint_path = args.checkpoint
-    if checkpoint_path is None and args.checkpoint_every:
-        checkpoint_path = f"{args.workload}.snap"
-    spec = _spec_from_args(
-        args,
-        profile_guided=args.profile_guided,
-        checkpoint_path=checkpoint_path,
-        checkpoint_every=args.checkpoint_every,
-    )
+    spec = _spec_from_args(args, profile_guided=args.profile_guided)
+    checkpoint = None
+    if args.checkpoint is not None or args.checkpoint_every:
+        checkpoint = CheckpointConfig(
+            path=args.checkpoint or f"{args.workload}.snap",
+            every_cycles=args.checkpoint_every,
+            install_signals=True,
+        )
 
     def show(compiled) -> None:
         print(compiled.summary())
@@ -536,7 +554,7 @@ def cmd_run(args) -> int:
                 f"({pnr.moves_per_s:,.0f} moves/s, "
                 f"{pnr.route_iterations} route iters, "
                 f"{pnr.nets_rerouted} reroutes, "
-                f"{pnr.candidates} candidates x {pnr.portfolio_jobs} jobs)"
+                f"{pnr.candidates} candidates)"
             )
         if args.criticality:
             print(format_report(compiled.dfg, compiled.criticality))
@@ -547,16 +565,15 @@ def cmd_run(args) -> int:
         _compiled, run = _compile_and_run(
             spec,
             on_compiled=show,
+            checkpoint=checkpoint,
             resume_from=args.resume_from,
-            portfolio_jobs=args.portfolio_jobs,
         )
     except SimulationPreempted as exc:
         # Exit 75 (EX_TEMPFAIL): the run was preempted but left a
         # resumable snapshot — rerun with --resume-from to continue.
         print(f"preempted at cycle {exc.cycle}: snapshot written to "
               f"{exc.snapshot_path}")
-        print(f"resume with: repro run {args.workload} --scale {args.scale} "
-              f"--config {args.config} --resume-from {exc.snapshot_path}")
+        print(f"resume with: {_resume_command(args, checkpoint)}")
         return 75
     if run.resume_info is not None:
         print(
@@ -687,7 +704,6 @@ def cmd_fdo(args) -> int:
         arch=spec.arch,
         fabric_spec=spec.fabric,
         policy=get_policy(spec.policy),
-        portfolio_jobs=args.portfolio_jobs,
         manifest_path=args.manifest,
     )
     print(result.summary())
@@ -822,18 +838,24 @@ def cmd_sweep(args) -> int:
 
 
 def _parse_size(text: str) -> int:
-    """``"256M"`` -> bytes; bare numbers and K/M/G suffixes accepted."""
-    text = text.strip().upper()
+    """``"256M"`` -> bytes; bare non-negative numbers and K/M/G suffixes
+    accepted."""
+    number = text.strip().upper()
     factor = 1
     for suffix, mult in (("K", 1 << 10), ("M", 1 << 20), ("G", 1 << 30)):
-        if text.endswith(suffix):
-            text = text[: -len(suffix)]
+        if number.endswith(suffix):
+            number = number[: -len(suffix)]
             factor = mult
             break
     try:
-        return int(float(text) * factor)
-    except ValueError:
-        raise SystemExit(f"unparsable size {text!r}; use e.g. 512K, 64M, 2G")
+        size = int(float(number) * factor)
+    except (ValueError, OverflowError):
+        size = -1
+    if size < 0:
+        raise SystemExit(
+            f"bad size {text!r}; use a non-negative size like 512K, 64M, 2G"
+        )
+    return size
 
 
 def cmd_cache(args) -> int:

@@ -23,8 +23,8 @@ closes the loop:
    repeats (oscillation), bounded by ``rounds``.
 
 Every round is journaled (:class:`FdoRound`) with no volatile fields —
-two FDO runs of the same point, serial or portfolio-parallel compiles,
-produce byte-identical journals. The best round is whichever round's
+two FDO runs of the same point, cold or warm compile cache, produce
+byte-identical journals. The best round is whichever round's
 timed run had the fewest system cycles (ties to the earliest, i.e. the
 static baseline wins ties).
 """
@@ -205,17 +205,14 @@ def run_fdo(
     arch: ArchParams | None = None,
     fabric_spec: FabricSpec = DEFAULT_FABRIC_SPEC,
     policy: PlacementPolicy = EFFCC,
-    portfolio_jobs: int = 1,
     manifest_path=None,
 ) -> FdoResult:
     """Run the feedback-directed placement loop on one workload.
 
     ``rounds`` bounds the *feedback* rounds; the static round 0 always
     runs, so at most ``rounds + 1`` compile+simulate iterations execute.
-    ``portfolio_jobs`` parallelizes each round's PnR portfolio — the
-    compiled artifacts (and therefore the journal) are bit-identical to
-    the serial run. ``manifest_path`` appends one deterministic JSONL
-    record per round (see :meth:`FdoRound.to_record`).
+    ``manifest_path`` appends one deterministic JSONL record per round
+    (see :meth:`FdoRound.to_record`).
 
     The timed runs have the critical-path profiler attached; profiling
     is zero-perturbation (the simulated cycle counts are bit-identical
@@ -236,7 +233,7 @@ def run_fdo(
     )
     # Round 0 is the static compile: a cache hit when anything compiled
     # this point before.
-    instance, compiled = compile_point(spec, portfolio_jobs=portfolio_jobs)
+    instance, compiled = compile_point(spec)
 
     identity = {
         "workload": workload,
@@ -262,7 +259,6 @@ def run_fdo(
                 policy=policy,
                 parallelism=compiled.parallelism,
                 seed=seed,
-                portfolio_jobs=portfolio_jobs,
                 node_weights=weights,
             )
         run = run_point(spec, instance, compiled)

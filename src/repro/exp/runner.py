@@ -4,8 +4,8 @@ Every simulated run is validated against the workload's reference output
 — a performance number from a run that computed the wrong answer would be
 meaningless.
 
-:func:`run_parallel` fans a (workload x config x seed) sweep out over a
-``ProcessPoolExecutor``; simulation and PnR are deterministic, so the
+:func:`run_parallel` fans a (workload x config x seed) sweep out over
+worker processes; simulation and PnR are deterministic, so the
 parallel sweep is bit-identical to the serial one. Workers share PnR
 results through an on-disk compile cache (see :mod:`repro.exp.cache`),
 and the supervisor compiles each distinct key once, ahead of the points
@@ -95,7 +95,6 @@ def compile_cached(
     policy: PlacementPolicy = EFFCC,
     parallelism: int | None = None,
     seed: int = 0,
-    portfolio_jobs: int = 1,
     profile_guided: bool = False,
     node_weights: dict[int, float] | None = None,
     mem_mode: str = "raw",
@@ -105,9 +104,7 @@ def compile_cached(
     The key is :func:`repro.exp.spec.compile_key` — the declared compile
     subset, covering every ``arch`` field ``compile_once`` reads
     (``noc_tracks``, ``noc_model``, ``timing``); the simulator's knobs
-    (``arch.sim``, ``arch.memory``) are not in it. ``portfolio_jobs``
-    only changes *how fast* the same artifact is produced (bit-identical
-    output, see :mod:`repro.pnr.flow`), so it is not in it either.
+    (``arch.sim``, ``arch.memory``) are not in it.
 
     ``profile_guided`` refines class-B/C criticality by a profiling run
     on the instance's own inputs; ``node_weights`` overrides per-node
@@ -138,7 +135,6 @@ def compile_cached(
             parallelism=parallelism,
             mem_mode=mem_mode,
             seed=seed,
-            portfolio_jobs=portfolio_jobs,
             profile=profile,
             node_weights=node_weights,
         ),
@@ -263,13 +259,8 @@ def _attach_cache(cache_dir: str | None) -> None:
         GLOBAL_CACHE.enable_disk(cache_dir)
 
 
-def compile_point(
-    spec: RunSpec, portfolio_jobs: int = 1
-) -> tuple[WorkloadInstance, CompiledKernel]:
-    """Build ``spec``'s workload and compile it through the cache.
-
-    ``portfolio_jobs`` is :func:`compile_cached`'s speed-only option.
-    """
+def compile_point(spec: RunSpec) -> tuple[WorkloadInstance, CompiledKernel]:
+    """Build ``spec``'s workload and compile it through the cache."""
     instance = make_workload(spec.workload, scale=spec.scale, seed=spec.seed)
     compiled = compile_cached(
         instance,
@@ -279,7 +270,6 @@ def compile_point(
         parallelism=spec.parallelism,
         seed=spec.placement_seed,
         profile_guided=spec.profile_guided,
-        portfolio_jobs=portfolio_jobs,
         mem_mode=spec.mem_mode,
     )
     return instance, compiled

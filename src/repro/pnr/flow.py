@@ -2,26 +2,22 @@
 
 Mirrors effcc end to end: parallelize -> lower -> criticality analysis ->
 NUPEA-aware placement -> routing -> static timing. The parallelism degree
-is "iteratively increased until PnR fails" (Sec. 5): the flow doubles the
-degree until the design stops fitting or routing, keeping the last
-success.
+is "iteratively increased until PnR fails" (Sec. 5): the flow walks
+``SEARCH_DEGREES`` until the design stops fitting or routing, keeping
+the best-throughput success.
 
-The mem-scale negotiation is a *portfolio*: each ``MEM_SCALE_SCHEDULE``
-entry (optionally times several placement-restart seeds) is an
-independent PnR candidate. ``portfolio_jobs > 1`` evaluates the
-candidates concurrently in a process pool; the selection loop then walks
-the outcomes in schedule order applying the exact serial tie-break
-(``(clock_divider, place_cost)`` lexicographic, early exit at
-``clock_divider <= 2``), so the chosen candidate — and thus the compiled
-artifact — is identical to the serial path's.
+At each degree the flow walks ``MEM_SCALE_SCHEDULE`` serially: every
+entry anneals the one seed placement under its own near-memory pull, and
+the ``(clock_divider, place_cost)`` lexicographic best routable
+candidate wins, with an early exit at ``clock_divider <= 2``. Compiles
+run in parallel one level up, one per compile key, in the sweep
+dispatcher (:mod:`repro.exp.resilient`).
 """
 
 from __future__ import annotations
 
-import functools
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from repro.arch.fabric import Fabric
 from repro.arch.noc import build_channel_graph
@@ -29,7 +25,7 @@ from repro.arch.params import ArchParams
 from repro.core.criticality import analyze_criticality
 from repro.core.policy import EFFCC, PlacementPolicy
 from repro.dfg.lower import lower_kernel
-from repro.errors import PlacementError, PnRError, RoutingError
+from repro.errors import PnRError
 from repro.ir.ast import Kernel
 from repro.ir.transform import parallelize
 from repro.pnr.netlist import build_netlist
@@ -44,101 +40,10 @@ from repro.pnr.timing import analyze_timing
 #: routed divider is already minimal wins; otherwise the best candidate.
 MEM_SCALE_SCHEDULE = (1.0, 0.4, 0.1)
 
-#: Seed stride between portfolio placement restarts (prime, far from the
-#: sweep harness's PNR_SEED_STRIDE so restart seeds never collide with
-#: per-point seeds).
-PORTFOLIO_SEED_STRIDE = 104729
-
-#: Exception types a portfolio worker may ship back by name.
-_EXC_TYPES = {
-    "PnRError": PnRError,
-    "PlacementError": PlacementError,
-    "RoutingError": RoutingError,
-}
-
-_POOL: ProcessPoolExecutor | None = None
-_POOL_SIZE = 0
-
-
-def _portfolio_pool(jobs: int) -> ProcessPoolExecutor:
-    """Shared process pool for portfolio evaluation (lazily created)."""
-    global _POOL, _POOL_SIZE
-    if _POOL is not None and _POOL_SIZE < jobs:
-        _POOL.shutdown(wait=True)
-        _POOL = None
-    if _POOL is None:
-        _POOL = ProcessPoolExecutor(max_workers=jobs)
-        _POOL_SIZE = jobs
-    return _POOL
-
-
-def shutdown_portfolio_pool() -> None:
-    """Tear down the shared portfolio pool (tests, process exit)."""
-    global _POOL, _POOL_SIZE
-    if _POOL is not None:
-        _POOL.shutdown(wait=True)
-        _POOL = None
-        _POOL_SIZE = 0
-
-
-def _evaluate_mem_scale(
-    netlist,
-    fabric: Fabric,
-    policy: PlacementPolicy,
-    channels,
-    timing_params,
-    mem_scale: float,
-    seeded,
-    anneal_moves: int | None,
-    check: bool,
-    node_weights: dict[int, float] | None = None,
-):
-    """Evaluate one (mem_scale, seed) portfolio candidate.
-
-    ``seeded`` is the candidate seed's seed placement as ``(loc, rng
-    state after seeding)``; the candidate anneals its own copy (same
-    ``loc`` key order) with its own rng. Picklable module-level worker so
-    it runs under ProcessPoolExecutor. Returns one of::
-
-        ("ok", (divider, cost, loc, routing, timing), stats)
-        ("error", (exc_type_name, message), {})   # routing failed
-
-    Routing failures participate in the schedule's continue-on-failure
-    negotiation.
-    """
-    stats: dict = {}
-    loc, rng_state = seeded
-    placement = Placement(
-        netlist, fabric, policy, mem_scale=mem_scale,
-        node_weights=node_weights,
-    )
-    for nid, coord in loc.items():
-        placement.assign(nid, coord)
-    rng = random.Random()
-    rng.setstate(rng_state)
-    cost = anneal(
-        placement, rng, moves=anneal_moves, check=check, stats=stats
-    )
-    try:
-        routing = route_design(netlist, placement, channels, check=check)
-    except PnRError as error:
-        return ("error", (type(error).__name__, str(error)), {})
-    timing = analyze_timing(routing, timing_params)
-    stats["route_wall_s"] = routing.wall_s
-    stats["route_iterations"] = routing.iterations
-    stats["nets_rerouted"] = routing.nets_rerouted
-    payload = (
-        timing.clock_divider,
-        cost,
-        dict(placement.loc),
-        routing,
-        timing,
-    )
-    return ("ok", payload, stats)
-
-
-def _rebuild_error(name: str, message: str) -> PnRError:
-    return _EXC_TYPES.get(name, PnRError)(message)
+#: The degrees the automatic search tries, in increasing order. Finer
+#: than doubling (3, 6, 12, ... included) so the search packs the fabric
+#: as tightly as effcc's iterative parallelization does.
+SEARCH_DEGREES = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32)
 
 
 def compile_once(
@@ -150,8 +55,6 @@ def compile_once(
     mem_mode: str = "raw",
     seed: int = 0,
     anneal_moves: int | None = None,
-    portfolio_jobs: int = 1,
-    portfolio_restarts: int = 1,
     profile: tuple[dict | None, dict | None] | None = None,
     node_weights: dict[int, float] | None = None,
 ) -> CompiledKernel:
@@ -160,9 +63,8 @@ def compile_once(
     Placement and routing negotiate: if the routed design's clock divider
     is poor (long paths from memory-preference congestion), placement is
     retried with a weaker near-memory pull and the best-timed routable
-    candidate wins. ``portfolio_jobs > 1`` evaluates the candidates
-    concurrently (same result, see module docstring);
-    ``portfolio_restarts > 1`` adds extra placement seeds per mem scale.
+    candidate wins. When no candidate routes, the last one's error is
+    raised.
 
     ``profile`` — a ``(params, arrays)`` pair of profiling inputs —
     enables profile-guided criticality: the lowered DFG is executed once
@@ -204,95 +106,63 @@ def compile_once(
     channels = build_channel_graph(fabric, arch.noc_tracks, arch.noc_model)
     check = arch.sim.check
 
-    restarts = max(1, portfolio_restarts)
-    plan = [
-        (mem_scale, seed + r * PORTFOLIO_SEED_STRIDE)
-        for mem_scale in MEM_SCALE_SCHEDULE
-        for r in range(restarts)
-    ]
-
-    # One seeding per distinct candidate seed (initial_placement reads
-    # mem_scale only to store it), on first use: the serial path's early
-    # exit never seeds a restart it does not reach, and a placement that
-    # cannot be seeded raises through, as it always has. The rng state
-    # rides along because DOMAIN_AWARE seeding draws from it.
-    @functools.cache
-    def seeded(cand_seed: int):
-        rng = random.Random(cand_seed)
-        placement = initial_placement(
-            netlist, fabric, policy, rng, node_weights=node_weights
-        )
-        return placement.loc, rng.getstate()
-
-    def candidate_args(mem_scale: float, cand_seed: int) -> tuple:
-        return (
-            netlist,
-            fabric,
-            policy,
-            channels,
-            arch.timing,
-            mem_scale,
-            seeded(cand_seed),
-            anneal_moves,
-            check,
-            node_weights,
-        )
-
-    jobs = max(1, min(portfolio_jobs, len(plan)))
-    if jobs > 1:
-        pool = _portfolio_pool(jobs)
-        futures = [
-            pool.submit(_evaluate_mem_scale, *candidate_args(*candidate))
-            for candidate in plan
-        ]
-        outcomes = (future.result() for future in futures)
-    else:
-        outcomes = (
-            _evaluate_mem_scale(*candidate_args(*candidate))
-            for candidate in plan
-        )
-
-    # Selection: identical for serial and parallel — walk outcomes in
-    # schedule order, keep the lexicographic (divider, cost) best, stop
-    # once a candidate's divider is already minimal. The serial generator
-    # is lazy, so the historical early exit still skips later anneals.
+    # One seeding serves every candidate (initial_placement reads
+    # mem_scale only to store it); each candidate anneals its own copy of
+    # ``loc`` from the rng state seeding left, since DOMAIN_AWARE seeding
+    # draws from it.
+    rng = random.Random(seed)
+    seeded = initial_placement(
+        netlist, fabric, policy, rng, node_weights=node_weights
+    )
+    rng_state = rng.getstate()
     best = None
-    best_stats: dict = {}
     failure: PnRError | None = None
-    considered = 0
-    for outcome in outcomes:
-        kind, payload, stats = outcome
-        considered += 1
-        if kind == "error":
-            failure = _rebuild_error(*payload)
+    for considered, mem_scale in enumerate(MEM_SCALE_SCHEDULE, 1):
+        placement = Placement(
+            netlist, fabric, policy, mem_scale=mem_scale,
+            node_weights=node_weights,
+        )
+        for nid, coord in seeded.loc.items():
+            placement.assign(nid, coord)
+        rng.setstate(rng_state)
+        stats: dict = {}
+        cost = anneal(
+            placement, rng, moves=anneal_moves, check=check, stats=stats
+        )
+        try:
+            routing = route_design(netlist, placement, channels, check=check)
+        except PnRError as error:
+            failure = error
             continue
-        if best is None or payload[:2] < best[:2]:
-            best = payload
-            best_stats = stats
-        if payload[0] <= 2:
+        timing = analyze_timing(routing, arch.timing)
+        candidate = (
+            timing.clock_divider, cost, placement, routing, timing, stats
+        )
+        if best is None or candidate[:2] < best[:2]:
+            best = candidate
+        if timing.clock_divider <= 2:
             break
     if best is None:
-        raise failure if failure is not None else PnRError("unroutable")
-    _, cost, loc, routing, timing = best
+        raise failure
+    _, cost, placement, routing, timing, stats = best
     pnr = PnRStats(
-        place_wall_s=best_stats.get("wall_s", 0.0),
-        route_wall_s=best_stats.get("route_wall_s", 0.0),
+        place_wall_s=stats["wall_s"],
+        route_wall_s=routing.wall_s,
         total_wall_s=time.perf_counter() - t0,
-        anneal_moves=best_stats.get("moves", 0),
-        anneal_proposals=best_stats.get("proposals", 0),
-        anneal_accepted=best_stats.get("accepted", 0),
-        moves_per_s=best_stats.get("moves_per_s", 0.0),
-        route_iterations=best_stats.get("route_iterations", 0),
-        nets_rerouted=best_stats.get("nets_rerouted", 0),
+        anneal_moves=stats["moves"],
+        anneal_proposals=stats["proposals"],
+        anneal_accepted=stats["accepted"],
+        moves_per_s=stats["moves_per_s"],
+        route_iterations=routing.iterations,
+        nets_rerouted=routing.nets_rerouted,
         candidates=considered,
-        portfolio_jobs=jobs,
     )
     compiled = CompiledKernel(
         dfg=dfg,
         fabric=fabric,
         policy=policy,
         criticality=report,
-        placement=loc,
+        placement=dict(placement.loc),
         routing=routing,
         timing=timing,
         parallelism=parallelism,
@@ -315,40 +185,36 @@ def compile_kernel(
     arch: ArchParams,
     policy: PlacementPolicy = EFFCC,
     parallelism: int | None = None,
-    max_parallelism: int = 32,
     mem_mode: str = "raw",
     seed: int = 0,
     anneal_moves: int | None = None,
-    portfolio_jobs: int = 1,
-    portfolio_restarts: int = 1,
     profile: tuple[dict | None, dict | None] | None = None,
     node_weights: dict[int, float] | None = None,
 ) -> CompiledKernel:
     """Compile ``kernel``, searching the parallelism degree if unspecified.
 
-    With ``parallelism=None`` the flow raises the degree until PnR fails
-    (effcc's automatic parallelization) and keeps the degree with the best
-    *estimated throughput* — parallelism divided by the PnR-chosen clock
-    divider — matching the paper's "chose the one that achieved optimal
+    With ``parallelism=None`` the flow raises the degree through
+    :data:`SEARCH_DEGREES` until PnR fails (effcc's automatic
+    parallelization) and keeps the degree with the best *estimated
+    throughput* — parallelism divided by the PnR-chosen clock divider —
+    matching the paper's "chose the one that achieved optimal
     performance". A congested high-degree design that forces a slow fabric
     clock loses to a leaner one that keeps the clock fast.
     """
     if parallelism is not None:
         return compile_once(
             kernel, fabric, arch, policy, parallelism, mem_mode, seed,
-            anneal_moves, portfolio_jobs, portfolio_restarts, profile,
-            node_weights,
+            anneal_moves, profile, node_weights,
         )
     t0 = time.perf_counter()
     best: CompiledKernel | None = None
     best_score = 0.0
     tried = 0
-    for degree in _search_degrees(max_parallelism):
+    for degree in SEARCH_DEGREES:
         try:
             candidate = compile_once(
                 kernel, fabric, arch, policy, degree, mem_mode, seed,
-                anneal_moves, portfolio_jobs, portfolio_restarts, profile,
-                node_weights,
+                anneal_moves, profile, node_weights,
             )
         except PnRError:
             break
@@ -367,14 +233,3 @@ def compile_kernel(
         best.pnr.degrees_tried = tried
     return best
 
-
-def _search_degrees(max_parallelism: int) -> list[int]:
-    """The degrees the automatic search tries, in increasing order.
-
-    Finer than doubling (3, 6, 12, ... included) so the search packs the
-    fabric as tightly as effcc's iterative parallelization does.
-    """
-    degrees = sorted(
-        {1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64} | {max_parallelism}
-    )
-    return [d for d in degrees if d <= max_parallelism]

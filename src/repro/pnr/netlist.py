@@ -32,17 +32,8 @@ class Netlist:
     #: Anneal tables derived from ``cells``/``nets``
     #: (:class:`repro.pnr.place.NetlistTables`), built by the first anneal
     #: on this netlist and shared by every later one. They die with the
-    #: netlist and are never pickled: a portfolio worker builds its own.
+    #: netlist.
     place_tables: object = field(default=None, repr=False, compare=False)
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state.pop("place_tables", None)
-        return state
-
-    @property
-    def n_memory(self) -> int:
-        return sum(1 for nid in self.cells if self.dfg.nodes[nid].is_memory())
 
 
 def build_netlist(dfg: DFG) -> Netlist:

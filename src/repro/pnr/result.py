@@ -29,7 +29,6 @@ class PnRStats:
     nets_rerouted: int = 0
     #: Mem-scale candidates actually evaluated for the winning compile.
     candidates: int = 0
-    portfolio_jobs: int = 1
     #: Parallelism-search overhead (compile_kernel only).
     search_wall_s: float = 0.0
     degrees_tried: int = 0
@@ -46,7 +45,6 @@ class PnRStats:
             "route_iterations": self.route_iterations,
             "nets_rerouted": self.nets_rerouted,
             "candidates": self.candidates,
-            "portfolio_jobs": self.portfolio_jobs,
             "search_wall_s": self.search_wall_s,
             "degrees_tried": self.degrees_tried,
         }

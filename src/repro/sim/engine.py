@@ -106,9 +106,7 @@ def simulate(
 
     ``checkpoint`` is an optional
     :class:`repro.sim.snapshot.CheckpointConfig` arming mid-run
-    snapshots; when None it is assembled from ``arch.sim``'s
-    ``checkpoint_path``/``checkpoint_every`` knobs (with signal handlers
-    installed for the run). ``resume_from`` names a snapshot file to
+    snapshots (None = off). ``resume_from`` names a snapshot file to
     continue from — under ``resume_policy="strict"`` an invalid snapshot
     raises :class:`~repro.errors.SnapshotError`; under ``"discard"`` it
     is deleted and the run starts fresh from cycle 0. A resumed run is
@@ -181,16 +179,6 @@ def simulate(
     resume_info = None
     snapshots = None
     watchdog = None
-    if checkpoint is None and (
-        arch.sim.checkpoint_path or arch.sim.checkpoint_every
-    ):
-        from repro.sim.snapshot import CheckpointConfig
-
-        checkpoint = CheckpointConfig(
-            path=arch.sim.checkpoint_path or f"{dfg.name}.snap",
-            every_cycles=arch.sim.checkpoint_every,
-            install_signals=True,
-        )
     if checkpoint is not None or resume_from is not None:
         import time as _time
 

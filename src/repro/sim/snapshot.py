@@ -62,11 +62,6 @@ SNAPSHOT_MAGIC = "repro-sim-snapshot"
 #: ``skipped`` bucket), and ``SimParams`` one field shorter.
 SNAPSHOT_VERSION = 3
 
-#: Wall-budget deadlines consult ``time.monotonic`` only once per this
-#: many boundaries, so an armed checkpointer costs one attribute test
-#: plus one counter increment per executed cycle in the common case.
-_WALL_CHECK_PERIOD = 256
-
 _MISSING = object()
 
 
@@ -80,13 +75,11 @@ def sim_config_digest(compiled, arch, divider, frontend, params=None) -> str:
     knobs, the clock divider, runtime params, and the frontend's own
     :meth:`signature` (which pins machine-config state such as the UPEA
     delay or a NUMA domain assignment that ``ArchParams`` never sees).
-    The checkpoint knobs themselves — and the trace output path — are
-    nulled out first: *where* you snapshot must not affect *whether* you
-    may resume.
+    The trace output path is nulled out first, and the
+    :class:`CheckpointConfig` is no input: *where* you snapshot must not
+    affect *whether* you may resume.
     """
-    sim = dataclasses.replace(
-        arch.sim, checkpoint_path=None, checkpoint_every=0, trace_path=None
-    )
+    sim = dataclasses.replace(arch.sim, trace_path=None)
     dfg = compiled.dfg
     identity = {
         "version": SNAPSHOT_VERSION,
@@ -289,8 +282,6 @@ class CheckpointConfig:
     path: str
     #: Periodic snapshot cadence in system cycles (0 = only on preempt).
     every_cycles: int = 0
-    #: Preempt (kind "timeout") after this much wall time in the engine.
-    wall_budget_s: float | None = None
     #: Preempt (kind "preempted") after executing this many cycles here.
     cycle_budget: int | None = None
     #: Install SIGTERM/SIGINT handlers around the run.
@@ -302,6 +293,10 @@ class CheckpointConfig:
     #: records to (the sweep manifest), plus fixed identity fields.
     journal_path: str | None = None
     journal_fields: dict | None = None
+
+    def __post_init__(self):
+        if self.every_cycles < 0:
+            raise SnapshotError("checkpoint every_cycles must be >= 0")
 
 
 class Checkpointer:
@@ -315,7 +310,6 @@ class Checkpointer:
         )
         self._next_cycle: int | None = None
         self._boundaries = 0
-        self._start_wall = time.monotonic()
         self._last_write_now: int | None = None
         self.writes = 0
         self.write_wall_s = 0.0
@@ -348,13 +342,6 @@ class Checkpointer:
         ):
             reason = f"cycle budget ({self.config.cycle_budget}) exhausted"
             kind = "preempted"
-        elif (
-            self.config.wall_budget_s is not None
-            and self._boundaries % _WALL_CHECK_PERIOD == 0
-            and time.monotonic() - self._start_wall >= self.config.wall_budget_s
-        ):
-            reason = f"wall budget ({self.config.wall_budget_s}s) exhausted"
-            kind = "timeout"
         self._boundaries += 1
         if reason is None:
             return

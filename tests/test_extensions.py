@@ -215,3 +215,75 @@ class TestCLI:
         assert code == 0
         out = capsys.readouterr().out
         assert "region(s)" in out and "output verified" in out
+
+    @pytest.mark.parametrize("name", ["upeax", "numa2x"])
+    def test_malformed_config_is_a_usage_error(self, name):
+        """Regression: a malformed delay raised a bare ValueError from
+        ``int()`` out of ``run --config`` and ``sweep --configs``."""
+        from repro.cli import main
+
+        for argv in (
+            ["run", "dmv", "--scale", "tiny", "--config", name],
+            ["sweep", "--workloads", "dmv", "--configs", name],
+        ):
+            with pytest.raises(SystemExit, match="unknown config"):
+                main(argv)
+
+    def test_size_parsing(self):
+        from repro.cli import _parse_size
+
+        assert _parse_size("256M") == 256 << 20
+        assert _parse_size("1.5k") == 1536
+        assert _parse_size("0") == 0
+
+    @pytest.mark.parametrize("size", ["-1M", "-1", "inf", "12Q"])
+    def test_negative_or_unparsable_size_is_a_usage_error(self, size):
+        """Regression: ``cache prune --max-size=-1M`` reached
+        ``CompileCache.prune`` and surfaced its ValueError."""
+        from repro.cli import _parse_size
+
+        with pytest.raises(SystemExit, match="bad size"):
+            _parse_size(size)
+
+    def test_preemption_hint_resumes_the_same_run(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """The printed resume command carries every sim argument, so the
+        resumed run compiles the same placement (the snapshot's config
+        check passes) and keeps checkpointing."""
+        import shlex
+
+        from repro import cli
+        from repro.errors import SimulationPreempted
+
+        snap = str(tmp_path / "a dir" / "dmv.snap")
+        argv = [
+            "run", "dmv", "--scale", "tiny", "--config", "numa3",
+            "--policy", "only-domain-aware", "--rows", "10", "--cols", "11",
+            "--topology", "clustered-single", "--tracks", "7", "--seed", "1",
+            "--profile-guided", "--checkpoint", snap,
+            "--checkpoint-every", "500",
+        ]
+
+        def preempted(spec, on_compiled=None, **options):
+            raise SimulationPreempted(
+                "preempted", snapshot_path=snap, cycle=123
+            )
+
+        monkeypatch.setattr(cli, "_compile_and_run", preempted)
+        assert cli.main(argv) == 75
+        (line,) = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("resume with: ")
+        ]
+        words = shlex.split(line[len("resume with: "):])
+        assert words[:2] == ["repro", "run"]
+        parser = cli.build_parser()
+        original, resumed = parser.parse_args(argv), parser.parse_args(words[1:])
+
+        def spec(args):
+            return cli._spec_from_args(args, profile_guided=args.profile_guided)
+
+        assert spec(resumed) == spec(original)
+        assert resumed.checkpoint == resumed.resume_from == snap
+        assert resumed.checkpoint_every == 500

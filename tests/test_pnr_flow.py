@@ -6,7 +6,7 @@ from repro.arch.fabric import monaco
 from repro.arch.params import ArchParams
 from repro.core.policy import DOMAIN_UNAWARE, EFFCC
 from repro.errors import PnRError
-from repro.pnr.flow import _search_degrees, compile_kernel, compile_once
+from repro.pnr.flow import SEARCH_DEGREES, compile_kernel, compile_once
 
 from kernels import zoo_instance
 
@@ -59,8 +59,8 @@ class TestCompileOnce:
 
 class TestParallelismSearch:
     def test_search_degrees_monotone(self):
-        degrees = _search_degrees(32)
-        assert degrees == sorted(degrees)
+        degrees = list(SEARCH_DEGREES)
+        assert degrees == sorted(set(degrees))
         assert degrees[0] == 1 and degrees[-1] == 32
 
     def test_search_finds_multi_worker_fit(self):

@@ -1,49 +1,38 @@
-"""Portfolio (process-pool) compile path: equivalence and telemetry.
+"""The mem-scale schedule: one serial candidate loop per compile.
 
-``compile_once(portfolio_jobs > 1)`` farms the mem-scale candidates out
-to a process pool; the selection loop replays the exact serial
-tie-break, so the compiled artifact must be *bit-identical* to the
-serial path's. These tests pin that contract, the PnRStats telemetry
+``compile_once`` seeds one placement, anneals a copy of it under each
+``MEM_SCALE_SCHEDULE`` entry, and keeps the ``(clock_divider,
+place_cost)`` best routable candidate. These tests pin that loop against
+a per-candidate reference, its failure handling, the PnRStats telemetry
 that rides on every compile, and its plumbing into run manifests.
 """
 
 from __future__ import annotations
 
+import io
 import pickle
 import random
 
 import pytest
 
-from benchmarks.e2e.digests import pnr_digest
-from repro.arch.fabric import monaco
+from repro.arch.fabric import Fabric, monaco
 from repro.arch.noc import build_channel_graph
 from repro.arch.params import ArchParams
 from repro.core.criticality import analyze_criticality
 from repro.core.policy import DOMAIN_AWARE, EFFCC
 from repro.dfg.lower import lower_kernel
-from repro.errors import PnRError
+from repro.errors import PnRError, RoutingError
 from repro.exp.configs import MONACO
 from repro.exp.runner import compile_cached, run_config
 from repro.exp.spec import RunSpec
+from repro.ir.transform import parallelize
 from repro.obs.manifest import build_manifest, stable_view
-from repro.pnr.flow import (
-    MEM_SCALE_SCHEDULE,
-    compile_once,
-    shutdown_portfolio_pool,
-)
+from repro.pnr.flow import MEM_SCALE_SCHEDULE, compile_once
 from repro.pnr.netlist import build_netlist
 from repro.pnr.place import anneal, initial_placement
 from repro.pnr.route import route_design
 from repro.pnr.timing import analyze_timing
 from repro.workloads.registry import make_workload
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _pool_teardown():
-    """Workers die with the module; shutdown twice proves idempotence."""
-    yield
-    shutdown_portfolio_pool()
-    shutdown_portfolio_pool()
 
 
 def _compile(workload: str, **kwargs):
@@ -54,63 +43,16 @@ def _compile(workload: str, **kwargs):
     )
 
 
-@pytest.mark.parametrize("workload", ["spmv", "vww"])
-def test_portfolio_matches_serial(workload):
-    """Pooled candidate evaluation picks the exact serial winner."""
-    serial = _compile(workload, portfolio_jobs=1)
-    pooled = _compile(workload, portfolio_jobs=2)
-    assert pooled.placement == serial.placement
-    assert pooled.timing.clock_divider == serial.timing.clock_divider
-    assert pooled.place_cost == serial.place_cost
-    assert pnr_digest(pooled) == pnr_digest(serial)
-
-
-def test_portfolio_restarts_match_serial():
-    """Extra placement restarts: same winner either way, more candidates."""
-    serial = _compile("spmspv", portfolio_jobs=1, portfolio_restarts=2)
-    pooled = _compile("spmspv", portfolio_jobs=3, portfolio_restarts=2)
-    assert pnr_digest(pooled) == pnr_digest(serial)
-    assert serial.pnr.candidates == pooled.pnr.candidates >= 1
-
-
-def test_three_jobs_match_serial_and_workers_build_their_own_tables():
-    """One worker per mem scale, each annealing an unpickled netlist.
-
-    The anneal tables hang off the netlist and the fabric but never
-    travel with them: a clone arrives bare, builds its own, and anneals
-    to the same placement.
-    """
-    serial = _compile("mergesort", portfolio_jobs=1)
-    pooled = _compile("mergesort", portfolio_jobs=3)
-    assert pooled.pnr.portfolio_jobs == 3
-    assert pnr_digest(pooled) == pnr_digest(serial)
-
-    netlist = build_netlist(serial.dfg)
-    fabric = monaco(12, 12)
-    outcomes = []
-    for _ in range(2):
-        rng = random.Random(0)
-        placement = initial_placement(netlist, fabric, EFFCC, rng)
-        cost = anneal(placement, rng, moves=4000)
-        outcomes.append((cost, dict(placement.loc)))
-        assert netlist.place_tables is not None
-        assert fabric.place_tables is not None
-        assert pickle.dumps(fabric) == pickle.dumps(monaco(12, 12))
-        netlist, fabric = pickle.loads(pickle.dumps((netlist, fabric)))
-        assert netlist.place_tables is None
-        assert fabric.place_tables is None
-    assert outcomes[0] == outcomes[1]
-
-
 def _compile_seeding_every_candidate(
-    kernel, fabric, arch, policy, seed, **leaf
+    kernel, fabric, arch, policy, seed, parallelism=1, **leaf
 ):
     """The serial flow as it was: each mem-scale candidate seeds itself.
 
     ``leaf`` goes to both leaf functions: ``incremental=False`` runs the
     whole flow on the reference anneal and the full-reroute router.
     """
-    dfg = lower_kernel(kernel)
+    program = parallelize(kernel, parallelism) if parallelism > 1 else kernel
+    dfg = lower_kernel(program)
     analyze_criticality(dfg)
     netlist = build_netlist(dfg)
     channels = build_channel_graph(fabric, arch.noc_tracks, arch.noc_model)
@@ -135,22 +77,25 @@ def _compile_seeding_every_candidate(
 
 
 @pytest.mark.parametrize("policy", [EFFCC, DOMAIN_AWARE], ids=lambda p: p.name)
-@pytest.mark.parametrize("jobs", [1, 3])
+@pytest.mark.parametrize("parallelism", [1, 3])
 def test_one_seeding_serves_every_mem_scale_candidate(
-    policy, jobs, monkeypatch
+    policy, parallelism, monkeypatch
 ):
-    """``initial_placement`` runs once per compile, in this process.
+    """``initial_placement`` runs once per compile, at any degree.
 
-    ``DOMAIN_AWARE`` seeding shuffles with the candidate's rng, so the
-    rng state after seeding has to travel with the seed placement; and
-    ``loc`` must keep its key order, which the artifact pickles.
+    ``DOMAIN_AWARE`` seeding shuffles with the candidate's rng, so every
+    candidate must anneal from the rng state seeding left; and ``loc``
+    must keep its key order, which the artifact pickles. fft on 16x16
+    walks the whole schedule at both degrees.
     """
     import repro.pnr.flow as flow
 
     kernel = make_workload("fft", scale="tiny", seed=0).kernel
     arch = ArchParams()
     (divider, cost, loc, routing), considered = (
-        _compile_seeding_every_candidate(kernel, monaco(12, 12), arch, policy, 0)
+        _compile_seeding_every_candidate(
+            kernel, monaco(16, 16), arch, policy, 0, parallelism
+        )
     )
     assert considered == len(MEM_SCALE_SCHEDULE)
 
@@ -162,8 +107,7 @@ def test_one_seeding_serves_every_mem_scale_candidate(
 
     monkeypatch.setattr(flow, "initial_placement", counted)
     compiled = compile_once(
-        kernel, monaco(12, 12), arch, policy, parallelism=1, seed=0,
-        portfolio_jobs=jobs,
+        kernel, monaco(16, 16), arch, policy, parallelism, seed=0
     )
     assert len(seedings) == 1
     assert compiled.pnr.candidates == considered
@@ -173,12 +117,71 @@ def test_one_seeding_serves_every_mem_scale_candidate(
     assert compiled.routing.net_channels == routing.net_channels
 
 
+def test_a_failed_candidate_lets_a_later_one_win(monkeypatch):
+    """A candidate that does not route is skipped, not fatal: the loop
+    goes on, counts it, and a later candidate's routing is the one the
+    artifact carries."""
+    import repro.pnr.flow as flow
+
+    routed = []
+
+    def first_fails(netlist, placement, channels, **kwargs):
+        if not routed:
+            routed.append(None)
+            raise RoutingError(f"mem_scale {placement.mem_scale} unroutable")
+        routed.append(route_design(netlist, placement, channels, **kwargs))
+        return routed[-1]
+
+    monkeypatch.setattr(flow, "route_design", first_fails)
+    compiled = _compile("fft")
+    assert len(routed) == len(MEM_SCALE_SCHEDULE)
+    assert compiled.pnr.candidates == len(MEM_SCALE_SCHEDULE)
+    assert any(compiled.routing is routing for routing in routed[1:])
+
+
+def test_no_routable_candidate_raises_the_last_ones_error(monkeypatch):
+    import repro.pnr.flow as flow
+
+    raised = []
+
+    def unroutable(netlist, placement, channels, **kwargs):
+        raised.append(RoutingError(f"mem_scale {placement.mem_scale}"))
+        raise raised[-1]
+
+    monkeypatch.setattr(flow, "route_design", unroutable)
+    with pytest.raises(RoutingError) as info:
+        _compile("dmv")
+    assert len(raised) == len(MEM_SCALE_SCHEDULE)
+    assert info.value is raised[-1]
+
+
+def test_a_compiled_artifact_pickles_no_netlist_and_no_anneal_tables():
+    """The compile cache pickles the artifact: it reaches no ``Netlist``
+    (so a netlist needs no pickle hook), and its fabric drops the anneal
+    tables the compile hung on it."""
+    from repro.pnr.netlist import Netlist
+    from repro.pnr.place import FabricTables, NetlistTables
+
+    compiled = _compile("mergesort")
+    assert compiled.fabric.place_tables is not None
+    pickled = set()
+
+    class Spy(pickle.Pickler):
+        def persistent_id(self, obj):
+            pickled.add(type(obj))
+            return None
+
+    Spy(io.BytesIO(), pickle.HIGHEST_PROTOCOL).dump(compiled)
+    assert Fabric in pickled
+    assert not pickled & {Netlist, NetlistTables, FabricTables}
+    assert pickle.loads(pickle.dumps(compiled)).fabric.place_tables is None
+
+
 def test_pnr_stats_populated():
     """Every compile carries its compile-time telemetry."""
-    compiled = _compile("dmv", portfolio_jobs=2)
+    compiled = _compile("dmv")
     stats = compiled.pnr
     assert stats is not None
-    assert stats.portfolio_jobs == 2
     assert stats.anneal_moves > 0
     assert stats.anneal_proposals >= stats.anneal_accepted > 0
     assert stats.route_iterations >= 1

@@ -265,23 +265,34 @@ class TestSplitRunBitIdentity:
         assert not os.path.exists(path)
 
     def test_sim_knobs_arm_checkpointer(self, tmp_path, monkeypatch):
+        """``repro run --checkpoint/--checkpoint-every`` arm a
+        checkpointer through the ``CheckpointConfig`` the command builds;
+        without one the engine carries none."""
+        from repro.cli import main
+
         armed = []
         run_engine = _Engine.run
 
         def spy(engine):
-            armed.append(engine.snapshots is not None)
+            armed.append(engine.snapshots)
             return run_engine(engine)
 
         monkeypatch.setattr(_Engine, "run", spy)
         path = str(tmp_path / "auto.snap")
-        arch = _arch(checkpoint_path=path, checkpoint_every=100)
+        stats = str(tmp_path / "stats.json")
         base = _simulate("dmv", ArchParams())
-        run = _simulate("dmv", arch)
-        # Knobs off: no checkpointer on the engine, no telemetry block.
-        assert armed == [False, True]
-        assert base.snapshot_stats is None
-        assert run.snapshot_stats["writes"] >= 1
-        assert _digest(run) == _digest(base)
+        assert main([
+            "run", "dmv", "--scale", SCALE, "--checkpoint", path,
+            "--checkpoint-every", "100", "--stats-json", stats,
+        ]) == 0
+        # Off: no checkpointer on the engine, no telemetry block.
+        assert armed[0] is None and base.snapshot_stats is None
+        assert armed[1].config.every_cycles == 100
+        assert armed[1].writes >= 1
+        with open(stats, encoding="utf-8") as handle:
+            payload = json.load(handle)
+        payload.pop("energy")
+        assert payload == json.loads(_digest(base))
         assert not os.path.exists(path)
 
 
@@ -416,12 +427,31 @@ class TestConfigDigest:
         def signature(self):
             return "dummy-frontend"
 
-    def test_checkpoint_knobs_do_not_affect_identity(self):
+    def test_checkpoint_knobs_do_not_affect_identity(self, tmp_path):
+        # Where and how often a run snapshots is its CheckpointConfig,
+        # never a digest input; the trace output path is nulled out.
+        digests = []
+        for name, every in (("a.snap", 0), ("b.snap", 7)):
+            path = str(tmp_path / name)
+            with pytest.raises(SimulationPreempted):
+                _simulate(
+                    "dmv",
+                    ArchParams(),
+                    checkpoint=CheckpointConfig(
+                        path=path, every_cycles=every, cycle_budget=50
+                    ),
+                )
+            digests.append(load_snapshot(path).meta["config_digest"])
+        assert digests[0] == digests[1]
         _, compiled = _compiled("dmv")
         div = max(PAPER_DIVIDER, compiled.timing.clock_divider)
         base = sim_config_digest(compiled, ArchParams(), div, self._FE())
-        rearmed = _arch(checkpoint_path="elsewhere.snap", checkpoint_every=7)
-        assert sim_config_digest(compiled, rearmed, div, self._FE()) == base
+        traced = _arch(trace_path="elsewhere.json")
+        assert sim_config_digest(compiled, traced, div, self._FE()) == base
+
+    def test_negative_cadence_refused(self):
+        with pytest.raises(SnapshotError, match="every_cycles"):
+            CheckpointConfig(path="x.snap", every_cycles=-1)
 
     def test_machine_changes_change_identity(self):
         _, compiled = _compiled("dmv")
@@ -485,12 +515,16 @@ class TestWatchdog:
         assert resumed.memory == full.memory
 
     def test_wall_budget_preempts_with_timeout_kind(self, tmp_path):
+        # A spent job wall budget reaches the engine the way the sweep's
+        # grace alarm delivers it: a "timeout" request on the watchdog.
+        watchdog = Watchdog()
+        watchdog.request("job dmv exceeded 0.05s", kind="timeout")
         path = str(tmp_path / "wall.snap")
         with pytest.raises(SimulationPreempted) as info:
             _simulate(
                 "dmv",
                 ArchParams(),
-                checkpoint=CheckpointConfig(path=path, wall_budget_s=0.0),
+                checkpoint=CheckpointConfig(path=path, watchdog=watchdog),
             )
         assert info.value.kind == "timeout"
         assert os.path.exists(path)
