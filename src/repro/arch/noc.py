@@ -17,15 +17,13 @@ Two models are provided:
   switch traversal), so diagonal/skip tracks shorten routed *delay* for
   long nets exactly as they do in the silicon.
 
-Both are one build (:class:`_TrackGraph`) over a list of track kinds and
-expose the graph twice. By coordinate, for everything that inspects a
-routed design: ``edges_from(coord)`` yields ``(dst, channel_key,
-wire_units)`` and ``capacity(channel_key)`` bounds concurrent nets per
-segment. And as flat tables, which are all the router's search reads: a
-cell is the integer ``x * rows + y`` (so ``(cost, cell)`` heap entries
-order exactly as ``(cost, (x, y))`` would), a channel is its position in
-``keys``, ``cells[cell]`` is the row of ``(neighbour cell, channel id,
-wire)`` in ``edges_from`` order, ``cap[channel id]`` the capacity,
+Both are one build (:class:`_TrackGraph`) over a list of track kinds,
+into the flat tables the router's search reads: a cell is the integer
+``x * rows + y`` (so ``(cost, cell)`` heap entries order exactly as
+``(cost, (x, y))`` would), a channel is its position in ``keys`` (the
+``((x, y), (x, y), kind)`` key a routed design names it by),
+``cells[cell]`` is the row of ``(neighbour cell, channel id, wire)``,
+``cap[channel id]`` the number of nets the channel may carry,
 ``cardinal[cell]`` maps a neighbour cell to the row entry of the cardinal
 channel reaching it, and ``lower_x[tx][cell] + lower_y[ty][cell]`` is the
 admissible distance from ``cell`` to a target at ``(tx, ty)`` the search
@@ -68,7 +66,6 @@ class _TrackGraph:
             for value in (self.unit, *(wire for _, _, wire, _ in kinds))
         ):
             raise ArchError("wire lengths must be short binary fractions")
-        self._edges: dict[Coord, list[tuple[Coord, ChannelKey, float]]] = {}
         self.keys: list[ChannelKey] = []
         self.cap: list[int] = []
         self.cells: list[tuple] = [()] * (rows * cols)
@@ -88,31 +85,18 @@ class _TrackGraph:
         for y in range(rows):
             for x in range(cols):
                 here = (x, y)
-                edges, row = [], []
+                row = []
                 for kind, steps, wire, capacity in kinds:
                     for dx, dy in steps:
                         nx_, ny_ = x + dx, y + dy
                         if 0 <= nx_ < cols and 0 <= ny_ < rows:
-                            dst = (nx_, ny_)
-                            key = (here, dst, kind)
                             entry = (nx_ * rows + ny_, len(self.keys), wire)
-                            self.keys.append(key)
+                            self.keys.append((here, (nx_, ny_), kind))
                             self.cap.append(capacity)
-                            edges.append((dst, key, wire))
                             row.append(entry)
                             if kind == "cardinal":
                                 self.cardinal[x * rows + y][entry[0]] = entry
-                self._edges[here] = edges
                 self.cells[x * rows + y] = tuple(row)
-
-    def edges_from(self, coord: Coord):
-        return self._edges[coord]
-
-    def neighbors(self, coord: Coord) -> list[Coord]:
-        return [dst for dst, _, _ in self._edges[coord]]
-
-    def channels(self) -> list[ChannelKey]:
-        return list(self.keys)
 
 
 class ChannelGraph(_TrackGraph):
@@ -123,14 +107,7 @@ class ChannelGraph(_TrackGraph):
     def __init__(self, fabric: Fabric, tracks: int):
         if tracks < 1:
             raise ArchError("need at least one track")
-        self.tracks = tracks
         self._build(fabric, [("cardinal", _CARDINAL_STEPS, 1.0, tracks)])
-
-    def capacity(self, key: ChannelKey) -> int:
-        src, dst, _ = key
-        if dst not in self.neighbors(src):
-            raise ArchError(f"no channel {src} -> {dst}")
-        return self.tracks
 
 
 class MonacoTrackGraph(_TrackGraph):
@@ -147,11 +124,6 @@ class MonacoTrackGraph(_TrackGraph):
     ):
         if min(cardinal, diagonal, skip) < 0 or cardinal < 1:
             raise ArchError("need at least one cardinal track")
-        self.capacities = {
-            "cardinal": cardinal,
-            "diagonal": diagonal,
-            "skip": skip,
-        }
         self._build(
             fabric,
             [
@@ -160,9 +132,6 @@ class MonacoTrackGraph(_TrackGraph):
                 ("skip", _SKIP_STEPS, 2.0, skip),
             ],
         )
-
-    def capacity(self, key: ChannelKey) -> int:
-        return self.capacities[key[2]]
 
 
 def build_channel_graph(fabric: Fabric, tracks: int, model: str):

@@ -23,8 +23,9 @@ the inputs, the report, and a pretty-printed listing) so a regression
 test can replay it forever.
 
 Kernels that fail *PnR* (unroutable/unplaceable at the fuzz fabric
-size) are counted as skips, not findings: routability is a capacity
-property, not a conformance one.
+size) are counted as skips per exception class, not findings:
+routability is a capacity property, not a conformance one. A PnR
+self-check failure (:class:`~repro.errors.PnRVerifyError`) is a finding.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import time
 from pathlib import Path
 
 from repro.arch.params import ArchParams
-from repro.errors import PnRError, ReproError
+from repro.errors import PnRError, PnRVerifyError, ReproError
 from repro.ir.ast import (
     ArraySpec,
     Assign,
@@ -253,13 +254,18 @@ class FuzzFailure:
 @dataclasses.dataclass
 class FuzzResult:
     ran: int = 0
-    skipped: int = 0
+    #: PnR skips (capacity limits, not findings) by exception class name.
+    skips: dict[str, int] = dataclasses.field(default_factory=dict)
     failures: list[FuzzFailure] = dataclasses.field(default_factory=list)
     wall_time: float = 0.0
 
     @property
     def ok(self) -> bool:
         return not self.failures
+
+    @property
+    def skipped(self) -> int:
+        return sum(self.skips.values())
 
 
 def _fuzz_arch(arch: ArchParams | None) -> ArchParams:
@@ -277,8 +283,15 @@ def _fuzz_arch(arch: ArchParams | None) -> ArchParams:
 
 
 def _oracle(kernel: Kernel, arrays: dict, arch: ArchParams, seed: int):
-    """Run the three-way oracle; None = PnR skip (capacity, not a bug)."""
-    from repro.check.oracle import check_kernel
+    """Run the three-way oracle.
+
+    A :class:`~repro.errors.PnRError` is returned, not raised: the kernel
+    exceeds the fabric, a skip and not a bug. A
+    :class:`~repro.errors.PnRVerifyError` is PnR contradicting its own
+    reference, a finding: it becomes a ``protocol`` divergence on layer
+    ``pnr``, shrunk and written like any other.
+    """
+    from repro.check.oracle import ConformanceReport, Divergence, check_kernel
 
     try:
         return check_kernel(
@@ -290,8 +303,22 @@ def _oracle(kernel: Kernel, arrays: dict, arch: ArchParams, seed: int):
             seed=seed,
             anneal_moves=400,
         )
-    except PnRError:
-        return None
+    except PnRError as error:
+        return error
+    except PnRVerifyError as error:
+        return ConformanceReport(
+            name=kernel.name,
+            config="-",
+            layers=(),
+            divergences=[
+                Divergence(
+                    "protocol",
+                    ("pnr",),
+                    detail=f"{type(error).__name__}: {error}",
+                )
+            ],
+            op_counts={},
+        )
 
 
 def shrink_kernel(
@@ -523,10 +550,11 @@ def fuzz(
         kernel = KernelGen(rng).kernel(index)
         arrays = fuzz_arrays(rng)
         report = _oracle(kernel, arrays, arch, seed)
-        if report is None:
-            result.skipped += 1
+        if isinstance(report, PnRError):
+            kind = type(report).__name__
+            result.skips[kind] = result.skips.get(kind, 0) + 1
             if progress is not None:
-                progress(index, "skip", "PnR capacity")
+                progress(index, "skip", f"{kind}: {report}")
             continue
         result.ran += 1
         if report.ok:
@@ -541,7 +569,10 @@ def fuzz(
             def still_fails(candidate: Kernel) -> bool:
                 nonlocal final_report
                 candidate_report = _oracle(candidate, arrays, arch, seed)
-                if candidate_report is not None and not candidate_report.ok:
+                if (
+                    not isinstance(candidate_report, PnRError)
+                    and not candidate_report.ok
+                ):
                     final_report = candidate_report
                     return True
                 return False

@@ -430,7 +430,10 @@ def check_workload(
 
     Compiles through the shared cache exactly like the experiment
     harness (same key, same parallelism search) so what the oracle
-    certifies is the graph the experiments actually run.
+    certifies is the graph the experiments actually run. The compile
+    runs under ``sim.check``, which arms the placer's and the router's
+    references on every candidate; ``compile_key`` leaves ``arch.sim``
+    out, so the artifact and its cache entry are the unchecked ones.
     """
     from repro.arch.fabric import monaco
     from repro.exp.runner import PAPER_DIVIDER, compile_cached
@@ -438,7 +441,7 @@ def check_workload(
 
     arch = arch or ArchParams()
     instance = make_workload(name, scale, seed)
-    compiled = compile_cached(instance, monaco(), arch, seed=seed)
+    compiled = compile_cached(instance, monaco(), _with_check(arch), seed=seed)
     verify_routing(compiled, arch)
     return check_kernel(
         instance.kernel,

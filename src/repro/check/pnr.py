@@ -16,9 +16,11 @@ the wire summed along that tree; per channel, that occupancy is within
 capacity under the architecture's ``noc_model``; and that ``max_hops``,
 the path delay and ``clock_divider`` follow from the hops. A wrong
 artifact is refused by a typed error naming the net, channel or field.
-The errors are not :class:`~repro.errors.PnRError`: the parallelism
-search reads that as "does not fit" and backs off, which would hide a
-wrong artifact behind a smaller right one.
+The errors derive from :class:`~repro.errors.PnRVerifyError`, which the
+placer's and router's ``check`` modes raise as well, and which is not a
+:class:`~repro.errors.PnRError`: the parallelism search reads that as
+"does not fit" and backs off, which would hide a wrong artifact behind a
+smaller right one.
 
 Placement legality (one node per slot, ``PE.supports``, domain
 constraints) is not checked here yet; see ROADMAP item 1.
@@ -29,18 +31,8 @@ from __future__ import annotations
 import math
 
 from repro.arch.params import ArchParams
-from repro.errors import ReproError
+from repro.errors import PnRVerifyError
 from repro.pnr.netlist import build_netlist
-
-
-class PnRVerifyError(ReproError):
-    """A compiled artifact contradicts itself; names what is wrong."""
-
-    def __init__(self, message: str, *, net=None, channel=None, field=None):
-        super().__init__(message)
-        self.net = net
-        self.channel = channel
-        self.field = field
 
 
 class NetTreeError(PnRVerifyError):

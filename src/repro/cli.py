@@ -959,8 +959,12 @@ def cmd_check(args) -> int:
             shrink=not args.no_shrink,
             progress=progress,
         )
+        skips = ", ".join(
+            f"{kind} {count}" for kind, count in sorted(result.skips.items())
+        )
         print(
-            f"fuzz: ran {result.ran} skipped {result.skipped} "
+            f"fuzz: ran {result.ran} skipped {result.skipped}"
+            f"{f' ({skips})' if skips else ''} "
             f"failure(s) {len(result.failures)} in {result.wall_time:.1f}s"
         )
         for failure in result.failures:

@@ -37,6 +37,23 @@ class PlacementError(PnRError):
     """No legal placement exists (e.g. more memory nodes than LS PEs)."""
 
 
+class PnRVerifyError(ReproError):
+    """PnR contradicts its own reference; names what is wrong.
+
+    Raised by the independent verifier (:mod:`repro.check.pnr`) and by
+    the placer's and router's ``check`` modes. Deliberately *not* a
+    :class:`PnRError`: the degree search, the mem-scale loop and the
+    sweep's PnR retry read that as "does not fit" and back off, which
+    would hide a wrong answer behind a smaller right one.
+    """
+
+    def __init__(self, message: str, *, net=None, channel=None, field=None):
+        super().__init__(message)
+        self.net = net
+        self.channel = channel
+        self.field = field
+
+
 class SimulationError(ReproError):
     """The timed simulator reached an illegal state."""
 

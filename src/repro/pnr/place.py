@@ -6,6 +6,11 @@ weighted by criticality class; all other instructions are then placed
 greedily in breadth-first order through defs and uses; finally simulated
 annealing refines the placement under a cost that combines communication
 locality with a throughput-reduction factor for memory latency.
+
+The anneal is one loop (:func:`anneal`). Its references are its own
+``check`` mode, which prices every proposal the fast estimate refuses
+the full way too, and the full-recompute loop in
+``tests/pnr_reference.py`` that the equivalence suites diff against.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from repro.arch.pe import PE, manhattan
 
 from repro.core.policy import PlacementPolicy
 from repro.dfg.graph import DFG, PortRef
-from repro.errors import PlacementError
+from repro.errors import PlacementError, PnRVerifyError
 from repro.pnr.netlist import Netlist
 
 Coord = tuple[int, int]
@@ -77,10 +82,6 @@ class Placement:
         self.loc[a], self.loc[b] = lb, la
         self.occupant[la], self.occupant[lb] = b, a
 
-    def legal(self, nid: int, coord: Coord) -> bool:
-        node = self.netlist.dfg.nodes[nid]
-        return self.fabric.pes[coord].supports(node.op)
-
     # -- cost ------------------------------------------------------------
 
     def net_cost(self, net_index: int) -> float:
@@ -118,12 +119,6 @@ class Placement:
         if base is None:
             return 0.0
         return base * self.pe_rank(self.fabric.pes[self.loc[nid]])
-
-    def cell_cost(self, nid: int) -> float:
-        cost = self.mem_cost(nid)
-        for net_index in self.netlist.nets_of[nid]:
-            cost += self.net_cost(net_index)
-        return cost
 
     def total_cost(self) -> float:
         cost = sum(self.net_cost(i) for i in range(len(self.netlist.nets)))
@@ -363,38 +358,36 @@ def anneal(
     moves: int | None = None,
     t_start: float = 8.0,
     t_end: float = 0.05,
-    incremental: bool = True,
     check: bool = False,
     stats: dict | None = None,
 ) -> float:
     """Refine ``placement`` in place; returns the final (exact) cost.
 
-    ``incremental=True`` (default) runs :func:`_anneal_incremental`:
-    cached per-net costs over flat integer state, with the netlist- and
-    fabric-derived tables built once and shared by every anneal on the
-    same ``placement.netlist`` / ``placement.fabric``. A proposal is
-    refused on an O(changed pins) estimate of its delta when the
-    estimate alone settles that the naive path would refuse it, and is
-    otherwise priced over every pin of its incident nets, as the naive
-    path prices it. The trajectory is bit-identical to the naive
-    full-recompute path (``incremental=False``, kept as the tests'
-    reference; no caller in ``src/`` passes it): same rng call sequence,
-    same operand bits in every delta, hence the same accept/reject
-    decisions and the same final placement for a given seed.
+    One loop, :func:`_anneal_incremental`: cached per-net costs over flat
+    integer state, with the netlist- and fabric-derived tables built once
+    and shared by every anneal on the same ``placement.netlist`` /
+    ``placement.fabric``. A proposal is refused on an O(changed pins)
+    estimate of its delta when the estimate alone settles that the spec
+    (every pin of its incident nets, priced the full-recompute way) would
+    refuse it, and is otherwise priced by the spec. The trajectory is
+    bit-identical to the full-recompute loop the tests keep as their
+    reference (``tests/pnr_reference.py``): same rng call sequence, same
+    operand bits in every delta, hence the same accept/reject decisions
+    and the same final placement for a given seed.
 
-    ``check=True`` asserts the incrementally accumulated cost matches
-    ``total_cost()`` at anneal end within 1e-6 (relative), and prices
-    every proposal the estimate refuses the full way as well, raising
-    ``PlacementError`` (step, cells, estimate, delta, margin) if the two
-    ever disagree. In either mode
-    the returned value is reconciled to the exact recomputed total, so a
-    cached ``CompiledKernel.place_cost`` is float-drift-free.
+    ``check=True`` prices every proposal the estimate refuses by the
+    spec as well, and asserts the incrementally accumulated cost matches
+    ``total_cost()`` at anneal end within 1e-6 (relative). Either
+    disagreement raises :class:`~repro.errors.PnRVerifyError` — a wrong
+    answer, never a placement that does not fit. The returned value is
+    reconciled to the exact recomputed total either way, so a cached
+    ``CompiledKernel.place_cost`` is float-drift-free.
 
     ``stats``, if given, is filled with ``proposals`` (moves surviving
     the window/legality filters), ``accepted``, ``repriced`` (proposals
     priced the full way: the accepted ones plus the few the estimate
-    could not refuse; all of them under ``check`` or
-    ``incremental=False``), ``moves``, ``wall_s``, and ``moves_per_s``.
+    could not refuse; all of them under ``check``), ``moves``,
+    ``wall_s``, and ``moves_per_s``.
     """
     t0 = time.perf_counter()
     netlist = placement.netlist
@@ -414,20 +407,14 @@ def anneal(
         moves = min(60_000, 200 * len(cells))
     alpha = (t_end / t_start) ** (1.0 / max(1, moves))
 
-    if incremental:
-        cost, proposals, accepted, repriced = _anneal_incremental(
-            placement, rng, cells, moves, alpha, t_start, check
-        )
-    else:
-        cost, proposals, accepted = _anneal_naive(
-            placement, rng, cells, moves, alpha, t_start
-        )
-        repriced = proposals
-
+    cost, proposals, accepted, repriced = _anneal_incremental(
+        placement, rng, cells, moves, alpha, t_start, check
+    )
     exact = placement.total_cost()
     if check and abs(cost - exact) > 1e-6 * max(1.0, abs(exact)):
-        raise PlacementError(
-            f"anneal cost drift: accumulated {cost!r} != exact {exact!r}"
+        raise PnRVerifyError(
+            f"anneal cost drift: accumulated {cost!r} != exact {exact!r}",
+            field="place_cost",
         )
     wall = time.perf_counter() - t0
     if stats is not None:
@@ -438,74 +425,6 @@ def anneal(
         stats["wall_s"] = wall
         stats["moves_per_s"] = moves / wall if wall > 0 else 0.0
     return exact
-
-
-def _anneal_naive(
-    placement: Placement,
-    rng: random.Random,
-    cells: list[int],
-    moves: int,
-    alpha: float,
-    t_start: float,
-) -> tuple[float, int, int]:
-    """Full-recompute anneal loop (the reference the tests diff against)."""
-    fabric = placement.fabric
-    temperature = t_start
-    cost = placement.total_cost()
-    max_window = max(fabric.rows, fabric.cols)
-    proposals = accepted = 0
-
-    for step in range(moves):
-        nid = rng.choice(cells)
-        # VPR-style range limit: the candidate window shrinks as the
-        # anneal cools, so late moves are local refinements.
-        window = max(2, round(max_window * (1.0 - step / moves)))
-        cx, cy = placement.loc[nid]
-        target = (
-            min(
-                fabric.cols - 1,
-                max(0, cx + rng.randint(-window, window)),
-            ),
-            min(
-                fabric.rows - 1,
-                max(0, cy + rng.randint(-window, window)),
-            ),
-        )
-        if target == placement.loc[nid]:
-            temperature *= alpha
-            continue
-        other = placement.occupant.get(target)
-        if not placement.legal(nid, target):
-            temperature *= alpha
-            continue
-        if other is not None and not placement.legal(
-            other, placement.loc[nid]
-        ):
-            temperature *= alpha
-            continue
-
-        proposals += 1
-        if other is None:
-            before = placement.cell_cost(nid)
-            origin = placement.loc[nid]
-            placement.move(nid, target)
-            delta = placement.cell_cost(nid) - before
-            if delta > 0 and rng.random() >= math.exp(-delta / temperature):
-                placement.move(nid, origin)
-            else:
-                cost += delta
-                accepted += 1
-        else:
-            before = _pair_cost(placement, nid, other)
-            placement.swap(nid, other)
-            delta = _pair_cost(placement, nid, other) - before
-            if delta > 0 and rng.random() >= math.exp(-delta / temperature):
-                placement.swap(nid, other)
-            else:
-                cost += delta
-                accepted += 1
-        temperature *= alpha
-    return cost, proposals, accepted
 
 
 class NetlistTables:
@@ -529,8 +448,8 @@ class NetlistTables:
         self.cell_nets = [
             tuple(netlist.nets_of[nid]) for nid in netlist.cells
         ]
-        # Built like ``set(nets_of[a])`` in _pair_cost, so ``net_sets[a] |
-        # net_sets[b]`` iterates in the naive union's order.
+        # Built like ``set(nets_of[a])`` in the reference loop's pair
+        # cost, so ``net_sets[a] | net_sets[b]`` iterates in its order.
         self.net_sets = [set(nets) for nets in self.cell_nets]
         #: What the estimate reads. ``own_sinks[c]``: the one net cell
         #: ``c`` sources (a netlist has one net per producer) as ``(net
@@ -581,7 +500,7 @@ class FabricTables:
         self._legal: dict[str, list[bool]] = {}
 
     def legal(self, op: str) -> list[bool]:
-        """``PE.supports(op)`` per position (the twin of Placement.legal)."""
+        """``PE.supports(op)`` per position: the one legality test."""
         mask = self._legal.get(op)
         if mask is None:
             mask = self._legal[op] = [pe.supports(op) for pe in self.pes]
@@ -671,8 +590,8 @@ def _anneal_incremental(
 ) -> tuple[float, int, int, int]:
     """Delta-cost anneal loop over flat integer state.
 
-    Mirrors :func:`_anneal_naive` decision-for-decision, on four
-    obligations. *Rng stream*: ``choice(cells)`` and ``randint(-w, w)``
+    Mirrors the full-recompute loop (the tests' reference) decision for
+    decision, on four obligations. *Rng stream*: ``choice(cells)`` and ``randint(-w, w)``
     are inlined to their ``_randbelow`` cores (draw ``n.bit_length()``
     bits, redraw while >= n; ``rng`` must be getrandbits-based, as
     ``random.Random`` is) and ``random()`` is drawn only when delta > 0.
@@ -699,7 +618,7 @@ def _anneal_incremental(
     ``pos`` and nothing else. An accept stores the new per-net values and
     replays the move on ``placement`` (so ``loc`` keeps its key order).
     Under ``check`` the estimate's refusals are priced by the spec too,
-    and a disagreement raises.
+    and a disagreement raises :class:`~repro.errors.PnRVerifyError`.
     """
     fabric = placement.fabric
     netlist = placement.netlist
@@ -860,11 +779,12 @@ def _anneal_incremental(
                     and (delta <= 0 or u < exp(-delta / temperature))
                 )
             ):
-                raise PlacementError(
+                raise PnRVerifyError(
                     f"anneal estimate disagrees with the spec at step "
                     f"{step}: cells {cells[a]} -> "
                     f"{cells[b] if b >= 0 else (tx, ty)}, est {est!r}, "
-                    f"delta {delta!r}, margin {margin!r}"
+                    f"delta {delta!r}, margin {margin!r}",
+                    field="estimate",
                 )
             if delta > 0:
                 if u is None:
@@ -895,12 +815,3 @@ def _anneal_incremental(
         first += steps
     return cost, proposals, accepted, repriced
 
-
-def _pair_cost(placement: Placement, a: int, b: int) -> float:
-    nets = set(placement.netlist.nets_of[a]) | set(
-        placement.netlist.nets_of[b]
-    )
-    cost = placement.mem_cost(a) + placement.mem_cost(b)
-    for net_index in nets:
-        cost += placement.net_cost(net_index)
-    return cost

@@ -20,6 +20,10 @@ is what static timing consumes.
 Each sink's search is a Dijkstra from the whole tree built so far, pruned
 by a bound that cannot change its answer (:func:`_route_net`; the
 argument is in docs/INTERNALS.md §4, "The bounded search").
+
+There is one negotiation loop, a full reroute per pass. Its reference
+is its own ``check`` mode, which repeats every bounded search unbounded
+and raises unless the two agree.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import heapq
 import time
 from dataclasses import dataclass, field
 
-from repro.errors import RoutingError
+from repro.errors import PnRVerifyError, RoutingError
 from repro.pnr.netlist import Netlist
 from repro.pnr.place import Placement
 
@@ -48,8 +52,8 @@ class RoutingResult:
     max_hops: float = 0.0
     iterations: int = 0
     total_channel_use: int = 0
-    #: Total _route_net invocations across all negotiation iterations
-    #: (== len(routable) * iterations for a full reroute).
+    #: Nets routed across all negotiation passes: every routable net in
+    #: every pass, so ``len(routable) * iterations``.
     nets_rerouted: int = 0
     wall_s: float = field(default=0.0, compare=False)
 
@@ -62,38 +66,29 @@ def route_design(
     placement: Placement,
     channels,
     max_iters: int = 10,
-    incremental: bool = True,
     check: bool = False,
 ) -> RoutingResult:
     """Route every net within track capacity or raise RoutingError.
 
-    With ``incremental=True`` (default), negotiation iterations after the
-    first skip clean nets — but only when skipping is *provably* safe,
-    so the result stays bit-identical to a full reroute
-    (``incremental=False``, kept as the tests' reference; no caller in
-    ``src/`` passes it). A skipped net would reproduce its old tree
-    exactly iff its cost landscape changed by benign increases only:
+    Every negotiation pass rips up and reroutes every net, in net order,
+    against the ``usage`` the nets before it left (PathFinder). Passes
+    end when no channel is over capacity; between passes the present
+    factor doubles and every overused channel's history grows by its
+    overflow.
 
-    * Increases on channels *off* its tree can never flip its choice
-      (alternatives only got pricier; its own path cost is unchanged).
-    * Increases on its own tree (another net claiming a shared channel,
-      the doubled present factor or a history bump on an overused
-      channel) can — so a net is dirty when its tree intersects the
-      previous pass's overused or occupancy-changed channels, or a
-      channel a net rerouted *earlier in the same pass* (the in-order
-      scan mirrors the full reroute's sequencing).
-    * Any effective cost *decrease* — ripping a channel that was priced
-      for congestion (usage >= capacity) — can attract an arbitrary
-      net, no matter where its tree sits. That rip raises a flag which
-      forces every later net in the pass, and the entire next pass, to
-      reroute. In congestion-heavy passes this degenerates to a full
-      reroute (soundness over savings); the skips concentrate in the
-      almost-converged tail, where only lightly-loaded channels churn.
+    No pass can safely skip a net as clean: pass 2 follows a pass in
+    which every channel any tree holds changed occupancy, and each later
+    pass follows one that ended with an overused channel, whose first
+    rip-up in scan order vacates a channel priced for congestion and so
+    may attract any net. So ``nets_rerouted`` is ``len(routable nets) *
+    iterations``.
 
-    ``check=True`` re-derives channel usage from the routed trees after
-    every pass and raises if it disagrees with the incrementally
-    maintained counts, and repeats every net's bounded search with an
-    infinite bound, raising if the tree or the hop table differs.
+    ``check=True`` repeats every net's bounded search with an infinite
+    bound (a bounded search that finds no path counts as differing), and
+    re-derives channel usage from the trees after every pass; either
+    disagreement raises :class:`~repro.errors.PnRVerifyError` naming the
+    net or the field: a wrong answer, never a design that does not fit.
+    Checked and unchecked calls return equal results.
     """
     if max_iters < 1:
         raise RoutingError(
@@ -122,38 +117,18 @@ def route_design(
             pins[index] = cell_of[net.src], [(s, cell_of[s]) for s in sinks]
 
     present_factor = 0.5
-    rerouted = 0
-    dirty: set = set()
-    #: True while a congestion-priced channel has been vacated since the
-    #: last full pass — clean nets may be attracted, so nothing skips.
-    decreased = True  # iteration 1 routes everything
     for iteration in range(1, max_iters + 1):
-        full_pass = decreased or not incremental
-        decreased = False
-        changed: set = set()
         for index, (src, sinks) in pins.items():
-            old = routes.get(index)
-            if not full_pass and not decreased:
-                if not (old & dirty or old & changed):
-                    continue
-            if old:
-                for channel in old:
-                    if usage[channel] >= cap[channel]:
-                        decreased = True
-                    usage[channel] -= 1
+            for channel in routes.get(index, ()):
+                usage[channel] -= 1
             net = (index, src, sinks, usage, history, present_factor)
-            routed = _route_net(channels, *net)
-            if check and routed != _route_net(channels, *net, bounded=False):
-                raise RoutingError(
-                    f"net {index}: the bounded search and the unbounded "
-                    "one route it differently"
-                )
-            tree_channels, hops[index] = routed
-            routes[index] = tree_channels
-            for channel in tree_channels:
+            if check:
+                tree, hops[index] = _checked_route(channels, net)
+            else:
+                tree, hops[index] = _route_net(channels, *net)
+            routes[index] = tree
+            for channel in tree:
                 usage[channel] += 1
-            changed.update(tree_channels.symmetric_difference(old or ()))
-            rerouted += 1
         if check:
             _check_usage(usage, routes)
         overused = [c for c, use in enumerate(usage) if use > cap[c]]
@@ -171,18 +146,31 @@ def route_design(
                 ),
                 iterations=iteration,
                 total_channel_use=sum(usage),
-                nets_rerouted=rerouted,
+                nets_rerouted=len(pins) * iteration,
                 wall_s=time.perf_counter() - t0,
             )
         for channel in overused:
             history[channel] += usage[channel] - cap[channel]
         present_factor *= 2.0
-        dirty = set(overused)
-        dirty.update(changed)
     raise RoutingError(
         f"unroutable: {len(overused)} channels over capacity after "
         f"{max_iters} iterations"
     )
+
+
+def _checked_route(channels, net) -> tuple[set[int], dict[int, float]]:
+    """:func:`_route_net`, held to the same search with no bound."""
+    try:
+        routed = _route_net(channels, *net)
+    except RoutingError:
+        routed = None  # a sound bound always keeps the priced walk
+    if routed != _route_net(channels, *net, bounded=False):
+        raise PnRVerifyError(
+            f"net {net[0]}: the bounded search and the unbounded one "
+            "route it differently",
+            net=net[0],
+        )
+    return routed
 
 
 def _check_usage(usage: list[int], routes: dict[int, set[int]]) -> None:
@@ -197,8 +185,9 @@ def _check_usage(usage: list[int], routes: dict[int, set[int]]) -> None:
             for channel, (have, want) in enumerate(zip(usage, recount))
             if have != want
         ]
-        raise RoutingError(
-            f"usage accounting drift on {len(diff)} channels: {diff[:5]}"
+        raise PnRVerifyError(
+            f"usage accounting drift on {len(diff)} channels: {diff[:5]}",
+            field="usage",
         )
 
 

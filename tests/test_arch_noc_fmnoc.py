@@ -8,22 +8,33 @@ from repro.arch.noc import ChannelGraph
 from repro.errors import ArchError
 
 
+def _neighbors(graph, coord):
+    """The cells one channel away from ``coord``, as coordinates."""
+    rows = graph.fabric.rows
+    x, y = coord
+    return [divmod(cell, rows) for cell, _, _ in graph.cells[x * rows + y]]
+
+
 class TestChannelGraph:
     def test_neighbor_structure(self):
         graph = ChannelGraph(monaco(4, 4), tracks=3)
-        assert sorted(graph.neighbors((0, 0))) == [(0, 1), (1, 0)]
-        assert len(graph.neighbors((1, 1))) == 4
+        assert sorted(_neighbors(graph, (0, 0))) == [(0, 1), (1, 0)]
+        assert len(_neighbors(graph, (1, 1))) == 4
+        # The cardinal map holds the same channels, keyed by cell.
+        for cell, row in enumerate(graph.cells):
+            assert sorted(graph.cardinal[cell].values()) == sorted(row)
 
     def test_channel_count(self):
         graph = ChannelGraph(monaco(4, 4), tracks=2)
         # 4x4 grid: 2 * (3*4 + 4*3) = 48 directed channels.
-        assert len(graph.channels()) == 48
+        assert len(graph.keys) == len(graph.cap) == 48
+        assert sum(len(row) for row in graph.cells) == 48
 
     def test_capacity(self):
         graph = ChannelGraph(monaco(4, 4), tracks=7)
-        assert graph.capacity(((0, 0), (1, 0), "cardinal")) == 7
-        with pytest.raises(ArchError):
-            graph.capacity(((0, 0), (2, 0), "cardinal"))
+        assert set(graph.cap) == {7}
+        assert ((0, 0), (1, 0), "cardinal") in graph.keys
+        assert ((0, 0), (2, 0), "cardinal") not in graph.keys
 
     def test_zero_tracks_rejected(self):
         with pytest.raises(ArchError):

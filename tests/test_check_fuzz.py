@@ -191,3 +191,66 @@ def test_fuzz_progress_callback_sees_every_case():
     fuzz(5, seed=1, shrink=False, progress=lambda i, s, d: seen.append((i, s)))
     assert [i for i, _ in seen] == list(range(5))
     assert all(state in ("ok", "skip", "FAIL") for _, state in seen)
+
+
+# -- skips and PnR findings --------------------------------------------------
+
+
+def _one_case(count=1):
+    """Progress lines and result of the first ``count`` seed-0 kernels."""
+    lines = []
+    result = fuzz(
+        count, seed=0, shrink=False,
+        progress=lambda i, s, d: lines.append((i, s, d)),
+    )
+    return lines, result
+
+
+def test_a_kernel_over_fabric_capacity_is_skipped_by_class():
+    """Seed 0's kernel 5 has more nodes than the fabric has PEs."""
+    lines, result = _one_case(6)
+    assert lines[5][:2] == (5, "skip")
+    assert lines[5][2].startswith("PlacementError: ")
+    assert "exceed fabric capacity" in lines[5][2]
+    assert result.skips == {"PlacementError": 1} and result.skipped == 1
+    assert result.ran == 5 and result.ok
+
+
+def test_an_unroutable_kernel_is_skipped_as_a_routing_error(monkeypatch):
+    import repro.pnr.flow as flow
+    from repro.errors import RoutingError
+
+    def unroutable(*args, **kwargs):
+        raise RoutingError("unroutable: 3 channels over capacity")
+
+    monkeypatch.setattr(flow, "route_design", unroutable)
+    lines, result = _one_case()
+    assert lines == [(0, "skip", "RoutingError: unroutable: 3 channels "
+                      "over capacity")]
+    assert result.skips == {"RoutingError": 1} and result.ok
+
+
+def test_a_pnr_self_check_failure_is_a_finding(monkeypatch, tmp_path):
+    """A wrong answer from PnR is shrunk and written, never skipped."""
+    import repro.pnr.flow as flow
+    from repro.errors import PnRVerifyError
+
+    def wrong(netlist, placement, channels, check=False):
+        assert check  # the fuzzer compiles with both references armed
+        raise PnRVerifyError("net 0: the bounded search differs", net=0)
+
+    monkeypatch.setattr(flow, "route_design", wrong)
+    seen = []
+    result = fuzz(
+        1, seed=0, corpus_dir=tmp_path, shrink=True,
+        progress=lambda i, s, d: seen.append((s, d)),
+    )
+    assert seen[0][0] == "FAIL" and "PnRVerifyError: net 0" in seen[0][1]
+    assert result.skipped == 0 and not result.ok
+    (failure,) = result.failures
+    (divergence,) = failure.report.divergences
+    assert (divergence.kind, divergence.layers) == ("protocol", ("pnr",))
+    # Shrunk: every reduction still fails the same way.
+    assert len(failure.shrunk.body) < len(failure.kernel.body)
+    payload = json.loads(failure.path.read_text())
+    assert payload["report"]["divergences"][0]["layers"] == ["pnr"]

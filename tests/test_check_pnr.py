@@ -171,5 +171,44 @@ def test_check_compiles_and_the_oracle_call_the_verifier(monkeypatch):
     checked = ArchParams(sim=SimParams(check=True))
     compile_once(kernel, monaco(12, 12), checked, parallelism=1)
     assert len(seen) == 1
+    # The oracle compiles checked (each degree's winner verified) or hits
+    # the cache; either way it verifies the artifact it certifies itself.
     assert check_workload("dmv").ok
-    assert len(seen) == 2
+    before = len(seen)
+    assert check_workload("dmv").ok
+    assert len(seen) == before + 1
+
+
+def test_a_failed_self_check_is_not_read_as_a_non_fit(monkeypatch):
+    """The degree search stops on a wrong answer instead of backing off.
+
+    From degree 3 up the router's lower bound is doubled, so a checked
+    compile's bounded search disagrees with its unbounded one there. Read
+    as "does not fit", that returned the degree-2 artifact of a kernel
+    whose healthy search settles on 4, with no error at all.
+    """
+    import repro.pnr.flow as flow
+    from repro.pnr.flow import compile_kernel
+
+    degree = []
+    real_once, real_graph = flow.compile_once, flow.build_channel_graph
+
+    def once(kernel, fabric, arch, policy, parallelism, *rest):
+        degree.append(parallelism)
+        return real_once(kernel, fabric, arch, policy, parallelism, *rest)
+
+    def graph(*args):
+        channels = real_graph(*args)
+        if degree[-1] >= 3:
+            channels.lower_x = [[2 * b for b in r] for r in channels.lower_x]
+            channels.lower_y = [[2 * b for b in r] for r in channels.lower_y]
+        return channels
+
+    monkeypatch.setattr(flow, "compile_once", once)
+    monkeypatch.setattr(flow, "build_channel_graph", graph)
+    kernel = make_workload("dmv", scale="tiny", seed=0).kernel
+    checked = ArchParams(sim=SimParams(check=True))
+    with pytest.raises(PnRVerifyError, match=r"^net \d+: ") as caught:
+        compile_kernel(kernel, monaco(12, 12), checked)
+    assert caught.value.net is not None
+    assert degree == [1, 2, 3]

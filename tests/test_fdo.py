@@ -33,6 +33,7 @@ from repro.dfg.lower import lower_kernel
 from repro.pnr.place import anneal, initial_placement
 from repro.workloads.registry import make_workload
 
+import pnr_reference
 from test_pnr_incremental import PINNED_DIGESTS
 
 
@@ -125,14 +126,12 @@ def test_anneal_with_overrides_incremental_matches_naive(workload, seed):
     }
 
     outcomes = []
-    for incremental in (True, False):
+    for loop in (anneal, pnr_reference.anneal):
         rng = random.Random(seed)
         placement = initial_placement(
             netlist, fabric, EFFCC, rng, node_weights=weights
         )
-        cost = anneal(
-            placement, rng, moves=4000, incremental=incremental, check=True
-        )
+        cost = loop(placement, rng, moves=4000, check=True)
         outcomes.append((dict(placement.loc), cost))
     (fast_loc, fast_cost), (naive_loc, naive_cost) = outcomes
     assert fast_loc == naive_loc

@@ -20,15 +20,27 @@ from repro.sim.engine import simulate
 from kernels import zoo_instance
 
 
+def _edges_from(graph, coord):
+    """``(dst coord, channel key, wire)`` per channel leaving ``coord``,
+    read off the flat tables the router searches."""
+    rows = graph.fabric.rows
+    x, y = coord
+    return [
+        (divmod(cell, rows), graph.keys[channel], wire)
+        for cell, channel, wire in graph.cells[x * rows + y]
+    ]
+
+
 class TestGraphStructure:
     def test_edge_kinds_present(self):
         graph = MonacoTrackGraph(monaco(8, 8))
-        kinds = {key[2] for _, key, _ in graph.edges_from((3, 3))}
+        kinds = {key[2] for _, key, _ in _edges_from(graph, (3, 3))}
         assert kinds == {"cardinal", "diagonal", "skip"}
 
     def test_segment_geometry(self):
         graph = MonacoTrackGraph(monaco(8, 8))
-        for dst, key, wire in graph.edges_from((3, 3)):
+        for dst, key, wire in _edges_from(graph, (3, 3)):
+            assert key[:2] == ((3, 3), dst)
             dx = abs(dst[0] - 3)
             dy = abs(dst[1] - 3)
             if key[2] == "cardinal":
@@ -41,23 +53,18 @@ class TestGraphStructure:
 
     def test_border_clipping(self):
         graph = MonacoTrackGraph(monaco(8, 8))
-        for dst, _, _ in graph.edges_from((0, 0)):
+        for dst, _, _ in _edges_from(graph, (0, 0)):
             assert 0 <= dst[0] < 8 and 0 <= dst[1] < 8
 
     def test_per_kind_capacity(self):
         graph = MonacoTrackGraph(monaco(8, 8), cardinal=3, diagonal=1, skip=2)
-        cardinal_key = next(
-            k for _, k, _ in graph.edges_from((3, 3)) if k[2] == "cardinal"
-        )
-        diagonal_key = next(
-            k for _, k, _ in graph.edges_from((3, 3)) if k[2] == "diagonal"
-        )
-        assert graph.capacity(cardinal_key) == 3
-        assert graph.capacity(diagonal_key) == 1
+        per_kind = {"cardinal": 3, "diagonal": 1, "skip": 2}
+        for key, cap in zip(graph.keys, graph.cap):
+            assert cap == per_kind[key[2]], key
 
     def test_zero_capacity_kind_omitted(self):
         graph = MonacoTrackGraph(monaco(8, 8), diagonal=0)
-        kinds = {key[2] for _, key, _ in graph.edges_from((3, 3))}
+        kinds = {key[2] for _, key, _ in _edges_from(graph, (3, 3))}
         assert "diagonal" not in kinds
 
     def test_requires_cardinal(self):
@@ -69,9 +76,10 @@ class TestGraphStructure:
         assert build_channel_graph(fab, 3, "simple").name == "simple"
         tracked = build_channel_graph(fab, 3, "monaco-tracks")
         assert tracked.name == "monaco-tracks"
-        assert tracked.capacities == {
-            "cardinal": 1, "diagonal": 1, "skip": 1
+        assert {key[2] for key in tracked.keys} == {
+            "cardinal", "diagonal", "skip"
         }
+        assert set(tracked.cap) == {1}
         with pytest.raises(ArchError):
             build_channel_graph(fab, 3, "hyperspace")
 
@@ -106,8 +114,9 @@ class TestRoutingOnTracks:
         for keys in routing.net_channels.values():
             for key in keys:
                 usage[key] = usage.get(key, 0) + 1
+        cap = dict(zip(graph.keys, graph.cap))
         for key, use in usage.items():
-            assert use <= graph.capacity(key), key
+            assert use <= cap[key], key
 
 
 class TestEndToEnd:

@@ -1,12 +1,13 @@
 """Equivalence suite for the incremental PnR hot path.
 
-The incremental structures (the compiled-problem anneal, dirty-net
-rerouting, the optimized greedy seeding) are *optimizations, not
+The incremental structures (the compiled-problem anneal, the bounded
+route search, the optimized greedy seeding) are *optimizations, not
 approximations*: every test here asserts exact — mostly bit-exact —
-agreement with the naive full-recompute implementations, which stay
-behind the ``incremental=False`` keyword of ``place.anneal`` and
-``route.route_design`` (and of nothing that calls them) precisely so
-this suite can diff against them forever.
+agreement with a reference. For the anneal and the seeding that is the
+naive full-recompute loop of ``tests/pnr_reference.py``, which no code
+in ``src/`` can reach. The router is a full reroute per pass; its
+reference is ``route_design(check=True)``, which repeats every bounded
+search with no bound.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.arch.pe import PE
 from repro.core.policy import DOMAIN_AWARE, EFFCC, PlacementPolicy
 from repro.dfg.graph import DFG, Node, PortRef
 from repro.dfg.lower import lower_kernel
-from repro.errors import PlacementError, RoutingError
+from repro.errors import PnRVerifyError, RoutingError
 from repro.pnr.flow import compile_once
 from repro.pnr.netlist import build_netlist
 from repro.pnr.place import (
@@ -35,7 +36,6 @@ from repro.pnr.place import (
     Placement,
     _estimate_margin,
     _fabric_tables,
-    _neighbors_map,
     _window_segments,
     anneal,
     initial_placement,
@@ -44,6 +44,8 @@ from repro.pnr.place import (
 from repro.pnr.route import RoutingResult, _check_usage, route_design
 from repro.pnr.timing import analyze_timing
 from repro.workloads.registry import ALL_WORKLOADS, make_workload
+
+import pnr_reference
 
 #: PnR digests pinned from the pre-incremental implementation (seed 0,
 #: tiny scale, monaco 12x12, parallelism 1, default ArchParams). Any
@@ -102,46 +104,6 @@ def test_max_hops_is_float_end_to_end():
     assert isinstance(timing.max_hops, float)
 
 
-def _greedy_rest_naive(netlist, fabric, placement) -> None:
-    """The pre-optimization O(n^2) greedy seeding, kept verbatim."""
-    dfg = netlist.dfg
-    adjacency = _neighbors_map(dfg)
-    free = [
-        pe.coord
-        for pe in sorted(fabric.pes.values(), key=lambda p: (p.y, p.x))
-        if pe.coord not in placement.occupant
-    ]
-    frontier = sorted(placement.loc)
-    visited = set(frontier)
-    queue = list(frontier)
-    order = []
-    while queue:
-        current = queue.pop(0)
-        for neighbor in adjacency[current]:
-            if neighbor not in visited:
-                visited.add(neighbor)
-                order.append(neighbor)
-                queue.append(neighbor)
-    order += [n for n in netlist.cells if n not in visited]
-
-    for nid in order:
-        if nid in placement.loc:
-            continue
-        anchors = [
-            placement.loc[a] for a in adjacency[nid] if a in placement.loc
-        ]
-        best, best_cost = None, None
-        for coord in free:
-            if not placement.legal(nid, coord):
-                continue
-            cost = sum(manhattan(coord, a) for a in anchors)
-            if best_cost is None or cost < best_cost:
-                best, best_cost = coord, cost
-        assert best is not None
-        placement.assign(nid, best)
-        free.remove(best)
-
-
 @pytest.mark.parametrize("workload", ALL_WORKLOADS)
 def test_greedy_seeding_matches_naive(workload, monkeypatch):
     """Deque/dict greedy seeding == the O(n^2) original, per workload."""
@@ -150,7 +112,9 @@ def test_greedy_seeding_matches_naive(workload, monkeypatch):
     netlist = _netlist(workload)
     fabric = monaco(12, 12)
     fast = initial_placement(netlist, fabric, EFFCC, random.Random(7))
-    monkeypatch.setattr(place_mod, "_greedy_rest", _greedy_rest_naive)
+    monkeypatch.setattr(
+        place_mod, "_greedy_rest", pnr_reference._greedy_rest_naive
+    )
     slow = initial_placement(netlist, fabric, EFFCC, random.Random(7))
     assert fast.loc == slow.loc
 
@@ -165,23 +129,24 @@ def _anneal_both_ways(
 
     The fast loop runs twice: as shipped, where its estimate refuses most
     proposals unpriced, and under ``check``, where each of those is also
-    priced the full way and a disagreement raises. ``schedule`` is
-    ``t_start`` / ``t_end``. Returns the as-shipped fast placement and
-    the naive one.
+    priced the full way and a disagreement raises. The third run is the
+    tests' reference loop. ``schedule`` is ``t_start`` / ``t_end``.
+    Returns the as-shipped fast placement and the naive one.
     """
     placements = []
     outcomes = []
-    for incremental, check in ((True, False), (True, True), (False, True)):
+    for loop, check in (
+        (anneal, False), (anneal, True), (pnr_reference.anneal, True)
+    ):
         rng = random.Random(seed)
         placement = initial_placement(
             netlist, fabric, policy, rng, node_weights=node_weights
         )
         stats: dict = {}
-        cost = anneal(
+        cost = loop(
             placement,
             rng,
             moves=moves,
-            incremental=incremental,
             check=check,
             stats=stats,
             **schedule,
@@ -520,8 +485,9 @@ def test_check_names_an_estimate_that_disagrees_with_the_spec(corrupt):
     rng = random.Random(0)
     placement = initial_placement(netlist, fabric, EFFCC, rng)
     corrupt(netlist, fabric, placement)
-    with pytest.raises(PlacementError) as caught:
+    with pytest.raises(PnRVerifyError) as caught:
         anneal(placement, rng, moves=4000, check=True)
+    assert caught.value.field == "estimate"
     message = str(caught.value)
     for word in ("estimate", "step", "cells", "est ", "delta", "margin"):
         assert word in message, message
@@ -548,11 +514,11 @@ def test_the_estimate_decides_all_but_the_accepted_proposals():
     assert repriced <= 0.05 * proposals
 
     # The naive loop and a checked one price every proposal the full way.
-    for kwargs in (dict(incremental=False), dict(check=True)):
+    for loop, kwargs in ((pnr_reference.anneal, {}), (anneal, dict(check=True))):
         rng = random.Random(0)
         placement = initial_placement(_netlist("dmv"), fabric, EFFCC, rng)
         stats = {}
-        anneal(placement, rng, stats=stats, **kwargs)
+        loop(placement, rng, stats=stats, **kwargs)
         assert stats["repriced"] == stats["proposals"] > stats["accepted"]
 
 
@@ -634,10 +600,8 @@ def _placed(workload, tracks=3, model="simple"):
     return netlist, placement, build_channel_graph(fabric, tracks, model)
 
 
-def _routed(workload, tracks, model, incremental):
-    return route_design(
-        *_placed(workload, tracks, model), incremental=incremental, check=True
-    )
+def _routed(workload, tracks, model, check):
+    return route_design(*_placed(workload, tracks, model), check=check)
 
 
 @pytest.mark.parametrize(
@@ -645,10 +609,7 @@ def _routed(workload, tracks, model, incremental):
     [
         ("spmv", 3, "simple"),  # converges in one pass
         ("mergesort", 3, "monaco-tracks"),
-        # Scarce tracks force deep negotiation (4-8 passes). These are
-        # the configs where a merely-heuristic dirty criterion diverges
-        # from the full reroute — they caught the missing cost-decrease
-        # fallback during development.
+        # Scarce tracks force deep negotiation (3-8 passes).
         ("tc", 2, "simple"),
         ("ic", 3, "simple"),
         ("vww", 3, "simple"),
@@ -657,29 +618,62 @@ def _routed(workload, tracks, model, incremental):
     ],
 )
 def test_route_incremental_matches_full(workload, tracks, model):
-    """Dirty-net rerouting == full reroute: trees, hops, iterations."""
-    fast = _routed(workload, tracks, model, incremental=True)
-    full = _routed(workload, tracks, model, incremental=False)
-    assert fast.net_channels == full.net_channels
-    assert fast.sink_hops == full.sink_hops
-    assert fast.iterations == full.iterations
-    assert fast.max_hops == full.max_hops
-    # Dirty-net rerouting never reroutes MORE than the full pass does.
-    assert fast.nets_rerouted <= full.nets_rerouted
+    """Every pass reroutes every net; checking changes nothing.
+
+    No net is ever clean enough to skip (pass 2 follows one in which every
+    held channel changed occupancy, each later pass one that ends by
+    ripping an overused channel), so the one pass is a full reroute. The
+    checked call repeats each search unbounded and must return the
+    unchecked call's result, ``nets_rerouted`` included.
+    """
+    checked = _routed(workload, tracks, model, check=True)
+    assert checked == _routed(workload, tracks, model, check=False)
+    routable = sum(
+        1 for net in _netlist(workload).nets if set(net.sinks) - {net.src}
+    )
+    assert len(checked.sink_hops) == routable
+    assert checked.nets_rerouted == routable * checked.iterations
 
 
 def test_route_unroutable_raises_in_both_modes():
-    """Scarce-track overflow raises RoutingError identically."""
-    for incremental in (True, False):
+    """Scarce-track overflow raises RoutingError, checked or not."""
+    for check in (True, False):
         with pytest.raises(RoutingError, match="unroutable"):
-            _routed("vww", 2, "simple", incremental=incremental)
+            _routed("vww", 2, "simple", check=check)
+
+
+def test_check_reads_a_bounded_search_without_a_path_as_wrong(monkeypatch):
+    """No path inside the bound is a broken bound, not a full fabric.
+
+    The bound is the price of a path the search then explores, so a
+    bounded search that comes back empty while the unbounded one routes
+    is a wrong answer: checked, it is refused by name as such, where an
+    unchecked call can only report the RoutingError the degree search
+    backs off on.
+    """
+    import repro.pnr.route as route_mod
+
+    real = route_mod._route_net
+
+    def pathless(channels, index, *rest, bounded=True):
+        if index == 5 and bounded:
+            raise RoutingError(f"net {index}: no path")
+        return real(channels, index, *rest, bounded=bounded)
+
+    monkeypatch.setattr(route_mod, "_route_net", pathless)
+    args = _placed("tc", 2, "simple")
+    with pytest.raises(RoutingError, match="net 5: no path"):
+        route_design(*args)
+    with pytest.raises(PnRVerifyError, match="^net 5: the bounded") as caught:
+        route_design(*args, check=True)
+    assert caught.value.net == 5
 
 
 def test_check_usage_detects_drift():
     """The check=True usage recount raises on inconsistent accounting."""
     routes = {0: {0, 1}, 1: {1}}
     _check_usage([1, 2, 0], routes)  # consistent: no raise
-    with pytest.raises(RoutingError, match="usage accounting drift"):
+    with pytest.raises(PnRVerifyError, match="usage accounting drift"):
         _check_usage([1, 1, 0], routes)
 
 
@@ -731,8 +725,9 @@ def test_check_refuses_a_bound_that_is_not_a_lower_bound(model):
     route_design(netlist, placement, channels, check=True)
     channels.lower_x = [[2 * b for b in row] for row in channels.lower_x]
     channels.lower_y = [[2 * b for b in row] for row in channels.lower_y]
-    with pytest.raises(RoutingError, match=r"^net \d+: "):
+    with pytest.raises(PnRVerifyError, match=r"^net \d+: ") as caught:
         route_design(netlist, placement, channels, check=True)
+    assert caught.value.net is not None
 
 
 def test_check_compares_each_bounded_tree_with_the_unbounded_one():
@@ -762,7 +757,7 @@ def test_check_compares_each_bounded_tree_with_the_unbounded_one():
         [bound + (cell % 8 != 0) for cell, bound in enumerate(row)]
         for row in channels.lower_y
     ]
-    with pytest.raises(RoutingError, match="net 1: the bounded search"):
+    with pytest.raises(PnRVerifyError, match="net 1: the bounded search"):
         route_design(netlist, placement, channels, max_iters=1, check=True)
 
 

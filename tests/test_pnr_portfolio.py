@@ -34,6 +34,8 @@ from repro.pnr.route import route_design
 from repro.pnr.timing import analyze_timing
 from repro.workloads.registry import make_workload
 
+import pnr_reference
+
 
 def _compile(workload: str, **kwargs):
     kernel = make_workload(workload, scale="tiny", seed=0).kernel
@@ -44,12 +46,14 @@ def _compile(workload: str, **kwargs):
 
 
 def _compile_seeding_every_candidate(
-    kernel, fabric, arch, policy, seed, parallelism=1, **leaf
+    kernel, fabric, arch, policy, seed, parallelism=1, loop=anneal,
+    check=False,
 ):
     """The serial flow as it was: each mem-scale candidate seeds itself.
 
-    ``leaf`` goes to both leaf functions: ``incremental=False`` runs the
-    whole flow on the reference anneal and the full-reroute router.
+    ``loop`` anneals each candidate (``pnr_reference.anneal`` is the
+    tests' full-recompute loop) and ``check`` goes to the router, whose
+    check mode repeats every bounded search with no bound.
     """
     program = parallelize(kernel, parallelism) if parallelism > 1 else kernel
     dfg = lower_kernel(program)
@@ -62,9 +66,9 @@ def _compile_seeding_every_candidate(
         placement = initial_placement(
             netlist, fabric, policy, rng, mem_scale=mem_scale
         )
-        cost = anneal(placement, rng, **leaf)
+        cost = loop(placement, rng)
         try:
-            routing = route_design(netlist, placement, channels, **leaf)
+            routing = route_design(netlist, placement, channels, check=check)
         except PnRError:
             continue
         divider = analyze_timing(routing, arch.timing).clock_divider
@@ -192,12 +196,13 @@ def test_pnr_stats_populated():
 
 
 def test_flow_on_the_reference_leaves_matches_the_compiled_artifact():
-    """Reference anneal + full-reroute router, candidate by candidate,
-    land on the artifact ``compile_once`` produces."""
+    """Reference anneal + checked router, candidate by candidate, land
+    on the artifact ``compile_once`` produces."""
     kernel = make_workload("dmv", scale="tiny", seed=0).kernel
     (divider, cost, loc, routing), considered = (
         _compile_seeding_every_candidate(
-            kernel, monaco(12, 12), ArchParams(), EFFCC, 0, incremental=False
+            kernel, monaco(12, 12), ArchParams(), EFFCC, 0,
+            loop=pnr_reference.anneal, check=True,
         )
     )
     compiled = _compile("dmv")

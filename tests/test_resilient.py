@@ -24,6 +24,7 @@ from repro.errors import (
     JobTimeout,
     PlacementError,
     PnRError,
+    PnRVerifyError,
     ReproError,
     RoutingError,
     SimulationError,
@@ -65,6 +66,8 @@ def test_classify_failure_taxonomy():
         (RoutingError("r"), "routing"),
         (PlacementError("p"), "placement"),
         (PnRError("p"), "pnr"),
+        # A PnR self-check failure is a wrong answer, never retried.
+        (PnRVerifyError("c"), "repro"),
         (SimulationError("s"), "simulation"),
         (BrokenProcessPool("w"), "worker-death"),
         (ReproError("g"), "repro"),
