@@ -147,7 +147,6 @@ def run_config(
     config: MachineConfig,
     arch: ArchParams,
     divider: int = PAPER_DIVIDER,
-    obs=None,
     checkpoint=None,
     resume_from=None,
     resume_policy: str = "strict",
@@ -165,7 +164,6 @@ def run_config(
         arch,
         frontend_factory=config.frontend_factory(divider),
         divider=divider,
-        obs=obs,
         checkpoint=checkpoint,
         resume_from=resume_from,
         resume_policy=resume_policy,

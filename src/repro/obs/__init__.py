@@ -10,7 +10,7 @@ source, so a probe costs per thing that happened, not per node per tick.
 The memory system and fabric-memory frontends publish their own events
 to the same :class:`~repro.obs.events.EventBus`; sinks turn the stream into
 
-* a per-node / per-PE **cycle-attribution table** over the stall taxonomy
+* a per-node **cycle-attribution table** over the stall taxonomy
   (:data:`~repro.obs.events.STALL_KINDS`),
 * **NoC-link and FM-NoC-stage traffic heatmaps** keyed by the compiled
   placement,

@@ -1,12 +1,13 @@
 """Event taxonomy and the publish/subscribe bus.
 
 Publishers (the engine, :class:`~repro.sim.memsys.MemorySystem`, the
-Monaco/UPEA/NUMA frontends) call the ``EventBus`` methods below; sinks
+Monaco FM-NoC frontends) call the ``EventBus`` methods below; sinks
 subscribe by implementing the matching ``on_*`` hooks. Handler lists are
 resolved once at :meth:`EventBus.attach` time so a publish is a plain
 loop over bound methods — no ``hasattr`` in the hot path. The engine
-publishes one :meth:`EventBus.tick` record per executed fabric tick,
-never one event per firing, token or node.
+publishes one :meth:`EventBus.tick` record per executed fabric tick and
+one :meth:`EventBus.skip` per scheduler jump, never one event per
+firing, token, node or idle cycle.
 
 Stall taxonomy (per DFG node, per fabric tick):
 
@@ -30,8 +31,10 @@ Stall taxonomy (per DFG node, per fabric tick):
     system cycles between fabric ticks (global, applies to all nodes
     equally — the fabric clock simply is not edging).
 
-Cycles the scheduler jumps over while the fabric sleeps are booked as if
-executed (``CycleAttribution.on_skip``): the taxonomy is of the machine.
+Five event kinds: ``tick``, ``skip``, ``mem_service``, ``fmnoc`` and
+``finish``. The attribution reads only the tick records and the final
+``SimStats``, so the cycles the scheduler jumps over need no event of
+their own; ``skip`` feeds only the Chrome trace's scheduler lane.
 """
 
 from __future__ import annotations
@@ -54,12 +57,10 @@ TICK_KINDS = (FIRE,) + STALL_KINDS[:4]
 
 #: publisher method name -> sink hook name.
 _HOOKS = {
-    "gap": "on_gap",
     "skip": "on_skip",
     "tick": "on_tick",
     "mem_service": "on_mem_service",
     "fmnoc": "on_fmnoc",
-    "counter": "on_counter",
     "finish": "on_finish",
 }
 
@@ -86,11 +87,6 @@ class EventBus:
 
     # -- publisher API ----------------------------------------------------
     # One method per event kind; each is a plain loop over bound hooks.
-
-    def gap(self, now: int) -> None:
-        """One executed system cycle between fabric ticks."""
-        for handler in self._handlers["gap"]:
-            handler(now)
 
     def skip(self, now: int, target: int) -> None:
         """The scheduler jumped from ``now`` to ``target`` (quiescent)."""
@@ -120,11 +116,6 @@ class EventBus:
         ``("arb", row, domain)`` or ``("port", port_id)``."""
         for handler in self._handlers["fmnoc"]:
             handler(now, stage)
-
-    def counter(self, name: str, amount: int = 1) -> None:
-        """Frontend-specific named counter (e.g. NUMA local/remote)."""
-        for handler in self._handlers["counter"]:
-            handler(name, amount)
 
     def finish(self, stats) -> None:
         """The run reached quiescence; ``stats`` is the final SimStats."""

@@ -16,15 +16,8 @@ from repro.obs.events import FIRE, STALL_KINDS, TICK_KINDS, EventBus
 Coord = tuple[int, int]
 
 
-def _node_label(node) -> str:
-    label = node.op
-    if node.tag:
-        label += f" {node.tag!r}"
-    return label
-
-
 class CycleAttribution:
-    """Per-node / per-PE cycle accounting over the stall taxonomy.
+    """Per-node cycle accounting over the stall taxonomy.
 
     Every fabric tick attributes exactly one system cycle per node to
     one of :data:`~repro.obs.events.TICK_KINDS`; system cycles between
@@ -34,11 +27,13 @@ class CycleAttribution:
         sum(per_node[nid].values()) + divider_gap == system_cycles + 1
 
     (the +1 is the final quiescence-check cycle, which is executed but
-    does not advance the clock). A node's bucket is held as an open run
-    and booked into ``per_node`` when the bucket changes and at finish,
-    so the cost is per change, not per node per tick. The scheduler
-    jumps only while the fabric sleeps and no bucket can change, so a
-    jump just lengthens the open runs by the fabric ticks it spans.
+    does not advance the clock). The account is a function of the tick
+    records and the final stats: a node's bucket is an open run keyed by
+    the tick number ``now // divider``, booked into ``per_node`` when it
+    changes (cost per change, not per node per tick); ``on_finish``
+    closes the runs at ``system_cycles // divider + 1`` ticks and derives
+    the gap from the identity above. A tick the scheduler jumps over
+    changes no bucket, so it needs no event.
     """
 
     TAKES_BUCKETS = True
@@ -46,30 +41,24 @@ class CycleAttribution:
     def __init__(self, node_info: dict[int, tuple], divider: int):
         #: nid -> (label, criticality, pe coord, op).
         self.node_info = node_info
-        #: Fabric clock divider: which cycles of a jumped span are ticks.
+        #: Fabric clock divider: cycle ``now`` is tick ``now // divider``.
         self.divider = divider
         self.per_node: dict[int, Counter] = {
             nid: Counter() for nid in node_info
         }
-        #: nid -> (bucket, tick index it was entered at): the open runs.
+        #: nid -> (bucket, tick number it was entered at): the open runs.
         self._open: dict[int, tuple[str, int]] = {}
+        #: Totals, set by :meth:`on_finish`.
         self.divider_gap = 0
         self.ticks = 0
+        #: NUMA access locality (``numa-local`` / ``numa-remote``), read
+        #: off ``SimStats.numa`` at finish.
         self.counters: Counter = Counter()
 
     # -- hooks ------------------------------------------------------------
 
-    def on_gap(self, now: int) -> None:
-        self.divider_gap += 1
-
-    def on_skip(self, now: int, target: int) -> None:
-        ticks = (target - 1) // self.divider - (now - 1) // self.divider
-        self.ticks += ticks
-        self.divider_gap += target - now - ticks
-
     def on_tick(self, now: int, emitted, fired, changes, pushes) -> None:
-        tick = self.ticks
-        self.ticks = tick + 1
+        tick = now // self.divider
         runs = self._open
         for nid, kind in changes:
             run = runs.get(nid)
@@ -78,12 +67,14 @@ class CycleAttribution:
             runs[nid] = (kind, tick)
 
     def on_finish(self, stats) -> None:
+        self.ticks = stats.system_cycles // self.divider + 1
+        self.divider_gap = stats.system_cycles + 1 - self.ticks
         for nid, (kind, since) in self._open.items():
             self.per_node[nid][kind] += self.ticks - since
         self._open.clear()
-
-    def on_counter(self, name: str, amount: int) -> None:
-        self.counters[name] += amount
+        for side in ("local", "remote"):
+            if stats.numa.get(f"{side}_accesses"):
+                self.counters[f"numa-{side}"] = stats.numa[f"{side}_accesses"]
 
     # -- queries ----------------------------------------------------------
 
@@ -108,14 +99,6 @@ class CycleAttribution:
         if not denom:
             return {kind: 0.0 for kind in kinds}
         return {kind: agg.get(kind, 0) / denom for kind in kinds}
-
-    def per_pe(self) -> dict[Coord, Counter]:
-        """Tick-bucket counts aggregated over the nodes each PE hosts."""
-        out: dict[Coord, Counter] = {}
-        for nid, counts in self.per_node.items():
-            coord = self.node_info[nid][2]
-            out.setdefault(coord, Counter()).update(counts)
-        return out
 
     def per_class(self) -> dict[str, tuple[int, Counter]]:
         """Per-node buckets rolled up to criticality classes.
@@ -232,8 +215,9 @@ class NocHeatmap:
     from the static fan-out and routed trees when read.
     """
 
-    def __init__(self, edge_channels: dict[tuple[int, int], tuple], fanout=()):
-        self.edge_channels = edge_channels
+    def __init__(self, edges: dict[tuple[int, int], tuple], fanout=()):
+        #: :func:`repro.pnr.route.routed_edges` of the kernel.
+        self.edges = edges
         #: producer nid -> consumer nid of each consumer *port* it feeds
         #: (a consumer wired to it twice takes two tokens per push).
         self.fanout: dict[int, tuple] = dict(fanout)
@@ -256,7 +240,7 @@ class NocHeatmap:
     def channel_tokens(self) -> Counter:
         out: Counter = Counter()
         for edge, count in self.edge_tokens.items():
-            for key in self.edge_channels.get(edge, ()):
+            for key in self.edges[edge][1]:
                 out[key] += count
         return out
 
@@ -484,9 +468,8 @@ def _meta(name: str, pid: int, tid: int, args: dict) -> dict:
 class Observation(EventBus):
     """The bus plus the sinks a run asked for (None when not attached).
 
-    Built by :func:`make_observation`; the simulator publishes into it and
-    callers read the sinks back off the returned object (also exposed as
-    ``SimResult.obs``).
+    Built by :func:`make_observation` inside ``simulate``; callers read
+    the sinks back off ``SimResult.obs``.
     """
 
     def __init__(self) -> None:
@@ -500,26 +483,11 @@ class Observation(EventBus):
         self.critpath = None
 
 
-def _edge_channel_map(compiled) -> dict[tuple[int, int], tuple]:
-    """(producer, consumer) -> routed channel keys of the producing net."""
-    from repro.pnr.netlist import build_netlist
-
-    netlist = build_netlist(compiled.dfg)
-    out: dict[tuple[int, int], tuple] = {}
-    for index, net in enumerate(netlist.nets):
-        channels = tuple(
-            sorted(compiled.routing.net_channels.get(index, ()))
-        )
-        for sink in net.sinks:
-            out.setdefault((net.src, sink), channels)
-    return out
-
-
 def node_info_of(compiled) -> dict[int, tuple[str, str, Coord, str]]:
     """nid -> (label, criticality, placed PE coord, op) for sinks."""
     return {
         nid: (
-            _node_label(node),
+            node.op + (f" {node.tag!r}" if node.tag else ""),
             node.criticality,
             compiled.placement[nid],
             node.op,
@@ -531,6 +499,7 @@ def node_info_of(compiled) -> dict[int, tuple[str, str, Coord, str]]:
 def make_observation(
     compiled,
     divider: int,
+    edges: dict[tuple[int, int], tuple],
     address_map=None,
     trace: bool = True,
     chrome: bool = False,
@@ -540,7 +509,8 @@ def make_observation(
 ) -> Observation:
     """Assemble the sinks one run of ``compiled`` asked for: ``trace``
     attaches attribution and both heatmaps, ``chrome`` the exporter,
-    ``critpath`` the recorder — each switch pays only for what it names."""
+    ``critpath`` the recorder — each switch pays only for what it names.
+    ``edges`` is :func:`repro.pnr.route.routed_edges` of the kernel."""
     obs = Observation()
     info = node_info_of(compiled) if trace or chrome else None
     if trace:
@@ -550,7 +520,7 @@ def make_observation(
             src: tuple(dst for dst, _port in sinks)
             for src, sinks in compiled.dfg.consumers().items()
         }
-        obs.noc_heatmap = NocHeatmap(_edge_channel_map(compiled), fanout)
+        obs.noc_heatmap = NocHeatmap(edges, fanout)
         obs.attach(obs.noc_heatmap)
         obs.fmnoc_heatmap = FmnocHeatmap()
         obs.attach(obs.fmnoc_heatmap)

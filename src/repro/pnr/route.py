@@ -33,7 +33,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.errors import PnRVerifyError, RoutingError
-from repro.pnr.netlist import Netlist
+from repro.pnr.netlist import Netlist, build_netlist
 from repro.pnr.place import Placement
 
 Coord = tuple[int, int]
@@ -59,6 +59,19 @@ class RoutingResult:
 
     def wirelength(self) -> int:
         return sum(len(c) for c in self.net_channels.values())
+
+
+def routed_edges(dfg, routing: RoutingResult) -> dict[tuple[int, int], tuple]:
+    """``(producer, consumer) -> (hops, channels)`` for every DFG edge:
+    the wire units the router recorded to that sink (None if it recorded
+    none) and the sorted channel keys of the producing net's tree."""
+    out: dict[tuple[int, int], tuple] = {}
+    for index, net in enumerate(build_netlist(dfg).nets):
+        hops = routing.sink_hops.get(index, {})
+        channels = tuple(sorted(routing.net_channels.get(index, ())))
+        for sink in net.sinks:
+            out[(net.src, sink)] = (hops.get(sink), channels)
+    return out
 
 
 def route_design(

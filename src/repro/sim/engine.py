@@ -54,6 +54,7 @@ from repro.dfg.ops import NO_EMIT, compile_rule, fresh_state
 from repro.errors import DeadlockError, SimulationError
 from repro.obs.events import FIRE
 from repro.pnr.result import CompiledKernel
+from repro.pnr.route import routed_edges
 from repro.sim.fmnoc_sim import MonacoFrontend
 from repro.sim.memsys import MemorySystem, RequestRecord
 from repro.sim.stats import SimStats
@@ -88,18 +89,17 @@ def simulate(
     arch: ArchParams | None = None,
     frontend_factory=default_frontend,
     divider: int | None = None,
-    obs=None,
     checkpoint=None,
     resume_from=None,
     resume_policy: str = "strict",
 ) -> SimResult:
     """Run ``compiled`` to quiescence and return memory + stats.
 
-    ``obs`` is an optional :class:`repro.obs.events.EventBus` the engine,
-    memory system and frontend publish to. When it is None and
-    ``arch.sim.trace`` is set, the standard sink set
-    (:func:`repro.obs.make_observation`) is assembled automatically;
-    with tracing off nothing is published and results are bit-identical.
+    ``arch.sim.trace`` / ``arch.sim.critpath`` attach the probes they
+    name (:func:`repro.obs.make_observation`): the engine, memory system
+    and frontend publish to them, and ``SimResult.obs`` carries them
+    back. With both off nothing is published and results are
+    bit-identical.
     ``arrays`` supplies initial contents by declared name (the rest are
     zero-filled); a name the kernel does not declare raises
     :class:`~repro.errors.SimulationError` before cycle 0.
@@ -145,12 +145,15 @@ def simulate(
     address_map = AddressMap(dfg.arrays, arch.memory)
     memsys = MemorySystem(arch.memory, address_map, memory)
     frontend = frontend_factory(compiled.fabric, address_map)
-    if obs is None and (arch.sim.trace or arch.sim.critpath):
+    edges = routed_edges(dfg, compiled.routing)
+    obs = None
+    if arch.sim.trace or arch.sim.critpath:
         from repro.obs import make_observation
 
         obs = make_observation(
             compiled,
             divider,
+            edges,
             address_map=address_map,
             trace=arch.sim.trace,
             chrome=arch.sim.trace and arch.sim.trace_path is not None,
@@ -173,7 +176,7 @@ def simulate(
         )
     engine = _Engine(
         compiled, params, arch, divider, memsys, frontend, address_map,
-        obs=obs, faults=injector, check=checker,
+        edges, obs=obs, faults=injector, check=checker,
     )
 
     resume_info = None
@@ -226,14 +229,12 @@ def simulate(
     stats.frontend = getattr(frontend, "name", type(frontend).__name__)
     numa_counters = getattr(frontend, "numa_counters", None)
     if numa_counters is not None:
-        # NUMA-aware frontends tally access locality; surface it (it was
-        # historically counted and snapshotted but never reported).
+        # The one tally of access locality (the attribution reads it).
         stats.numa = numa_counters()
     if obs is not None:
         obs.finish(stats)
-        chrome = getattr(obs, "chrome", None)
-        if chrome is not None and arch.sim.trace_path:
-            chrome.write(arch.sim.trace_path)
+        if obs.chrome is not None and arch.sim.trace_path:
+            obs.chrome.write(arch.sim.trace_path)
     result = SimResult(memory, stats, obs=obs)
     result.resume_info = resume_info
     if snapshots is not None:
@@ -244,7 +245,7 @@ def simulate(
 class _Engine:
     def __init__(
         self, compiled, params, arch, divider, memsys, frontend,
-        address_map, obs=None, faults=None, check=None,
+        address_map, edges, obs=None, faults=None, check=None,
     ):
         self.compiled = compiled
         self.dfg: DFG = compiled.dfg
@@ -259,7 +260,7 @@ class _Engine:
         self.max_outstanding = arch.sim.max_outstanding
         #: The nid-indexed tables; see the module docstring.
         self._size = max(self.dfg.nodes, default=-1) + 1
-        self._init_tables()
+        self._init_tables(edges)
         #: Scheduler flags, one byte per nid: ``active[nid]`` has the
         #: fire loop visit the node at the next fabric tick,
         #: ``emit_candidates[nid]`` the emit loop. Every node starts
@@ -314,11 +315,12 @@ class _Engine:
         #: same zero-overhead contract: ``run`` polls one attribute).
         self.snapshots = None
 
-    def _init_tables(self) -> None:
+    def _init_tables(self, edges) -> None:
         """Build the nid-indexed tables, the machine's only state.
 
         The wiring (``consumer_edges``, the rules) holds the FIFO deques
         themselves, so restore refills every container in place.
+        ``edges`` is :func:`repro.pnr.route.routed_edges` of the kernel.
         """
         size = self._size
         #: Per nid, per input port: the token FIFO (None: an immediate).
@@ -344,7 +346,6 @@ class _Engine:
         op_index: dict[str, int] = {}
         self._nid_op = [0] * size
         self._source_nids: list[int] = []
-        routed = self._routed_hops()
         placement = self.compiled.placement
         for nid, node in self.dfg.nodes.items():
             self.states[nid] = fresh_state(node)
@@ -356,7 +357,7 @@ class _Engine:
                     producers[index] = inp.src
                     # Hops for data-movement energy accounting: Manhattan
                     # distance for an edge the router did not record.
-                    hops = routed.get((inp.src, nid))
+                    hops = edges[(inp.src, nid)][0]
                     if hops is None:
                         (ax, ay), (bx, by) = placement[inp.src], placement[nid]
                         hops = abs(ax - bx) + abs(ay - by)
@@ -393,17 +394,6 @@ class _Engine:
             if count:
                 firings[name] = firings.get(name, 0) + count
                 counts[op_id] = 0
-
-    def _routed_hops(self) -> dict[tuple[int, int], int]:
-        """Hops per (producer, consumer) edge the router recorded."""
-        from repro.pnr.netlist import build_netlist
-
-        routed: dict[tuple[int, int], int] = {}
-        for index, net in enumerate(build_netlist(self.dfg).nets):
-            hops = self.compiled.routing.sink_hops.get(index, {})
-            for sink, count in hops.items():
-                routed[(net.src, sink)] = count
-        return routed
 
     # -- helpers ---------------------------------------------------------
 
@@ -466,14 +456,12 @@ class _Engine:
             # the bottom of every iteration and re-read at the top.
             enqueue(record, self.now)
 
-        obs = self.obs
         while True:
             if self.snapshots is not None:
                 # Cycle boundary: pending_pushes is empty and the
                 # executed/skipped ledger is closed — the only points
                 # where the machine may be snapshotted or preempted.
                 self.snapshots.boundary(self)
-                obs = self.obs  # a restore may have swapped the sink set
             now = self.now
             stats.executed_cycles += 1
             progressed = False
@@ -507,8 +495,6 @@ class _Engine:
             if now % divider == 0:
                 if self._fabric_tick(now):
                     progressed = True
-            elif obs is not None:
-                obs.gap(now)
             if progressed:
                 self.last_event = now
             if self._finished(now):
@@ -529,8 +515,8 @@ class _Engine:
                     now, self.last_event, deadlock_after, max_cycles
                 )
                 if target > now:
-                    if obs is not None:
-                        obs.skip(now, target)
+                    if self.obs is not None:
+                        self.obs.skip(now, target)
                     stats.skipped_cycles += target - now
                     now = target
             self.now = now

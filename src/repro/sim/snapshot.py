@@ -59,8 +59,9 @@ SNAPSHOT_MAGIC = "repro-sim-snapshot"
 #: pickled whole, so their layout counts: 2 = sinks that hold open stall
 #: runs, a running histogram and per-producer push counts; 3 = an
 #: attribution sink that books scheduler jumps into the open runs (no
-#: ``skipped`` bucket), and ``SimParams`` one field shorter.
-SNAPSHOT_VERSION = 3
+#: ``skipped`` bucket), and ``SimParams`` one field shorter; 4 = a bus
+#: of five event kinds (a version 3 bus pickles the gap event's hook).
+SNAPSHOT_VERSION = 4
 
 _MISSING = object()
 

@@ -28,8 +28,6 @@ class UniformFrontend:
     """Fixed-delay, contention-free fabric-memory interconnect."""
 
     name = "upea"
-    #: Observability bus (see :mod:`repro.obs`); None = tracing off.
-    obs = None
     #: Fault injector (see :mod:`repro.sim.faults`); None = off. The
     #: uniform frontends are contention-free pipes, so they have no
     #: grants to perturb — memory-response faults still apply to them
@@ -136,10 +134,6 @@ class NumaFrontend(UniformFrontend):
         else:
             self.remote_accesses += 1
             self._schedule(record, now + self.delay)
-        if self.obs is not None:
-            self.obs.counter(
-                "numa-local" if local else "numa-remote"
-            )
 
     # -- snapshots ---------------------------------------------------------
 

@@ -190,9 +190,8 @@ def test_skip_preserves_max_cycles_guard():
 
 def test_snapshot_after_a_jump_resumes_to_the_same_report(tmp_path):
     """A cycle budget that runs out on the cycle the scheduler jumps
-    from snapshots the machine at the far end of the span, the span
-    already booked into the sinks' open runs; the resumed run reports
-    what the uninterrupted one does."""
+    from snapshots the machine at the far end of the span; the resumed
+    run reports what the uninterrupted one does."""
     point = ("spmspv", "monaco", "latency-bound", "clean", tmp_path)
     full = _probed(*point)
     jumps = [event for event in full.obs.chrome.events if event["pid"] == 2]
@@ -212,6 +211,34 @@ def test_snapshot_after_a_jump_resumes_to_the_same_report(tmp_path):
     assert resumed.resume_info["from_cycle"] == longest["ts"] + longest["dur"]
     assert _reported(resumed) == _reported(full)
     assert _split(resumed.stats) == _split(full.stats)
+
+
+def test_attribution_is_a_function_of_the_tick_records(monkeypatch):
+    """A sink fed only a skip-heavy run's tick records and its final
+    stats reports what the live one does: the jumped-over ticks and the
+    divider gap need no event of their own."""
+    from repro.obs.sinks import CycleAttribution
+
+    records = []
+    real = CycleAttribution.on_tick
+
+    def recorded(sink, now, emitted, fired, changes, pushes):
+        records.append((now, list(changes)))
+        real(sink, now, emitted, fired, changes, pushes)
+
+    monkeypatch.setattr(CycleAttribution, "on_tick", recorded)
+    run = _simulate("spmspv", "upea2", "latency-bound", sim=dict(trace=True))
+    monkeypatch.undo()
+    live = run.obs.attribution
+    assert run.stats.skipped_cycles > run.stats.executed_cycles
+
+    replay = CycleAttribution(live.node_info, live.divider)
+    for now, changes in records:
+        replay.on_tick(now, (), (), changes, ())
+    replay.on_finish(run.stats)
+    assert replay.per_node == live.per_node
+    assert (replay.ticks, replay.divider_gap) == (live.ticks, live.divider_gap)
+    assert replay.render() == live.render()
 
 
 def test_frontends_expose_next_event_hints():

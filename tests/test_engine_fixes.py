@@ -19,6 +19,7 @@ from repro.core.policy import DOMAIN_UNAWARE, EFFCC
 from repro.dfg.ops import MemRequest
 from repro.errors import SimulationError
 from repro.pnr.flow import compile_once
+from repro.pnr.route import routed_edges
 from repro.sim.engine import _Engine, simulate
 from repro.sim.fmnoc_sim import MonacoFrontend
 from repro.sim.memsys import MemorySystem, RequestRecord
@@ -41,7 +42,7 @@ def make_engine(name="join", arch=ARCH):
     frontend = MonacoFrontend(ck.fabric)
     return _Engine(
         ck, dict(params), arch, ck.timing.clock_divider, memsys, frontend,
-        amap,
+        amap, routed_edges(ck.dfg, ck.routing),
     )
 
 

@@ -29,6 +29,7 @@ Three layers of evidence (plus a mid-run checkpoint round trip):
 
 from __future__ import annotations
 
+import gc
 import json
 import pathlib
 import random
@@ -277,12 +278,18 @@ def python_calls_per_firing(name: str, monkeypatch) -> tuple[int, int]:
             calls += 1
 
     def profiled_run(engine):
+        # A garbage collection inside the window would count the Python
+        # finalizers of earlier tests' garbage (a suspended generator's
+        # frame, a ``__del__``) as calls of this run.
+        gc.collect()
+        gc.disable()
         previous = sys.getprofile()
         sys.setprofile(count)
         try:
             return real_run(engine)
         finally:
             sys.setprofile(previous)
+            gc.enable()
 
     with monkeypatch.context() as patch:
         patch.setattr(_Engine, "run", profiled_run)

@@ -9,11 +9,12 @@ from repro.arch.noc import ChannelGraph
 from repro.arch.params import TimingParams
 from repro.core.criticality import analyze_criticality
 from repro.core.policy import EFFCC
+from repro.dfg.graph import PortRef
 from repro.dfg.lower import lower_kernel
 from repro.errors import RoutingError
 from repro.pnr.netlist import build_netlist
 from repro.pnr.place import anneal, initial_placement
-from repro.pnr.route import route_design
+from repro.pnr.route import route_design, routed_edges
 from repro.pnr.timing import analyze_timing
 
 from kernels import zoo_instance
@@ -57,6 +58,22 @@ class TestRouting:
             real_sinks = [s for s in net.sinks if s != net.src]
             if real_sinks:
                 assert set(routing.sink_hops[index]) == set(real_sinks)
+
+    def test_routed_edges_are_the_nets_seen_per_dfg_edge(self):
+        netlist, placement, fab = place()
+        routing = route_design(netlist, placement, ChannelGraph(fab, 7))
+        edges = routed_edges(netlist.dfg, routing)
+        assert set(edges) == {
+            (inp.src, node.nid)
+            for node in netlist.dfg.nodes.values()
+            for inp in node.inputs
+            if isinstance(inp, PortRef)
+        }
+        for index, net in enumerate(netlist.nets):
+            channels = tuple(sorted(routing.net_channels.get(index, ())))
+            for sink in net.sinks:
+                hops = routing.sink_hops.get(index, {}).get(sink)
+                assert edges[(net.src, sink)] == (hops, channels)
 
     def test_sink_hops_at_least_manhattan(self):
         netlist, placement, fab = place()

@@ -357,12 +357,13 @@ class TestRejection:
             load_snapshot(path)
 
     def test_version_skew_refused(self, tmp_path):
-        # Versions 1 and 2 are real history: their pickled sinks have
+        # Versions 1-3 are real history: their pickled sinks have
         # another layout (1: no open runs, per-edge token counters; 2: a
-        # ``skipped`` bucket beside the open runs), so a probed snapshot
-        # from those builds must be refused by name, up front.
+        # ``skipped`` bucket beside the open runs; 3: a handler table
+        # naming ``on_gap`` / ``on_counter``), so a probed snapshot from
+        # those builds must be refused by name, up front.
         path = self._snap(tmp_path)
-        for version in (99, 1, 2):
+        for version in (99, 1, 2, 3):
             self._rewrite(
                 path, lambda blob: blob.__setitem__("version", version)
             )
