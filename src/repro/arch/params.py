@@ -149,11 +149,11 @@ class SimParams:
     #: fault layer.
     faults: FaultParams | None = None
     #: Runtime invariant checking (see :mod:`repro.check.invariants`).
-    #: Off by default and wired like ``trace``/``faults``: with
-    #: ``check=False`` the engine consults nothing and results are
-    #: bit-identical to a build without the conformance layer; with it
-    #: on, the checker only *reads* simulator state, so results are
-    #: still bit-identical — a violation raises instead.
+    #: Off by default and wired like ``critpath``: one more sink of the
+    #: observability bus, reading the tick records and, at quiescence,
+    #: the final stats. Off, nothing is attached; on, the checker never
+    #: writes simulator state, so results are still bit-identical — a
+    #: violation raises instead.
     check: bool = False
 
     def __post_init__(self):

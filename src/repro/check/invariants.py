@@ -1,22 +1,23 @@
 """Runtime invariant checkers for the cycle-level simulator.
 
-The engine carries a ``check`` attribute wired exactly like ``obs`` and
-``faults``: ``None`` by default (every hook site is gated on an
-``is not None`` test, so the off-path executes zero extra work and stays
-bit-identical to a build without this module), or an
-:class:`InvariantChecker` when ``ArchParams.sim.check`` is set. The
-checker only *reads* simulator state — it never mutates FIFOs, stats or
-schedules — so results with checking on are bit-identical too; only a
+:class:`InvariantChecker` is one more sink of the observability bus
+(:mod:`repro.obs.events`), attached by :func:`repro.obs.make_observation`
+under ``ArchParams.sim.check``. Its rules read only the engine's
+``tick`` records — emitted responses, committed firings and the memory
+requests they issued, the pushes about to commit — and it counts each
+node's requests in flight itself; only :meth:`InvariantChecker.finish`
+reads the final stats and the quiescent engine. It never writes
+simulator state, so checked results are bit-identical; only a
 *violation* changes behaviour, by raising :class:`InvariantViolation`.
 
 Invariant catalog (see INTERNALS Sec. 8):
 
 **Shadow-FIFO timestamps** (token conservation + cadence).  The checker
 mirrors every token FIFO with a queue of *push cycles*. A push is
-recorded when the engine commits it; a pop asserts the shadow queue is
-non-empty and that the front stamp is strictly older than the current
-cycle (pushes commit at end-of-tick and become consumable at the next
-fabric tick). Together with the per-edge ``pushed == popped`` audit at
+recorded from the tick record, which the engine publishes just before
+committing it; a pop asserts the shadow queue is non-empty and that the
+front stamp is strictly older than the current cycle (pushes commit at
+end-of-tick and become consumable at the next fabric tick). Together with the per-edge ``pushed == popped`` audit at
 quiescence this proves no token is consumed twice, conjured from
 nothing, or consumed in the same tick it was produced.
 
@@ -32,7 +33,9 @@ strictly after the predecessor's first response emission. Combined with
 the shadow-stamp rule this proves a dependent access never issues
 before its predecessor's response arrived at the PE. Response delivery
 is additionally checked to be per-node in issue order (``seq``
-monotone) with ``issue_cycle <= arrived_cycle <= now``.
+monotone) with ``issue_cycle <= arrived_cycle <= now``, and a node
+issues only with fewer than ``max_outstanding`` requests in flight by
+the checker's own count (its issues minus its responses).
 
 **Stats-ledger identities** (checked at quiescence):
 
@@ -51,7 +54,6 @@ monotone) with ``issue_cycle <= arrived_cycle <= now``.
 
 from __future__ import annotations
 
-import functools
 from collections import deque
 
 from repro.dfg.graph import DFG, PortRef
@@ -76,30 +78,28 @@ class InvariantChecker:
         self.dfg = dfg
         self.capacity = capacity
         self.max_outstanding = max_outstanding
+        #: Producer nid -> the (consumer, port) keys its pushes land on.
+        self._fanout = dfg.consumers()
+        keys = [key for sinks in self._fanout.values() for key in sinks]
         #: Shadow token FIFOs: push-cycle stamps per (consumer, port).
-        self.shadow: dict[tuple[int, int], deque[int]] = {}
-        self.pushed: dict[tuple[int, int], int] = {}
-        self.popped: dict[tuple[int, int], int] = {}
-        for node in dfg.nodes.values():
-            for index, inp in enumerate(node.inputs):
-                if isinstance(inp, PortRef):
-                    key = (node.nid, index)
-                    self.shadow[key] = deque()
-                    self.pushed[key] = 0
-                    self.popped[key] = 0
+        self.shadow: dict[tuple[int, int], deque[int]] = {
+            key: deque() for key in keys
+        }
+        self.pushed = dict.fromkeys(keys, 0)
+        self.popped = dict.fromkeys(keys, 0)
         #: Independent firing ledger (per op kind).
         self.fired: dict[str, int] = {}
         self.issues = 0
         self.responses = 0
         self._last_seq: dict[int, int] = {}
-        #: nid -> (response count, first emission cycle).
-        self._emits: dict[int, tuple[int, int]] = {}
+        #: nid -> requests in flight (issues minus responses).
+        self._inflight: dict[int, int] = {}
+        #: nid -> cycle of its first response emission.
+        self._first_emit: dict[int, int] = {}
         #: Memory node -> direct memory-node predecessors (ordering-token
         #: producers feeding it without intermediate gating).
         self._mem_preds: dict[int, tuple[int, ...]] = {}
-        memory_ids = {
-            n.nid for n in dfg.nodes.values() if n.op in _MEM_OPS
-        }
+        memory_ids = {n.nid for n in dfg.nodes.values() if n.op in _MEM_OPS}
         for nid in memory_ids:
             preds = tuple(
                 inp.src
@@ -118,7 +118,20 @@ class InvariantChecker:
         node = self.dfg.nodes[nid]
         return f"node {nid} ({node.op} {node.tag!r})"
 
-    # -- hooks (called by the engine, gated on ``check is not None``) ------
+    # -- the tick record (see ``EventBus.tick``) -----------------------------
+
+    def on_tick(self, now: int, emitted, fired, changes, pushes) -> None:
+        """Run the rules over one executed fabric tick, in record order."""
+        for record, _node, _domain in emitted:
+            self.response(now, record.nid, record)
+        for nid, pops, issued, _emits in fired:
+            self.fire(now, nid, pops)
+            if issued:
+                self.issue(now, nid)
+        if pushes:
+            self.commit(now, pushes)
+
+    # -- rules --------------------------------------------------------------
 
     def fire(self, now: int, nid: int, pops: tuple[int, ...]) -> None:
         """A node committed a firing at fabric tick ``now``, consuming a
@@ -146,9 +159,11 @@ class InvariantChecker:
                     "visible at the tick after their push commits",
                 )
 
-    def issue(self, now: int, nid: int, outstanding: int) -> None:
+    def issue(self, now: int, nid: int) -> None:
         """A memory node issued a request at cycle ``now``."""
         self.issues += 1
+        outstanding = self._inflight.get(nid, 0)
+        self._inflight[nid] = outstanding + 1
         if outstanding >= self.max_outstanding:
             self._fail(
                 "max-outstanding",
@@ -157,26 +172,27 @@ class InvariantChecker:
                 f"{self.max_outstanding})",
             )
         for pred in self._mem_preds.get(nid, ()):
-            entry = self._emits.get(pred)
-            if entry is None:
+            first = self._first_emit.get(pred)
+            if first is None:
                 self._fail(
                     "memory-ordering",
                     f"{self._describe(nid)} issued at cycle {now} but "
                     f"its ordering predecessor {self._describe(pred)} "
                     "has never delivered a response",
                 )
-            if entry[1] >= now:
+            if first >= now:
                 self._fail(
                     "memory-ordering",
                     f"{self._describe(nid)} issued at cycle {now}, not "
                     "strictly after its ordering predecessor "
                     f"{self._describe(pred)} first responded "
-                    f"(cycle {entry[1]})",
+                    f"(cycle {first})",
                 )
 
     def response(self, now: int, nid: int, record) -> None:
         """A memory response was emitted into the fabric at ``now``."""
         self.responses += 1
+        self._inflight[nid] = self._inflight.get(nid, 0) - 1
         if record.arrived_cycle is None or not (
             record.issue_cycle <= record.arrived_cycle <= now
         ):
@@ -196,20 +212,10 @@ class InvariantChecker:
                 "order",
             )
         self._last_seq[nid] = record.seq
-        entry = self._emits.get(nid)
-        if entry is None:
-            self._emits[nid] = (1, now)
-        else:
-            self._emits[nid] = (entry[0] + 1, entry[1])
-
-    @functools.cached_property
-    def _fanout(self) -> dict[int, list[tuple[int, int]]]:
-        # Derived on first use, not in __init__: a checker restored from
-        # a snapshot is unpickled, never constructed.
-        return self.dfg.consumers()
+        self._first_emit.setdefault(nid, now)
 
     def commit(self, now: int, pushes: list) -> None:
-        """The engine commits this tick's token pushes."""
+        """This tick's token pushes, which the engine commits next."""
         fanout = self._fanout
         for nid, _value in pushes:
             for key in fanout[nid]:
@@ -228,7 +234,8 @@ class InvariantChecker:
                     )
 
     def finish(self, stats, engine) -> None:
-        """Quiescence ledger identities (see module doc)."""
+        """Quiescence ledger identities (see module doc); the only read
+        of engine state, once the run has returned."""
         cycles = stats.executed_cycles + stats.skipped_cycles
         if cycles != stats.system_cycles + 1:
             self._fail(

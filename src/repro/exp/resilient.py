@@ -81,6 +81,9 @@ PNR_SEED_STRIDE = 7919
 #: Failure kinds whose retry may consult a perturbed placement seed.
 PNR_KINDS = ("routing", "placement", "pnr")
 
+#: Failure kinds :class:`SweepPolicy` retries under ``on_failure="retry"``.
+RETRYABLE_KINDS = PNR_KINDS + ("timeout", "worker-death", "preempted")
+
 #: Kinds that are deterministic properties of the point itself — the
 #: same inputs will fail the same way, so retrying burns time for
 #: nothing. (Deadlock and wrong answers are *bugs*, not bad luck.)
@@ -172,7 +175,7 @@ class SweepPolicy:
     * ``"abort"`` — re-raise the first failure (historical behavior;
       the default, so unsupervised callers see no change);
     * ``"skip"`` — record a :class:`FailureRecord` and move on;
-    * ``"retry"`` — retry kinds in ``retryable_kinds`` up to
+    * ``"retry"`` — retry kinds in :data:`RETRYABLE_KINDS` up to
       ``max_retries`` times (PnR kinds under a perturbed placement
       seed), then degrade to skip.
     """
@@ -184,14 +187,6 @@ class SweepPolicy:
     #: ``backoff_s * 2**(n-1)`` after its predecessor failed.
     backoff_s: float = 0.0
     on_failure: str = "abort"
-    retryable_kinds: tuple[str, ...] = (
-        "routing",
-        "placement",
-        "pnr",
-        "timeout",
-        "worker-death",
-        "preempted",
-    )
     #: Periodic snapshot cadence in system cycles, per job (0 = only on
     #: preemption). Effective only when the sweep runs with a
     #: ``snapshot_dir``.
@@ -223,7 +218,7 @@ class SweepPolicy:
     def wants_retry(self, kind: str, attempts: int) -> bool:
         return (
             self.on_failure == "retry"
-            and kind in self.retryable_kinds
+            and kind in RETRYABLE_KINDS
             and attempts <= self.max_retries
         )
 

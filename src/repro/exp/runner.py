@@ -59,7 +59,7 @@ class RunResult:
     #: Wall-clock seconds the timed simulation took (excluded from
     #: equality — two bit-identical runs never take identical time).
     wall_time: float = field(default=0.0, compare=False)
-    #: Observability bus of the run (tracing on only), for profiling.
+    #: Observability bus of the run (None with every probe off).
     obs: object = field(default=None, compare=False, repr=False)
     #: Placement seed the supervisor actually compiled with when a PnR
     #: retry perturbed it (None = the point's own seed). Journaled so

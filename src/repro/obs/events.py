@@ -85,6 +85,11 @@ class EventBus:
             if method is not None:
                 self._handlers[publish].append(method)
 
+    def hears(self, kind: str) -> bool:
+        """Whether some attached sink reads the ``kind`` events; the
+        engine gives a publisher the bus only then."""
+        return bool(self._handlers[kind])
+
     # -- publisher API ----------------------------------------------------
     # One method per event kind; each is a plain loop over bound hooks.
 

@@ -478,9 +478,10 @@ class Observation(EventBus):
         self.noc_heatmap: NocHeatmap | None = None
         self.fmnoc_heatmap: FmnocHeatmap | None = None
         self.chrome: ChromeTraceSink | None = None
-        #: Dynamic critical-path recorder (see :mod:`repro.obs.critpath`),
-        #: attached when ``ArchParams.sim.critpath`` is on.
+        #: The critical-path recorder (:mod:`repro.obs.critpath`) and the
+        #: invariant checker (:mod:`repro.check.invariants`), when on.
         self.critpath = None
+        self.check = None
 
 
 def node_info_of(compiled) -> dict[int, tuple[str, str, Coord, str]]:
@@ -504,12 +505,14 @@ def make_observation(
     trace: bool = True,
     chrome: bool = False,
     critpath: bool = False,
+    check: bool = False,
     fifo_capacity: int = 2,
     max_outstanding: int = 2,
 ) -> Observation:
     """Assemble the sinks one run of ``compiled`` asked for: ``trace``
     attaches attribution and both heatmaps, ``chrome`` the exporter,
-    ``critpath`` the recorder — each switch pays only for what it names.
+    ``critpath`` the recorder, ``check`` the invariant checker — each
+    switch pays only for what it names.
     ``edges`` is :func:`repro.pnr.route.routed_edges` of the kernel."""
     obs = Observation()
     info = node_info_of(compiled) if trace or chrome else None
@@ -538,4 +541,11 @@ def make_observation(
             max_outstanding=max_outstanding,
         )
         obs.attach(obs.critpath)
+    if check:
+        from repro.check.invariants import InvariantChecker
+
+        obs.check = InvariantChecker(
+            compiled.dfg, fifo_capacity, max_outstanding
+        )
+        obs.attach(obs.check)
     return obs

@@ -39,6 +39,11 @@ firing. Per-op firing counts accumulate in an interned int array folded
 into ``SimStats.firings`` at quiescence. Results are pinned bit for bit
 by the same test file; :meth:`state_dict` writes the tables out as plain
 keyed containers, so the snapshot format does not depend on this layout.
+
+Besides the fault injector the engine has one probe gate, ``obs``: every
+probe (attribution, heatmaps, Chrome trace, critical path, invariant
+checker) is a sink of that bus reading one record per executed fabric
+tick (``EventBus.tick``) and the final stats.
 """
 
 from __future__ import annotations
@@ -67,7 +72,7 @@ class SimResult:
         self.memory = memory
         self.stats = stats
         #: The :class:`repro.obs.Observation` the run published into, or
-        #: None when tracing was off.
+        #: None when every probe (trace, critpath, check) was off.
         self.obs = obs
         #: ``{"from_cycle", "executed_before", "snapshot",
         #: "restore_wall_s"}`` when this run resumed from a snapshot
@@ -95,11 +100,12 @@ def simulate(
 ) -> SimResult:
     """Run ``compiled`` to quiescence and return memory + stats.
 
-    ``arch.sim.trace`` / ``arch.sim.critpath`` attach the probes they
-    name (:func:`repro.obs.make_observation`): the engine, memory system
-    and frontend publish to them, and ``SimResult.obs`` carries them
-    back. With both off nothing is published and results are
-    bit-identical.
+    ``arch.sim.trace`` / ``arch.sim.critpath`` / ``arch.sim.check``
+    attach the probes they name (:func:`repro.obs.make_observation`):
+    the engine, memory system and frontend publish to them, and
+    ``SimResult.obs`` carries them back. The invariant checker's
+    quiescence ledger runs once ``run`` returns. With all three off
+    nothing is published and results are bit-identical.
     ``arrays`` supplies initial contents by declared name (the rest are
     zero-filled); a name the kernel does not declare raises
     :class:`~repro.errors.SimulationError` before cycle 0.
@@ -147,7 +153,7 @@ def simulate(
     frontend = frontend_factory(compiled.fabric, address_map)
     edges = routed_edges(dfg, compiled.routing)
     obs = None
-    if arch.sim.trace or arch.sim.critpath:
+    if arch.sim.trace or arch.sim.critpath or arch.sim.check:
         from repro.obs import make_observation
 
         obs = make_observation(
@@ -158,25 +164,16 @@ def simulate(
             trace=arch.sim.trace,
             chrome=arch.sim.trace and arch.sim.trace_path is not None,
             critpath=arch.sim.critpath,
+            check=arch.sim.check,
             fifo_capacity=arch.sim.fifo_capacity,
             max_outstanding=arch.sim.max_outstanding,
         )
-    if obs is not None:
-        memsys.obs = obs
-        frontend.obs = obs
     if injector is not None:
         memsys.faults = injector
         frontend.faults = injector
-    checker = None
-    if arch.sim.check:
-        from repro.check.invariants import InvariantChecker
-
-        checker = InvariantChecker(
-            dfg, arch.sim.fifo_capacity, arch.sim.max_outstanding
-        )
     engine = _Engine(
         compiled, params, arch, divider, memsys, frontend, address_map,
-        edges, obs=obs, faults=injector, check=checker,
+        edges, obs=obs, faults=injector,
     )
 
     resume_info = None
@@ -221,11 +218,13 @@ def simulate(
     finally:
         if watchdog is not None:
             watchdog.uninstall()
+    obs = engine.obs  # a restore swaps in the snapshot's sink set
+    if obs is not None and obs.check is not None:
+        obs.check.finish(stats, engine)
     if snapshots is not None:
         # Only a *clean* completion retires the snapshot file; a
-        # preempted run leaves it behind for the retry to resume from.
+        # preempted run (or a quiescence violation) leaves it behind.
         snapshots.finish()
-    obs = engine.obs  # a restore swaps in the snapshot's sink set
     stats.frontend = getattr(frontend, "name", type(frontend).__name__)
     numa_counters = getattr(frontend, "numa_counters", None)
     if numa_counters is not None:
@@ -245,7 +244,7 @@ def simulate(
 class _Engine:
     def __init__(
         self, compiled, params, arch, divider, memsys, frontend,
-        address_map, edges, obs=None, faults=None, check=None,
+        address_map, edges, obs=None, faults=None,
     ):
         self.compiled = compiled
         self.dfg: DFG = compiled.dfg
@@ -282,17 +281,13 @@ class _Engine:
         self.tokens = 0
         self.mem_inflight = 0
         self.stats = SimStats(clock_divider=divider)
-        #: Observability bus, or None (tracing off — the zero-overhead
-        #: contract: every publish site below is gated on this check).
-        self.obs = obs
+        #: Observability bus, or None (every probe off — the
+        #: zero-overhead contract: every publish site below is gated on
+        #: this check).
+        self._attach_obs(obs)
         #: Fault injector, or None (off — same zero-overhead contract:
         #: every consult site below is gated on this check).
         self.faults = faults
-        #: Runtime invariant checker (:mod:`repro.check.invariants`), or
-        #: None (off — same zero-overhead contract again). The checker
-        #: only reads engine state; with it on, results are still
-        #: bit-identical, and a violation raises InvariantViolation.
-        self.check = check
         #: The tick record under construction while ``obs`` is attached
         #: (see ``EventBus.tick``): emitted responses, committed firings,
         #: the nids whose matured response found a full consumer FIFO,
@@ -377,6 +372,13 @@ class _Engine:
         self._op_names = list(op_index)
         self._fire_counts = [0] * len(op_index)
         self._frontend_next = getattr(self.frontend, "next_event", None)
+
+    def _attach_obs(self, obs) -> None:
+        """Point the engine at ``obs``; the memory system and frontend
+        get it only where a sink reads what they publish."""
+        self.obs = obs
+        self.memsys.obs = obs if obs and obs.hears("mem_service") else None
+        self.frontend.obs = obs if obs and obs.hears("fmnoc") else None
 
     def _fold_firings(self) -> None:
         """Fold the interned firing counters into ``stats.firings``.
@@ -526,8 +528,6 @@ class _Engine:
         if self.faults is not None:
             stats.faults_injected = self.faults.counts()
         self._check_final_state()
-        if self.check is not None:
-            self.check.finish(stats, self)
         return stats
 
     def _skip_target(
@@ -616,11 +616,6 @@ class _Engine:
                 pushes,
             )
         if pushes:
-            if self.check is not None:
-                # Shadow-FIFO stamps mirror the commit (same point, same
-                # order) so capacity and cadence are checked against
-                # exactly what the engine's FIFOs will hold next tick.
-                self.check.commit(now, pushes)
             self.commit_pushes(pushes)
             progressed = True
         return progressed
@@ -726,8 +721,6 @@ class _Engine:
                 continue  # retry next fabric tick
             queue.popleft()
             self.mem_inflight -= 1
-            if self.check is not None:
-                self.check.response(now, nid, record)
             pushes.append((nid, record.value))
             pending[nid] = pending.get(nid, 0) + 1
             self.stats.fmnoc_hops += 2 * record.response_hops
@@ -762,7 +755,6 @@ class _Engine:
         max_outstanding = self.max_outstanding
         obs = self.obs
         faults = self.faults
-        check = self.check
         tokens_popped = 0
         for nid in compress(range(len(scan)), scan):
             fired = rules[nid](states[nid])
@@ -790,11 +782,6 @@ class _Engine:
                 # retries at the next fabric tick (so the cycle-skip
                 # scheduler still schedules it).
                 continue
-            if check is not None:
-                # Shadow pops + cadence check for exactly the tokens
-                # this firing consumes (after the fault gate, so a
-                # suppressed firing is not counted).
-                check.fire(now, nid, pops)
             # Commit the firing.
             if pops:
                 fifo_row = in_fifos[nid]
@@ -826,10 +813,6 @@ class _Engine:
         return progressed
 
     def _issue_memory(self, nid: int, request, now: int) -> None:
-        if self.check is not None:
-            # Memory-ordering monotonicity + outstanding-limit check,
-            # against the pre-issue queue depth.
-            self.check.issue(now, nid, len(self.resp_queue[nid]))
         self._seq += 1
         record = RequestRecord(
             nid=nid,
@@ -852,8 +835,9 @@ class _Engine:
         returned dict immediately, in one ``pickle.dumps`` whose memo
         preserves ``RequestRecord`` aliasing across ``resp_queue``, the
         arrivals heap, bank queues and frontend latches). The ``obs``
-        and ``check`` entries are the live objects themselves: they are
-        closures over nothing but plain data, so they pickle wholesale.
+        entry is the live probe object itself — the bus with every sink,
+        the invariant checker included: it is closures over nothing but
+        plain data, so it pickles wholesale.
         The tables are written keyed — FIFOs by ``(nid, port)``, states
         and response queues by nid, in ``dfg.nodes`` order — ``active``
         and ``emit_candidates`` as plain sets, and firing counters are
@@ -894,7 +878,6 @@ class _Engine:
                 self.faults.state_dict() if self.faults is not None else None
             ),
             "obs": self.obs,
-            "check": self.check,
         }
 
     def load_state_dict(self, state: dict) -> None:
@@ -903,17 +886,14 @@ class _Engine:
         Structural containers (FIFO deques, node states, resp queues,
         memory arrays) are refilled rather than replaced, preserving the
         identities :meth:`_init_tables` wired up;
-        the ``obs``/``check`` objects from the snapshot *replace* the
-        freshly-built ones — their accumulated history is part of the
-        machine state — and the aliases on the memory system and
-        frontend are re-pointed accordingly. The plain-set ``active``/
+        the ``obs`` object from the snapshot *replaces* the freshly-built
+        one — its sinks' accumulated history is part of the machine
+        state — and the memory system and frontend are re-pointed at it
+        as :meth:`_attach_obs` decides. The plain-set ``active``/
         ``emit_candidates`` entries refill the flag arrays.
         """
-        for side, present in (
-            ("faults", state["faults"] is not None),
-            ("obs", state["obs"] is not None),
-            ("check", state["check"] is not None),
-        ):
+        for side in ("faults", "obs"):
+            present = state[side] is not None
             if present != (getattr(self, side) is not None):
                 raise SimulationError(
                     f"snapshot has {side} {'on' if present else 'off'}, "
@@ -955,15 +935,11 @@ class _Engine:
         if state["faults"] is not None:
             self.faults.load_state_dict(state["faults"])
         if state["obs"] is not None:
-            self.obs = state["obs"]
-            self.memsys.obs = self.obs
-            self.frontend.obs = self.obs
+            self._attach_obs(state["obs"])
             # The restored sinks hold their own per-node runs; re-derive
             # every bucket on the next tick rather than trust this
             # engine's cache (a sink takes a "change" to the same bucket).
             self._buckets = None
-        if state["check"] is not None:
-            self.check = state["check"]
 
     # -- diagnostics ---------------------------------------------------
 

@@ -60,10 +60,10 @@ SNAPSHOT_MAGIC = "repro-sim-snapshot"
 #: runs, a running histogram and per-producer push counts; 3 = an
 #: attribution sink that books scheduler jumps into the open runs (no
 #: ``skipped`` bucket), and ``SimParams`` one field shorter; 4 = a bus
-#: of five event kinds (a version 3 bus pickles the gap event's hook).
-SNAPSHOT_VERSION = 4
-
-_MISSING = object()
+#: of five event kinds (a version 3 bus pickles the gap event's hook);
+#: 5 = one probe object, the invariant checker one of its sinks (a
+#: version 4 state carries the checker as a separate ``check`` entry).
+SNAPSHOT_VERSION = 5
 
 
 # -- configuration identity ------------------------------------------------
@@ -361,9 +361,9 @@ class Checkpointer:
         check_boundary_invariants(engine)
         state = engine.state_dict()
         # ONE dumps call for the whole machine: pickle's memo preserves
-        # RequestRecord aliasing across engine/memsys/frontend/checker.
+        # RequestRecord aliasing across engine/memsys/frontend/sinks.
         payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-        if engine.check is not None:
+        if engine.arch.sim.check:
             verify_roundtrip(state, payload)
         meta = {
             "config_digest": self.digest,
@@ -454,16 +454,14 @@ def verify_roundtrip(state: dict, payload: bytes) -> None:
 
     Runs under ``sim.check`` on every snapshot write: the payload is
     deserialized back and compared value-by-value against the live
-    state. The ``obs``/``check`` entries are pickled wholesale and have
-    no value equality (a restored copy compares unequal by identity),
-    so the comparison covers the engine/memsys/frontend/faults state —
+    state. The ``obs`` entry is pickled wholesale and has no value
+    equality (a restored copy compares unequal by identity), so the
+    comparison covers the engine/memsys/frontend/faults state —
     everything the quiescence ledger is computed from.
     """
     clone = pickle.loads(payload)
     for key in state:
-        if key in ("obs", "check"):
-            continue
-        if clone.get(key, _MISSING) != state[key]:
+        if key != "obs" and clone[key] != state[key]:
             from repro.check.invariants import InvariantViolation
 
             raise InvariantViolation(

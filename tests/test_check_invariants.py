@@ -4,10 +4,12 @@ Two layers of coverage:
 
 * **system** — every Table 1 workload simulates to quiescence with the
   checker armed, with cycle skipping on *and* off, and the results are
-  bit-identical to an unchecked run (the checker only reads state);
+  bit-identical to an unchecked run (the checker only reads the tick
+  records), and a checker replaying a run's records alone agrees;
 * **unit** — every rule in the catalog is driven to a violation through
-  the checker's hook API with hand-built histories, pinning both the
-  trigger condition and the diagnostic text.
+  the checker's rule methods (and ``on_tick``, the tick record they run
+  from) with hand-built histories, pinning both the trigger condition
+  and the diagnostic text.
 """
 
 from __future__ import annotations
@@ -82,6 +84,39 @@ def test_checked_run_is_bit_identical_and_skip_invariant(name, request):
     instance.check(checked.memory)
 
 
+def test_checker_is_a_function_of_the_tick_records(monkeypatch):
+    """A fresh checker fed only a checked run's tick records ends with
+    the live checker's ledgers and passes the same quiescence audit: the
+    rules need no engine state before ``finish``."""
+    from test_cycle_skip import _simulate
+
+    records, audited = [], []
+    real_tick = InvariantChecker.on_tick
+    real_finish = InvariantChecker.finish
+
+    def recorded(checker, now, emitted, fired, changes, pushes):
+        records.append((now, list(emitted), list(fired), list(pushes)))
+        real_tick(checker, now, emitted, fired, changes, pushes)
+
+    def finish(checker, stats, engine):
+        audited.append(engine)
+        real_finish(checker, stats, engine)
+
+    monkeypatch.setattr(InvariantChecker, "on_tick", recorded)
+    monkeypatch.setattr(InvariantChecker, "finish", finish)
+    run = _simulate("spmspv", "upea2", "latency-bound", sim=dict(check=True))
+    monkeypatch.undo()
+    live = run.obs.check
+    assert live.issues > 0 and len(audited) == 1
+
+    replay = InvariantChecker(live.dfg, live.capacity, live.max_outstanding)
+    for now, emitted, fired, pushes in records:
+        replay.on_tick(now, emitted, fired, (), pushes)
+    for ledger in ("fired", "issues", "responses", "pushed", "popped"):
+        assert getattr(replay, ledger) == getattr(live, ledger), ledger
+    replay.finish(run.stats, audited[0])
+
+
 def test_violation_is_a_simulation_error():
     assert issubclass(InvariantViolation, SimulationError)
 
@@ -109,6 +144,23 @@ def test_pop_from_empty_shadow_is_token_conservation():
         checker.fire(5, consumer, (port,))
 
 
+def test_tick_record_drives_the_rules():
+    """``on_tick`` runs the rules over a hand-built record: a firing
+    that pops an empty shadow FIFO, and an issue past the limit by the
+    checker's own in-flight count."""
+    checker, _dfg = make_checker()
+    consumer, port = edge_key(checker)
+    with pytest.raises(InvariantViolation, match="token-conservation"):
+        checker.on_tick(5, [], [(consumer, (port,), False, True)], (), [])
+
+    checker, dfg = make_checker(max_outstanding=2)
+    issue = [(mem_nid(dfg), (), True, False)]
+    checker.on_tick(3, [], issue, (), [])
+    checker.on_tick(4, [], issue, (), [])
+    with pytest.raises(InvariantViolation, match="max-outstanding"):
+        checker.on_tick(5, [], issue, (), [])
+
+
 def test_same_tick_consume_is_token_cadence():
     checker, dfg = make_checker()
     consumer, port = edge_key(checker)
@@ -134,9 +186,13 @@ def test_overfull_fifo_is_fifo_capacity():
 def test_issue_over_limit_is_max_outstanding():
     checker, dfg = make_checker(max_outstanding=2)
     nid = mem_nid(dfg)
-    checker.issue(3, nid, outstanding=1)  # one in flight: fine
+    checker.issue(3, nid)
+    checker.issue(4, nid)  # two in flight by the checker's own count
+    reply = SimpleNamespace(seq=1, issue_cycle=3, arrived_cycle=5)
+    checker.response(5, nid, reply)
+    checker.issue(6, nid)  # a response freed a slot: fine
     with pytest.raises(InvariantViolation, match="max-outstanding"):
-        checker.issue(4, nid, outstanding=2)
+        checker.issue(7, nid)
 
 
 def test_issue_before_predecessor_response_is_memory_ordering():
@@ -159,14 +215,17 @@ def test_issue_before_predecessor_response_is_memory_ordering():
     assert checker._mem_preds, "expected an ordering chain for the RAW pair"
     nid, (pred, *_rest) = next(iter(checker._mem_preds.items()))
     with pytest.raises(InvariantViolation, match="memory-ordering"):
-        checker.issue(9, nid, outstanding=0)
+        checker.issue(9, nid)
+    checker = InvariantChecker(dfg, 2, 2)
     # Predecessor responds at 9 -> issuing *at* 9 is still too early...
     record = SimpleNamespace(seq=0, issue_cycle=1, arrived_cycle=8)
     checker.response(9, pred, record)
     with pytest.raises(InvariantViolation, match="memory-ordering"):
-        checker.issue(9, nid, outstanding=0)
+        checker.issue(9, nid)
     # ...strictly after is legal.
-    checker.issue(10, nid, outstanding=0)
+    checker = InvariantChecker(dfg, 2, 2)
+    checker.response(9, pred, record)
+    checker.issue(10, nid)
 
 
 def test_response_timing_and_order_rules():

@@ -375,6 +375,36 @@ def test_a_traced_run_publishes_five_event_kinds(monkeypatch):
     assert census.kinds["tick"] > 0 and census.kinds["finish"] == 1
 
 
+def test_publishers_get_the_bus_only_for_a_reader(monkeypatch, tmp_path):
+    """The memory system publishes only when a sink reads bank service
+    (the Chrome sink), the frontend only when one reads FM-NoC stages
+    (the FM-NoC heatmap): a critpath-only or check-only run makes no
+    publish call into an empty handler list."""
+    from repro.sim.engine import _Engine
+
+    wired = []
+    real = _Engine.run
+
+    def spy(engine):
+        wired.append(
+            (engine.memsys.obs is not None, engine.frontend.obs is not None)
+        )
+        return real(engine)
+
+    monkeypatch.setattr(_Engine, "run", spy)
+    chrome = str(tmp_path / "trace.json")
+    for sim, expected in (
+        (dict(check=True), (False, False)),
+        (dict(critpath=True), (False, False)),
+        (dict(trace=True), (False, True)),
+        (dict(trace=True, trace_path=chrome), (True, True)),
+    ):
+        wired.clear()
+        run = _run(ArchParams(sim=SimParams(**sim)))
+        assert run.obs is not None
+        assert wired == [expected], sim
+
+
 class TestDeadlockReport:
     def test_report_ranks_blocked_nodes(self):
         from repro.dfg.graph import PortRef

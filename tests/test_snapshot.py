@@ -48,7 +48,12 @@ from repro.errors import (
     SnapshotError,
 )
 from repro.exp.configs import MONACO, upea
-from repro.exp.resilient import SweepPolicy, call_with_timeout, run_resilient
+from repro.exp.resilient import (
+    RETRYABLE_KINDS,
+    SweepPolicy,
+    call_with_timeout,
+    run_resilient,
+)
 from repro.exp.runner import PAPER_DIVIDER, compile_cached
 from repro.exp.spec import sweep_specs
 from repro.obs.manifest import completed_points, read_manifest, stable_view
@@ -264,6 +269,44 @@ class TestSplitRunBitIdentity:
         assert run.memory == base.memory
         assert not os.path.exists(path)
 
+    def test_checked_resume_keeps_the_checker_ledgers(self, tmp_path):
+        """The checker rides in the one pickled probe object: a checked
+        run preempted mid-way resumes to the uninterrupted digest, and
+        its restored checker ends on the same ledgers."""
+        arch = _arch(check=True)
+        full = _simulate("spmspv", arch)
+        budget = full.stats.executed_cycles // 2
+        resumed = _split("spmspv", arch, budget, str(tmp_path / "c.snap"))
+        assert resumed.resume_info["from_cycle"] > 0
+        assert _digest(resumed) == _digest(full)
+        a, b = resumed.obs.check, full.obs.check
+        assert (a.fired, a.issues, a.responses, a.pushed, a.popped) == (
+            b.fired, b.issues, b.responses, b.pushed, b.popped
+        )
+
+    def test_quiescence_violation_keeps_the_snapshot(
+        self, tmp_path, monkeypatch
+    ):
+        """The checker's quiescence audit runs before the checkpointer
+        retires its file: a failed audit leaves the snapshot behind."""
+        from repro.check.invariants import (
+            InvariantChecker,
+            InvariantViolation,
+        )
+
+        def broken(checker, stats, engine):
+            checker._fail("quiescence", "injected by the test")
+
+        monkeypatch.setattr(InvariantChecker, "finish", broken)
+        path = str(tmp_path / "kept.snap")
+        with pytest.raises(InvariantViolation, match="quiescence"):
+            _simulate(
+                "spmspv",
+                _arch(check=True),
+                checkpoint=CheckpointConfig(path=path, every_cycles=100),
+            )
+        assert os.path.exists(path)
+
     def test_sim_knobs_arm_checkpointer(self, tmp_path, monkeypatch):
         """``repro run --checkpoint/--checkpoint-every`` arm a
         checkpointer through the ``CheckpointConfig`` the command builds;
@@ -357,13 +400,14 @@ class TestRejection:
             load_snapshot(path)
 
     def test_version_skew_refused(self, tmp_path):
-        # Versions 1-3 are real history: their pickled sinks have
+        # Versions 1-4 are real history: their pickled sinks have
         # another layout (1: no open runs, per-edge token counters; 2: a
         # ``skipped`` bucket beside the open runs; 3: a handler table
-        # naming ``on_gap`` / ``on_counter``), so a probed snapshot from
-        # those builds must be refused by name, up front.
+        # naming ``on_gap`` / ``on_counter``; 4: the invariant checker
+        # as a ``check`` entry beside the bus), so a probed snapshot
+        # from those builds must be refused by name, up front.
         path = self._snap(tmp_path)
-        for version in (99, 1, 2, 3):
+        for version in (99, 1, 2, 3, 4):
             self._rewrite(
                 path, lambda blob: blob.__setitem__("version", version)
             )
@@ -686,5 +730,5 @@ class TestSweepRecovery:
             SweepPolicy(grace_s=0)
 
     def test_preempted_is_retryable_by_default(self):
-        assert "preempted" in SweepPolicy().retryable_kinds
+        assert "preempted" in RETRYABLE_KINDS
         assert SweepPolicy(on_failure="retry").wants_retry("preempted", 1)
