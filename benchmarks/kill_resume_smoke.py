@@ -7,10 +7,13 @@ subprocesses (no cooperation from the victim):
 2. launch the same sweep with ``--snapshot-dir``/``--checkpoint-every``,
    poll until the first snapshot file is published, then SIGKILL the
    whole process — no signal handler runs, exactly like an OOM kill or
-   a node reclaim;
+   a node reclaim — and append half a record with no trailing newline
+   to its journal, the torn tail a kill during a journal write leaves;
 3. ``repro sweep --resume`` against the same journal: completed points
    are skipped, the interrupted point continues from its last valid
-   snapshot (the torn journal line and any stale ``.tmp`` are ignored);
+   snapshot, and any stale ``.tmp`` is ignored. The torn line is dropped
+   on read; the record appended after it starts on a line of its own,
+   so the fragment costs nothing but itself;
 4. assert the final journal's ok-records equal the clean sweep's —
    keyed by ``point_digest`` and compared on
    :func:`repro.obs.manifest.stable_view`, since retries may reorder
@@ -29,6 +32,7 @@ Run: ``python benchmarks/kill_resume_smoke.py [--workdir DIR] [--keep]``
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import shutil
 import signal
@@ -173,6 +177,11 @@ def main() -> int:
         assert returncode == 0, f"victim sweep failed on its own: {log}"
         print("      victim finished before the kill landed; the drill "
               "degrades to resume-skips-all")
+    first = clean_manifest.read_text().splitlines()[0]
+    torn = first[: len(first) // 2]
+    with open(victim_manifest, "a") as handle:
+        handle.write(torn)
+    print("      journal torn: half a record appended, no newline")
 
     # 3. Resume the journal. Completed points skip; the interrupted one
     #    continues from its snapshot.
@@ -199,6 +208,17 @@ def main() -> int:
     mismatched = [d for d in clean if recovered[d] != clean[d]]
     assert not mismatched, (
         f"resumed points diverged from the uninterrupted sweep: {mismatched}"
+    )
+    # The fragment costs only itself: it is the one line that does not
+    # parse, with nothing the resume appended glued onto it.
+    unparsable = []
+    for line in victim_manifest.read_text().splitlines():
+        try:
+            json.loads(line)
+        except json.JSONDecodeError:
+            unparsable.append(line)
+    assert unparsable == [torn], (
+        f"the torn tail swallowed a record: {unparsable}"
     )
 
     # ``resume`` is volatile (stripped by stable_view) — read it raw.

@@ -30,8 +30,6 @@ class MemoryParams:
     hit_cycles: int = 2
     #: Additional system cycles to reach main memory on a miss.
     memory_cycles: int = 4
-    #: Requests a bank accepts per system cycle.
-    bank_throughput: int = 1
 
     def __post_init__(self):
         if self.n_banks <= 0 or self.line_words <= 0:

@@ -48,7 +48,7 @@ import sys
 from repro.arch.fabric import TOPOLOGIES, build_fabric
 from repro.arch.params import ArchParams, SimParams
 from repro.core.criticality import format_report
-from repro.core.policy import POLICIES, get_policy
+from repro.core.policy import POLICIES
 from repro.exp.configs import MONACO, ideal, numa, upea
 from repro.exp.figures import FIGURES, Grid, run_figures
 from repro.exp.report import fidelity_record, format_claim, format_figure
@@ -694,17 +694,8 @@ def cmd_trace(args) -> int:
 def cmd_fdo(args) -> int:
     from repro.exp.fdo import run_fdo
 
-    spec = _spec_from_args(args)
     result = run_fdo(
-        spec.workload,
-        rounds=args.rounds,
-        scale=spec.scale,
-        seed=spec.seed,
-        config=spec.config,
-        arch=spec.arch,
-        fabric_spec=spec.fabric,
-        policy=get_policy(spec.policy),
-        manifest_path=args.manifest,
+        _spec_from_args(args), rounds=args.rounds, manifest_path=args.manifest
     )
     print(result.summary())
     if args.manifest:

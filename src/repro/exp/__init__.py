@@ -29,8 +29,7 @@ from repro.exp.runner import (
     PAPER_DIVIDER,
     RunResult,
     compile_cached,
-    run_config,
-    run_workload_on_configs,
+    run_point,
 )
 
 __all__ = [
@@ -54,9 +53,8 @@ __all__ = [
     "ideal",
     "numa",
     "primary_configs",
-    "run_config",
     "run_figure",
     "run_figures",
-    "run_workload_on_configs",
+    "run_point",
     "upea",
 ]

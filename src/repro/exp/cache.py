@@ -51,7 +51,8 @@ def default_cache_dir() -> Path:
     env = os.environ.get("REPRO_COMPILE_CACHE")
     if env:
         return Path(env)
-    xdg = os.environ.get("XDG_CACHE_HOME", os.path.expanduser("~/.cache"))
+    # An empty XDG_CACHE_HOME means unset (XDG Base Directory spec).
+    xdg = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
     return Path(xdg) / "repro-nupea" / "compiled"
 
 

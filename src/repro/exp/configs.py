@@ -20,6 +20,11 @@ from dataclasses import dataclass
 from repro.sim.fmnoc_sim import MonacoFrontend
 from repro.sim.upea import NumaFrontend, UniformFrontend
 
+#: NUMA-UPEA's memory domains and the seed of its random LS-PE-to-domain
+#: assignment.
+NUMA_DOMAINS = 4
+NUMA_SEED = 0
+
 
 @dataclass(frozen=True)
 class MachineConfig:
@@ -30,8 +35,6 @@ class MachineConfig:
     #: Uniform PE-access delay in *fabric* cycles (upea/numa kinds); the
     #: remote-region penalty of the hybrid kind.
     upea_fabric_cycles: int = 0
-    numa_domains: int = 4
-    numa_seed: int = 0
 
     def frontend_factory(self, divider: int):
         """A (fabric, address_map) -> frontend factory for the simulator."""
@@ -42,11 +45,7 @@ class MachineConfig:
             return lambda fabric, amap: UniformFrontend(delay)
         if self.kind == "numa":
             return lambda fabric, amap: NumaFrontend(
-                delay,
-                fabric,
-                amap,
-                n_domains=self.numa_domains,
-                seed=self.numa_seed,
+                delay, fabric, amap, n_domains=NUMA_DOMAINS, seed=NUMA_SEED
             )
         if self.kind == "hybrid":
             from repro.sim.hybrid import HybridFrontend
@@ -69,8 +68,8 @@ def upea(n: int) -> MachineConfig:
     return MachineConfig(f"upea{n}", "upea", n)
 
 
-def numa(n: int, seed: int = 0) -> MachineConfig:
-    return MachineConfig(f"numa-upea{n}", "numa", n, numa_seed=seed)
+def numa(n: int) -> MachineConfig:
+    return MachineConfig(f"numa-upea{n}", "numa", n)
 
 
 def hybrid(n: int) -> MachineConfig:

@@ -8,9 +8,10 @@ predicted* critical loads (class A/B). When the static prediction misses
 never mattered — the placement leaves speedup on the table. This module
 closes the loop:
 
-1. **Round 0** compiles with the plain static policy (a cache hit when
-   the kernel was compiled before — the static path is untouched) and
-   runs a timed simulation with the profiler attached.
+1. **Round 0** compiles the given :class:`~repro.exp.spec.RunSpec`
+   with the plain static policy (a cache hit when the point was compiled
+   before — the static path is untouched) and runs a timed simulation
+   with the profiler attached.
 2. The per-node blame shares (:func:`repro.obs.critpath.blame_shares`)
    are mapped to a deterministic per-node placement weight
    (:func:`blame_to_weights`): the most-blamed node gets the class-A
@@ -33,16 +34,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.arch.params import ArchParams
-from repro.core.policy import EFFCC, PlacementPolicy
-from repro.exp.configs import MONACO, MachineConfig
+from repro.core.policy import PlacementPolicy, get_policy
 from repro.exp.runner import compile_cached, compile_point, run_point
-from repro.exp.spec import (
-    DEFAULT_FABRIC_SPEC,
-    FabricSpec,
-    RunSpec,
-    weight_map_digest,
-)
+from repro.exp.spec import RunSpec, weight_map_digest
 from repro.obs.manifest import append_manifest
 
 #: FDO round-journal schema; bump on incompatible layout changes.
@@ -197,50 +191,41 @@ class FdoResult:
 
 
 def run_fdo(
-    workload: str,
-    rounds: int = DEFAULT_ROUNDS,
-    scale: str = "small",
-    seed: int = 0,
-    config: MachineConfig | None = None,
-    arch: ArchParams | None = None,
-    fabric_spec: FabricSpec = DEFAULT_FABRIC_SPEC,
-    policy: PlacementPolicy = EFFCC,
-    manifest_path=None,
+    spec: RunSpec, rounds: int = DEFAULT_ROUNDS, manifest_path=None
 ) -> FdoResult:
-    """Run the feedback-directed placement loop on one workload.
+    """Run the feedback-directed placement loop on ``spec``'s point.
 
-    ``rounds`` bounds the *feedback* rounds; the static round 0 always
-    runs, so at most ``rounds + 1`` compile+simulate iterations execute.
+    Round 0 compiles ``spec`` itself; later rounds recompile it with the
+    weight map at the degree round 0 chose. ``rounds`` bounds the
+    *feedback* rounds; the static round 0 always runs, so at most
+    ``rounds + 1`` compile+simulate iterations execute.
     ``manifest_path`` appends one deterministic JSONL record per round
     (see :meth:`FdoRound.to_record`).
 
-    The timed runs have the critical-path profiler attached; profiling
-    is zero-perturbation (the simulated cycle counts are bit-identical
-    with it on or off), so round cycles are directly comparable to
-    unprofiled runs of the same artifact.
+    The timed runs have the critical-path profiler attached and run at
+    the divider their routed design achieved (``spec``'s own ``critpath``
+    and ``divider`` are overridden); profiling is zero-perturbation (the
+    simulated cycle counts are bit-identical with it on or off), so
+    round cycles are directly comparable to unprofiled runs of the same
+    artifact.
     """
-    arch = arch or ArchParams()
-    # Every round simulates at the divider its routed design achieved.
-    spec = RunSpec(
-        workload,
-        config or MONACO,
-        scale=scale,
-        seed=seed,
+    arch = spec.arch
+    spec = replace(
+        spec,
         arch=replace(arch, sim=replace(arch.sim, critpath=True)),
         divider=None,
-        policy=policy.name,
-        fabric=tuple(fabric_spec),
     )
+    policy = get_policy(spec.policy)
     # Round 0 is the static compile: a cache hit when anything compiled
     # this point before.
     instance, compiled = compile_point(spec)
 
     identity = {
-        "workload": workload,
+        "workload": spec.workload,
         "config": spec.config.name,
-        "scale": scale,
-        "seed": seed,
-        "policy": policy.name,
+        "scale": spec.scale,
+        "seed": spec.seed,
+        "policy": spec.policy,
     }
     journal: list[FdoRound] = []
     weights: dict[int, float] = {}
@@ -258,8 +243,9 @@ def run_fdo(
                 spec.arch,
                 policy=policy,
                 parallelism=compiled.parallelism,
-                seed=seed,
+                seed=spec.placement_seed,
                 node_weights=weights,
+                mem_mode=spec.mem_mode,
             )
         run = run_point(spec, instance, compiled)
         blame = run.obs.critpath.per_node_blame()
@@ -292,12 +278,4 @@ def run_fdo(
         seen_cycles.add(run.cycles)
         weights = next_weights
 
-    return FdoResult(
-        workload=workload,
-        config=spec.config.name,
-        scale=scale,
-        seed=seed,
-        policy=policy.name,
-        rounds=journal,
-        stopped=stopped,
-    )
+    return FdoResult(**identity, rounds=journal, stopped=stopped)

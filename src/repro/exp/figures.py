@@ -791,8 +791,8 @@ def fig_fdo(grid: Grid, cells: Cells) -> FigureResult:
 
     The one build that does work of its own: the feedback loop is a
     driver over rounds whose compiles depend on the previous round's
-    blame, so it runs here, in the parent, where its round 0 is a
-    compile-cache hit on the static point.
+    blame, so it runs here, in the parent, on the row's ``static``
+    point: its round 0 is that column's compile, a compile-cache hit.
     """
     from repro.exp.fdo import run_fdo
 
@@ -804,11 +804,8 @@ def fig_fdo(grid: Grid, cells: Cells) -> FigureResult:
     )
     for name, row in cells.items():
         raw = {c: _cycles(run) for c, run in row.items()}
-        raw["fdo"] = float(
-            run_fdo(
-                name, rounds=FDO_ROUNDS, scale=grid.scale, seed=grid.seed
-            ).best_cycles
-        )
+        static = _point(name, grid, divider=None)
+        raw["fdo"] = float(run_fdo(static, rounds=FDO_ROUNDS).best_cycles)
         result.raw[name] = raw
         result.rows[name] = {c: raw["upea2"] / raw[c] for c in result.columns}
     result.notes.append(

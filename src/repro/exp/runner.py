@@ -11,14 +11,17 @@ results through an on-disk compile cache (see :mod:`repro.exp.cache`),
 and the supervisor compiles each distinct key once, ahead of the points
 that simulate it (:func:`_compile_sweep_job`).
 
-Both :func:`run_parallel` and :func:`run_workload_on_configs` are
-facades over the resilient sweep supervisor
-(:mod:`repro.exp.resilient`): pass a
+A point is named by one :class:`~repro.exp.spec.RunSpec`:
+:func:`compile_point` compiles it and :func:`run_point` simulates it —
+the one place a simulation becomes a :class:`RunResult`. Sweep jobs
+take ``(spec, env)``. :func:`run_parallel` is a facade over the
+resilient sweep supervisor (:mod:`repro.exp.resilient`): pass a
 :class:`~repro.exp.resilient.SweepPolicy` to get per-job timeouts,
 retries with deterministic placement-seed perturbation, and typed
 failure records instead of a crashed sweep. The default policy is
-fail-fast ``abort``. A point is named by one
-:class:`~repro.exp.spec.RunSpec`; jobs take ``(spec, env)``.
+fail-fast ``abort``. An in-process caller that wants those records
+calls :func:`~repro.exp.resilient.run_resilient` on
+:func:`~repro.exp.spec.sweep_specs` itself.
 """
 
 from __future__ import annotations
@@ -141,107 +144,6 @@ def compile_cached(
     )
 
 
-def run_config(
-    instance: WorkloadInstance,
-    compiled: CompiledKernel,
-    config: MachineConfig,
-    arch: ArchParams,
-    divider: int = PAPER_DIVIDER,
-    checkpoint=None,
-    resume_from=None,
-    resume_policy: str = "strict",
-) -> RunResult:
-    """Simulate one (compiled workload, machine config) pair and validate.
-
-    ``checkpoint``/``resume_from``/``resume_policy`` pass through to
-    :func:`repro.sim.engine.simulate` (see :mod:`repro.sim.snapshot`).
-    """
-    start = time.perf_counter()
-    result = simulate(
-        compiled,
-        instance.params,
-        instance.arrays,
-        arch,
-        frontend_factory=config.frontend_factory(divider),
-        divider=divider,
-        checkpoint=checkpoint,
-        resume_from=resume_from,
-        resume_policy=resume_policy,
-    )
-    wall = time.perf_counter() - start
-    instance.check(result.memory)
-    return RunResult(
-        workload=instance.name,
-        config=config.name,
-        cycles=result.stats.system_cycles,
-        stats=result.stats,
-        parallelism=compiled.parallelism,
-        wall_time=wall,
-        obs=result.obs,
-        pnr=compiled.pnr,
-        resume_info=result.resume_info,
-        snapshot_stats=result.snapshot_stats,
-    )
-
-
-def run_workload_on_configs(
-    name: str,
-    configs: list[MachineConfig],
-    scale: str = "small",
-    seed: int = 0,
-    arch: ArchParams | None = None,
-    fabric_spec: FabricSpec = DEFAULT_FABRIC_SPEC,
-    policy: PlacementPolicy = EFFCC,
-    divider: int | None = PAPER_DIVIDER,
-    manifest_path: str | os.PathLike | None = None,
-    sweep_policy=None,
-    failures: list | None = None,
-    profile_guided: bool = False,
-) -> dict[str, RunResult]:
-    """Compile once, then simulate under each interconnect config.
-
-    The one-workload, one-seed, in-process case of
-    :func:`repro.exp.resilient.run_resilient`, returning
-    ``{config_name: RunResult}``. With a ``sweep_policy`` whose
-    ``on_failure`` is not ``"abort"``, failing configs are appended to
-    ``failures`` (when given) as
-    :class:`~repro.exp.resilient.FailureRecord` s and journaled to the
-    manifest, while the healthy configs still return.
-    """
-    from repro.exp.resilient import run_resilient
-
-    outcome = run_resilient(
-        sweep_specs(
-            [name],
-            configs,
-            (seed,),
-            **_shared_fields(
-                scale, arch, policy, divider, fabric_spec, profile_guided
-            ),
-        ),
-        max_workers=1,
-        manifest_path=manifest_path,
-        sweep_policy=sweep_policy,
-    )
-    if failures is not None:
-        failures.extend(outcome.failures)
-    return {spec.config.name: run for spec, run in outcome.results.items()}
-
-
-def _shared_fields(
-    scale, arch, policy, divider, fabric_spec, profile_guided
-) -> dict:
-    """The :class:`RunSpec` fields every point of a facade's sweep shares."""
-    return dict(
-        scale=scale,
-        arch=arch or ArchParams(),
-        divider=divider,
-        policy=policy.name,
-        fabric=tuple(fabric_spec),
-        profile_guided=profile_guided,
-    )
-
-
 # -- sweep jobs -------------------------------------------------------------
 
 
@@ -279,22 +181,43 @@ def run_point(
     compiled: CompiledKernel,
     **options,
 ) -> RunResult:
-    """Simulate ``spec`` on its compiled kernel (``options`` pass through
-    to :func:`run_config`).
+    """Simulate ``spec`` on its compiled kernel and validate the output.
 
     ``spec.divider=None`` runs at the divider the routed design achieved,
     never below :data:`PAPER_DIVIDER` — so a congested design pays in
-    fabric frequency, the Fig. 16 mechanism.
+    fabric frequency, the Fig. 16 mechanism. ``options``
+    (``checkpoint``/``resume_from``/``resume_policy``) pass through to
+    :func:`repro.sim.engine.simulate` (see :mod:`repro.sim.snapshot`).
     """
     divider = spec.divider
     if divider is None:
         divider = max(PAPER_DIVIDER, compiled.timing.clock_divider)
-    run = run_config(
-        instance, compiled, spec.config, spec.arch, divider, **options
+    start = time.perf_counter()
+    result = simulate(
+        compiled,
+        instance.params,
+        instance.arrays,
+        spec.arch,
+        frontend_factory=spec.config.frontend_factory(divider),
+        divider=divider,
+        **options,
     )
-    run.pnr_seed = spec.pnr_seed
-    run.profile = compiled.meta.get("profile")
-    return run
+    wall = time.perf_counter() - start
+    instance.check(result.memory)
+    return RunResult(
+        workload=instance.name,
+        config=spec.config.name,
+        cycles=result.stats.system_cycles,
+        stats=result.stats,
+        parallelism=compiled.parallelism,
+        wall_time=wall,
+        obs=result.obs,
+        pnr_seed=spec.pnr_seed,
+        pnr=compiled.pnr,
+        resume_info=result.resume_info,
+        snapshot_stats=result.snapshot_stats,
+        profile=compiled.meta.get("profile"),
+    )
 
 
 def _compile_sweep_job(spec: RunSpec, env: SweepEnv) -> None:
@@ -419,9 +342,12 @@ def run_parallel(
             workloads,
             configs,
             seeds,
-            **_shared_fields(
-                scale, arch, policy, divider, fabric_spec, profile_guided
-            ),
+            scale=scale,
+            arch=arch or ArchParams(),
+            divider=divider,
+            policy=policy.name,
+            fabric=tuple(fabric_spec),
+            profile_guided=profile_guided,
         ),
         max_workers=max_workers,
         cache_dir=cache_dir,

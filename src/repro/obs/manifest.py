@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import os
 import subprocess
 import time
 
@@ -192,9 +193,19 @@ def completed_points(path) -> set[str]:
 
 
 def append_manifest(path, record: dict) -> None:
-    """Append one record as a single JSONL line (creates the file)."""
-    with open(path, "a") as handle:
-        handle.write(json.dumps(record, sort_keys=True) + "\n")
+    """Append one record as a single JSONL line (creates the file).
+
+    A writer killed mid-append leaves a torn tail with no newline; that
+    tail is ended first, so it alone is lost and not the record after it.
+    """
+    line = (json.dumps(record, sort_keys=True) + "\n").encode()
+    with open(path, "ab+") as handle:
+        end = handle.seek(0, os.SEEK_END)
+        if end:
+            handle.seek(end - 1)
+            if handle.read(1) != b"\n":
+                line = b"\n" + line
+        handle.write(line)
 
 
 def read_manifest(path, strict: bool = True) -> list[dict]:

@@ -21,6 +21,9 @@ from repro.arch.memory import AddressMap
 from repro.sim.fmnoc_sim import MonacoFrontend
 from repro.sim.memsys import RequestRecord
 
+#: NUMA regions the LS rows (and the line-interleaved banks) split into.
+N_REGIONS = 4
+
 
 class HybridFrontend(MonacoFrontend):
     """Monaco's FM-NoC with NUMA-partitioned memory behind the ports."""
@@ -31,16 +34,14 @@ class HybridFrontend(MonacoFrontend):
         self,
         fabric: Fabric,
         address_map: AddressMap,
-        n_regions: int = 4,
         remote_cycles: int = 2,
     ):
         super().__init__(fabric)
         self.address_map = address_map
-        self.n_regions = n_regions
         self.remote_cycles = remote_cycles
         rows = fabric.ls_rows()
         self.row_region = {
-            row: index * n_regions // len(rows)
+            row: index * N_REGIONS // len(rows)
             for index, row in enumerate(rows)
         }
         self._stage: list[tuple[int, int, RequestRecord]] = []
@@ -49,7 +50,7 @@ class HybridFrontend(MonacoFrontend):
         self.remote_accesses = 0
 
     def region_of_address(self, address: int) -> int:
-        return self.address_map.line(address) % self.n_regions
+        return self.address_map.line(address) % N_REGIONS
 
     def numa_counters(self) -> dict[str, int]:
         """Locality tally for :attr:`SimStats.numa` (same accessor as
@@ -92,7 +93,7 @@ class HybridFrontend(MonacoFrontend):
         (``row_region`` is a pure function of these three parameters)."""
         return (
             f"monaco-numa:{self.fabric.rows}x{self.fabric.cols}"
-            f":regions={self.n_regions}:remote={self.remote_cycles}"
+            f":regions={N_REGIONS}:remote={self.remote_cycles}"
         )
 
     def state_dict(self) -> dict:

@@ -193,7 +193,7 @@ class MemorySystem:
         record.enqueue_cycle = now
 
     def tick(self, now: int) -> None:
-        """Serve up to ``bank_throughput`` requests per bank this cycle.
+        """Serve one request per busy bank this cycle.
 
         Drains the busy-bank heap in ascending index order — identical
         service order to the full-scan loop it replaces (the engine only
@@ -205,17 +205,12 @@ class MemorySystem:
         if not busy:
             return
         queues = self.bank_queues
-        throughput = self.params.bank_throughput
         still_busy: list[int] = []
         while busy:
             bank = heapq.heappop(busy)
             queue = queues[bank]
-            for _ in range(throughput):
-                if not queue:
-                    break
-                record = queue.popleft()
-                self._queued -= 1
-                self._serve(record, now)
+            self._queued -= 1
+            self._serve(queue.popleft(), now)
             if queue:
                 still_busy.append(bank)
         busy.extend(still_busy)

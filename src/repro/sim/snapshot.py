@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import os
 import pickle
 import signal
@@ -380,7 +379,7 @@ class Checkpointer:
     def _journal(self, meta: dict) -> None:
         if self.config.journal_path is None:
             return
-        from repro.obs.manifest import MANIFEST_SCHEMA
+        from repro.obs.manifest import MANIFEST_SCHEMA, append_manifest
 
         record = {
             "schema": MANIFEST_SCHEMA,
@@ -390,8 +389,7 @@ class Checkpointer:
             "snapshot_path": self.config.path,
             **(self.config.journal_fields or {}),
         }
-        with open(self.config.journal_path, "a") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+        append_manifest(self.config.journal_path, record)
 
     def finish(self) -> None:
         """Clean completion: the run no longer needs its snapshot."""

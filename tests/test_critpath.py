@@ -33,7 +33,8 @@ from repro.core.criticality import (
 )
 from repro.core.policy import EFFCC
 from repro.exp.configs import MONACO, upea
-from repro.exp.runner import compile_cached, run_config, run_parallel
+from repro.exp.runner import compile_cached, run_parallel, run_point
+from repro.exp.spec import RunSpec
 from repro.obs import CATEGORIES, ROLLUP, ROLLUP_ORDER
 from repro.obs.manifest import read_manifest, stable_view
 from repro.obs.sinks import CycleAttribution, FmnocHeatmap, NocHeatmap
@@ -53,7 +54,8 @@ def _run(name, config=MONACO, arch=None, seed=0):
     compiled = compile_cached(
         instance, monaco(12, 12), arch, policy=EFFCC, seed=seed
     )
-    return compiled, run_config(instance, compiled, config, arch)
+    spec = RunSpec(name, config, scale=SCALE, seed=seed, arch=arch)
+    return compiled, run_point(spec, instance, compiled)
 
 
 # -- detached purity + the sum invariant, all workloads ---------------------
@@ -71,7 +73,7 @@ class TestAttachedVsDetached:
 
         # Attached: recorder present, stats bit-identical (critpath is
         # compare-excluded, like executed_cycles), outputs were verified
-        # by run_config on both runs.
+        # by run_point on both runs.
         recorder = on.obs.critpath
         assert recorder is not None
         assert on.stats == off.stats

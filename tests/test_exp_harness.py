@@ -20,7 +20,8 @@ from repro.exp.figures import (
     run_figures,
 )
 from repro.exp.report import format_figure
-from repro.exp.runner import run_workload_on_configs
+from repro.exp.resilient import run_resilient
+from repro.exp.spec import sweep_specs
 from repro.exp.tables import PAPER_TABLE1, format_table1, table1
 
 TINY = Grid(scale="tiny")
@@ -71,11 +72,13 @@ class TestCache:
 
 class TestRunner:
     def test_run_workload_on_configs(self):
-        runs = run_workload_on_configs(
-            "spmspv", [ideal(), MONACO], scale="tiny"
+        outcome = run_resilient(
+            sweep_specs(["spmspv"], [ideal(), MONACO], scale="tiny"),
+            max_workers=1,
         )
-        assert set(runs) == {"ideal", "monaco"}
-        for run in runs.values():
+        runs = outcome.results.values()
+        assert {run.config for run in runs} == {"ideal", "monaco"}
+        for run in runs:
             assert run.cycles > 0
             assert run.workload == "spmspv"
 
@@ -137,7 +140,9 @@ class TestReporting:
 
 def test_arch_params_plumbed_through():
     arch = ArchParams(noc_tracks=5)
-    runs = run_workload_on_configs(
-        "dmv", [MONACO], scale="tiny", arch=arch
+    outcome = run_resilient(
+        sweep_specs(["dmv"], [MONACO], scale="tiny", arch=arch),
+        max_workers=1,
     )
-    assert runs["monaco"].cycles > 0
+    (run,) = outcome.results.values()
+    assert run.cycles > 0

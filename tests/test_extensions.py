@@ -90,7 +90,7 @@ class TestHybridFrontend:
 
         fabric = monaco(12, 12)
         amap = AddressMap({"a": 64}, MemoryParams())
-        fe = HybridFrontend(fabric, amap, n_regions=4)
+        fe = HybridFrontend(fabric, amap)
         rows = fabric.ls_rows()
         regions = [fe.row_region[r] for r in rows]
         assert regions == sorted(regions)  # spatial, not random

@@ -23,7 +23,8 @@ from repro.arch.params import ArchParams, FaultParams, SimParams
 from repro.core.policy import EFFCC
 from repro.errors import ArchError, DeadlockError, SimulationError
 from repro.exp.configs import MONACO, upea
-from repro.exp.runner import compile_cached, run_config
+from repro.exp.runner import compile_cached, run_point
+from repro.exp.spec import RunSpec
 from repro.sim.faults import FaultInjector, make_injector
 from repro.workloads.registry import make_workload
 
@@ -38,7 +39,8 @@ def _run(name, config, arch, scale="tiny", seed=0):
     compiled = compile_cached(
         instance, monaco(12, 12), arch, policy=EFFCC, seed=seed
     )
-    return run_config(instance, compiled, config, arch)
+    spec = RunSpec(name, config, scale=scale, seed=seed, arch=arch)
+    return run_point(spec, instance, compiled)
 
 
 # -- params -----------------------------------------------------------------
@@ -114,7 +116,7 @@ def test_jitter_degrades_but_stays_correct():
         MONACO,
         _arch_with(FaultParams(seed=1, mem_delay_prob=0.5, mem_delay_cycles=32)),
     )
-    # run_config validated both outputs; jitter only costs cycles.
+    # run_point validated both outputs; jitter only costs cycles.
     assert noisy.cycles > clean.cycles
 
 

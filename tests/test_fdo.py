@@ -23,9 +23,10 @@ from repro.arch.fabric import monaco
 from repro.arch.params import ArchParams
 from repro.core.policy import EFFCC, PlacementPolicy
 from repro.exp.cache import GLOBAL_CACHE
+from repro.exp.configs import MONACO
 from repro.exp.fdo import FdoRound, blame_to_weights, run_fdo
 from repro.exp.runner import compile_cached
-from repro.exp.spec import weight_map_digest
+from repro.exp.spec import RunSpec, weight_map_digest
 from repro.obs.critpath import blame_shares
 from repro.pnr.flow import compile_once
 from repro.pnr.netlist import build_netlist
@@ -193,12 +194,17 @@ def test_weight_map_digest_is_order_insensitive():
 # -- the feedback loop ---------------------------------------------------
 
 
+def _spec(workload: str) -> RunSpec:
+    """``workload``'s tiny Monaco point, the loop's round 0."""
+    return RunSpec(workload, MONACO, scale="tiny")
+
+
 def test_fdo_round_journal_is_deterministic_cold_vs_warm():
     """Byte-identical journals from a cold and a warm compile cache."""
     GLOBAL_CACHE.clear()
     journals, misses = [], []
     for _ in range(2):
-        res = run_fdo("spmspv", rounds=2, scale="tiny")
+        res = run_fdo(_spec("spmspv"), rounds=2)
         journals.append(
             json.dumps(res.to_dict(), sort_keys=True).encode()
         )
@@ -212,7 +218,7 @@ def test_fdo_improves_spmv_with_class_c_recall_miss():
     """spmv@tiny is a static recall miss — class-C nodes carry ~4% of
     the measured makespan each — and the loop beats static EFFCC."""
     GLOBAL_CACHE.clear()
-    res = run_fdo("spmv", rounds=2, scale="tiny")
+    res = run_fdo(_spec("spmv"), rounds=2)
     round0 = res.rounds[0]
     assert round0.next_weights, "round 0 must propose weights"
     # Recall-miss evidence, from the journal itself: some node the
@@ -244,7 +250,7 @@ def test_fdo_improves_spmv_with_class_c_recall_miss():
 
 def test_fdo_pins_parallelism_across_rounds():
     GLOBAL_CACHE.clear()
-    res = run_fdo("dmv", rounds=2, scale="tiny")
+    res = run_fdo(_spec("dmv"), rounds=2)
     degrees = {r.parallelism for r in res.rounds}
     assert len(degrees) == 1
 
@@ -268,7 +274,7 @@ def test_fdo_round_record_has_no_volatile_fields():
 def test_fdo_manifest_journal_matches_result(tmp_path):
     GLOBAL_CACHE.clear()
     path = tmp_path / "fdo.jsonl"
-    res = run_fdo("spmspv", rounds=1, scale="tiny", manifest_path=path)
+    res = run_fdo(_spec("spmspv"), rounds=1, manifest_path=path)
     lines = path.read_text().strip().splitlines()
     assert len(lines) == len(res.rounds)
     for line, rnd in zip(lines, res.rounds):

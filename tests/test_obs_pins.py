@@ -44,7 +44,8 @@ from test_engine_hot import FAULTS, compiled_for
 
 from repro.arch.params import ArchParams, SimParams
 from repro.exp.configs import MONACO, numa, upea
-from repro.exp.runner import run_config
+from repro.exp.runner import run_point
+from repro.exp.spec import RunSpec
 from repro.workloads.registry import ALL_WORKLOADS
 
 DIGEST_PATH = pathlib.Path(__file__).parent / "data" / "obs_digests.json"
@@ -74,7 +75,9 @@ POINTS = [
 def probed_run(name: str, config: str, trace_path=None, **sim_kwargs):
     instance, compiled = compiled_for(name)
     sim = SimParams(trace_path=trace_path, **sim_kwargs)
-    return run_config(instance, compiled, CONFIGS[config], ArchParams(sim=sim))
+    arch = ArchParams(sim=sim)
+    spec = RunSpec(name, CONFIGS[config], scale="tiny", arch=arch)
+    return run_point(spec, instance, compiled)
 
 
 def _sha(payload) -> str:

@@ -21,7 +21,9 @@ import pytest
 from repro.arch.fabric import monaco
 from repro.arch.params import ArchParams, SimParams
 from repro.exp.configs import MONACO, hybrid, numa, upea
-from repro.exp.runner import run_config, run_parallel, run_workload_on_configs
+from repro.exp.resilient import run_resilient
+from repro.exp.runner import run_parallel, run_point
+from repro.exp.spec import RunSpec, sweep_specs
 from repro.obs.events import FIRE, STALL_KINDS, TICK_KINDS, EventBus
 from repro.obs.manifest import (
     MANIFEST_SCHEMA,
@@ -48,8 +50,8 @@ def _compile(arch):
 
 
 def _run(arch, config=MONACO):
-    instance, compiled = _compile(arch)
-    return run_config(instance, compiled, config, arch)
+    spec = RunSpec(WORKLOAD, config, scale=SCALE, arch=arch)
+    return run_point(spec, *_compile(arch))
 
 
 class TestZeroOverheadOff:
@@ -161,8 +163,10 @@ class TestChromeTraceSchema:
 class TestManifests:
     def test_serial_manifest_records(self, tmp_path):
         path = tmp_path / "manifest.jsonl"
-        run_workload_on_configs(
-            WORKLOAD, [upea(2), MONACO], scale=SCALE, manifest_path=path
+        run_resilient(
+            sweep_specs([WORKLOAD], [upea(2), MONACO], scale=SCALE),
+            max_workers=1,
+            manifest_path=path,
         )
         records = read_manifest(path)
         assert [r["config"] for r in records] == ["upea2", "monaco"]
@@ -266,8 +270,10 @@ class TestNumaAndEnergyReporting:
         first = tmp_path / "first.jsonl"
         second = tmp_path / "second.jsonl"
         for path in (first, second):
-            run_workload_on_configs(
-                WORKLOAD, [upea(2), MONACO], scale=SCALE, manifest_path=path
+            run_resilient(
+                sweep_specs([WORKLOAD], [upea(2), MONACO], scale=SCALE),
+                max_workers=1,
+                manifest_path=path,
             )
         records = read_manifest(first)
         for record in records:

@@ -10,21 +10,26 @@ process state.
 from __future__ import annotations
 
 import pickle
+from pathlib import Path
 
 import pytest
 
 from repro.arch.fabric import monaco
 from repro.arch.params import ArchParams
 from repro.core.policy import EFFCC
-from repro.exp.cache import CACHE_SCHEMA_VERSION, CompileCache
+from repro.exp.cache import (
+    CACHE_SCHEMA_VERSION,
+    CompileCache,
+    default_cache_dir,
+)
 from repro.exp.configs import MONACO, upea
 from repro.exp.runner import (
     PAPER_DIVIDER,
     _compile_sweep_job,
     _run_sweep_job,
-    run_config,
+    compile_point,
     run_parallel,
-    run_workload_on_configs,
+    run_point,
 )
 from repro.exp.spec import RunSpec, SweepEnv, sweep_specs
 from repro.pnr.flow import compile_once
@@ -37,16 +42,11 @@ SEEDS = (0, 1)
 
 
 def serial_reference():
-    """The ground truth: each point run by the plain serial helpers."""
-    reference = {}
-    for seed in SEEDS:
-        for name in WORKLOADS:
-            runs = run_workload_on_configs(
-                name, CONFIGS, scale="tiny", seed=seed
-            )
-            for config_name, run in runs.items():
-                reference[(name, config_name, seed)] = run
-    return reference
+    """The ground truth: each point compiled and run in-process."""
+    return {
+        spec.key: run_point(spec, *compile_point(spec))
+        for spec in sweep_specs(WORKLOADS, CONFIGS, SEEDS, scale="tiny")
+    }
 
 
 @pytest.fixture(scope="module")
@@ -226,8 +226,9 @@ class TestDiskCache:
 
         # The disk copy simulates bit-identically to the original.
         instance = make_workload("spmspv", scale="tiny")
-        a = run_config(instance, first, MONACO, ArchParams())
-        b = run_config(instance, second, MONACO, ArchParams())
+        spec = RunSpec("spmspv", MONACO, scale="tiny")
+        a = run_point(spec, instance, first)
+        b = run_point(spec, instance, second)
         assert a.cycles == b.cycles and a.stats == b.stats
 
     def test_torn_entry_recompiles(self, tmp_path):
@@ -342,6 +343,17 @@ class TestCacheMaintenance:
         fresh = CompileCache(tmp_path)
         assert fresh._disk_load(("k", 0)) is None
         assert not path.exists()
+
+
+def test_empty_xdg_cache_home_means_unset(monkeypatch):
+    """XDG_CACHE_HOME="" must not root the cache in the working dir."""
+    monkeypatch.delenv("REPRO_COMPILE_CACHE", raising=False)
+    monkeypatch.setenv("HOME", "/home/someone")
+    monkeypatch.setenv("XDG_CACHE_HOME", "")
+    expected = Path("/home/someone/.cache/repro-nupea/compiled")
+    assert default_cache_dir() == expected
+    monkeypatch.setenv("XDG_CACHE_HOME", "/xdg")
+    assert default_cache_dir() == Path("/xdg/repro-nupea/compiled")
 
 
 def test_sweep_job_attaches_requested_cache_dir(tmp_path, monkeypatch):

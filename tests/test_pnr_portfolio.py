@@ -23,7 +23,7 @@ from repro.core.policy import DOMAIN_AWARE, EFFCC
 from repro.dfg.lower import lower_kernel
 from repro.errors import PnRError, RoutingError
 from repro.exp.configs import MONACO
-from repro.exp.runner import compile_cached, run_config
+from repro.exp.runner import compile_cached, run_point
 from repro.exp.spec import RunSpec
 from repro.ir.transform import parallelize
 from repro.obs.manifest import build_manifest, stable_view
@@ -223,7 +223,7 @@ def test_manifest_carries_pnr_and_stable_view_drops_it():
     compiled = compile_cached(
         instance, monaco(12, 12), arch, parallelism=1, seed=0
     )
-    run = run_config(instance, compiled, MONACO, arch)
+    run = run_point(RunSpec("dmv", MONACO, scale="tiny"), instance, compiled)
     record = build_manifest(
         run, RunSpec("dmv", MONACO, scale="tiny", divider=4)
     )

@@ -33,15 +33,18 @@ from repro.errors import (
 from repro.exp.configs import MONACO, upea
 from repro.exp.resilient import (
     PNR_SEED_STRIDE,
-    FailureRecord,
     SweepPolicy,
     call_with_timeout,
     classify_failure,
     run_resilient,
 )
-from repro.exp.runner import _run_sweep_job, run_workload_on_configs
+from repro.exp.runner import _run_sweep_job
 from repro.exp.spec import sweep_specs
-from repro.obs.manifest import completed_points, read_manifest
+from repro.obs.manifest import (
+    append_manifest,
+    completed_points,
+    read_manifest,
+)
 
 CONFIGS = [MONACO, upea(2)]
 
@@ -616,11 +619,23 @@ def test_resume_survives_a_torn_final_line(tmp_path):
         read_manifest(manifest, strict=True)
 
 
-# -- run_workload_on_configs supervision ------------------------------------
+def test_append_after_a_torn_tail_keeps_the_new_record(tmp_path):
+    """The record appended after a killed writer's torn line survives."""
+    manifest = tmp_path / "journal.jsonl"
+    manifest.write_text('{"schema": 1, "sta')  # killed mid-append
+    record = {"schema": 1, "status": "ok"}
+    append_manifest(manifest, record)
+    assert read_manifest(manifest, strict=False) == [record]
+    append_manifest(manifest, record)
+    assert read_manifest(manifest, strict=False) == [record, record]
+
+
+# -- in-process supervision -------------------------------------------------
 
 
 def test_run_workload_on_configs_supervised(tmp_path):
-    """The serial helper honors the same policy surface as the sweep."""
+    """A one-workload in-process sweep honors the same policy surface as
+    the pooled one."""
     from dataclasses import replace
 
     from repro.arch.params import ArchParams, FaultParams
@@ -629,19 +644,15 @@ def test_run_workload_on_configs_supervised(tmp_path):
     arch = replace(
         arch, sim=replace(arch.sim, faults=FaultParams(mem_drop_prob=1.0))
     )
-    failures: list[FailureRecord] = []
     manifest = tmp_path / "man.jsonl"
-    results = run_workload_on_configs(
-        "spmspv",
-        CONFIGS,
-        scale="tiny",
-        arch=arch,
+    outcome = run_resilient(
+        _specs(["spmspv"], arch=arch),
+        max_workers=1,
         manifest_path=manifest,
         sweep_policy=SweepPolicy(on_failure="skip"),
-        failures=failures,
     )
-    assert results == {}
-    assert [f.kind for f in failures] == ["deadlock", "deadlock"]
+    assert outcome.results == {}
+    assert [f.kind for f in outcome.failures] == ["deadlock", "deadlock"]
     records = read_manifest(manifest)
     assert all(r["status"] == "failed" for r in records)
     assert all(r["faults"] == "seed=0,mem-drop=1.0" for r in records)

@@ -392,6 +392,25 @@ class TestRejection:
         assert _digest(fresh) == _digest(full)
         assert not os.path.exists(path)
 
+    def test_journal_after_a_torn_tail_keeps_every_write(self, tmp_path):
+        """A killed writer's torn journal line costs only itself: the
+        checkpointer's next record is not glued onto it."""
+        journal = tmp_path / "journal.jsonl"
+        journal.write_text('{"schema": 4, "sta')  # killed mid-append
+        result = _simulate(
+            "dmv",
+            ArchParams(),
+            checkpoint=CheckpointConfig(
+                path=str(tmp_path / "run.snap"),
+                every_cycles=100,
+                journal_path=str(journal),
+            ),
+        )
+        writes = result.snapshot_stats["writes"]
+        assert writes > 0
+        records = read_manifest(journal, strict=False)
+        assert [r["status"] for r in records] == ["snapshot"] * writes
+
     def test_foreign_file_refused(self, tmp_path):
         path = str(tmp_path / "foreign.snap")
         with open(path, "wb") as handle:
