@@ -22,10 +22,11 @@ guards the compiler's output with a fifth:
 * :mod:`repro.check.fuzz` — a **seeded random kernel generator** and
   shrinker behind ``repro check --fuzz N --seed S``, writing minimal
   reproducers to a corpus directory;
-* :mod:`repro.check.pnr` — an **independent routing verifier**
-  (:func:`verify_routing`): per-net trees, hop counts, channel occupancy
-  and the clock divider re-derived from a compiled artifact with no
-  code shared with the router or static timing.
+* :mod:`repro.check.pnr` — an **independent PnR verifier**
+  (:func:`verify_placement`, :func:`verify_routing`): placement legality,
+  per-net trees, hop counts, channel occupancy and the clock divider
+  re-derived from a compiled artifact with no code shared with the
+  placer, the router or static timing.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from repro.check.oracle import (
     check_workload,
     run_conformance,
 )
-from repro.check.pnr import PnRVerifyError, verify_routing
+from repro.check.pnr import PnRVerifyError, verify_placement, verify_routing
 
 __all__ = [
     "ConformanceReport",
@@ -57,5 +58,6 @@ __all__ = [
     "lint_dfg",
     "lint_strict",
     "run_conformance",
+    "verify_placement",
     "verify_routing",
 ]

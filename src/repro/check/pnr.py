@@ -1,29 +1,31 @@
-"""Independent verifier of routed PnR output (``repro.check.pnr``).
+"""Independent verifier of placed and routed PnR (``repro.check.pnr``).
 
-The router and static timing are guarded by equivalence tests — fast path
-against reference path — which are blind to anything both share. This
-module re-derives what a routed :class:`~repro.pnr.result.CompiledKernel`
-claims from the artifact alone and shares no code with ``pnr/route.py``,
+The placer, the router and static timing are guarded by equivalence
+tests — fast path against reference path — which are blind to anything
+both share. This module re-derives what a routed
+:class:`~repro.pnr.result.CompiledKernel` claims from the artifact alone
+and shares no code with ``pnr/place.py``, ``pnr/route.py``,
 ``pnr/timing.py`` or the channel graphs of ``arch/noc.py``: a channel key
 ``((x, y), (x, y), kind)`` says where it runs and how much wire it is,
 ``ArchParams`` says how many nets a kind may carry, and the DFG's netlist
 says which cells a net must join.
 
-:func:`verify_routing` checks, per net, that its channels form a tree
-rooted at the source's cell — no cell entered twice, no channel the root
-does not reach — touching every sink's cell, and that ``sink_hops`` is
-the wire summed along that tree; per channel, that occupancy is within
-capacity under the architecture's ``noc_model``; and that ``max_hops``,
-the path delay and ``clock_divider`` follow from the hops. A wrong
-artifact is refused by a typed error naming the net, channel or field.
-The errors derive from :class:`~repro.errors.PnRVerifyError`, which the
-placer's and router's ``check`` modes raise as well, and which is not a
+:func:`verify_placement` checks that exactly the DFG's nodes are placed,
+one per PE, each on a PE that supports its op, memory ops on LS PEs (a
+node's NUPEA domain is read off its PE, so no placement can disagree
+with it). :func:`verify_routing` checks, per net, that its channels form
+a tree rooted at the source's cell — no cell entered twice, no channel
+the root does not reach — touching every sink's cell, and that
+``sink_hops`` is the wire summed along that tree; per channel, that
+occupancy is within capacity under the architecture's ``noc_model``; and
+that ``max_hops``, the path delay and ``clock_divider`` follow from the
+hops. A wrong artifact is refused by a
+typed error naming the node, net, channel or field. The errors derive
+from :class:`~repro.errors.PnRVerifyError`, which the placer's and
+router's ``check`` modes raise as well, and which is not a
 :class:`~repro.errors.PnRError`: the parallelism search reads that as
 "does not fit" and backs off, which would hide a wrong artifact behind a
 smaller right one.
-
-Placement legality (one node per slot, ``PE.supports``, domain
-constraints) is not checked here yet; see ROADMAP item 1.
 """
 
 from __future__ import annotations
@@ -33,6 +35,22 @@ import math
 from repro.arch.params import ArchParams
 from repro.errors import PnRVerifyError
 from repro.pnr.netlist import build_netlist
+
+
+class PlacementCoverageError(PnRVerifyError):
+    """The placement places a node the DFG lacks, or misses one it has."""
+
+
+class SlotConflictError(PnRVerifyError):
+    """Two nodes share one PE, or a node sits where the fabric has none."""
+
+
+class UnsupportedOpError(PnRVerifyError):
+    """A node sits on a PE that cannot execute its op."""
+
+
+class LoadStorePlacementError(PnRVerifyError):
+    """A memory op sits off the fabric's load-store PEs."""
 
 
 class NetTreeError(PnRVerifyError):
@@ -109,6 +127,37 @@ def _tree_depths(index, root, channels, capacities, fabric) -> dict:
                 net=index, channel=channel,
             )
     return depth
+
+
+def verify_placement(compiled, arch: ArchParams) -> None:
+    """Raise a :class:`PnRVerifyError` unless ``compiled``'s placement is
+    legal for its DFG on its fabric (``arch`` is unused, kept for
+    symmetry with :func:`verify_routing`: no knob constrains a placement)."""
+    dfg, placement, fabric = compiled.dfg, compiled.placement, compiled.fabric
+    if set(placement) != set(dfg.nodes):
+        odd = sorted(set(placement) ^ set(dfg.nodes))[0]
+        what = "placed, but not in the DFG" if odd in placement else "unplaced"
+        raise PlacementCoverageError(f"node {odd}: {what}", node=odd)
+    holder: dict = {}
+    for nid in sorted(placement):
+        slot, node = placement[nid], dfg.nodes[nid]
+        pe = fabric.pes.get(slot)
+        if pe is None or slot in holder:
+            held = f"node {holder[slot]}" if slot in holder else "no PE"
+            raise SlotConflictError(
+                f"node {nid}: slot {slot} holds {held}", node=nid
+            )
+        holder[slot] = nid
+        if node.is_memory() and not pe.is_ls:
+            raise LoadStorePlacementError(
+                f"node {nid}: {node.op} on {pe.label()}, not an LS PE",
+                node=nid,
+            )
+        if not pe.supports(node.op):
+            raise UnsupportedOpError(
+                f"node {nid}: {pe.label()} does not support {node.op}",
+                node=nid,
+            )
 
 
 def verify_routing(compiled, arch: ArchParams) -> None:

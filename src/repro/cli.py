@@ -5,36 +5,34 @@ Commands:
 * ``workloads`` — list the Table 1 applications;
 * ``fabric`` — draw a fabric topology with its NUPEA domains;
 * ``run`` — compile and simulate one workload on one configuration;
-* ``profile`` — run with cycle-attribution tracing and print the stall
-  taxonomy tables, latency percentiles, and traffic heatmaps;
-* ``critpath`` — run with the dynamic critical-path profiler and print
-  cycle-exact blame attribution (segment costs sum to ``system_cycles``),
-  dynamic criticality and slack per load; ``--validate`` scores the
-  static class-A/B heuristic against measured criticality on every
-  Table 1 workload;
-* ``trace`` — run with tracing and export a Chrome ``trace_event`` JSON
-  (load it in Perfetto / ``chrome://tracing``);
+  its probe switches print the stall tables and traffic heatmaps
+  (``--trace``), a Chrome ``trace_event`` JSON (``--trace-path``) and the
+  cycle-exact critical-path blame with slack per load (``--critpath``);
 * ``fdo`` — feedback-directed placement: iterate compile -> profiled
   run -> per-node blame -> reweighted PnR until the weight map or the
   makespan converges (see :mod:`repro.exp.fdo`);
-* ``figure`` — regenerate one reproduced table (a paper figure, Table
-  1, the LS-PE placement DSE, an ablation, the energy breakdown, the
-  hybrid extension: every entry of :data:`repro.exp.figures.FIGURES`)
-  and print the paper's claims about it; ``figure all --out DIR``
-  writes one ``NAME.txt`` per entry plus ``fidelity.json`` and exits
-  non-zero when a claim fails on the full default grid;
+* ``figure`` — regenerate one reproduced table (every entry of
+  :data:`repro.exp.figures.FIGURES`: the paper's figures, Table 1, the
+  LS-PE placement DSE, the criticality check, the ablations, energy, the
+  hybrid extension) and print the paper's claims about it; ``figure all
+  --out DIR`` writes ``NAME.txt`` per entry plus ``fidelity.json`` and
+  exits non-zero when a claim fails on the full default grid;
 * ``sweep`` — run a (workload x config x seed) sweep, optionally across
   worker processes sharing a persistent compile cache; supervised by
   the resilient sweep layer (``--timeout/--retries/--on-failure``),
   checkpointed to the manifest journal (``--resume``), and able to
   inject deterministic faults (``--fault-*``);
 * ``cache`` — inspect, clear, or LRU-prune the persistent compile cache;
-* ``check`` — cross-layer conformance: run the three-way differential
+* ``regions`` — split a workload too large for the fabric into
+  bitstream regions, then run them in sequence;
+* ``check`` — cross-layer conformance: the three-way differential
   oracle (IR interpreter vs. DFG token interpreter vs. cycle-level
-  simulator, with the static lint pass and runtime invariant checkers
-  armed) over Table 1 workloads, and/or fuzz random kernels
-  (``--fuzz N --seed S``), shrinking any divergence to a minimal JSON
-  reproducer in the corpus directory.
+  simulator, lint pass and invariant checkers armed) over Table 1
+  workloads, and/or ``--fuzz N --seed S`` random kernels, each
+  divergence shrunk to a minimal JSON reproducer in the corpus directory.
+
+An unknown name or an out-of-range value exits 2 with a usage line
+before anything compiles.
 """
 
 from __future__ import annotations
@@ -46,9 +44,10 @@ import shlex
 import sys
 
 from repro.arch.fabric import TOPOLOGIES, build_fabric
-from repro.arch.params import ArchParams, SimParams
+from repro.arch.params import ArchParams, FaultParams, SimParams
 from repro.core.criticality import format_report
 from repro.core.policy import POLICIES
+from repro.errors import ReproError, SimulationPreempted
 from repro.exp.configs import MONACO, ideal, numa, upea
 from repro.exp.figures import FIGURES, Grid, run_figures
 from repro.exp.report import fidelity_record, format_claim, format_figure
@@ -57,24 +56,46 @@ from repro.exp.spec import RunSpec, sweep_specs
 from repro.exp.tables import table1
 from repro.pnr.viz import fabric_map, placement_map
 from repro.sim.energy import estimate_energy
-from repro.workloads.registry import ALL_WORKLOADS, make_workload
+from repro.workloads.registry import ALL_WORKLOADS, SCALES, make_workload
 
 
 def _config_for(name: str):
+    """``--config`` / ``--configs``: a machine config by name."""
     if name == "monaco":
         return MONACO
     if name == "ideal":
         return ideal()
-    try:
-        if name.startswith("upea"):
-            return upea(int(name[4:] or 2))
-        if name.startswith("numa"):
-            return numa(int(name.rsplit("a", 1)[-1] or 2))
-    except ValueError:
-        pass
-    raise SystemExit(
-        f"unknown config {name!r}; use monaco | ideal | upeaN | numaN"
+    make, delay = {
+        "upea": (upea, name[4:]),
+        "numa": (numa, name.rsplit("a", 1)[-1]),
+    }.get(name[:4], (None, "-"))
+    if make is not None and (delay == "" or delay.isdecimal()):
+        return make(int(delay or 2))
+    raise argparse.ArgumentTypeError(
+        f"unknown config {name!r}: monaco | ideal | upeaN | numaN (N >= 0)"
     )
+
+
+def _at_least(floor: int):
+    """An argparse ``type=``: an int no smaller than ``floor``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"{text} is below {floor}")
+        return value
+
+    parse.__name__ = "int"  # argparse's "invalid int value"
+    return parse
+
+
+def _setting(make, **fields):
+    """``make(**fields)``: a value its own validation refuses exits 2
+    with a usage line (see :func:`main`)."""
+    try:
+        return make(**fields)
+    except ReproError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 #: The options of the shared sim-argument block, in declaration order.
@@ -83,16 +104,14 @@ _SIM_OPTIONS = (
 )
 
 
-def _add_sim_args(p, **workload_kwargs) -> None:
+def _add_sim_args(p) -> None:
     """The argument block every compile-and-simulate command shares
     (read back by :func:`_spec_from_args`; its options are
     :data:`_SIM_OPTIONS`)."""
+    p.add_argument("workload", choices=sorted(ALL_WORKLOADS))
+    p.add_argument("--scale", choices=SCALES, default="small")
     p.add_argument(
-        "workload", choices=sorted(ALL_WORKLOADS), **workload_kwargs
-    )
-    p.add_argument("--scale", default="small")
-    p.add_argument(
-        "--config", default="monaco",
+        "--config", type=_config_for, default="monaco",
         help="monaco | ideal | upeaN | numaN (default: monaco)",
     )
     p.add_argument("--policy", choices=sorted(POLICIES), default="effcc")
@@ -161,62 +180,33 @@ def build_parser() -> argparse.ArgumentParser:
         "(see repro.core.profile)",
     )
 
-    p_profile = sub.add_parser(
-        "profile",
-        help="simulate with cycle-attribution tracing and print the "
-        "stall-taxonomy tables and traffic heatmaps",
+    probes = p_run.add_argument_group(
+        "probes", "a probe only listens: the simulated numbers do not move"
     )
-    _add_sim_args(p_profile)
-    p_profile.add_argument(
-        "--top", type=int, default=20,
-        help="rows of the per-node attribution table (default 20)",
+    probes.add_argument(
+        "--trace", action="store_true",
+        help="print the cycle-attribution table and the traffic heatmaps",
     )
-    p_profile.add_argument(
+    probes.add_argument(
         "--by-class", action="store_true",
-        help="also fold the per-node stall buckets into criticality-"
-        "class totals (A / B / C / non-mem)",
+        help="--trace, with the stall buckets also folded per criticality "
+        "class (A / B / C / non-mem)",
     )
-    p_profile.add_argument(
-        "--stats-json", default=None, metavar="PATH",
-        help="also write the run's SimStats as machine-readable JSON",
+    probes.add_argument(
+        "--trace-path", metavar="PATH",
+        help="write a Chrome trace_event JSON (Perfetto) there",
     )
-
-    p_crit = sub.add_parser(
-        "critpath",
-        help="simulate with the dynamic critical-path profiler and "
-        "print cycle-exact blame attribution (costs sum to "
-        "system_cycles); --validate scores the static class-A/B "
-        "heuristic against measured criticality on every workload",
+    probes.add_argument(
+        "--critpath", action="store_true",
+        help="print the critical-path blame and the critical memory nodes",
     )
-    _add_sim_args(p_crit, nargs="?")
-    p_crit.add_argument(
-        "--top", type=int, default=10,
-        help="rows of the critical-memory-node table (default 10)",
+    probes.add_argument(
+        "--critpath-json", metavar="PATH",
+        help="write the full critical-path report as JSON",
     )
-    p_crit.add_argument(
-        "--validate", action="store_true",
-        help="run every Table 1 workload and print the static-vs-"
-        "dynamic precision/recall table",
-    )
-    p_crit.add_argument(
-        "--threshold", type=float, default=0.01,
-        help="dynamic-criticality threshold for --validate and the "
-        "per-workload confusion line (default 0.01)",
-    )
-    p_crit.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="also write the full attribution report as JSON",
-    )
-
-    p_trace = sub.add_parser(
-        "trace",
-        help="simulate with tracing and export a Chrome trace_event "
-        "JSON (Perfetto / chrome://tracing)",
-    )
-    _add_sim_args(p_trace)
-    p_trace.add_argument(
-        "--out", default="trace.json", metavar="PATH",
-        help="where to write the trace (default: trace.json)",
+    probes.add_argument(
+        "--top", type=_at_least(1), metavar="N",
+        help="table rows (default: 20 attribution, 10 critical nodes)",
     )
 
     p_fdo = sub.add_parser(
@@ -226,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_sim_args(p_fdo)
     p_fdo.add_argument(
-        "--rounds", type=int, default=3, metavar="N",
+        "--rounds", type=_at_least(0), default=3, metavar="N",
         help="bound on feedback rounds after the static round 0 "
         "(default 3)",
     )
@@ -245,9 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
         "paper's claims about it",
     )
     p_fig.add_argument("name", choices=[*FIGURES, "all"])
-    p_fig.add_argument("--scale", default="small")
+    p_fig.add_argument("--scale", choices=SCALES, default="small")
     p_fig.add_argument(
-        "--workloads", nargs="*", default=None,
+        "--workloads", nargs="+", choices=sorted(ALL_WORKLOADS),
+        default=None, metavar="WORKLOAD",
         help="run these workloads instead of the entry's own list "
         "(claims are then printed unchecked)",
     )
@@ -271,12 +262,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="workloads to sweep (default: spmspv dmv)",
     )
     p_sweep.add_argument(
-        "--configs", nargs="*", default=["ideal", "upea2", "numa2", "monaco"],
+        "--configs", nargs="+", type=_config_for,
+        default=[ideal(), upea(2), numa(2), MONACO], metavar="CONFIG",
         help="configs: monaco | ideal | upeaN | numaN",
     )
-    p_sweep.add_argument("--scale", default="small")
+    p_sweep.add_argument("--scale", choices=SCALES, default="small")
     p_sweep.add_argument(
-        "--seeds", nargs="*", type=int, default=[0],
+        "--seeds", nargs="+", type=int, default=[0],
         help="input seeds (one run per workload x config x seed)",
     )
     p_sweep.add_argument(
@@ -394,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="split an oversized workload into bitstream regions and run",
     )
     p_regions.add_argument("workload", choices=sorted(ALL_WORKLOADS))
-    p_regions.add_argument("--scale", default="tiny")
+    p_regions.add_argument("--scale", choices=SCALES, default="tiny")
     p_regions.add_argument("--rows", type=int, default=10)
     p_regions.add_argument("--cols", type=int, default=10)
     p_regions.add_argument("--seed", type=int, default=0)
@@ -411,10 +403,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--all", action="store_true",
         help="run the three-way oracle on all Table 1 workloads",
     )
-    p_check.add_argument("--scale", default="tiny")
+    p_check.add_argument("--scale", choices=SCALES, default="tiny")
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument(
-        "--fuzz", type=int, default=None, metavar="N",
+        "--fuzz", type=_at_least(1), default=None, metavar="N",
         help="generate and oracle-check N random kernels",
     )
     p_check.add_argument(
@@ -448,15 +440,13 @@ def cmd_fabric(args) -> int:
     return 0
 
 
-def _spec_from_args(
-    args, workload: str | None = None, profile_guided: bool = False, **sim
-) -> RunSpec:
+def _spec_from_args(args, profile_guided: bool = False, **sim) -> RunSpec:
     """The point the shared sim-argument block names, at the divider its
     routed design achieves; ``sim`` are the command's own
     :class:`~repro.arch.params.SimParams` settings."""
     return RunSpec(
-        workload=workload or args.workload,
-        config=_config_for(args.config),
+        workload=args.workload,
+        config=args.config,
         scale=args.scale,
         seed=args.seed,
         arch=ArchParams(noc_tracks=args.tracks, sim=SimParams(**sim)),
@@ -465,29 +455,6 @@ def _spec_from_args(
         fabric=(args.topology, args.rows, args.cols),
         profile_guided=profile_guided,
     )
-
-
-def _compile_and_run(spec, on_compiled=None, **options):
-    """Compile ``spec`` through the cache, then simulate it (``options``
-    pass through to :func:`~repro.exp.runner.run_point`).
-
-    ``on_compiled(compiled)`` runs between the two, for output that
-    should appear before a long simulation does.
-    """
-    instance, compiled = compile_point(spec)
-    if on_compiled is not None:
-        on_compiled(compiled)
-    run = run_point(spec, instance, compiled, **options)
-    return compiled, run
-
-
-def _print_run(spec, run, stats: bool = True) -> None:
-    print(
-        f"{spec.workload} on {spec.config.name}: {run.cycles} system cycles "
-        f"(output verified)"
-    )
-    if stats:
-        print("stats:", run.stats.summary())
 
 
 def _write_json(path, payload, what: str) -> None:
@@ -504,16 +471,27 @@ def _stats_payload(stats) -> dict:
     return {**stats.to_dict(), "energy": estimate_energy(stats).to_dict()}
 
 
+#: ``repro run``'s probe switches (argparse dests).
+_PROBES = (
+    "trace", "by_class", "trace_path", "critpath", "critpath_json", "top"
+)
+
+
 def _resume_command(args, checkpoint) -> str:
     """The ``repro run`` command that continues a run preempted into
     ``checkpoint.path``: every sim argument it was given, so the resume
-    compiles the same placement and passes the snapshot's config check,
-    and its checkpointing."""
+    compiles the same placement, its probe switches, which the
+    snapshot's config check covers, and its checkpointing."""
     words = ["repro", "run", args.workload]
     for option in _SIM_OPTIONS:
-        words += [f"--{option}", str(getattr(args, option))]
-    if args.profile_guided:
-        words.append("--profile-guided")
+        value = getattr(args, option)
+        words += [f"--{option}", str(getattr(value, "name", value))]
+    for dest in ("profile_guided", *_PROBES):
+        value, flag = getattr(args, dest), "--" + dest.replace("_", "-")
+        if value is True:
+            words.append(flag)
+        elif value not in (None, False):
+            words += [flag, str(value)]
     words += [
         "--checkpoint", checkpoint.path,
         "--checkpoint-every", str(checkpoint.every_cycles),
@@ -522,51 +500,88 @@ def _resume_command(args, checkpoint) -> str:
     return shlex.join(words)
 
 
+def _print_probes(args, compiled, run) -> None:
+    """What ``run``'s probe switches ask to see of ``run``."""
+    obs = run.obs
+    if args.trace or args.by_class:
+        print()
+        print(obs.attribution.render(top=args.top or 20))
+        if args.by_class:
+            print()
+            print(obs.attribution.render_by_class())
+        attributed = sum(obs.attribution.aggregate().values())
+        n_nodes = max(1, len(obs.attribution.per_node))
+        print(
+            f"attributed {attributed // n_nodes} cycles/node over "
+            f"{n_nodes} nodes vs {run.cycles} system cycles"
+        )
+        print()
+        print(
+            obs.noc_heatmap.render(compiled.fabric.rows, compiled.fabric.cols)
+        )
+        print()
+        print(obs.fmnoc_heatmap.render())
+    if args.trace_path:
+        print(
+            f"{len(obs.chrome.events)} timeline events (+ metadata) written "
+            f"to {args.trace_path} (load in Perfetto or chrome://tracing)"
+        )
+    if args.critpath:
+        print()
+        print(obs.critpath.render(top=args.top or 10))
+    if args.critpath_json:
+        _write_json(
+            args.critpath_json, obs.critpath.report, "attribution JSON"
+        )
+
+
 def cmd_run(args) -> int:
-    from repro.errors import SimulationPreempted
     from repro.sim.snapshot import CheckpointConfig
 
-    spec = _spec_from_args(args, profile_guided=args.profile_guided)
+    spec = _spec_from_args(
+        args,
+        profile_guided=args.profile_guided,
+        trace=bool(args.trace or args.by_class or args.trace_path),
+        trace_path=args.trace_path,
+        critpath=bool(args.critpath or args.critpath_json),
+    )
     checkpoint = None
     if args.checkpoint is not None or args.checkpoint_every:
-        checkpoint = CheckpointConfig(
+        checkpoint = _setting(
+            CheckpointConfig,
             path=args.checkpoint or f"{args.workload}.snap",
             every_cycles=args.checkpoint_every,
             install_signals=True,
         )
-
-    def show(compiled) -> None:
-        print(compiled.summary())
-        profile_report = compiled.meta.get("profile")
-        if profile_report is not None:
-            promoted = profile_report.get("promoted", [])
-            demoted = profile_report.get("demoted", [])
-            print(
-                f"profile-guided: promoted {len(promoted)} node(s) C->B "
-                f"{promoted}, demoted {len(demoted)} node(s) B->C {demoted}"
-            )
-            if profile_report.get("note"):
-                print(f"profile-guided: {profile_report['note']}")
-        if compiled.pnr is not None:
-            pnr = compiled.pnr
-            print(
-                f"pnr: {pnr.total_wall_s:.2f}s compile "
-                f"({pnr.moves_per_s:,.0f} moves/s, "
-                f"{pnr.route_iterations} route iters, "
-                f"{pnr.nets_rerouted} reroutes, "
-                f"{pnr.candidates} candidates)"
-            )
-        if args.criticality:
-            print(format_report(compiled.dfg, compiled.criticality))
-        if args.map:
-            print(placement_map(compiled))
-
+    instance, compiled = compile_point(spec)
+    print(compiled.summary())
+    profile_report = compiled.meta.get("profile")
+    if profile_report is not None:
+        promoted = profile_report.get("promoted", [])
+        demoted = profile_report.get("demoted", [])
+        print(
+            f"profile-guided: promoted {len(promoted)} node(s) C->B "
+            f"{promoted}, demoted {len(demoted)} node(s) B->C {demoted}"
+        )
+        if profile_report.get("note"):
+            print(f"profile-guided: {profile_report['note']}")
+    if compiled.pnr is not None:
+        pnr = compiled.pnr
+        print(
+            f"pnr: {pnr.total_wall_s:.2f}s compile "
+            f"({pnr.moves_per_s:,.0f} moves/s, "
+            f"{pnr.route_iterations} route iters, "
+            f"{pnr.nets_rerouted} reroutes, "
+            f"{pnr.candidates} candidates)"
+        )
+    if args.criticality:
+        print(format_report(compiled.dfg, compiled.criticality))
+    if args.map:
+        print(placement_map(compiled))
     try:
-        _compiled, run = _compile_and_run(
-            spec,
-            on_compiled=show,
-            checkpoint=checkpoint,
-            resume_from=args.resume_from,
+        run = run_point(
+            spec, instance, compiled,
+            checkpoint=checkpoint, resume_from=args.resume_from,
         )
     except SimulationPreempted as exc:
         # Exit 75 (EX_TEMPFAIL): the run was preempted but left a
@@ -580,114 +595,16 @@ def cmd_run(args) -> int:
             f"resumed from {run.resume_info['snapshot']} at cycle "
             f"{run.resume_info['from_cycle']}"
         )
-    _print_run(spec, run)
+    print(
+        f"{spec.workload} on {spec.config.name}: {run.cycles} system cycles "
+        f"(output verified)"
+    )
+    print("stats:", run.stats.summary())
+    _print_probes(args, compiled, run)
     if args.energy:
         print("energy:", estimate_energy(run.stats).summary())
     if args.stats_json:
         _write_json(args.stats_json, _stats_payload(run.stats), "stats JSON")
-    return 0
-
-
-def cmd_critpath(args) -> int:
-    from repro.core.criticality import (
-        format_validation_table,
-        validate_against_dynamic,
-    )
-
-    def profiled(workload):
-        spec = _spec_from_args(args, workload, critpath=True)
-        compiled, run = _compile_and_run(spec)
-        rows = validate_against_dynamic(
-            workload,
-            compiled.criticality,
-            run.obs.critpath.dynamic_criticality(),
-            threshold=args.threshold,
-        )
-        return spec, compiled, run, rows
-
-    if args.validate:
-        rows = []
-        reports = {}
-        for name in sorted(ALL_WORKLOADS):
-            spec, _compiled, run, name_rows = profiled(name)
-            rows.extend(name_rows)
-            reports[name] = run.obs.critpath.report
-            print(
-                f"{name:12s} {run.cycles:>10d} cycles on {spec.config.name} "
-                "(output verified)"
-            )
-        print()
-        print(format_validation_table(rows, args.threshold))
-        if args.json:
-            payload = {
-                "threshold": args.threshold,
-                "rows": [
-                    {
-                        "workload": r.workload,
-                        "classes": r.classes,
-                        "predicted": r.predicted,
-                        "actual": r.actual,
-                        "true_positive": r.true_positive,
-                        "precision": r.precision,
-                        "recall": r.recall,
-                    }
-                    for r in rows
-                ],
-                "reports": reports,
-            }
-            _write_json(args.json, payload, "validation JSON")
-        return 0
-    if args.workload is None:
-        raise SystemExit("pass a workload, or --validate for all of them")
-    spec, compiled, run, rows = profiled(args.workload)
-    recorder = run.obs.critpath
-    print(compiled.summary())
-    _print_run(spec, run)
-    print()
-    print(recorder.render(top=args.top))
-    print()
-    print(format_validation_table(rows, args.threshold))
-    if args.json:
-        _write_json(args.json, recorder.report, "attribution JSON")
-    return 0
-
-
-def cmd_profile(args) -> int:
-    spec = _spec_from_args(args, trace=True)
-    compiled, run = _compile_and_run(spec)
-    print(compiled.summary())
-    _print_run(spec, run)
-    obs = run.obs
-    print()
-    print(obs.attribution.render(top=args.top))
-    if args.by_class:
-        print()
-        print(obs.attribution.render_by_class())
-    agg = obs.attribution.aggregate()
-    attributed = sum(agg.values())
-    n_nodes = max(1, len(obs.attribution.per_node))
-    print(
-        f"attributed {attributed // n_nodes} cycles/node over "
-        f"{n_nodes} nodes vs {run.cycles} system cycles"
-    )
-    print()
-    print(obs.noc_heatmap.render(compiled.fabric.rows, compiled.fabric.cols))
-    print()
-    print(obs.fmnoc_heatmap.render())
-    if args.stats_json:
-        _write_json(args.stats_json, _stats_payload(run.stats), "stats JSON")
-    return 0
-
-
-def cmd_trace(args) -> int:
-    spec = _spec_from_args(args, trace=True, trace_path=args.out)
-    _compiled, run = _compile_and_run(spec)
-    _print_run(spec, run, stats=False)
-    n_events = len(run.obs.chrome.events)
-    print(
-        f"{n_events} timeline events (+ metadata) written to {args.out} "
-        "(load in Perfetto or chrome://tracing)"
-    )
     return 0
 
 
@@ -738,38 +655,14 @@ def cmd_figure(args) -> int:
     return 1 if failed else 0
 
 
-def _fault_params(args):
-    """``FaultParams`` from the sweep's fault flags, or None when all off."""
-    from repro.arch.params import FaultParams
-
-    params = FaultParams(
-        seed=args.fault_seed,
-        mem_delay_prob=args.fault_mem_delay_prob,
-        mem_delay_cycles=args.fault_mem_delay_cycles,
-        mem_drop_prob=args.fault_mem_drop_prob,
-        pe_stall_prob=args.fault_pe_stall_prob,
-        grant_skip_prob=args.fault_grant_skip_prob,
-    )
-    return params if params.active() else None
-
-
 def cmd_sweep(args) -> int:
     from dataclasses import replace
 
     from repro.exp.cache import default_cache_dir
     from repro.exp.resilient import SweepPolicy, run_resilient
 
-    configs = [_config_for(name) for name in args.configs]
-    cache_dir = args.cache_dir or default_cache_dir()
-    arch = ArchParams()
-    faults = _fault_params(args)
-    if faults is not None:
-        arch = replace(arch, sim=replace(arch.sim, faults=faults))
-        print(f"fault injection on: {faults.signature()}")
-    snapshot_dir = args.snapshot_dir
-    if snapshot_dir is None and args.checkpoint_every:
-        snapshot_dir = "snapshots"
-    sweep_policy = SweepPolicy(
+    sweep_policy = _setting(
+        SweepPolicy,
         job_timeout_s=args.timeout,
         max_retries=args.retries,
         backoff_s=args.backoff,
@@ -777,17 +670,29 @@ def cmd_sweep(args) -> int:
         checkpoint_every=args.checkpoint_every,
         grace_s=args.grace,
     )
+    faults = _setting(
+        FaultParams,
+        seed=args.fault_seed,
+        mem_delay_prob=args.fault_mem_delay_prob,
+        mem_delay_cycles=args.fault_mem_delay_cycles,
+        mem_drop_prob=args.fault_mem_drop_prob,
+        pe_stall_prob=args.fault_pe_stall_prob,
+        grant_skip_prob=args.fault_grant_skip_prob,
+    )
+    arch = ArchParams()
+    if faults.active():
+        arch = replace(arch, sim=replace(arch.sim, faults=faults))
+        print(f"fault injection on: {faults.signature()}")
+    snapshot_dir = args.snapshot_dir
+    if snapshot_dir is None and args.checkpoint_every:
+        snapshot_dir = "snapshots"
     outcome = run_resilient(
         sweep_specs(
-            args.workloads,
-            configs,
-            args.seeds,
-            scale=args.scale,
-            arch=arch,
-            profile_guided=args.profile_guided,
+            args.workloads, args.configs, args.seeds, scale=args.scale,
+            arch=arch, profile_guided=args.profile_guided,
         ),
         max_workers=args.jobs,
-        cache_dir=cache_dir,
+        cache_dir=args.cache_dir or default_cache_dir(),
         manifest_path=args.manifest,
         sweep_policy=sweep_policy,
         resume=args.resume,
@@ -972,9 +877,6 @@ COMMANDS = {
     "workloads": cmd_workloads,
     "fabric": cmd_fabric,
     "run": cmd_run,
-    "profile": cmd_profile,
-    "critpath": cmd_critpath,
-    "trace": cmd_trace,
     "fdo": cmd_fdo,
     "figure": cmd_figure,
     "sweep": cmd_sweep,
@@ -985,8 +887,12 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return COMMANDS[args.command](args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return COMMANDS[args.command](args)
+    except argparse.ArgumentTypeError as exc:  # a refused _setting
+        parser.error(f"{args.command}: {exc}")
 
 
 if __name__ == "__main__":  # pragma: no cover

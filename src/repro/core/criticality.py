@@ -220,41 +220,6 @@ def validate_against_dynamic(
     return rows
 
 
-def format_validation_table(
-    rows: list[ValidationRow], threshold: float
-) -> str:
-    """Aligned static-vs-dynamic table with micro-averaged totals."""
-
-    def fmt(value: float | None) -> str:
-        return "-" if value is None else f"{value:.2f}"
-
-    lines = [
-        "static classification vs measured dynamic criticality "
-        f"(critical = >= {threshold:.0%} of the critical path):",
-        "  workload     set  pred  crit    tp  precision  recall",
-    ]
-    totals: dict[str, list[int]] = {}
-    for row in rows:
-        lines.append(
-            f"  {row.workload:12s} {row.classes:>3s} {row.predicted:5d} "
-            f"{row.actual:5d} {row.true_positive:5d} "
-            f"{fmt(row.precision):>10s} {fmt(row.recall):>7s}"
-        )
-        agg = totals.setdefault(row.classes, [0, 0, 0])
-        agg[0] += row.predicted
-        agg[1] += row.actual
-        agg[2] += row.true_positive
-    for classes in sorted(totals):
-        predicted, actual, tp = totals[classes]
-        micro = ValidationRow("all", classes, predicted, actual, tp)
-        lines.append(
-            f"  {'(micro avg)':12s} {classes:>3s} {predicted:5d} "
-            f"{actual:5d} {tp:5d} {fmt(micro.precision):>10s} "
-            f"{fmt(micro.recall):>7s}"
-        )
-    return "\n".join(lines)
-
-
 def format_report(dfg: DFG, report: CriticalityReport) -> str:
     """Human-readable criticality summary (used by examples and docs)."""
     lines = [f"criticality report for {dfg.name!r}:"]

@@ -47,8 +47,11 @@ class PnRVerifyError(ReproError):
     would hide a wrong answer behind a smaller right one.
     """
 
-    def __init__(self, message: str, *, net=None, channel=None, field=None):
+    def __init__(
+        self, message: str, *, net=None, channel=None, field=None, node=None
+    ):
         super().__init__(message)
+        self.node = node
         self.net = net
         self.channel = channel
         self.field = field

@@ -2,10 +2,11 @@
 
 :data:`FIGURES` maps a name to an :class:`Entry`: the paper's Fig. 6c /
 11 / 12 / 14-17, Table 1 and the LS-PE placement DSE, the supplementary
-stall / jitter / blame / FDO tables, the ablations DESIGN.md calls out,
-the energy breakdown and the hybrid NUMA+NUPEA extension. An entry
-declares its table's cells as :class:`~repro.exp.spec.RunSpec` points
-and builds the table from their results.
+stall / jitter / blame / static-vs-dynamic criticality / FDO tables, the
+ablations DESIGN.md calls out, the energy breakdown and the hybrid
+NUMA+NUPEA extension. An entry declares its table's cells as
+:class:`~repro.exp.spec.RunSpec` points and builds the table from their
+results.
 
 :func:`run_figures` is the job graph ``repro figure NAME|all`` runs: in
 rounds, the union of the selected entries' points, deduplicated by
@@ -103,6 +104,9 @@ class FigureResult:
     #: The rendered table, for the one entry whose cells are text
     #: (Table 1); ``rows`` then holds its numeric columns only.
     body: str | None = None
+    #: Whether the rendered table ends in a geomean row (off where the
+    #: rows already carry their own aggregate).
+    geomean_row: bool = True
 
     def geomean(self, column: str) -> float:
         """Geometric mean over the column's finite positive values."""
@@ -709,7 +713,7 @@ def fig_stalls(grid: Grid, cells: Cells) -> FigureResult:
     result.notes.append(
         "rows sum to 1.0; divider-gap is a global machine state, "
         "the rest attribute fabric ticks per node "
-        "(repro profile <workload> breaks these down per node/PE)"
+        "(repro run <workload> --trace breaks these down per node/PE)"
     )
     return result
 
@@ -752,8 +756,74 @@ def fig_critblame(grid: Grid, cells: Cells) -> FigureResult:
         result.raw[label] = {"cycles": float(run.cycles)}
     result.notes.append(
         "rows sum to 1.0 (profiler invariant: blamed cycles == "
-        "system_cycles); repro critpath <workload> breaks these down "
-        "per load with slack histograms"
+        "system_cycles); repro run <workload> --critpath breaks these "
+        "down per load with slack histograms"
+    )
+    return result
+
+
+def _critval_layout(grid: Grid, done: Results) -> Layout:
+    """critblame's Monaco column: the same points, so no new run."""
+    critblame = _critblame_layout(grid, done)
+    return {name: critblame[f"{name}/monaco"] for name in grid.names()}
+
+
+def critval(grid: Grid, cells: Cells) -> FigureResult:
+    """Supplementary: static criticality classes vs measured criticality.
+
+    Sec. 5 argues that cheap static classes (A: recurrence loads; B: the
+    other leaf-loop memory ops) find the loads that matter. Each
+    workload's class-A and A∪B sets are scored against the memory nodes
+    its Monaco run's critical-path profiler measured on at least 1 % of
+    the path (:func:`repro.core.criticality.validate_against_dynamic`).
+    """
+    from repro.core.criticality import ValidationRow, validate_against_dynamic
+
+    result = FigureResult(
+        "critval",
+        "static criticality classes vs measured dynamic criticality on "
+        "monaco (memory nodes; precision / recall)",
+        ["predicted", "critical", "true-pos", "precision", "recall"],
+        precision=2,
+        geomean_row=False,
+    )
+    scores: list[ValidationRow] = []
+    for name, specs in _critval_layout(grid, {}).items():
+        scores += validate_against_dynamic(
+            name,
+            _artifact(specs["run"]).criticality,
+            cells[name]["run"].obs.critpath.dynamic_criticality(),
+            0.01,
+        )
+    for classes in ("A", "A+B"):
+        same = [s for s in scores if s.classes == classes]
+        sums = (
+            sum(getattr(s, count) for s in same)
+            for count in ("predicted", "actual", "true_positive")
+        )
+        scores.append(ValidationRow("micro-avg", classes, *sums))
+    for s in scores:
+        values = (s.predicted, s.actual, s.true_positive, s.precision, s.recall)
+        result.rows[f"{s.workload}/{s.classes}"] = {
+            column: float(value)
+            for column, value in zip(result.columns, values)
+            if value is not None  # a ratio with no denominator: "-"
+        }
+    result.notes.append(
+        "critical = >= 1% of the critical path; "
+        "A = recurrence loads, A+B = A and the other leaf-loop memory ops"
+    )
+    union = scores[-1]
+    recall, precision = union.recall or 0.0, union.precision or 0.0
+    result.claim(
+        "the static A+B set finds the dynamically critical memory nodes "
+        "(micro-avg A+B recall >= 0.75)",
+        recall, recall >= 0.75,
+    )
+    result.claim(
+        "the static A+B set over-approximates, the safe direction "
+        "(micro-avg A+B recall - precision > 0)",
+        recall - precision, recall > precision,
     )
     return result
 
@@ -1149,6 +1219,7 @@ FIGURES = {
     "stalls": Entry(_stalls_layout, fig_stalls),
     "jitter": Entry(_jitter_layout, fig_jitter),
     "critblame": Entry(_critblame_layout, fig_critblame),
+    "critval": Entry(_critval_layout, critval),
     "fdo": Entry(_fdo_layout, fig_fdo),
     "ablation_buffering": Entry(_buffering_layout, ablation_buffering),
     "ablation_memorder": Entry(_memorder_layout, ablation_memorder),

@@ -53,10 +53,8 @@ def _table_lines(result: FigureResult) -> list[str]:
             else:
                 cells.append(f"{value:.{precision}f}".rjust(col_width))
         lines.append(name.ljust(label_width) + "".join(cells))
-    geo = [
-        result.geomean(c) for c in result.columns
-    ]
-    if len(result.rows) > 1 and any(geo):
+    geo = [result.geomean(c) for c in result.columns]
+    if result.geomean_row and len(result.rows) > 1 and any(geo):
         lines.append(
             "geomean".ljust(label_width)
             + "".join(f"{g:.{precision}f}".rjust(col_width) for g in geo)

@@ -206,6 +206,8 @@ class SweepPolicy:
             )
         if self.max_retries < 0:
             raise ExperimentError("max_retries must be >= 0")
+        if self.backoff_s < 0:
+            raise ExperimentError("backoff_s must be >= 0")
         if self.job_timeout_s is not None and self.job_timeout_s <= 0:
             raise ExperimentError("job_timeout_s must be positive")
         if self.checkpoint_every < 0:

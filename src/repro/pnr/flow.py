@@ -173,8 +173,9 @@ def compile_once(
     if check:
         # Not a PnRError: the degree search must not read a wrong
         # artifact as one that merely does not fit.
-        from repro.check.pnr import verify_routing
+        from repro.check.pnr import verify_placement, verify_routing
 
+        verify_placement(compiled, arch)
         verify_routing(compiled, arch)
     return compiled
 

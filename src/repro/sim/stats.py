@@ -297,9 +297,7 @@ class SimStats:
         self.executed_cycles = state["executed_cycles"]
         self.skipped_cycles = state["skipped_cycles"]
         self.faults_injected = dict(state["faults_injected"])
-        # .get: pre-numa-reporting snapshots lack the key (the live
-        # tallies are restored through the frontend's own state anyway).
-        self.numa = dict(state.get("numa", {}))
+        self.numa = dict(state["numa"])
         self.critpath = dict(state["critpath"])
 
     def to_dict(self) -> dict:

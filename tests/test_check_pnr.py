@@ -1,4 +1,5 @@
-"""The independent routing verifier refuses wrong artifacts by name."""
+"""The independent placement and routing verifiers refuse wrong
+artifacts by name."""
 
 from __future__ import annotations
 
@@ -9,13 +10,19 @@ import pytest
 
 from repro.arch.fabric import monaco
 from repro.arch.params import ArchParams, SimParams
+from repro.arch.pe import PE
 from repro.check.oracle import check_workload
 from repro.check.pnr import (
     ChannelCapacityError,
     DerivedFieldError,
     HopCountError,
+    LoadStorePlacementError,
     NetTreeError,
+    PlacementCoverageError,
     PnRVerifyError,
+    SlotConflictError,
+    UnsupportedOpError,
+    verify_placement,
     verify_routing,
 )
 from repro.errors import PnRError
@@ -31,6 +38,7 @@ ARCH = ArchParams(noc_tracks=2)
 def routed():
     kernel = make_workload("tc", scale="tiny", seed=0).kernel
     compiled = compile_once(kernel, monaco(12, 12), ARCH, parallelism=1)
+    verify_placement(compiled, ARCH)
     verify_routing(compiled, ARCH)
     return compiled
 
@@ -130,6 +138,48 @@ def test_a_wrong_derived_field_is_refused_by_name(artifact, owner, field, wrong)
     with pytest.raises(DerivedFieldError, match=f"{owner}.{field} is") as caught:
         verify_routing(artifact, ARCH)
     assert caught.value.field == field
+
+
+def test_two_nodes_on_one_slot_are_refused_by_name(artifact):
+    first, second = sorted(artifact.placement)[:2]
+    artifact.placement[second] = artifact.placement[first]
+    with pytest.raises(SlotConflictError, match=f"holds node {first}") as err:
+        verify_placement(artifact, ARCH)
+    assert err.value.node == second
+
+
+def test_an_op_on_a_pe_that_does_not_support_it_is_refused_by_name(
+    artifact, monkeypatch
+):
+    victim = min(
+        (node for node in artifact.dfg.nodes.values() if not node.is_memory()),
+        key=lambda node: node.nid,
+    )
+    monkeypatch.setattr(PE, "supports", lambda pe, op: op != victim.op)
+    with pytest.raises(UnsupportedOpError, match="does not support") as err:
+        verify_placement(artifact, ARCH)
+    assert err.value.node == victim.nid
+
+
+def test_a_load_off_an_ls_pe_is_refused_by_name(artifact):
+    load = min(
+        node.nid for node in artifact.dfg.memory_nodes() if node.op == "load"
+    )
+    taken = set(artifact.placement.values())
+    artifact.placement[load] = next(
+        pe.coord for pe in artifact.fabric.arith_pes() if pe.coord not in taken
+    )
+    with pytest.raises(LoadStorePlacementError, match="not an LS PE") as err:
+        verify_placement(artifact, ARCH)
+    assert err.value.node == load
+
+
+def test_a_missing_node_is_refused_by_name(artifact):
+    missing = max(artifact.placement)
+    del artifact.placement[missing]
+    with pytest.raises(PlacementCoverageError, match="unplaced") as err:
+        verify_placement(artifact, ARCH)
+    assert err.value.node == missing
 
 
 def test_capacity_is_read_off_the_architecture(routed):

@@ -10,7 +10,8 @@ Contracts under test:
 * **derived views** — dynamic criticality, slack histograms and the
   zero-latency what-if bound are internally consistent;
 * **static-vs-dynamic validation** — the precision/recall scoring of the
-  class-A/B heuristics behaves on hand-built inputs;
+  class-A/B heuristics, and the ``critval`` table built from it, behave
+  on hand-built inputs;
 * **manifests** — serial and parallel sweeps journal identical critpath
   blocks (modulo volatile fields);
 * the satellite **zero-event guards** and the **by-class rollup** of the
@@ -19,6 +20,7 @@ Contracts under test:
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import replace
 
@@ -28,7 +30,6 @@ from repro.arch.fabric import monaco
 from repro.arch.params import ArchParams, FaultParams, SimParams
 from repro.core.criticality import (
     CriticalityReport,
-    format_validation_table,
     validate_against_dynamic,
 )
 from repro.core.policy import EFFCC
@@ -233,23 +234,67 @@ class TestValidation:
         assert by["A+B"].recall == 1.0
         assert by["A+B"].precision == pytest.approx(2 / 3)
 
-    def test_zero_denominators_render_as_dash(self):
+    @staticmethod
+    def _critval(monkeypatch, report, dynamic: dict):
+        """The ``critval`` table over hand-built runs: ``dynamic`` maps
+        a workload to its measured criticality, ``report`` is every
+        workload's static classification."""
+        from types import SimpleNamespace
+
+        from repro.exp import figures
+
+        monkeypatch.setattr(
+            figures, "_artifact",
+            lambda spec: SimpleNamespace(criticality=report),
+        )
+        cells = {
+            name: {
+                "run": SimpleNamespace(
+                    obs=SimpleNamespace(
+                        critpath=SimpleNamespace(
+                            dynamic_criticality=lambda d=measured: d
+                        )
+                    )
+                )
+            }
+            for name, measured in dynamic.items()
+        }
+        grid = figures.Grid(scale=SCALE, workloads=tuple(dynamic))
+        return figures.critval(grid, cells)
+
+    def test_zero_denominators_render_as_dash(self, monkeypatch):
         rows = validate_against_dynamic(
             "toy", CriticalityReport(), {}, threshold=0.01
         )
         assert all(row.precision is None for row in rows)
         assert all(row.recall is None for row in rows)
-        table = format_validation_table(rows, 0.01)
-        assert "-" in table
-        assert "precision" in table and "recall" in table
+        from repro.exp.report import format_figure
 
-    def test_table_has_micro_averages(self):
-        dynamic = {1: 0.5}
-        rows = validate_against_dynamic(
-            "a", self._report(), dynamic
-        ) + validate_against_dynamic("b", self._report(), dynamic)
-        table = format_validation_table(rows, 0.01)
-        assert "(micro avg)" in table
+        result = self._critval(monkeypatch, CriticalityReport(), {"toy": {}})
+        for label in ("toy/A", "toy/A+B", "micro-avg/A+B"):
+            assert "precision" not in result.rows[label]
+            assert "recall" not in result.rows[label]
+        table = format_figure(result)
+        assert "-" in table.splitlines()[2]
+        assert "precision" in table and "recall" in table
+        assert all(map(math.isfinite, (c.measured for c in result.claims)))
+
+    def test_table_has_micro_averages(self, monkeypatch):
+        result = self._critval(
+            monkeypatch, self._report(), {"a": {1: 0.5}, "b": {1: 0.5}}
+        )
+        assert list(result.rows) == [
+            "a/A", "a/A+B", "b/A", "b/A+B", "micro-avg/A", "micro-avg/A+B",
+        ]
+        # Each workload: A predicts {1}, A+B {1, 2, 3}; only 1 is critical.
+        assert result.rows["micro-avg/A"] == {
+            "predicted": 2.0, "critical": 2.0, "true-pos": 2.0,
+            "precision": 1.0, "recall": 1.0,
+        }
+        assert result.rows["micro-avg/A+B"] == {
+            "predicted": 6.0, "critical": 2.0, "true-pos": 2.0,
+            "precision": pytest.approx(1 / 3), "recall": 1.0,
+        }
 
     def test_measured_validation_on_a_real_workload(self):
         compiled, run = _run("spmspv")
@@ -341,23 +386,34 @@ class TestCli:
     def test_critpath_command(self, capsys):
         from repro import cli
 
-        rc = cli.main(["critpath", "spmspv", "--scale", SCALE])
+        rc = cli.main(["run", "spmspv", "--scale", SCALE, "--critpath"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "hard invariant" in out
-        assert "static classification" in out
+        assert "critical memory nodes" in out
+        # The report follows the stats line.
+        assert out.index("stats:") < out.index("critical path over")
 
-    def test_critpath_requires_workload_or_validate(self):
+    def test_critpath_requires_workload_or_validate(self, capsys):
+        """``run`` needs a workload; the per-command spellings are gone
+        (the validation table is ``repro figure critval``)."""
         from repro import cli
 
-        with pytest.raises(SystemExit):
-            cli.main(["critpath"])
+        for argv in (
+            ["critpath"], ["critpath", "--validate"], ["profile", "spmspv"],
+            ["trace", "spmspv"], ["run", "--critpath"],
+        ):
+            with pytest.raises(SystemExit) as err:
+                cli.main(argv)
+            assert err.value.code == 2
+            wanted = "required" if argv[0] == "run" else "invalid choice"
+            assert wanted in capsys.readouterr().err
 
     def test_profile_by_class(self, capsys):
         from repro import cli
 
         rc = cli.main(
-            ["profile", "spmspv", "--scale", SCALE, "--by-class"]
+            ["run", "spmspv", "--scale", SCALE, "--trace", "--by-class"]
         )
         out = capsys.readouterr().out
         assert rc == 0

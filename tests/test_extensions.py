@@ -1,5 +1,7 @@
 """Tests for the extension features: Monaco variants, DSE, hybrid NUMA+NUPEA."""
 
+import shlex
+
 import pytest
 
 from repro.arch.fabric import monaco, monaco_variant
@@ -192,10 +194,15 @@ class TestCLI:
             compile_point(RunSpec("dmv", MONACO, scale="tiny"), incremental=False)
 
     def test_bad_config_rejected(self):
+        """``_config_for`` is the options' argparse ``type=``: it refuses
+        by argparse's own error, which exits 2 with a usage line."""
+        from argparse import ArgumentTypeError
+
         from repro.cli import _config_for
 
-        with pytest.raises(SystemExit):
-            _config_for("warp-drive")
+        for name in ("warp-drive", "upea-3", "numa-1"):
+            with pytest.raises(ArgumentTypeError, match="unknown config"):
+                _config_for(name)
 
     def test_config_parsing(self):
         from repro.cli import _config_for
@@ -217,7 +224,7 @@ class TestCLI:
         assert "region(s)" in out and "output verified" in out
 
     @pytest.mark.parametrize("name", ["upeax", "numa2x"])
-    def test_malformed_config_is_a_usage_error(self, name):
+    def test_malformed_config_is_a_usage_error(self, name, capsys):
         """Regression: a malformed delay raised a bare ValueError from
         ``int()`` out of ``run --config`` and ``sweep --configs``."""
         from repro.cli import main
@@ -226,8 +233,157 @@ class TestCLI:
             ["run", "dmv", "--scale", "tiny", "--config", name],
             ["sweep", "--workloads", "dmv", "--configs", name],
         ):
-            with pytest.raises(SystemExit, match="unknown config"):
+            with pytest.raises(SystemExit) as err:
                 main(argv)
+            assert err.value.code == 2
+            assert "unknown config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            # Refused by the settings object that owns the value.
+            ("sweep --workloads dmv --scale tiny --timeout 0", "job_timeout_s"),
+            ("sweep --workloads dmv --scale tiny --retries -1", "max_retries"),
+            ("sweep --workloads dmv --scale tiny --grace 0", "grace_s"),
+            (
+                "sweep --workloads dmv --scale tiny --checkpoint-every -5",
+                "checkpoint_every",
+            ),
+            ("sweep --workloads dmv --scale tiny --backoff -1", "backoff_s"),
+            (
+                "sweep --workloads dmv --scale tiny --fault-mem-drop-prob 2",
+                "mem_drop_prob",
+            ),
+            ("run dmv --scale tiny --checkpoint-every -5", "every_cycles"),
+            # Refused by argparse itself.
+            ("sweep --workloads dmv --scale tiny --configs", "argument --configs"),
+            ("sweep --workloads dmv --scale tiny --seeds", "argument --seeds"),
+            ("run dmv --scale huge", "argument --scale"),
+            ("run dmv --scale tiny --config upea-3", "argument --config"),
+            ("run dmv --scale tiny --critpath --top 0", "argument --top"),
+            ("fdo dmv --scale tiny --rounds -1", "argument --rounds"),
+            (
+                "figure fig11 --scale tiny --workloads nosuch",
+                "argument --workloads",
+            ),
+            ("check --fuzz -3", "argument --fuzz"),
+        ],
+    )
+    def test_out_of_range_values_are_usage_errors(
+        self, argv, names, capsys, monkeypatch
+    ):
+        """Regression: each of these ended in a traceback (some only
+        after compiling), or in a run that did nothing and exited 0."""
+        import importlib
+
+        from repro import cli
+        from repro.exp import fdo, resilient
+
+        fuzz = importlib.import_module("repro.check.fuzz")
+
+        def started(*args, **kwargs):
+            raise AssertionError("started work before refusing the value")
+
+        for module, name in (
+            (cli, "compile_point"), (cli, "run_figures"),
+            (resilient, "run_resilient"), (fdo, "run_fdo"), (fuzz, "fuzz"),
+        ):
+            monkeypatch.setattr(module, name, started)
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv.split())
+        assert err.value.code == 2
+        error = capsys.readouterr().err
+        assert error.startswith("usage: repro ")
+        assert names in error
+
+    def test_sweep_configs_default_to_built_configs(self):
+        """Regression: argparse runs ``type=`` on string defaults only, so
+        a default list of names reached the sweep as plain strings."""
+        from repro.cli import build_parser
+        from repro.exp.configs import MachineConfig
+
+        configs = build_parser().parse_args(["sweep"]).configs
+        assert [c.name for c in configs] == [
+            "ideal", "upea2", "numa-upea2", "monaco"
+        ]
+        assert all(isinstance(c, MachineConfig) for c in configs)
+
+    def test_sweep_policy_refuses_a_negative_backoff(self):
+        from repro.errors import ExperimentError
+        from repro.exp.resilient import SweepPolicy
+
+        with pytest.raises(ExperimentError, match="backoff_s"):
+            SweepPolicy(backoff_s=-1.0)
+
+    def test_resume_command_repeats_the_probe_switches(self, tmp_path):
+        from repro import cli
+        from repro.sim.snapshot import CheckpointConfig
+
+        argv = [
+            "run", "spmspv", "--scale", "tiny", "--config", "numa2",
+            "--trace", "--by-class", "--trace-path", str(tmp_path / "t.json"),
+            "--critpath", "--critpath-json", str(tmp_path / "c.json"),
+            "--top", "3",
+        ]
+        parser = cli.build_parser()
+        original = parser.parse_args(argv)
+        command = cli._resume_command(
+            original, CheckpointConfig(path=str(tmp_path / "s.snap"))
+        )
+        resumed = parser.parse_args(shlex.split(command)[1:])
+        for dest in (*cli._SIM_OPTIONS, *cli._PROBES):
+            assert getattr(resumed, dest) == getattr(original, dest), dest
+
+    def test_a_traced_run_resumes_bit_identically_through_its_hint(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """Preempt a probed ``repro run``, then run the printed command:
+        the probes' output, the trace and the report equal an
+        uninterrupted run's (the snapshot's digest covers the probe
+        switches, so a resume without them would be refused)."""
+        import functools
+
+        from repro import cli
+        from repro.sim import snapshot
+
+        def argv(tag):
+            return [
+                "run", "spmspv", "--scale", "tiny", "--trace", "--critpath",
+                "--trace-path", str(tmp_path / f"{tag}.trace.json"),
+                "--critpath-json", str(tmp_path / f"{tag}.crit.json"),
+            ]
+
+        def after_stats(out, tag):
+            text = out[out.index("\nstats:"):]
+            return text.replace(str(tmp_path / tag), "PATH")
+
+        assert cli.main(argv("full")) == 0
+        full = after_stats(capsys.readouterr().out, "full")
+
+        snap = str(tmp_path / "victim.snap")
+        real = snapshot.CheckpointConfig
+        monkeypatch.setattr(
+            snapshot, "CheckpointConfig",
+            functools.partial(real, cycle_budget=60),
+        )
+        victim = [
+            *argv("cut"), "--checkpoint", snap, "--checkpoint-every", "40"
+        ]
+        assert cli.main(victim) == 75
+        (hint,) = [
+            line[len("resume with: "):]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("resume with: ")
+        ]
+        monkeypatch.setattr(snapshot, "CheckpointConfig", real)
+        assert cli.main(shlex.split(hint)[1:]) == 0
+        out = capsys.readouterr().out
+        assert "resumed from" in out
+        assert after_stats(out, "cut") == full
+        for suffix in ("trace.json", "crit.json"):
+            assert (tmp_path / f"cut.{suffix}").read_bytes() == (
+                tmp_path / f"full.{suffix}"
+            ).read_bytes()
 
     def test_size_parsing(self):
         from repro.cli import _parse_size
@@ -265,12 +421,12 @@ class TestCLI:
             "--checkpoint-every", "500",
         ]
 
-        def preempted(spec, on_compiled=None, **options):
+        def preempted(spec, instance, compiled, **options):
             raise SimulationPreempted(
                 "preempted", snapshot_path=snap, cycle=123
             )
 
-        monkeypatch.setattr(cli, "_compile_and_run", preempted)
+        monkeypatch.setattr(cli, "run_point", preempted)
         assert cli.main(argv) == 75
         (line,) = [
             line for line in capsys.readouterr().out.splitlines()

@@ -229,3 +229,48 @@ def test_the_folded_subcommands_are_gone(command, capsys):
         main([command])
     assert err.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+def test_critval_reuses_critblames_points():
+    """The validation table adds no simulation to the graph."""
+    critval, critblame = (
+        set(FIGURES[name].points(TINY_ONE, {}))
+        for name in ("critval", "critblame")
+    )
+    assert critval and critval <= critblame
+
+
+def test_critval_rows_score_the_same_runs(tiny):
+    """Each row is ``validate_against_dynamic`` on the point's own run."""
+    from repro.core.criticality import validate_against_dynamic
+
+    tables, _, _ = tiny
+    (spec,) = FIGURES["critval"].points(TINY_ONE, {})
+    instance, compiled = runner.compile_point(spec)
+    run = runner.run_point(spec, instance, compiled)
+    for score in validate_against_dynamic(
+        spec.workload,
+        compiled.criticality,
+        run.obs.critpath.dynamic_criticality(),
+        0.01,
+    ):
+        row = tables["critval"].rows[f"{spec.workload}/{score.classes}"]
+        assert row["predicted"] == score.predicted
+        assert row["critical"] == score.actual
+        assert row["true-pos"] == score.true_positive
+        assert row.get("precision") == score.precision
+        assert row.get("recall") == score.recall
+
+
+def test_critval_is_the_same_table_at_every_jobs():
+    texts = {
+        jobs: format_figure(
+            run_figures(
+                {"critval": FIGURES["critval"]},
+                Grid(scale="tiny", workloads=("spmspv", "dmv"), jobs=jobs),
+            )["critval"]
+        )
+        for jobs in (1, 2)
+    }
+    assert texts[1] == texts[2]
+    assert "micro-avg/A+B" in texts[1]

@@ -22,6 +22,7 @@ import pytest
 
 from benchmarks.e2e.digests import pnr_digest
 from repro.arch.fabric import monaco
+from repro.check.pnr import verify_placement, verify_routing
 from repro.arch.noc import build_channel_graph
 from repro.arch.params import ArchParams
 from repro.arch.pe import PE
@@ -766,10 +767,13 @@ def test_check_compares_each_bounded_tree_with_the_unbounded_one():
 
 @pytest.mark.parametrize("workload", sorted(PINNED_DIGESTS))
 def test_pinned_compile_digest(workload):
-    """compile_once reproduces the pre-incremental artifact exactly."""
+    """compile_once reproduces the pre-incremental artifact exactly, and
+    the independent verifiers accept it."""
     kernel = make_workload(workload, scale="tiny", seed=0).kernel
     compiled = compile_once(
         kernel, monaco(12, 12), ArchParams(), parallelism=1, seed=0
     )
     assert pnr_digest(compiled) == PINNED_DIGESTS[workload]
+    verify_placement(compiled, ArchParams())
+    verify_routing(compiled, ArchParams())
     assert compiled.pnr is not None

@@ -9,7 +9,8 @@ nothing tier-1 looked at. ``tests/data/pnr_route_pins.json`` holds their
 the tuple/dict Dijkstra router at commit 57a7eb2 — the parent of the
 flat-table bound-pruned search — so the rewritten router is held to the
 old one's trees bit for bit. Every pinned artifact is also handed to the
-independent verifier (:func:`repro.check.pnr.verify_routing`).
+independent verifiers (:func:`repro.check.pnr.verify_placement` and
+:func:`repro.check.pnr.verify_routing`).
 Regenerate — only after an *intentional* change to what PnR decides —
 with::
 
@@ -26,7 +27,7 @@ import pytest
 from benchmarks.e2e.digests import pnr_digest
 from repro.arch.fabric import build_fabric
 from repro.arch.params import ArchParams
-from repro.check.pnr import verify_routing
+from repro.check.pnr import verify_placement, verify_routing
 from repro.core.policy import get_policy
 from repro.errors import PnRError
 from repro.pnr.flow import compile_once
@@ -94,6 +95,7 @@ def test_pinned_route_digest(point, pins):
     compiled, arch, pin = compile_point(point)
     assert pin == pins[point]
     if compiled is not None:
+        verify_placement(compiled, arch)
         verify_routing(compiled, arch)
 
 
