@@ -300,20 +300,17 @@ class InvariantChecker:
                 f"engine firing ledger {stats.firings!r} disagrees with "
                 f"the checker's independent count {self.fired!r}",
             )
-        audit = getattr(engine.frontend, "audit", None)
-        if audit is not None:
-            counted = audit()
-            if counted != 0:
-                self._fail(
-                    "frontend-audit",
-                    f"frontend audit recounted {counted} request(s) "
-                    "still inside the fabric-memory network at "
-                    "quiescence",
-                )
-            in_network = getattr(engine.frontend, "in_network", None)
-            if in_network is not None and in_network != counted:
-                self._fail(
-                    "frontend-audit",
-                    f"frontend in_network counter ({in_network}) "
-                    f"disagrees with the structural recount ({counted})",
-                )
+        counted = engine.frontend.audit()
+        if counted != 0:
+            self._fail(
+                "frontend-audit",
+                f"frontend audit recounted {counted} request(s) "
+                "still inside the fabric-memory network at quiescence",
+            )
+        in_network = getattr(engine.frontend, "in_network", None)
+        if in_network is not None and in_network != counted:
+            self._fail(
+                "frontend-audit",
+                f"frontend in_network counter ({in_network}) "
+                f"disagrees with the structural recount ({counted})",
+            )

@@ -8,6 +8,9 @@ Commands:
   its probe switches print the stall tables and traffic heatmaps
   (``--trace``), a Chrome ``trace_event`` JSON (``--trace-path``) and the
   cycle-exact critical-path blame with slack per load (``--critpath``);
+  ``--snapshot-dir`` / ``--checkpoint-every`` checkpoint it as they do a
+  sweep point, and a preempted run (exit 75) continues when the same
+  command is rerun;
 * ``fdo`` — feedback-directed placement: iterate compile -> profiled
   run -> per-node blame -> reweighted PnR until the weight map or the
   makespan converges (see :mod:`repro.exp.fdo`);
@@ -40,7 +43,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shlex
 import sys
 
 from repro.arch.fabric import TOPOLOGIES, build_fabric
@@ -51,7 +53,7 @@ from repro.errors import ReproError, SimulationPreempted
 from repro.exp.configs import MONACO, ideal, numa, upea
 from repro.exp.figures import FIGURES, Grid, run_figures
 from repro.exp.report import fidelity_record, format_claim, format_figure
-from repro.exp.runner import compile_point, run_point
+from repro.exp.runner import compile_point
 from repro.exp.spec import RunSpec, sweep_specs
 from repro.exp.tables import table1
 from repro.pnr.viz import fabric_map, placement_map
@@ -98,16 +100,20 @@ def _setting(make, **fields):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-#: The options of the shared sim-argument block, in declaration order.
-_SIM_OPTIONS = (
-    "scale", "config", "policy", "rows", "cols", "topology", "tracks", "seed"
-)
+def _workload(name: str) -> str:
+    """``check``'s positional names (``choices`` would refuse the empty
+    default of ``nargs="*"``)."""
+    if name not in ALL_WORKLOADS:
+        raise argparse.ArgumentTypeError(
+            f"unknown workload {name!r}; choose from "
+            f"{', '.join(sorted(ALL_WORKLOADS))}"
+        )
+    return name
 
 
 def _add_sim_args(p) -> None:
     """The argument block every compile-and-simulate command shares
-    (read back by :func:`_spec_from_args`; its options are
-    :data:`_SIM_OPTIONS`)."""
+    (read back by :func:`_spec_from_args`)."""
     p.add_argument("workload", choices=sorted(ALL_WORKLOADS))
     p.add_argument("--scale", choices=SCALES, default="small")
     p.add_argument(
@@ -117,9 +123,37 @@ def _add_sim_args(p) -> None:
     p.add_argument("--policy", choices=sorted(POLICIES), default="effcc")
     p.add_argument("--rows", type=int, default=12)
     p.add_argument("--cols", type=int, default=12)
-    p.add_argument("--topology", default="monaco")
+    p.add_argument("--topology", choices=sorted(TOPOLOGIES), default="monaco")
     p.add_argument("--tracks", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
+
+
+def _add_snapshot_args(p) -> None:
+    """Mid-simulation checkpointing, the same for ``run`` and ``sweep``
+    (read back by :func:`_snapshot_dir`)."""
+    p.add_argument(
+        "--snapshot-dir", default=None, metavar="DIR",
+        help="arm mid-simulation checkpointing: a point snapshots to "
+        "DIR/<point_digest>.snap when preempted (SIGTERM/SIGINT, a "
+        "sweep's --timeout) and every --checkpoint-every cycles; "
+        "rerunning the point (the same command, a retry, --resume) "
+        "continues from its snapshot instead of cycle 0, and a snapshot "
+        "taken under other settings is discarded",
+    )
+    p.add_argument(
+        "--checkpoint-every", type=int, default=0, metavar="CYCLES",
+        help="periodic snapshot cadence in system cycles (default 0 = "
+        "snapshot only on preemption; implies a default --snapshot-dir "
+        "of 'snapshots' when none is given)",
+    )
+
+
+def _snapshot_dir(args) -> str | None:
+    """``--snapshot-dir``; ``--checkpoint-every`` alone implies
+    ``snapshots``."""
+    if args.snapshot_dir is None and args.checkpoint_every:
+        return "snapshots"
+    return args.snapshot_dir
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -156,23 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats-json", default=None, metavar="PATH",
         help="also write the run's SimStats as machine-readable JSON",
     )
-    p_run.add_argument(
-        "--checkpoint-every", type=int, default=0, metavar="CYCLES",
-        help="snapshot the simulation every N system cycles (and on "
-        "SIGTERM/SIGINT); resumable with --resume-from "
-        "(see repro.sim.snapshot)",
-    )
-    p_run.add_argument(
-        "--checkpoint", default=None, metavar="PATH",
-        help="snapshot file path (default: <workload>.snap when "
-        "--checkpoint-every is set)",
-    )
-    p_run.add_argument(
-        "--resume-from", default=None, metavar="PATH",
-        help="continue a preempted simulation from this snapshot "
-        "(bit-identical to an uninterrupted run); an invalid or "
-        "mismatched snapshot is refused",
-    )
+    _add_snapshot_args(p_run)
     p_run.add_argument(
         "--profile-guided", action="store_true",
         help="refine class-B/C criticality by a profiling run on this "
@@ -311,19 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backoff", type=float, default=0.0, metavar="SECONDS",
         help="base for exponential backoff between retries (default 0)",
     )
-    p_sweep.add_argument(
-        "--snapshot-dir", default=None, metavar="DIR",
-        help="arm mid-simulation checkpointing: jobs snapshot to "
-        "DIR/<point_digest>.snap, a SIGTERMed or timed-out job "
-        "snapshots during its grace period, and a retried or --resume'd "
-        "point continues from its snapshot instead of cycle 0",
-    )
-    p_sweep.add_argument(
-        "--checkpoint-every", type=int, default=0, metavar="CYCLES",
-        help="periodic snapshot cadence per job in system cycles "
-        "(default 0 = snapshot only on preemption; implies a default "
-        "--snapshot-dir of 'snapshots' when none is given)",
-    )
+    _add_snapshot_args(p_sweep)
     p_sweep.add_argument(
         "--grace", type=float, default=5.0, metavar="SECONDS",
         help="seconds a timed-out job may spend writing its snapshot "
@@ -396,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="cross-layer conformance: differential oracle + random fuzzing",
     )
     p_check.add_argument(
-        "workloads", nargs="*", metavar="workload",
+        "workloads", nargs="*", type=_workload, metavar="workload",
         help="workloads to check (default with --all: every Table 1 app)",
     )
     p_check.add_argument(
@@ -436,20 +442,29 @@ def cmd_workloads(_args) -> int:
 
 
 def cmd_fabric(args) -> int:
-    print(fabric_map(build_fabric(args.topology, args.rows, args.cols)))
+    fabric = _setting(
+        build_fabric, topology=args.topology, rows=args.rows, cols=args.cols
+    )
+    print(fabric_map(fabric))
     return 0
 
 
 def _spec_from_args(args, profile_guided: bool = False, **sim) -> RunSpec:
     """The point the shared sim-argument block names, at the divider its
     routed design achieves; ``sim`` are the command's own
-    :class:`~repro.arch.params.SimParams` settings."""
+    :class:`~repro.arch.params.SimParams` settings. Its architecture and
+    fabric are built here first, so a value they refuse is a usage error
+    before anything compiles."""
+    arch = _setting(ArchParams, noc_tracks=args.tracks, sim=SimParams(**sim))
+    _setting(
+        build_fabric, topology=args.topology, rows=args.rows, cols=args.cols
+    )
     return RunSpec(
         workload=args.workload,
         config=args.config,
         scale=args.scale,
         seed=args.seed,
-        arch=ArchParams(noc_tracks=args.tracks, sim=SimParams(**sim)),
+        arch=arch,
         divider=None,
         policy=args.policy,
         fabric=(args.topology, args.rows, args.cols),
@@ -469,35 +484,6 @@ def _stats_payload(stats) -> dict:
     breakdown (deterministic from stable counters, so machine consumers
     get the Sec. 1 headline metric without re-pricing the run)."""
     return {**stats.to_dict(), "energy": estimate_energy(stats).to_dict()}
-
-
-#: ``repro run``'s probe switches (argparse dests).
-_PROBES = (
-    "trace", "by_class", "trace_path", "critpath", "critpath_json", "top"
-)
-
-
-def _resume_command(args, checkpoint) -> str:
-    """The ``repro run`` command that continues a run preempted into
-    ``checkpoint.path``: every sim argument it was given, so the resume
-    compiles the same placement, its probe switches, which the
-    snapshot's config check covers, and its checkpointing."""
-    words = ["repro", "run", args.workload]
-    for option in _SIM_OPTIONS:
-        value = getattr(args, option)
-        words += [f"--{option}", str(getattr(value, "name", value))]
-    for dest in ("profile_guided", *_PROBES):
-        value, flag = getattr(args, dest), "--" + dest.replace("_", "-")
-        if value is True:
-            words.append(flag)
-        elif value not in (None, False):
-            words += [flag, str(value)]
-    words += [
-        "--checkpoint", checkpoint.path,
-        "--checkpoint-every", str(checkpoint.every_cycles),
-        "--resume-from", checkpoint.path,
-    ]
-    return shlex.join(words)
 
 
 def _print_probes(args, compiled, run) -> None:
@@ -536,8 +522,9 @@ def _print_probes(args, compiled, run) -> None:
 
 
 def cmd_run(args) -> int:
-    from repro.sim.snapshot import CheckpointConfig
+    from repro.exp.resilient import SweepPolicy, run_resilient
 
+    policy = _setting(SweepPolicy, checkpoint_every=args.checkpoint_every)
     spec = _spec_from_args(
         args,
         profile_guided=args.profile_guided,
@@ -545,15 +532,7 @@ def cmd_run(args) -> int:
         trace_path=args.trace_path,
         critpath=bool(args.critpath or args.critpath_json),
     )
-    checkpoint = None
-    if args.checkpoint is not None or args.checkpoint_every:
-        checkpoint = _setting(
-            CheckpointConfig,
-            path=args.checkpoint or f"{args.workload}.snap",
-            every_cycles=args.checkpoint_every,
-            install_signals=True,
-        )
-    instance, compiled = compile_point(spec)
+    compiled = compile_point(spec)[1]
     print(compiled.summary())
     profile_report = compiled.meta.get("profile")
     if profile_report is not None:
@@ -579,17 +558,22 @@ def cmd_run(args) -> int:
     if args.map:
         print(placement_map(compiled))
     try:
-        run = run_point(
-            spec, instance, compiled,
-            checkpoint=checkpoint, resume_from=args.resume_from,
+        # The sweep's in-process path: the point snapshots where a sweep
+        # point does and resumes from a valid snapshot found there (the
+        # compile above is a cache hit for it).
+        outcome = run_resilient(
+            [spec], max_workers=1, sweep_policy=policy,
+            snapshot_dir=_snapshot_dir(args),
         )
     except SimulationPreempted as exc:
         # Exit 75 (EX_TEMPFAIL): the run was preempted but left a
-        # resumable snapshot — rerun with --resume-from to continue.
-        print(f"preempted at cycle {exc.cycle}: snapshot written to "
-              f"{exc.snapshot_path}")
-        print(f"resume with: {_resume_command(args, checkpoint)}")
+        # resumable snapshot where the same command looks for it.
+        print(
+            f"preempted at cycle {exc.cycle}: snapshot written to "
+            f"{exc.snapshot_path}; rerun the same command to continue"
+        )
         return 75
+    run = outcome.results[spec]
     if run.resume_info is not None:
         print(
             f"resumed from {run.resume_info['snapshot']} at cycle "
@@ -683,9 +667,6 @@ def cmd_sweep(args) -> int:
     if faults.active():
         arch = replace(arch, sim=replace(arch.sim, faults=faults))
         print(f"fault injection on: {faults.signature()}")
-    snapshot_dir = args.snapshot_dir
-    if snapshot_dir is None and args.checkpoint_every:
-        snapshot_dir = "snapshots"
     outcome = run_resilient(
         sweep_specs(
             args.workloads, args.configs, args.seeds, scale=args.scale,
@@ -696,7 +677,7 @@ def cmd_sweep(args) -> int:
         manifest_path=args.manifest,
         sweep_policy=sweep_policy,
         resume=args.resume,
-        snapshot_dir=snapshot_dir,
+        snapshot_dir=_snapshot_dir(args),
     )
     results = {spec.key: run for spec, run in outcome.results.items()}
     width = max(len(w) for w in args.workloads)
@@ -787,9 +768,9 @@ def cmd_regions(args) -> int:
     from repro.pnr.regions import compile_region_program
     from repro.sim.regions import simulate_regions
 
+    fabric = _setting(monaco_fabric, rows=args.rows, cols=args.cols)
     instance = make_workload(args.workload, scale=args.scale, seed=args.seed)
     arch = ArchParams()
-    fabric = monaco_fabric(args.rows, args.cols)
     compiled = compile_region_program(
         instance.kernel, fabric, arch, seed=args.seed
     )
@@ -817,14 +798,12 @@ def cmd_check(args) -> int:
     from repro.check.fuzz import fuzz as run_fuzz
     from repro.check.oracle import run_conformance
 
-    status = 0
     names = list(args.workloads)
-    for name in names:
-        if name not in ALL_WORKLOADS:
-            raise SystemExit(
-                f"unknown workload {name!r}; choose from "
-                f"{', '.join(sorted(ALL_WORKLOADS))}"
-            )
+    if not (args.all or names or args.fuzz is not None):
+        raise argparse.ArgumentTypeError(
+            "nothing to do: pass workload names, --all, or --fuzz N"
+        )
+    status = 0
     if args.all or names:
         reports = run_conformance(
             names or None, scale=args.scale, seed=args.seed
@@ -868,8 +847,6 @@ def cmd_check(args) -> int:
             print(f"  seed {failure.seed} kernel {failure.index}: {where}")
         if not result.ok:
             status = 1
-    if not (args.all or names or args.fuzz is not None):
-        raise SystemExit("nothing to do: pass workload names, --all, or --fuzz N")
     return status
 
 

@@ -65,6 +65,7 @@ from repro.ir.ast import (
     Var,
     While,
     expr_vars,
+    walk_stmts,
 )
 from repro.isa import apply_binop, apply_unop
 
@@ -123,7 +124,7 @@ class _Lowerer:
         if mem_mode != "none":
             self.ordered = {
                 s.array
-                for s in _walk(kernel.body)
+                for s in walk_stmts(kernel.body)
                 if isinstance(s, Store)
             }
         self.depth = 0
@@ -643,7 +644,7 @@ class _Lowerer:
         """
         reads: set[str] = set()
         writes: set[str] = set()
-        for stmt in _walk(body):
+        for stmt in walk_stmts(body):
             if isinstance(stmt, Assign):
                 reads |= expr_vars(stmt.expr)
                 writes.add(stmt.var)
@@ -679,19 +680,6 @@ class _Lowerer:
                 writes.add(stmt.var)
                 reads |= self._reads_writes(stmt.body)[1]
         return reads, writes
-
-
-def _walk(body: list[Stmt]):
-    for stmt in body:
-        yield stmt
-        if isinstance(stmt, If):
-            yield from _walk(stmt.then_body)
-            yield from _walk(stmt.else_body)
-        elif isinstance(stmt, (While, For, ParFor)):
-            yield from _walk(stmt.body)
-        elif isinstance(stmt, Par):
-            for block in stmt.blocks:
-                yield from _walk(block)
 
 
 def eliminate_dead(dfg: DFG) -> int:

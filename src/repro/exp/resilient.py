@@ -63,7 +63,7 @@ from repro.errors import (
     SimulationPreempted,
     ValidationError,
 )
-from repro.exp.spec import RunSpec, SweepEnv
+from repro.exp.spec import RunSpec
 from repro.obs.manifest import (
     MANIFEST_SCHEMA,
     append_manifest,
@@ -227,6 +227,22 @@ class SweepPolicy:
 
 #: Fail-fast policy: exactly the pre-supervisor sweep semantics.
 ABORT = SweepPolicy(on_failure="abort")
+
+
+@dataclass(frozen=True)
+class SweepEnv:
+    """What every job of one sweep shares that is not point identity."""
+
+    #: Compile-cache directory the job attaches to (None = leave the
+    #: process's cache as it is).
+    cache_dir: str | None = None
+    #: Arms mid-simulation checkpointing to
+    #: ``<snapshot_dir>/<point_digest>.snap`` (None = off).
+    snapshot_dir: str | None = None
+    #: Manifest path snapshot writes are journaled to.
+    journal: str | None = None
+    #: The job's timeout, snapshot cadence, cycle budget and grace.
+    policy: SweepPolicy = ABORT
 
 
 @dataclass
@@ -445,8 +461,8 @@ def run_resilient(
     ``job_fn`` is a test seam: a picklable callable taking
     ``(spec, env)`` like :func:`repro.exp.runner._run_sweep_job` — one
     :class:`~repro.exp.spec.RunSpec` naming the point and the sweep's
-    :class:`~repro.exp.spec.SweepEnv`, the same two arguments on the
-    serial and the pooled path, whatever features are armed.
+    :class:`SweepEnv`, the same two arguments on the serial and the
+    pooled path, whatever features are armed.
 
     With a pool (``max_workers`` None or > 1) the jobs go through
     :func:`_dispatch_pooled`: one
@@ -464,12 +480,9 @@ def run_resilient(
         os.makedirs(snapshot_dir, exist_ok=True)
     env = SweepEnv(
         cache_dir=None if cache_dir is None else str(cache_dir),
-        timeout_s=sweep_policy.job_timeout_s,
         snapshot_dir=None if snapshot_dir is None else str(snapshot_dir),
-        checkpoint_every=sweep_policy.checkpoint_every,
-        cycle_budget=sweep_policy.job_cycle_budget,
-        grace_s=sweep_policy.grace_s,
         journal=None if manifest_path is None else str(manifest_path),
+        policy=sweep_policy,
     )
     jobs = [_Job(spec, spec) for spec in specs]
 

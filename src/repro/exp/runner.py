@@ -35,12 +35,12 @@ from repro.arch.params import ArchParams
 from repro.core.policy import EFFCC, PlacementPolicy, get_policy
 from repro.exp.cache import GLOBAL_CACHE
 from repro.exp.configs import MachineConfig
+from repro.exp.resilient import SweepEnv, call_with_timeout, run_resilient
 from repro.exp.spec import (
     DEFAULT_FABRIC_SPEC,
     PAPER_DIVIDER,
     FabricSpec,
     RunSpec,
-    SweepEnv,
     compile_key,
     sweep_specs,
 )
@@ -186,8 +186,9 @@ def run_point(
     ``spec.divider=None`` runs at the divider the routed design achieved,
     never below :data:`PAPER_DIVIDER` — so a congested design pays in
     fabric frequency, the Fig. 16 mechanism. ``options``
-    (``checkpoint``/``resume_from``/``resume_policy``) pass through to
-    :func:`repro.sim.engine.simulate` (see :mod:`repro.sim.snapshot`).
+    (``checkpoint``/``resume_from``) pass through to
+    :func:`repro.sim.engine.simulate`; :func:`_run_sweep_job` is the one
+    caller that sets them (see :mod:`repro.sim.snapshot`).
     """
     divider = spec.divider
     if divider is None:
@@ -227,31 +228,32 @@ def _compile_sweep_job(spec: RunSpec, env: SweepEnv) -> None:
     of the key disk-hits. Returns nothing: the artifact travels through
     ``env.cache_dir``, not the pipe.
     """
-    from repro.exp.resilient import call_with_timeout
-
     _attach_cache(env.cache_dir)
     call_with_timeout(
-        env.timeout_s,
+        env.policy.job_timeout_s,
         lambda: compile_point(spec),
         label=f"{spec.workload}/compile/seed{spec.seed}",
     )
 
 
 def _run_sweep_job(spec: RunSpec, env: SweepEnv) -> RunResult:
-    """One sweep point; runs inside a worker process.
+    """One sweep point (or ``repro run``'s one point), in a worker
+    process or in-process.
 
-    ``env.timeout_s`` arms a ``SIGALRM`` wall-clock budget around
-    compile+simulate (see :func:`repro.exp.resilient.call_with_timeout`).
+    ``env.policy.job_timeout_s`` arms a ``SIGALRM`` wall-clock budget
+    around compile+simulate (see
+    :func:`repro.exp.resilient.call_with_timeout`).
 
-    ``env.snapshot_dir`` arms mid-simulation checkpointing: the snapshot
-    path is derived from the point digest, any valid snapshot already
-    there is resumed (invalid ones are discarded), SIGTERM/SIGINT and
+    ``env.snapshot_dir`` arms mid-simulation checkpointing, and this is
+    the one place that decides where a point's snapshot lives: the path
+    is derived from the point digest, any valid snapshot already there
+    is resumed (an invalid one is discarded, see
+    :func:`repro.sim.snapshot.resolve_resume`), SIGTERM/SIGINT and
     timeout expiry snapshot-then-raise instead of killing the attempt
     cold, and snapshot writes are journaled to ``env.journal``.
     """
-    from repro.exp.resilient import call_with_timeout
-
     _attach_cache(env.cache_dir)
+    policy = env.policy
     watchdog = None
     checkpointing = {}
     if env.snapshot_dir is not None:
@@ -263,8 +265,8 @@ def _run_sweep_job(spec: RunSpec, env: SweepEnv) -> RunResult:
         checkpointing = {
             "checkpoint": CheckpointConfig(
                 path=path,
-                every_cycles=env.checkpoint_every,
-                cycle_budget=env.cycle_budget,
+                every_cycles=policy.checkpoint_every,
+                cycle_budget=policy.job_cycle_budget,
                 install_signals=True,
                 watchdog=watchdog,
                 journal_path=env.journal,
@@ -273,15 +275,14 @@ def _run_sweep_job(spec: RunSpec, env: SweepEnv) -> RunResult:
             # A retried attempt continues from its predecessor's
             # snapshot; torn/stale files are discarded, never fatal.
             "resume_from": path,
-            "resume_policy": "discard",
         }
 
     return call_with_timeout(
-        env.timeout_s,
+        policy.job_timeout_s,
         lambda: run_point(spec, *compile_point(spec), **checkpointing),
         label=spec.label,
         watchdog=watchdog,
-        grace_s=env.grace_s,
+        grace_s=policy.grace_s,
     )
 
 
@@ -308,8 +309,8 @@ def run_parallel(
     bit-identical to running each point serially: compilation and
     simulation are deterministic, and every job — one picklable
     :class:`~repro.exp.spec.RunSpec` plus the sweep's
-    :class:`~repro.exp.spec.SweepEnv` — loads its kernel from the shared
-    on-disk cache (or recompiles it), so no cross-job state leaks.
+    :class:`~repro.exp.resilient.SweepEnv` — loads its kernel from the
+    shared on-disk cache (or recompiles it), so no cross-job state leaks.
 
     ``max_workers <= 1`` runs in-process — same job function minus the
     pool, which keeps the serial-vs-parallel equivalence testable without
@@ -335,8 +336,6 @@ def run_parallel(
     skipped-point list, since this facade returns the healthy results
     alone.
     """
-    from repro.exp.resilient import run_resilient
-
     outcome = run_resilient(
         sweep_specs(
             workloads,

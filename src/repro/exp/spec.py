@@ -13,10 +13,10 @@ off the spec through two declared field subsets:
   ``pnr/flow.py::compile_once`` reads and therefore what distinguishes
   one PnR artifact from another.
 
-:class:`SweepEnv` is the rest of what a job needs — where the cache
-lives, the wall-clock budget, snapshot settings — and is deliberately
-*not* identity: moving a sweep to another cache directory changes no
-digest.
+:class:`repro.exp.resilient.SweepEnv` is the rest of what a job needs
+— where the cache lives, the sweep's policy, snapshot settings — and is
+deliberately *not* identity: moving a sweep to another cache directory
+changes no digest.
 """
 
 from __future__ import annotations
@@ -213,23 +213,3 @@ def sweep_specs(workloads, configs, seeds=(0,), **fields) -> list[RunSpec]:
         for config in configs
         for seed in seeds
     ]
-
-
-@dataclass(frozen=True)
-class SweepEnv:
-    """What every job of one sweep shares that is not point identity."""
-
-    #: Compile-cache directory the job attaches to (None = leave the
-    #: process's cache as it is).
-    cache_dir: str | None = None
-    #: Wall-clock budget per job in seconds (None = unlimited).
-    timeout_s: float | None = None
-    #: Arms mid-simulation checkpointing to
-    #: ``<snapshot_dir>/<point_digest>.snap`` (None = off); the four
-    #: fields below only matter when it is set.
-    snapshot_dir: str | None = None
-    checkpoint_every: int = 0
-    cycle_budget: int | None = None
-    grace_s: float = 5.0
-    #: Manifest path snapshot writes are journaled to.
-    journal: str | None = None

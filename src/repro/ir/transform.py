@@ -31,6 +31,7 @@ from repro.ir.ast import (
     UnOp,
     Var,
     While,
+    walk_stmts,
 )
 
 
@@ -47,32 +48,30 @@ def parallelize(kernel: Kernel, degree: int) -> Kernel:
     return Kernel(kernel.name, list(kernel.params), list(kernel.arrays), body)
 
 
-def _transform_stmt(stmt: Stmt, degree: int) -> Stmt:
-    if isinstance(stmt, ParFor):
-        return _split_parfor(stmt, degree)
+def _rebuild(stmt: Stmt, fn) -> Stmt:
+    """``stmt`` with every nested statement mapped through ``fn`` (the
+    callers handle ``ParFor`` themselves)."""
     if isinstance(stmt, If):
         return If(
             stmt.cond,
-            [_transform_stmt(s, degree) for s in stmt.then_body],
-            [_transform_stmt(s, degree) for s in stmt.else_body],
+            [fn(s) for s in stmt.then_body],
+            [fn(s) for s in stmt.else_body],
         )
     if isinstance(stmt, While):
-        return While(
-            stmt.cond, [_transform_stmt(s, degree) for s in stmt.body]
-        )
+        return While(stmt.cond, [fn(s) for s in stmt.body])
     if isinstance(stmt, For):
         return For(
-            stmt.var,
-            stmt.lo,
-            stmt.hi,
-            stmt.step,
-            [_transform_stmt(s, degree) for s in stmt.body],
+            stmt.var, stmt.lo, stmt.hi, stmt.step, [fn(s) for s in stmt.body]
         )
     if isinstance(stmt, Par):
-        return Par(
-            [[_transform_stmt(s, degree) for s in blk] for blk in stmt.blocks]
-        )
+        return Par([[fn(s) for s in blk] for blk in stmt.blocks])
     return stmt
+
+
+def _transform_stmt(stmt: Stmt, degree: int) -> Stmt:
+    if isinstance(stmt, ParFor):
+        return _split_parfor(stmt, degree)
+    return _rebuild(stmt, lambda s: _transform_stmt(s, degree))
 
 
 def _split_parfor(stmt: ParFor, degree: int) -> Stmt:
@@ -96,51 +95,17 @@ def _split_parfor(stmt: ParFor, degree: int) -> Stmt:
 def _sequentialize(stmt: Stmt) -> Stmt:
     """Turn nested parfors into plain for loops."""
     if isinstance(stmt, ParFor):
-        return For(
-            stmt.var,
-            stmt.lo,
-            stmt.hi,
-            stmt.step,
-            [_sequentialize(s) for s in stmt.body],
-        )
-    if isinstance(stmt, If):
-        return If(
-            stmt.cond,
-            [_sequentialize(s) for s in stmt.then_body],
-            [_sequentialize(s) for s in stmt.else_body],
-        )
-    if isinstance(stmt, While):
-        return While(stmt.cond, [_sequentialize(s) for s in stmt.body])
-    if isinstance(stmt, For):
-        return For(
-            stmt.var,
-            stmt.lo,
-            stmt.hi,
-            stmt.step,
-            [_sequentialize(s) for s in stmt.body],
-        )
-    if isinstance(stmt, Par):
-        return Par([[_sequentialize(s) for s in blk] for blk in stmt.blocks])
-    return stmt
+        stmt = For(stmt.var, stmt.lo, stmt.hi, stmt.step, stmt.body)
+    return _rebuild(stmt, _sequentialize)
 
 
 def _locally_defined(body: list[Stmt]) -> set[str]:
     """Every variable assigned anywhere inside ``body`` (recursively)."""
-    names: set[str] = set()
-    for stmt in body:
-        if isinstance(stmt, (Assign, Load)):
-            names.add(stmt.var)
-        elif isinstance(stmt, If):
-            names |= _locally_defined(stmt.then_body)
-            names |= _locally_defined(stmt.else_body)
-        elif isinstance(stmt, (While, For, ParFor)):
-            if isinstance(stmt, (For, ParFor)):
-                names.add(stmt.var)
-            names |= _locally_defined(stmt.body)
-        elif isinstance(stmt, Par):
-            for block in stmt.blocks:
-                names |= _locally_defined(block)
-    return names
+    return {
+        stmt.var
+        for stmt in walk_stmts(body)
+        if isinstance(stmt, (Assign, Load, For, ParFor))
+    }
 
 
 def _worker_rename(stmt: ParFor, worker: int) -> dict[str, str]:

@@ -95,8 +95,7 @@ def simulate(
     frontend_factory=default_frontend,
     divider: int | None = None,
     checkpoint=None,
-    resume_from=None,
-    resume_policy: str = "strict",
+    resume_from: str | None = None,
 ) -> SimResult:
     """Run ``compiled`` to quiescence and return memory + stats.
 
@@ -113,9 +112,9 @@ def simulate(
     ``checkpoint`` is an optional
     :class:`repro.sim.snapshot.CheckpointConfig` arming mid-run
     snapshots (None = off). ``resume_from`` names a snapshot file to
-    continue from — under ``resume_policy="strict"`` an invalid snapshot
-    raises :class:`~repro.errors.SnapshotError`; under ``"discard"`` it
-    is deleted and the run starts fresh from cycle 0. A resumed run is
+    continue from; an invalid one (missing, torn, or taken under another
+    configuration) is deleted and the run starts fresh from cycle 0
+    (:func:`repro.sim.snapshot.resolve_resume`). A resumed run is
     bit-identical to the uninterrupted one; a preempted run raises
     :class:`~repro.errors.SimulationPreempted` after writing a final
     snapshot.
@@ -184,7 +183,6 @@ def simulate(
 
         from repro.sim.snapshot import (
             Checkpointer,
-            Snapshot,
             resolve_resume,
             sim_config_digest,
         )
@@ -192,11 +190,7 @@ def simulate(
         digest = sim_config_digest(compiled, arch, divider, frontend, params)
         if resume_from is not None:
             restore_start = _time.perf_counter()
-            snap = (
-                resume_from
-                if isinstance(resume_from, Snapshot)
-                else resolve_resume(resume_from, digest, policy=resume_policy)
-            )
+            snap = resolve_resume(resume_from, digest)
             if snap is not None:
                 snap.install(engine)
                 resume_info = {
@@ -225,7 +219,7 @@ def simulate(
         # Only a *clean* completion retires the snapshot file; a
         # preempted run (or a quiescence violation) leaves it behind.
         snapshots.finish()
-    stats.frontend = getattr(frontend, "name", type(frontend).__name__)
+    stats.frontend = frontend.name
     numa_counters = getattr(frontend, "numa_counters", None)
     if numa_counters is not None:
         # The one tally of access locality (the attribution reads it).
@@ -371,7 +365,6 @@ class _Engine:
                 self._source_nids.append(nid)
         self._op_names = list(op_index)
         self._fire_counts = [0] * len(op_index)
-        self._frontend_next = getattr(self.frontend, "next_event", None)
 
     def _attach_obs(self, obs) -> None:
         """Point the engine at ``obs``; the memory system and frontend
@@ -553,11 +546,7 @@ class _Engine:
             target = nxt
         if self.arrivals and self.arrivals[0][0] < target:
             target = self.arrivals[0][0]
-        if self._frontend_next is not None:
-            nxt = self._frontend_next(now)
-        else:
-            # Frontends without a hint: never skip while they hold state.
-            nxt = now if self.frontend.busy() else None
+        nxt = self.frontend.next_event(now)
         if nxt is not None and nxt < target:
             target = nxt
         return max(now, target)

@@ -61,8 +61,9 @@ SNAPSHOT_MAGIC = "repro-sim-snapshot"
 #: ``skipped`` bucket), and ``SimParams`` one field shorter; 4 = a bus
 #: of five event kinds (a version 3 bus pickles the gap event's hook);
 #: 5 = one probe object, the invariant checker one of its sinks (a
-#: version 4 state carries the checker as a separate ``check`` entry).
-SNAPSHOT_VERSION = 5
+#: version 4 state carries the checker as a separate ``check`` entry);
+#: 6 = ``SimStats`` state without the ``mem`` block.
+SNAPSHOT_VERSION = 6
 
 
 # -- configuration identity ------------------------------------------------
@@ -90,11 +91,7 @@ def sim_config_digest(compiled, arch, divider, frontend, params=None) -> str:
         "divider": divider,
         "params": sorted((params or {}).items()),
         "arch": repr(dataclasses.replace(arch, sim=sim)),
-        "frontend": (
-            frontend.signature()
-            if hasattr(frontend, "signature")
-            else type(frontend).__name__
-        ),
+        "frontend": frontend.signature(),
     }
     return hashlib.sha256(repr(identity).encode()).hexdigest()[:16]
 
@@ -133,7 +130,7 @@ def load_snapshot(path: str, expect_digest: str | None = None) -> Snapshot:
     Every failure mode — missing file, torn/truncated pickle, checksum
     mismatch, foreign file, version skew, wrong config digest — raises
     :class:`~repro.errors.SnapshotError` (never a bare unpickling
-    exception), so callers can apply one resume policy uniformly.
+    exception), which :func:`resolve_resume` discards uniformly.
     """
     try:
         with open(path, "rb") as handle:
@@ -179,7 +176,7 @@ class Snapshot:
     two runs — refused instead).
     """
 
-    def __init__(self, meta: dict, state: dict, path: str | None = None):
+    def __init__(self, meta: dict, state: dict, path: str):
         self.meta = meta
         self.path = path
         self._state = state
@@ -191,30 +188,27 @@ class Snapshot:
     def install(self, engine) -> None:
         if self._state is None:
             raise SnapshotError(
-                f"snapshot {self.path or '<memory>'} already resumed once; "
+                f"snapshot {self.path} already resumed once; "
                 "load it again to resume a second run"
             )
         state, self._state = self._state, None
         engine.load_state_dict(state)
 
 
-def resolve_resume(path: str, expect_digest: str, policy: str = "strict"):
-    """Load a resume snapshot under one of two policies.
+def resolve_resume(path: str, expect_digest: str):
+    """The snapshot at ``path`` to resume from, or None to start at cycle 0.
 
-    ``"strict"`` propagates any :class:`SnapshotError` — the caller
-    demanded this exact snapshot (``repro run --resume-from``).
-    ``"discard"`` treats an invalid/missing snapshot as "start from
-    cycle 0": the bad file is unlinked so the next checkpoint replaces
-    it, and None is returned. Sweeps resume with ``"discard"`` — a torn
-    snapshot must never wedge a retry loop.
+    A missing, torn, foreign, version-skewed or configuration-mismatched
+    snapshot (any :class:`SnapshotError` of :func:`load_snapshot`) is
+    discarded: the file is unlinked so the next checkpoint replaces it,
+    and None is returned. A bad snapshot must never wedge a retried
+    sweep point, and a ``repro run`` rerun under other settings simply
+    starts over (:func:`repro.exp.runner._run_sweep_job` is the one
+    caller that decides where a point's snapshot lives).
     """
-    if policy not in ("strict", "discard"):
-        raise ValueError(f"unknown resume policy {policy!r}")
     try:
         return load_snapshot(path, expect_digest=expect_digest)
     except SnapshotError:
-        if policy == "strict":
-            raise
         try:
             os.unlink(path)
         except OSError:

@@ -238,11 +238,10 @@ class SimStats:
     def state_dict(self) -> dict:
         """Complete mutable state for mid-run snapshots.
 
-        ``mem`` is included for completeness, but during a run the live
-        memory ledger is ``MemorySystem.stats`` (the engine only assigns
-        it onto ``SimStats.mem`` at quiescence) — the snapshot layer
-        captures that one through
-        :meth:`repro.sim.memsys.MemorySystem.state_dict`.
+        ``mem`` is not in it: during a run the live memory ledger is
+        ``MemorySystem.stats`` (the engine assigns it onto
+        ``SimStats.mem`` only at quiescence), which the snapshot layer
+        captures through :meth:`repro.sim.memsys.MemorySystem.state_dict`.
         """
         return {
             "system_cycles": self.system_cycles,
@@ -255,15 +254,6 @@ class SimStats:
             "domain_latency": {
                 domain: acc.state_dict()
                 for domain, acc in self.domain_latency.items()
-            },
-            "mem": {
-                "loads": self.mem.loads,
-                "stores": self.mem.stores,
-                "hits": self.mem.hits,
-                "misses": self.mem.misses,
-                "bank_wait_cycles": self.mem.bank_wait_cycles,
-                "latency_total": self.mem.latency_total,
-                "responses": self.mem.responses,
             },
             "frontend": self.frontend,
             "noc_hops": self.noc_hops,
@@ -289,8 +279,6 @@ class SimStats:
             acc = LatencyAccumulator()
             acc.load_state_dict(acc_state)
             self.domain_latency[domain] = acc
-        mem = state["mem"]
-        self.mem = MemStats(**mem)
         self.frontend = state["frontend"]
         self.noc_hops = state["noc_hops"]
         self.fmnoc_hops = state["fmnoc_hops"]

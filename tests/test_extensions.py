@@ -1,7 +1,5 @@
 """Tests for the extension features: Monaco variants, DSE, hybrid NUMA+NUPEA."""
 
-import shlex
-
 import pytest
 
 from repro.arch.fabric import monaco, monaco_variant
@@ -254,7 +252,18 @@ class TestCLI:
                 "sweep --workloads dmv --scale tiny --fault-mem-drop-prob 2",
                 "mem_drop_prob",
             ),
-            ("run dmv --scale tiny --checkpoint-every -5", "every_cycles"),
+            ("run dmv --scale tiny --checkpoint-every -5", "checkpoint_every"),
+            # Refused by the ArchParams or fabric the command builds.
+            ("run dmv --scale tiny --tracks 0", "NoC track"),
+            ("fdo dmv --scale tiny --tracks 0", "NoC track"),
+            ("run dmv --scale tiny --rows 0", "fabric too small"),
+            ("run dmv --scale tiny --rows 13", "LS row stride"),
+            ("fdo dmv --scale tiny --cols 0", "fabric too small"),
+            ("fabric --rows 0", "fabric too small"),
+            ("fabric clustered-single --cols 0", "fabric too small"),
+            ("regions dmv --rows 13", "LS row stride"),
+            ("regions dmv --cols 0", "fabric too small"),
+            ("check", "nothing to do"),
             # Refused by argparse itself.
             ("sweep --workloads dmv --scale tiny --configs", "argument --configs"),
             ("sweep --workloads dmv --scale tiny --seeds", "argument --seeds"),
@@ -267,6 +276,12 @@ class TestCLI:
                 "argument --workloads",
             ),
             ("check --fuzz -3", "argument --fuzz"),
+            ("check nosuch", "argument workload"),
+            ("check --all dmv nosuch", "argument workload"),
+            ("run dmv --scale tiny --topology nosuch", "argument --topology"),
+            # Options that no longer exist.
+            ("run dmv --scale tiny --resume-from x", "--resume-from"),
+            ("run dmv --scale tiny --checkpoint x", "--checkpoint-every"),
         ],
     )
     def test_out_of_range_values_are_usage_errors(
@@ -284,9 +299,12 @@ class TestCLI:
         def started(*args, **kwargs):
             raise AssertionError("started work before refusing the value")
 
+        oracle = importlib.import_module("repro.check.oracle")
+        regions = importlib.import_module("repro.pnr.regions")
         for module, name in (
             (cli, "compile_point"), (cli, "run_figures"),
             (resilient, "run_resilient"), (fdo, "run_fdo"), (fuzz, "fuzz"),
+            (oracle, "run_conformance"), (regions, "compile_region_program"),
         ):
             monkeypatch.setattr(module, name, started)
         with pytest.raises(SystemExit) as err:
@@ -315,75 +333,107 @@ class TestCLI:
         with pytest.raises(ExperimentError, match="backoff_s"):
             SweepPolicy(backoff_s=-1.0)
 
-    def test_resume_command_repeats_the_probe_switches(self, tmp_path):
-        from repro import cli
-        from repro.sim.snapshot import CheckpointConfig
-
-        argv = [
-            "run", "spmspv", "--scale", "tiny", "--config", "numa2",
-            "--trace", "--by-class", "--trace-path", str(tmp_path / "t.json"),
-            "--critpath", "--critpath-json", str(tmp_path / "c.json"),
-            "--top", "3",
+    @staticmethod
+    def _probed_run(workload, config, tmp_path, tag, *extra):
+        """``repro run`` with every probe switch, writing under ``tag``."""
+        return [
+            "run", workload, "--scale", "tiny", "--config", config,
+            "--trace", "--critpath",
+            "--trace-path", str(tmp_path / f"{tag}.trace.json"),
+            "--critpath-json", str(tmp_path / f"{tag}.crit.json"),
+            *extra,
         ]
-        parser = cli.build_parser()
-        original = parser.parse_args(argv)
-        command = cli._resume_command(
-            original, CheckpointConfig(path=str(tmp_path / "s.snap"))
-        )
-        resumed = parser.parse_args(shlex.split(command)[1:])
-        for dest in (*cli._SIM_OPTIONS, *cli._PROBES):
-            assert getattr(resumed, dest) == getattr(original, dest), dest
+
+    @staticmethod
+    def _after_stats(out, tmp_path, tag):
+        """The output from the stats line on, the tag's paths blanked."""
+        return out[out.index("\nstats:"):].replace(str(tmp_path / tag), "PATH")
 
     def test_a_traced_run_resumes_bit_identically_through_its_hint(
         self, tmp_path, monkeypatch, capsys
     ):
-        """Preempt a probed ``repro run``, then run the printed command:
-        the probes' output, the trace and the report equal an
-        uninterrupted run's (the snapshot's digest covers the probe
-        switches, so a resume without them would be refused)."""
+        """Preempt a probed ``repro run`` by a 60-cycle job budget, then
+        rerun the identical argv: it resumes from the snapshot the first
+        run named, and the probes' output, the trace and the report equal
+        an uninterrupted run's (the snapshot's digest covers the probe
+        switches, so only the same switches may resume it)."""
         import functools
 
         from repro import cli
-        from repro.sim import snapshot
+        from repro.exp import resilient
 
-        def argv(tag):
-            return [
-                "run", "spmspv", "--scale", "tiny", "--trace", "--critpath",
-                "--trace-path", str(tmp_path / f"{tag}.trace.json"),
-                "--critpath-json", str(tmp_path / f"{tag}.crit.json"),
-            ]
+        real = resilient.SweepPolicy
+        for workload in ("spmspv", "dmv"):
+            for config in ("monaco", "numa2"):
+                tag = f"{workload}-{config}"
+                snaps = tmp_path / f"{tag}.snaps"
+                assert cli.main(
+                    self._probed_run(workload, config, tmp_path, f"{tag}.full")
+                ) == 0
+                full = self._after_stats(
+                    capsys.readouterr().out, tmp_path, f"{tag}.full"
+                )
+                argv = self._probed_run(
+                    workload, config, tmp_path, f"{tag}.cut",
+                    "--checkpoint-every", "40", "--snapshot-dir", str(snaps),
+                )
+                monkeypatch.setattr(
+                    resilient, "SweepPolicy",
+                    functools.partial(real, job_cycle_budget=60),
+                )
+                assert cli.main(argv) == 75, tag
+                (line,) = [
+                    line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("preempted at cycle ")
+                ]
+                assert line.endswith("; rerun the same command to continue")
+                (snap,) = snaps.glob("*.snap")
+                assert f"snapshot written to {snap};" in line
+                monkeypatch.setattr(resilient, "SweepPolicy", real)
+                assert cli.main(argv) == 0, tag
+                out = capsys.readouterr().out
+                assert f"resumed from {snap} at cycle " in out
+                assert self._after_stats(out, tmp_path, f"{tag}.cut") == full
+                for suffix in ("trace.json", "crit.json"):
+                    assert (tmp_path / f"{tag}.cut.{suffix}").read_bytes() == (
+                        tmp_path / f"{tag}.full.{suffix}"
+                    ).read_bytes(), (tag, suffix)
+                assert not list(snaps.glob("*.snap")), tag
 
-        def after_stats(out, tag):
-            text = out[out.index("\nstats:"):]
-            return text.replace(str(tmp_path / tag), "PATH")
+    def test_a_rerun_under_other_probes_starts_over(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """The same point rerun without the probe switches finds the
+        traced snapshot at its path, fails its configuration digest,
+        discards it and runs from cycle 0: the result equals an
+        uninterrupted untraced run's."""
+        import functools
 
-        assert cli.main(argv("full")) == 0
-        full = after_stats(capsys.readouterr().out, "full")
+        from repro import cli
+        from repro.exp import resilient
 
-        snap = str(tmp_path / "victim.snap")
-        real = snapshot.CheckpointConfig
+        snaps = tmp_path / "snaps"
+        plain = ["run", "spmspv", "--scale", "tiny"]
+        assert cli.main(plain) == 0
+        full = self._after_stats(capsys.readouterr().out, tmp_path, "-")
+        real = resilient.SweepPolicy
         monkeypatch.setattr(
-            snapshot, "CheckpointConfig",
-            functools.partial(real, cycle_budget=60),
+            resilient, "SweepPolicy",
+            functools.partial(real, job_cycle_budget=60),
         )
-        victim = [
-            *argv("cut"), "--checkpoint", snap, "--checkpoint-every", "40"
-        ]
-        assert cli.main(victim) == 75
-        (hint,) = [
-            line[len("resume with: "):]
-            for line in capsys.readouterr().out.splitlines()
-            if line.startswith("resume with: ")
-        ]
-        monkeypatch.setattr(snapshot, "CheckpointConfig", real)
-        assert cli.main(shlex.split(hint)[1:]) == 0
+        snapshot = ["--checkpoint-every", "40", "--snapshot-dir", str(snaps)]
+        traced = self._probed_run(
+            "spmspv", "monaco", tmp_path, "cut", *snapshot
+        )
+        assert cli.main(traced) == 75
+        capsys.readouterr()
+        (snap,) = snaps.glob("*.snap")
+        monkeypatch.setattr(resilient, "SweepPolicy", real)
+        assert cli.main([*plain, *snapshot]) == 0
         out = capsys.readouterr().out
-        assert "resumed from" in out
-        assert after_stats(out, "cut") == full
-        for suffix in ("trace.json", "crit.json"):
-            assert (tmp_path / f"cut.{suffix}").read_bytes() == (
-                tmp_path / f"full.{suffix}"
-            ).read_bytes()
+        assert "resumed from" not in out
+        assert self._after_stats(out, tmp_path, "-") == full
+        assert not snap.exists()
 
     def test_size_parsing(self):
         from repro.cli import _parse_size
@@ -404,42 +454,42 @@ class TestCLI:
     def test_preemption_hint_resumes_the_same_run(
         self, tmp_path, monkeypatch, capsys
     ):
-        """The printed resume command carries every sim argument, so the
-        resumed run compiles the same placement (the snapshot's config
-        check passes) and keeps checkpointing."""
-        import shlex
+        """A preempted run names its snapshot by its point digest (every
+        sim argument is in it), so rerunning the same command resolves
+        the same file."""
+        import os
 
         from repro import cli
         from repro.errors import SimulationPreempted
+        from repro.exp import runner
 
-        snap = str(tmp_path / "a dir" / "dmv.snap")
+        snaps = str(tmp_path / "a dir")
         argv = [
             "run", "dmv", "--scale", "tiny", "--config", "numa3",
             "--policy", "only-domain-aware", "--rows", "10", "--cols", "11",
             "--topology", "clustered-single", "--tracks", "7", "--seed", "1",
-            "--profile-guided", "--checkpoint", snap,
+            "--profile-guided", "--snapshot-dir", snaps,
             "--checkpoint-every", "500",
         ]
+        seen = []
 
-        def preempted(spec, instance, compiled, **options):
+        def preempted(spec, instance, compiled, checkpoint, resume_from):
+            seen.append(
+                (checkpoint.path, checkpoint.every_cycles, resume_from)
+            )
             raise SimulationPreempted(
-                "preempted", snapshot_path=snap, cycle=123
+                "preempted", snapshot_path=checkpoint.path, cycle=123
             )
 
-        monkeypatch.setattr(cli, "run_point", preempted)
-        assert cli.main(argv) == 75
-        (line,) = [
-            line for line in capsys.readouterr().out.splitlines()
-            if line.startswith("resume with: ")
-        ]
-        words = shlex.split(line[len("resume with: "):])
-        assert words[:2] == ["repro", "run"]
-        parser = cli.build_parser()
-        original, resumed = parser.parse_args(argv), parser.parse_args(words[1:])
-
-        def spec(args):
-            return cli._spec_from_args(args, profile_guided=args.profile_guided)
-
-        assert spec(resumed) == spec(original)
-        assert resumed.checkpoint == resumed.resume_from == snap
-        assert resumed.checkpoint_every == 500
+        monkeypatch.setattr(runner, "run_point", preempted)
+        args = cli.build_parser().parse_args(argv)
+        spec = cli._spec_from_args(args, profile_guided=True)
+        path = os.path.join(snaps, f"{spec.point_digest()}.snap")
+        for _ in range(2):
+            assert cli.main(argv) == 75
+            (line,) = [
+                line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("preempted at cycle 123: ")
+            ]
+            assert f"snapshot written to {path};" in line
+        assert seen == [(path, 500, path)] * 2

@@ -23,6 +23,7 @@ from repro.exp.cache import (
     default_cache_dir,
 )
 from repro.exp.configs import MONACO, upea
+from repro.exp.resilient import SweepEnv
 from repro.exp.runner import (
     PAPER_DIVIDER,
     _compile_sweep_job,
@@ -31,7 +32,7 @@ from repro.exp.runner import (
     run_parallel,
     run_point,
 )
-from repro.exp.spec import RunSpec, SweepEnv, sweep_specs
+from repro.exp.spec import RunSpec, sweep_specs
 from repro.pnr.flow import compile_once
 from repro.sim.engine import simulate
 from repro.workloads.registry import make_workload

@@ -176,7 +176,7 @@ def _sleepy_job(spec, env):
     def body():
         time.sleep(10)
 
-    return call_with_timeout(env.timeout_s, body, label=spec.label)
+    return call_with_timeout(env.policy.job_timeout_s, body, label=spec.label)
 
 
 def _die_once_job(spec, env):

@@ -28,9 +28,14 @@ from repro.arch.params import (
 from repro.errors import RoutingError
 from repro.exp.cache import GLOBAL_CACHE
 from repro.exp.configs import MONACO, upea
-from repro.exp.resilient import PNR_SEED_STRIDE, SweepPolicy, run_resilient
+from repro.exp.resilient import (
+    PNR_SEED_STRIDE,
+    SweepEnv,
+    SweepPolicy,
+    run_resilient,
+)
 from repro.exp.runner import _run_sweep_job, compile_cached
-from repro.exp.spec import RunSpec, SweepEnv, sweep_specs
+from repro.exp.spec import RunSpec, sweep_specs
 from repro.obs.manifest import (
     MANIFEST_SCHEMA,
     POINT_FIELDS,
@@ -215,9 +220,8 @@ def test_serial_and_pooled_jobs_get_equal_spec_and_env(
         assert spec.profile_guided == profile_guided
         assert env == SweepEnv(
             cache_dir=str(tmp_path / "cache"),
-            timeout_s=30.0,
             snapshot_dir=str(snapshot_dir) if snapshotting else None,
-            checkpoint_every=500,
+            policy=SweepPolicy(job_timeout_s=30.0, checkpoint_every=500),
         )
 
 

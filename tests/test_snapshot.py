@@ -65,7 +65,6 @@ from repro.sim.snapshot import (
     Watchdog,
     check_boundary_invariants,
     load_snapshot,
-    resolve_resume,
     sim_config_digest,
 )
 from repro.sim.stats import RESERVOIR_CAP, LatencyAccumulator
@@ -308,9 +307,9 @@ class TestSplitRunBitIdentity:
         assert os.path.exists(path)
 
     def test_sim_knobs_arm_checkpointer(self, tmp_path, monkeypatch):
-        """``repro run --checkpoint/--checkpoint-every`` arm a
-        checkpointer through the ``CheckpointConfig`` the command builds;
-        without one the engine carries none."""
+        """``repro run --snapshot-dir/--checkpoint-every`` arm a
+        checkpointer through the sweep's job path; without them the
+        engine carries none."""
         from repro.cli import main
 
         armed = []
@@ -321,11 +320,11 @@ class TestSplitRunBitIdentity:
             return run_engine(engine)
 
         monkeypatch.setattr(_Engine, "run", spy)
-        path = str(tmp_path / "auto.snap")
+        snaps = tmp_path / "snaps"
         stats = str(tmp_path / "stats.json")
         base = _simulate("dmv", ArchParams())
         assert main([
-            "run", "dmv", "--scale", SCALE, "--checkpoint", path,
+            "run", "dmv", "--scale", SCALE, "--snapshot-dir", str(snaps),
             "--checkpoint-every", "100", "--stats-json", stats,
         ]) == 0
         # Off: no checkpointer on the engine, no telemetry block.
@@ -336,7 +335,8 @@ class TestSplitRunBitIdentity:
             payload = json.load(handle)
         payload.pop("energy")
         assert payload == json.loads(_digest(base))
-        assert not os.path.exists(path)
+        assert armed[1].config.path.startswith(str(snaps))
+        assert not os.listdir(snaps)
 
 
 # -- rejection: every invalid-resume path -----------------------------------
@@ -385,7 +385,6 @@ class TestRejection:
             ArchParams(),
             checkpoint=CheckpointConfig(path=path),
             resume_from=path,
-            resume_policy="discard",
         )
         # Bad file discarded, run restarted from cycle 0, still correct.
         assert fresh.resume_info is None
@@ -419,14 +418,15 @@ class TestRejection:
             load_snapshot(path)
 
     def test_version_skew_refused(self, tmp_path):
-        # Versions 1-4 are real history: their pickled sinks have
-        # another layout (1: no open runs, per-edge token counters; 2: a
-        # ``skipped`` bucket beside the open runs; 3: a handler table
-        # naming ``on_gap`` / ``on_counter``; 4: the invariant checker
-        # as a ``check`` entry beside the bus), so a probed snapshot
-        # from those builds must be refused by name, up front.
+        # Versions 1-5 are real history: their state has another layout
+        # (1: no open runs, per-edge token counters; 2: a ``skipped``
+        # bucket beside the open runs; 3: a handler table naming
+        # ``on_gap`` / ``on_counter``; 4: the invariant checker as a
+        # ``check`` entry beside the bus; 5: a ``mem`` block in the
+        # stats state), so a snapshot from those builds must be refused
+        # by name, up front.
         path = self._snap(tmp_path)
-        for version in (99, 1, 2, 3, 4):
+        for version in (99, 1, 2, 3, 4, 5):
             self._rewrite(
                 path, lambda blob: blob.__setitem__("version", version)
             )
@@ -443,10 +443,17 @@ class TestRejection:
 
     def test_wrong_config_digest_refused(self, tmp_path):
         # Snapshot taken under Monaco; resuming the same workload under a
-        # UPEA frontend must be refused (strict), not silently restored.
+        # UPEA frontend is refused by name, never silently restored: the
+        # simulation discards the file and starts from cycle 0.
         path = self._snap(tmp_path, config=MONACO)
+        full = _simulate("dmv", ArchParams(), upea(2))
         with pytest.raises(SnapshotError, match="different configuration"):
-            _simulate("dmv", ArchParams(), upea(2), resume_from=path)
+            load_snapshot(path, expect_digest="0" * 16)
+        fresh = _simulate("dmv", ArchParams(), upea(2), resume_from=path)
+        assert fresh.resume_info is None
+        assert _digest(fresh) == _digest(full)
+        assert fresh.memory == full.memory
+        assert not os.path.exists(path)
 
     def test_stale_tmp_is_never_read(self, tmp_path):
         # SIGKILL between write and rename leaves garbage at <path>.tmp;
@@ -464,10 +471,6 @@ class TestRejection:
         snap.install(sink)
         with pytest.raises(SnapshotError, match="already resumed"):
             snap.install(sink)
-
-    def test_unknown_resume_policy(self, tmp_path):
-        with pytest.raises(ValueError, match="resume policy"):
-            resolve_resume(str(tmp_path / "x.snap"), "d" * 16, policy="maybe")
 
     def test_boundary_invariants_refuse_corrupt_state(self):
         engine = types.SimpleNamespace(
