@@ -48,7 +48,7 @@ from repro.errors import ReproError
 from repro.ir import KernelBuilder, parallelize, run_kernel
 from repro.pnr import CompiledKernel, compile_kernel
 from repro.sim import SimResult, simulate
-from repro.workloads import ALL_WORKLOADS, all_workloads, make_workload
+from repro.workloads import ALL_WORKLOADS, make_workload
 
 __version__ = "1.0.0"
 
@@ -63,7 +63,6 @@ __all__ = [
     "KernelBuilder",
     "ReproError",
     "SimResult",
-    "all_workloads",
     "analyze_criticality",
     "build_fabric",
     "compile_kernel",

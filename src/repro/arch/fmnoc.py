@@ -91,8 +91,3 @@ class FMNoC:
         if arb.domain > 1:
             return ArbiterId(arb.row, arb.domain - 1)
         return self.fabric.row_shared_port[arb.row]
-
-    def port_contenders(self, port: int) -> int:
-        """How many sources combinationally share a memory port."""
-        shared = set(self.fabric.row_shared_port.values())
-        return 2 if port in shared else 1

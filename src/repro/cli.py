@@ -26,8 +26,6 @@ Commands:
   checkpointed to the manifest journal (``--resume``), and able to
   inject deterministic faults (``--fault-*``);
 * ``cache`` — inspect, clear, or LRU-prune the persistent compile cache;
-* ``regions`` — split a workload too large for the fabric into
-  bitstream regions, then run them in sequence;
 * ``check`` — cross-layer conformance: the three-way differential
   oracle (IR interpreter vs. DFG token interpreter vs. cycle-level
   simulator, lint pass and invariant checkers armed) over Table 1
@@ -58,7 +56,7 @@ from repro.exp.spec import RunSpec, sweep_specs
 from repro.exp.tables import table1
 from repro.pnr.viz import fabric_map, placement_map
 from repro.sim.energy import estimate_energy
-from repro.workloads.registry import ALL_WORKLOADS, SCALES, make_workload
+from repro.workloads.registry import ALL_WORKLOADS, SCALES
 
 
 def _config_for(name: str):
@@ -386,16 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-size", default="256M", metavar="BYTES",
         help="prune target; accepts suffixes K/M/G (default 256M)",
     )
-
-    p_regions = sub.add_parser(
-        "regions",
-        help="split an oversized workload into bitstream regions and run",
-    )
-    p_regions.add_argument("workload", choices=sorted(ALL_WORKLOADS))
-    p_regions.add_argument("--scale", choices=SCALES, default="tiny")
-    p_regions.add_argument("--rows", type=int, default=10)
-    p_regions.add_argument("--cols", type=int, default=10)
-    p_regions.add_argument("--seed", type=int, default=0)
 
     p_check = sub.add_parser(
         "check",
@@ -763,37 +751,6 @@ def cmd_cache(args) -> int:
     return 0
 
 
-def cmd_regions(args) -> int:
-    from repro.arch.fabric import monaco as monaco_fabric
-    from repro.pnr.regions import compile_region_program
-    from repro.sim.regions import simulate_regions
-
-    fabric = _setting(monaco_fabric, rows=args.rows, cols=args.cols)
-    instance = make_workload(args.workload, scale=args.scale, seed=args.seed)
-    arch = ArchParams()
-    compiled = compile_region_program(
-        instance.kernel, fabric, arch, seed=args.seed
-    )
-    print(
-        f"{args.workload} split into {len(compiled)} region(s) on "
-        f"{fabric.name}:"
-    )
-    for region, ck in zip(compiled.program.regions, compiled.compiled):
-        print(
-            f"  {ck.dfg.name:16s} {len(ck.dfg):4d} nodes, "
-            f"par={ck.parallelism}, live-in={region.live_in}, "
-            f"spills={sorted(region.spills)}"
-        )
-    result = simulate_regions(compiled, instance.params, instance.arrays, arch)
-    instance.check(result.memory)
-    print(
-        f"total {result.total_cycles} system cycles "
-        f"({result.regions} launches, per-region {result.region_cycles}); "
-        "output verified"
-    )
-    return 0
-
-
 def cmd_check(args) -> int:
     from repro.check.fuzz import fuzz as run_fuzz
     from repro.check.oracle import run_conformance
@@ -858,7 +815,6 @@ COMMANDS = {
     "figure": cmd_figure,
     "sweep": cmd_sweep,
     "cache": cmd_cache,
-    "regions": cmd_regions,
     "check": cmd_check,
 }
 

@@ -7,11 +7,7 @@ from repro.core.criticality import (
     format_report,
     leaf_loops,
 )
-from repro.core.domains import (
-    NUPEADomain,
-    placement_preference,
-    validate_domain_order,
-)
+from repro.core.domains import NUPEADomain, validate_domain_order
 from repro.core.policy import (
     DOMAIN_AWARE,
     DOMAIN_UNAWARE,
@@ -41,7 +37,6 @@ __all__ = [
     "format_report",
     "get_policy",
     "leaf_loops",
-    "placement_preference",
     "profile_dfg",
     "validate_domain_order",
 ]

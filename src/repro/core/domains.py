@@ -63,21 +63,3 @@ def validate_domain_order(domains: list[NUPEADomain]) -> None:
         raise ArchError(
             "domains must be ordered by non-decreasing arbiter hops"
         )
-
-
-def placement_preference(
-    domains: list[NUPEADomain],
-) -> list[tuple[int, int]]:
-    """The paper's PnR preference order, best first.
-
-    Returns (domain index, column rank) pairs ordered
-    ``D0.c0 <= D0.c1 <= ... <= D1.c0 <= ...`` — i.e. fill the fastest
-    domain column-by-column before spilling to slower domains. Spreading
-    across columns of one domain happens naturally because each *row* has
-    its own slice of the fabric-memory NoC.
-    """
-    order: list[tuple[int, int]] = []
-    for domain in domains:
-        for rank in range(len(domain.columns)):
-            order.append((domain.index, rank))
-    return order

@@ -82,9 +82,6 @@ class PortRef:
 
     src: int
 
-    def is_imm(self) -> bool:
-        return False
-
 
 @dataclass(frozen=True)
 class ImmRef:
@@ -96,9 +93,6 @@ class ImmRef:
     def __post_init__(self):
         if self.kind not in ("const", "param"):
             raise DFGError(f"bad immediate kind {self.kind!r}")
-
-    def is_imm(self) -> bool:
-        return True
 
     def resolve(self, params: dict[str, int | float]) -> int | float:
         if self.kind == "const":

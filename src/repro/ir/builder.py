@@ -27,7 +27,6 @@ from repro.errors import IRError
 from repro.ir.ast import (
     ArraySpec,
     Assign,
-    Const,
     Expr,
     For,
     If,
@@ -185,9 +184,4 @@ class KernelBuilder:
         return kernel
 
 
-def const(value) -> Const:
-    """Convenience: wrap a Python number as an IR constant."""
-    return wrap(value)
-
-
-__all__ = ["KernelBuilder", "ArrayHandle", "const", "Expr", "Var"]
+__all__ = ["KernelBuilder", "ArrayHandle", "Expr", "Var"]

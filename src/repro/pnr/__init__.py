@@ -3,13 +3,6 @@
 from repro.pnr.flow import compile_kernel, compile_once
 from repro.pnr.netlist import Net, Netlist, build_netlist
 from repro.pnr.place import Placement, anneal, initial_placement
-from repro.pnr.regions import (
-    CompiledRegionProgram,
-    Region,
-    RegionProgram,
-    compile_region_program,
-    split_kernel,
-)
 from repro.pnr.result import CompiledKernel
 from repro.pnr.route import RoutingResult, route_design
 from repro.pnr.timing import TimingReport, analyze_timing
@@ -17,12 +10,9 @@ from repro.pnr.viz import fabric_map, placement_map
 
 __all__ = [
     "CompiledKernel",
-    "CompiledRegionProgram",
     "Net",
     "Netlist",
     "Placement",
-    "Region",
-    "RegionProgram",
     "RoutingResult",
     "TimingReport",
     "analyze_timing",
@@ -30,10 +20,8 @@ __all__ = [
     "build_netlist",
     "compile_kernel",
     "compile_once",
-    "compile_region_program",
     "fabric_map",
     "initial_placement",
     "placement_map",
     "route_design",
-    "split_kernel",
 ]

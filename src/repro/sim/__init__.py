@@ -5,7 +5,6 @@ from repro.sim.engine import SimResult, default_frontend, simulate
 from repro.sim.fmnoc_sim import MonacoFrontend
 from repro.sim.hybrid import HybridFrontend
 from repro.sim.memsys import MemorySystem, MemStats, RequestRecord, SharedCache
-from repro.sim.regions import RegionRunResult, simulate_regions
 from repro.sim.stats import LatencyAccumulator, SimStats
 from repro.sim.upea import NumaFrontend, UniformFrontend
 
@@ -18,7 +17,6 @@ __all__ = [
     "MemorySystem",
     "MonacoFrontend",
     "NumaFrontend",
-    "RegionRunResult",
     "RequestRecord",
     "SharedCache",
     "SimResult",
@@ -27,5 +25,4 @@ __all__ = [
     "default_frontend",
     "estimate_energy",
     "simulate",
-    "simulate_regions",
 ]

@@ -50,10 +50,4 @@ def make_workload(
     return builder(scale=scale, seed=seed)
 
 
-def all_workloads(scale: str = "small", seed: int = 0):
-    """Yield every Table 1 workload instance."""
-    for name in ALL_WORKLOADS:
-        yield make_workload(name, scale=scale, seed=seed)
-
-
-__all__ = ["ALL_WORKLOADS", "BUILDERS", "SCALES", "all_workloads", "make_workload"]
+__all__ = ["ALL_WORKLOADS", "BUILDERS", "SCALES", "make_workload"]

@@ -81,14 +81,6 @@ class TestFMNoC:
         arb1 = ArbiterId(1, 1)
         assert isinstance(noc.downstream(arb1), int)
 
-    def test_port_contenders(self):
-        fab = monaco(12, 12)
-        noc = FMNoC(fab)
-        shared = set(fab.row_shared_port.values())
-        for port in range(fab.n_ports):
-            expected = 2 if port in shared else 1
-            assert noc.port_contenders(port) == expected
-
     def test_entry_rejects_arith_pe(self):
         fab = monaco(12, 12)
         noc = FMNoC(fab)

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.core.domains import (
-    NUPEADomain,
-    placement_preference,
-    validate_domain_order,
-)
+from repro.core.domains import NUPEADomain, validate_domain_order
 from repro.core.policy import (
     DOMAIN_AWARE,
     DOMAIN_UNAWARE,
@@ -43,14 +39,6 @@ class TestDomains:
             validate_domain_order(
                 [NUPEADomain(0, 2, (5,)), NUPEADomain(1, 1, (4,))]
             )
-
-    def test_placement_preference_order(self):
-        domains = [
-            NUPEADomain(0, 0, (11, 10)),
-            NUPEADomain(1, 1, (9, 8, 7)),
-        ]
-        order = placement_preference(domains)
-        assert order == [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2)]
 
 
 class TestPolicies:

@@ -210,17 +210,6 @@ class TestCLI:
         assert _config_for("numa2").kind == "numa"
         assert _config_for("ideal").upea_fabric_cycles == 0
 
-    def test_regions_command(self, capsys):
-        from repro.cli import main
-
-        code = main(
-            ["regions", "ic", "--scale", "tiny", "--rows", "10",
-             "--cols", "10"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "region(s)" in out and "output verified" in out
-
     @pytest.mark.parametrize("name", ["upeax", "numa2x"])
     def test_malformed_config_is_a_usage_error(self, name, capsys):
         """Regression: a malformed delay raised a bare ValueError from
@@ -261,8 +250,6 @@ class TestCLI:
             ("fdo dmv --scale tiny --cols 0", "fabric too small"),
             ("fabric --rows 0", "fabric too small"),
             ("fabric clustered-single --cols 0", "fabric too small"),
-            ("regions dmv --rows 13", "LS row stride"),
-            ("regions dmv --cols 0", "fabric too small"),
             ("check", "nothing to do"),
             # Refused by argparse itself.
             ("sweep --workloads dmv --scale tiny --configs", "argument --configs"),
@@ -279,9 +266,10 @@ class TestCLI:
             ("check nosuch", "argument workload"),
             ("check --all dmv nosuch", "argument workload"),
             ("run dmv --scale tiny --topology nosuch", "argument --topology"),
-            # Options that no longer exist.
+            # Options and commands that no longer exist.
             ("run dmv --scale tiny --resume-from x", "--resume-from"),
             ("run dmv --scale tiny --checkpoint x", "--checkpoint-every"),
+            ("regions dmv", "invalid choice"),
         ],
     )
     def test_out_of_range_values_are_usage_errors(
@@ -300,11 +288,10 @@ class TestCLI:
             raise AssertionError("started work before refusing the value")
 
         oracle = importlib.import_module("repro.check.oracle")
-        regions = importlib.import_module("repro.pnr.regions")
         for module, name in (
             (cli, "compile_point"), (cli, "run_figures"),
             (resilient, "run_resilient"), (fdo, "run_fdo"), (fuzz, "fuzz"),
-            (oracle, "run_conformance"), (regions, "compile_region_program"),
+            (oracle, "run_conformance"),
         ):
             monkeypatch.setattr(module, name, started)
         with pytest.raises(SystemExit) as err:

@@ -1,10 +1,8 @@
-"""Tests for the IR/DFG pretty-printers and placement visualization."""
+"""Tests for the IR pretty-printer and placement visualization."""
 
 from repro.arch.fabric import clustered_single, monaco
 from repro.arch.params import ArchParams
 from repro.core.policy import EFFCC
-from repro.dfg.lower import lower_kernel
-from repro.dfg.pretty import format_dfg, format_node, to_dot
 from repro.ir.pretty import format_expr, format_kernel, format_stmt
 from repro.ir.ast import BinOp, Const, Store, UnOp, Var
 from repro.pnr.flow import compile_once
@@ -46,35 +44,6 @@ class TestIRPretty:
         kernel, _, _ = zoo_instance("branchy")
         text = format_kernel(kernel)
         assert "if (" in text and "else:" in text
-
-
-class TestDFGPretty:
-    def test_listing_covers_every_node(self):
-        kernel, _, _ = zoo_instance("join")
-        dfg = lower_kernel(kernel)
-        text = format_dfg(dfg)
-        for nid in dfg.nodes:
-            assert f"%{nid}" in text
-
-    def test_node_format_shows_ports_and_imms(self):
-        kernel, _, _ = zoo_instance("dot")
-        dfg = lower_kernel(kernel)
-        loads = [n for n in dfg.nodes.values() if n.op == "load"]
-        line = format_node(loads[0])
-        assert "load.x" in line or "load.y" in line
-        assert "idx=" in line
-
-    def test_dot_export_wellformed(self):
-        kernel, _, _ = zoo_instance("join")
-        dfg = lower_kernel(kernel)
-        from repro.core.criticality import analyze_criticality
-
-        analyze_criticality(dfg)
-        dot = to_dot(dfg)
-        assert dot.startswith("digraph")
-        assert dot.rstrip().endswith("}")
-        assert dot.count("->") == len(dfg.edge_list())
-        assert "color=red" in dot  # class-A loads highlighted
 
 
 class TestViz:
