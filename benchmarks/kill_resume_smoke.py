@@ -16,7 +16,7 @@ subprocesses (no cooperation from the victim):
    so the fragment costs nothing but itself;
 4. assert the final journal's ok-records equal the clean sweep's —
    keyed by ``point_digest`` and compared on
-   :func:`repro.obs.manifest.stable_view`, since retries may reorder
+   :func:`repro.obs.manifest.stable_view`, since a resume may reorder
    records but must never change results — and that any resumed record
    carries ``resume.from_cycle > 0`` with its final attempt executing
    fewer cycles than the whole run.

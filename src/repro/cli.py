@@ -22,8 +22,9 @@ Commands:
   exits non-zero when a claim fails on the full default grid;
 * ``sweep`` — run a (workload x config x seed) sweep, optionally across
   worker processes sharing a persistent compile cache; supervised by
-  the resilient sweep layer (``--timeout/--retries/--on-failure``),
-  checkpointed to the manifest journal (``--resume``), and able to
+  the resilient sweep layer (``--timeout/--on-failure``), checkpointed
+  to the manifest journal (``--resume`` reruns what failed or was
+  preempted, from its snapshot), and able to
   inject deterministic faults (``--fault-*``);
 * ``cache`` — inspect, clear, or LRU-prune the persistent compile cache;
 * ``check`` — cross-layer conformance: the three-way differential
@@ -134,7 +135,7 @@ def _add_snapshot_args(p) -> None:
         help="arm mid-simulation checkpointing: a point snapshots to "
         "DIR/<point_digest>.snap when preempted (SIGTERM/SIGINT, a "
         "sweep's --timeout) and every --checkpoint-every cycles; "
-        "rerunning the point (the same command, a retry, --resume) "
+        "rerunning the point (the same command, --resume) "
         "continues from its snapshot instead of cycle 0, and a snapshot "
         "taken under other settings is discarded",
     )
@@ -152,6 +153,28 @@ def _snapshot_dir(args) -> str | None:
     if args.snapshot_dir is None and args.checkpoint_every:
         return "snapshots"
     return args.snapshot_dir
+
+
+def _parse_size(text: str) -> int:
+    """``"256M"`` -> bytes; bare non-negative numbers and K/M/G suffixes
+    accepted. The ``--max-size`` ``type=``, so a bad size exits 2 with a
+    usage line before the cache is touched."""
+    number = text.strip().upper()
+    factor = 1
+    for suffix, mult in (("K", 1 << 10), ("M", 1 << 20), ("G", 1 << 30)):
+        if number.endswith(suffix):
+            number = number[: -len(suffix)]
+            factor = mult
+            break
+    try:
+        size = int(float(number) * factor)
+    except (ValueError, OverflowError):
+        size = -1
+    if size < 0:
+        raise argparse.ArgumentTypeError(
+            f"bad size {text!r}; use a non-negative size like 512K, 64M, 2G"
+        )
+    return size
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -315,24 +338,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-job wall-clock budget (SIGALRM in the worker)",
     )
     p_sweep.add_argument(
-        "--retries", type=int, default=2,
-        help="retry budget per point for transient failures (default 2)",
-    )
-    p_sweep.add_argument(
-        "--on-failure", choices=["abort", "skip", "retry"], default="abort",
-        help="abort: fail fast (default); skip: record and move on; "
-        "retry: perturb the placement seed for PnR failures, then skip",
-    )
-    p_sweep.add_argument(
-        "--backoff", type=float, default=0.0, metavar="SECONDS",
-        help="base for exponential backoff between retries (default 0)",
+        "--on-failure", choices=["abort", "skip"], default="abort",
+        help="abort: fail fast (default); skip: record the failure and "
+        "move on (--resume reruns it)",
     )
     _add_snapshot_args(p_sweep)
-    p_sweep.add_argument(
-        "--grace", type=float, default=5.0, metavar="SECONDS",
-        help="seconds a timed-out job may spend writing its snapshot "
-        "before the hard kill (default 5)",
-    )
     p_sweep.add_argument(
         "--profile-guided", action="store_true",
         help="compile every point with profile-refined criticality "
@@ -381,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="cache directory (default: the user cache dir)",
     )
     p_cache.add_argument(
-        "--max-size", default="256M", metavar="BYTES",
+        "--max-size", type=_parse_size, default="256M", metavar="BYTES",
         help="prune target; accepts suffixes K/M/G (default 256M)",
     )
 
@@ -636,11 +646,8 @@ def cmd_sweep(args) -> int:
     sweep_policy = _setting(
         SweepPolicy,
         job_timeout_s=args.timeout,
-        max_retries=args.retries,
-        backoff_s=args.backoff,
         on_failure=args.on_failure,
         checkpoint_every=args.checkpoint_every,
-        grace_s=args.grace,
     )
     faults = _setting(
         FaultParams,
@@ -702,27 +709,6 @@ def cmd_sweep(args) -> int:
     return 1 if outcome.failures else 0
 
 
-def _parse_size(text: str) -> int:
-    """``"256M"`` -> bytes; bare non-negative numbers and K/M/G suffixes
-    accepted."""
-    number = text.strip().upper()
-    factor = 1
-    for suffix, mult in (("K", 1 << 10), ("M", 1 << 20), ("G", 1 << 30)):
-        if number.endswith(suffix):
-            number = number[: -len(suffix)]
-            factor = mult
-            break
-    try:
-        size = int(float(number) * factor)
-    except (ValueError, OverflowError):
-        size = -1
-    if size < 0:
-        raise SystemExit(
-            f"bad size {text!r}; use a non-negative size like 512K, 64M, 2G"
-        )
-    return size
-
-
 def cmd_cache(args) -> int:
     from repro.exp.cache import GLOBAL_CACHE, default_cache_dir
 
@@ -740,13 +726,12 @@ def cmd_cache(args) -> int:
         removed = GLOBAL_CACHE.clear_disk()
         print(f"removed {removed} entr{'y' if removed == 1 else 'ies'}")
     elif args.action == "prune":
-        max_bytes = _parse_size(args.max_size)
-        evicted = GLOBAL_CACHE.prune(max_bytes)
+        evicted = GLOBAL_CACHE.prune(args.max_size)
         info = GLOBAL_CACHE.info()
         print(
             f"evicted {evicted} entr{'y' if evicted == 1 else 'ies'}; "
             f"{info['disk_entries']} remain ({info['disk_bytes']} bytes "
-            f"<= {max_bytes})"
+            f"<= {args.max_size})"
         )
     return 0
 

@@ -42,9 +42,9 @@ class PnRVerifyError(ReproError):
 
     Raised by the independent verifier (:mod:`repro.check.pnr`) and by
     the placer's and router's ``check`` modes. Deliberately *not* a
-    :class:`PnRError`: the degree search, the mem-scale loop and the
-    sweep's PnR retry read that as "does not fit" and back off, which
-    would hide a wrong answer behind a smaller right one.
+    :class:`PnRError`: the degree search, the mem-scale loop and a
+    figure's ``inf`` cell read that as "does not fit" and back off,
+    which would hide a wrong answer behind a smaller right one.
     """
 
     def __init__(
@@ -75,7 +75,7 @@ class ValidationError(ReproError):
     Carries enough context (workload, output array, index, got/want) for
     the sweep supervisor to classify wrong-answer runs separately from
     infrastructure failures — a reference mismatch is a *correctness*
-    bug, never something a retry can fix.
+    bug, never something a rerun can fix.
     """
 
     def __init__(
@@ -120,8 +120,8 @@ class SimulationPreempted(ReproError):
     snapshot named by :attr:`snapshot_path` holds the complete machine
     state at :attr:`cycle`; resuming from it continues bit-identically.
     Not a :class:`SimulationError` — preemption is scheduling, not a
-    property of the simulated machine — so the sweep supervisor may
-    retry it (and the retry resumes from the snapshot).
+    property of the simulated machine — so the sweep supervisor records
+    it, and a ``--resume`` rerun continues from the snapshot.
     """
 
     def __init__(

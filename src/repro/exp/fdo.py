@@ -243,7 +243,7 @@ def run_fdo(
                 spec.arch,
                 policy=policy,
                 parallelism=compiled.parallelism,
-                seed=spec.placement_seed,
+                seed=spec.seed,
                 node_weights=weights,
                 mem_mode=spec.mem_mode,
             )

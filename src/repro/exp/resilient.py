@@ -1,4 +1,4 @@
-"""Resilient sweep supervision: retry, timeout, skip, resume.
+"""Resilient sweep supervision: timeout, skip, resume.
 
 The paper's evaluation (Sec. 6) is a large (workload x config x seed)
 sweep. Before this module, one raising job — a
@@ -10,23 +10,21 @@ scheduler:
 
 * every job runs under a :class:`SweepPolicy` — per-job wall-clock
   timeout (delivered *inside* the job via ``SIGALRM``, so it measures
-  execution, not queueing), bounded retries with exponential backoff,
-  and an ``on_failure`` disposition (``abort`` preserves the historical
-  fail-fast behavior and stays the default);
+  execution, not queueing) and an ``on_failure`` disposition (``abort``
+  preserves the historical fail-fast behavior and stays the default);
 * failures are caught per job — including worker-process death, which
   surfaces as ``BrokenProcessPool`` — classified against the repro
   exception hierarchy (:func:`classify_failure`), and surfaced as typed
   :class:`FailureRecord` s; the sweep returns every healthy point plus
-  the failure records instead of crashing;
-* place-and-route failures retry under a *perturbed placement seed*
-  (``seed + PNR_SEED_STRIDE * attempt`` — deterministic, journaled into
-  the manifest as ``pnr_seed``, so a retried result stays exactly
-  reproducible) while the workload's *input* seed never changes;
+  the failure records instead of crashing. Each point is settled
+  exactly once: a failure is a result (the paper's "until PnR fails"),
+  never retried;
 * completed points are journaled to the JSONL manifest
   (:mod:`repro.obs.manifest`) and :func:`run_resilient` with
   ``resume=True`` skips any point whose validated journal entry already
   succeeded — a crash halfway through an overnight sweep costs only the
-  unfinished points;
+  unfinished points, and a failed or preempted point reruns (from its
+  snapshot, when one was taken);
 * a pooled sweep places-and-routes each distinct compile key once: the
   dispatcher (:func:`_dispatch_pooled`) runs one cache-warming compile
   task per key and holds the key's points back until it was attempted,
@@ -50,6 +48,7 @@ from concurrent.futures import (
 )
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from repro.errors import (
     DeadlockError,
@@ -72,29 +71,19 @@ from repro.obs.manifest import (
     git_rev,
 )
 
-#: Stride between perturbed placement seeds on PnR retry. A large prime
-#: keeps retried seeds far from every input seed a sweep plausibly uses,
-#: so a perturbed compile can never collide with a sibling point's cache
-#: key.
-PNR_SEED_STRIDE = 7919
-
-#: Failure kinds whose retry may consult a perturbed placement seed.
+#: Failure kinds that mean "this point does not fit" (a figure's ``inf``).
 PNR_KINDS = ("routing", "placement", "pnr")
 
-#: Failure kinds :class:`SweepPolicy` retries under ``on_failure="retry"``.
-RETRYABLE_KINDS = PNR_KINDS + ("timeout", "worker-death", "preempted")
-
-#: Kinds that are deterministic properties of the point itself — the
-#: same inputs will fail the same way, so retrying burns time for
-#: nothing. (Deadlock and wrong answers are *bugs*, not bad luck.)
-DETERMINISTIC_KINDS = ("validation", "deadlock", "simulation")
+#: Seconds a timed-out job gets to snapshot cooperatively before the
+#: hard :class:`~repro.errors.JobTimeout` fires.
+GRACE_S = 5.0
 
 
 def classify_failure(exc: BaseException) -> str:
     """Map an exception to the supervisor's failure taxonomy."""
     if isinstance(exc, SimulationPreempted):
-        # Deliberately NOT a SimulationError: a preempted job is
-        # retryable (it left a snapshot), never a deterministic bug.
+        # Deliberately NOT a SimulationError: a preempted job left a
+        # snapshot to resume from, it is never a deterministic bug.
         return exc.kind
     if isinstance(exc, JobTimeout):
         return "timeout"
@@ -118,7 +107,7 @@ def classify_failure(exc: BaseException) -> str:
 
 
 def call_with_timeout(timeout_s, thunk, label: str = "", watchdog=None,
-                      grace_s: float = 5.0):
+                      grace_s: float = GRACE_S):
     """Run ``thunk`` under a wall-clock budget; raise :class:`JobTimeout`.
 
     Uses ``SIGALRM``/``setitimer``, so it interrupts pure-Python
@@ -174,55 +163,34 @@ class SweepPolicy:
 
     * ``"abort"`` — re-raise the first failure (historical behavior;
       the default, so unsupervised callers see no change);
-    * ``"skip"`` — record a :class:`FailureRecord` and move on;
-    * ``"retry"`` — retry kinds in :data:`RETRYABLE_KINDS` up to
-      ``max_retries`` times (PnR kinds under a perturbed placement
-      seed), then degrade to skip.
+    * ``"skip"`` — record a :class:`FailureRecord` and move on; a
+      ``--resume`` of the journal reruns the point (from its snapshot,
+      when one was taken).
     """
 
     #: Per-job wall-clock budget in seconds (None = unlimited).
     job_timeout_s: float | None = None
-    max_retries: int = 2
-    #: Base backoff; attempt ``n`` starts no sooner than
-    #: ``backoff_s * 2**(n-1)`` after its predecessor failed.
-    backoff_s: float = 0.0
     on_failure: str = "abort"
     #: Periodic snapshot cadence in system cycles, per job (0 = only on
     #: preemption). Effective only when the sweep runs with a
     #: ``snapshot_dir``.
     checkpoint_every: int = 0
-    #: Cycles each *attempt* may execute before snapshotting and yielding
-    #: (None = unlimited). Counts per process, so a resumed attempt
+    #: Cycles each run of a point may execute before snapshotting and
+    #: yielding (None = unlimited). Counts per process, so a resumed run
     #: always advances past its predecessor.
     job_cycle_budget: int | None = None
-    #: Seconds a timed-out job gets to snapshot cooperatively before the
-    #: hard :class:`~repro.errors.JobTimeout` fires.
-    grace_s: float = 5.0
 
     def __post_init__(self):
-        if self.on_failure not in ("abort", "skip", "retry"):
+        if self.on_failure not in ("abort", "skip"):
             raise ExperimentError(
-                f"on_failure must be abort|skip|retry, got {self.on_failure!r}"
+                f"on_failure must be abort|skip, got {self.on_failure!r}"
             )
-        if self.max_retries < 0:
-            raise ExperimentError("max_retries must be >= 0")
-        if self.backoff_s < 0:
-            raise ExperimentError("backoff_s must be >= 0")
         if self.job_timeout_s is not None and self.job_timeout_s <= 0:
             raise ExperimentError("job_timeout_s must be positive")
         if self.checkpoint_every < 0:
             raise ExperimentError("checkpoint_every must be >= 0")
         if self.job_cycle_budget is not None and self.job_cycle_budget < 0:
             raise ExperimentError("job_cycle_budget must be >= 0")
-        if self.grace_s <= 0:
-            raise ExperimentError("grace_s must be positive")
-
-    def wants_retry(self, kind: str, attempts: int) -> bool:
-        return (
-            self.on_failure == "retry"
-            and kind in RETRYABLE_KINDS
-            and attempts <= self.max_retries
-        )
 
 
 #: Fail-fast policy: exactly the pre-supervisor sweep semantics.
@@ -241,7 +209,7 @@ class SweepEnv:
     snapshot_dir: str | None = None
     #: Manifest path snapshot writes are journaled to.
     journal: str | None = None
-    #: The job's timeout, snapshot cadence, cycle budget and grace.
+    #: The job's timeout, snapshot cadence and cycle budget.
     policy: SweepPolicy = ABORT
 
 
@@ -255,20 +223,13 @@ class FailureRecord:
     #: Taxonomy bucket from :func:`classify_failure`.
     kind: str
     message: str
-    #: Total attempts made (1 = failed first try, no retries granted).
-    attempts: int = 1
-    #: Perturbed placement seeds tried on PnR retries (reproducibility).
-    pnr_seeds: tuple[int, ...] = ()
     #: Pre-run identity digest (matches the resume journal).
     point_digest: str = ""
 
     def describe(self) -> str:
-        extra = (
-            f" after {self.attempts} attempts" if self.attempts > 1 else ""
-        )
         return (
             f"{self.workload}/{self.config}/seed{self.seed}: "
-            f"[{self.kind}]{extra} {self.message.splitlines()[0]}"
+            f"[{self.kind}] {self.message.splitlines()[0]}"
         )
 
     def to_manifest(self, spec: RunSpec) -> dict:
@@ -281,8 +242,6 @@ class FailureRecord:
             **spec.point_fields(),
             "kind": self.kind,
             "message": self.message,
-            "attempts": self.attempts,
-            "pnr_seeds": list(self.pnr_seeds),
             "git_rev": git_rev(),
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         }
@@ -292,11 +251,9 @@ class FailureRecord:
 class SweepOutcome:
     """What a supervised sweep produced.
 
-    ``results`` maps every healthy point (the spec as requested, also
-    when a retry perturbed its placement seed) to its result,
-    ``failures`` holds a typed record per point that exhausted its
-    policy, ``skipped`` the points resumed from the journal (already
-    complete, not rerun).
+    ``results`` maps every healthy point to its result, ``failures``
+    holds a typed record per point that failed, ``skipped`` the points
+    resumed from the journal (already complete, not rerun).
     """
 
     results: dict[RunSpec, object] = field(default_factory=dict)
@@ -308,114 +265,70 @@ class SweepOutcome:
         return not self.failures
 
 
-@dataclass
-class _Job:
-    """One sweep point plus its mutable supervision state."""
-
-    #: The point as requested: its key in the outcome.
-    point: RunSpec
-    #: What the job runs; replaced (never mutated) when a PnR retry
-    #: perturbs ``pnr_seed``.
-    spec: RunSpec
-    attempts: int = 0
-    pnr_seeds: list[int] = field(default_factory=list)
-    #: ``time.monotonic()`` before which a retry must not start (backoff).
-    not_before: float = 0.0
-
-
 def _dispatch_pooled(
-    pending: deque, workers: int, job_fn, compile_fn, env: SweepEnv, settle
+    specs: list[RunSpec], workers: int, job_fn, compile_fn, env: SweepEnv,
+    settle,
 ) -> None:
-    """Run ``pending`` (and whatever ``settle`` requeues onto it) over a
-    pool of ``workers`` processes, compiling each key once.
+    """Run ``specs`` over a pool of ``workers`` processes, compiling each
+    key once.
 
-    Each round takes the current ``pending`` jobs; tasks are submitted
-    as ``fn(job.spec, env)``. Every compile key
+    Tasks are submitted as ``fn(spec, env)``. Every compile key
     (:attr:`RunSpec.compile_key <repro.exp.spec.RunSpec.compile_key>`)
-    no task has attempted yet gets one ``compile_fn`` task, which only
-    warms the shared disk cache; a key's points become *ready* once that
-    task finished — succeeded or not, a point that cannot compile fails
-    on its own, under its own policy. At most ``workers + 1`` tasks are
-    in flight (one queued, so no worker idles on the parent), and a free
-    slot goes to the lowest-numbered ready point before a new compile,
-    so results keep arriving in near job order. Completions are buffered
-    and handed to ``settle(job, future)`` strictly in job order — the
+    gets one ``compile_fn`` task, which only warms the shared disk
+    cache; a key's points become *ready* once that task finished —
+    succeeded or not, a point that cannot compile fails on its own,
+    under its own policy. At most ``workers + 1`` tasks are in flight
+    (one queued, so no worker idles on the parent), and a free slot goes
+    to the lowest-numbered ready point before a new compile, so results
+    keep arriving in near job order. Completions are buffered and handed
+    to ``settle(spec, future.result)`` strictly in job order — the
     serial/parallel manifest-equivalence contract.
 
     A dead worker poisons every outstanding future of its pool: those
     points settle as worker deaths, the pool is replaced, and the rest
-    of the round carries on.
+    of the sweep carries on.
     """
-    attempted: set[tuple] = set()
+    parked: dict[tuple, list[int]] = {}
+    for index, spec in enumerate(specs):
+        parked.setdefault(spec.compile_key, []).append(index)
+    compiles = deque(parked)
+    ready: list[int] = []
+    inflight: dict[Future, int | tuple] = {}
+    settled: dict[int, Future] = {}
+    emitted = 0
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        while pending:
-            batch = list(pending)
-            pending.clear()
-            parked: dict[tuple, list[int]] = {}
-            ready: list[int] = []
-            for index, job in enumerate(batch):
-                key = job.spec.compile_key
-                if key in attempted:
-                    ready.append(index)
+        while emitted < len(specs):
+            while len(inflight) <= workers:
+                if ready:
+                    index = tag = ready.pop(0)
+                    fn = job_fn
+                elif compiles:
+                    tag = compiles.popleft()
+                    fn, index = compile_fn, parked[tag][0]
                 else:
-                    parked.setdefault(key, []).append(index)
-            compiles = deque(parked)
-            inflight: dict[Future, int | tuple] = {}
-            settled: dict[int, Future] = {}
-            emitted = 0
-            while emitted < len(batch):
-                now = time.monotonic()
-                while len(inflight) <= workers:
-                    index = next(
-                        (i for i in ready if batch[i].not_before <= now), None
-                    )
-                    if index is not None:
-                        ready.remove(index)
-                        fn, tag = job_fn, index
-                    elif compiles:
-                        tag = compiles.popleft()
-                        attempted.add(tag)
-                        fn, index = compile_fn, parked[tag][0]
-                    else:
-                        break
-                    try:
-                        future = pool.submit(fn, batch[index].spec, env)
-                    except BrokenProcessPool as exc:
-                        future = Future()
-                        future.set_exception(exc)
-                    inflight[future] = tag
-                # Wake for the next backoff expiry too; with nothing in
-                # flight this is a plain sleep until then.
-                wake = min(
-                    (
-                        batch[i].not_before
-                        for i in ready
-                        if batch[i].not_before > now
-                    ),
-                    default=None,
-                )
-                done, _ = wait(
-                    inflight,
-                    timeout=None if wake is None else wake - now,
-                    return_when=FIRST_COMPLETED,
-                )
-                if any(
-                    isinstance(f.exception(), BrokenProcessPool) for f in done
-                ):
-                    done, _ = wait(inflight)
-                    pool.shutdown()
-                    pool = ProcessPoolExecutor(max_workers=workers)
-                for future in done:
-                    tag = inflight.pop(future)
-                    if isinstance(tag, int):
-                        settled[tag] = future
-                    else:
-                        ready.extend(parked.pop(tag))
-                        ready.sort()
-                while emitted in settled:
-                    settle(batch[emitted], settled.pop(emitted))
-                    emitted += 1
+                    break
+                try:
+                    future = pool.submit(fn, specs[index], env)
+                except BrokenProcessPool as exc:
+                    future = Future()
+                    future.set_exception(exc)
+                inflight[future] = tag
+            done, _ = wait(inflight, return_when=FIRST_COMPLETED)
+            if any(isinstance(f.exception(), BrokenProcessPool) for f in done):
+                done, _ = wait(inflight)
+                pool.shutdown()
+                pool = ProcessPoolExecutor(max_workers=workers)
+            for future in done:
+                tag = inflight.pop(future)
+                if isinstance(tag, int):
+                    settled[tag] = future
+                else:
+                    ready.extend(parked.pop(tag))
+                    ready.sort()
+            while emitted in settled:
+                settle(specs[emitted], settled.pop(emitted).result)
+                emitted += 1
     finally:
         # Reached with work still queued only when ``settle`` raised
         # (fail-fast abort): drop it instead of running it out.
@@ -453,10 +366,10 @@ def run_resilient(
     ``<snapshot_dir>/<point_digest>.snap`` per the policy's
     ``checkpoint_every``/``job_cycle_budget``, a timed-out or SIGTERMed
     job snapshots during its grace period instead of dying cold, and a
-    retried (or ``resume=True``-rerun) point *continues from its last
-    valid snapshot* rather than from cycle 0. Torn or configuration-
-    mismatched snapshots are detected, discarded and the point restarts
-    fresh — never wedging the retry loop.
+    ``resume=True`` rerun of a failed or preempted point *continues from
+    its last valid snapshot* rather than from cycle 0. Torn or
+    configuration-mismatched snapshots are detected, discarded and the
+    point restarts fresh.
 
     ``job_fn`` is a test seam: a picklable callable taking
     ``(spec, env)`` like :func:`repro.exp.runner._run_sweep_job` — one
@@ -484,80 +397,49 @@ def run_resilient(
         journal=None if manifest_path is None else str(manifest_path),
         policy=sweep_policy,
     )
-    jobs = [_Job(spec, spec) for spec in specs]
-
     outcome = SweepOutcome()
     if resume:
         if manifest_path is None:
             raise ExperimentError("resume requires a manifest path")
         done = completed_points(manifest_path)
         remaining = []
-        for job in jobs:
-            if job.spec.point_digest() in done:
-                outcome.skipped.append(job.point)
+        for spec in specs:
+            if spec.point_digest() in done:
+                outcome.skipped.append(spec)
             else:
-                remaining.append(job)
-        jobs = remaining
+                remaining.append(spec)
+        specs = remaining
 
-    def emit_success(job: _Job, run) -> None:
-        outcome.results[job.point] = run
-        if manifest_path is not None:
-            append_manifest(manifest_path, build_manifest(run, job.spec))
-
-    def handle_failure(job: _Job, exc: BaseException) -> None:
-        kind = classify_failure(exc)
-        job.attempts += 1
-        if sweep_policy.on_failure == "abort":
-            raise exc
-        spec = job.spec
-        if sweep_policy.wants_retry(kind, job.attempts):
-            if kind in PNR_KINDS:
-                pnr_seed = spec.seed + PNR_SEED_STRIDE * job.attempts
-                job.spec = replace(spec, pnr_seed=pnr_seed)
-                job.pnr_seeds.append(pnr_seed)
-            # A not-before time, not a sleep: the supervisor keeps
-            # feeding workers while this one point backs off.
-            job.not_before = time.monotonic() + sweep_policy.backoff_s * (
-                2 ** (job.attempts - 1)
+    def settle(spec: RunSpec, result) -> None:
+        """Settle ``spec`` once: ``result()`` returns its run or raises
+        its failure, which aborts the sweep or is journaled."""
+        try:
+            run = result()
+        except Exception as exc:
+            if sweep_policy.on_failure == "abort":
+                raise
+            failure = FailureRecord(
+                workload=spec.workload,
+                config=spec.config.name,
+                seed=spec.seed,
+                kind=classify_failure(exc),
+                message=str(exc),
+                point_digest=spec.point_digest(),
             )
-            pending.append(job)
-            return
-        failure = FailureRecord(
-            workload=spec.workload,
-            config=spec.config.name,
-            seed=spec.seed,
-            kind=kind,
-            message=str(exc),
-            attempts=job.attempts,
-            pnr_seeds=tuple(job.pnr_seeds),
-            point_digest=spec.point_digest(),
-        )
-        outcome.failures.append(failure)
-        if manifest_path is not None:
-            append_manifest(manifest_path, failure.to_manifest(spec))
+            outcome.failures.append(failure)
+            if manifest_path is not None:
+                append_manifest(manifest_path, failure.to_manifest(spec))
+        else:
+            outcome.results[spec] = run
+            if manifest_path is not None:
+                append_manifest(manifest_path, build_manifest(run, spec))
 
-    pending: deque[_Job] = deque(jobs)
     if max_workers is not None and max_workers <= 1:
         # In-process twin of the pool path — same supervision, no fork,
         # and the in-memory cache already compiles each key once.
-        while pending:
-            job = pending.popleft()
-            time.sleep(max(0.0, job.not_before - time.monotonic()))
-            try:
-                run = job_fn(job.spec, env)
-            except Exception as exc:
-                handle_failure(job, exc)
-            else:
-                emit_success(job, run)
+        for spec in specs:
+            settle(spec, partial(job_fn, spec, env))
         return outcome
-
-    def settle(job: _Job, future: Future) -> None:
-        try:
-            run = future.result()
-        except Exception as exc:
-            handle_failure(job, exc)
-        else:
-            emit_success(job, run)
 
     # Workers share compiles only through a disk cache; without one every
     # worker would PnR every kernel it touches. The scratch directory is
@@ -568,7 +450,7 @@ def run_resilient(
         else contextlib.nullcontext(env.cache_dir)
     ) as shared_cache:
         _dispatch_pooled(
-            pending,
+            specs,
             max_workers or os.cpu_count() or 1,
             job_fn,
             _compile_sweep_job,

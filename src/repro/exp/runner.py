@@ -16,9 +16,8 @@ A point is named by one :class:`~repro.exp.spec.RunSpec`:
 the one place a simulation becomes a :class:`RunResult`. Sweep jobs
 take ``(spec, env)``. :func:`run_parallel` is a facade over the
 resilient sweep supervisor (:mod:`repro.exp.resilient`): pass a
-:class:`~repro.exp.resilient.SweepPolicy` to get per-job timeouts,
-retries with deterministic placement-seed perturbation, and typed
-failure records instead of a crashed sweep. The default policy is
+:class:`~repro.exp.resilient.SweepPolicy` to get per-job timeouts and
+typed failure records instead of a crashed sweep. The default policy is
 fail-fast ``abort``. An in-process caller that wants those records
 calls :func:`~repro.exp.resilient.run_resilient` on
 :func:`~repro.exp.spec.sweep_specs` itself.
@@ -64,11 +63,6 @@ class RunResult:
     wall_time: float = field(default=0.0, compare=False)
     #: Observability bus of the run (None with every probe off).
     obs: object = field(default=None, compare=False, repr=False)
-    #: Placement seed the supervisor actually compiled with when a PnR
-    #: retry perturbed it (None = the point's own seed). Journaled so
-    #: retried results stay reproducible; excluded from equality so a
-    #: retried run still compares equal to a direct run of that seed.
-    pnr_seed: int | None = field(default=None, compare=False)
     #: Compile-time telemetry (:class:`repro.pnr.result.PnRStats`) of the
     #: kernel this run simulated. Wall-clock data, so excluded from
     #: equality like ``wall_time``; None when the compile predates the
@@ -168,7 +162,7 @@ def compile_point(spec: RunSpec) -> tuple[WorkloadInstance, CompiledKernel]:
         spec.arch,
         policy=get_policy(spec.policy),
         parallelism=spec.parallelism,
-        seed=spec.placement_seed,
+        seed=spec.seed,
         profile_guided=spec.profile_guided,
         mem_mode=spec.mem_mode,
     )
@@ -213,7 +207,6 @@ def run_point(
         parallelism=compiled.parallelism,
         wall_time=wall,
         obs=result.obs,
-        pnr_seed=spec.pnr_seed,
         pnr=compiled.pnr,
         resume_info=result.resume_info,
         snapshot_stats=result.snapshot_stats,
@@ -272,7 +265,7 @@ def _run_sweep_job(spec: RunSpec, env: SweepEnv) -> RunResult:
                 journal_path=env.journal,
                 journal_fields={"point_digest": digest, **spec.point_fields()},
             ),
-            # A retried attempt continues from its predecessor's
+            # A rerun of the point continues from its predecessor's
             # snapshot; torn/stale files are discarded, never fatal.
             "resume_from": path,
         }
@@ -282,7 +275,6 @@ def _run_sweep_job(spec: RunSpec, env: SweepEnv) -> RunResult:
         lambda: run_point(spec, *compile_point(spec), **checkpointing),
         label=spec.label,
         watchdog=watchdog,
-        grace_s=policy.grace_s,
     )
 
 

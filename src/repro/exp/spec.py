@@ -97,11 +97,8 @@ class RunSpec:
     workload: str
     config: MachineConfig
     scale: str = "small"
-    #: Workload *input* seed.
+    #: Workload input seed; PnR places at it too.
     seed: int = 0
-    #: Placement seed override — the supervisor's deterministic
-    #: perturbation on a PnR retry. None places with ``seed``.
-    pnr_seed: int | None = None
     arch: ArchParams = field(default_factory=ArchParams)
     #: Fabric clock divider to simulate at; None = the one the routed
     #: design achieved, never below :data:`PAPER_DIVIDER`
@@ -127,21 +124,16 @@ class RunSpec:
     def label(self) -> str:
         return f"{self.workload}/{self.config.name}/seed{self.seed}"
 
-    @property
-    def placement_seed(self) -> int:
-        return self.seed if self.pnr_seed is None else self.pnr_seed
-
     def point_fields(self) -> dict:
         """The point subset: the *pre-run* identity of this point, as
         the JSON-ready columns every manifest record carries.
 
         Everything here is known before the point executes (unlike the
         PnR-chosen ``parallelism`` of the record, so the requested one is
-        ``requested_parallelism``) and survives a retry (``pnr_seed`` is
-        journaled beside the identity, not in it), so the resume journal
-        can match records against points it has not run yet. ``faults``
-        is the fault model's signature and ``profile`` the
-        profile-guided marker; both are ``None`` when off. The
+        ``requested_parallelism``), so the resume journal can match
+        records against points it has not run yet. ``faults`` is the
+        fault model's signature and ``profile`` the profile-guided
+        marker; both are ``None`` when off. The
         ``ArchParams`` fields PnR reads (``ARCH_COMPILE_FIELDS``, the
         list ``compile_key`` is built from) are columns too: a journal
         written under other ``noc_tracks`` / ``noc_model`` / ``timing``
@@ -198,7 +190,7 @@ class RunSpec:
             self.arch,
             self.policy,
             self.parallelism,
-            self.placement_seed,
+            self.seed,
             self.profile_guided,
             mem_mode=self.mem_mode,
         )

@@ -371,21 +371,3 @@ def expr_vars(expr: Expr) -> set[str]:
     """The set of variable names referenced by ``expr``."""
     return {e.name for e in walk_exprs(expr) if isinstance(e, Var)}
 
-
-def stmt_exprs(stmt: Stmt) -> list[Expr]:
-    """The expressions directly embedded in ``stmt`` (not nested bodies)."""
-    if isinstance(stmt, Assign):
-        return [stmt.expr]
-    if isinstance(stmt, Load):
-        return [stmt.index]
-    if isinstance(stmt, Store):
-        return [stmt.index, stmt.value]
-    if isinstance(stmt, If):
-        return [stmt.cond]
-    if isinstance(stmt, While):
-        return [stmt.cond]
-    if isinstance(stmt, (For, ParFor)):
-        return [stmt.lo, stmt.hi, stmt.step]
-    if isinstance(stmt, Par):
-        return []
-    raise IRError(f"unknown statement type {type(stmt).__name__}")

@@ -140,10 +140,6 @@ def build_manifest(run, spec, extra: dict | None = None) -> dict:
         "stats": run.stats.to_dict(),
         "energy": _energy_block(run.stats),
     }
-    if spec.pnr_seed is not None:
-        # The supervisor retried PnR under a perturbed placement seed;
-        # journal it so the result stays reproducible from the record.
-        record["pnr_seed"] = spec.pnr_seed
     pnr = getattr(run, "pnr", None)
     if pnr is not None:
         record["pnr"] = pnr.to_dict()

@@ -31,8 +31,9 @@ Three properties carry the design:
   (and the sweep supervisor's grace alarm) into a flag the engine polls
   at cycle boundaries; the checkpointer then writes a final snapshot and
   raises :class:`~repro.errors.SimulationPreempted`, which the sweep
-  layer classifies as retryable — the retry restarts from the snapshot,
-  not from cycle 0.
+  layer records as ``preempted`` / ``timeout`` — a rerun of the point
+  (``repro sweep --resume``, or ``repro run`` again) restarts from the
+  snapshot, not from cycle 0.
 
 Zero-overhead contract: the engine's only new per-cycle cost is one
 ``is not None`` test on ``engine.snapshots``; with checkpointing off

@@ -230,13 +230,10 @@ class TestCLI:
         [
             # Refused by the settings object that owns the value.
             ("sweep --workloads dmv --scale tiny --timeout 0", "job_timeout_s"),
-            ("sweep --workloads dmv --scale tiny --retries -1", "max_retries"),
-            ("sweep --workloads dmv --scale tiny --grace 0", "grace_s"),
             (
                 "sweep --workloads dmv --scale tiny --checkpoint-every -5",
                 "checkpoint_every",
             ),
-            ("sweep --workloads dmv --scale tiny --backoff -1", "backoff_s"),
             (
                 "sweep --workloads dmv --scale tiny --fault-mem-drop-prob 2",
                 "mem_drop_prob",
@@ -266,10 +263,16 @@ class TestCLI:
             ("check nosuch", "argument workload"),
             ("check --all dmv nosuch", "argument workload"),
             ("run dmv --scale tiny --topology nosuch", "argument --topology"),
+            ("cache prune --max-size bogus", "argument --max-size"),
+            ("cache prune --max-size -1", "argument --max-size"),
             # Options and commands that no longer exist.
             ("run dmv --scale tiny --resume-from x", "--resume-from"),
             ("run dmv --scale tiny --checkpoint x", "--checkpoint-every"),
             ("regions dmv", "invalid choice"),
+            ("sweep --workloads dmv --on-failure retry", "--on-failure"),
+            ("sweep --workloads dmv --retries 1", "--retries"),
+            ("sweep --workloads dmv --backoff 1", "--backoff"),
+            ("sweep --workloads dmv --grace 1", "--grace"),
         ],
     )
     def test_out_of_range_values_are_usage_errors(
@@ -281,6 +284,7 @@ class TestCLI:
 
         from repro import cli
         from repro.exp import fdo, resilient
+        from repro.exp.cache import GLOBAL_CACHE
 
         fuzz = importlib.import_module("repro.check.fuzz")
 
@@ -291,7 +295,7 @@ class TestCLI:
         for module, name in (
             (cli, "compile_point"), (cli, "run_figures"),
             (resilient, "run_resilient"), (fdo, "run_fdo"), (fuzz, "fuzz"),
-            (oracle, "run_conformance"),
+            (oracle, "run_conformance"), (GLOBAL_CACHE, "enable_disk"),
         ):
             monkeypatch.setattr(module, name, started)
         with pytest.raises(SystemExit) as err:
@@ -312,13 +316,6 @@ class TestCLI:
             "ideal", "upea2", "numa-upea2", "monaco"
         ]
         assert all(isinstance(c, MachineConfig) for c in configs)
-
-    def test_sweep_policy_refuses_a_negative_backoff(self):
-        from repro.errors import ExperimentError
-        from repro.exp.resilient import SweepPolicy
-
-        with pytest.raises(ExperimentError, match="backoff_s"):
-            SweepPolicy(backoff_s=-1.0)
 
     @staticmethod
     def _probed_run(workload, config, tmp_path, tag, *extra):
@@ -432,10 +429,14 @@ class TestCLI:
     @pytest.mark.parametrize("size", ["-1M", "-1", "inf", "12Q"])
     def test_negative_or_unparsable_size_is_a_usage_error(self, size):
         """Regression: ``cache prune --max-size=-1M`` reached
-        ``CompileCache.prune`` and surfaced its ValueError."""
+        ``CompileCache.prune`` and surfaced its ValueError. The parser is
+        the option's argparse ``type=``, so it refuses by argparse's own
+        error (exit 2, usage line) before the cache is touched."""
+        from argparse import ArgumentTypeError
+
         from repro.cli import _parse_size
 
-        with pytest.raises(SystemExit, match="bad size"):
+        with pytest.raises(ArgumentTypeError, match="bad size"):
             _parse_size(size)
 
     def test_preemption_hint_resumes_the_same_run(

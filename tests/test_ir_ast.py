@@ -18,7 +18,6 @@ from repro.ir.ast import (
     Var,
     While,
     expr_vars,
-    stmt_exprs,
     walk_exprs,
     walk_stmts,
     wrap,
@@ -122,12 +121,6 @@ class TestWalkers:
         stmts = list(walk_stmts(body))
         assert sum(isinstance(s, Assign) for s in stmts) == 5
         assert sum(isinstance(s, Store) for s in stmts) == 1
-
-    def test_stmt_exprs_per_kind(self):
-        assert stmt_exprs(Assign("x", Const(1))) == [Const(1)]
-        assert len(stmt_exprs(Store("A", Const(0), Const(1)))) == 2
-        assert len(stmt_exprs(For("i", Const(0), Const(4), Const(1)))) == 3
-        assert stmt_exprs(Par([])) == []
 
 
 class TestStatementDefaults:

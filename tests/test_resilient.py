@@ -1,9 +1,8 @@
-"""Resilient sweep supervisor: classify, retry, timeout, resume.
+"""Resilient sweep supervisor: classify, timeout, skip, resume.
 
 The contract under test (see ``repro.exp.resilient``): a supervised
-sweep returns every healthy point plus typed failure records instead of
-crashing; retries are deterministic (PnR retries perturb only the
-*placement* seed, journaled for reproducibility); and ``resume`` skips
+sweep settles each point exactly once and returns every healthy point
+plus typed failure records instead of crashing; and ``resume`` skips
 exactly the points a validated journal proves complete.
 """
 
@@ -32,7 +31,6 @@ from repro.errors import (
 )
 from repro.exp.configs import MONACO, upea
 from repro.exp.resilient import (
-    PNR_SEED_STRIDE,
     SweepPolicy,
     call_with_timeout,
     classify_failure,
@@ -113,19 +111,7 @@ def test_sweep_policy_validates_inputs():
     with pytest.raises(ExperimentError):
         SweepPolicy(on_failure="explode")
     with pytest.raises(ExperimentError):
-        SweepPolicy(max_retries=-1)
-    with pytest.raises(ExperimentError):
         SweepPolicy(job_timeout_s=0)
-
-
-def test_wants_retry_matrix():
-    retry = SweepPolicy(on_failure="retry", max_retries=2)
-    assert retry.wants_retry("routing", 1)
-    assert retry.wants_retry("timeout", 2)
-    assert not retry.wants_retry("routing", 3)  # budget exhausted
-    assert not retry.wants_retry("validation", 1)  # deterministic kind
-    skip = SweepPolicy(on_failure="skip")
-    assert not skip.wants_retry("routing", 1)
 
 
 def test_call_with_timeout_interrupts_and_restores():
@@ -153,7 +139,7 @@ def test_call_with_timeout_passthrough_when_unlimited():
 
 
 def _point(spec):
-    return (spec.workload, spec.config.name, spec.seed, spec.pnr_seed)
+    return (spec.workload, spec.config.name, spec.seed)
 
 
 def _ok_job(spec, env):
@@ -166,10 +152,8 @@ def _fail_one_job(spec, env):
     return _point(spec)
 
 
-def _routing_until_perturbed_job(spec, env):
-    if spec.pnr_seed is None:
-        raise RoutingError("congested under the original placement seed")
-    return _point(spec)
+def _routing_job(spec, env):
+    raise RoutingError("congested")
 
 
 def _sleepy_job(spec, env):
@@ -177,15 +161,6 @@ def _sleepy_job(spec, env):
         time.sleep(10)
 
     return call_with_timeout(env.policy.job_timeout_s, body, label=spec.label)
-
-
-def _die_once_job(spec, env):
-    if spec.key[:2] == ("spmv", "monaco"):
-        marker = Path(env.cache_dir) / "died-once"
-        if not marker.exists():
-            marker.write_text("x")
-            os._exit(1)  # worker death -> BrokenProcessPool in the parent
-    return _point(spec)
 
 
 def test_skip_policy_returns_healthy_results_serial_and_pool():
@@ -209,40 +184,6 @@ def test_skip_policy_returns_healthy_results_serial_and_pool():
     assert serial.failures == pooled.failures
 
 
-def test_retry_perturbs_placement_seed_deterministically():
-    (spec,) = _specs(["spmspv"], [MONACO])
-    outcome = run_resilient(
-        [spec],
-        max_workers=1,
-        sweep_policy=SweepPolicy(on_failure="retry", max_retries=2),
-        job_fn=_routing_until_perturbed_job,
-    )
-    assert outcome.ok
-    # Keyed by the point as requested, not by the perturbed retry.
-    name, config, seed, pnr_seed = outcome.results[spec]
-    assert pnr_seed == 0 + PNR_SEED_STRIDE * 1  # first retry's seed
-
-
-def test_retry_budget_exhaustion_records_failure():
-    def always_routing(spec, env):
-        raise RoutingError("never routes")
-
-    outcome = run_resilient(
-        _specs(["spmspv"], [MONACO]),
-        max_workers=1,
-        sweep_policy=SweepPolicy(on_failure="retry", max_retries=2),
-        job_fn=always_routing,
-    )
-    assert not outcome.results
-    (failure,) = outcome.failures
-    assert failure.kind == "routing"
-    assert failure.attempts == 3  # first try + 2 retries
-    assert failure.pnr_seeds == (
-        PNR_SEED_STRIDE * 1,
-        PNR_SEED_STRIDE * 2,
-    )
-
-
 def test_abort_policy_reraises_first_failure():
     with pytest.raises(SimulationError):
         run_resilient(
@@ -263,22 +204,6 @@ def test_job_timeout_is_classified_and_bounded():
     assert time.perf_counter() - before < 8.0
     (failure,) = outcome.failures
     assert failure.kind == "timeout"
-
-
-def test_worker_death_is_retried_with_a_fresh_pool(tmp_path):
-    outcome = run_resilient(
-        _specs(["spmv", "spmspv"], [MONACO]),
-        max_workers=2,
-        cache_dir=tmp_path,  # doubles as the death-marker scratch dir
-        sweep_policy=SweepPolicy(on_failure="retry", max_retries=3),
-        job_fn=_die_once_job,
-    )
-    assert outcome.ok, [f.describe() for f in outcome.failures]
-    assert _keys(outcome.results) == {
-        ("spmv", "monaco", 0),
-        ("spmspv", "monaco", 0),
-    }
-    assert (tmp_path / "died-once").exists()
 
 
 # -- pooled dispatcher ------------------------------------------------------
@@ -309,13 +234,8 @@ def _patch_compile(monkeypatch, double):
 
 
 def _routing_compile(spec, env):
-    _log(
-        env.cache_dir,
-        "compiles.log",
-        f"{spec.workload} {spec.seed} {spec.pnr_seed}",
-    )
-    if spec.pnr_seed is None:
-        raise RoutingError("congested under the original placement seed")
+    _log(env.cache_dir, "compiles.log", f"{spec.workload} {spec.seed}")
+    raise RoutingError("congested")
 
 
 def _timed_compile(spec, env):
@@ -339,18 +259,6 @@ def _first_fails_rest_sleep_job(spec, env):
     return spec.key[:2]
 
 
-def _first_fails_once_job(spec, env):
-    _log(
-        env.cache_dir, "starts.log", f"{spec.config.name} {time.monotonic()}"
-    )
-    marker = Path(env.cache_dir) / "failed-once"
-    if spec.config.name == "monaco" and not marker.exists():
-        marker.write_text("x")
-        raise JobTimeout("transient")
-    time.sleep(0.2)
-    return spec.key[:2]
-
-
 def _die_once_others_sleep_job(spec, env):
     if spec.config.name == "monaco":
         marker = Path(env.cache_dir) / "died-once"
@@ -365,33 +273,19 @@ def test_failed_compile_task_leaves_the_verdict_to_each_point(
     tmp_path, monkeypatch
 ):
     """A compile task that cannot route releases its points anyway: under
-    ``skip`` each point records its own failure; under ``retry`` the
-    three points' common perturbed seed is one new key, compiled once."""
+    ``skip`` each point records its own failure, and the key is compiled
+    once."""
     _patch_compile(monkeypatch, _routing_compile)
     configs = [MONACO, upea(2), upea(3)]
-    kwargs = dict(max_workers=2, job_fn=_routing_until_perturbed_job)
-
     skipped = run_resilient(
-        _specs(["spmspv"], configs), cache_dir=tmp_path,
-        sweep_policy=SweepPolicy(on_failure="skip"), **kwargs,
+        _specs(["spmspv"], configs), max_workers=2, cache_dir=tmp_path,
+        sweep_policy=SweepPolicy(on_failure="skip"), job_fn=_routing_job,
     )
     assert not skipped.results
-    assert [(f.config, f.kind, f.attempts) for f in skipped.failures] == [
-        (c.name, "routing", 1) for c in configs
+    assert [(f.config, f.kind) for f in skipped.failures] == [
+        (c.name, "routing") for c in configs
     ]
-    assert _read_log(tmp_path, "compiles.log") == ["spmspv 0 None"]
-
-    (tmp_path / "compiles.log").unlink()
-    retried = run_resilient(
-        _specs(["spmspv"], configs), cache_dir=tmp_path,
-        sweep_policy=SweepPolicy(on_failure="retry", max_retries=2), **kwargs,
-    )
-    assert retried.ok
-    assert {r[3] for r in retried.results.values()} == {PNR_SEED_STRIDE}
-    assert _read_log(tmp_path, "compiles.log") == [
-        "spmspv 0 None",
-        f"spmspv 0 {PNR_SEED_STRIDE}",
-    ]
+    assert _read_log(tmp_path, "compiles.log") == ["spmspv 0"]
 
 
 def test_one_key_runs_one_compile_then_every_sim_at_once(
@@ -428,46 +322,9 @@ def test_abort_cancels_queued_jobs(tmp_path, monkeypatch):
     assert len(_read_log(tmp_path, "started.log")) <= 3  # the window
 
 
-def test_backoff_delays_the_retry_not_the_supervisor(tmp_path, monkeypatch):
-    """A point's backoff is a not-before time on that point: the other
-    points keep being dispatched while it waits."""
-    _patch_compile(monkeypatch, _noop_compile)
-    configs = [MONACO] + [upea(n) for n in range(2, 9)]
-    backoff = 1.0
-    outcome = run_resilient(
-        _specs(["spmspv"], configs), max_workers=2, cache_dir=tmp_path,
-        sweep_policy=SweepPolicy(
-            on_failure="retry", max_retries=1, backoff_s=backoff
-        ),
-        job_fn=_first_fails_once_job,
-    )
-    assert outcome.ok and len(outcome.results) == len(configs)
-    starts = [line.split() for line in _read_log(tmp_path, "starts.log")]
-    first, retry = [float(t) for name, t in starts if name == "monaco"]
-    assert retry - first >= backoff
-    # upea8 sat beyond the in-flight window when monaco failed; a
-    # supervisor asleep for the backoff could not have dispatched it.
-    (last,) = [float(t) for name, t in starts if name == configs[-1].name]
-    assert last < first + backoff
-
-
-def test_backoff_applies_in_process_too(tmp_path):
-    outcome = run_resilient(
-        _specs(["spmspv"]), max_workers=1, cache_dir=tmp_path,
-        sweep_policy=SweepPolicy(
-            on_failure="retry", max_retries=1, backoff_s=0.5
-        ),
-        job_fn=_first_fails_once_job,
-    )
-    assert outcome.ok
-    starts = [line.split() for line in _read_log(tmp_path, "starts.log")]
-    first, retry = [float(t) for name, t in starts if name == "monaco"]
-    assert retry - first >= 0.5
-
-
 def test_worker_death_poisons_only_the_window(tmp_path, monkeypatch):
     """Only points in flight when the worker died are charged the death;
-    the undispatched rest of the round runs on a fresh pool, once."""
+    the undispatched rest of the sweep runs on a fresh pool, once."""
     _patch_compile(monkeypatch, _noop_compile)
     configs = [MONACO] + [upea(n) for n in range(2, 10)]
     workers = 2

@@ -25,16 +25,10 @@ from repro.arch.params import (
     SimParams,
     TimingParams,
 )
-from repro.errors import RoutingError
 from repro.exp.cache import GLOBAL_CACHE
 from repro.exp.configs import MONACO, upea
-from repro.exp.resilient import (
-    PNR_SEED_STRIDE,
-    SweepEnv,
-    SweepPolicy,
-    run_resilient,
-)
-from repro.exp.runner import _run_sweep_job, compile_cached
+from repro.exp.resilient import SweepEnv, SweepPolicy, run_resilient
+from repro.exp.runner import compile_cached
 from repro.exp.spec import RunSpec, sweep_specs
 from repro.obs.manifest import (
     MANIFEST_SCHEMA,
@@ -62,7 +56,6 @@ FLIPS = {
     "config": replace(BASE, config=upea(2)),
     "scale": replace(BASE, scale="small"),
     "seed": replace(BASE, seed=1),
-    "pnr_seed": replace(BASE, pnr_seed=PNR_SEED_STRIDE),
     "divider": replace(BASE, divider=4),
     "divider.routed": replace(BASE, divider=None),
     "policy": replace(BASE, policy="domain-unaware"),
@@ -101,14 +94,12 @@ POINT_SUBSET = {
     # and 176 cycles under one digest (and one snapshot file name).
     "arch.memory", "arch.sim.fifo_capacity", "arch.sim.max_outstanding",
 }
-#: Flips that must NOT move the journal digest: a retry's perturbed
-#: placement seed, and the probes, whose results are bit-identical.
-POINT_INVARIANT = {
-    "pnr_seed", "arch.sim.trace", "arch.sim.critpath", "arch.sim.check",
-}
+#: Flips that must NOT move the journal digest: the probes, whose
+#: results are bit-identical.
+POINT_INVARIANT = {"arch.sim.trace", "arch.sim.critpath", "arch.sim.check"}
 #: Flips of anything ``compile_once`` reads.
 COMPILE_SUBSET = {
-    "workload", "scale", "seed", "pnr_seed", "policy", "fabric",
+    "workload", "scale", "seed", "policy", "fabric",
     "fabric.variant", "profile_guided", "parallelism", "mem_mode",
     "arch.noc_tracks", "arch.noc_model", "arch.timing",
 }
@@ -226,30 +217,6 @@ def test_serial_and_pooled_jobs_get_equal_spec_and_env(
 
 
 # -- the journal trusts only the current identity ---------------------------
-
-
-def _routes_only_when_perturbed_job(spec, env):
-    if spec.pnr_seed is None:
-        raise RoutingError("congested under the original placement seed")
-    return _run_sweep_job(spec, env)
-
-
-def test_retried_point_journals_pnr_seed_under_its_own_digest(tmp_path):
-    manifest = tmp_path / "journal.jsonl"
-    outcome = run_resilient(
-        sweep_specs(["spmspv"], [MONACO], scale="tiny"), max_workers=1,
-        manifest_path=manifest,
-        sweep_policy=SweepPolicy(on_failure="retry", max_retries=1),
-        job_fn=_routes_only_when_perturbed_job,
-    )
-    assert outcome.ok
-    (record,) = read_manifest(manifest)
-    assert record["pnr_seed"] == PNR_SEED_STRIDE
-    # The retry did not move the point: a resume of the unperturbed
-    # sweep finds it complete.
-    unperturbed = RunSpec("spmspv", MONACO, scale="tiny")
-    assert record["point_digest"] == unperturbed.point_digest()
-    assert completed_points(manifest) == {unperturbed.point_digest()}
 
 
 def test_resume_reruns_every_point_across_a_noc_tracks_flip(tmp_path):

@@ -20,9 +20,10 @@ Contracts under test:
 * **state_dict round-trips** — the latency reservoir and the fault LCG
   streams continue their exact sequences after restore, and ``sim.check``
   proves serialize/deserialize lossless on every periodic write;
-* **sweep recovery** — a cycle-budgeted sweep preempts, retries, resumes
-  from its snapshots, and produces results and (keyed) manifest records
-  bit-identical to an uninterrupted sweep.
+* **sweep recovery** — a cycle-budgeted sweep records its preempted
+  points, ``--resume`` reruns continue them from their snapshots, and the
+  results and (keyed) manifest records are bit-identical to an
+  uninterrupted sweep.
 """
 
 from __future__ import annotations
@@ -48,12 +49,7 @@ from repro.errors import (
     SnapshotError,
 )
 from repro.exp.configs import MONACO, upea
-from repro.exp.resilient import (
-    RETRYABLE_KINDS,
-    SweepPolicy,
-    call_with_timeout,
-    run_resilient,
-)
+from repro.exp.resilient import SweepPolicy, call_with_timeout, run_resilient
 from repro.exp.runner import PAPER_DIVIDER, compile_cached
 from repro.exp.spec import sweep_specs
 from repro.obs.manifest import completed_points, read_manifest, stable_view
@@ -681,30 +677,36 @@ class TestSweepRecovery:
         assert not clean.failures
 
         # Budget 150 < both points' executed cycles: every point is
-        # preempted at least once and must resume from its snapshot.
+        # preempted at least once, recorded, and resumed from its
+        # snapshot by the next --resume round.
         snap_manifest = tmp_path / "snap.jsonl"
         snap_dir = tmp_path / "snaps"
-        policy = SweepPolicy(
-            on_failure="retry", max_retries=10, job_cycle_budget=150
-        )
-        swept = run_resilient(
-            specs,
-            manifest_path=snap_manifest,
-            sweep_policy=policy,
-            snapshot_dir=snap_dir,
-            **kwargs,
-        )
+        policy = SweepPolicy(on_failure="skip", job_cycle_budget=150)
+        results = {}
+        for _ in range(11):
+            swept = run_resilient(
+                specs,
+                manifest_path=snap_manifest,
+                sweep_policy=policy,
+                resume=True,
+                snapshot_dir=snap_dir,
+                **kwargs,
+            )
+            assert {f.kind for f in swept.failures} <= {"preempted"}
+            results.update(swept.results)
+            if not swept.failures:
+                break
         assert not swept.failures
-        assert set(swept.results) == set(clean.results)
+        assert set(results) == set(clean.results)
         for key in clean.results:
             assert (
-                swept.results[key].stats.to_dict()
+                results[key].stats.to_dict()
                 == clean.results[key].stats.to_dict()
             )
-            assert swept.results[key].cycles == clean.results[key].cycles
+            assert results[key].cycles == clean.results[key].cycles
 
         # Manifest ok-records must be compared keyed by point digest:
-        # retries requeue preempted points at the back, so record ORDER
+        # points finish in different --resume rounds, so record ORDER
         # legitimately differs from a clean sweep — content must not.
         def keyed(path):
             return {
@@ -748,9 +750,3 @@ class TestSweepRecovery:
             SweepPolicy(checkpoint_every=-1)
         with pytest.raises(ExperimentError, match="job_cycle_budget"):
             SweepPolicy(job_cycle_budget=-2)
-        with pytest.raises(ExperimentError, match="grace_s"):
-            SweepPolicy(grace_s=0)
-
-    def test_preempted_is_retryable_by_default(self):
-        assert "preempted" in RETRYABLE_KINDS
-        assert SweepPolicy(on_failure="retry").wants_retry("preempted", 1)
