@@ -17,8 +17,9 @@ guards the compiler's output with a fifth:
   conservation, FIFO capacity, memory-ordering monotonicity and
   stats-ledger identities;
 * :mod:`repro.check.lint` — a **DFG static lint pass** (dangling ports,
-  unreachable nodes, steer-cadence mismatches, carry-init gating) run
-  automatically after lowering under ``lower_kernel(..., strict=True)``;
+  unreachable nodes, steer-cadence mismatches, carry-init gating) the
+  oracle runs over every graph it checks; :func:`lint_strict` raises on
+  any finding;
 * :mod:`repro.check.fuzz` — a **seeded random kernel generator** and
   shrinker behind ``repro check --fuzz N --seed S``, writing minimal
   reproducers to a corpus directory;

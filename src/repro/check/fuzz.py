@@ -36,7 +36,7 @@ import random
 import time
 from pathlib import Path
 
-from repro.arch.params import ArchParams
+from repro.arch.params import ArchParams, SimParams
 from repro.errors import PnRError, PnRVerifyError, ReproError
 from repro.ir.ast import (
     ArraySpec,
@@ -74,6 +74,9 @@ SHRINK_ITER_BUDGET = 100_000
 #: Oracle runs the shrinker may spend per failure.
 SHRINK_BUDGET = 300
 
+#: Statement nesting depth of a generated kernel body.
+MAX_DEPTH = 2
+
 
 def fuzz_arrays(rng: random.Random) -> dict[str, list]:
     """Deterministic initial array contents for one fuzz case."""
@@ -94,9 +97,8 @@ def _clamp(expr) -> BinOp:
 class KernelGen:
     """Seeded random kernel generator (see module doc)."""
 
-    def __init__(self, rng: random.Random, max_depth: int = 2):
+    def __init__(self, rng: random.Random):
         self.rng = rng
-        self.max_depth = max_depth
         self._counter = 0
 
     def expr(self, variables: list[str], depth: int = 2):
@@ -221,7 +223,7 @@ class KernelGen:
 
     def kernel(self, index: int) -> Kernel:
         variables: set[str] = {"n"}
-        body = self.stmts(variables, self.max_depth)
+        body = self.stmts(variables, MAX_DEPTH)
         # Guarantee at least one observable effect.
         body.append(
             Store("A", Const(0), self.expr(sorted(variables), depth=1))
@@ -268,21 +270,14 @@ class FuzzResult:
         return sum(self.skips.values())
 
 
-def _fuzz_arch(arch: ArchParams | None) -> ArchParams:
-    """Fuzz-friendly parameters: fail fast on wedges and runaways."""
-    arch = arch or ArchParams()
-    return dataclasses.replace(
-        arch,
-        sim=dataclasses.replace(
-            arch.sim,
-            check=True,
-            deadlock_cycles=min(arch.sim.deadlock_cycles, 20_000),
-            max_cycles=min(arch.sim.max_cycles, 2_000_000),
-        ),
-    )
+#: The machine every fuzz kernel runs on: the default one, checked, and
+#: quick to fail on wedges and runaways.
+FUZZ_ARCH = ArchParams(
+    sim=SimParams(check=True, deadlock_cycles=20_000, max_cycles=2_000_000)
+)
 
 
-def _oracle(kernel: Kernel, arrays: dict, arch: ArchParams, seed: int):
+def _oracle(kernel: Kernel, arrays: dict, seed: int):
     """Run the three-way oracle.
 
     A :class:`~repro.errors.PnRError` is returned, not raised: the kernel
@@ -298,8 +293,7 @@ def _oracle(kernel: Kernel, arrays: dict, arch: ArchParams, seed: int):
             kernel,
             FUZZ_PARAMS,
             arrays,
-            arch=arch,
-            orders=("fifo", "lifo", "random"),
+            arch=FUZZ_ARCH,
             seed=seed,
             anneal_moves=400,
         )
@@ -530,7 +524,6 @@ def fuzz(
     count: int,
     seed: int = 0,
     corpus_dir=None,
-    arch: ArchParams | None = None,
     shrink: bool = True,
     progress=None,
 ) -> FuzzResult:
@@ -541,7 +534,6 @@ def fuzz(
     ``(index, status, detail)`` for CLI reporting.
     """
     start = time.perf_counter()
-    arch = _fuzz_arch(arch)
     result = FuzzResult()
     for index in range(count):
         # One independent stream per case: a failure is reproducible
@@ -549,7 +541,7 @@ def fuzz(
         rng = random.Random((seed << 20) ^ index)
         kernel = KernelGen(rng).kernel(index)
         arrays = fuzz_arrays(rng)
-        report = _oracle(kernel, arrays, arch, seed)
+        report = _oracle(kernel, arrays, seed)
         if isinstance(report, PnRError):
             kind = type(report).__name__
             result.skips[kind] = result.skips.get(kind, 0) + 1
@@ -568,7 +560,7 @@ def fuzz(
         if shrink:
             def still_fails(candidate: Kernel) -> bool:
                 nonlocal final_report
-                candidate_report = _oracle(candidate, arrays, arch, seed)
+                candidate_report = _oracle(candidate, arrays, seed)
                 if (
                     not isinstance(candidate_report, PnRError)
                     and not candidate_report.ok

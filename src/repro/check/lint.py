@@ -38,8 +38,9 @@ rules here are derived from the lowering's token-cadence discipline
 
 Every rule is *sound for the lowering's output*: the 13 Table-1
 workloads and the fuzz corpus lint clean, and the tests build broken
-graphs for each rule. ``lower_kernel(..., strict=True)`` runs this pass
-automatically and raises :class:`repro.errors.DFGError` on any finding.
+graphs for each rule. The conformance oracle runs this pass over every
+graph it checks, and :func:`lint_strict` raises
+:class:`repro.errors.DFGError` on any finding.
 """
 
 from __future__ import annotations

@@ -207,11 +207,8 @@ def check_kernel(
     *,
     arch: ArchParams | None = None,
     compiled=None,
-    fabric=None,
-    orders: tuple[str, ...] = DEFAULT_ORDERS,
     seed: int = 0,
     divider: int | None = None,
-    frontend_factory=None,
     anneal_moves: int | None = None,
     name: str | None = None,
     reference_outputs: dict[str, list] | None = None,
@@ -225,7 +222,9 @@ def check_kernel(
     ``protocol`` divergences so the fuzzer can shrink them. ``compiled``
     short-circuits compilation (the workload harness passes its cached
     :class:`~repro.pnr.result.CompiledKernel`); otherwise the kernel is
-    compiled at parallelism 1 on ``fabric`` (default Monaco 12x12).
+    compiled at parallelism 1 on Monaco 12x12. The DFG layer runs under
+    every order of :data:`DEFAULT_ORDERS`, the simulator on Monaco's
+    frontend.
     :class:`~repro.errors.PnRError` propagates — an unroutable kernel is
     a capacity limit, not a conformance finding.
     """
@@ -249,7 +248,7 @@ def check_kernel(
 
         compiled = compile_once(
             kernel,
-            fabric if fabric is not None else monaco(),
+            monaco(),
             arch,
             parallelism=1,
             seed=seed,
@@ -272,7 +271,7 @@ def check_kernel(
             "arrays": _memory_digest(
                 {k: list(v) for k, v in (arrays or {}).items()}
             ),
-            "orders": list(orders),
+            "orders": list(DEFAULT_ORDERS),
             "seed": seed,
             "divider": divider,
             "fabric": compiled.fabric.name,
@@ -283,9 +282,9 @@ def check_kernel(
     )
     layers: list[str] = ["ir"]
 
-    # Layer 2: untimed DFG interpreter under every requested order.
+    # Layer 2: untimed DFG interpreter under every admissible order.
     dfg_firings: dict[str, int] | None = None
-    for order in orders:
+    for order in DEFAULT_ORDERS:
         layer = f"dfg-{order}"
         layers.append(layer)
         try:
@@ -303,7 +302,7 @@ def check_kernel(
             divergences.append(
                 Divergence(
                     "op-counts",
-                    (f"dfg-{orders[0]}", layer),
+                    (f"dfg-{DEFAULT_ORDERS[0]}", layer),
                     detail=(
                         "firing counts differ across admissible "
                         f"schedules: {dfg_firings!r} vs "
@@ -314,13 +313,10 @@ def check_kernel(
 
     # Layer 3: cycle-level simulator, invariant checkers armed.
     layers.append("sim")
-    sim_kwargs = {"divider": divider}
-    if frontend_factory is not None:
-        sim_kwargs["frontend_factory"] = frontend_factory
     cycles = 0
     try:
         result = simulate(
-            compiled, params, arrays, _with_check(arch), **sim_kwargs
+            compiled, params, arrays, _with_check(arch), divider=divider
         )
     except (SimulationError, DFGError) as error:
         divergences.append(
@@ -338,7 +334,7 @@ def check_kernel(
             divergences.append(
                 Divergence(
                     "op-counts",
-                    (f"dfg-{orders[0]}", "sim"),
+                    (f"dfg-{DEFAULT_ORDERS[0]}", "sim"),
                     detail=(
                         "timed firing counts differ from the untimed "
                         f"interpreter: {dfg_firings!r} vs "
@@ -363,7 +359,7 @@ def check_kernel(
             divergences.append(
                 Divergence(
                     "op-counts",
-                    ("ir", f"dfg-{orders[0]}"),
+                    ("ir", f"dfg-{DEFAULT_ORDERS[0]}"),
                     detail=(
                         f"{ir_stores} IR stores executed but "
                         f"{dfg_stores} store node firings"
@@ -376,7 +372,7 @@ def check_kernel(
             divergences.append(
                 Divergence(
                     "op-counts",
-                    ("ir", f"dfg-{orders[0]}"),
+                    ("ir", f"dfg-{DEFAULT_ORDERS[0]}"),
                     detail=(
                         f"{dfg_loads} load node firings exceed the "
                         f"{ir_loads} loads the program executed"
@@ -422,9 +418,6 @@ def check_workload(
     name: str,
     scale: str = "tiny",
     seed: int = 0,
-    *,
-    arch: ArchParams | None = None,
-    orders: tuple[str, ...] = DEFAULT_ORDERS,
 ) -> ConformanceReport:
     """Three-way check of one Table-1 workload, plus its golden output.
 
@@ -439,7 +432,7 @@ def check_workload(
     from repro.exp.runner import PAPER_DIVIDER, compile_cached
     from repro.workloads.registry import make_workload
 
-    arch = arch or ArchParams()
+    arch = ArchParams()
     instance = make_workload(name, scale, seed)
     compiled = compile_cached(instance, monaco(), _with_check(arch), seed=seed)
     verify_placement(compiled, arch)
@@ -448,9 +441,7 @@ def check_workload(
         instance.kernel,
         instance.params,
         instance.arrays,
-        arch=arch,
         compiled=compiled,
-        orders=orders,
         seed=seed,
         divider=PAPER_DIVIDER,
         name=f"{name}@{scale}",
@@ -463,8 +454,6 @@ def run_conformance(
     names=None,
     scale: str = "tiny",
     seed: int = 0,
-    *,
-    arch: ArchParams | None = None,
 ) -> list[ConformanceReport]:
     """Run :func:`check_workload` over ``names`` (default: all 13)."""
     from repro.workloads.registry import ALL_WORKLOADS
@@ -472,7 +461,7 @@ def run_conformance(
     reports = []
     for name in names or ALL_WORKLOADS:
         try:
-            reports.append(check_workload(name, scale, seed, arch=arch))
+            reports.append(check_workload(name, scale, seed))
         except PnRError as error:
             reports.append(
                 ConformanceReport(

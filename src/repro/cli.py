@@ -643,6 +643,10 @@ def cmd_sweep(args) -> int:
     from repro.exp.cache import default_cache_dir
     from repro.exp.resilient import SweepPolicy, run_resilient
 
+    if args.resume and not args.manifest:
+        raise argparse.ArgumentTypeError(
+            "--resume requires --manifest (the journal it reads)"
+        )
     sweep_policy = _setting(
         SweepPolicy,
         job_timeout_s=args.timeout,

@@ -86,7 +86,6 @@ def analyze_with_profile(
     dfg: DFG,
     params: dict[str, int | float] | None = None,
     arrays: dict[str, list] | None = None,
-    hot_fraction: float = HOT_FRACTION,
     in_place: bool = False,
 ) -> ProfileReport:
     """Static criticality analysis refined by a profiling run.
@@ -119,7 +118,7 @@ def analyze_with_profile(
                 "profiling input; static classes kept"
             ),
         )
-    threshold = hot_fraction * hottest
+    threshold = HOT_FRACTION * hottest
     refined = CriticalityReport(
         class_a=list(static.class_a), recurrences=list(static.recurrences)
     )

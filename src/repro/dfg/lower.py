@@ -39,8 +39,7 @@ Memory ordering
   and write-after-write) without serializing the loads themselves.
 
 ``mode='serialize'`` chains every access to a written array through one
-token (full serialization). ``mode='none'`` emits no ordering tokens and
-is only safe for kernels whose loads and stores never alias.
+token (full serialization).
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ from repro.isa import apply_binop, apply_unop
 #: Lowering-time value: a node id (token stream) or an immediate.
 Val = int | ImmRef
 
-MEM_MODES = ("raw", "serialize", "none")
+MEM_MODES = ("raw", "serialize")
 
 
 def store_token_var(array: str) -> str:
@@ -90,26 +89,17 @@ def mem_token_var(array: str) -> str:
     return f"__mem${array}"
 
 
-def lower_kernel(
-    kernel: Kernel, mem_mode: str = "raw", strict: bool = False
-) -> DFG:
+def lower_kernel(kernel: Kernel, mem_mode: str = "raw") -> DFG:
     """Lower ``kernel`` to a validated dataflow graph.
 
-    With ``strict=True`` the static lint pass
-    (:mod:`repro.check.lint`) runs over the finished graph and raises
-    :class:`~repro.errors.DFGError` on any finding — catching the
-    well-formed-but-wrong-by-construction bug family (unpatched
-    back-edges, ungated carry inits, cross-region steer cadences) that
-    :meth:`repro.dfg.graph.DFG.validate` cannot see.
+    :meth:`repro.dfg.graph.DFG.validate` checks the graph is well formed;
+    :func:`repro.check.lint.lint_strict` over the result also catches the
+    well-formed-but-wrong-by-construction family (unpatched back-edges,
+    ungated carry inits, cross-region steer cadences).
     """
     if mem_mode not in MEM_MODES:
         raise LoweringError(f"unknown memory-ordering mode {mem_mode!r}")
-    dfg = _Lowerer(kernel, mem_mode).lower()
-    if strict:
-        from repro.check.lint import lint_strict
-
-        lint_strict(dfg)
-    return dfg
+    return _Lowerer(kernel, mem_mode).lower()
 
 
 class _Lowerer:
@@ -120,13 +110,9 @@ class _Lowerer:
         self.dfg.params = list(kernel.params)
         for spec in kernel.arrays:
             self.dfg.declare_array(spec.name, spec.size, spec.dtype)
-        self.ordered: set[str] = set()
-        if mem_mode != "none":
-            self.ordered = {
-                s.array
-                for s in walk_stmts(kernel.body)
-                if isinstance(s, Store)
-            }
+        self.ordered: set[str] = {
+            s.array for s in walk_stmts(kernel.body) if isinstance(s, Store)
+        }
         self.depth = 0
         self._loop_stack: list[int] = []
         self._loop_counter = 0

@@ -227,9 +227,11 @@ class FailureRecord:
     point_digest: str = ""
 
     def describe(self) -> str:
+        """One line; an empty message (a bare ``assert``) reads as such."""
+        first = (self.message.splitlines() or ["<no message>"])[0]
         return (
             f"{self.workload}/{self.config}/seed{self.seed}: "
-            f"[{self.kind}] {self.message.splitlines()[0]}"
+            f"[{self.kind}] {first}"
         )
 
     def to_manifest(self, spec: RunSpec) -> dict:

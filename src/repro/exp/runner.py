@@ -14,12 +14,10 @@ that simulate it (:func:`_compile_sweep_job`).
 A point is named by one :class:`~repro.exp.spec.RunSpec`:
 :func:`compile_point` compiles it and :func:`run_point` simulates it —
 the one place a simulation becomes a :class:`RunResult`. Sweep jobs
-take ``(spec, env)``. :func:`run_parallel` is a facade over the
-resilient sweep supervisor (:mod:`repro.exp.resilient`): pass a
-:class:`~repro.exp.resilient.SweepPolicy` to get per-job timeouts and
-typed failure records instead of a crashed sweep. The default policy is
-fail-fast ``abort``. An in-process caller that wants those records
-calls :func:`~repro.exp.resilient.run_resilient` on
+take ``(spec, env)``. :func:`run_parallel` is a fail-fast facade over
+the resilient sweep supervisor (:mod:`repro.exp.resilient`); a caller
+that wants per-job timeouts, typed failure records or other point
+fields calls :func:`~repro.exp.resilient.run_resilient` on
 :func:`~repro.exp.spec.sweep_specs` itself.
 """
 
@@ -35,14 +33,7 @@ from repro.core.policy import EFFCC, PlacementPolicy, get_policy
 from repro.exp.cache import GLOBAL_CACHE
 from repro.exp.configs import MachineConfig
 from repro.exp.resilient import SweepEnv, call_with_timeout, run_resilient
-from repro.exp.spec import (
-    DEFAULT_FABRIC_SPEC,
-    PAPER_DIVIDER,
-    FabricSpec,
-    RunSpec,
-    compile_key,
-    sweep_specs,
-)
+from repro.exp.spec import PAPER_DIVIDER, RunSpec, compile_key, sweep_specs
 from repro.pnr.flow import compile_kernel
 from repro.pnr.result import CompiledKernel
 from repro.sim.engine import simulate
@@ -73,11 +64,6 @@ class RunResult:
     #: :mod:`repro.sim.snapshot`); None for fresh runs. Excluded from
     #: equality — a resumed run is bit-identical to an uninterrupted one.
     resume_info: dict | None = field(default=None, compare=False)
-    #: Checkpointer write telemetry, or None when checkpointing was off.
-    #: Wall-clock data, excluded from equality like ``wall_time``.
-    snapshot_stats: dict | None = field(
-        default=None, compare=False, repr=False
-    )
     #: :meth:`repro.core.profile.ProfileReport.to_dict` of the compile's
     #: profile-guided refinement pass, or None for static compiles.
     #: Deterministic, but excluded from equality so a profiled run still
@@ -180,9 +166,9 @@ def run_point(
     ``spec.divider=None`` runs at the divider the routed design achieved,
     never below :data:`PAPER_DIVIDER` — so a congested design pays in
     fabric frequency, the Fig. 16 mechanism. ``options``
-    (``checkpoint``/``resume_from``) pass through to
-    :func:`repro.sim.engine.simulate`; :func:`_run_sweep_job` is the one
-    caller that sets them (see :mod:`repro.sim.snapshot`).
+    (``checkpoint``) pass through to :func:`repro.sim.engine.simulate`;
+    :func:`_run_sweep_job` is the one caller that sets them (see
+    :mod:`repro.sim.snapshot`).
     """
     divider = spec.divider
     if divider is None:
@@ -209,7 +195,6 @@ def run_point(
         obs=result.obs,
         pnr=compiled.pnr,
         resume_info=result.resume_info,
-        snapshot_stats=result.snapshot_stats,
         profile=compiled.meta.get("profile"),
     )
 
@@ -256,18 +241,16 @@ def _run_sweep_job(spec: RunSpec, env: SweepEnv) -> RunResult:
         digest = spec.point_digest()
         path = os.path.join(env.snapshot_dir, f"{digest}.snap")
         checkpointing = {
+            # A rerun of the point continues from its predecessor's
+            # snapshot; torn/stale files are discarded, never fatal.
             "checkpoint": CheckpointConfig(
                 path=path,
                 every_cycles=policy.checkpoint_every,
                 cycle_budget=policy.job_cycle_budget,
-                install_signals=True,
                 watchdog=watchdog,
                 journal_path=env.journal,
                 journal_fields={"point_digest": digest, **spec.point_fields()},
             ),
-            # A rerun of the point continues from its predecessor's
-            # snapshot; torn/stale files are discarded, never fatal.
-            "resume_from": path,
         }
 
     return call_with_timeout(
@@ -283,23 +266,17 @@ def run_parallel(
     configs: list[MachineConfig],
     scale: str = "small",
     seeds: tuple[int, ...] = (0,),
-    arch: ArchParams | None = None,
-    policy: PlacementPolicy = EFFCC,
-    divider: int | None = PAPER_DIVIDER,
-    fabric_spec: FabricSpec = DEFAULT_FABRIC_SPEC,
     max_workers: int | None = None,
     cache_dir: str | os.PathLike | None = None,
     manifest_path: str | os.PathLike | None = None,
-    sweep_policy=None,
-    resume: bool = False,
-    snapshot_dir: str | os.PathLike | None = None,
-    profile_guided: bool = False,
 ) -> dict[tuple[str, str, int], RunResult]:
     """Fan (workload x config x seed) out over worker processes.
 
-    Returns ``{(workload, config_name, seed): RunResult}``. Results are
-    bit-identical to running each point serially: compilation and
-    simulation are deterministic, and every job — one picklable
+    Returns ``{(workload, config_name, seed): RunResult}``. Every point
+    is a default :class:`~repro.exp.spec.RunSpec` (default machine, the
+    paper's divider, effcc on Monaco 12x12). Results are bit-identical
+    to running each point serially: compilation and simulation are
+    deterministic, and every job — one picklable
     :class:`~repro.exp.spec.RunSpec` plus the sweep's
     :class:`~repro.exp.resilient.SweepEnv` — loads its kernel from the
     shared on-disk cache (or recompiles it), so no cross-job state leaks.
@@ -319,32 +296,15 @@ def run_parallel(
     order, so serial and parallel sweeps produce identical manifests up
     to the volatile ``wall_time_s``/``timestamp`` fields.
 
-    This is the results-only facade over
-    :func:`repro.exp.resilient.run_resilient`: with the default
-    fail-fast policy the first failure raises. Pass ``sweep_policy`` /
-    ``resume`` for graceful degradation — but use
-    :func:`~repro.exp.resilient.run_resilient` directly when you need
-    the typed :class:`~repro.exp.resilient.FailureRecord` s and the
-    skipped-point list, since this facade returns the healthy results
-    alone.
+    This is the results-only, fail-fast facade over
+    :func:`repro.exp.resilient.run_resilient`; other point fields, a
+    policy, resume or snapshots call that on
+    :func:`~repro.exp.spec.sweep_specs` directly.
     """
     outcome = run_resilient(
-        sweep_specs(
-            workloads,
-            configs,
-            seeds,
-            scale=scale,
-            arch=arch or ArchParams(),
-            divider=divider,
-            policy=policy.name,
-            fabric=tuple(fabric_spec),
-            profile_guided=profile_guided,
-        ),
+        sweep_specs(workloads, configs, seeds, scale=scale),
         max_workers=max_workers,
         cache_dir=cache_dir,
         manifest_path=manifest_path,
-        sweep_policy=sweep_policy,
-        resume=resume,
-        snapshot_dir=snapshot_dir,
     )
     return {spec.key: run for spec, run in outcome.results.items()}

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 
-from repro.dfg.graph import MEMORY_OPS, PortRef
+from repro.dfg.graph import PortRef
 from repro.errors import SimulationError
 
 #: Fine-grained attribution categories, in reporting order. Costs over

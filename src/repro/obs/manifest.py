@@ -122,7 +122,7 @@ def _energy_block(stats) -> dict:
     return estimate_energy(stats).to_dict()
 
 
-def build_manifest(run, spec, extra: dict | None = None) -> dict:
+def build_manifest(run, spec) -> dict:
     """One manifest record for a :class:`~repro.exp.runner.RunResult`
     of the point ``spec`` (a :class:`~repro.exp.spec.RunSpec`)."""
     identity = spec.point_fields()
@@ -156,8 +156,6 @@ def build_manifest(run, spec, extra: dict | None = None) -> dict:
         # stats above are still bit-identical to an uninterrupted run
         # (``resume`` is volatile, see VOLATILE_KEYS).
         record["resume"] = dict(resume_info)
-    if extra:
-        record.update(extra)
     return record
 
 

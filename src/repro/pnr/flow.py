@@ -188,7 +188,6 @@ def compile_kernel(
     parallelism: int | None = None,
     mem_mode: str = "raw",
     seed: int = 0,
-    anneal_moves: int | None = None,
     profile: tuple[dict | None, dict | None] | None = None,
     node_weights: dict[int, float] | None = None,
 ) -> CompiledKernel:
@@ -205,7 +204,7 @@ def compile_kernel(
     if parallelism is not None:
         return compile_once(
             kernel, fabric, arch, policy, parallelism, mem_mode, seed,
-            anneal_moves, profile, node_weights,
+            profile=profile, node_weights=node_weights,
         )
     t0 = time.perf_counter()
     best: CompiledKernel | None = None
@@ -215,7 +214,7 @@ def compile_kernel(
         try:
             candidate = compile_once(
                 kernel, fabric, arch, policy, degree, mem_mode, seed,
-                anneal_moves, profile, node_weights,
+                profile=profile, node_weights=node_weights,
             )
         except PnRError:
             break

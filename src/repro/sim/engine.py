@@ -78,9 +78,6 @@ class SimResult:
         #: "restore_wall_s"}`` when this run resumed from a snapshot
         #: (see :mod:`repro.sim.snapshot`); None for fresh runs.
         self.resume_info = None
-        #: Checkpointer telemetry (write count/latency), or None when
-        #: checkpointing was off.
-        self.snapshot_stats = None
 
 
 def default_frontend(fabric, address_map):
@@ -95,7 +92,6 @@ def simulate(
     frontend_factory=default_frontend,
     divider: int | None = None,
     checkpoint=None,
-    resume_from: str | None = None,
 ) -> SimResult:
     """Run ``compiled`` to quiescence and return memory + stats.
 
@@ -111,13 +107,13 @@ def simulate(
 
     ``checkpoint`` is an optional
     :class:`repro.sim.snapshot.CheckpointConfig` arming mid-run
-    snapshots (None = off). ``resume_from`` names a snapshot file to
-    continue from; an invalid one (missing, torn, or taken under another
-    configuration) is deleted and the run starts fresh from cycle 0
-    (:func:`repro.sim.snapshot.resolve_resume`). A resumed run is
-    bit-identical to the uninterrupted one; a preempted run raises
+    snapshots (None = off); an armed run first continues from a valid
+    snapshot at ``checkpoint.path``. An invalid one (missing, torn, or
+    taken under another configuration) is deleted and the run starts at
+    cycle 0 (:func:`repro.sim.snapshot.resolve_resume`). A resumed run
+    is bit-identical to the uninterrupted one; a preempted run raises
     :class:`~repro.errors.SimulationPreempted` after writing a final
-    snapshot.
+    snapshot, and SIGTERM/SIGINT preempt an armed run.
     """
     arch = arch or ArchParams()
     params = dict(params or {})
@@ -177,8 +173,7 @@ def simulate(
 
     resume_info = None
     snapshots = None
-    watchdog = None
-    if checkpoint is not None or resume_from is not None:
+    if checkpoint is not None:
         import time as _time
 
         from repro.sim.snapshot import (
@@ -188,30 +183,26 @@ def simulate(
         )
 
         digest = sim_config_digest(compiled, arch, divider, frontend, params)
-        if resume_from is not None:
-            restore_start = _time.perf_counter()
-            snap = resolve_resume(resume_from, digest)
-            if snap is not None:
-                snap.install(engine)
-                resume_info = {
-                    "from_cycle": engine.now,
-                    "executed_before": engine.stats.executed_cycles,
-                    "snapshot": snap.path,
-                    "restore_wall_s": round(
-                        _time.perf_counter() - restore_start, 6
-                    ),
-                }
-        if checkpoint is not None:
-            snapshots = Checkpointer(checkpoint, digest)
-            engine.snapshots = snapshots
-            if checkpoint.install_signals and snapshots.watchdog is not None:
-                watchdog = snapshots.watchdog
-                watchdog.install()
+        restore_start = _time.perf_counter()
+        snap = resolve_resume(checkpoint.path, digest)
+        if snap is not None:
+            snap.install(engine)
+            resume_info = {
+                "from_cycle": engine.now,
+                "executed_before": engine.stats.executed_cycles,
+                "snapshot": snap.path,
+                "restore_wall_s": round(
+                    _time.perf_counter() - restore_start, 6
+                ),
+            }
+        snapshots = Checkpointer(checkpoint, digest)
+        engine.snapshots = snapshots
+        snapshots.watchdog.install()
     try:
         stats = engine.run()
     finally:
-        if watchdog is not None:
-            watchdog.uninstall()
+        if snapshots is not None:
+            snapshots.watchdog.uninstall()
     obs = engine.obs  # a restore swaps in the snapshot's sink set
     if obs is not None and obs.check is not None:
         obs.check.finish(stats, engine)
@@ -230,8 +221,6 @@ def simulate(
             obs.chrome.write(arch.sim.trace_path)
     result = SimResult(memory, stats, obs=obs)
     result.resume_info = resume_info
-    if snapshots is not None:
-        result.snapshot_stats = snapshots.telemetry()
     return result
 
 

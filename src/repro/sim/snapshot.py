@@ -48,7 +48,6 @@ import hashlib
 import os
 import pickle
 import signal
-import time
 from dataclasses import dataclass
 
 from repro.errors import SimulationError, SimulationPreempted, SnapshotError
@@ -279,10 +278,9 @@ class CheckpointConfig:
     every_cycles: int = 0
     #: Preempt (kind "preempted") after executing this many cycles here.
     cycle_budget: int | None = None
-    #: Install SIGTERM/SIGINT handlers around the run.
-    install_signals: bool = False
     #: Shared watchdog (e.g. with the sweep supervisor's grace alarm);
-    #: None + ``install_signals`` builds a private one.
+    #: None builds a private one. Either way it handles SIGTERM/SIGINT
+    #: for the length of the run.
     watchdog: Watchdog | None = None
     #: JSONL journal the checkpointer appends ``status: "snapshot"``
     #: records to (the sweep manifest), plus fixed identity fields.
@@ -300,14 +298,10 @@ class Checkpointer:
     def __init__(self, config: CheckpointConfig, digest: str):
         self.config = config
         self.digest = digest
-        self.watchdog = config.watchdog or (
-            Watchdog() if config.install_signals else None
-        )
+        self.watchdog = config.watchdog or Watchdog()
         self._next_cycle: int | None = None
         self._boundaries = 0
         self._last_write_now: int | None = None
-        self.writes = 0
-        self.write_wall_s = 0.0
 
     def boundary(self, engine) -> None:
         """Cycle-boundary hook: periodic snapshot + preemption checks.
@@ -329,7 +323,7 @@ class Checkpointer:
                 while self._next_cycle <= now:
                     self._next_cycle += every
         reason = kind = None
-        if self.watchdog is not None and self.watchdog.reason is not None:
+        if self.watchdog.reason is not None:
             reason, kind = self.watchdog.reason, self.watchdog.kind
         elif (
             self.config.cycle_budget is not None
@@ -351,7 +345,6 @@ class Checkpointer:
         )
 
     def write(self, engine) -> str:
-        start = time.perf_counter()
         check_boundary_invariants(engine)
         state = engine.state_dict()
         # ONE dumps call for the whole machine: pickle's memo preserves
@@ -365,8 +358,6 @@ class Checkpointer:
             "executed_cycles": engine.stats.executed_cycles,
         }
         write_snapshot(self.config.path, meta, payload)
-        self.writes += 1
-        self.write_wall_s += time.perf_counter() - start
         self._last_write_now = engine.now
         self._journal(meta)
         return self.config.path
@@ -392,15 +383,6 @@ class Checkpointer:
             os.unlink(self.config.path)
         except FileNotFoundError:
             pass
-
-    def telemetry(self) -> dict:
-        """Snapshot-side costs for benchmarks and manifests."""
-        return {
-            "writes": self.writes,
-            "write_wall_s": round(self.write_wall_s, 6),
-            "path": self.config.path,
-            "last_cycle": self._last_write_now,
-        }
 
 
 # -- integrity checks ------------------------------------------------------

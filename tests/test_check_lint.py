@@ -3,8 +3,8 @@
 Each rule gets a deliberately broken graph built by mutating a real
 lowering's output (the lint is defined against the lowering's
 token-cadence discipline, so mutated-real graphs are the honest test
-vehicle). The soundness side — every Table 1 workload lints clean under
-``lower_kernel(..., strict=True)`` — is asserted over the full registry.
+vehicle). The soundness side — every Table 1 workload's lowering passes
+``lint_strict`` — is asserted over the full registry.
 """
 
 from __future__ import annotations
@@ -34,14 +34,9 @@ def rules(issues):
 @pytest.mark.parametrize("name", ALL_WORKLOADS)
 def test_all_workloads_lint_clean(name):
     instance = make_workload(name, scale="tiny")
-    dfg = lower_kernel(instance.kernel, strict=True)  # raises on findings
+    dfg = lower_kernel(instance.kernel)
+    lint_strict(dfg)  # raises on findings
     assert lint_dfg(dfg) == []
-
-
-def test_strict_is_default_off_and_identical():
-    plain = lower_kernel(dot_kernel())
-    strict = lower_kernel(dot_kernel(), strict=True)
-    assert plain.op_histogram() == strict.op_histogram()
 
 
 # -- each rule fires on its broken graph ------------------------------------

@@ -243,9 +243,11 @@ def test_a_failed_self_check_is_not_read_as_a_non_fit(monkeypatch):
     degree = []
     real_once, real_graph = flow.compile_once, flow.build_channel_graph
 
-    def once(kernel, fabric, arch, policy, parallelism, *rest):
+    def once(kernel, fabric, arch, policy, parallelism, *rest, **options):
         degree.append(parallelism)
-        return real_once(kernel, fabric, arch, policy, parallelism, *rest)
+        return real_once(
+            kernel, fabric, arch, policy, parallelism, *rest, **options
+        )
 
     def graph(*args):
         channels = real_graph(*args)

@@ -11,8 +11,8 @@
   ``loads + stores`` and ``hits + misses`` agree (see the
   ``repro.sim.memsys`` module docstring);
 * :class:`ConformanceReport` digests are identical whether checks run
-  serially or in worker processes, and ``run_parallel`` composes with
-  the invariant checker.
+  serially or in worker processes, and a pooled sweep composes with the
+  invariant checker.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from repro.core.policy import EFFCC
 from repro.dfg.ops import MemRequest
 from repro.errors import SimulationError
 from repro.exp.configs import MONACO
-from repro.exp.runner import run_parallel
+from repro.exp.resilient import run_resilient
+from repro.exp.spec import sweep_specs
 from repro.pnr.flow import compile_once
 from repro.sim.engine import simulate
 from repro.sim.memsys import MemStats, RequestRecord
@@ -138,17 +139,11 @@ def test_conformance_digests_serial_vs_parallel():
     assert parallel == serial
 
 
-def test_run_parallel_composes_with_invariant_checking():
-    kwargs = dict(
-        workloads=["spmspv"],
-        configs=[MONACO],
-        scale="tiny",
-        seeds=(0,),
-        arch=CHECKED,
-    )
-    serial = run_parallel(max_workers=1, **kwargs)
-    pooled = run_parallel(max_workers=2, **kwargs)
+def test_sweep_composes_with_invariant_checking():
+    specs = sweep_specs(["spmspv"], [MONACO], scale="tiny", arch=CHECKED)
+    serial = run_resilient(specs, max_workers=1).results
+    pooled = run_resilient(specs, max_workers=2).results
     assert set(serial) == set(pooled)
-    for key, run in serial.items():
-        assert run.stats == pooled[key].stats, key
-        assert run.cycles == pooled[key].cycles
+    for spec, run in serial.items():
+        assert run.stats == pooled[spec].stats, spec.key
+        assert run.cycles == pooled[spec].cycles

@@ -34,8 +34,9 @@ from repro.core.criticality import (
 )
 from repro.core.policy import EFFCC
 from repro.exp.configs import MONACO, upea
-from repro.exp.runner import compile_cached, run_parallel, run_point
-from repro.exp.spec import RunSpec
+from repro.exp.resilient import run_resilient
+from repro.exp.runner import compile_cached, run_point
+from repro.exp.spec import RunSpec, sweep_specs
 from repro.obs import CATEGORIES, ROLLUP, ROLLUP_ORDER
 from repro.obs.manifest import read_manifest, stable_view
 from repro.obs.sinks import CycleAttribution, FmnocHeatmap, NocHeatmap
@@ -315,18 +316,17 @@ class TestValidation:
 
 class TestManifests:
     def test_serial_vs_parallel_critpath_manifests_match(self, tmp_path):
-        arch = _arch(critpath=True)
-        kwargs = dict(
-            workloads=["spmspv"],
-            configs=[upea(2), MONACO],
-            scale=SCALE,
-            arch=arch,
-            cache_dir=tmp_path / "cache",
+        specs = sweep_specs(
+            ["spmspv"], [upea(2), MONACO], scale=SCALE,
+            arch=_arch(critpath=True),
         )
         serial_path = tmp_path / "serial.jsonl"
         parallel_path = tmp_path / "parallel.jsonl"
-        run_parallel(max_workers=1, manifest_path=serial_path, **kwargs)
-        run_parallel(max_workers=2, manifest_path=parallel_path, **kwargs)
+        for workers, path in ((1, serial_path), (2, parallel_path)):
+            run_resilient(
+                specs, max_workers=workers, cache_dir=tmp_path / "cache",
+                manifest_path=path,
+            )
         serial = [stable_view(r) for r in read_manifest(serial_path)]
         parallel = [stable_view(r) for r in read_manifest(parallel_path)]
         assert serial == parallel

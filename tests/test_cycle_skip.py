@@ -206,7 +206,7 @@ def test_snapshot_after_a_jump_resumes_to_the_same_report(tmp_path):
         _probed(
             *point, checkpoint=CheckpointConfig(path=path, cycle_budget=budget)
         )
-    resumed = _probed(*point, resume_from=path)
+    resumed = _probed(*point, checkpoint=CheckpointConfig(path))
     assert resumed.resume_info["executed_before"] == budget
     assert resumed.resume_info["from_cycle"] == longest["ts"] + longest["dur"]
     assert _reported(resumed) == _reported(full)

@@ -102,16 +102,6 @@ def test_mem_ordering_raw_chains_stores():
     assert all(ld.attrs["has_ord"] for ld in loads)
 
 
-def test_mem_ordering_none_has_no_ord_ports():
-    kernel, params, arrays = zoo_instance("nested")
-    dfg = lower_kernel(kernel, mem_mode="none")
-    assert all(
-        not n.attrs["has_ord"]
-        for n in dfg.nodes.values()
-        if n.is_memory()
-    )
-
-
 def test_mem_ordering_readonly_arrays_unordered():
     kernel, params, arrays = zoo_instance("dot")
     dfg = lower_kernel(kernel, mem_mode="raw")

@@ -248,6 +248,10 @@ class TestCLI:
             ("fabric --rows 0", "fabric too small"),
             ("fabric clustered-single --cols 0", "fabric too small"),
             ("check", "nothing to do"),
+            (
+                "sweep --workloads dmv --scale tiny --resume",
+                "--resume requires --manifest",
+            ),
             # Refused by argparse itself.
             ("sweep --workloads dmv --scale tiny --configs", "argument --configs"),
             ("sweep --workloads dmv --scale tiny --seeds", "argument --seeds"),
@@ -461,10 +465,8 @@ class TestCLI:
         ]
         seen = []
 
-        def preempted(spec, instance, compiled, checkpoint, resume_from):
-            seen.append(
-                (checkpoint.path, checkpoint.every_cycles, resume_from)
-            )
+        def preempted(spec, instance, compiled, checkpoint):
+            seen.append((checkpoint.path, checkpoint.every_cycles))
             raise SimulationPreempted(
                 "preempted", snapshot_path=checkpoint.path, cycle=123
             )
@@ -480,4 +482,4 @@ class TestCLI:
                 if line.startswith("preempted at cycle 123: ")
             ]
             assert f"snapshot written to {path};" in line
-        assert seen == [(path, 500, path)] * 2
+        assert seen == [(path, 500)] * 2

@@ -31,6 +31,7 @@ from repro.errors import (
 )
 from repro.exp.configs import MONACO, upea
 from repro.exp.resilient import (
+    FailureRecord,
     SweepPolicy,
     call_with_timeout,
     classify_failure,
@@ -76,6 +77,17 @@ def test_classify_failure_taxonomy():
     ]
     for exc, kind in cases:
         assert classify_failure(exc) == kind, kind
+
+
+def test_failure_with_an_empty_message_describes_itself():
+    """Regression: a bare ``assert`` or ``MemoryError()`` in a job has no
+    message, and describing it crashed the sweep's summary."""
+    record = FailureRecord("dmv", "monaco", 0, "infrastructure", "")
+    assert record.describe() == (
+        "dmv/monaco/seed0: [infrastructure] <no message>"
+    )
+    record = FailureRecord("dmv", "monaco", 0, "repro", "first\nsecond")
+    assert record.describe() == "dmv/monaco/seed0: [repro] first"
 
 
 def test_validation_error_carries_context():

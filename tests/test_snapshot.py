@@ -129,13 +129,7 @@ def _split(name, arch, budget, path, config=MONACO):
     assert info.value.kind == "preempted"
     assert info.value.snapshot_path == path
     assert os.path.exists(path)
-    return _simulate(
-        name,
-        arch,
-        config,
-        checkpoint=CheckpointConfig(path=path),
-        resume_from=path,
-    )
+    return _simulate(name, arch, config, checkpoint=CheckpointConfig(path))
 
 
 # -- split-run bit-identity, all workloads x all mode toggles ---------------
@@ -254,12 +248,15 @@ class TestSplitRunBitIdentity:
         arch = _arch(check=True)
         base = _simulate("spmspv", arch)
         path = str(tmp_path / "periodic.snap")
+        journal = tmp_path / "journal.jsonl"
         run = _simulate(
             "spmspv",
             arch,
-            checkpoint=CheckpointConfig(path=path, every_cycles=100),
+            checkpoint=CheckpointConfig(
+                path=path, every_cycles=100, journal_path=str(journal)
+            ),
         )
-        assert run.snapshot_stats["writes"] >= 5
+        assert len(read_manifest(journal)) >= 5
         assert _digest(run) == _digest(base)
         assert run.memory == base.memory
         assert not os.path.exists(path)
@@ -307,15 +304,21 @@ class TestSplitRunBitIdentity:
         checkpointer through the sweep's job path; without them the
         engine carries none."""
         from repro.cli import main
+        from repro.sim.snapshot import Checkpointer
 
-        armed = []
-        run_engine = _Engine.run
+        armed, writes = [], []
+        run_engine, write = _Engine.run, Checkpointer.write
 
         def spy(engine):
             armed.append(engine.snapshots)
             return run_engine(engine)
 
+        def counted(checkpointer, engine):
+            writes.append(checkpointer.config.path)
+            return write(checkpointer, engine)
+
         monkeypatch.setattr(_Engine, "run", spy)
+        monkeypatch.setattr(Checkpointer, "write", counted)
         snaps = tmp_path / "snaps"
         stats = str(tmp_path / "stats.json")
         base = _simulate("dmv", ArchParams())
@@ -323,10 +326,10 @@ class TestSplitRunBitIdentity:
             "run", "dmv", "--scale", SCALE, "--snapshot-dir", str(snaps),
             "--checkpoint-every", "100", "--stats-json", stats,
         ]) == 0
-        # Off: no checkpointer on the engine, no telemetry block.
-        assert armed[0] is None and base.snapshot_stats is None
+        # Off: no checkpointer on the engine.
+        assert armed[0] is None
         assert armed[1].config.every_cycles == 100
-        assert armed[1].writes >= 1
+        assert writes and set(writes) == {armed[1].config.path}
         with open(stats, encoding="utf-8") as handle:
             payload = json.load(handle)
         payload.pop("energy")
@@ -377,10 +380,7 @@ class TestRejection:
         with open(path, "wb") as handle:
             handle.write(b"\x80garbage")
         fresh = _simulate(
-            "dmv",
-            ArchParams(),
-            checkpoint=CheckpointConfig(path=path),
-            resume_from=path,
+            "dmv", ArchParams(), checkpoint=CheckpointConfig(path)
         )
         # Bad file discarded, run restarted from cycle 0, still correct.
         assert fresh.resume_info is None
@@ -390,21 +390,21 @@ class TestRejection:
     def test_journal_after_a_torn_tail_keeps_every_write(self, tmp_path):
         """A killed writer's torn journal line costs only itself: the
         checkpointer's next record is not glued onto it."""
-        journal = tmp_path / "journal.jsonl"
-        journal.write_text('{"schema": 4, "sta')  # killed mid-append
-        result = _simulate(
-            "dmv",
-            ArchParams(),
-            checkpoint=CheckpointConfig(
-                path=str(tmp_path / "run.snap"),
-                every_cycles=100,
-                journal_path=str(journal),
-            ),
-        )
-        writes = result.snapshot_stats["writes"]
-        assert writes > 0
-        records = read_manifest(journal, strict=False)
-        assert [r["status"] for r in records] == ["snapshot"] * writes
+        clean, torn = tmp_path / "clean.jsonl", tmp_path / "torn.jsonl"
+        torn.write_text('{"schema": 4, "sta')  # killed mid-append
+        for journal in (clean, torn):
+            _simulate(
+                "dmv",
+                ArchParams(),
+                checkpoint=CheckpointConfig(
+                    path=str(tmp_path / "run.snap"),
+                    every_cycles=100,
+                    journal_path=str(journal),
+                ),
+            )
+        written = read_manifest(clean)
+        assert written and {r["status"] for r in written} == {"snapshot"}
+        assert read_manifest(torn, strict=False) == written
 
     def test_foreign_file_refused(self, tmp_path):
         path = str(tmp_path / "foreign.snap")
@@ -445,7 +445,9 @@ class TestRejection:
         full = _simulate("dmv", ArchParams(), upea(2))
         with pytest.raises(SnapshotError, match="different configuration"):
             load_snapshot(path, expect_digest="0" * 16)
-        fresh = _simulate("dmv", ArchParams(), upea(2), resume_from=path)
+        fresh = _simulate(
+            "dmv", ArchParams(), upea(2), checkpoint=CheckpointConfig(path)
+        )
         assert fresh.resume_info is None
         assert _digest(fresh) == _digest(full)
         assert fresh.memory == full.memory
@@ -569,10 +571,7 @@ class TestWatchdog:
                 checkpoint=CheckpointConfig(path=path, watchdog=watchdog),
             )
         resumed = _simulate(
-            "dmv",
-            ArchParams(),
-            checkpoint=CheckpointConfig(path=path),
-            resume_from=path,
+            "dmv", ArchParams(), checkpoint=CheckpointConfig(path)
         )
         assert _digest(resumed) == _digest(full)
         assert resumed.memory == full.memory
