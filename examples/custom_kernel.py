@@ -13,9 +13,15 @@ Run with::
 
 import random
 
-from repro import ArchParams, KernelBuilder, compile_kernel, monaco, simulate
-from repro.core import format_report
-from repro.sim import UniformFrontend
+from repro import (
+    ArchParams,
+    KernelBuilder,
+    UniformFrontend,
+    compile_kernel,
+    format_report,
+    monaco,
+    simulate,
+)
 
 
 def build_list_rank(n: int):

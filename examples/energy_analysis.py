@@ -9,9 +9,17 @@ Run with::
     python examples/energy_analysis.py
 """
 
-from repro import ArchParams, compile_kernel, make_workload, monaco, simulate
-from repro.core import DOMAIN_UNAWARE, EFFCC
-from repro.sim import UniformFrontend, estimate_energy
+from repro import (
+    DOMAIN_UNAWARE,
+    EFFCC,
+    ArchParams,
+    UniformFrontend,
+    compile_kernel,
+    estimate_energy,
+    make_workload,
+    monaco,
+    simulate,
+)
 
 
 def main():

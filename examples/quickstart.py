@@ -5,8 +5,14 @@ Run with::
     python examples/quickstart.py
 """
 
-from repro import ArchParams, KernelBuilder, compile_kernel, monaco, simulate
-from repro.core import format_report
+from repro import (
+    ArchParams,
+    KernelBuilder,
+    compile_kernel,
+    format_report,
+    monaco,
+    simulate,
+)
 
 
 def build_saxpy(n: int):

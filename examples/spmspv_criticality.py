@@ -11,9 +11,18 @@ Run with::
     python examples/spmspv_criticality.py
 """
 
-from repro import ArchParams, compile_kernel, make_workload, monaco, simulate
-from repro.core import DOMAIN_UNAWARE, EFFCC, format_report
-from repro.sim import NumaFrontend, UniformFrontend
+from repro import (
+    DOMAIN_UNAWARE,
+    EFFCC,
+    ArchParams,
+    NumaFrontend,
+    UniformFrontend,
+    compile_kernel,
+    format_report,
+    make_workload,
+    monaco,
+    simulate,
+)
 
 
 def main():

@@ -10,8 +10,14 @@ Run with::
     python examples/topology_exploration.py
 """
 
-from repro import ArchParams, build_fabric, compile_kernel, make_workload, simulate
-from repro.core import EFFCC
+from repro import (
+    EFFCC,
+    ArchParams,
+    build_fabric,
+    compile_kernel,
+    make_workload,
+    simulate,
+)
 from repro.errors import PnRError
 
 TOPOLOGIES = ("monaco", "clustered-single", "clustered-double")
@@ -50,7 +56,7 @@ def main():
                 print(
                     f"{topology:18s} {size}x{size:<5d} {tracks:6d} "
                     f"{compiled.parallelism:4d} "
-                    f"{compiled.timing.max_hops:8d} {divider:8d} "
+                    f"{compiled.timing.max_hops:8.1f} {divider:8d} "
                     f"{result.stats.system_cycles:9d}"
                 )
     print(

@@ -35,44 +35,32 @@ Quickstart::
     print(result.memory["out"], result.stats.summary())
 """
 
-from repro.arch import ArchParams, Fabric, build_fabric, monaco
-from repro.core import (
-    DOMAIN_AWARE,
-    DOMAIN_UNAWARE,
-    EFFCC,
-    analyze_criticality,
-    format_report,
-)
-from repro.dfg import lower_kernel, run_dfg
-from repro.errors import ReproError
-from repro.ir import KernelBuilder, parallelize, run_kernel
-from repro.pnr import CompiledKernel, compile_kernel
-from repro.sim import SimResult, simulate
-from repro.workloads import ALL_WORKLOADS, make_workload
+from repro.arch.fabric import build_fabric, monaco
+from repro.arch.params import ArchParams
+from repro.core.criticality import format_report
+from repro.core.policy import DOMAIN_UNAWARE, EFFCC
+from repro.ir.builder import KernelBuilder
+from repro.pnr.flow import compile_kernel
+from repro.sim.energy import estimate_energy
+from repro.sim.engine import simulate
+from repro.sim.upea import NumaFrontend, UniformFrontend
+from repro.workloads.registry import make_workload
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "ALL_WORKLOADS",
     "ArchParams",
-    "CompiledKernel",
-    "DOMAIN_AWARE",
     "DOMAIN_UNAWARE",
     "EFFCC",
-    "Fabric",
     "KernelBuilder",
-    "ReproError",
-    "SimResult",
-    "analyze_criticality",
+    "NumaFrontend",
+    "UniformFrontend",
     "build_fabric",
     "compile_kernel",
+    "estimate_energy",
     "format_report",
-    "lower_kernel",
     "make_workload",
     "monaco",
-    "parallelize",
-    "run_dfg",
-    "run_kernel",
     "simulate",
     "__version__",
 ]

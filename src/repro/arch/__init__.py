@@ -1,50 +1,1 @@
 """Monaco microarchitecture description: PEs, fabrics, NoCs, memory."""
-
-from repro.arch.clocks import divider_for_max_hops, path_delay_units
-from repro.arch.fabric import (
-    Fabric,
-    TOPOLOGIES,
-    build_fabric,
-    clustered_double,
-    clustered_single,
-    monaco,
-    monaco_variant,
-)
-from repro.arch.fmnoc import ArbiterId, FMNoC
-from repro.arch.memory import AddressMap
-from repro.arch.noc import ChannelGraph, MonacoTrackGraph, build_channel_graph
-from repro.arch.params import (
-    ArchParams,
-    MemoryParams,
-    SimParams,
-    TimingParams,
-    WORD_BYTES,
-)
-from repro.arch.pe import ARITH, LS, PE, manhattan
-
-__all__ = [
-    "ARITH",
-    "AddressMap",
-    "ArbiterId",
-    "ArchParams",
-    "ChannelGraph",
-    "MonacoTrackGraph",
-    "build_channel_graph",
-    "FMNoC",
-    "Fabric",
-    "LS",
-    "MemoryParams",
-    "PE",
-    "SimParams",
-    "TOPOLOGIES",
-    "TimingParams",
-    "WORD_BYTES",
-    "build_fabric",
-    "clustered_double",
-    "clustered_single",
-    "divider_for_max_hops",
-    "manhattan",
-    "monaco",
-    "monaco_variant",
-    "path_delay_units",
-]

@@ -12,6 +12,9 @@ import math
 
 from repro.arch.params import TimingParams
 
+#: The paper's evaluated fabric clock divider (Sec. 6).
+PAPER_DIVIDER = 2
+
 
 def path_delay_units(hops: int, timing: TimingParams) -> float:
     """Delay units of a routed net with ``hops`` channel hops."""

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.isa import MEMORY_OPS
+
 ARITH = "arith"
 LS = "ls"
 
@@ -43,7 +45,7 @@ class PE:
 
     def supports(self, op: str) -> bool:
         """Whether this PE can execute a DFG node of operation ``op``."""
-        if op in ("load", "store"):
+        if op in MEMORY_OPS:
             return self.is_ls
         return True
 

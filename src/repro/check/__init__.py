@@ -29,36 +29,3 @@ guards the compiler's output with a fifth:
   re-derived from a compiled artifact with no code shared with the
   placer, the router or static timing.
 """
-
-from __future__ import annotations
-
-from repro.check.fuzz import FuzzFailure, FuzzResult, fuzz
-from repro.check.invariants import InvariantChecker, InvariantViolation
-from repro.check.lint import LintIssue, lint_dfg, lint_strict
-from repro.check.oracle import (
-    ConformanceReport,
-    Divergence,
-    check_kernel,
-    check_workload,
-    run_conformance,
-)
-from repro.check.pnr import PnRVerifyError, verify_placement, verify_routing
-
-__all__ = [
-    "ConformanceReport",
-    "Divergence",
-    "FuzzFailure",
-    "FuzzResult",
-    "InvariantChecker",
-    "InvariantViolation",
-    "LintIssue",
-    "PnRVerifyError",
-    "check_kernel",
-    "check_workload",
-    "fuzz",
-    "lint_dfg",
-    "lint_strict",
-    "run_conformance",
-    "verify_placement",
-    "verify_routing",
-]

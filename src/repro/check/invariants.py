@@ -1,14 +1,15 @@
 """Runtime invariant checkers for the cycle-level simulator.
 
 :class:`InvariantChecker` is one more sink of the observability bus
-(:mod:`repro.obs.events`), attached by :func:`repro.obs.make_observation`
-under ``ArchParams.sim.check``. Its rules read only the engine's
-``tick`` records — emitted responses, committed firings and the memory
-requests they issued, the pushes about to commit — and it counts each
-node's requests in flight itself; only :meth:`InvariantChecker.finish`
-reads the final stats and the quiescent engine. It never writes
-simulator state, so checked results are bit-identical; only a
-*violation* changes behaviour, by raising :class:`InvariantViolation`.
+(:mod:`repro.obs.events`), attached by
+:func:`repro.obs.sinks.make_observation` under ``ArchParams.sim.check``.
+Its rules read only the engine's ``tick`` records — emitted responses,
+committed firings and the memory requests they issued, the pushes about
+to commit — and it counts each node's requests in flight itself; only
+:meth:`InvariantChecker.finish` reads the final stats and the quiescent
+engine. It never writes simulator state, so checked results are
+bit-identical; only a *violation* changes behaviour, by raising
+:class:`InvariantViolation`.
 
 Invariant catalog (see INTERNALS Sec. 8):
 
@@ -58,8 +59,7 @@ from collections import deque
 
 from repro.dfg.graph import DFG, PortRef
 from repro.errors import SimulationError
-
-_MEM_OPS = ("load", "store")
+from repro.isa import MEMORY_OPS
 
 
 class InvariantViolation(SimulationError):
@@ -99,7 +99,7 @@ class InvariantChecker:
         #: Memory node -> direct memory-node predecessors (ordering-token
         #: producers feeding it without intermediate gating).
         self._mem_preds: dict[int, tuple[int, ...]] = {}
-        memory_ids = {n.nid for n in dfg.nodes.values() if n.op in _MEM_OPS}
+        memory_ids = {n.nid for n in dfg.nodes.values() if n.op in MEMORY_OPS}
         for nid in memory_ids:
             preds = tuple(
                 inp.src

@@ -428,8 +428,9 @@ def check_workload(
     references on every candidate; ``compile_key`` leaves ``arch.sim``
     out, so the artifact and its cache entry are the unchecked ones.
     """
+    from repro.arch.clocks import PAPER_DIVIDER
     from repro.arch.fabric import monaco
-    from repro.exp.runner import PAPER_DIVIDER, compile_cached
+    from repro.exp.runner import compile_cached
     from repro.workloads.registry import make_workload
 
     arch = ArchParams()

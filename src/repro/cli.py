@@ -57,7 +57,8 @@ from repro.exp.spec import RunSpec, sweep_specs
 from repro.exp.tables import table1
 from repro.pnr.viz import fabric_map, placement_map
 from repro.sim.energy import estimate_energy
-from repro.workloads.registry import ALL_WORKLOADS, SCALES
+from repro.workloads.base import SCALES
+from repro.workloads.registry import ALL_WORKLOADS
 
 
 def _config_for(name: str):

@@ -16,9 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import DFGError
-
-#: Operations whose execution touches memory (must be placed on LS PEs).
-MEMORY_OPS = frozenset(("load", "store"))
+from repro.isa import MEMORY_OPS
 
 #: All DFG operations.
 ALL_OPS = frozenset(
@@ -136,6 +134,11 @@ class Node:
         return self.op in MEMORY_OPS
 
 
+def node_label(node: Node) -> str:
+    """A node's display label: its op, then its debug tag if any."""
+    return node.op + (f" {node.tag!r}" if node.tag else "")
+
+
 class DFG:
     """A dataflow graph: nodes, implicit edges, and launch metadata."""
 
@@ -226,7 +229,7 @@ class DFG:
     def _validate_node(self, node: Node) -> None:
         names = PORT_NAMES[node.op]
         arity = len(node.inputs)
-        if node.op in ("load", "store"):
+        if node.op in MEMORY_OPS:
             base = len(names)
             ord_count = node.attrs.get(
                 "ord_count", 1 if node.attrs.get("has_ord") else 0

@@ -62,6 +62,7 @@ from repro.errors import (
     SimulationPreempted,
     ValidationError,
 )
+from repro.exp.cache import GLOBAL_CACHE
 from repro.exp.spec import RunSpec
 from repro.obs.manifest import (
     MANIFEST_SCHEMA,
@@ -438,9 +439,15 @@ def run_resilient(
 
     if max_workers is not None and max_workers <= 1:
         # In-process twin of the pool path — same supervision, no fork,
-        # and the in-memory cache already compiles each key once.
-        for spec in specs:
-            settle(spec, partial(job_fn, spec, env))
+        # and the in-memory cache already compiles each key once. The
+        # jobs point this process's cache at the sweep's directory; the
+        # caller gets its own disk layer back.
+        disk_dir = GLOBAL_CACHE.disk_dir
+        try:
+            for spec in specs:
+                settle(spec, partial(job_fn, spec, env))
+        finally:
+            GLOBAL_CACHE.disk_dir = disk_dir
         return outcome
 
     # Workers share compiles only through a disk cache; without one every

@@ -27,13 +27,14 @@ import os
 import time
 from dataclasses import dataclass, field
 
+from repro.arch.clocks import PAPER_DIVIDER
 from repro.arch.fabric import Fabric, build_fabric
 from repro.arch.params import ArchParams
 from repro.core.policy import EFFCC, PlacementPolicy, get_policy
 from repro.exp.cache import GLOBAL_CACHE
 from repro.exp.configs import MachineConfig
 from repro.exp.resilient import SweepEnv, call_with_timeout, run_resilient
-from repro.exp.spec import PAPER_DIVIDER, RunSpec, compile_key, sweep_specs
+from repro.exp.spec import RunSpec, compile_key, sweep_specs
 from repro.pnr.flow import compile_kernel
 from repro.pnr.result import CompiledKernel
 from repro.sim.engine import simulate

@@ -25,13 +25,11 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field, is_dataclass
 
+from repro.arch.clocks import PAPER_DIVIDER
 from repro.arch.params import ArchParams
 from repro.core.policy import EFFCC
 from repro.exp.configs import MachineConfig
 from repro.obs.manifest import ARCH_COMPILE_FIELDS, point_digest
-
-#: The paper's evaluated fabric clock divider (Sec. 6).
-PAPER_DIVIDER = 2
 
 #: ``(topology, rows, cols)``, optionally followed by Monaco's two
 #: LS-placement axes ``(domain_width, ls_row_stride)`` — the picklable

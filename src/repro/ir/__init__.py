@@ -1,53 +1,1 @@
 """Structured kernel IR: the frontend of the reproduction's compiler stack."""
-
-from repro.ir.ast import (
-    ArraySpec,
-    Assign,
-    BinOp,
-    Const,
-    Expr,
-    For,
-    If,
-    Kernel,
-    Load,
-    Par,
-    ParFor,
-    Select,
-    Stmt,
-    Store,
-    UnOp,
-    Var,
-    While,
-    select,
-    wrap,
-)
-from repro.ir.builder import KernelBuilder
-from repro.ir.interp import run_kernel
-from repro.ir.transform import parallelize
-from repro.ir.validate import validate_kernel
-
-__all__ = [
-    "ArraySpec",
-    "Assign",
-    "BinOp",
-    "Const",
-    "Expr",
-    "For",
-    "If",
-    "Kernel",
-    "KernelBuilder",
-    "Load",
-    "Par",
-    "ParFor",
-    "Select",
-    "Stmt",
-    "Store",
-    "UnOp",
-    "Var",
-    "While",
-    "parallelize",
-    "run_kernel",
-    "select",
-    "validate_kernel",
-    "wrap",
-]

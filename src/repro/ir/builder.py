@@ -27,7 +27,6 @@ from repro.errors import IRError
 from repro.ir.ast import (
     ArraySpec,
     Assign,
-    Expr,
     For,
     If,
     Kernel,
@@ -184,4 +183,4 @@ class KernelBuilder:
         return kernel
 
 
-__all__ = ["KernelBuilder", "ArrayHandle", "Expr", "Var"]
+__all__ = ["KernelBuilder", "ArrayHandle"]

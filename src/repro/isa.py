@@ -7,6 +7,9 @@ contracts in DESIGN.md).
 
 Integer division and modulo follow C semantics (truncation toward zero),
 matching what effcc-compiled C kernels would compute.
+
+It also names the memory operations (:data:`MEMORY_OPS`), one set for
+every layer that singles them out.
 """
 
 from __future__ import annotations
@@ -58,6 +61,9 @@ UNARY_IMPLS = {
     "not": lambda a: int(not a),
     "abs": abs,
 }
+
+#: Operations whose execution touches memory (must be placed on LS PEs).
+MEMORY_OPS = frozenset(("load", "store"))
 
 #: Operators producing a boolean (0/1) result; these may drive steering.
 COMPARISON_OPS = frozenset(("<", "<=", ">", ">=", "==", "!=", "not"))

@@ -16,46 +16,7 @@ to the same :class:`~repro.obs.events.EventBus`; sinks turn the stream into
   placement,
 * a Chrome ``trace_event`` JSON viewable in Perfetto / ``chrome://tracing``.
 
-:func:`make_observation` assembles the standard sink set for one run;
-:mod:`repro.obs.manifest` emits structured JSONL run manifests.
+:func:`~repro.obs.sinks.make_observation` assembles the standard sink set
+for one run; :mod:`repro.obs.manifest` emits structured JSONL run
+manifests.
 """
-
-from __future__ import annotations
-
-from repro.obs.critpath import (
-    CATEGORIES,
-    ROLLUP,
-    ROLLUP_ORDER,
-    CriticalPathRecorder,
-    blame_shares,
-)
-from repro.obs.events import (
-    FIRE,
-    STALL_KINDS,
-    EventBus,
-)
-from repro.obs.sinks import (
-    ChromeTraceSink,
-    CycleAttribution,
-    FmnocHeatmap,
-    NocHeatmap,
-    Observation,
-    make_observation,
-)
-
-__all__ = [
-    "CATEGORIES",
-    "ROLLUP",
-    "ROLLUP_ORDER",
-    "FIRE",
-    "STALL_KINDS",
-    "CriticalPathRecorder",
-    "blame_shares",
-    "EventBus",
-    "ChromeTraceSink",
-    "CycleAttribution",
-    "FmnocHeatmap",
-    "NocHeatmap",
-    "Observation",
-    "make_observation",
-]

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 
-from repro.dfg.graph import PortRef
+from repro.dfg.graph import PortRef, node_label
 from repro.errors import SimulationError
 
 #: Fine-grained attribution categories, in reporting order. Costs over
@@ -170,8 +170,7 @@ class CriticalPathRecorder:
         #: nid -> (label, criticality class, op).
         self.node_meta: dict[int, tuple[str, str, str]] = {}
         for nid, node in dfg.nodes.items():
-            label = node.op + (f" {node.tag!r}" if node.tag else "")
-            self.node_meta[nid] = (label, node.criticality, node.op)
+            self.node_meta[nid] = (node_label(node), node.criticality, node.op)
 
         # Shadow token FIFOs holding *event ids* of the pushes, mirrored
         # from each tick record (pushes commit at end-of-tick while pops

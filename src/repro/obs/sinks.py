@@ -11,9 +11,10 @@ from __future__ import annotations
 import json
 from collections import Counter
 
+from repro.arch.noc import Coord
+from repro.dfg.graph import node_label
+from repro.isa import MEMORY_OPS
 from repro.obs.events import FIRE, STALL_KINDS, TICK_KINDS, EventBus
-
-Coord = tuple[int, int]
 
 
 class CycleAttribution:
@@ -110,7 +111,7 @@ class CycleAttribution:
         out: dict[str, tuple[int, Counter]] = {}
         for nid, counts in self.per_node.items():
             _label, klass, _coord, op = self.node_info[nid]
-            key = klass if op in ("load", "store") else "non-mem"
+            key = klass if op in MEMORY_OPS else "non-mem"
             nodes, total = out.setdefault(key, (0, Counter()))
             total.update(counts)
             out[key] = (nodes + 1, total)
@@ -488,7 +489,7 @@ def node_info_of(compiled) -> dict[int, tuple[str, str, Coord, str]]:
     """nid -> (label, criticality, placed PE coord, op) for sinks."""
     return {
         nid: (
-            node.op + (f" {node.tag!r}" if node.tag else ""),
+            node_label(node),
             node.criticality,
             compiled.placement[nid],
             node.op,

@@ -9,9 +9,9 @@ the best-throughput success.
 At each degree the flow walks ``MEM_SCALE_SCHEDULE`` serially: every
 entry anneals the one seed placement under its own near-memory pull, and
 the ``(clock_divider, place_cost)`` lexicographic best routable
-candidate wins, with an early exit at ``clock_divider <= 2``. Compiles
-run in parallel one level up, one per compile key, in the sweep
-dispatcher (:mod:`repro.exp.resilient`).
+candidate wins, with an early exit once ``clock_divider`` reaches
+``PAPER_DIVIDER``. Compiles run in parallel one level up, one per
+compile key, in the sweep dispatcher (:mod:`repro.exp.resilient`).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 import time
 
+from repro.arch.clocks import PAPER_DIVIDER
 from repro.arch.fabric import Fabric
 from repro.arch.noc import build_channel_graph
 from repro.arch.params import ArchParams
@@ -140,7 +141,7 @@ def compile_once(
         )
         if best is None or candidate[:2] < best[:2]:
             best = candidate
-        if timing.clock_divider <= 2:
+        if timing.clock_divider <= PAPER_DIVIDER:
             break
     if best is None:
         raise failure

@@ -22,14 +22,13 @@ import time
 from collections import deque
 
 from repro.arch.fabric import Fabric
+from repro.arch.noc import Coord
 from repro.arch.pe import PE, manhattan
 
 from repro.core.policy import PlacementPolicy
 from repro.dfg.graph import DFG, PortRef
 from repro.errors import PlacementError, PnRVerifyError
 from repro.pnr.netlist import Netlist
-
-Coord = tuple[int, int]
 
 #: Weight of the memory-latency (throughput) term against wirelength.
 MEM_WEIGHT = 6.0

@@ -5,13 +5,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.arch.fabric import Fabric
+from repro.arch.noc import Coord
 from repro.core.criticality import CriticalityReport
 from repro.core.policy import PlacementPolicy
 from repro.dfg.graph import DFG
 from repro.pnr.route import RoutingResult
 from repro.pnr.timing import TimingReport
-
-Coord = tuple[int, int]
 
 
 @dataclass

@@ -36,8 +36,6 @@ from repro.errors import PnRVerifyError, RoutingError
 from repro.pnr.netlist import Netlist, build_netlist
 from repro.pnr.place import Placement
 
-Coord = tuple[int, int]
-
 
 @dataclass
 class RoutingResult:

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
+from repro.isa import MEMORY_OPS
 from repro.sim.stats import SimStats
 
 #: Ops priced as full ALU operations.
@@ -32,10 +33,6 @@ CONTROL_OPS = frozenset(
     ("steer", "carry", "merge", "select", "invariant", "join", "inject",
      "source")
 )
-#: Ops that issue a memory request per firing — the access itself is
-#: priced separately (cache/main-memory); this is the issue-side cost of
-#: driving the request into the fabric-memory network, i.e. *movement*.
-MEM_OPS = frozenset(("load", "store"))
 
 
 @dataclass(frozen=True)
@@ -134,12 +131,14 @@ def estimate_energy(
             report.compute += count * params.pj_alu
         elif op in CONTROL_OPS:
             report.control += count * params.pj_control
-        elif op in MEM_OPS:
+        elif op in MEMORY_OPS:
+            # Issue side only: driving the request into the fabric-memory
+            # network. The access itself is priced below.
             report.mem_issue += count * params.pj_mem_issue
         else:
             raise SimulationError(
                 f"estimate_energy: op {op!r} has no energy class; add it "
-                "to ALU_OPS/CONTROL_OPS/MEM_OPS rather than letting it be "
+                "to ALU_OPS/CONTROL_OPS/MEMORY_OPS rather than letting it be "
                 "silently mispriced"
             )
     report.data_noc = stats.noc_hops * params.pj_noc_hop

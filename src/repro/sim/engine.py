@@ -71,8 +71,8 @@ class SimResult:
     def __init__(self, memory: dict[str, list], stats: SimStats, obs=None):
         self.memory = memory
         self.stats = stats
-        #: The :class:`repro.obs.Observation` the run published into, or
-        #: None when every probe (trace, critpath, check) was off.
+        #: The :class:`repro.obs.sinks.Observation` the run published
+        #: into, or None when every probe (trace, critpath, check) was off.
         self.obs = obs
         #: ``{"from_cycle", "executed_before", "snapshot",
         #: "restore_wall_s"}`` when this run resumed from a snapshot
@@ -96,7 +96,7 @@ def simulate(
     """Run ``compiled`` to quiescence and return memory + stats.
 
     ``arch.sim.trace`` / ``arch.sim.critpath`` / ``arch.sim.check``
-    attach the probes they name (:func:`repro.obs.make_observation`):
+    attach the probes they name (:func:`repro.obs.sinks.make_observation`):
     the engine, memory system and frontend publish to them, and
     ``SimResult.obs`` carries them back. The invariant checker's
     quiescence ledger runs once ``run`` returns. With all three off
@@ -149,7 +149,7 @@ def simulate(
     edges = routed_edges(dfg, compiled.routing)
     obs = None
     if arch.sim.trace or arch.sim.critpath or arch.sim.check:
-        from repro.obs import make_observation
+        from repro.obs.sinks import make_observation
 
         obs = make_observation(
             compiled,

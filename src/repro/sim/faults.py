@@ -30,12 +30,8 @@ stream.
 from __future__ import annotations
 
 from repro.arch.params import FaultParams
+from repro.sim.stats import LCG_INC, LCG_MASK, LCG_MUL
 
-#: 64-bit LCG constants (Knuth), matching the deterministic reservoir in
-#: :mod:`repro.sim.stats` — plain ints keep injectors picklable.
-_LCG_MUL = 6364136223846793005
-_LCG_INC = 1442695040888963407
-_LCG_MASK = (1 << 64) - 1
 #: 2^53: draws use the top 53 bits, uniform in [0, 1).
 _DENOM = float(1 << 53)
 
@@ -48,9 +44,9 @@ class _Stream:
     def __init__(self, seed: int, tag: str, prob: float):
         self.prob = prob
         # Mix the tag into the seed so categories are decorrelated.
-        state = (seed * _LCG_MUL + _LCG_INC) & _LCG_MASK
+        state = (seed * LCG_MUL + LCG_INC) & LCG_MASK
         for ch in tag:
-            state = ((state ^ ord(ch)) * _LCG_MUL + _LCG_INC) & _LCG_MASK
+            state = ((state ^ ord(ch)) * LCG_MUL + LCG_INC) & LCG_MASK
         self.state = state
         self.draws = 0
         self.fires = 0
@@ -59,7 +55,7 @@ class _Stream:
         """One Bernoulli draw. Never called when ``prob == 0`` (the
         caller gates on the probability), so an off category consumes
         nothing and cannot shift other categories' schedules."""
-        self.state = (self.state * _LCG_MUL + _LCG_INC) & _LCG_MASK
+        self.state = (self.state * LCG_MUL + LCG_INC) & LCG_MASK
         self.draws += 1
         if (self.state >> 11) / _DENOM < self.prob:
             self.fires += 1

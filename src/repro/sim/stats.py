@@ -10,11 +10,12 @@ from repro.sim.memsys import MemStats
 #: keep every latency (percentiles exact), larger runs are sampled.
 RESERVOIR_CAP = 2048
 
-#: 64-bit LCG constants (Knuth) for deterministic reservoir sampling —
-#: plain ints, so accumulators stay picklable and value-comparable.
-_LCG_MUL = 6364136223846793005
-_LCG_INC = 1442695040888963407
-_LCG_MASK = (1 << 64) - 1
+#: 64-bit LCG constants (Knuth) for deterministic reservoir sampling and
+#: fault injection — plain ints, so accumulators and injectors stay
+#: picklable and value-comparable.
+LCG_MUL = 6364136223846793005
+LCG_INC = 1442695040888963407
+LCG_MASK = (1 << 64) - 1
 
 
 @dataclass
@@ -39,7 +40,7 @@ class LatencyAccumulator:
         if len(self.samples) < RESERVOIR_CAP:
             self.samples.append(latency)
             return
-        self._lcg = (self._lcg * _LCG_MUL + _LCG_INC) & _LCG_MASK
+        self._lcg = (self._lcg * LCG_MUL + LCG_INC) & LCG_MASK
         slot = self._lcg % self.count
         if slot < RESERVOIR_CAP:
             self.samples[slot] = latency

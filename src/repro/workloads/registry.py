@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.errors import ReproError
-from repro.workloads.base import SCALES, WorkloadInstance
+from repro.workloads.base import WorkloadInstance
 from repro.workloads.dense import build_dmv
 from repro.workloads.dsp import build_fft
 from repro.workloads.graph import build_tc
@@ -50,4 +50,4 @@ def make_workload(
     return builder(scale=scale, seed=seed)
 
 
-__all__ = ["ALL_WORKLOADS", "BUILDERS", "SCALES", "make_workload"]
+__all__ = ["ALL_WORKLOADS", "BUILDERS", "make_workload"]

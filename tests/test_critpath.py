@@ -37,7 +37,7 @@ from repro.exp.configs import MONACO, upea
 from repro.exp.resilient import run_resilient
 from repro.exp.runner import compile_cached, run_point
 from repro.exp.spec import RunSpec, sweep_specs
-from repro.obs import CATEGORIES, ROLLUP, ROLLUP_ORDER
+from repro.obs.critpath import CATEGORIES, ROLLUP, ROLLUP_ORDER
 from repro.obs.manifest import read_manifest, stable_view
 from repro.obs.sinks import CycleAttribution, FmnocHeatmap, NocHeatmap
 from repro.workloads.registry import ALL_WORKLOADS, make_workload

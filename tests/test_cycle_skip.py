@@ -10,8 +10,11 @@ with every probe attached and the invariant checker armed, the two loops
 agree on ``SimStats`` (``executed_cycles`` / ``skipped_cycles`` are
 excluded from dataclass equality by design), on final memory and on
 every probe output — the Chrome timeline minus its scheduler lane, which
-is telemetry of the simulator. It also holds the scheduler to what it is
-for: a latency-bound run executes at most a quarter of its cycles.
+is telemetry of the simulator. The clean default-memory runs' probe
+outputs are also the ``skip`` pins of ``tests/test_obs_pins.py``, so the
+per-cycle loop is held to those pins too. It also holds the scheduler to
+what it is for: a latency-bound run executes at most a quarter of its
+cycles.
 """
 
 from itertools import product
@@ -21,12 +24,12 @@ import pytest
 # The session's tiny seed-0 artifacts, fault mix, machine configurations
 # and probe digests of the two pinned-digest modules.
 from test_engine_hot import FABRIC, FAULTS, compiled_for
-from test_obs_pins import CONFIGS, obs_digests
+from test_obs_pins import CONFIGS, obs_digests, pinned
 
+from repro.arch.clocks import PAPER_DIVIDER
 from repro.arch.params import ArchParams, MemoryParams, SimParams
 from repro.core.policy import EFFCC
 from repro.errors import DeadlockError, SimulationError, SimulationPreempted
-from repro.exp.runner import PAPER_DIVIDER
 from repro.pnr.flow import compile_once
 from repro.sim.engine import simulate
 from repro.sim.snapshot import CheckpointConfig
@@ -93,6 +96,8 @@ def test_skip_bit_identical_all_workloads(name, tmp_path, request):
         assert stats == loop_stats, point
         assert memory == loop_memory, point
         assert digests == loop_digests, point
+        if point[1:] == ("default", "clean"):
+            assert digests == pinned()[f"{name}/{point[0]}/skip"], point
         executed, skipped = _split(stats)
         # The loop runs cycles 0..system_cycles inclusive.
         assert _split(loop_stats) == (stats.system_cycles + 1, 0), point

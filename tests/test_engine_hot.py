@@ -39,11 +39,11 @@ from itertools import compress
 import pytest
 
 from benchmarks.e2e.digests import run_digest
+from repro.arch.clocks import PAPER_DIVIDER
 from repro.arch.fabric import monaco
 from repro.arch.params import ArchParams, FaultParams, SimParams
 from repro.core.policy import EFFCC
 from repro.dfg.ops import NO_EMIT
-from repro.exp.runner import PAPER_DIVIDER
 from repro.pnr.flow import compile_once
 from repro.sim.engine import _Engine, simulate
 from repro.workloads.registry import ALL_WORKLOADS, make_workload

@@ -19,10 +19,10 @@ critical-path ``report`` and ``slack``. Points: all 13 workloads x
 {monaco, upea2, numa-upea2} at tiny scale, seed 0, plus a fault-injected
 variant per workload whose ``pe_stall_prob`` pins the taxonomy's booking
 of a suppressed firing (``ready`` -> ``operand-wait``) — 52 pins. What a
-probe reports does not depend on which cycles the scheduler executed, so
-the ``noskip`` variant (the per-cycle reference loop) is held to the
-``skip`` pin. Regenerate — only after an *intentional* change to what a
-probe reports — with::
+probe reports does not depend on which cycles the scheduler executed:
+``tests/test_cycle_skip.py`` holds the per-cycle reference loop to the
+skipping run and that run to the ``skip`` pins. Regenerate — only after
+an *intentional* change to what a probe reports — with::
 
     PYTHONPATH=src:tests:. python tests/test_obs_pins.py --regen
 """
@@ -59,8 +59,6 @@ VARIANTS = {
     "noskip": {},
     "faults": dict(faults=FAULTS),
 }
-#: variant name -> the variant whose pin it is held to.
-PIN_OF = {"skip": "skip", "noskip": "skip", "faults": "faults"}
 
 #: Every (workload, config, variant) point; faults on monaco only.
 POINTS = [
@@ -70,6 +68,8 @@ POINTS = [
     for variant in VARIANTS
     if variant != "faults" or config == "monaco"
 ]
+#: The pinned points: ``noskip`` has no pin of its own.
+PINNED = [point for point in POINTS if point[2] != "noskip"]
 
 
 def probed_run(name: str, config: str, trace_path=None, **sim_kwargs):
@@ -145,12 +145,10 @@ def pinned() -> dict:
     return json.loads(DIGEST_PATH.read_text())
 
 
-@pytest.mark.parametrize("name,config,variant", POINTS)
-def test_probe_outputs_match_pins(name, config, variant, tmp_path, request):
-    if variant == "noskip":
-        request.getfixturevalue("per_cycle_loop")
+@pytest.mark.parametrize("name,config,variant", PINNED)
+def test_probe_outputs_match_pins(name, config, variant, tmp_path):
     got = point_digests(name, config, variant, tmp_path)
-    want = pinned()[f"{name}/{config}/{PIN_OF[variant]}"]
+    want = pinned()[f"{name}/{config}/{variant}"]
     moved = sorted(key for key in want if got.get(key) != want[key])
     assert not moved and set(got) == set(want), (
         f"{name}/{config}/{variant}: probe outputs {moved} moved off "
@@ -288,9 +286,7 @@ def _regen() -> None:
     per-event publishers this file was written to replace)."""
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, config, variant in POINTS:
-            if PIN_OF[variant] != variant:
-                continue
+        for name, config, variant in PINNED:
             key = f"{name}/{config}/{variant}"
             digests[key] = point_digests(name, config, variant, tmp)
             print(key, digests[key]["per_node"], digests[key]["chrome"])

@@ -351,7 +351,7 @@ class TestNumaCounters:
 def test_a_traced_run_publishes_five_event_kinds(monkeypatch):
     """Only ``tick``, ``skip``, ``mem_service``, ``fmnoc`` and ``finish``
     reach the bus: no per-cycle gap event, no per-request counter."""
-    import repro.obs
+    import repro.obs.sinks
 
     class Census:
         """Takes every hook the bus can publish and counts its calls."""
@@ -365,14 +365,14 @@ def test_a_traced_run_publishes_five_event_kinds(monkeypatch):
             return lambda *args: self.kinds.update([hook[3:]])
 
     census = Census()
-    real = repro.obs.make_observation
+    real = repro.obs.sinks.make_observation
 
     def with_census(*args, **kwargs):
         obs = real(*args, **kwargs)
         obs.attach(census)
         return obs
 
-    monkeypatch.setattr(repro.obs, "make_observation", with_census)
+    monkeypatch.setattr(repro.obs.sinks, "make_observation", with_census)
     run = _run(_traced_arch(), config=numa(2))
     assert run.stats.skipped_cycles > 0
     assert set(census.kinds) <= {

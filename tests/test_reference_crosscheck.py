@@ -9,8 +9,8 @@ the kernel.
 import numpy as np
 import pytest
 
-from repro.workloads import make_workload
 from repro.workloads.data import csr_to_dense
+from repro.workloads.registry import make_workload
 
 
 def as_np(values):

@@ -527,6 +527,25 @@ def test_run_workload_on_configs_supervised(tmp_path):
     assert all(r["faults"] == "seed=0,mem-drop=1.0" for r in records)
 
 
+@pytest.mark.parametrize("callers", [None, "callers"])
+def test_in_process_sweep_hands_back_the_callers_disk_layer(
+    callers, tmp_path, monkeypatch
+):
+    """The jobs point this process's compile cache at the sweep's
+    directory; once the sweep returns, a later compile must not write
+    into it (the directory may be gone) but into the caller's layer."""
+    from repro.exp.cache import GLOBAL_CACHE
+
+    before = tmp_path / callers if callers else None
+    monkeypatch.setattr(GLOBAL_CACHE, "disk_dir", before)
+    outcome = run_resilient(
+        _specs(["spmspv"], [MONACO]), max_workers=1,
+        cache_dir=tmp_path / "sweep",
+    )
+    assert outcome.ok
+    assert GLOBAL_CACHE.disk_dir == before
+
+
 # -- profile-guided sweeps ---------------------------------------------------
 
 

@@ -38,6 +38,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.arch.clocks import PAPER_DIVIDER
 from repro.arch.fabric import monaco
 from repro.arch.params import ArchParams, FaultParams
 from repro.core.policy import EFFCC
@@ -50,7 +51,7 @@ from repro.errors import (
 )
 from repro.exp.configs import MONACO, upea
 from repro.exp.resilient import SweepPolicy, call_with_timeout, run_resilient
-from repro.exp.runner import PAPER_DIVIDER, compile_cached
+from repro.exp.runner import compile_cached
 from repro.exp.spec import sweep_specs
 from repro.obs.manifest import completed_points, read_manifest, stable_view
 from repro.sim.engine import _Engine, simulate

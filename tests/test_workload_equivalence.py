@@ -15,7 +15,7 @@ from repro.dfg.lower import lower_kernel
 from repro.ir.transform import parallelize
 from repro.pnr.flow import compile_kernel
 from repro.sim.engine import simulate
-from repro.workloads import ALL_WORKLOADS, make_workload
+from repro.workloads.registry import ALL_WORKLOADS, make_workload
 
 
 @pytest.mark.parametrize("name", ALL_WORKLOADS)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.errors import ReproError
 from repro.ir.interp import run_kernel
-from repro.workloads import ALL_WORKLOADS, make_workload
 from repro.workloads.data import (
     bit_reverse_permutation,
     csr_to_dense,
@@ -17,6 +16,7 @@ from repro.workloads.data import (
     twiddle_factors,
 )
 from repro.workloads.dsp import fft_matches_numpy
+from repro.workloads.registry import ALL_WORKLOADS, make_workload
 
 
 class TestRegistry:
