@@ -74,6 +74,13 @@ class InvariantViolation(SimulationError):
 class InvariantChecker:
     """Runtime invariant checks over one engine run (see module doc)."""
 
+    #: The shadow FIFOs and ledgers (:mod:`repro.sim.snapshot`); the
+    #: fan-out and memory predecessors are rebuilt from the DFG.
+    SNAPSHOT_STATE = (
+        "shadow", "pushed", "popped", "fired", "issues", "responses",
+        "_last_seq", "_inflight", "_first_emit",
+    )
+
     def __init__(self, dfg: DFG, capacity: int, max_outstanding: int):
         self.dfg = dfg
         self.capacity = capacity

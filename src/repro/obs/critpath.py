@@ -155,6 +155,15 @@ class CriticalPathRecorder:
     publishes the report into ``stats.critpath``).
     """
 
+    #: The shadow FIFOs, release bookkeeping, event log and slack
+    #: histograms (:mod:`repro.sim.snapshot`); node metadata and fan-out
+    #: are rebuilt from the compiled kernel.
+    SNAPSHOT_STATE = (
+        "_fifo", "_unblock", "_out_count", "_out_unblock", "_issue",
+        "_last_emit", "_last_fire", "ev_cycle", "ev_kind", "ev_nid",
+        "ev_pred", "ev_edge", "ev_ms", "slack", "report",
+    )
+
     def __init__(
         self,
         compiled,

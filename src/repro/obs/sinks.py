@@ -3,7 +3,10 @@
 Each sink subscribes to the subset of events it needs (see
 :mod:`repro.obs.events`); all of them are plain-data accumulators that
 render to text, so they survive pickling across the parallel harness's
-worker processes and two identical runs produce identical sinks.
+worker processes and two identical runs produce identical sinks. Each
+declares what it accumulates in ``SNAPSHOT_STATE``
+(:mod:`repro.sim.snapshot`); what it was built from (node info, routed
+edges, fan-out) is rebuilt by :func:`make_observation` on resume.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ class CycleAttribution:
     """
 
     TAKES_BUCKETS = True
+    SNAPSHOT_STATE = ("per_node", "_open", "divider_gap", "ticks", "counters")
 
     def __init__(self, node_info: dict[int, tuple], divider: int):
         #: nid -> (label, criticality, pe coord, op).
@@ -216,6 +220,8 @@ class NocHeatmap:
     from the static fan-out and routed trees when read.
     """
 
+    SNAPSHOT_STATE = ("pushes",)
+
     def __init__(self, edges: dict[tuple[int, int], tuple], fanout=()):
         #: :func:`repro.pnr.route.routed_edges` of the kernel.
         self.edges = edges
@@ -281,6 +287,8 @@ class NocHeatmap:
 class FmnocHeatmap:
     """Requests observed per fabric-memory NoC stage (arbiter or port)."""
 
+    SNAPSHOT_STATE = ("stage_traffic",)
+
     def __init__(self) -> None:
         self.stage_traffic: Counter = Counter()
 
@@ -317,6 +325,7 @@ class ChromeTraceSink:
     """
 
     TAKES_BUCKETS = True
+    SNAPSHOT_STATE = ("events", "_bucket", "_stalls", "_sampled")
 
     def __init__(
         self,
@@ -470,8 +479,12 @@ class Observation(EventBus):
     """The bus plus the sinks a run asked for (None when not attached).
 
     Built by :func:`make_observation` inside ``simulate``; callers read
-    the sinks back off ``SimResult.obs``.
+    the sinks back off ``SimResult.obs``. Its state is its sinks'
+    (the handler table is bound to them, and a restore refills them in
+    place).
     """
+
+    SNAPSHOT_STATE = ("sinks",)
 
     def __init__(self) -> None:
         super().__init__()

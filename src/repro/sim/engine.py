@@ -37,8 +37,9 @@ their capacity checks and pushes: on the plain path the compiled rule
 visited node, which ``tests/test_engine_hot.py`` pins as calls per
 firing. Per-op firing counts accumulate in an interned int array folded
 into ``SimStats.firings`` at quiescence. Results are pinned bit for bit
-by the same test file; :meth:`state_dict` writes the tables out as plain
-keyed containers, so the snapshot format does not depend on this layout.
+by the same test file. The tables are the state ``_Engine.SNAPSHOT_STATE``
+declares, so a snapshot captures them as they are laid out here
+(:mod:`repro.sim.snapshot`) and a restore refills them in place.
 
 Besides the fault injector the engine has one probe gate, ``obs``: every
 probe (attribution, heatmaps, Chrome trace, critical path, invariant
@@ -62,6 +63,7 @@ from repro.pnr.result import CompiledKernel
 from repro.pnr.route import routed_edges
 from repro.sim.fmnoc_sim import MonacoFrontend
 from repro.sim.memsys import MemorySystem, RequestRecord
+from repro.sim.snapshot import capture, restore
 from repro.sim.stats import SimStats
 
 
@@ -203,7 +205,6 @@ def simulate(
     finally:
         if snapshots is not None:
             snapshots.watchdog.uninstall()
-    obs = engine.obs  # a restore swaps in the snapshot's sink set
     if obs is not None and obs.check is not None:
         obs.check.finish(stats, engine)
     if snapshots is not None:
@@ -225,6 +226,14 @@ def simulate(
 
 
 class _Engine:
+    #: What a run changes (:mod:`repro.sim.snapshot`); the wiring (rules,
+    #: consumer edges, producers, placement) is rebuilt from the kernel.
+    SNAPSHOT_STATE = (
+        "now", "last_event", "fifos", "states", "resp_queue", "arrivals",
+        "_arrival_order", "_seq", "tokens", "mem_inflight", "active",
+        "emit_candidates", "stats", "memsys", "frontend", "faults", "obs",
+    )
+
     def __init__(
         self, compiled, params, arch, divider, memsys, frontend,
         address_map, edges, obs=None, faults=None,
@@ -266,8 +275,11 @@ class _Engine:
         self.stats = SimStats(clock_divider=divider)
         #: Observability bus, or None (every probe off — the
         #: zero-overhead contract: every publish site below is gated on
-        #: this check).
-        self._attach_obs(obs)
+        #: this check). The memory system and frontend get it only where
+        #: a sink reads what they publish.
+        self.obs = obs
+        memsys.obs = obs if obs and obs.hears("mem_service") else None
+        frontend.obs = obs if obs and obs.hears("fmnoc") else None
         #: Fault injector, or None (off — same zero-overhead contract:
         #: every consult site below is gated on this check).
         self.faults = faults
@@ -355,19 +367,12 @@ class _Engine:
         self._op_names = list(op_index)
         self._fire_counts = [0] * len(op_index)
 
-    def _attach_obs(self, obs) -> None:
-        """Point the engine at ``obs``; the memory system and frontend
-        get it only where a sink reads what they publish."""
-        self.obs = obs
-        self.memsys.obs = obs if obs and obs.hears("mem_service") else None
-        self.frontend.obs = obs if obs and obs.hears("fmnoc") else None
-
     def _fold_firings(self) -> None:
         """Fold the interned firing counters into ``stats.firings``.
 
         Counts are preserved exactly (deltas added, array zeroed), so
         folding at any cycle boundary is a semantic no-op; it runs at
-        quiescence and before every :meth:`state_dict` so external
+        quiescence and before every snapshot capture so external
         readers — the invariant checker's ledger, energy, snapshots —
         always see the complete dict.
         """
@@ -807,69 +812,17 @@ class _Engine:
     # -- snapshots ---------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """Complete mutable machine state at a cycle boundary.
-
-        Containers are shallow-copied (the snapshot layer serializes the
-        returned dict immediately, in one ``pickle.dumps`` whose memo
-        preserves ``RequestRecord`` aliasing across ``resp_queue``, the
-        arrivals heap, bank queues and frontend latches). The ``obs``
-        entry is the live probe object itself — the bus with every sink,
-        the invariant checker included: it is closures over nothing but
-        plain data, so it pickles wholesale.
-        The tables are written keyed — FIFOs by ``(nid, port)``, states
-        and response queues by nid, in ``dfg.nodes`` order — ``active``
-        and ``emit_candidates`` as plain sets, and firing counters are
-        folded first, so the engine fields do not depend on the table
-        layout; the pickled sinks' layout is what ``SNAPSHOT_VERSION``
-        guards.
-        """
+        """:func:`~repro.sim.snapshot.capture` at a cycle boundary, the
+        interned firing counters folded into ``stats.firings`` first."""
         self._fold_firings()
-        nodes = self.dfg.nodes
-        return {
-            "now": self.now,
-            "last_event": self.last_event,
-            "fifos": {
-                (nid, index): list(queue)
-                for nid in nodes
-                for index, queue in enumerate(self.fifos[nid])
-                if queue is not None
-            },
-            "states": {nid: dict(self.states[nid]) for nid in nodes},
-            "resp_queue": {
-                nid: list(self.resp_queue[nid])
-                for nid in nodes
-                if self.resp_queue[nid] is not None
-            },
-            "arrivals": list(self.arrivals),
-            "arrival_order": self._arrival_order,
-            "seq": self._seq,
-            "tokens": self.tokens,
-            "mem_inflight": self.mem_inflight,
-            "active": set(compress(range(self._size), self.active)),
-            "emit_candidates": set(
-                compress(range(self._size), self.emit_candidates)
-            ),
-            "stats": self.stats.state_dict(),
-            "memsys": self.memsys.state_dict(),
-            "frontend": self.frontend.state_dict(),
-            "faults": (
-                self.faults.state_dict() if self.faults is not None else None
-            ),
-            "obs": self.obs,
-        }
+        return capture(self)
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` in place (resume path).
-
-        Structural containers (FIFO deques, node states, resp queues,
-        memory arrays) are refilled rather than replaced, preserving the
-        identities :meth:`_init_tables` wired up;
-        the ``obs`` object from the snapshot *replaces* the freshly-built
-        one — its sinks' accumulated history is part of the machine
-        state — and the memory system and frontend are re-pointed at it
-        as :meth:`_attach_obs` decides. The plain-set ``active``/
-        ``emit_candidates`` entries refill the flag arrays.
-        """
+        """:func:`~repro.sim.snapshot.restore` a :meth:`state_dict` in
+        place, then reset what is derived per tick: the interned firing
+        deltas (the restored ``firings`` is the whole ledger) and the
+        stall-bucket cache (a restored sink takes a "change" to the same
+        bucket)."""
         for side in ("faults", "obs"):
             present = state[side] is not None
             if present != (getattr(self, side) is not None):
@@ -877,47 +830,10 @@ class _Engine:
                     f"snapshot has {side} {'on' if present else 'off'}, "
                     "this run has it configured the other way"
                 )
-        self.now = state["now"]
-        self.last_event = state["last_event"]
-        for (nid, index), items in state["fifos"].items():
-            queue = self.fifos[nid][index]
-            queue.clear()
-            queue.extend(items)
-        for nid, node_state in state["states"].items():
-            current = self.states[nid]
-            current.clear()
-            current.update(node_state)
-        for nid, items in state["resp_queue"].items():
-            queue = self.resp_queue[nid]
-            queue.clear()
-            queue.extend(items)
-        self.arrivals = list(state["arrivals"])
-        self._arrival_order = state["arrival_order"]
-        self._seq = state["seq"]
-        self.tokens = state["tokens"]
-        self.mem_inflight = state["mem_inflight"]
-        for flags, awake in (
-            (self.active, state["active"]),
-            (self.emit_candidates, state["emit_candidates"]),
-        ):
-            flags[:] = bytes(self._size)
-            for nid in awake:
-                flags[nid] = 1
+        restore(self, state)
         self.pending_pushes.clear()
-        self.stats.load_state_dict(state["stats"])
-        # The restored firings dict is the complete pre-snapshot ledger
-        # (folded at write time); the interned deltas restart from zero.
         self._fire_counts = [0] * len(self._fire_counts)
-        self.memsys.load_state_dict(state["memsys"])
-        self.frontend.load_state_dict(state["frontend"])
-        if state["faults"] is not None:
-            self.faults.load_state_dict(state["faults"])
-        if state["obs"] is not None:
-            self._attach_obs(state["obs"])
-            # The restored sinks hold their own per-node runs; re-derive
-            # every bucket on the next tick rather than trust this
-            # engine's cache (a sink takes a "change" to the same bucket).
-            self._buckets = None
+        self._buckets = None
 
     # -- diagnostics ---------------------------------------------------
 

@@ -40,6 +40,9 @@ class _Stream:
     """One deterministic per-category Bernoulli stream."""
 
     __slots__ = ("prob", "state", "draws", "fires")
+    #: LCG cursor + draw ledger: a restored stream continues the exact
+    #: Bernoulli sequence (``prob`` is rebuilt from params).
+    SNAPSHOT_STATE = ("state", "draws", "fires")
 
     def __init__(self, seed: int, tag: str, prob: float):
         self.prob = prob
@@ -62,16 +65,6 @@ class _Stream:
             return True
         return False
 
-    def state_dict(self) -> dict:
-        """LCG cursor + draw ledger — a restored stream continues the
-        exact Bernoulli sequence (``prob`` is rebuilt from params)."""
-        return {"state": self.state, "draws": self.draws, "fires": self.fires}
-
-    def load_state_dict(self, state: dict) -> None:
-        self.state = state["state"]
-        self.draws = state["draws"]
-        self.fires = state["fires"]
-
 
 class FaultInjector:
     """Per-run fault oracle consulted by engine, memsys and frontends.
@@ -80,6 +73,9 @@ class FaultInjector:
     on that check — the same zero-overhead-when-off contract as the
     observability bus.
     """
+
+    #: All four category streams (see :mod:`repro.sim.snapshot`).
+    SNAPSHOT_STATE = ("_mem_delay", "_mem_drop", "_pe_stall", "_grant")
 
     def __init__(self, params: FaultParams):
         self.params = params
@@ -107,23 +103,6 @@ class FaultInjector:
     def skip_grant(self) -> bool:
         """FM-NoC: withhold this port/arbiter grant for a cycle?"""
         return self.params.grant_skip_prob > 0.0 and self._grant.hit()
-
-    # -- snapshots --------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """All four category streams (see :mod:`repro.sim.snapshot`)."""
-        return {
-            "mem-delay": self._mem_delay.state_dict(),
-            "mem-drop": self._mem_drop.state_dict(),
-            "pe-stall": self._pe_stall.state_dict(),
-            "grant-skip": self._grant.state_dict(),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self._mem_delay.load_state_dict(state["mem-delay"])
-        self._mem_drop.load_state_dict(state["mem-drop"])
-        self._pe_stall.load_state_dict(state["pe-stall"])
-        self._grant.load_state_dict(state["grant-skip"])
 
     # -- accounting -------------------------------------------------------
 

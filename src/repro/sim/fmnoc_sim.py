@@ -22,6 +22,8 @@ from repro.sim.memsys import RequestRecord
 class _Arbiter:
     """One arbitration stage: RR over inputs, single-entry output latch."""
 
+    SNAPSHOT_STATE = ("rr", "latch", "stall_cycles")
+
     def __init__(self, arb_id: ArbiterId, sources: list):
         self.arb_id = arb_id
         self.sources = sources  # PE coords and/or upstream ArbiterId
@@ -38,6 +40,10 @@ class MonacoFrontend:
     obs = None
     #: Fault injector (see :mod:`repro.sim.faults`); None = off.
     faults = None
+    #: Queues, latches and round-robin cursors (:mod:`repro.sim.snapshot`);
+    #: the network structure and the plans over it are rebuilt from the
+    #: fabric, and a restore refills the queues and arbiters they hold.
+    SNAPSHOT_STATE = ("pe_queues", "arbiters", "port_rr", "in_network")
 
     def __init__(self, fabric: Fabric):
         self.fabric = fabric
@@ -208,41 +214,6 @@ class MonacoFrontend:
         """Stable identity string for the snapshot config digest: two
         frontends with equal signatures route requests identically."""
         return f"monaco:{self.fabric.rows}x{self.fabric.cols}"
-
-    def state_dict(self) -> dict:
-        """Complete mutable state for mid-run snapshots.
-
-        The network *structure* (arbiter tree, port sources) is rebuilt
-        deterministically from the fabric; only queues, latches and
-        round-robin cursors are state. Records are stored by reference —
-        the snapshot layer pickles the whole machine in one pass, so
-        latched requests keep their identity with the engine's
-        ``resp_queue`` aliases.
-        """
-        return {
-            "pe_queues": {
-                coord: list(queue) for coord, queue in self.pe_queues.items()
-            },
-            "arbiters": {
-                arb_id: (a.rr, a.latch, a.stall_cycles)
-                for arb_id, a in self.arbiters.items()
-            },
-            "port_rr": dict(self.port_rr),
-            "in_network": self.in_network,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        for coord, items in state["pe_queues"].items():
-            queue = self.pe_queues[coord]
-            queue.clear()
-            queue.extend(items)
-        for arb_id, (rr, latch, stall_cycles) in state["arbiters"].items():
-            arbiter = self.arbiters[arb_id]
-            arbiter.rr = rr
-            arbiter.latch = latch
-            arbiter.stall_cycles = stall_cycles
-        self.port_rr.update(state["port_rr"])
-        self.in_network = state["in_network"]
 
     def audit(self) -> int:
         """Structural recount of requests inside the request network.

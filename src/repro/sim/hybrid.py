@@ -29,6 +29,9 @@ class HybridFrontend(MonacoFrontend):
     """Monaco's FM-NoC with NUMA-partitioned memory behind the ports."""
 
     name = "monaco-numa"
+    SNAPSHOT_STATE = MonacoFrontend.SNAPSHOT_STATE + (
+        "_stage", "_order", "local_accesses", "remote_accesses",
+    )
 
     def __init__(
         self,
@@ -95,21 +98,6 @@ class HybridFrontend(MonacoFrontend):
             f"monaco-numa:{self.fabric.rows}x{self.fabric.cols}"
             f":regions={N_REGIONS}:remote={self.remote_cycles}"
         )
-
-    def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["stage"] = list(self._stage)
-        state["stage_order"] = self._order
-        state["local_accesses"] = self.local_accesses
-        state["remote_accesses"] = self.remote_accesses
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        super().load_state_dict(state)
-        self._stage = list(state["stage"])
-        self._order = state["stage_order"]
-        self.local_accesses = state["local_accesses"]
-        self.remote_accesses = state["remote_accesses"]
 
     def next_event(self, now: int) -> int | None:
         """Cycle-skip hint: the arbiter hierarchy moves every cycle while

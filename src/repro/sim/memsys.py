@@ -109,29 +109,13 @@ class MemStats:
         self.latency_total += now - record.issue_cycle
         self.responses += 1
 
-    def state_dict(self) -> dict:
-        return {
-            "loads": self.loads,
-            "stores": self.stores,
-            "hits": self.hits,
-            "misses": self.misses,
-            "bank_wait_cycles": self.bank_wait_cycles,
-            "latency_total": self.latency_total,
-            "responses": self.responses,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.loads = state["loads"]
-        self.stores = state["stores"]
-        self.hits = state["hits"]
-        self.misses = state["misses"]
-        self.bank_wait_cycles = state["bank_wait_cycles"]
-        self.latency_total = state["latency_total"]
-        self.responses = state["responses"]
-
 
 class SharedCache:
     """Shared memory-side LRU cache of whole lines."""
+
+    #: LRU recency order is semantic state: a restore must replay the
+    #: same hit/miss/eviction sequence.
+    SNAPSHOT_STATE = ("lines",)
 
     def __init__(self, capacity_lines: int):
         self.capacity = capacity_lines
@@ -152,6 +136,13 @@ class SharedCache:
 
 class MemorySystem:
     """Banks + shared cache + backing data for one simulation."""
+
+    #: See :mod:`repro.sim.snapshot`. ``data`` is refilled in place: it
+    #: is the dict the engine hands back as the run's final memory.
+    SNAPSHOT_STATE = (
+        "data", "cache", "bank_queues", "_busy_banks", "_queued",
+        "_completions", "_order", "stats",
+    )
 
     def __init__(
         self,
@@ -264,58 +255,6 @@ class MemorySystem:
 
     def busy(self) -> bool:
         return bool(self._completions) or self._queued > 0
-
-    def state_dict(self) -> dict:
-        """Complete mutable state for mid-run snapshots.
-
-        ``RequestRecord`` objects are stored *by reference*: the snapshot
-        layer pickles the whole machine state in one pass, so a record
-        queued at a bank here stays the same object as its alias in the
-        engine's ``resp_queue`` after restore. Array contents are copied
-        so the restored values are exactly the at-snapshot values.
-        """
-        return {
-            "bank_queues": [list(queue) for queue in self.bank_queues],
-            "completions": list(self._completions),
-            "order": self._order,
-            # LRU recency order is semantic state: restore must replay
-            # the same hit/miss/eviction sequence.
-            "cache_lines": list(self.cache.lines),
-            "stats": self.stats.state_dict(),
-            "data": {name: list(words) for name, words in self.data.items()},
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        if len(state["bank_queues"]) != len(self.bank_queues):
-            raise SimulationError(
-                f"snapshot has {len(state['bank_queues'])} bank queues, "
-                f"this memory system has {len(self.bank_queues)}"
-            )
-        for queue, items in zip(self.bank_queues, state["bank_queues"]):
-            queue.clear()
-            queue.extend(items)
-        # Rebuild the busy-bank calendar from the restored queues; an
-        # ascending index list is already a valid heap.
-        self._busy_banks = [
-            bank for bank, queue in enumerate(self.bank_queues) if queue
-        ]
-        self._queued = sum(len(queue) for queue in self.bank_queues)
-        # In place: the engine's run loop holds a reference to this heap.
-        self._completions[:] = state["completions"]
-        self._order = state["order"]
-        self.cache.lines = OrderedDict(
-            (line, None) for line in state["cache_lines"]
-        )
-        self.stats.load_state_dict(state["stats"])
-        for name, words in state["data"].items():
-            if name not in self.data or len(self.data[name]) != len(words):
-                raise SimulationError(
-                    f"snapshot array {name!r} does not match this run's "
-                    "memory layout"
-                )
-            # In place: ``self.data`` is the same dict the engine hands
-            # back as the run's final memory, so identity must survive.
-            self.data[name][:] = words
 
     def next_event(self, now: int) -> int | None:
         """Earliest system cycle >= ``now`` the memory system must run.

@@ -6,17 +6,25 @@ point from cycle 0. A :class:`Checkpointer` armed on the engine writes
 periodic, crash-safe snapshots of the *complete* machine state: engine
 tick and cycle-skip bookkeeping, per-node FIFOs and firing state, memory
 bank queues and in-flight requests, FM-NoC arbitration latches and
-round-robin cursors, fault-injection LCG streams, and the observability
-sinks. ``resume`` from any snapshot continues the run **bit-identically**
-— the same :class:`~repro.sim.stats.SimStats`, the same final memory,
-the same manifests — with cycle-skipping, fault injection and
-critical-path profiling each on or off.
+round-robin cursors, fault-injection LCG streams, and what the
+observability sinks accumulated. ``resume`` from any snapshot continues
+the run **bit-identically** — the same :class:`~repro.sim.stats.SimStats`,
+the same final memory, the same manifests — with cycle-skipping, fault
+injection and critical-path profiling each on or off.
 
-Three properties carry the design:
+Four properties carry the design:
 
+* **Declared state.** Each stateful class names the attributes a run
+  changes in one class-level tuple, ``SNAPSHOT_STATE``; :func:`capture`
+  copies those and :func:`restore` writes them back in place. Wiring
+  and configuration (compiled rules, plans, the DFG, the routed edges)
+  are not state: the resuming run rebuilds them from the same compiled
+  kernel, which the config digest guarantees. So a snapshot carries
+  plain containers and a handful of value dataclasses, never the
+  program.
 * **One pickle, shared identity.** A :class:`RequestRecord` in flight is
   simultaneously the engine's ``resp_queue`` entry *and* a bank-queue /
-  completions-heap / frontend-latch entry. The whole state dict is
+  completions-heap / frontend-latch entry. The whole captured state is
   serialized in a single ``pickle.dumps`` call, whose memo preserves that
   aliasing — restore rebuilds the same object graph, not per-container
   copies that would decouple on the next mutation.
@@ -48,22 +56,16 @@ import hashlib
 import os
 import pickle
 import signal
+from collections import deque
 from dataclasses import dataclass
 
 from repro.errors import SimulationError, SimulationPreempted, SnapshotError
 
 SNAPSHOT_MAGIC = "repro-sim-snapshot"
-#: Bump on any change to the engine state layout — resuming across
-#: versions is refused rather than silently mis-restored. The sinks are
-#: pickled whole, so their layout counts: 2 = sinks that hold open stall
-#: runs, a running histogram and per-producer push counts; 3 = an
-#: attribution sink that books scheduler jumps into the open runs (no
-#: ``skipped`` bucket), and ``SimParams`` one field shorter; 4 = a bus
-#: of five event kinds (a version 3 bus pickles the gap event's hook);
-#: 5 = one probe object, the invariant checker one of its sinks (a
-#: version 4 state carries the checker as a separate ``check`` entry);
-#: 6 = ``SimStats`` state without the ``mem`` block.
-SNAPSHOT_VERSION = 6
+#: Bump on any change to a ``SNAPSHOT_STATE`` declaration or to what a
+#: declared attribute holds — resuming across versions is refused rather
+#: than silently mis-restored (history: docs/INTERNALS.md, Sec. 10).
+SNAPSHOT_VERSION = 7
 
 
 # -- configuration identity ------------------------------------------------
@@ -76,14 +78,16 @@ def sim_config_digest(compiled, arch, divider, frontend, params=None) -> str:
     knobs, the clock divider, runtime params, and the frontend's own
     :meth:`signature` (which pins machine-config state such as the UPEA
     delay or a NUMA domain assignment that ``ArchParams`` never sees).
-    The trace output path is nulled out first, and the
-    :class:`CheckpointConfig` is no input: *where* you snapshot must not
+    Of the trace path only *whether* a Chrome timeline is collected
+    counts (the run then carries that sink), and the
+    :class:`CheckpointConfig` is no input: *where* you write must not
     affect *whether* you may resume.
     """
     sim = dataclasses.replace(arch.sim, trace_path=None)
     dfg = compiled.dfg
     identity = {
         "version": SNAPSHOT_VERSION,
+        "chrome": arch.sim.trace and arch.sim.trace_path is not None,
         "dfg": getattr(dfg, "name", ""),
         "nodes": sorted((nid, node.op) for nid, node in dfg.nodes.items()),
         "arrays": sorted(dfg.arrays.items()),
@@ -94,6 +98,91 @@ def sim_config_digest(compiled, arch, divider, frontend, params=None) -> str:
         "frontend": frontend.signature(),
     }
     return hashlib.sha256(repr(identity).encode()).hexdigest()[:16]
+
+
+# -- declared state --------------------------------------------------------
+
+#: Containers :func:`restore` refills in place, so the handles wired at
+#: init (FIFO deques in compiled rules, arbiters in grant plans, the
+#: memory arrays a ``SimResult`` returns) stay valid.
+_REFILLED = (dict, list, deque, bytearray)
+
+
+def capture(obj) -> dict:
+    """The attributes ``obj.SNAPSHOT_STATE`` declares, by name: a nested
+    declared object becomes its own dict, each container a fresh one of
+    the same type, and any other value (ints, tuples, ``RequestRecord``,
+    ``SimStats``) is taken as is — the caller pickles it at once."""
+    return {name: _copy(getattr(obj, name)) for name in obj.SNAPSHOT_STATE}
+
+
+def _copy(value):
+    if isinstance(value, dict):
+        out = type(value)()
+        for key, item in value.items():
+            out[key] = _copy(item)
+        return out
+    if isinstance(value, _REFILLED):
+        return type(value)(map(_copy, value))
+    if hasattr(type(value), "SNAPSHOT_STATE"):
+        return capture(value)
+    return value
+
+
+def restore(obj, state: dict) -> None:
+    """Write a :func:`capture` back into ``obj``: declared objects in
+    place, ``_REFILLED`` containers refilled in the snapshot's order,
+    anything else replaced. Saved names that differ from a declaration,
+    or another shape for a container the fresh object already fills (a
+    table built from the configuration: bank queues, memory arrays,
+    per-node rows), is refused before anything is written."""
+    _refill(obj, state, False, type(obj).__name__)
+    _refill(obj, state, True, type(obj).__name__)
+
+
+def _refill(live, saved, write: bool, where: str):
+    """The value ``saved`` restores ``live`` to; mutates only if ``write``."""
+    names = getattr(type(live), "SNAPSHOT_STATE", None)
+    if names is not None:
+        if not isinstance(saved, dict) or tuple(saved) != names:
+            raise SnapshotError(
+                f"snapshot state of {where} does not match its declared "
+                f"attributes {names}"
+            )
+        for name in names:
+            value = _refill(
+                getattr(live, name), saved[name], write, f"{where}.{name}"
+            )
+            if write:
+                setattr(live, name, value)
+        return live
+    if type(saved) is not type(live) or not isinstance(live, _REFILLED):
+        return saved
+    if live and (
+        len(live) != len(saved)
+        or (isinstance(live, dict) and live.keys() != saved.keys())
+    ):
+        raise SnapshotError(
+            f"snapshot state of {where} has another shape than this run "
+            f"builds ({len(saved)} entries, this run has {len(live)})"
+        )
+    if isinstance(live, dict):
+        items = [
+            (key, _refill(live.get(key), item, write, where))
+            for key, item in saved.items()
+        ]
+        if write:
+            live.clear()
+            for key, item in items:  # ``Counter.update`` would add
+                live[key] = item
+        return live
+    items = [
+        _refill(old, item, write, where) for old, item in zip(live, saved)
+    ] if live else saved
+    if write:
+        live.clear()
+        live.extend(items)
+    return live
 
 
 # -- snapshot files --------------------------------------------------------
@@ -348,7 +437,7 @@ class Checkpointer:
         check_boundary_invariants(engine)
         state = engine.state_dict()
         # ONE dumps call for the whole machine: pickle's memo preserves
-        # RequestRecord aliasing across engine/memsys/frontend/sinks.
+        # RequestRecord aliasing across engine/memsys/frontend.
         payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
         if engine.arch.sim.check:
             verify_roundtrip(state, payload)
@@ -428,15 +517,13 @@ def verify_roundtrip(state: dict, payload: bytes) -> None:
     """Prove serialize/deserialize is lossless for this state.
 
     Runs under ``sim.check`` on every snapshot write: the payload is
-    deserialized back and compared value-by-value against the live
-    state. The ``obs`` entry is pickled wholesale and has no value
-    equality (a restored copy compares unequal by identity), so the
-    comparison covers the engine/memsys/frontend/faults state —
-    everything the quiescence ledger is computed from.
+    deserialized back and compared value-by-value against the whole
+    captured state, the probes' included (a capture holds only plain
+    containers and value dataclasses, so equality is value equality).
     """
     clone = pickle.loads(payload)
     for key in state:
-        if key != "obs" and clone[key] != state[key]:
+        if clone[key] != state[key]:
             from repro.check.invariants import InvariantViolation
 
             raise InvariantViolation(

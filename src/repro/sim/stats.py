@@ -71,23 +71,6 @@ class LatencyAccumulator:
             "p99": self.percentile(99),
         }
 
-    def state_dict(self) -> dict:
-        """Complete mutable state, including the reservoir's LCG cursor
-        — a restored accumulator continues the exact sampling stream
-        (see :mod:`repro.sim.snapshot`)."""
-        return {
-            "count": self.count,
-            "total": self.total,
-            "samples": list(self.samples),
-            "lcg": self._lcg,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.count = state["count"]
-        self.total = state["total"]
-        self.samples = list(state["samples"])
-        self._lcg = state["lcg"]
-
     def describe(self) -> str:
         """Compact ``p50/p95/p99 (mean, n)`` rendering; '-' when empty."""
         if not self.count:
@@ -235,59 +218,6 @@ class SimStats:
             if loads:
                 parts.append(f"top critical loads [{loads}]")
         return "; ".join(parts)
-
-    def state_dict(self) -> dict:
-        """Complete mutable state for mid-run snapshots.
-
-        ``mem`` is not in it: during a run the live memory ledger is
-        ``MemorySystem.stats`` (the engine assigns it onto
-        ``SimStats.mem`` only at quiescence), which the snapshot layer
-        captures through :meth:`repro.sim.memsys.MemorySystem.state_dict`.
-        """
-        return {
-            "system_cycles": self.system_cycles,
-            "clock_divider": self.clock_divider,
-            "firings": dict(self.firings),
-            "load_latency": {
-                klass: acc.state_dict()
-                for klass, acc in self.load_latency.items()
-            },
-            "domain_latency": {
-                domain: acc.state_dict()
-                for domain, acc in self.domain_latency.items()
-            },
-            "frontend": self.frontend,
-            "noc_hops": self.noc_hops,
-            "fmnoc_hops": self.fmnoc_hops,
-            "executed_cycles": self.executed_cycles,
-            "skipped_cycles": self.skipped_cycles,
-            "faults_injected": dict(self.faults_injected),
-            "numa": dict(self.numa),
-            "critpath": dict(self.critpath),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.system_cycles = state["system_cycles"]
-        self.clock_divider = state["clock_divider"]
-        self.firings = dict(state["firings"])
-        self.load_latency = {}
-        for klass, acc_state in state["load_latency"].items():
-            acc = LatencyAccumulator()
-            acc.load_state_dict(acc_state)
-            self.load_latency[klass] = acc
-        self.domain_latency = {}
-        for domain, acc_state in state["domain_latency"].items():
-            acc = LatencyAccumulator()
-            acc.load_state_dict(acc_state)
-            self.domain_latency[domain] = acc
-        self.frontend = state["frontend"]
-        self.noc_hops = state["noc_hops"]
-        self.fmnoc_hops = state["fmnoc_hops"]
-        self.executed_cycles = state["executed_cycles"]
-        self.skipped_cycles = state["skipped_cycles"]
-        self.faults_injected = dict(state["faults_injected"])
-        self.numa = dict(state["numa"])
-        self.critpath = dict(state["critpath"])
 
     def to_dict(self) -> dict:
         """Machine-readable stats for ``--stats-json`` and manifests."""

@@ -33,6 +33,7 @@ class UniformFrontend:
     #: grants to perturb — memory-response faults still apply to them
     #: through :class:`repro.sim.memsys.MemorySystem`.
     faults = None
+    SNAPSHOT_STATE = ("_pipe", "_order")
 
     def __init__(self, delay_system_cycles: int):
         if delay_system_cycles < 0:
@@ -79,18 +80,14 @@ class UniformFrontend:
         must be pinned here)."""
         return f"upea:delay={self.delay}"
 
-    def state_dict(self) -> dict:
-        return {"pipe": list(self._pipe), "order": self._order}
-
-    def load_state_dict(self, state: dict) -> None:
-        self._pipe = list(state["pipe"])
-        self._order = state["order"]
-
 
 class NumaFrontend(UniformFrontend):
     """UPEA with NUMA domains: local accesses skip the uniform delay."""
 
     name = "numa-upea"
+    SNAPSHOT_STATE = UniformFrontend.SNAPSHOT_STATE + (
+        "local_accesses", "remote_accesses",
+    )
 
     def __init__(
         self,
@@ -148,14 +145,3 @@ class NumaFrontend(UniformFrontend):
             f"numa-upea:delay={self.delay}:domains={self.n_domains}"
             f":assign={assignment}"
         )
-
-    def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["local_accesses"] = self.local_accesses
-        state["remote_accesses"] = self.remote_accesses
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        super().load_state_dict(state)
-        self.local_accesses = state["local_accesses"]
-        self.remote_accesses = state["remote_accesses"]

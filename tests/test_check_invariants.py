@@ -3,9 +3,11 @@
 Two layers of coverage:
 
 * **system** — every Table 1 workload simulates to quiescence with the
-  checker armed, with cycle skipping on *and* off, and the results are
-  bit-identical to an unchecked run (the checker only reads the tick
-  records), and a checker replaying a run's records alone agrees;
+  checker armed and the results are bit-identical to an unchecked run
+  (the checker only reads the tick records); the per-cycle loop runs
+  here on the workloads whose design routes off the paper divider
+  (``tests/test_cycle_skip.py`` runs it, checker armed, on the rest),
+  and a checker replaying a run's records alone agrees;
 * **unit** — every rule in the catalog is driven to a violation through
   the checker's rule methods (and ``on_tick``, the tick record they run
   from) with hand-built histories, pinning both the trigger condition
@@ -18,41 +20,25 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.arch.fabric import monaco
+from repro.arch.clocks import PAPER_DIVIDER
 from repro.arch.params import ArchParams, SimParams
 from repro.check.invariants import InvariantChecker, InvariantViolation
-from repro.core.policy import EFFCC
 from repro.dfg.graph import PortRef
 from repro.dfg.lower import lower_kernel
 from repro.errors import SimulationError
-from repro.pnr.flow import compile_once
 from repro.sim.engine import simulate
 from repro.sim.memsys import MemStats
-from repro.workloads.registry import ALL_WORKLOADS, make_workload
+from repro.workloads.registry import ALL_WORKLOADS
 
 from kernels import dot_kernel
+from test_engine_hot import compiled_for
 
-FABRIC = monaco(12, 12)
 PLAIN = ArchParams()
 CHECKED = ArchParams(sim=SimParams(check=True))
 
-_COMPILED: dict[str, object] = {}
-
-
-def _compiled(name):
-    if name not in _COMPILED:
-        instance = make_workload(name, scale="tiny")
-        _COMPILED[name] = (
-            instance,
-            compile_once(
-                instance.kernel, FABRIC, PLAIN, EFFCC, parallelism=1
-            ),
-        )
-    return _COMPILED[name]
-
 
 def _run(name, arch):
-    instance, compiled = _compiled(name)
+    instance, compiled = compiled_for(name)
     arrays = {k: list(v) for k, v in instance.arrays.items()}
     return simulate(compiled, instance.params, arrays, arch)
 
@@ -62,15 +48,21 @@ def _run(name, arch):
 
 @pytest.mark.parametrize("name", ALL_WORKLOADS)
 def test_checked_run_is_bit_identical_and_skip_invariant(name, request):
-    """Every workload passes every invariant, under the skipping
-    scheduler and the per-cycle loop, and the checker perturbs nothing:
-    stats and memory equal the unchecked run."""
+    """Every workload passes every invariant and the checker perturbs
+    nothing: stats and memory equal the unchecked run. Off the paper
+    divider the per-cycle loop passes too, with the skipping run's
+    results; at it, ``test_skip_bit_identical_all_workloads`` runs the
+    same artifact on the same frontend checked under both loops."""
+    instance, compiled = compiled_for(name)
     plain = _run(name, PLAIN)
     checked = _run(name, CHECKED)
-    request.getfixturevalue("per_cycle_loop")
-    checked_noskip = _run(name, CHECKED)
     assert checked.stats == plain.stats
     assert checked.memory == plain.memory
+    instance.check(checked.memory)
+    if compiled.timing.clock_divider == PAPER_DIVIDER:
+        return
+    request.getfixturevalue("per_cycle_loop")
+    checked_noskip = _run(name, CHECKED)
     # SimStats equality already excludes executed/skipped by design;
     # pin the invariant ledger across the two loops explicitly.
     assert checked_noskip.stats == checked.stats
@@ -80,8 +72,6 @@ def test_checked_run_is_bit_identical_and_skip_invariant(name, request):
         checked_noskip.stats.executed_cycles
         == checked.stats.executed_cycles + checked.stats.skipped_cycles
     )
-    instance, _ = _compiled(name)
-    instance.check(checked.memory)
 
 
 def test_checker_is_a_function_of_the_tick_records(monkeypatch):

@@ -10,16 +10,20 @@ Contracts under test:
 * **edge budgets** — preemption before the first executed cycle and one
   cycle before quiescence both resume exactly;
 * **crash-safe files** — a torn snapshot, a foreign file, version skew,
-  a failed checksum, a wrong config digest and a double resume are all
-  refused with :class:`~repro.errors.SnapshotError`; a stale ``.tmp``
-  (SIGKILL between write and rename) is never read; the ``discard``
-  policy unlinks the bad file and restarts from cycle 0;
+  a failed checksum, a wrong config digest, a double resume and saved
+  state that does not fit its class's declaration are all refused with
+  :class:`~repro.errors.SnapshotError`; a stale ``.tmp`` (SIGKILL
+  between write and rename) is never read; the ``discard`` policy
+  unlinks the bad file and restarts from cycle 0;
 * **cooperative preemption** — SIGTERM sets the watchdog flag, the
   engine snapshots-then-raises at the next boundary, and the sweep's
   two-stage grace alarm lets a timed-out job exit cooperatively;
-* **state_dict round-trips** — the latency reservoir and the fault LCG
-  streams continue their exact sequences after restore, and ``sim.check``
-  proves serialize/deserialize lossless on every periodic write;
+* **declared state** — a payload names no class but containers and the
+  value dataclasses captured whole (never the DFG, a sink or a bound
+  method); the latency reservoir and the fault LCG streams continue
+  their exact sequences after restore, and ``sim.check`` proves
+  serialize/deserialize lossless, probes included, on every periodic
+  write;
 * **sweep recovery** — a cycle-budgeted sweep records its preempted
   points, ``--resume`` reruns continue them from their snapshots, and the
   results and (keyed) manifest records are bit-identical to an
@@ -28,6 +32,7 @@ Contracts under test:
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import pickle
@@ -40,7 +45,8 @@ import pytest
 
 from repro.arch.clocks import PAPER_DIVIDER
 from repro.arch.fabric import monaco
-from repro.arch.params import ArchParams, FaultParams
+from repro.arch.memory import AddressMap
+from repro.arch.params import ArchParams, FaultParams, SimParams
 from repro.core.policy import EFFCC
 from repro.errors import (
     ExperimentError,
@@ -49,19 +55,22 @@ from repro.errors import (
     SimulationPreempted,
     SnapshotError,
 )
-from repro.exp.configs import MONACO, upea
+from repro.exp.configs import MONACO, hybrid, numa, upea
 from repro.exp.resilient import SweepPolicy, call_with_timeout, run_resilient
 from repro.exp.runner import compile_cached
-from repro.exp.spec import sweep_specs
+from repro.exp.spec import RunSpec, sweep_specs
 from repro.obs.manifest import completed_points, read_manifest, stable_view
 from repro.sim.engine import _Engine, simulate
 from repro.sim.faults import _Stream
+from repro.sim.memsys import MemorySystem
 from repro.sim.snapshot import (
     SNAPSHOT_MAGIC,
     CheckpointConfig,
     Watchdog,
+    capture,
     check_boundary_invariants,
     load_snapshot,
+    restore,
     sim_config_digest,
 )
 from repro.sim.stats import RESERVOIR_CAP, LatencyAccumulator
@@ -415,15 +424,16 @@ class TestRejection:
             load_snapshot(path)
 
     def test_version_skew_refused(self, tmp_path):
-        # Versions 1-5 are real history: their state has another layout
+        # Versions 1-6 are real history: their state has another layout
         # (1: no open runs, per-edge token counters; 2: a ``skipped``
         # bucket beside the open runs; 3: a handler table naming
         # ``on_gap`` / ``on_counter``; 4: the invariant checker as a
         # ``check`` entry beside the bus; 5: a ``mem`` block in the
-        # stats state), so a snapshot from those builds must be refused
-        # by name, up front.
+        # stats state; 6: hand-keyed engine tables and the probe object
+        # pickled whole), so a snapshot from those builds must be
+        # refused by name, up front.
         path = self._snap(tmp_path)
-        for version in (99, 1, 2, 3, 4, 5):
+        for version in (99, 1, 2, 3, 4, 5, 6):
             self._rewrite(
                 path, lambda blob: blob.__setitem__("version", version)
             )
@@ -471,6 +481,33 @@ class TestRejection:
         with pytest.raises(SnapshotError, match="already resumed"):
             snap.install(sink)
 
+    def test_state_that_does_not_fit_is_refused_before_any_write(self):
+        """A saved state whose names differ from the declaration, or a
+        table of another shape, is refused with nothing restored."""
+        stream = _Stream(3, "mem-delay", 0.25)
+        before = capture(stream)
+        with pytest.raises(SnapshotError, match="declared attributes"):
+            restore(stream, {"state": 1, "draws": 2})
+        assert capture(stream) == before
+
+        _instance, compiled = _compiled("dmv")
+        arch = ArchParams()
+        data = {name: [0] * size for name, size in compiled.dfg.arrays.items()}
+        memsys = MemorySystem(
+            arch.memory, AddressMap(compiled.dfg.arrays, arch.memory), data
+        )
+        name = next(iter(data))
+        saved = capture(memsys)
+        saved["data"][name][0] = 99  # fits, and is declared first
+        saved["bank_queues"].pop()
+        with pytest.raises(SnapshotError, match=r"bank_queues has another"):
+            restore(memsys, saved)
+        assert data[name][0] == 0
+        saved = capture(memsys)
+        saved["data"][name].append(0)
+        with pytest.raises(SnapshotError, match=r"data has another shape"):
+            restore(memsys, saved)
+
     def test_boundary_invariants_refuse_corrupt_state(self):
         engine = types.SimpleNamespace(
             stats=types.SimpleNamespace(executed_cycles=3, skipped_cycles=0),
@@ -495,7 +532,8 @@ class TestConfigDigest:
 
     def test_checkpoint_knobs_do_not_affect_identity(self, tmp_path):
         # Where and how often a run snapshots is its CheckpointConfig,
-        # never a digest input; the trace output path is nulled out.
+        # never a digest input; of the trace output path only whether a
+        # Chrome timeline is collected counts.
         digests = []
         for name, every in (("a.snap", 0), ("b.snap", 7)):
             path = str(tmp_path / name)
@@ -619,21 +657,22 @@ class TestWatchdog:
             )
 
 
-# -- state_dict round-trip units ---------------------------------------------
+# -- state round-trip units --------------------------------------------------
 
 
 class TestStateDictRoundTrips:
     def test_latency_reservoir_continues_exact_stream(self):
+        # A value dataclass: the capture takes it whole, so its pickled
+        # copy is what a resumed run continues from.
         acc = LatencyAccumulator()
         # Push well past the reservoir cap so the LCG cursor is live.
         for i in range(RESERVOIR_CAP + 1000):
             acc.add((i * 37) % 113)
-        clone = LatencyAccumulator()
-        clone.load_state_dict(acc.state_dict())
+        clone = pickle.loads(pickle.dumps(acc))
         for i in range(500):
             acc.add(i % 29)
             clone.add(i % 29)
-        assert clone.state_dict() == acc.state_dict()
+        assert clone == acc
         assert clone.to_dict() == acc.to_dict()
 
     def test_fault_stream_continues_exact_sequence(self):
@@ -641,11 +680,11 @@ class TestStateDictRoundTrips:
         for _ in range(100):
             stream.hit()
         clone = _Stream(3, "mem-delay", 0.25)
-        clone.load_state_dict(stream.state_dict())
+        restore(clone, pickle.loads(pickle.dumps(capture(stream))))
         assert [stream.hit() for _ in range(200)] == [
             clone.hit() for _ in range(200)
         ]
-        assert clone.state_dict() == stream.state_dict()
+        assert capture(clone) == capture(stream)
 
     def test_preempted_exception_survives_pickling(self):
         # The process-pool path ships the exception back to the
@@ -663,6 +702,135 @@ class TestStateDictRoundTrips:
             "p.snap",
             41,
         )
+
+
+# -- what a snapshot carries -------------------------------------------------
+
+#: Every global a payload may name: containers and the value dataclasses
+#: captured whole. The program — the DFG, the sinks, the bus, the address
+#: map behind a bound method — is rebuilt by the resuming run.
+PAYLOAD_GLOBALS = {
+    "collections.Counter",
+    "collections.OrderedDict",
+    "collections.deque",
+    "repro.arch.fmnoc.ArbiterId",
+    "repro.dfg.ops.MemRequest",
+    "repro.sim.memsys.RequestRecord",
+    "repro.sim.memsys.MemStats",
+    "repro.sim.stats.SimStats",
+    "repro.sim.stats.LatencyAccumulator",
+}
+
+
+class TestSnapshotContents:
+    @pytest.mark.parametrize(
+        "config", [MONACO, numa(2), hybrid(2)], ids=lambda c: c.name
+    )
+    def test_payload_holds_state_not_the_program(self, config, tmp_path):
+        arch = _arch(
+            trace=True, trace_path=str(tmp_path / "trace.json"),
+            critpath=True, check=True, faults=FAULTS,
+        )
+        path = str(tmp_path / "probed.snap")
+        with pytest.raises(SimulationPreempted):
+            _simulate(
+                "spmspv", arch, config,
+                checkpoint=CheckpointConfig(path=path, cycle_budget=100),
+            )
+        with open(path, "rb") as handle:
+            payload = pickle.loads(handle.read())["payload"]
+        named = set()
+
+        class Recording(pickle.Unpickler):
+            def find_class(self, module, name):
+                named.add(f"{module}.{name}")
+                return super().find_class(module, name)
+
+        state = Recording(io.BytesIO(payload)).load()
+        assert named <= PAYLOAD_GLOBALS, sorted(named - PAYLOAD_GLOBALS)
+        assert len(state["obs"]["sinks"]) == 6
+
+    def test_roundtrip_check_compares_the_probes(self, tmp_path, monkeypatch):
+        """A clone whose probe state differs from the live machine's
+        fails the ``sim.check`` round trip of a periodic write."""
+        import repro.sim.snapshot as snapshot
+        from repro.check.invariants import InvariantViolation
+
+        def tampered(payload):
+            state = pickle.loads(payload)
+            if isinstance(state, dict) and isinstance(state.get("obs"), dict):
+                state["obs"]["sinks"][0]["issues"] += 1
+            return state
+
+        monkeypatch.setattr(
+            snapshot,
+            "pickle",
+            types.SimpleNamespace(
+                dumps=pickle.dumps,
+                loads=tampered,
+                HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL,
+            ),
+        )
+        with pytest.raises(InvariantViolation, match="mismatch in 'obs'"):
+            _simulate(
+                "spmspv",
+                _arch(check=True),
+                checkpoint=CheckpointConfig(
+                    path=str(tmp_path / "p.snap"), every_cycles=100
+                ),
+            )
+
+    def test_timeline_rerun_of_an_untimelined_snapshot_starts_over(
+        self, tmp_path
+    ):
+        """A snapshot taken under ``trace`` without a timeline holds no
+        Chrome sink: a rerun that asks for one starts at cycle 0 and
+        writes the whole trace."""
+        trace = tmp_path / "trace.json"
+        timelined = _arch(trace=True, trace_path=str(trace))
+        full = _simulate("spmspv", timelined)
+        path = str(tmp_path / "traced.snap")
+        with pytest.raises(SimulationPreempted):
+            _simulate(
+                "spmspv", _arch(trace=True),
+                checkpoint=CheckpointConfig(path=path, cycle_budget=100),
+            )
+        trace.unlink()
+        rerun = _simulate(
+            "spmspv", timelined, checkpoint=CheckpointConfig(path=path)
+        )
+        assert rerun.resume_info is None
+        assert rerun.obs.chrome.events == full.obs.chrome.events
+        assert trace.exists()
+        assert not os.path.exists(path)
+
+    def test_cli_timeline_rerun_of_an_untimelined_snapshot(self, tmp_path):
+        """``repro run --trace --trace-path`` over a point a sweep
+        preempted under ``trace`` alone writes the trace and exits 0."""
+        from repro.cli import main
+
+        snaps = tmp_path / "snaps"
+        spec = RunSpec(
+            "spmspv", MONACO, scale=SCALE,
+            arch=ArchParams(sim=SimParams(trace=True)), divider=None,
+        )
+        swept = run_resilient(
+            [spec],
+            sweep_policy=SweepPolicy(on_failure="skip", job_cycle_budget=300),
+            snapshot_dir=snaps,
+            max_workers=1,
+            cache_dir=tmp_path / "cache",
+        )
+        assert [f.kind for f in swept.failures] == ["preempted"]
+        assert list(snaps.glob("*.snap"))
+        trace = tmp_path / "trace.json"
+        assert main([
+            "run", "spmspv", "--scale", SCALE, "--trace",
+            "--trace-path", str(trace), "--snapshot-dir", str(snaps),
+        ]) == 0
+        with open(trace, encoding="utf-8") as handle:
+            assert json.load(handle)["traceEvents"]
+        assert not list(snaps.glob("*.snap"))
 
 
 # -- sweep recovery ----------------------------------------------------------
