@@ -1,15 +1,19 @@
 """Seeded random-kernel fuzzer with a greedy shrinker and corpus dir.
 
-The generator is a plain :class:`random.Random` walk over the kernel
-IR — deliberately *not* hypothesis, so ``repro check --fuzz N --seed S``
-reproduces the exact same kernel sequence on any machine with nothing
-but the seed. It emits the NUPEA-critical patterns: nested counted
-loops, data-dependent bounded ``while`` loops, two-armed ``If``s,
-loop-carried scalar accumulators, and indirect loads (``A[X[i] % N]`` —
-the pointer-chasing access shape the paper's critical-load analysis
-targets). Indices are clamped into bounds and loops carry explicit
-counters, so every generated kernel terminates and the IR reference
-interpreter (ground truth) always succeeds.
+The generator, the repo's only one, is a plain :class:`random.Random`
+walk over the kernel IR — deliberately *not* hypothesis, so ``repro
+check --fuzz N --seed S`` reproduces the exact same kernel sequence on
+any machine with nothing but the seed (the property tests draw that
+seed from hypothesis). It emits the NUPEA-critical patterns: nested
+counted loops, data-dependent bounded ``while`` loops, two-armed
+``If``s, loop-carried scalar accumulators, indirect loads (``A[X[i] %
+N]`` — the pointer-chasing access shape the paper's critical-load
+analysis targets), and a loaded scalar that one arm of a nested ``If``
+reassigns (the shape of :mod:`repro.dfg.lower`'s partial-write rule).
+Every scalar live at the end is stored, so no definition is dead code.
+Indices are clamped into bounds and loops carry explicit counters, so
+every generated kernel terminates and the IR reference interpreter
+(ground truth) always succeeds.
 
 Each kernel is pushed through the full three-way differential oracle
 (:func:`repro.check.oracle.check_kernel`) with runtime invariants and
@@ -37,6 +41,7 @@ import time
 from pathlib import Path
 
 from repro.arch.params import ArchParams, SimParams
+from repro.dfg.lower import lower_kernel
 from repro.errors import PnRError, PnRVerifyError, ReproError
 from repro.ir.ast import (
     ArraySpec,
@@ -66,6 +71,14 @@ FUZZ_PARAMS = {"n": 3}
 #: the layers under test); ``&``/``|`` operands are guarded through
 #: comparisons so bit-ops stay on small non-negative values.
 SAFE_BINOPS = ("+", "-", "*", "min", "max", "<", "<=", "==", "&", "|")
+
+#: Scalar names the walk loads and assigns.
+SCALARS = ("v0", "v1", "v2", "v3")
+
+#: Conditions an ``If`` draws whole half the time: ``0`` and ``1`` fold
+#: away during lowering; ``n`` and ``0*n`` are steered, and are true and
+#: false at run time.
+CONDITIONS = (Const(0), Const(1), Var("n"), BinOp("*", Const(0), Var("n")))
 
 #: Iteration budget when pre-checking shrink candidates (a candidate
 #: that lost its loop increment must fail fast, not spin to 50M).
@@ -115,6 +128,12 @@ class KernelGen:
             rhs = BinOp("<", rhs, Const(2))
         return BinOp(op, lhs, rhs)
 
+    def cond(self, variables: list[str]):
+        """An ``If`` condition: half the time one of :data:`CONDITIONS`."""
+        if self.rng.random() < 0.5:
+            return self.rng.choice(CONDITIONS)
+        return self.expr(variables)
+
     def _fresh(self, prefix: str) -> str:
         self._counter += 1
         return f"{prefix}{self._counter}"
@@ -130,16 +149,16 @@ class KernelGen:
         rng = self.rng
         kinds = ["assign", "load", "store", "indirect"]
         if depth > 0:
-            kinds += ["if", "for", "while", "accum"]
+            kinds += ["if", "for", "while", "accum", "partial"]
         kind = rng.choice(kinds)
         scalars = sorted(variables)
         if kind == "assign":
-            name = rng.choice(["v0", "v1", "v2", "v3"])
+            name = rng.choice(SCALARS)
             stmt = Assign(name, self.expr(scalars))
             variables.add(name)
             return [stmt]
         if kind == "load":
-            name = rng.choice(["v0", "v1", "v2", "v3"])
+            name = rng.choice(SCALARS)
             array = rng.choice(["A", "X"])
             stmt = Load(name, array, _clamp(self.expr(scalars)))
             variables.add(name)
@@ -148,7 +167,7 @@ class KernelGen:
             # The NUPEA-critical shape: a load whose index is itself
             # loaded (A[X[e] % N]) — a two-deep critical-load chain.
             ptr = self._fresh("p")
-            name = rng.choice(["v0", "v1", "v2", "v3"])
+            name = rng.choice(SCALARS)
             stmts = [
                 Load(ptr, "X", _clamp(self.expr(scalars))),
                 Load(name, "A", _clamp(Var(ptr))),
@@ -159,8 +178,25 @@ class KernelGen:
             return [
                 Store("A", _clamp(self.expr(scalars)), self.expr(scalars))
             ]
+        if kind == "partial":
+            # A loaded scalar that one arm of a nested If reassigns: the
+            # nested merge takes the incoming binding on its other arm,
+            # and on every run that skips the enclosing arm.
+            name = rng.choice(SCALARS)
+            array = rng.choice(["A", "X"])
+            load = Load(name, array, _clamp(self.expr(scalars)))
+            variables.add(name)
+            others = [v for v in scalars if v != name]
+            inner_arms = [[Assign(name, self.expr(others))], []]
+            rng.shuffle(inner_arms)
+            outer_arms = [
+                [If(self.cond(scalars), *inner_arms)],
+                self.stmts(set(variables), depth - 1),
+            ]
+            rng.shuffle(outer_arms)
+            return [load, If(self.cond(scalars), *outer_arms)]
         if kind == "if":
-            cond = self.expr(scalars)
+            cond = self.cond(scalars)
             then_vars = set(variables)
             then_body = self.stmts(then_vars, depth - 1)
             else_vars = set(variables)
@@ -224,10 +260,13 @@ class KernelGen:
     def kernel(self, index: int) -> Kernel:
         variables: set[str] = {"n"}
         body = self.stmts(variables, MAX_DEPTH)
-        # Guarantee at least one observable effect.
+        # Guarantee at least one observable effect, and observe every
+        # scalar live at the end (see module doc).
         body.append(
             Store("A", Const(0), self.expr(sorted(variables), depth=1))
         )
+        for slot, name in enumerate(sorted(variables & set(SCALARS)), 1):
+            body.append(Store("A", Const(slot), Var(name)))
         kernel = Kernel(
             f"fuzz{index}",
             ["n"],
@@ -236,6 +275,16 @@ class KernelGen:
         )
         validate_kernel(kernel)
         return kernel
+
+
+def fuzz_case(seed: int, index: int) -> tuple[Kernel, dict]:
+    """Kernel ``index`` of a ``seed`` run and its inputs.
+
+    One independent stream per case: a failure is reproducible from
+    ``(seed, index)`` alone, without replaying the whole run.
+    """
+    rng = random.Random((seed << 20) ^ index)
+    return KernelGen(rng).kernel(index), fuzz_arrays(rng)
 
 
 # -- the fuzz loop ----------------------------------------------------------
@@ -324,7 +373,9 @@ def shrink_kernel(
 
     ``still_fails(kernel) -> bool`` runs the oracle; candidates must be
     valid, terminating kernels (checked here against the IR interpreter
-    with a small iteration budget) before the oracle is spent on them.
+    with a small iteration budget) that the lowering accepts (a reduction
+    may leave a ``while`` whose body no longer changes its condition)
+    before the oracle is spent on them.
     Restarts the candidate scan after every accepted reduction until a
     full pass accepts nothing or ``budget`` oracle runs are spent.
     """
@@ -341,6 +392,7 @@ def shrink_kernel(
                 None,
                 max_iterations=SHRINK_ITER_BUDGET,
             )
+            lower_kernel(candidate)
         except ReproError:
             return None
         return candidate
@@ -384,22 +436,22 @@ def _reductions(data: dict):
                     candidate = copy(data)
                     _block_at(candidate, path)[i : i + 1] = copy(stmt[arm])
                     yield candidate
-            elif stmt["s"] in ("for", "parfor", "while"):
+            elif stmt["s"] in ("for", "while"):
                 candidate = copy(data)
                 _block_at(candidate, path)[i : i + 1] = copy(stmt["body"])
                 yield candidate
     # Pass 3: shorten counted-loop trip counts.
     for path, block in _blocks(data):
         for i, stmt in enumerate(block):
-            if stmt["s"] in ("for", "parfor") and stmt["hi"]["e"] == "const":
+            if stmt["s"] == "for" and stmt["hi"]["e"] == "const":
                 hi = stmt["hi"]["value"]
                 if isinstance(hi, int) and hi > 0:
                     candidate = copy(data)
                     _block_at(candidate, path)[i]["hi"]["value"] = hi - 1
                     yield candidate
     # Pass 4: simplify expressions (binop -> operand, anything -> 0/1).
-    for expr_path in _expr_paths(data):
-        expr = _expr_at(data, expr_path)
+    for path, i, key in _expr_paths(data):
+        expr = _block_at(data, path)[i][key]
         replacements = []
         if expr["e"] == "binop":
             replacements += [expr["lhs"], expr["rhs"]]
@@ -410,17 +462,17 @@ def _reductions(data: dict):
             ]
         for replacement in replacements:
             candidate = copy(data)
-            _set_expr(candidate, expr_path, copy(replacement))
+            _block_at(candidate, path)[i][key] = copy(replacement)
             yield candidate
 
 
 # -- dict-AST traversal helpers --------------------------------------------
+# Only the statements :class:`KernelGen` emits: no ``par`` or ``parfor``.
 
 _STMT_BLOCK_KEYS = {
     "if": ("then", "else"),
     "while": ("body",),
     "for": ("body",),
-    "parfor": ("body",),
 }
 _STMT_EXPR_KEYS = {
     "assign": ("expr",),
@@ -429,7 +481,6 @@ _STMT_EXPR_KEYS = {
     "if": ("cond",),
     "while": ("cond",),
     "for": ("lo", "hi", "step"),
-    "parfor": ("lo", "hi", "step"),
 }
 
 
@@ -445,9 +496,6 @@ def _blocks(data: dict):
         for i, stmt in enumerate(block):
             for key in _STMT_BLOCK_KEYS.get(stmt["s"], ()):
                 yield from walk(stmt[key], path + ((i, key),))
-            if stmt["s"] == "par":
-                for b, sub in enumerate(stmt["blocks"]):
-                    yield from walk(sub, path + ((i, ("blocks", b)),))
 
     yield from walk(data["body"], ())
 
@@ -455,11 +503,7 @@ def _blocks(data: dict):
 def _block_at(data: dict, path) -> list:
     block = data["body"]
     for index, key in path:
-        stmt = block[index]
-        if isinstance(key, tuple):
-            block = stmt[key[0]][key[1]]
-        else:
-            block = stmt[key]
+        block = block[index][key]
     return block
 
 
@@ -469,16 +513,6 @@ def _expr_paths(data: dict):
         for i, stmt in enumerate(block):
             for key in _STMT_EXPR_KEYS.get(stmt["s"], ()):
                 yield (path, i, key)
-
-
-def _expr_at(data: dict, expr_path) -> dict:
-    path, i, key = expr_path
-    return _block_at(data, path)[i][key]
-
-
-def _set_expr(data: dict, expr_path, value: dict) -> None:
-    path, i, key = expr_path
-    _block_at(data, path)[i][key] = value
 
 
 # -- corpus ----------------------------------------------------------------
@@ -536,11 +570,7 @@ def fuzz(
     start = time.perf_counter()
     result = FuzzResult()
     for index in range(count):
-        # One independent stream per case: a failure is reproducible
-        # from (seed, index) alone, without replaying the whole run.
-        rng = random.Random((seed << 20) ^ index)
-        kernel = KernelGen(rng).kernel(index)
-        arrays = fuzz_arrays(rng)
+        kernel, arrays = fuzz_case(seed, index)
         report = _oracle(kernel, arrays, seed)
         if isinstance(report, PnRError):
             kind = type(report).__name__

@@ -34,7 +34,9 @@ rules here are derived from the lowering's token-cadence discipline
     regions — inward through carries/invariants/gates, outward through
     exit steers — so an edge between sibling loops means the two ends
     fire under unrelated cadences and the steer's input FIFOs drift:
-    the classic token leak.
+    the classic token leak. A control steer (``ctlT``/``ctlF``/``ctlL``)
+    carries the region it gates, even when the lowering first builds it
+    inside a nested loop.
 
 Every rule is *sound for the lowering's output*: the 13 Table-1
 workloads and the fuzz corpus lint clean, and the tests build broken

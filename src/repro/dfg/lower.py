@@ -124,10 +124,12 @@ class _Lowerer:
 
     # -- node helpers ------------------------------------------------------
 
+    def region(self) -> int | None:
+        """The innermost loop being lowered (``None`` at kernel level)."""
+        return self._loop_stack[-1] if self._loop_stack else None
+
     def add(self, op: str, inputs: list[Input], tag: str = "", **attrs) -> int:
-        attrs.setdefault(
-            "loop", self._loop_stack[-1] if self._loop_stack else None
-        )
+        attrs.setdefault("loop", self.region())
         return self.dfg.add(
             op, inputs, tag=tag, depth=self.depth, **attrs
         )
@@ -186,7 +188,9 @@ class _Lowerer:
             self._cse_cache[key] = nid
         return nid
 
-    def steer(self, polarity: bool, dec: int, val: Val, tag: str = "") -> int:
+    def steer(
+        self, polarity: bool, dec: int, val: Val, tag: str = "", **attrs
+    ) -> int:
         key = ("steer", polarity, dec, self._key(val))
         nid = self._steer_cache.get(key)
         if nid is None:
@@ -195,9 +199,16 @@ class _Lowerer:
                 [PortRef(dec), self.as_input(val)],
                 polarity=polarity,
                 tag=tag,
+                **attrs,
             )
             self._steer_cache[key] = nid
         return nid
+
+    def control(self, polarity: bool, dec: int, tag: str):
+        """The ``ctl`` of a region entered now: its control steer, built
+        on first use (maybe in a nested loop) but tagged with this region."""
+        loop = self.region()
+        return lambda: self.steer(polarity, dec, dec, tag=tag, loop=loop)
 
     def fresh_name(self, hint: str) -> str:
         self._fresh += 1
@@ -409,8 +420,8 @@ class _Lowerer:
             if isinstance(env[var], int):
                 env_f[var] = self.steer(False, dec, env[var], tag=f"gateF:{var}")
 
-        ctl_t = lambda: self.steer(True, dec, dec, tag="ctlT")  # noqa: E731
-        ctl_f = lambda: self.steer(False, dec, dec, tag="ctlF")  # noqa: E731
+        ctl_t = self.control(True, dec, "ctlT")
+        ctl_f = self.control(False, dec, "ctlF")
         self.lower_block(stmt.then_body, env_t, ctl_t)
         self.flatten_tokens(env_t, ctl_t)
         self.lower_block(stmt.else_body, env_f, ctl_f)
@@ -530,7 +541,7 @@ class _Lowerer:
                 tag=f"inv:{var}",
             )
 
-        body_ctl = lambda: self.steer(True, cond, cond, tag="ctlL")  # noqa: E731
+        body_ctl = self.control(True, cond, "ctlL")
         self.depth += 1
         self.lower_block(stmt.body, body_env, body_ctl)
         self.flatten_tokens(body_env, body_ctl)
@@ -604,8 +615,7 @@ class _Lowerer:
     def _push_loop(self) -> int:
         self._loop_counter += 1
         loop_id = self._loop_counter
-        parent = self._loop_stack[-1] if self._loop_stack else None
-        self.dfg.loops_parent[loop_id] = parent
+        self.dfg.loops_parent[loop_id] = self.region()
         self._loop_stack.append(loop_id)
         return loop_id
 
@@ -627,6 +637,16 @@ class _Lowerer:
         region cadence exactly as it would any read. Without this, a loop
         under an untaken branch still receives the ungated init token,
         which then wedges in the loop's ``exit:`` steer — a token leak.
+
+        Likewise a variable *written in exactly one arm of a nested*
+        ``If`` counts as a read of the enclosing block: on the other arm
+        the binding that leaves the nested ``If`` is the incoming one —
+        through the nested merge's ``gate:`` steer, or as is when the
+        condition folds — so the enclosing arm must gate it to region
+        cadence like any read. Without this, an enclosing arm that does
+        not otherwise read the variable passes the ungated binding to
+        that ``gate:`` steer or to its own ``phi:`` merge, whose token
+        then leaks on every activation that skips the arm.
         """
         reads: set[str] = set()
         writes: set[str] = set()
@@ -653,6 +673,11 @@ class _Lowerer:
                         writes.add(token)
             elif isinstance(stmt, If):
                 reads |= expr_vars(stmt.cond)
+                # A one-armed write merges with the incoming binding.
+                reads |= (
+                    self._reads_writes(stmt.then_body)[1]
+                    ^ self._reads_writes(stmt.else_body)[1]
+                )
             elif isinstance(stmt, While):
                 reads |= expr_vars(stmt.cond)
                 # Loop-carried writes consume their init (see docstring).

@@ -39,10 +39,10 @@ _DENOM = float(1 << 53)
 class _Stream:
     """One deterministic per-category Bernoulli stream."""
 
-    __slots__ = ("prob", "state", "draws", "fires")
-    #: LCG cursor + draw ledger: a restored stream continues the exact
+    __slots__ = ("prob", "state", "fires")
+    #: LCG cursor + fire count: a restored stream continues the exact
     #: Bernoulli sequence (``prob`` is rebuilt from params).
-    SNAPSHOT_STATE = ("state", "draws", "fires")
+    SNAPSHOT_STATE = ("state", "fires")
 
     def __init__(self, seed: int, tag: str, prob: float):
         self.prob = prob
@@ -51,7 +51,6 @@ class _Stream:
         for ch in tag:
             state = ((state ^ ord(ch)) * LCG_MUL + LCG_INC) & LCG_MASK
         self.state = state
-        self.draws = 0
         self.fires = 0
 
     def hit(self) -> bool:
@@ -59,7 +58,6 @@ class _Stream:
         caller gates on the probability), so an off category consumes
         nothing and cannot shift other categories' schedules."""
         self.state = (self.state * LCG_MUL + LCG_INC) & LCG_MASK
-        self.draws += 1
         if (self.state >> 11) / _DENOM < self.prob:
             self.fires += 1
             return True

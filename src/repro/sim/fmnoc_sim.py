@@ -22,14 +22,13 @@ from repro.sim.memsys import RequestRecord
 class _Arbiter:
     """One arbitration stage: RR over inputs, single-entry output latch."""
 
-    SNAPSHOT_STATE = ("rr", "latch", "stall_cycles")
+    SNAPSHOT_STATE = ("rr", "latch")
 
     def __init__(self, arb_id: ArbiterId, sources: list):
         self.arb_id = arb_id
         self.sources = sources  # PE coords and/or upstream ArbiterId
         self.rr = 0
         self.latch: RequestRecord | None = None
-        self.stall_cycles = 0
 
 
 class MonacoFrontend:
@@ -172,7 +171,6 @@ class MonacoFrontend:
         #    so a request advances at most one stage per cycle.
         for arb_id, arbiter, handles in self._arb_plan:
             if arbiter.latch is not None:
-                arbiter.stall_cycles += 1
                 continue
             start = arbiter.rr
             n = len(handles)

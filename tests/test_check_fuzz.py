@@ -17,13 +17,14 @@ from repro.check.fuzz import (
     ARRAY_SIZE,
     FUZZ_PARAMS,
     FuzzFailure,
-    KernelGen,
     fuzz,
     fuzz_arrays,
+    fuzz_case,
     load_reproducer,
     shrink_kernel,
     write_reproducer,
 )
+from repro.dfg.lower import lower_kernel
 from repro.ir.ast import (
     ArraySpec,
     Assign,
@@ -33,6 +34,8 @@ from repro.ir.ast import (
     Load,
     Store,
     Var,
+    While,
+    walk_stmts,
 )
 from repro.ir.interp import run_kernel
 from repro.ir.serialize import kernel_from_dict, kernel_to_dict
@@ -40,8 +43,7 @@ from repro.ir.validate import validate_kernel
 
 
 def gen(seed: int, index: int) -> Kernel:
-    rng = random.Random((seed << 20) ^ index)
-    return KernelGen(rng).kernel(index)
+    return fuzz_case(seed, index)[0]
 
 
 # -- generator ---------------------------------------------------------------
@@ -60,9 +62,8 @@ def test_different_indices_differ():
 
 @pytest.mark.parametrize("index", range(12))
 def test_generated_kernels_are_valid_and_terminate(index):
-    kernel = gen(1, index)
+    kernel, arrays = fuzz_case(1, index)
     validate_kernel(kernel)
-    arrays = fuzz_arrays(random.Random((1 << 20) ^ index))
     memory = run_kernel(kernel, FUZZ_PARAMS, arrays)
     assert set(memory) == {"A", "X"}
     assert all(len(v) == ARRAY_SIZE for v in memory.values())
@@ -151,6 +152,35 @@ def test_shrink_keeps_original_when_nothing_reduces():
 
     shrunk = shrink_kernel(kernel, still_fails)
     assert kernel_to_dict(shrunk) == kernel_to_dict(kernel)
+
+
+def test_shrink_skips_candidates_the_lowering_refuses():
+    """Dropping a ``while``'s increment leaves a loop-invariant condition.
+
+    The IR interpreter runs that candidate (zero trips) but the lowering
+    refuses it, so it must never reach ``still_fails``.
+    """
+    kernel = Kernel(
+        "guarded",
+        [],
+        [ArraySpec("A", 8, "i")],
+        [
+            Assign("w", Const(0)),
+            While(
+                BinOp("<", Var("w"), Const(0)),
+                [Assign("w", BinOp("+", Var("w"), Const(1)))],
+            ),
+            Store("A", Const(0), Const(1)),
+        ],
+    )
+
+    def still_fails(k: Kernel) -> bool:
+        lower_kernel(k)  # as the oracle does, through compile_once
+        return any(isinstance(s, While) for s in walk_stmts(k.body))
+
+    shrunk = shrink_kernel(kernel, still_fails)
+    assert still_fails(shrunk)
+    assert len(shrunk.body) < len(kernel.body)
 
 
 # -- corpus reproducers ------------------------------------------------------

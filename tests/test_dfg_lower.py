@@ -1,11 +1,20 @@
 """Unit tests for IR -> DFG lowering."""
 
+import itertools
+from pathlib import Path
+
 import pytest
 
+from repro.check.fuzz import CONDITIONS, FUZZ_PARAMS, load_reproducer
+from repro.check.lint import lint_dfg
+from repro.check.oracle import DEFAULT_ORDERS
 from repro.dfg.graph import ImmRef, PortRef
 from repro.dfg.interp import run_dfg
 from repro.dfg.lower import eliminate_dead, lower_kernel, mem_token_var
-from repro.errors import LoweringError
+from repro.errors import DFGError, LoweringError
+from repro.ir.ast import (
+    ArraySpec, Assign, BinOp, Const, For, If, Kernel, Load, Store, Var,
+)
 from repro.ir.builder import KernelBuilder
 from repro.ir.interp import run_kernel
 
@@ -211,10 +220,6 @@ def test_loop_under_untaken_branch_does_not_leak_carry_init():
     immediate) — here CSE shares it with the If condition, which is how
     the property test originally found it.
     """
-    from repro.ir.ast import (
-        ArraySpec, Assign, BinOp, Const, For, If, Kernel, Store, Var,
-    )
-
     shared = BinOp("+", BinOp("+", Const(0), Const(0)),
                    BinOp("+", Const(0), Var("n")))
     zero = BinOp("+", Const(0), Const(0))
@@ -242,3 +247,68 @@ def test_loop_under_untaken_branch_does_not_leak_carry_init():
     for order in ("fifo", "lifo", "random"):
         got = run_dfg(dfg, params, arrays, order=order, seed=0)
         assert got.memory == ref  # and quiescence found no leaked tokens
+
+
+@pytest.mark.parametrize("order", DEFAULT_ORDERS)
+def test_nested_if_partial_write_family(order):
+    """A variable one arm of a nested ``If`` writes is read by the arm.
+
+    The family: ``v0`` is loaded, then reassigned in one arm of an inner
+    ``If`` that sits in either arm of an outer ``If``; each condition is
+    ``0``, ``1``, ``n`` or ``0*n``, and the inner arms come in both
+    orders. Regression: the enclosing arm did not gate the incoming
+    binding of ``v0``, so the nested ``gate:`` steer or the outer
+    ``phi:`` merge received a token on every run that skipped the arm:
+    a leak in 12 of the 64 kernels.
+    """
+    from repro.ir.pretty import format_kernel
+
+    arrays = {"A": list(range(8)), "X": [(i * 5 + 2) % 9 for i in range(8)]}
+    wrong = []
+    for outer, inner, swap, nest_in_else in itertools.product(
+        CONDITIONS, CONDITIONS, (False, True), (False, True)
+    ):
+        arms = [[Assign("v0", Const(0))], [Store("A", Const(0), Const(0))]]
+        nested = If(inner, *arms[::-1 if swap else 1])
+        outer_arms = [[nested], [Assign("v0", Const(0))]]
+        kernel = Kernel(
+            "partial_write",
+            ["n"],
+            [ArraySpec("A", 8), ArraySpec("X", 8)],
+            [
+                Load("v0", "X", Const(1)),
+                If(outer, *outer_arms[::-1 if nest_in_else else 1]),
+                Store("A", Const(0), Var("v0")),
+            ],
+        )
+        reference = run_kernel(kernel, FUZZ_PARAMS, arrays)
+        dfg = lower_kernel(kernel)
+        try:
+            got = run_dfg(dfg, FUZZ_PARAMS, arrays, order=order).memory
+        except DFGError as error:
+            got = error
+        if got != reference:
+            wrong.append(f"{format_kernel(kernel)}-> {got}")
+    assert not wrong, "\n".join(wrong)
+
+
+CORPUS = Path(__file__).parent / "data" / "corpus"
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.glob("*.json")))
+def test_corpus_reproducer_lowers_clean(name):
+    """Each pinned lowering bug agrees with the IR and lints clean.
+
+    * ``nested-if-partial-write``: a kernel of the family above;
+    * ``ctl-steer-region``: an arm's ``ctlT`` steer, first built for the
+      carry init of a ``for`` in that arm, took the ``for``'s loop region
+      (shrunk from kernel 128 of ``repro check --fuzz --seed 11`` before
+      the generator was widened).
+    """
+    kernel, params, arrays = load_reproducer(CORPUS / name)
+    reference = run_kernel(kernel, params, arrays)
+    dfg = lower_kernel(kernel)
+    assert lint_dfg(dfg) == []
+    for order in DEFAULT_ORDERS:
+        got = run_dfg(dfg, params, arrays, order=order, seed=0)
+        assert got.memory == reference

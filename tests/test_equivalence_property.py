@@ -1,211 +1,59 @@
 """Property-based lowering equivalence.
 
-Generates random structured kernels (loops, branches, loads, stores over
-shared arrays) and checks that the IR interpreter and the untimed DFG
-interpreter produce identical final memory under several firing orders.
-This is the strongest check on the steering-control lowering: any token
-cadence bug shows up as a wrong value, a token leak, or a stuck protocol
-state on some program in this space.
+Hypothesis draws a seed ``S`` and :class:`repro.check.fuzz.KernelGen` —
+the one random-kernel generator — builds the kernel and inputs that
+``repro check --fuzz 1 --seed S`` checks (and shrinks on a failure):
+loops, branches, loads, stores over shared arrays. The IR interpreter
+and the untimed DFG interpreter must produce identical final memory
+under several firing orders. This is the
+strongest check on the steering-control lowering: any token cadence bug
+shows up as a wrong value, a token leak, or a stuck protocol state on
+some program in this space. The examples are derandomized, so a run
+either always trips on a lowering defect or never does.
 """
 
 from __future__ import annotations
 
-import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.check.fuzz import FUZZ_PARAMS, fuzz_case
 from repro.dfg.interp import run_dfg
 from repro.dfg.lower import lower_kernel
-from repro.ir.ast import (
-    ArraySpec,
-    Assign,
-    BinOp,
-    Const,
-    For,
-    If,
-    Kernel,
-    Load,
-    Store,
-    Var,
-    While,
-)
 from repro.ir.interp import run_kernel
-from repro.ir.validate import validate_kernel
 
-ARRAY_SIZE = 8
-SAFE_BINOPS = ("+", "-", "*", "min", "max", "<", "<=", "==", "&", "|")
-
-
-def safe_index(expr):
-    """Clamp an arbitrary integer expression into [0, ARRAY_SIZE)."""
-    wrapped = BinOp("%", expr, Const(ARRAY_SIZE))
-    return BinOp(
-        "%", BinOp("+", wrapped, Const(ARRAY_SIZE)), Const(ARRAY_SIZE)
-    )
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+DERANDOMIZED = settings(deadline=None, derandomize=True)
 
 
-@st.composite
-def expressions(draw, variables, depth=2):
-    if depth == 0 or not variables:
-        if variables and draw(st.booleans()):
-            return Var(draw(st.sampled_from(sorted(variables))))
-        return Const(draw(st.integers(min_value=-4, max_value=4)))
-    op = draw(st.sampled_from(SAFE_BINOPS))
-    lhs = draw(expressions(variables, depth - 1))
-    rhs = draw(expressions(variables, depth - 1))
-    if op in ("&", "|"):
-        # Keep bitwise ops on comparison results (non-negative).
-        lhs = BinOp("<", lhs, Const(2))
-        rhs = BinOp("<", rhs, Const(2))
-    return BinOp(op, lhs, rhs)
-
-
-@st.composite
-def statements(draw, variables, counter, depth):
-    """One statement; mutates ``variables`` to track definitions."""
-    choices = ["assign", "load", "store"]
-    if depth > 0:
-        choices += ["if", "for", "while"]
-    kind = draw(st.sampled_from(choices))
-    if kind == "assign":
-        name = draw(
-            st.sampled_from(["v0", "v1", "v2", "v3"])
-        )
-        stmt = Assign(name, draw(expressions(variables)))
-        variables.add(name)
-        return stmt
-    if kind == "load":
-        name = draw(st.sampled_from(["v0", "v1", "v2", "v3"]))
-        array = draw(st.sampled_from(["A", "X"]))
-        index = safe_index(draw(expressions(variables)))
-        variables.add(name)
-        return Load(name, array, index)
-    if kind == "store":
-        return Store(
-            "A",
-            safe_index(draw(expressions(variables))),
-            draw(expressions(variables)),
-        )
-    if kind == "if":
-        cond = draw(expressions(variables))
-        then_vars = set(variables)
-        then_body = draw(blocks(then_vars, counter, depth - 1))
-        else_vars = set(variables)
-        else_body = draw(blocks(else_vars, counter, depth - 1))
-        variables |= then_vars & else_vars
-        return If(cond, then_body, else_body)
-    if kind == "for":
-        loop_var = f"i{counter[0]}"
-        counter[0] += 1
-        body_vars = set(variables) | {loop_var}
-        body = draw(blocks(body_vars, counter, depth - 1))
-        hi = draw(st.integers(min_value=0, max_value=4))
-        return For(loop_var, Const(0), Const(hi), Const(1), body)
-    # while: a bounded counter guarantees termination; the extra
-    # data-dependent term exercises irregular iteration counts.
-    guard = f"w{counter[0]}"
-    counter[0] += 1
-    variables.add(guard)
-    body_vars = set(variables)
-    body = draw(blocks(body_vars, counter, depth - 1))
-    bound = draw(st.integers(min_value=0, max_value=4))
-    body = body + [Assign(guard, BinOp("+", Var(guard), Const(1)))]
-    return _Seq(
-        [
-            Assign(guard, Const(0)),
-            While(BinOp("<", Var(guard), Const(bound)), body),
-        ]
-    )
-
-
-class _Seq:
-    """Marker for a statement that expands to several."""
-
-    def __init__(self, stmts):
-        self.stmts = stmts
-
-
-@st.composite
-def blocks(draw, variables, counter, depth):
-    out = []
-    for _ in range(draw(st.integers(min_value=1, max_value=3))):
-        stmt = draw(statements(variables, counter, depth))
-        if isinstance(stmt, _Seq):
-            out.extend(stmt.stmts)
-        else:
-            out.append(stmt)
-    return out
-
-
-@st.composite
-def kernels(draw):
-    variables: set[str] = {"n"}
-    counter = [0]
-    body = draw(blocks(variables, counter, depth=2))
-    # Guarantee at least one observable effect.
-    body.append(Store("A", Const(0), draw(expressions(variables))))
-    kernel = Kernel(
-        "prop",
-        ["n"],
-        [ArraySpec("A", ARRAY_SIZE), ArraySpec("X", ARRAY_SIZE)],
-        body,
-    )
-    validate_kernel(kernel)
-    return kernel
-
-
-@settings(
-    max_examples=120,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
-@given(kernel=kernels(), seed=st.integers(min_value=0, max_value=3))
-def test_lowering_equivalence(kernel, seed):
-    params = {"n": 3}
-    arrays = {
-        "A": [(i * 3 + 1) % 7 for i in range(ARRAY_SIZE)],
-        "X": [(i * 5 + 2) % 9 for i in range(ARRAY_SIZE)],
-    }
-    reference = run_kernel(kernel, params, arrays)
+@settings(DERANDOMIZED, max_examples=120)
+@given(seed=SEEDS)
+def test_lowering_equivalence(seed):
+    kernel, arrays = fuzz_case(seed, 0)
+    reference = run_kernel(kernel, FUZZ_PARAMS, arrays)
     dfg = lower_kernel(kernel)
     for order in ("fifo", "lifo", "random"):
-        got = run_dfg(dfg, params, arrays, order=order, seed=seed)
+        got = run_dfg(dfg, FUZZ_PARAMS, arrays, order=order, seed=seed)
         assert got.memory == reference
 
 
-@settings(
-    max_examples=40,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
-@given(kernel=kernels())
-def test_serialize_mode_equivalence(kernel):
-    params = {"n": 3}
-    arrays = {
-        "A": list(range(ARRAY_SIZE)),
-        "X": [(i * 2 + 1) % 5 for i in range(ARRAY_SIZE)],
-    }
-    reference = run_kernel(kernel, params, arrays)
+@settings(DERANDOMIZED, max_examples=40)
+@given(seed=SEEDS)
+def test_serialize_mode_equivalence(seed):
+    kernel, arrays = fuzz_case(seed, 0)
+    reference = run_kernel(kernel, FUZZ_PARAMS, arrays)
     dfg = lower_kernel(kernel, mem_mode="serialize")
-    got = run_dfg(dfg, params, arrays, order="random", seed=1)
+    got = run_dfg(dfg, FUZZ_PARAMS, arrays, order="random", seed=seed)
     assert got.memory == reference
 
 
-@settings(
-    max_examples=40,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
-@given(kernel=kernels(), degree=st.integers(min_value=2, max_value=4))
-def test_parallelize_then_lower_equivalence(kernel, degree):
+@settings(DERANDOMIZED, max_examples=40)
+@given(seed=SEEDS, degree=st.integers(min_value=2, max_value=4))
+def test_parallelize_then_lower_equivalence(seed, degree):
     from repro.ir.transform import parallelize
 
-    params = {"n": 3}
-    arrays = {
-        "A": list(range(ARRAY_SIZE)),
-        "X": [(i * 2 + 1) % 5 for i in range(ARRAY_SIZE)],
-    }
-    reference = run_kernel(kernel, params, arrays)
+    kernel, arrays = fuzz_case(seed, 0)
+    reference = run_kernel(kernel, FUZZ_PARAMS, arrays)
     dfg = lower_kernel(parallelize(kernel, degree))
-    got = run_dfg(dfg, params, arrays, order="random", seed=2)
+    got = run_dfg(dfg, FUZZ_PARAMS, arrays, order="random", seed=seed)
     assert got.memory == reference

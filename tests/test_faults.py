@@ -69,6 +69,7 @@ def test_make_injector_off_paths():
 def test_streams_are_decorrelated_and_gated():
     """An off category draws nothing, so it cannot shift the others."""
     delay_only = FaultInjector(FaultParams(mem_delay_prob=0.5))
+    drop_state = delay_only._mem_drop.state
     both = FaultInjector(
         FaultParams(mem_delay_prob=0.5, mem_drop_prob=0.5)
     )
@@ -78,7 +79,7 @@ def test_streams_are_decorrelated_and_gated():
         both.drop_response()
         b.append(both.delay_response())
     assert a == b  # enabling drops did not perturb the delay stream
-    assert delay_only._mem_drop.draws == 0
+    assert delay_only._mem_drop.state == drop_state
 
 
 # -- off-path purity --------------------------------------------------------

@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 
 from repro.arch.fabric import monaco
 from repro.arch.params import ArchParams, SimParams
+from repro.check.fuzz import FUZZ_PARAMS, fuzz_case
 from repro.core.policy import EFFCC
 from repro.errors import PnRError
 from repro.ir.interp import run_kernel
 from repro.pnr.flow import compile_once
 from repro.sim.engine import simulate
-
-from test_equivalence_property import ARRAY_SIZE, kernels
 
 FABRIC = monaco(12, 12)
 
@@ -25,24 +24,17 @@ FABRIC = monaco(12, 12)
 @settings(
     max_examples=20,
     deadline=None,
-    suppress_health_check=[
-        HealthCheck.too_slow,
-        HealthCheck.data_too_large,
-        HealthCheck.filter_too_much,
-    ],
+    derandomize=True,
+    suppress_health_check=[HealthCheck.filter_too_much],
 )
 @given(
-    kernel=kernels(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
     fifo=st.sampled_from([2, 3, 4]),
     outstanding=st.sampled_from([1, 2, 4]),
 )
-def test_timed_simulation_equivalence(kernel, fifo, outstanding):
-    params = {"n": 3}
-    arrays = {
-        "A": [(i * 3 + 1) % 7 for i in range(ARRAY_SIZE)],
-        "X": [(i * 5 + 2) % 9 for i in range(ARRAY_SIZE)],
-    }
-    reference = run_kernel(kernel, params, arrays)
+def test_timed_simulation_equivalence(seed, fifo, outstanding):
+    kernel, arrays = fuzz_case(seed, 0)
+    reference = run_kernel(kernel, FUZZ_PARAMS, arrays)
     arch = ArchParams(
         sim=SimParams(fifo_capacity=fifo, max_outstanding=outstanding)
     )
@@ -53,5 +45,5 @@ def test_timed_simulation_equivalence(kernel, fifo, outstanding):
     except PnRError:
         assume(False)
         return
-    result = simulate(compiled, params, arrays, arch)
+    result = simulate(compiled, FUZZ_PARAMS, arrays, arch)
     assert result.memory == reference
