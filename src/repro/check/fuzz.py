@@ -426,7 +426,7 @@ def _reductions(data: dict):
     for path, block in _blocks(data):
         for i in reversed(range(len(block))):
             candidate = copy(data)
-            _block_at(candidate, path)[i : i + 1] = []
+            _at(candidate, path)[i : i + 1] = []
             yield candidate
     # Pass 2: inline structured statements.
     for path, block in _blocks(data):
@@ -434,24 +434,17 @@ def _reductions(data: dict):
             if stmt["s"] == "if":
                 for arm in ("then", "else"):
                     candidate = copy(data)
-                    _block_at(candidate, path)[i : i + 1] = copy(stmt[arm])
+                    _at(candidate, path)[i : i + 1] = copy(stmt[arm])
                     yield candidate
             elif stmt["s"] in ("for", "while"):
                 candidate = copy(data)
-                _block_at(candidate, path)[i : i + 1] = copy(stmt["body"])
+                _at(candidate, path)[i : i + 1] = copy(stmt["body"])
                 yield candidate
-    # Pass 3: shorten counted-loop trip counts.
-    for path, block in _blocks(data):
-        for i, stmt in enumerate(block):
-            if stmt["s"] == "for" and stmt["hi"]["e"] == "const":
-                hi = stmt["hi"]["value"]
-                if isinstance(hi, int) and hi > 0:
-                    candidate = copy(data)
-                    _block_at(candidate, path)[i]["hi"]["value"] = hi - 1
-                    yield candidate
-    # Pass 4: simplify expressions (binop -> operand, anything -> 0/1).
-    for path, i, key in _expr_paths(data):
-        expr = _block_at(data, path)[i][key]
+    # Pass 3: simplify expressions, binop operands included (binop ->
+    # operand, anything -> 0/1, an integer constant one step toward 0,
+    # which also shortens a counted loop's constant trip count).
+    for path in _expr_paths(data):
+        expr = _at(data, path)
         replacements = []
         if expr["e"] == "binop":
             replacements += [expr["lhs"], expr["rhs"]]
@@ -460,9 +453,12 @@ def _reductions(data: dict):
                 {"e": "const", "value": 0},
                 {"e": "const", "value": 1},
             ]
+        elif type(expr["value"]) is int and expr["value"]:
+            step = 1 if expr["value"] > 0 else -1
+            replacements.append({"e": "const", "value": expr["value"] - step})
         for replacement in replacements:
             candidate = copy(data)
-            _block_at(candidate, path)[i][key] = copy(replacement)
+            _at(candidate, path[:-1])[path[-1]] = copy(replacement)
             yield candidate
 
 
@@ -495,24 +491,31 @@ def _blocks(data: dict):
         yield path, block
         for i, stmt in enumerate(block):
             for key in _STMT_BLOCK_KEYS.get(stmt["s"], ()):
-                yield from walk(stmt[key], path + ((i, key),))
+                yield from walk(stmt[key], path + (i, key))
 
-    yield from walk(data["body"], ())
+    yield from walk(data["body"], ("body",))
 
 
-def _block_at(data: dict, path) -> list:
-    block = data["body"]
-    for index, key in path:
-        block = block[index][key]
-    return block
+def _at(data: dict, path):
+    """What ``path`` leads to from ``data``."""
+    for step in path:
+        data = data[step]
+    return data
 
 
 def _expr_paths(data: dict):
-    """Paths to every expression slot: (block path, stmt index, key)."""
+    """Paths to every expression slot, binop operands included."""
+
+    def walk(expr, path):
+        yield path
+        if expr["e"] == "binop":
+            for side in ("lhs", "rhs"):
+                yield from walk(expr[side], path + (side,))
+
     for path, block in _blocks(data):
         for i, stmt in enumerate(block):
             for key in _STMT_EXPR_KEYS.get(stmt["s"], ()):
-                yield (path, i, key)
+                yield from walk(stmt[key], path + (i, key))
 
 
 # -- corpus ----------------------------------------------------------------

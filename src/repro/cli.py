@@ -50,6 +50,7 @@ from repro.core.criticality import format_report
 from repro.core.policy import POLICIES
 from repro.errors import ReproError, SimulationPreempted
 from repro.exp.configs import MONACO, ideal, numa, upea
+from repro.exp.fdo import DEFAULT_ROUNDS, run_fdo
 from repro.exp.figures import FIGURES, Grid, run_figures
 from repro.exp.report import fidelity_record, format_claim, format_figure
 from repro.exp.runner import compile_point
@@ -256,9 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_sim_args(p_fdo)
     p_fdo.add_argument(
-        "--rounds", type=_at_least(0), default=3, metavar="N",
+        "--rounds", type=_at_least(0), default=DEFAULT_ROUNDS, metavar="N",
         help="bound on feedback rounds after the static round 0 "
-        "(default 3)",
+        f"(default {DEFAULT_ROUNDS})",
     )
     p_fdo.add_argument(
         "--manifest", default=None, metavar="PATH",
@@ -592,8 +593,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_fdo(args) -> int:
-    from repro.exp.fdo import run_fdo
-
     result = run_fdo(
         _spec_from_args(args), rounds=args.rounds, manifest_path=args.manifest
     )

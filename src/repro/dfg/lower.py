@@ -151,8 +151,10 @@ class _Lowerer:
         key = (trigger, val.kind, val.value)
         nid = self._inject_cache.get(key)
         if nid is None:
+            # It fires once per trigger token: the trigger's region.
             nid = self.add(
-                "inject", [PortRef(trigger)], value=val, tag=f"inj:{val.value}"
+                "inject", [PortRef(trigger)], value=val, tag=f"inj:{val.value}",
+                loop=self.dfg.nodes[trigger].attrs["loop"],
             )
             self._inject_cache[key] = nid
         return nid

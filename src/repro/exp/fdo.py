@@ -16,12 +16,16 @@ closes the loop:
    are mapped to a deterministic per-node placement weight
    (:func:`blame_to_weights`): the most-blamed node gets the class-A
    weight, zero-blame nodes the class-C weight, linear in between.
-3. **Round k>0** re-runs PnR with those weights as per-node overrides
-   (``PlacementPolicy.node_weight``) at the parallelism degree round 0
-   chose — pinning parallelism keeps the lowered DFG, and therefore the
-   node ids the weights refer to, identical across rounds.
+3. **Round k>0** is round 0's point with those weights as per-node
+   overrides (``RunSpec.node_weights``) at the parallelism degree round
+   0 chose — pinning parallelism keeps the lowered DFG, and therefore
+   the node ids the weights refer to, identical across rounds.
 4. Iterate until the weight map reaches a fixed point or the makespan
    repeats (oscillation), bounded by ``rounds``.
+
+:func:`fdo_step` is that rule; :func:`run_fdo` drives it one round at
+a time, the ``fdo`` table of :mod:`repro.exp.figures` through its job
+graph.
 
 Every round is journaled (:class:`FdoRound`) with no volatile fields —
 two FDO runs of the same point, cold or warm compile cache, produce
@@ -32,10 +36,10 @@ static baseline wins ties).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.core.policy import PlacementPolicy, get_policy
-from repro.exp.runner import compile_cached, compile_point, run_point
+from repro.exp.runner import RunResult, compile_point, run_point
 from repro.exp.spec import RunSpec, weight_map_digest
 from repro.obs.manifest import append_manifest
 
@@ -81,10 +85,9 @@ class FdoRound:
     parallelism: int
     divider: int
     cycles: int
-    #: Weight map the round's measured blame proposes for the next round.
-    next_weights: dict[int, float] = field(default_factory=dict)
-    #: True when the profiled run blamed no memory node at all.
-    degenerate: bool = False
+    #: Weight map the round's measured blame proposes for the next round
+    #: ({}: the profiled run blamed no memory node, a degenerate round).
+    next_weights: dict[int, float]
 
     def to_record(self, **identity) -> dict:
         """Deterministic journal record (no timestamps, no wall times)."""
@@ -105,19 +108,22 @@ class FdoRound:
                 if self.next_weights
                 else None
             ),
-            "degenerate": self.degenerate,
+            "degenerate": not self.next_weights,
         }
+
+
+def _identity(spec: RunSpec) -> dict:
+    """The point columns every journal record of the loop carries."""
+    return {"workload": spec.workload, "config": spec.config.name,
+            "scale": spec.scale, "seed": spec.seed, "policy": spec.policy}
 
 
 @dataclass
 class FdoResult:
     """Outcome of one feedback-directed optimization run."""
 
-    workload: str
-    config: str
-    scale: str
-    seed: int
-    policy: str
+    #: Round 0's point (:func:`fdo_round0`).
+    spec: RunSpec
     rounds: list[FdoRound]
     #: Why the loop stopped: ``"weights-fixed-point"``,
     #: ``"makespan-repeat"``, ``"degenerate-profile"`` or
@@ -137,41 +143,29 @@ class FdoResult:
         return self.best.cycles
 
     @property
-    def converged(self) -> bool:
-        return self.stopped != "round-bound"
-
-    @property
     def speedup(self) -> float:
         """Best-round speedup over the static round 0 (>= 1.0 means FDO
         found a placement at least as good as static EFFCC)."""
         return self.baseline_cycles / max(1, self.best_cycles)
 
     def to_dict(self) -> dict:
-        identity = self._identity()
+        identity = _identity(self.spec)
         return {
             **identity,
             "rounds": [r.to_record(**identity) for r in self.rounds],
             "stopped": self.stopped,
-            "converged": self.converged,
+            "converged": self.stopped != "round-bound",
             "baseline_cycles": self.baseline_cycles,
             "best_round": self.best.round,
             "best_cycles": self.best_cycles,
             "speedup": round(self.speedup, 6),
         }
 
-    def _identity(self) -> dict:
-        return {
-            "workload": self.workload,
-            "config": self.config,
-            "scale": self.scale,
-            "seed": self.seed,
-            "policy": self.policy,
-        }
-
     def summary(self) -> str:
+        spec = self.spec
         lines = [
-            f"fdo {self.workload} on {self.config} "
-            f"({self.scale}/seed{self.seed}, policy {self.policy}):"
+            f"fdo {spec.workload} on {spec.config.name} "
+            f"({spec.scale}/seed{spec.seed}, policy {spec.policy}):"
         ]
         for rnd in self.rounds:
             marker = " <- best" if rnd is self.best else ""
@@ -190,92 +184,59 @@ class FdoResult:
         return "\n".join(lines)
 
 
+def fdo_round0(spec: RunSpec) -> RunSpec:
+    """Round 0 on ``spec``'s point: its static compile, profiled, at the
+    divider its routed design achieved (profiling moves no cycle)."""
+    sim = replace(spec.arch.sim, critpath=True)
+    return replace(spec, arch=replace(spec.arch, sim=sim), divider=None)
+
+
+def fdo_step(
+    spec: RunSpec, run: RunResult, earlier: list[int], rounds: int
+) -> tuple[FdoRound, RunSpec | str]:
+    """Round ``k = len(earlier)``'s journal record, and round ``k+1``'s
+    spec or why the loop stops, from round k's ``spec`` and profiled
+    ``run`` (``earlier``: the cycles of rounds ``0..k-1``; ``rounds``
+    bounds the feedback rounds)."""
+    weights = dict(spec.node_weights or ())
+    next_weights = blame_to_weights(
+        run.obs.critpath.per_node_blame(), get_policy(spec.policy)
+    )
+    record = FdoRound(len(earlier), weights, run.parallelism,
+                      run.stats.clock_divider, run.cycles, next_weights)
+    if not next_weights and not weights:
+        # No memory node on the measured path and no overrides in
+        # play: there is nothing for feedback to act on.
+        return record, "degenerate-profile"
+    if next_weights == weights:
+        return record, "weights-fixed-point"
+    if run.cycles in earlier:
+        # The loop revisited a makespan it already measured — it is
+        # oscillating between placements, not improving.
+        return record, "makespan-repeat"
+    if len(earlier) == rounds:
+        return record, "round-bound"
+    return record, replace(
+        spec,
+        parallelism=run.parallelism,
+        node_weights=tuple(next_weights.items()) or None,
+    )
+
+
 def run_fdo(
     spec: RunSpec, rounds: int = DEFAULT_ROUNDS, manifest_path=None
 ) -> FdoResult:
-    """Run the feedback-directed placement loop on ``spec``'s point.
-
-    Round 0 compiles ``spec`` itself; later rounds recompile it with the
-    weight map at the degree round 0 chose. ``rounds`` bounds the
-    *feedback* rounds; the static round 0 always runs, so at most
-    ``rounds + 1`` compile+simulate iterations execute.
-    ``manifest_path`` appends one deterministic JSONL record per round
-    (see :meth:`FdoRound.to_record`).
-
-    The timed runs have the critical-path profiler attached and run at
-    the divider their routed design achieved (``spec``'s own ``critpath``
-    and ``divider`` are overridden); profiling is zero-perturbation (the
-    simulated cycle counts are bit-identical with it on or off), so
-    round cycles are directly comparable to unprofiled runs of the same
-    artifact.
+    """The feedback loop on ``spec``'s point, one round at a time, at
+    most ``rounds + 1`` of them. ``manifest_path`` appends one
+    deterministic JSONL record per round (:meth:`FdoRound.to_record`).
     """
-    arch = spec.arch
-    spec = replace(
-        spec,
-        arch=replace(arch, sim=replace(arch.sim, critpath=True)),
-        divider=None,
-    )
-    policy = get_policy(spec.policy)
-    # Round 0 is the static compile: a cache hit when anything compiled
-    # this point before.
-    instance, compiled = compile_point(spec)
-
-    identity = {
-        "workload": spec.workload,
-        "config": spec.config.name,
-        "scale": spec.scale,
-        "seed": spec.seed,
-        "policy": spec.policy,
-    }
-    journal: list[FdoRound] = []
-    weights: dict[int, float] = {}
-    seen_cycles: set[int] = set()
-    stopped = "round-bound"
-
-    for rnd in range(rounds + 1):
-        if rnd:
-            # At the degree round 0's search chose: every round must
-            # lower the *same* DFG so the node ids the weight map names
-            # keep meaning the same loads.
-            compiled = compile_cached(
-                instance,
-                compiled.fabric,
-                spec.arch,
-                policy=policy,
-                parallelism=compiled.parallelism,
-                seed=spec.seed,
-                node_weights=weights,
-                mem_mode=spec.mem_mode,
-            )
-        run = run_point(spec, instance, compiled)
-        blame = run.obs.critpath.per_node_blame()
-        next_weights = blame_to_weights(blame, policy)
-        record = FdoRound(
-            round=rnd,
-            weights=dict(weights),
-            parallelism=compiled.parallelism,
-            divider=run.stats.clock_divider,
-            cycles=run.cycles,
-            next_weights=next_weights,
-            degenerate=not next_weights,
-        )
+    spec = round0 = fdo_round0(spec)
+    identity, journal = _identity(round0), []
+    while isinstance(spec, RunSpec):
+        run = run_point(spec, *compile_point(spec))
+        earlier = [r.cycles for r in journal]
+        record, spec = fdo_step(spec, run, earlier, rounds)
         journal.append(record)
         if manifest_path is not None:
             append_manifest(manifest_path, record.to_record(**identity))
-        if not next_weights and not weights:
-            # No memory node on the measured path and no overrides in
-            # play: there is nothing for feedback to act on.
-            stopped = "degenerate-profile"
-            break
-        if next_weights == weights:
-            stopped = "weights-fixed-point"
-            break
-        if run.cycles in seen_cycles:
-            # The loop revisited a makespan it already measured — it is
-            # oscillating between placements, not improving.
-            stopped = "makespan-repeat"
-            break
-        seen_cycles.add(run.cycles)
-        weights = next_weights
-
-    return FdoResult(**identity, rounds=journal, stopped=stopped)
+    return FdoResult(round0, journal, spec)

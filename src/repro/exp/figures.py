@@ -47,6 +47,7 @@ from repro.exp.configs import (
     primary_configs,
     upea,
 )
+from repro.exp.fdo import DEFAULT_ROUNDS, fdo_round0, fdo_step
 from repro.exp.runner import RunResult, compile_point
 from repro.exp.spec import RunSpec
 from repro.workloads.registry import ALL_WORKLOADS
@@ -828,19 +829,26 @@ def critval(grid: Grid, cells: Cells) -> FigureResult:
     return result
 
 
-#: Feedback rounds ``fig_fdo`` bounds each workload's loop at.
-FDO_ROUNDS = 3
-
-
 def _fdo_layout(grid: Grid, done: Results) -> Layout:
+    """The loop's rounds as far as ``done`` tells: each round that ran
+    gives the next (:func:`repro.exp.fdo.fdo_step`), or the loop stops."""
     layout = {}
     for name in grid.names():
         static = _point(name, grid, divider=None)
-        layout[name] = {
-            "static": static,
-            "profile-guided": _at_degree(done, static, profile_guided=True),
+        spec, cycles = fdo_round0(static), []
+        layout[name] = row = {
+            "profile-guided": _at_degree(
+                done, spec, profile_guided=True, arch=static.arch
+            ),
             "upea2": replace(static, config=upea(2)),
+            "round0": spec,
         }
+        while (run := done.get(spec)) is not None:
+            _, spec = fdo_step(spec, run, cycles, DEFAULT_ROUNDS)
+            if not isinstance(spec, RunSpec):
+                break
+            cycles.append(run.cycles)
+            row[f"round{len(cycles)}"] = spec
     return layout
 
 
@@ -850,22 +858,18 @@ def fig_fdo(grid: Grid, cells: Cells) -> FigureResult:
     For each workload, three Monaco compiles — plain static EFFCC,
     profile-guided criticality refinement
     (:func:`repro.core.profile.analyze_with_profile`), and the
-    feedback-directed loop's best round (:func:`repro.exp.fdo.run_fdo`)
-    — are each reported as speedup over the *same* UPEA2 baseline run.
-    The static and guided compiles share a parallelism degree, so the
+    feedback-directed loop's best round (:mod:`repro.exp.fdo`) — are
+    each reported as speedup over the *same* UPEA2 baseline run. The
+    static and guided compiles share a parallelism degree, so the
     columns isolate what the placement knows about criticality, not the
     lowering. Where the static class-A/B prediction matches the measured
     critical path, the three columns tie; the interesting rows are the
     recall misses, where measured blame finds critical loads the static
     heuristic did not.
 
-    The one build that does work of its own: the feedback loop is a
-    driver over rounds whose compiles depend on the previous round's
-    blame, so it runs here, in the parent, on the row's ``static``
-    point: its round 0 is that column's compile, a compile-cache hit.
+    The loop's rounds are the row's ``round<k>`` points, round 0 the
+    static column; a round whose PnR failed raises.
     """
-    from repro.exp.fdo import run_fdo
-
     result = FigureResult(
         "fig_fdo",
         "Speedup over UPEA2 by placement-criticality source "
@@ -874,13 +878,15 @@ def fig_fdo(grid: Grid, cells: Cells) -> FigureResult:
     )
     for name, row in cells.items():
         raw = {c: _cycles(run) for c, run in row.items()}
-        static = _point(name, grid, divider=None)
-        raw["fdo"] = float(run_fdo(static, rounds=FDO_ROUNDS).best_cycles)
+        rounds = [raw[c] for c in row if c.startswith("round")]
+        if math.inf in rounds:
+            raise ExperimentError(f"fdo {name}: a feedback round's PnR failed")
+        raw["static"], raw["fdo"] = rounds[0], min(rounds)
         result.raw[name] = raw
         result.rows[name] = {c: raw["upea2"] / raw[c] for c in result.columns}
     result.notes.append(
         "fdo column is each workload's best feedback round "
-        f"(bounded at {FDO_ROUNDS} rounds; repro fdo <workload> shows "
+        f"(bounded at {DEFAULT_ROUNDS} rounds; repro fdo <workload> shows "
         "the per-round trajectory)"
     )
     static, fdo = result.geomean("static"), result.geomean("fdo")
@@ -1233,8 +1239,8 @@ FIGURES = {
 @contextlib.contextmanager
 def _shared_cache(jobs: int):
     """Workers share artifacts only through a disk cache, and the
-    parent's artifact reads (and fdo's round 0) must find them there:
-    without a disk layer, a pooled graph attaches a temporary one."""
+    parent's artifact reads must find them there: without a disk layer,
+    a pooled graph attaches a temporary one."""
     if jobs <= 1 or GLOBAL_CACHE.disk_dir is not None:
         yield
         return

@@ -80,7 +80,6 @@ def compile_cached(
     parallelism: int | None = None,
     seed: int = 0,
     profile_guided: bool = False,
-    node_weights: dict[int, float] | None = None,
     mem_mode: str = "raw",
 ) -> CompiledKernel:
     """Compile with the shared cache (PnR is deterministic given the key).
@@ -91,11 +90,22 @@ def compile_cached(
     (``arch.sim``, ``arch.memory``) are not in it.
 
     ``profile_guided`` refines class-B/C criticality by a profiling run
-    on the instance's own inputs; ``node_weights`` overrides per-node
-    placement weights outright (:mod:`repro.exp.fdo`). Both change the
-    compiled artifact, so both are key members (``None`` when off), as
-    is ``mem_mode``, the memory-ordering lowering.
+    on the instance's own inputs; it changes the compiled artifact, so
+    it is a key member (``None`` when off), as is ``mem_mode``, the
+    memory-ordering lowering. Only :func:`compile_point` compiles with
+    per-node weight overrides.
     """
+    return _compile(
+        instance, fabric, arch, policy, parallelism, seed, profile_guided,
+        None, mem_mode,
+    )
+
+
+def _compile(
+    instance, fabric, arch, policy, parallelism, seed, profile_guided,
+    node_weights, mem_mode,
+) -> CompiledKernel:
+    """:func:`compile_cached`, plus ``node_weights`` pairs (or None)."""
     key = compile_key(
         instance.name,
         instance.meta.get("table1"),
@@ -120,7 +130,7 @@ def compile_cached(
             mem_mode=mem_mode,
             seed=seed,
             profile=profile,
-            node_weights=node_weights,
+            node_weights=dict(node_weights) if node_weights else None,
         ),
     )
 
@@ -143,15 +153,10 @@ def _attach_cache(cache_dir: str | None) -> None:
 def compile_point(spec: RunSpec) -> tuple[WorkloadInstance, CompiledKernel]:
     """Build ``spec``'s workload and compile it through the cache."""
     instance = make_workload(spec.workload, scale=spec.scale, seed=spec.seed)
-    compiled = compile_cached(
-        instance,
-        build_fabric(*spec.fabric),
-        spec.arch,
-        policy=get_policy(spec.policy),
-        parallelism=spec.parallelism,
-        seed=spec.seed,
-        profile_guided=spec.profile_guided,
-        mem_mode=spec.mem_mode,
+    compiled = _compile(
+        instance, build_fabric(*spec.fabric), spec.arch,
+        get_policy(spec.policy), spec.parallelism, spec.seed,
+        spec.profile_guided, spec.node_weights, spec.mem_mode,
     )
     return instance, compiled
 

@@ -45,10 +45,10 @@ def _column(value):
     return asdict(value) if is_dataclass(value) else value
 
 
-def weight_map_digest(node_weights: dict[int, float]) -> str:
-    """Stable 16-hex digest of a per-node weight override map."""
+def weight_map_digest(node_weights) -> str:
+    """Stable 16-hex digest of a per-node weight map (or its pairs)."""
     payload = json.dumps(
-        {str(int(n)): float(w) for n, w in node_weights.items()},
+        {str(int(n)): float(w) for n, w in dict(node_weights).items()},
         sort_keys=True,
     ).encode()
     return hashlib.sha256(payload).hexdigest()[:16]
@@ -62,9 +62,9 @@ def compile_key(
     policy: str,
     parallelism: int | None,
     seed: int,
-    profile_guided: bool = False,
-    node_weights: dict[int, float] | None = None,
-    mem_mode: str = "raw",
+    profile_guided: bool,
+    node_weights,
+    mem_mode: str,
 ) -> tuple:
     """The compile subset as a hashable key: every input that changes
     the PnR artifact, each member always present (``None`` when off).
@@ -72,7 +72,8 @@ def compile_key(
     ``sizes`` pins the kernel's problem sizes and ``fabric`` the target;
     ``seed`` is the *placement* seed. A profile-guided compile profiles
     the instance itself, which ``workload``/``sizes`` already name, so a
-    marker is enough to keep refined and static artifacts apart.
+    marker is enough to keep refined and static artifacts apart, and a
+    digest of ``node_weights``.
     """
     return (
         workload,
@@ -112,6 +113,9 @@ class RunSpec:
     parallelism: int | None = None
     #: Memory-ordering lowering (``raw`` fences or ``serialize``).
     mem_mode: str = "raw"
+    #: Per-node placement weights of a feedback round
+    #: (:mod:`repro.exp.fdo`), as sorted ``(nid, weight)`` pairs.
+    node_weights: tuple[tuple[int, float], ...] | None = None
 
     @property
     def key(self) -> tuple[str, str, int]:
@@ -131,7 +135,8 @@ class RunSpec:
         ``requested_parallelism``), so the resume journal can match
         records against points it has not run yet. ``faults`` is the
         fault model's signature and ``profile`` the profile-guided
-        marker; both are ``None`` when off. The
+        marker, ``node_weights`` the weight map's digest; all three are
+        ``None`` when off. The
         ``ArchParams`` fields PnR reads (``ARCH_COMPILE_FIELDS``, the
         list ``compile_key`` is built from) are columns too: a journal
         written under other ``noc_tracks`` / ``noc_model`` / ``timing``
@@ -158,6 +163,8 @@ class RunSpec:
             "profile": "guided" if self.profile_guided else None,
             "requested_parallelism": self.parallelism,
             "mem_mode": self.mem_mode,
+            "node_weights": weight_map_digest(self.node_weights)
+            if self.node_weights else None,
             **{
                 name: _column(getattr(self.arch, name))
                 for name in ARCH_COMPILE_FIELDS
@@ -190,7 +197,8 @@ class RunSpec:
             self.parallelism,
             self.seed,
             self.profile_guided,
-            mem_mode=self.mem_mode,
+            self.node_weights,
+            self.mem_mode,
         )
 
 

@@ -7,8 +7,8 @@ and the measured slowdown is within noise. It is **O(events) when on**:
 the engine hands the bus one record per executed fabric tick (emissions,
 firings, stall-bucket *changes*, pushes) and the sinks count at the
 source, so a probe costs per thing that happened, not per node per tick.
-The memory system and fabric-memory frontends publish their own events
-to the same :class:`~repro.obs.events.EventBus`; sinks turn the stream into
+The memory system publishes its own events to the same
+:class:`~repro.obs.events.EventBus`; sinks turn the stream into
 
 * a per-node **cycle-attribution table** over the stall taxonomy
   (:data:`~repro.obs.events.STALL_KINDS`),

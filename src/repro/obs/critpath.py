@@ -332,9 +332,13 @@ class CriticalPathRecorder:
         return eid
 
     def on_finish(self, stats) -> None:
-        """Walk the path, check the sum invariant, publish the report."""
+        """Walk the path, check the sum invariant, publish the report;
+        then keep only ``report`` and ``slack`` (the rest is log)."""
         self.report = self._build_report(stats.system_cycles)
         stats.critpath = self._compact(self.report)
+        for name in self.SNAPSHOT_STATE:
+            if name not in ("slack", "report"):
+                getattr(self, name).clear()
 
     # -- the backward walk -------------------------------------------------
 

@@ -1,10 +1,10 @@
 """Event taxonomy and the publish/subscribe bus.
 
-Publishers (the engine, :class:`~repro.sim.memsys.MemorySystem`, the
-Monaco FM-NoC frontends) call the ``EventBus`` methods below; sinks
-subscribe by implementing the matching ``on_*`` hooks. Handler lists are
-resolved once at :meth:`EventBus.attach` time so a publish is a plain
-loop over bound methods — no ``hasattr`` in the hot path. The engine
+Publishers (the engine, :class:`~repro.sim.memsys.MemorySystem`) call
+the ``EventBus`` methods below; sinks subscribe by implementing the
+matching ``on_*`` hooks. Handler lists are resolved once at
+:meth:`EventBus.attach` time so a publish is a plain loop over bound
+methods — no ``hasattr`` in the hot path. The engine
 publishes one :meth:`EventBus.tick` record per executed fabric tick and
 one :meth:`EventBus.skip` per scheduler jump, never one event per
 firing, token, node or idle cycle.
@@ -31,10 +31,11 @@ Stall taxonomy (per DFG node, per fabric tick):
     system cycles between fabric ticks (global, applies to all nodes
     equally — the fabric clock simply is not edging).
 
-Five event kinds: ``tick``, ``skip``, ``mem_service``, ``fmnoc`` and
-``finish``. The attribution reads only the tick records and the final
-``SimStats``, so the cycles the scheduler jumps over need no event of
-their own; ``skip`` feeds only the Chrome trace's scheduler lane.
+Four event kinds: ``tick``, ``skip``, ``mem_service`` and ``finish``.
+The attribution reads only the tick records and the final ``SimStats``,
+so the cycles the scheduler jumps over need no event of their own;
+``skip`` feeds only the Chrome trace's scheduler lane, and FM-NoC
+stage traffic follows from the firings and the placement.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ _HOOKS = {
     "skip": "on_skip",
     "tick": "on_tick",
     "mem_service": "on_mem_service",
-    "fmnoc": "on_fmnoc",
     "finish": "on_finish",
 }
 
@@ -115,12 +115,6 @@ class EventBus:
         """A bank served ``record`` (hit/miss and latency decided)."""
         for handler in self._handlers["mem_service"]:
             handler(now, record)
-
-    def fmnoc(self, now: int, stage: tuple) -> None:
-        """A request advanced through FM-NoC ``stage``:
-        ``("arb", row, domain)`` or ``("port", port_id)``."""
-        for handler in self._handlers["fmnoc"]:
-            handler(now, stage)
 
     def finish(self, stats) -> None:
         """The run reached quiescence; ``stats`` is the final SimStats."""

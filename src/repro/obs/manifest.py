@@ -37,7 +37,8 @@ import time
 #: v4: ``requested_parallelism``, ``mem_mode``, ``memory``,
 #: ``fifo_capacity`` and ``max_outstanding`` columns; ``divider`` may be
 #: ``None`` (the routed design's own).
-MANIFEST_SCHEMA = 4
+#: v5: ``node_weights`` column (a feedback-directed placement round).
+MANIFEST_SCHEMA = 5
 
 #: The ``ArchParams`` fields ``pnr/flow.py::compile_once`` reads: the one
 #: list behind both the compile-cache key
@@ -61,6 +62,7 @@ POINT_FIELDS = (
     "profile",
     "requested_parallelism",
     "mem_mode",
+    "node_weights",
     *ARCH_COMPILE_FIELDS,
     "memory",
     "fifo_capacity",

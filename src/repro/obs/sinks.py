@@ -285,15 +285,38 @@ class NocHeatmap:
 
 
 class FmnocHeatmap:
-    """Requests observed per fabric-memory NoC stage (arbiter or port)."""
+    """Requests per fabric-memory NoC stage (arbiter or port): issues
+    per memory node are counted, and every request of a node crosses the
+    stages :meth:`repro.arch.fmnoc.FMNoC.path` gives for its placed PE."""
 
-    SNAPSHOT_STATE = ("stage_traffic",)
+    SNAPSHOT_STATE = ("issues",)
 
-    def __init__(self) -> None:
-        self.stage_traffic: Counter = Counter()
+    def __init__(self, compiled, noc):
+        #: memory nid -> ``("arb", row, domain)``... ``("port", port)``;
+        #: empty when the frontend has no FM-NoC (``noc`` None).
+        self.stages: dict[int, tuple] = {}
+        if noc is not None:
+            for node in compiled.dfg.memory_nodes():
+                pe = compiled.fabric.pes[compiled.placement[node.nid]]
+                chain, port = noc.path(pe)
+                self.stages[node.nid] = tuple(
+                    ("arb", arb.row, arb.domain) for arb in chain
+                ) + (("port", port),)
+        self.issues: Counter = Counter()
 
-    def on_fmnoc(self, now: int, stage: tuple) -> None:
-        self.stage_traffic[stage] += 1
+    def on_tick(self, now: int, emitted, fired, changes, pushes) -> None:
+        issues = self.issues
+        for nid, _pops, mem, _emits in fired:
+            if mem:
+                issues[nid] += 1
+
+    @property
+    def stage_traffic(self) -> Counter:
+        out: Counter = Counter()
+        for nid, count in self.issues.items():
+            for stage in self.stages.get(nid, ()):
+                out[stage] += count
+        return out
 
     def render(self, top: int = 16) -> str:
         lines = ["FM-NoC stage traffic (requests per stage):"]
@@ -516,6 +539,7 @@ def make_observation(
     divider: int,
     edges: dict[tuple[int, int], tuple],
     address_map=None,
+    noc=None,
     trace: bool = True,
     chrome: bool = False,
     critpath: bool = False,
@@ -527,7 +551,8 @@ def make_observation(
     attaches attribution and both heatmaps, ``chrome`` the exporter,
     ``critpath`` the recorder, ``check`` the invariant checker — each
     switch pays only for what it names.
-    ``edges`` is :func:`repro.pnr.route.routed_edges` of the kernel."""
+    ``edges`` is :func:`repro.pnr.route.routed_edges` of the kernel,
+    ``noc`` the frontend's FM-NoC (None: it has none)."""
     obs = Observation()
     info = node_info_of(compiled) if trace or chrome else None
     if trace:
@@ -539,7 +564,7 @@ def make_observation(
         }
         obs.noc_heatmap = NocHeatmap(edges, fanout)
         obs.attach(obs.noc_heatmap)
-        obs.fmnoc_heatmap = FmnocHeatmap()
+        obs.fmnoc_heatmap = FmnocHeatmap(compiled, noc)
         obs.attach(obs.fmnoc_heatmap)
     if chrome:
         bank_of = address_map.bank if address_map is not None else None

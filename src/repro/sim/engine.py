@@ -158,6 +158,7 @@ def simulate(
             divider,
             edges,
             address_map=address_map,
+            noc=getattr(frontend, "noc", None),
             trace=arch.sim.trace,
             chrome=arch.sim.trace and arch.sim.trace_path is not None,
             critpath=arch.sim.critpath,
@@ -275,11 +276,10 @@ class _Engine:
         self.stats = SimStats(clock_divider=divider)
         #: Observability bus, or None (every probe off — the
         #: zero-overhead contract: every publish site below is gated on
-        #: this check). The memory system and frontend get it only where
-        #: a sink reads what they publish.
+        #: this check). The memory system gets it only where a sink
+        #: reads what it publishes.
         self.obs = obs
         memsys.obs = obs if obs and obs.hears("mem_service") else None
-        frontend.obs = obs if obs and obs.hears("fmnoc") else None
         #: Fault injector, or None (off — same zero-overhead contract:
         #: every consult site below is gated on this check).
         self.faults = faults

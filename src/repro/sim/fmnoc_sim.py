@@ -24,8 +24,7 @@ class _Arbiter:
 
     SNAPSHOT_STATE = ("rr", "latch")
 
-    def __init__(self, arb_id: ArbiterId, sources: list):
-        self.arb_id = arb_id
+    def __init__(self, sources: list):
         self.sources = sources  # PE coords and/or upstream ArbiterId
         self.rr = 0
         self.latch: RequestRecord | None = None
@@ -35,8 +34,6 @@ class MonacoFrontend:
     """Request-side fabric-memory NoC for the Monaco topology."""
 
     name = "monaco"
-    #: Observability bus (see :mod:`repro.obs`); None = tracing off.
-    obs = None
     #: Fault injector (see :mod:`repro.sim.faults`); None = off.
     faults = None
     #: Queues, latches and round-robin cursors (:mod:`repro.sim.snapshot`);
@@ -57,7 +54,7 @@ class MonacoFrontend:
                 s.coord if hasattr(s, "coord") else s
                 for s in self.noc.arbiter_inputs(arb_id)
             ]
-            self.arbiters[arb_id] = _Arbiter(arb_id, sources)
+            self.arbiters[arb_id] = _Arbiter(sources)
         #: port id -> list of sources (PE coords and/or ArbiterId).
         self.port_sources: dict[int, list] = {}
         self.port_rr: dict[int, int] = {}
@@ -99,10 +96,10 @@ class MonacoFrontend:
             (port, [handle(s) for s in self.port_sources[port]])
             for port in sorted(self.port_sources)
         ]
-        #: (arb_id, arbiter, [source handles]) nearest-to-memory domain
-        #: first — the order that advances a request one stage per cycle.
+        #: (arbiter, [source handles]) nearest-to-memory domain first —
+        #: the order that advances a request one stage per cycle.
         self._arb_plan = [
-            (arb_id, self.arbiters[arb_id],
+            (self.arbiters[arb_id],
              [handle(s) for s in self.arbiters[arb_id].sources])
             for arb_id in sorted(
                 self.arbiters, key=lambda a: (a.domain, a.row)
@@ -135,7 +132,6 @@ class MonacoFrontend:
             # empty) — the full scan below would be a provable no-op.
             return False
         moved = False
-        obs = self.obs
         faults = self.faults
         # 1. Ports consume (one request per port per cycle). A source
         # handle is either an upstream _Arbiter (take = drain its latch)
@@ -163,13 +159,11 @@ class MonacoFrontend:
                     self.port_rr[port] = (start + offset + 1) % n
                     self.in_network -= 1
                     deliver(record)
-                    if obs is not None:
-                        obs.fmnoc(now, ("port", port))
                     moved = True
                     break
         # 2. Arbiters refill their latches, nearest-to-memory domain first
         #    so a request advances at most one stage per cycle.
-        for arb_id, arbiter, handles in self._arb_plan:
+        for arbiter, handles in self._arb_plan:
             if arbiter.latch is not None:
                 continue
             start = arbiter.rr
@@ -192,10 +186,6 @@ class MonacoFrontend:
                         handle.popleft()
                     arbiter.rr = (start + offset + 1) % n
                     arbiter.latch = record
-                    if obs is not None:
-                        obs.fmnoc(
-                            now, ("arb", arb_id.row, arb_id.domain)
-                        )
                     moved = True
                     break
         return moved

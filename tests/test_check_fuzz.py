@@ -183,6 +183,35 @@ def test_shrink_skips_candidates_the_lowering_refuses():
     assert len(shrunk.body) < len(kernel.body)
 
 
+def test_shrink_reaches_binop_operands():
+    """The loop below must run at least once; ``w1 < 1`` is all that
+    needs. Regression: only whole statement-level expressions were
+    candidates, so the bound inside the condition stayed at 4."""
+    kernel = Kernel(
+        "bounded",
+        [],
+        [ArraySpec("A", 8, "i")],
+        [
+            Assign("w1", Const(0)),
+            While(
+                BinOp("<", Var("w1"), Const(4)),
+                [
+                    Store("A", Const(1), Const(1)),
+                    Assign("w1", BinOp("+", Var("w1"), Const(1))),
+                ],
+            ),
+        ],
+    )
+
+    def still_fails(k: Kernel) -> bool:
+        loops = [s for s in walk_stmts(k.body) if isinstance(s, While)]
+        return bool(loops) and run_kernel(k, {}, None)["A"][1] == 1
+
+    shrunk = shrink_kernel(kernel, still_fails)
+    (loop,) = [s for s in walk_stmts(shrunk.body) if isinstance(s, While)]
+    assert loop.cond == BinOp("<", Var("w1"), Const(1))
+
+
 # -- corpus reproducers ------------------------------------------------------
 
 

@@ -353,7 +353,7 @@ class TestSinkGuards:
         assert "(no token traffic recorded)" in NocHeatmap({}).render(12, 12)
 
     def test_fmnoc_heatmap_guards_empty_run(self):
-        assert "no arbitrated traffic" in FmnocHeatmap().render()
+        assert "no arbitrated traffic" in FmnocHeatmap(None, None).render()
 
 
 class TestByClassRollup:

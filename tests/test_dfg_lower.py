@@ -249,6 +249,28 @@ def test_loop_under_untaken_branch_does_not_leak_carry_init():
         assert got.memory == ref  # and quiescence found no leaked tokens
 
 
+def test_inject_takes_its_triggers_loop():
+    """An ``inject`` fires once per token of its trigger, so it belongs
+    to the trigger's region. Regression: it took the loop being lowered,
+    so the carry init of ``i`` below, triggered by the launch ``source``
+    (loop ``None``), was tagged with the loop it initializes."""
+    kernel = Kernel(
+        name="inject_tag",
+        params=[],
+        arrays=[ArraySpec("A", 4, "i")],
+        body=[
+            For("i", Const(0), Const(3), Const(1),
+                body=[Store("A", Var("i"), Var("i"))]),
+        ],
+    )
+    dfg = lower_kernel(kernel)
+    injects = ops_of(dfg, "inject")
+    assert any(node.tag == "inj:0" for node in injects)
+    for node in injects:
+        (trigger,) = node.inputs
+        assert node.attrs["loop"] == dfg.nodes[trigger.src].attrs["loop"]
+
+
 @pytest.mark.parametrize("order", DEFAULT_ORDERS)
 def test_nested_if_partial_write_family(order):
     """A variable one arm of a nested ``If`` writes is read by the arm.

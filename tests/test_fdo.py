@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -25,7 +26,7 @@ from repro.core.policy import EFFCC, PlacementPolicy
 from repro.exp.cache import GLOBAL_CACHE
 from repro.exp.configs import MONACO
 from repro.exp.fdo import FdoRound, blame_to_weights, run_fdo
-from repro.exp.runner import compile_cached
+from repro.exp.runner import compile_point
 from repro.exp.spec import RunSpec, weight_map_digest
 from repro.obs.critpath import blame_shares
 from repro.pnr.flow import compile_once
@@ -224,14 +225,9 @@ def test_fdo_improves_spmv_with_class_c_recall_miss():
     # Recall-miss evidence, from the journal itself: some node the
     # static analysis put in class C was proposed a weight well above
     # the class-C weight by measured blame.
-    compiled = compile_cached(
-        make_workload("spmv", scale="tiny", seed=0),
-        monaco(12, 12),
-        ArchParams(),
-        policy=EFFCC,
-        parallelism=round0.parallelism,
-        seed=0,
-    )
+    compiled = compile_point(
+        replace(_spec("spmv"), parallelism=round0.parallelism)
+    )[1]
     classes = {
         n.nid: n.criticality for n in compiled.dfg.memory_nodes()
     }
@@ -287,44 +283,19 @@ def test_fdo_manifest_journal_matches_result(tmp_path):
 # -- cache-key separation ------------------------------------------------
 
 
-def test_compile_cached_keys_profile_and_weights_separately():
+def test_compile_point_keys_profile_and_weights_separately():
     """Static, profile-guided and weight-overridden compiles of the same
     instance never alias each other in the cache."""
     GLOBAL_CACHE.clear()
-    instance = make_workload("spmspv", scale="tiny", seed=0)
-    fabric = monaco(12, 12)
-    arch = ArchParams()
-    static = compile_cached(
-        instance, fabric, arch, policy=EFFCC, parallelism=1, seed=0
-    )
-    guided = compile_cached(
-        instance,
-        fabric,
-        arch,
-        policy=EFFCC,
-        parallelism=1,
-        seed=0,
-        profile_guided=True,
-    )
+    point = replace(_spec("spmspv"), parallelism=1)
+    static = compile_point(point)[1]
+    guided = compile_point(replace(point, profile_guided=True))[1]
     mems = [n.nid for n in static.dfg.memory_nodes()]
-    weighted = compile_cached(
-        instance,
-        fabric,
-        arch,
-        policy=EFFCC,
-        parallelism=1,
-        seed=0,
-        node_weights={mems[0]: 8.0},
-    )
+    weighted = compile_point(replace(point, node_weights=((mems[0], 8.0),)))[1]
     assert static is not guided
     assert static is not weighted
     assert guided is not weighted
     assert "profile" in guided.meta and "profile" not in static.meta
-    assert "node_weights" in weighted.meta
+    assert weighted.meta["node_weights"] == {mems[0]: 8.0}
     # And a repeat static compile is still a cache hit on the old key.
-    assert (
-        compile_cached(
-            instance, fabric, arch, policy=EFFCC, parallelism=1, seed=0
-        )
-        is static
-    )
+    assert compile_point(point)[1] is static

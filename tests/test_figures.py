@@ -9,8 +9,10 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ExperimentError, RoutingError, ValidationError
-from repro.exp import fdo, runner
+from repro.exp import runner
 from repro.exp.cache import GLOBAL_CACHE
+from repro.exp.configs import MONACO
+from repro.exp.fdo import DEFAULT_ROUNDS, run_fdo
 from repro.exp.figures import (
     FIGURES,
     Entry,
@@ -21,6 +23,7 @@ from repro.exp.figures import (
     run_figures,
 )
 from repro.exp.report import format_figure
+from repro.exp.spec import RunSpec
 
 TINY_ONE = Grid(scale="tiny", workloads=("spmspv",))
 #: Fig. 16/17 on their 8x8 column only: the 24x24 compiles are what
@@ -33,9 +36,8 @@ ENTRIES = {**FIGURES, **SMALL_FABRICS}
 @pytest.fixture(scope="module")
 def tiny():
     """Every entry at ``tiny`` on one workload, built by one graph:
-    ``(tables, points the entries asked for, simulations outside fdo's
-    own rounds)``."""
-    asked, sims, rounds = set(), [], []
+    ``(tables, points the entries asked for, simulations)``."""
+    asked, sims = set(), []
 
     def recording(entry):
         def layout(grid, done):
@@ -48,25 +50,17 @@ def tiny():
 
         return Entry(layout, entry.build)
 
-    def counted(real, tally, count):
-        def wrapper(*args, **kwargs):
-            result = real(*args, **kwargs)
-            tally.append(count(result))
-            return result
+    def counted(*args, **kwargs):
+        sims.append(1)
+        return simulate(*args, **kwargs)
 
-        return wrapper
-
-    with mock.patch.object(
-        runner, "simulate", counted(runner.simulate, sims, lambda _: 1)
-    ), mock.patch.object(
-        fdo, "run_fdo",
-        counted(fdo.run_fdo, rounds, lambda result: len(result.rounds)),
-    ):
+    simulate = runner.simulate
+    with mock.patch.object(runner, "simulate", counted):
         tables = run_figures(
             {name: recording(entry) for name, entry in ENTRIES.items()},
             TINY_ONE,
         )
-    return tables, asked, len(sims) - sum(rounds)
+    return tables, asked, len(sims)
 
 
 @pytest.mark.parametrize("name", list(FIGURES))
@@ -90,6 +84,19 @@ def test_every_entry_runs_at_tiny_on_one_workload(name, tiny):
 def test_the_graph_simulates_each_distinct_point_once(tiny):
     _, asked, sims = tiny
     assert sims == len(asked)
+
+
+def test_the_fdo_table_walks_the_rounds_repro_fdo_runs(tiny):
+    """The table walks the feedback rounds through the graph; ``repro
+    fdo`` drives the same rule one round at a time."""
+    tables, _, _ = tiny
+    loop = run_fdo(
+        RunSpec("spmspv", MONACO, scale="tiny", divider=None),
+        rounds=DEFAULT_ROUNDS,
+    )
+    raw = tables["fdo"].raw["spmspv"]
+    assert raw["static"] == loop.baseline_cycles
+    assert raw["fdo"] == loop.best_cycles
 
 
 def test_adding_fig14_after_fig11_adds_only_its_upea_points():

@@ -348,9 +348,10 @@ class TestNumaCounters:
         assert "counter numa-" in run.obs.attribution.render()
 
 
-def test_a_traced_run_publishes_five_event_kinds(monkeypatch):
-    """Only ``tick``, ``skip``, ``mem_service``, ``fmnoc`` and ``finish``
-    reach the bus: no per-cycle gap event, no per-request counter."""
+def test_a_traced_run_publishes_four_event_kinds(monkeypatch):
+    """Only ``tick``, ``skip``, ``mem_service`` and ``finish`` reach the
+    bus: no per-cycle gap event, no per-request counter, no per-stage
+    FM-NoC event."""
     import repro.obs.sinks
 
     class Census:
@@ -373,37 +374,36 @@ def test_a_traced_run_publishes_five_event_kinds(monkeypatch):
         return obs
 
     monkeypatch.setattr(repro.obs.sinks, "make_observation", with_census)
-    run = _run(_traced_arch(), config=numa(2))
-    assert run.stats.skipped_cycles > 0
-    assert set(census.kinds) <= {
-        "tick", "skip", "mem_service", "fmnoc", "finish",
-    }, census.kinds
-    assert census.kinds["tick"] > 0 and census.kinds["finish"] == 1
+    for config in (numa(2), MONACO):
+        census.kinds.clear()
+        run = _run(_traced_arch(), config=config)
+        assert run.stats.skipped_cycles > 0
+        assert set(census.kinds) <= {
+            "tick", "skip", "mem_service", "finish",
+        }, census.kinds
+        assert census.kinds["tick"] > 0 and census.kinds["finish"] == 1
 
 
 def test_publishers_get_the_bus_only_for_a_reader(monkeypatch, tmp_path):
     """The memory system publishes only when a sink reads bank service
-    (the Chrome sink), the frontend only when one reads FM-NoC stages
-    (the FM-NoC heatmap): a critpath-only or check-only run makes no
-    publish call into an empty handler list."""
+    (the Chrome sink): a run without one makes no publish call into an
+    empty handler list."""
     from repro.sim.engine import _Engine
 
     wired = []
     real = _Engine.run
 
     def spy(engine):
-        wired.append(
-            (engine.memsys.obs is not None, engine.frontend.obs is not None)
-        )
+        wired.append(engine.memsys.obs is not None)
         return real(engine)
 
     monkeypatch.setattr(_Engine, "run", spy)
     chrome = str(tmp_path / "trace.json")
     for sim, expected in (
-        (dict(check=True), (False, False)),
-        (dict(critpath=True), (False, False)),
-        (dict(trace=True), (False, True)),
-        (dict(trace=True, trace_path=chrome), (True, True)),
+        (dict(check=True), False),
+        (dict(critpath=True), False),
+        (dict(trace=True), False),
+        (dict(trace=True, trace_path=chrome), True),
     ):
         wired.clear()
         run = _run(ArchParams(sim=SimParams(**sim)))

@@ -64,6 +64,7 @@ FLIPS = {
     "profile_guided": replace(BASE, profile_guided=True),
     "parallelism": replace(BASE, parallelism=2),
     "mem_mode": replace(BASE, mem_mode="serialize"),
+    "node_weights": replace(BASE, node_weights=((3, 2.5),)),
     "arch.noc_tracks": replace(BASE, arch=_arch(noc_tracks=5)),
     "arch.noc_model": replace(BASE, arch=_arch(noc_model="monaco-tracks")),
     "arch.timing": replace(
@@ -86,7 +87,7 @@ FLIPS = {
 POINT_SUBSET = {
     "workload", "config", "scale", "seed", "divider", "divider.routed",
     "policy", "fabric", "fabric.variant", "profile_guided", "parallelism",
-    "mem_mode", "arch.sim.faults",
+    "mem_mode", "node_weights", "arch.sim.faults",
     # What PnR reads off ArchParams changes the artifact a point runs.
     "arch.noc_tracks", "arch.noc_model", "arch.timing",
     # Simulator knobs that move the cycles. Regression: a default, a
@@ -101,7 +102,7 @@ POINT_INVARIANT = {"arch.sim.trace", "arch.sim.critpath", "arch.sim.check"}
 COMPILE_SUBSET = {
     "workload", "scale", "seed", "policy", "fabric",
     "fabric.variant", "profile_guided", "parallelism", "mem_mode",
-    "arch.noc_tracks", "arch.noc_model", "arch.timing",
+    "node_weights", "arch.noc_tracks", "arch.noc_model", "arch.timing",
 }
 
 

@@ -424,17 +424,18 @@ class TestRejection:
             load_snapshot(path)
 
     def test_version_skew_refused(self, tmp_path):
-        # Versions 1-7 are real history: their state has another layout
+        # Versions 1-8 are real history: their state has another layout
         # (1: no open runs, per-edge token counters; 2: a ``skipped``
         # bucket beside the open runs; 3: a handler table naming
         # ``on_gap`` / ``on_counter``; 4: the invariant checker as a
         # ``check`` entry beside the bus; 5: a ``mem`` block in the
         # stats state; 6: hand-keyed engine tables and the probe object
         # pickled whole; 7: an arbiter stall counter and a fault-stream
-        # draw counter), so a snapshot from those builds must be
+        # draw counter; 8: FM-NoC stage traffic counted per stage rather
+        # than issues per node), so a snapshot from those builds must be
         # refused by name, up front.
         path = self._snap(tmp_path)
-        for version in (99, 1, 2, 3, 4, 5, 6, 7):
+        for version in (99, 1, 2, 3, 4, 5, 6, 7, 8):
             self._rewrite(
                 path, lambda blob: blob.__setitem__("version", version)
             )
