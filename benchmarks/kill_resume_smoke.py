@@ -1,7 +1,7 @@
-"""CI guard: a SIGKILLed sweep resumes from its snapshots bit-identically.
+"""CI guard: a SIGKILLed sweep or probed run resumes bit-identically.
 
-End-to-end preemption drill, driven through the real CLI in real
-subprocesses (no cooperation from the victim):
+Two end-to-end preemption drills, driven through the real CLI in real
+subprocesses (no cooperation from the victim). The sweep drill:
 
 1. run a clean reference sweep and key its manifest by point digest;
 2. launch the same sweep with ``--snapshot-dir``/``--checkpoint-every``,
@@ -21,10 +21,17 @@ subprocesses (no cooperation from the victim):
    carries ``resume.from_cycle > 0`` with its final attempt executing
    fewer cycles than the whole run.
 
-The kill races the sweep by construction; if the victim finishes before
-the signal lands, the drill degrades to the plain resume-skips-all path
-(still asserted) and says so. CI treats that as success — the race is
-rare at small scale and the bit-identity contract is covered either way.
+The probed-run drill kills ``repro run ic --scale small --critpath
+--critpath-json J --trace-path T --stats-json S --snapshot-dir D
+--checkpoint-every 500`` once its first snapshot publishes, reruns the
+same argv — which continues from the snapshot and the recording's
+sidecar — and asserts ``J``, ``T`` and ``S`` equal an uninterrupted
+run's byte for byte.
+
+Each kill races its victim by construction; if the victim finishes
+before the signal lands, the drill degrades to the plain path (still
+asserted) and says so. CI treats that as success — the race is rare at
+small scale and the bit-identity contract is covered either way.
 
 Run: ``python benchmarks/kill_resume_smoke.py [--workdir DIR] [--keep]``
 """
@@ -53,6 +60,13 @@ SCALE = "small"
 CHECKPOINT_EVERY = "500"
 #: How long to wait for the victim's first snapshot file.
 SNAPSHOT_WAIT_S = 120.0
+#: The probed run of the second drill, and the files it writes.
+PROBED_RUN = ["run", "ic", "--scale", SCALE, "--critpath"]
+PROBED_OUTPUTS = {
+    "--critpath-json": "critpath.json",
+    "--trace-path": "trace.json",
+    "--stats-json": "stats.json",
+}
 
 
 def sweep_cmd(
@@ -94,12 +108,60 @@ def sweep_cmd(
     return cmd
 
 
+def probed_run_cmd(out: Path, snapshot_dir: Path | None = None) -> list[str]:
+    cmd = [sys.executable, "-m", "repro", *PROBED_RUN]
+    for flag, name in PROBED_OUTPUTS.items():
+        cmd += [flag, str(out / name)]
+    if snapshot_dir is not None:
+        cmd += [
+            "--snapshot-dir",
+            str(snapshot_dir),
+            "--checkpoint-every",
+            CHECKPOINT_EVERY,
+        ]
+    return cmd
+
+
 def run(cmd: list[str], log: Path) -> None:
     env = {**os.environ, "PYTHONPATH": "src"}
     with open(log, "ab") as handle:
         subprocess.run(
             cmd, cwd=REPO, env=env, stdout=handle, stderr=handle, check=True
         )
+
+
+def kill_after_first_snapshot(
+    cmd: list[str], snaps: Path, log: Path
+) -> tuple[bool, int]:
+    """Run ``cmd``; SIGKILL it as soon as a snapshot appears in
+    ``snaps``. Returns whether the kill landed, and the exit code."""
+    env = {**os.environ, "PYTHONPATH": "src"}
+    with open(log, "ab") as handle:
+        victim = subprocess.Popen(
+            cmd, cwd=REPO, env=env, stdout=handle, stderr=handle
+        )
+        killed = False
+        deadline = time.monotonic() + SNAPSHOT_WAIT_S
+        while time.monotonic() < deadline:
+            if victim.poll() is not None:
+                break
+            if list(snaps.glob("*.snap")):
+                victim.send_signal(signal.SIGKILL)
+                killed = True
+                break
+            time.sleep(0.02)
+        returncode = victim.wait(timeout=60)
+    if killed:
+        assert returncode != 0, "SIGKILLed victim exited 0"
+        print(
+            f"      killed mid-flight (rc={returncode}); snapshots on "
+            f"disk: {[p.name for p in sorted(snaps.glob('*.snap'))]}"
+        )
+    else:
+        assert returncode == 0, f"victim failed on its own: {log}"
+        print("      victim finished before the kill landed; the drill "
+              "degrades to its plain path")
+    return killed, returncode
 
 
 def keyed_ok(manifest: Path) -> dict:
@@ -110,23 +172,7 @@ def keyed_ok(manifest: Path) -> dict:
     }
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--workdir",
-        type=Path,
-        default=None,
-        help="where manifests/snapshots/logs land (default: a temp dir)",
-    )
-    parser.add_argument(
-        "--keep",
-        action="store_true",
-        help="keep the workdir for triage instead of deleting it",
-    )
-    args = parser.parse_args()
-
-    workdir = args.workdir or Path(tempfile.mkdtemp(prefix="kill-resume-"))
-    workdir.mkdir(parents=True, exist_ok=True)
+def sweep_drill(workdir: Path) -> None:
     cache = workdir / "cache"
     snaps = workdir / "snaps"
     clean_manifest = workdir / "clean.jsonl"
@@ -146,37 +192,9 @@ def main() -> int:
 
     # 2. Victim sweep: SIGKILL as soon as the first snapshot publishes.
     print("[2/4] victim sweep, SIGKILL after first snapshot")
-    env = {**os.environ, "PYTHONPATH": "src"}
-    with open(log, "ab") as handle:
-        victim = subprocess.Popen(
-            sweep_cmd(victim_manifest, cache, snapshot_dir=snaps),
-            cwd=REPO,
-            env=env,
-            stdout=handle,
-            stderr=handle,
-        )
-        killed = False
-        deadline = time.monotonic() + SNAPSHOT_WAIT_S
-        while time.monotonic() < deadline:
-            if victim.poll() is not None:
-                break
-            if list(snaps.glob("*.snap")):
-                victim.send_signal(signal.SIGKILL)
-                killed = True
-                break
-            time.sleep(0.02)
-        returncode = victim.wait(timeout=60)
-
-    if killed:
-        assert returncode != 0, "SIGKILLed sweep exited 0"
-        print(
-            f"      killed mid-flight (rc={returncode}); snapshots on "
-            f"disk: {[p.name for p in sorted(snaps.glob('*.snap'))]}"
-        )
-    else:
-        assert returncode == 0, f"victim sweep failed on its own: {log}"
-        print("      victim finished before the kill landed; the drill "
-              "degrades to resume-skips-all")
+    killed, _returncode = kill_after_first_snapshot(
+        sweep_cmd(victim_manifest, cache, snapshot_dir=snaps), snaps, log
+    )
     first = clean_manifest.read_text().splitlines()[0]
     torn = first[: len(first) // 2]
     with open(victim_manifest, "a") as handle:
@@ -261,6 +279,58 @@ def main() -> int:
         f"({len(raw_resumed)} resumed mid-flight, "
         f"{len(snapshots)} snapshot journal records)"
     )
+
+
+def probed_run_drill(workdir: Path) -> None:
+    """SIGKILL a probed ``repro run`` mid-simulation, rerun the same
+    argv, and compare its probe files with an uninterrupted run's."""
+    clean, victim = workdir / "probed-clean", workdir / "probed-victim"
+    snaps = workdir / "probed-snaps"
+    log = workdir / "probed-log.txt"
+    for out in (clean, victim):
+        out.mkdir(parents=True, exist_ok=True)
+    print(f"[1/3] uninterrupted probed run -> {clean}")
+    run(probed_run_cmd(clean), log)
+    print("[2/3] probed run, SIGKILL after first snapshot, same argv again")
+    argv = probed_run_cmd(victim, snapshot_dir=snaps)
+    killed, _returncode = kill_after_first_snapshot(argv, snaps, log)
+    rerun_log = workdir / "probed-rerun.txt"
+    run(argv, rerun_log)
+    if killed:
+        assert "resumed from" in rerun_log.read_text(), (
+            f"the rerun started over instead of resuming: {rerun_log}"
+        )
+    print("[3/3] comparing probe files byte for byte")
+    for name in PROBED_OUTPUTS.values():
+        assert (victim / name).read_bytes() == (clean / name).read_bytes(), (
+            f"resumed {name} differs from the uninterrupted run's"
+        )
+    leftover = list(snaps.iterdir())
+    assert not leftover, f"resumed run left files behind: {leftover}"
+    print(f"OK: {', '.join(PROBED_OUTPUTS.values())} bit-identical")
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--workdir",
+        type=Path,
+        default=None,
+        help="where manifests/snapshots/logs land (default: a temp dir)",
+    )
+    parser.add_argument(
+        "--keep",
+        action="store_true",
+        help="keep the workdir for triage instead of deleting it",
+    )
+    args = parser.parse_args()
+
+    workdir = args.workdir or Path(tempfile.mkdtemp(prefix="kill-resume-"))
+    workdir.mkdir(parents=True, exist_ok=True)
+    print("sweep drill")
+    sweep_drill(workdir)
+    print("probed-run drill")
+    probed_run_drill(workdir)
     if not args.keep and args.workdir is None:
         shutil.rmtree(workdir, ignore_errors=True)
     return 0

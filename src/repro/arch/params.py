@@ -127,31 +127,29 @@ class SimParams:
     #: Absolute cycle budget (safety net).
     max_cycles: int = 200_000_000
     #: Cycle-attribution tracing (see :mod:`repro.obs`). Off by default:
-    #: with ``trace=False`` the engine publishes nothing and stats are
+    #: with every probe off the engine records nothing and stats are
     #: bit-identical to a build without the observability layer.
     trace: bool = False
     #: When tracing, also collect a Chrome ``trace_event`` timeline and —
     #: if a path is given — write it at the end of the run.
     trace_path: str | None = None
     #: Dynamic critical-path profiling (see :mod:`repro.obs.critpath`).
-    #: Off by default and wired like ``trace``: with ``critpath=False``
-    #: the engine publishes nothing and results are bit-identical to a
-    #: build without the profiler; with it on, the recorder only
-    #: *listens*, so simulated results are still bit-identical — the
-    #: attribution lands in ``SimStats.critpath`` (a compare-excluded
-    #: field) and the full report on ``Observation.critpath``.
+    #: Off by default and wired like ``trace``: the report is built from
+    #: the run's recording, so simulated results are still bit-identical
+    #: — the attribution lands in ``SimStats.critpath`` (a
+    #: compare-excluded field) and the full report on
+    #: ``Observation.critpath``.
     critpath: bool = False
     #: Deterministic fault injection (see :class:`FaultParams` and
-    #: :mod:`repro.sim.faults`). ``None`` = off; the off-path publishes
+    #: :mod:`repro.sim.faults`). ``None`` = off; the off-path consults
     #: nothing and is verified bit-identical to a build without the
     #: fault layer.
     faults: FaultParams | None = None
     #: Runtime invariant checking (see :mod:`repro.check.invariants`).
-    #: Off by default and wired like ``critpath``: one more sink of the
-    #: observability bus, reading the tick records and, at quiescence,
-    #: the final stats. Off, nothing is attached; on, the checker never
-    #: writes simulator state, so results are still bit-identical — a
-    #: violation raises instead.
+    #: Off by default and wired like ``critpath``: its rules replay the
+    #: run's recording, and at quiescence it audits the final stats. On,
+    #: the checker never writes simulator state, so results are still
+    #: bit-identical — a violation raises instead.
     check: bool = False
 
     def __post_init__(self):

@@ -11,9 +11,9 @@ guards the compiler's output with a fifth:
   (:func:`check_kernel` / :func:`check_workload`) that runs one kernel
   through all three layers and diffs final array states plus op/firing
   counts into a structured :class:`ConformanceReport`;
-* :mod:`repro.check.invariants` — **runtime invariant checkers** wired
-  into the simulator exactly like the observability bus (None-gated,
-  zero overhead when off, bit-identical results either way): token
+* :mod:`repro.check.invariants` — **runtime invariant checkers** run
+  over the simulator's recording exactly like the other probes (zero
+  overhead when off, bit-identical results either way): token
   conservation, FIFO capacity, memory-ordering monotonicity and
   stats-ledger identities;
 * :mod:`repro.check.lint` — a **DFG static lint pass** (dangling ports,

@@ -1,21 +1,23 @@
 """Runtime invariant checkers for the cycle-level simulator.
 
-:class:`InvariantChecker` is one more sink of the observability bus
-(:mod:`repro.obs.events`), attached by
-:func:`repro.obs.sinks.make_observation` under ``ArchParams.sim.check``.
-Its rules read only the engine's ``tick`` records — emitted responses,
-committed firings and the memory requests they issued, the pushes about
-to commit — and it counts each node's requests in flight itself; only
-:meth:`InvariantChecker.finish` reads the final stats and the quiescent
-engine. It never writes simulator state, so checked results are
-bit-identical; only a *violation* changes behaviour, by raising
+:class:`InvariantChecker` runs under ``ArchParams.sim.check``. Its
+rules read only the run's recording (:mod:`repro.obs.events`) — emitted
+responses, committed firings and the memory requests they issued, the
+pushes each tick commits — and it counts each node's requests in flight
+itself. ``simulate`` replays the recording through the rules once the
+run ends, and also before an engine error (deadlock, FIFO overflow,
+``max_cycles``) propagates, so a failing checked run raises the first
+violation in tick order; only :meth:`InvariantChecker.finish`, the live
+end-of-run audit, reads the final stats and the quiescent engine. It
+never writes simulator state, so checked results are bit-identical;
+only a *violation* changes behaviour, by raising
 :class:`InvariantViolation`.
 
 Invariant catalog (see INTERNALS Sec. 8):
 
 **Shadow-FIFO timestamps** (token conservation + cadence).  The checker
 mirrors every token FIFO with a queue of *push cycles*. A push is
-recorded from the tick record, which the engine publishes just before
+replayed from its tick's rows, which the engine records just before
 committing it; a pop asserts the shadow queue is non-empty and that the
 front stamp is strictly older than the current cycle (pushes commit at
 end-of-tick and become consumable at the next fabric tick). Together with the per-edge ``pushed == popped`` audit at
@@ -60,6 +62,7 @@ from collections import deque
 from repro.dfg.graph import DFG, PortRef
 from repro.errors import SimulationError
 from repro.isa import MEMORY_OPS
+from repro.obs.events import ISSUE, POPS, PUSH
 
 
 class InvariantViolation(SimulationError):
@@ -73,13 +76,6 @@ class InvariantViolation(SimulationError):
 
 class InvariantChecker:
     """Runtime invariant checks over one engine run (see module doc)."""
-
-    #: The shadow FIFOs and ledgers (:mod:`repro.sim.snapshot`); the
-    #: fan-out and memory predecessors are rebuilt from the DFG.
-    SNAPSHOT_STATE = (
-        "shadow", "pushed", "popped", "fired", "issues", "responses",
-        "_last_seq", "_inflight", "_first_emit",
-    )
 
     def __init__(self, dfg: DFG, capacity: int, max_outstanding: int):
         self.dfg = dfg
@@ -125,18 +121,23 @@ class InvariantChecker:
         node = self.dfg.nodes[nid]
         return f"node {nid} ({node.op} {node.tag!r})"
 
-    # -- the tick record (see ``EventBus.tick``) -----------------------------
+    # -- the recording (see :mod:`repro.obs.events`) ----------------------
 
-    def on_tick(self, now: int, emitted, fired, changes, pushes) -> None:
-        """Run the rules over one executed fabric tick, in record order."""
-        for record, _node, _domain in emitted:
-            self.response(now, record.nid, record)
-        for nid, pops, issued, _emits in fired:
-            self.fire(now, nid, pops)
-            if issued:
-                self.issue(now, nid)
-        if pushes:
-            self.commit(now, pushes)
+    def replay(self, recording) -> None:
+        """Run the rules over every recorded tick, in run order."""
+        for now, emitted, fired, _changes in recording.each_tick():
+            pushes = []
+            for nid, seq, issue, _enq, _serve, _done, arrived, *_ in emitted:
+                self.response(now, nid, seq, issue, arrived)
+                pushes.append(nid)
+            for nid, mask, effect in fired:
+                self.fire(now, nid, POPS[mask])
+                if effect == ISSUE:
+                    self.issue(now, nid)
+                elif effect == PUSH:
+                    pushes.append(nid)
+            if pushes:
+                self.commit(now, pushes)
 
     # -- rules --------------------------------------------------------------
 
@@ -196,35 +197,35 @@ class InvariantChecker:
                     f"(cycle {first})",
                 )
 
-    def response(self, now: int, nid: int, record) -> None:
-        """A memory response was emitted into the fabric at ``now``."""
+    def response(
+        self, now: int, nid: int, seq: int, issue: int, arrived: int
+    ) -> None:
+        """A memory response (request ``seq``, issued at ``issue``, back
+        at the PE at ``arrived``) was emitted into the fabric at ``now``."""
         self.responses += 1
         self._inflight[nid] = self._inflight.get(nid, 0) - 1
-        if record.arrived_cycle is None or not (
-            record.issue_cycle <= record.arrived_cycle <= now
-        ):
+        if not issue <= arrived <= now:
             self._fail(
                 "response-timing",
                 f"{self._describe(nid)} emitted a response at cycle "
-                f"{now} with issue={record.issue_cycle} "
-                f"arrived={record.arrived_cycle}; emission must follow "
-                "arrival, which must follow issue",
+                f"{now} with issue={issue} arrived={arrived}; emission "
+                "must follow arrival, which must follow issue",
             )
         last = self._last_seq.get(nid)
-        if last is not None and record.seq <= last:
+        if last is not None and seq <= last:
             self._fail(
                 "response-order",
-                f"{self._describe(nid)} delivered seq {record.seq} "
-                f"after seq {last}; loads deliver responses in issue "
-                "order",
+                f"{self._describe(nid)} delivered seq {seq} after seq "
+                f"{last}; loads deliver responses in issue order",
             )
-        self._last_seq[nid] = record.seq
+        self._last_seq[nid] = seq
         self._first_emit.setdefault(nid, now)
 
-    def commit(self, now: int, pushes: list) -> None:
-        """This tick's token pushes, which the engine commits next."""
+    def commit(self, now: int, pushes: list[int]) -> None:
+        """This tick's token pushes (their producers, in commit order),
+        which the engine commits next."""
         fanout = self._fanout
-        for nid, _value in pushes:
+        for nid in pushes:
             for key in fanout[nid]:
                 queue = self.shadow[key]
                 queue.append(now)

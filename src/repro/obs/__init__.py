@@ -1,22 +1,22 @@
 """Observability: cycle attribution, tracing, heatmaps, run manifests.
 
-The subsystem is **zero-overhead when off**: with ``ArchParams.sim.trace``
-false (the default) the engine holds ``obs = None`` and every publish
-site is a single attribute check — simulated results are bit-identical
-and the measured slowdown is within noise. It is **O(events) when on**:
-the engine hands the bus one record per executed fabric tick (emissions,
-firings, stall-bucket *changes*, pushes) and the sinks count at the
-source, so a probe costs per thing that happened, not per node per tick.
-The memory system publishes its own events to the same
-:class:`~repro.obs.events.EventBus`; sinks turn the stream into
+The subsystem is **zero-overhead when off**: with every probe off (the
+default) the engine holds ``recording = None`` and every record site is
+a single attribute check — simulated results are bit-identical and the
+measured slowdown is within noise. It is **O(events) when on**: the
+engine appends integer rows to one :class:`~repro.obs.events.Recording`
+(emissions, firings, stall-bucket *changes* when a probe reads them,
+scheduler jumps, and bank services for the timeline), so a probe costs
+per thing that happened, not per node per tick. Once the run ends the
+probes are built from the recording:
 
 * a per-node **cycle-attribution table** over the stall taxonomy
   (:data:`~repro.obs.events.STALL_KINDS`),
 * **NoC-link and FM-NoC-stage traffic heatmaps** keyed by the compiled
   placement,
-* a Chrome ``trace_event`` JSON viewable in Perfetto / ``chrome://tracing``.
+* a Chrome ``trace_event`` JSON viewable in Perfetto / ``chrome://tracing``,
+* the critical path (:mod:`repro.obs.critpath`).
 
-:func:`~repro.obs.sinks.make_observation` assembles the standard sink set
-for one run; :mod:`repro.obs.manifest` emits structured JSONL run
-manifests.
+:func:`~repro.obs.sinks.make_observation` builds them for one run;
+:mod:`repro.obs.manifest` emits structured JSONL run manifests.
 """

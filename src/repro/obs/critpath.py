@@ -2,10 +2,10 @@
 
 The stall taxonomy (:mod:`repro.obs.sinks`) says *where* cycles went;
 this module says *why the makespan is what it is*. A
-:class:`CriticalPathRecorder` subscribes to the engine's event bus and,
-for every committed node firing and every memory-response emission,
-records the **last-arrival predecessor** — the one event whose completion
-released this one:
+:class:`CriticalPathRecorder` replays the run's recording
+(:mod:`repro.obs.events`) and, for every committed node firing and every
+memory-response emission, finds the **last-arrival predecessor** — the
+one event whose completion released this one:
 
 * the final operand token's push (data dependence),
 * the pop that freed a previously-full consumer FIFO (backpressure
@@ -20,13 +20,13 @@ released this one:
   initiation-interval constraint),
 * nothing — a root event (e.g. a source's first firing at tick 0).
 
-After the run, walking backwards from the terminal event reconstructs
-the exact critical path. Each edge's span decomposes into categories
+Walking backwards from the terminal event reconstructs the exact
+critical path. Each edge's span decomposes into categories
 (:data:`CATEGORIES`) whose costs **sum exactly to** ``system_cycles`` —
 a structural identity, not an approximation: predecessor cycles
 telescope along the walk, every edge decomposition is exhaustive, and
 the root/drain residues are charged to ``other``. The recorder asserts
-the identity at finish and the report carries it.
+the identity and the report carries it.
 
 On top of the path the recorder derives
 
@@ -39,10 +39,10 @@ On top of the path the recorder derives
   by at most the cycles the path spends in that load's round-trips.
 
 Design constraints, matching the rest of :mod:`repro.obs`: the recorder
-is plain data (picklable across the parallel harness's workers), costs
-nothing when not attached (the engine's publish sites are gated on
-``obs is None``), and is insensitive to event-driven cycle skipping
-(skipped spans contain no events by construction).
+is plain data (picklable across the parallel harness's workers) that
+keeps only its report and slack histograms once built, and is
+insensitive to event-driven cycle skipping (skipped spans contain no
+events by construction).
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from collections import Counter, deque
 
 from repro.dfg.graph import PortRef, node_label
 from repro.errors import SimulationError
+from repro.obs.events import ISSUE, POPS, PUSH
 
 #: Fine-grained attribution categories, in reporting order. Costs over
 #: the critical path sum exactly to ``system_cycles``.
@@ -146,224 +147,65 @@ def blame_shares(report: dict) -> dict[int, dict]:
 
 
 class CriticalPathRecorder:
-    """Last-arrival edge recorder + backward-walk blame attribution.
+    """Backward-walk blame attribution over a run's recording.
 
-    Subscribes to ``tick`` — of each record the emitted responses (with
-    the full :class:`~repro.sim.memsys.RequestRecord` milestone ledger),
-    the committed firings (with their popped ports) and the pushes (to
-    mirror the engine's FIFOs) — and to ``finish`` (runs the walk and
-    publishes the report into ``stats.critpath``).
+    Built once the run ends: :class:`_ReleaseEdges` replays the recorded
+    ticks — each emitted response with its
+    :class:`~repro.sim.memsys.RequestRecord` milestones, each committed
+    firing with its popped ports, and the pushes (mirroring the engine's
+    FIFOs) — into an event log, the walk over that log becomes
+    ``report``, and the log is dropped.
     """
-
-    #: The shadow FIFOs, release bookkeeping, event log and slack
-    #: histograms (:mod:`repro.sim.snapshot`); node metadata and fan-out
-    #: are rebuilt from the compiled kernel.
-    SNAPSHOT_STATE = (
-        "_fifo", "_unblock", "_out_count", "_out_unblock", "_issue",
-        "_last_emit", "_last_fire", "ev_cycle", "ev_kind", "ev_nid",
-        "ev_pred", "ev_edge", "ev_ms", "slack", "report",
-    )
 
     def __init__(
         self,
+        recording,
         compiled,
         divider: int,
+        system_cycles: int,
         fifo_capacity: int = 2,
         max_outstanding: int = 2,
     ):
         dfg = compiled.dfg
         self.divider = divider
-        self.capacity = fifo_capacity
-        self.max_outstanding = max_outstanding
-
         #: nid -> (label, criticality class, op).
-        self.node_meta: dict[int, tuple[str, str, str]] = {}
-        for nid, node in dfg.nodes.items():
-            self.node_meta[nid] = (node_label(node), node.criticality, node.op)
-
-        # Shadow token FIFOs holding *event ids* of the pushes, mirrored
-        # from each tick record (pushes commit at end-of-tick while pops
-        # see only earlier ticks, so mirror order is exact).
-        self._fifo: dict[tuple[int, int], deque] = {}
-        for node in dfg.nodes.values():
-            for index, inp in enumerate(node.inputs):
-                if isinstance(inp, PortRef):
-                    self._fifo[(node.nid, index)] = deque()
-        #: producer nid -> its consumer FIFO keys (for release edges).
-        self._consumer_keys: dict[int, tuple] = {
-            nid: tuple(sinks) for nid, sinks in dfg.consumers().items()
-        }
-
-        # Release bookkeeping.
-        self._unblock: dict[tuple[int, int], tuple[int, int]] = {}
-        self._out_count: dict[int, int] = {}
-        self._out_unblock: dict[int, tuple[int, int]] = {}
-        self._issue: dict[int, deque] = {
-            n.nid: deque() for n in dfg.memory_nodes()
-        }
-        self._last_emit: dict[int, int] = {}
-        self._last_fire: dict[int, int] = {}
-
-        # The event log: parallel lists (compact, pickle-fast).
-        self.ev_cycle: list[int] = []
-        self.ev_kind: list[int] = []
-        self.ev_nid: list[int] = []
-        self.ev_pred: list[int] = []
-        self.ev_edge: list[int] = []
-        #: eid -> (issue, enqueue, serve, complete, arrived) milestones
-        #: of emission events.
-        self.ev_ms: dict[int, tuple[int, int, int, int, int]] = {}
-
-        #: load nid -> Counter of observed operand slacks (cycles the
-        #: response could have been later without delaying the consumer).
-        self.slack: dict[int, Counter] = {}
-        self._loads = {
-            n.nid for n in dfg.memory_nodes() if n.op == "load"
+        self.node_meta: dict[int, tuple[str, str, str]] = {
+            nid: (node_label(node), node.criticality, node.op)
+            for nid, node in dfg.nodes.items()
         }
         self._memory = {n.nid for n in dfg.memory_nodes()}
-
-        #: Full report dict, built at finish (see :meth:`on_finish`).
-        self.report: dict = {}
-
-    # -- event construction ----------------------------------------------
-
-    def _append(
-        self, now: int, kind: int, nid: int, pred: int, edge: int
-    ) -> int:
-        eid = len(self.ev_cycle)
-        self.ev_cycle.append(now)
-        self.ev_kind.append(kind)
-        self.ev_nid.append(nid)
-        self.ev_pred.append(pred)
-        self.ev_edge.append(edge)
-        return eid
-
-    # -- hooks -------------------------------------------------------------
-
-    def on_tick(self, now: int, emitted, fired, changes, pushes) -> None:
-        """One fabric tick: emissions, then firings, then the pushes —
-        each mirrored into the consumers' shadow FIFOs tagged with the
-        event that produced it (a node's emission before its firing)."""
-        tick_src: dict[int, list[int]] = {}
-        for record, _node, _domain in emitted:
-            tick_src.setdefault(record.nid, []).append(self._emit(now, record))
-        for nid, pops, mem, emits in fired:
-            eid = self._fire(now, nid, pops, mem, emits)
-            if emits:
-                tick_src.setdefault(nid, []).append(eid)
-        fifo = self._fifo
-        for src, _value in pushes:
-            eid = tick_src[src].pop(0)
-            for key in self._consumer_keys.get(src, ()):
-                fifo[key].append(eid)
-
-    def _fire(self, now: int, nid: int, pops, mem: bool, emits: bool) -> int:
-        """A committed firing: ``pops`` port indices were consumed;
-        ``mem`` issued a memory request; ``emits`` pushes a token."""
-        cands: list[tuple[int, int, int]] = []
-        freed: list[tuple[int, int]] = []
-        for index in pops:
-            queue = self._fifo[(nid, index)]
-            if len(queue) >= self.capacity:
-                freed.append((nid, index))
-            src_ev = queue.popleft()
-            cands.append((self.ev_cycle[src_ev], src_ev, OPERAND))
-        prev = self._last_fire.get(nid)
-        if prev is not None:
-            cands.append((self.ev_cycle[prev], prev, SELF))
-        if emits:
-            for key in self._consumer_keys.get(nid, ()):
-                unblock = self._unblock.get(key)
-                if unblock is not None:
-                    cands.append((unblock[0], unblock[1], SPACE))
-        if mem:
-            unblock = self._out_unblock.get(nid)
-            if unblock is not None:
-                cands.append((unblock[0], unblock[1], ORDER))
-        if cands:
-            bind_cycle, pred_ev, edge = max(cands)
-            eid = self._append(now, _KIND_FIRE, nid, pred_ev, edge)
-            # Slack of every load-fed operand against the binding arrival.
-            for cycle, src_ev, kind in cands:
-                if kind != OPERAND or self.ev_kind[src_ev] != _KIND_EMIT:
-                    continue
-                src_nid = self.ev_nid[src_ev]
-                if src_nid in self._loads:
-                    self.slack.setdefault(src_nid, Counter())[
-                        bind_cycle - cycle
-                    ] += 1
-        else:
-            eid = self._append(now, _KIND_FIRE, nid, -1, ROOT)
-        for key in freed:
-            self._unblock[key] = (now, eid)
-        if mem:
-            self._issue[nid].append(eid)
-            self._out_count[nid] = self._out_count.get(nid, 0) + 1
-        self._last_fire[nid] = eid
-        return eid
-
-    def _emit(self, now: int, record) -> int:
-        """A memory response was emitted at its PE: chain back to the
-        issuing firing, unless ordering or backpressure bound later."""
-        nid = record.nid
-        issue_ev = self._issue[nid].popleft()
-        cands = [(record.arrived_cycle, issue_ev, CHAIN)]
-        prev = self._last_emit.get(nid)
-        if prev is not None:
-            cands.append((self.ev_cycle[prev], prev, ORDER))
-        for key in self._consumer_keys.get(nid, ()):
-            unblock = self._unblock.get(key)
-            if unblock is not None:
-                cands.append((unblock[0], unblock[1], SPACE))
-        _cycle, pred_ev, edge = max(cands)
-        eid = self._append(now, _KIND_EMIT, nid, pred_ev, edge)
-        self.ev_ms[eid] = (
-            record.issue_cycle,
-            record.enqueue_cycle,
-            record.serve_cycle,
-            record.complete_cycle,
-            record.arrived_cycle,
-        )
-        was = self._out_count.get(nid, 0)
-        self._out_count[nid] = was - 1
-        if was >= self.max_outstanding:
-            self._out_unblock[nid] = (now, eid)
-        self._last_emit[nid] = eid
-        return eid
-
-    def on_finish(self, stats) -> None:
-        """Walk the path, check the sum invariant, publish the report;
-        then keep only ``report`` and ``slack`` (the rest is log)."""
-        self.report = self._build_report(stats.system_cycles)
-        stats.critpath = self._compact(self.report)
-        for name in self.SNAPSHOT_STATE:
-            if name not in ("slack", "report"):
-                getattr(self, name).clear()
+        log = _ReleaseEdges(dfg, fifo_capacity, max_outstanding)
+        log.replay(recording)
+        #: load nid -> Counter of observed operand slacks (cycles the
+        #: response could have been later without delaying the consumer).
+        self.slack: dict[int, Counter] = log.slack
+        #: The full report dict (see :meth:`_build_report`).
+        self.report: dict = self._build_report(log, system_cycles)
 
     # -- the backward walk -------------------------------------------------
 
-    def _walk(self, system_cycles: int):
+    def _walk(self, log, system_cycles: int):
         categories = {cat: 0 for cat in CATEGORIES}
         per_mem: dict[int, int] = {}
         path_events: Counter = Counter()
         edge_counts: Counter = Counter()
-        n = len(self.ev_cycle)
+        n = len(log.ev_cycle)
         if n == 0:
             # Zero-event run (nothing ever fired): the whole makespan is
             # unattributable residue, but the invariant still holds.
             categories["other"] = system_cycles
             return categories, per_mem, path_events, edge_counts
         cur = n - 1  # events are appended in cycle order; last = terminal
-        categories["other"] += system_cycles - self.ev_cycle[cur]  # drain
+        categories["other"] += system_cycles - log.ev_cycle[cur]  # drain
         divider = self.divider
         while cur != -1:
-            nid = self.ev_nid[cur]
+            nid = log.ev_nid[cur]
             path_events[nid] += 1
-            pred = self.ev_pred[cur]
-            edge = self.ev_edge[cur]
+            pred = log.ev_pred[cur]
+            edge = log.ev_edge[cur]
             edge_counts[_EDGE_NAMES[edge]] += 1
-            start = self.ev_cycle[pred] if pred != -1 else 0
-            span = self.ev_cycle[cur] - start
+            start = log.ev_cycle[pred] if pred != -1 else 0
+            span = log.ev_cycle[cur] - start
             if edge == ROOT:
                 categories["other"] += span
             elif edge == SPACE:
@@ -378,12 +220,12 @@ class CriticalPathRecorder:
                     categories["divider-stretch"] += stretch
                     categories["other"] += span - 1 - stretch
             else:  # CHAIN: the milestone ledger partitions the span.
-                issue, enqueue, serve, complete, arrived = self.ev_ms[cur]
+                issue, enqueue, serve, complete, arrived = log.ev_ms[cur]
                 categories["fmnoc-request"] += enqueue - issue
                 categories["mem-bank"] += serve - enqueue
                 categories["mem-service"] += complete - serve
                 categories["noc-response"] += arrived - complete
-                tail = self.ev_cycle[cur] - arrived
+                tail = log.ev_cycle[cur] - arrived
                 stretch = min(divider - 1, tail)
                 categories["divider-stretch"] += stretch
                 categories["other"] += tail - stretch
@@ -391,9 +233,9 @@ class CriticalPathRecorder:
             cur = pred
         return categories, per_mem, path_events, edge_counts
 
-    def _build_report(self, system_cycles: int) -> dict:
+    def _build_report(self, log, system_cycles: int) -> dict:
         categories, per_mem, path_events, edge_counts = self._walk(
-            system_cycles
+            log, system_cycles
         )
         attributed = sum(categories.values())
         if attributed != system_cycles:
@@ -454,7 +296,7 @@ class CriticalPathRecorder:
         ]
         return {
             "system_cycles": system_cycles,
-            "events": len(self.ev_cycle),
+            "events": len(log.ev_cycle),
             "path_events": sum(path_events.values()),
             "edge_counts": {k: edge_counts[k] for k in sorted(edge_counts)},
             "categories": categories,
@@ -463,9 +305,9 @@ class CriticalPathRecorder:
             "top_loads": top_loads,
         }
 
-    @staticmethod
-    def _compact(report: dict) -> dict:
+    def compact(self) -> dict:
         """The manifest/SimStats view: everything except per-node detail."""
+        report = self.report
         return {
             "system_cycles": report["system_cycles"],
             "events": report["events"],
@@ -491,8 +333,6 @@ class CriticalPathRecorder:
     def render(self, top: int = 10) -> str:
         """Human-readable critical-path report."""
         report = self.report
-        if not report:
-            return "critical path: (no report; run not finished)"
         sc = report["system_cycles"]
         lines = [
             f"critical path over {sc} system cycles "
@@ -542,3 +382,147 @@ class CriticalPathRecorder:
                 "  (no memory round-trips on the critical path)"
             )
         return "\n".join(lines)
+
+
+class _ReleaseEdges:
+    """The last-arrival edge of every recorded event, replayed in run
+    order: shadow FIFOs of event ids mirror the engine's token FIFOs
+    (pushes commit at end-of-tick while pops see only earlier ticks, so
+    mirror order is exact), plus the release bookkeeping of backpressure
+    and memory ordering."""
+
+    def __init__(self, dfg, fifo_capacity: int, max_outstanding: int):
+        self.capacity = fifo_capacity
+        self.max_outstanding = max_outstanding
+        self._fifo: dict[tuple[int, int], deque] = {}
+        for node in dfg.nodes.values():
+            for index, inp in enumerate(node.inputs):
+                if isinstance(inp, PortRef):
+                    self._fifo[(node.nid, index)] = deque()
+        #: producer nid -> its consumer FIFO keys (for release edges).
+        self._consumer_keys: dict[int, tuple] = {
+            nid: tuple(sinks) for nid, sinks in dfg.consumers().items()
+        }
+        self._unblock: dict[tuple[int, int], tuple[int, int]] = {}
+        self._out_count: dict[int, int] = {}
+        self._out_unblock: dict[int, tuple[int, int]] = {}
+        self._issue: dict[int, deque] = {
+            n.nid: deque() for n in dfg.memory_nodes()
+        }
+        self._last_emit: dict[int, int] = {}
+        self._last_fire: dict[int, int] = {}
+        self._loads = {
+            n.nid for n in dfg.memory_nodes() if n.op == "load"
+        }
+        # The event log: parallel lists (compact, fast to index).
+        self.ev_cycle: list[int] = []
+        self.ev_kind: list[int] = []
+        self.ev_nid: list[int] = []
+        self.ev_pred: list[int] = []
+        self.ev_edge: list[int] = []
+        #: eid -> (issue, enqueue, serve, complete, arrived) milestones
+        #: of emission events.
+        self.ev_ms: dict[int, tuple[int, int, int, int, int]] = {}
+        #: See :attr:`CriticalPathRecorder.slack`.
+        self.slack: dict[int, Counter] = {}
+
+    def _append(
+        self, now: int, kind: int, nid: int, pred: int, edge: int
+    ) -> int:
+        eid = len(self.ev_cycle)
+        self.ev_cycle.append(now)
+        self.ev_kind.append(kind)
+        self.ev_nid.append(nid)
+        self.ev_pred.append(pred)
+        self.ev_edge.append(edge)
+        return eid
+
+    def replay(self, recording) -> None:
+        """Each recorded tick: emissions, then firings, then the pushes —
+        each mirrored into the consumers' shadow FIFOs tagged with the
+        event that produced it (a node's emission before its firing)."""
+        fifo, consumer_keys = self._fifo, self._consumer_keys
+        for now, emitted, fired, _changes in recording.each_tick():
+            produced = []
+            for nid, _seq, *milestones, _hops, _hit, _index in emitted:
+                produced.append((nid, self._emit(now, nid, *milestones)))
+            for nid, mask, effect in fired:
+                eid = self._fire(
+                    now, nid, POPS[mask], effect == ISSUE,
+                    effect == PUSH,
+                )
+                if effect == PUSH:
+                    produced.append((nid, eid))
+            for nid, eid in produced:
+                for key in consumer_keys.get(nid, ()):
+                    fifo[key].append(eid)
+
+    def _fire(self, now: int, nid: int, pops, mem: bool, emits: bool) -> int:
+        """A committed firing: ``pops`` port indices were consumed;
+        ``mem`` issued a memory request; ``emits`` pushes a token."""
+        cands: list[tuple[int, int, int]] = []
+        freed: list[tuple[int, int]] = []
+        for index in pops:
+            queue = self._fifo[(nid, index)]
+            if len(queue) >= self.capacity:
+                freed.append((nid, index))
+            src_ev = queue.popleft()
+            cands.append((self.ev_cycle[src_ev], src_ev, OPERAND))
+        prev = self._last_fire.get(nid)
+        if prev is not None:
+            cands.append((self.ev_cycle[prev], prev, SELF))
+        if emits:
+            for key in self._consumer_keys.get(nid, ()):
+                unblock = self._unblock.get(key)
+                if unblock is not None:
+                    cands.append((unblock[0], unblock[1], SPACE))
+        if mem:
+            unblock = self._out_unblock.get(nid)
+            if unblock is not None:
+                cands.append((unblock[0], unblock[1], ORDER))
+        if cands:
+            bind_cycle, pred_ev, edge = max(cands)
+            eid = self._append(now, _KIND_FIRE, nid, pred_ev, edge)
+            # Slack of every load-fed operand against the binding arrival.
+            for cycle, src_ev, kind in cands:
+                if kind != OPERAND or self.ev_kind[src_ev] != _KIND_EMIT:
+                    continue
+                src_nid = self.ev_nid[src_ev]
+                if src_nid in self._loads:
+                    self.slack.setdefault(src_nid, Counter())[
+                        bind_cycle - cycle
+                    ] += 1
+        else:
+            eid = self._append(now, _KIND_FIRE, nid, -1, ROOT)
+        for key in freed:
+            self._unblock[key] = (now, eid)
+        if mem:
+            self._issue[nid].append(eid)
+            self._out_count[nid] = self._out_count.get(nid, 0) + 1
+        self._last_fire[nid] = eid
+        return eid
+
+    def _emit(
+        self, now: int, nid: int, issue: int, enqueue: int, serve: int,
+        complete: int, arrived: int,
+    ) -> int:
+        """A memory response was emitted at its PE: chain back to the
+        issuing firing, unless ordering or backpressure bound later."""
+        issue_ev = self._issue[nid].popleft()
+        cands = [(arrived, issue_ev, CHAIN)]
+        prev = self._last_emit.get(nid)
+        if prev is not None:
+            cands.append((self.ev_cycle[prev], prev, ORDER))
+        for key in self._consumer_keys.get(nid, ()):
+            unblock = self._unblock.get(key)
+            if unblock is not None:
+                cands.append((unblock[0], unblock[1], SPACE))
+        _cycle, pred_ev, edge = max(cands)
+        eid = self._append(now, _KIND_EMIT, nid, pred_ev, edge)
+        self.ev_ms[eid] = (issue, enqueue, serve, complete, arrived)
+        was = self._out_count.get(nid, 0)
+        self._out_count[nid] = was - 1
+        if was >= self.max_outstanding:
+            self._out_unblock[nid] = (now, eid)
+        self._last_emit[nid] = eid
+        return eid

@@ -1,13 +1,11 @@
-"""Event taxonomy and the publish/subscribe bus.
+"""Event taxonomy and the run recording every probe is built from.
 
-Publishers (the engine, :class:`~repro.sim.memsys.MemorySystem`) call
-the ``EventBus`` methods below; sinks subscribe by implementing the
-matching ``on_*`` hooks. Handler lists are resolved once at
-:meth:`EventBus.attach` time so a publish is a plain loop over bound
-methods — no ``hasattr`` in the hot path. The engine
-publishes one :meth:`EventBus.tick` record per executed fabric tick and
-one :meth:`EventBus.skip` per scheduler jump, never one event per
-firing, token, node or idle cycle.
+When any probe is on, the engine (and, for the timeline, the memory
+system) appends what happened to one :class:`Recording`: integer
+columns of fixed-width rows, no Python object per event. Once the run
+ends, each probe is a function of that recording, the compiled kernel
+and the final ``SimStats`` (:func:`repro.obs.sinks.make_observation`,
+:meth:`repro.check.invariants.InvariantChecker.replay`).
 
 Stall taxonomy (per DFG node, per fabric tick):
 
@@ -30,15 +28,11 @@ Stall taxonomy (per DFG node, per fabric tick):
 ``divider-gap``
     system cycles between fabric ticks (global, applies to all nodes
     equally — the fabric clock simply is not edging).
-
-Four event kinds: ``tick``, ``skip``, ``mem_service`` and ``finish``.
-The attribution reads only the tick records and the final ``SimStats``,
-so the cycles the scheduler jumps over need no event of their own;
-``skip`` feeds only the Chrome trace's scheduler lane, and FM-NoC
-stage traffic follows from the firings and the placement.
 """
 
 from __future__ import annotations
+
+from array import array
 
 #: Classification of a node firing (not a stall, but the sixth bucket
 #: every attributed fabric tick falls into).
@@ -53,70 +47,110 @@ STALL_KINDS = (
     "divider-gap",
 )
 
-#: Buckets a single fabric tick can put one node into.
+#: Buckets a single fabric tick can put one node into; a ``changes``
+#: row stores a bucket as its index here.
 TICK_KINDS = (FIRE,) + STALL_KINDS[:4]
 
-#: publisher method name -> sink hook name.
-_HOOKS = {
-    "skip": "on_skip",
-    "tick": "on_tick",
-    "mem_service": "on_mem_service",
-    "finish": "on_finish",
+#: Column -> the fields of one of its rows, in order. ``ticks`` holds
+#: one row per executed fabric tick that emitted, fired or changed a
+#: bucket, with the end offsets (in array items) of its rows in the
+#: three per-tick columns. Within a tick, emissions precede firings, and
+#: every emission and every ``PUSH`` firing pushes one token onto each
+#: consumer FIFO of its node, in that order — the tick's pushes.
+FIELDS = {
+    "ticks": ("now", "emitted_end", "fired_end", "changes_end"),
+    "emitted": (
+        "nid", "seq", "issue", "enqueue", "serve", "complete", "arrived",
+        "response_hops", "hit", "index",
+    ),
+    "fired": ("nid", "pops", "effect"),
+    "changes": ("nid", "bucket"),
+    "skips": ("now", "target"),
+    "services": ("now", "complete", "address", "hit"),
 }
 
+#: A ``fired`` row's ``effect``: the firing pushed nothing, pushed a
+#: token, or issued a memory request.
+SILENT, PUSH, ISSUE = 0, 1, 2
 
-class EventBus:
-    """Fan-out from simulator publish sites to attached sinks."""
 
-    def __init__(self) -> None:
-        self.sinks: list = []
-        self._handlers: dict[str, list] = {name: [] for name in _HOOKS}
-        #: Whether any attached sink reads the tick record's bucket
-        #: changes (it says so with a true ``TAKES_BUCKETS``); the engine
-        #: classifies stalls only then.
-        self.wants_buckets = False
+class _Pops(dict):
+    """A firing's ``pops`` (its port indices, ascending:
+    :func:`repro.dfg.ops.compile_rule`) <-> the bitmask a ``fired`` row
+    stores: ``POPS[pops]`` is the mask, ``POPS[mask]`` the pops."""
 
-    def attach(self, sink) -> None:
-        """Subscribe ``sink``; its ``on_*`` hooks are resolved now."""
-        self.sinks.append(sink)
-        self.wants_buckets |= getattr(sink, "TAKES_BUCKETS", False)
-        for publish, hook in _HOOKS.items():
-            method = getattr(sink, hook, None)
-            if method is not None:
-                self._handlers[publish].append(method)
+    def __missing__(self, key):
+        if isinstance(key, int):
+            value = tuple(i for i in range(key.bit_length()) if key >> i & 1)
+        else:
+            value = sum(1 << index for index in key)
+        self[key] = value
+        return value
 
-    def hears(self, kind: str) -> bool:
-        """Whether some attached sink reads the ``kind`` events; the
-        engine gives a publisher the bus only then."""
-        return bool(self._handlers[kind])
 
-    # -- publisher API ----------------------------------------------------
-    # One method per event kind; each is a plain loop over bound hooks.
+POPS = _Pops()
 
-    def skip(self, now: int, target: int) -> None:
-        """The scheduler jumped from ``now`` to ``target`` (quiescent)."""
-        for handler in self._handlers["skip"]:
-            handler(now, target)
 
-    def tick(self, now: int, emitted, fired, changes, pushes) -> None:
-        """One executed fabric tick, as one record of what happened in it,
-        in engine order: ``emitted`` memory responses ``(record, node,
-        domain)``; committed firings ``fired`` ``(nid, pops, issued_mem,
-        emits)``; ``changes`` — ``(nid, bucket)`` for each node whose
-        TICK_KINDS bucket differs from the previous executed tick's (every
-        node on the first tick and the first after a restore; empty
-        unless :attr:`wants_buckets`); and the ``pushes`` ``(src, value)``
-        about to commit onto every consumer FIFO of ``src`` — a node's
-        emission precedes its firing there as in ``emitted``/``fired``."""
-        for handler in self._handlers["tick"]:
-            handler(now, emitted, fired, changes, pushes)
+class Recording:
+    """What one probed run did, as ``array('q')`` columns (see
+    :data:`FIELDS`). ``changes`` is kept only when a probe reads stall
+    buckets (attribution, timeline), ``services`` (bank services) only
+    for the timeline; the other four always."""
 
-    def mem_service(self, now: int, record) -> None:
-        """A bank served ``record`` (hit/miss and latency decided)."""
-        for handler in self._handlers["mem_service"]:
-            handler(now, record)
+    def __init__(self, buckets: bool, services: bool):
+        self.ticks = array("q")
+        self.emitted = array("q")
+        self.fired = array("q")
+        self.changes = array("q") if buckets else None
+        self.skips = array("q")
+        self.services = array("q") if services else None
+        #: Column -> items already in a snapshot's sidecar
+        #: (:func:`repro.sim.snapshot.append_sidecar`).
+        self.saved: dict[str, int] = {}
 
-    def finish(self, stats) -> None:
-        """The run reached quiescence; ``stats`` is the final SimStats."""
-        for handler in self._handlers["finish"]:
-            handler(stats)
+    def lengths(self) -> dict[str, int]:
+        """Column name -> items recorded so far, for each kept column."""
+        columns = {name: getattr(self, name) for name in FIELDS}
+        return {name: len(c) for name, c in columns.items() if c is not None}
+
+    def mark(self) -> tuple[tuple[str, ...], bytes]:
+        """What a snapshot keeps of the recording: its column names and
+        lengths, the lengths fixed-width so a snapshot's size does not
+        depend on how far the run got (the rows live in the sidecar,
+        :mod:`repro.sim.snapshot`)."""
+        lengths = self.lengths()
+        return tuple(lengths), array("Q", lengths.values()).tobytes()
+
+    def load(self, data: dict[str, array]) -> None:
+        """Refill every column in place (the engine and memory system
+        hold the arrays) from a sidecar that holds them already."""
+        for name in self.lengths():
+            getattr(self, name)[:] = data[name]
+        self.saved = self.lengths()
+
+    def each_tick(self):
+        """Per recorded tick, ``(now, emitted, fired, changes)``: its rows
+        of each, as tuples of their :data:`FIELDS`."""
+        ticks, rows = self.ticks, self.rows
+        e0 = f0 = c0 = 0
+        for row in range(0, len(ticks), 4):
+            now, e1, f1, c1 = ticks[row:row + 4]
+            yield (
+                now, rows("emitted", e0, e1), rows("fired", f0, f1),
+                rows("changes", c0, c1),
+            )
+            e0, f0, c0 = e1, f1, c1
+
+    def rows(self, name: str, start: int = 0, end: int | None = None):
+        """The rows of column ``name`` between two item offsets (all of
+        them by default), as tuples of its :data:`FIELDS`."""
+        column, width = getattr(self, name), len(FIELDS[name])
+        if not column or start == end:
+            return ()
+        return zip(*[column[start + k:end:width] for k in range(width)])
+
+
+def lengths_of(mark) -> dict[str, int]:
+    """Column name -> length, from a :meth:`Recording.mark`."""
+    names, packed = mark
+    return dict(zip(names, array("Q", packed)))

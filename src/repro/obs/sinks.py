@@ -1,23 +1,31 @@
-"""Standard sinks for the observability bus.
+"""The standard probes, each built from a run's recording.
 
-Each sink subscribes to the subset of events it needs (see
-:mod:`repro.obs.events`); all of them are plain-data accumulators that
-render to text, so they survive pickling across the parallel harness's
-worker processes and two identical runs produce identical sinks. Each
-declares what it accumulates in ``SNAPSHOT_STATE``
-(:mod:`repro.sim.snapshot`); what it was built from (node info, routed
-edges, fan-out) is rebuilt by :func:`make_observation` on resume.
+:func:`make_observation` builds the probes a run asked for from its
+:class:`~repro.obs.events.Recording` and final stats once the run ends;
+all of them are plain-data reports that render to text, so they
+survive pickling across the parallel harness's worker processes, two
+identical runs produce identical probes, and none keeps the recording.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 from collections import Counter
+from dataclasses import dataclass
+from itertools import compress
 
 from repro.arch.noc import Coord
 from repro.dfg.graph import node_label
 from repro.isa import MEMORY_OPS
-from repro.obs.events import FIRE, STALL_KINDS, TICK_KINDS, EventBus
+from repro.obs.events import (
+    FIRE,
+    ISSUE,
+    PUSH,
+    STALL_KINDS,
+    TICK_KINDS,
+    Recording,
+)
 
 
 class CycleAttribution:
@@ -31,19 +39,22 @@ class CycleAttribution:
         sum(per_node[nid].values()) + divider_gap == system_cycles + 1
 
     (the +1 is the final quiescence-check cycle, which is executed but
-    does not advance the clock). The account is a function of the tick
-    records and the final stats: a node's bucket is an open run keyed by
-    the tick number ``now // divider``, booked into ``per_node`` when it
-    changes (cost per change, not per node per tick); ``on_finish``
-    closes the runs at ``system_cycles // divider + 1`` ticks and derives
-    the gap from the identity above. A tick the scheduler jumps over
-    changes no bucket, so it needs no event.
+    does not advance the clock). The account is a function of the
+    recorded bucket changes and the final stats: a node's bucket is an
+    open run keyed by the tick number ``now // divider``, booked into
+    ``per_node`` when it changes (cost per change, not per node per
+    tick); the runs close at ``system_cycles // divider + 1`` ticks and
+    the gap follows from the identity above. A tick the scheduler jumps
+    over changes no bucket, so it needs no row.
     """
 
-    TAKES_BUCKETS = True
-    SNAPSHOT_STATE = ("per_node", "_open", "divider_gap", "ticks", "counters")
-
-    def __init__(self, node_info: dict[int, tuple], divider: int):
+    def __init__(
+        self,
+        node_info: dict[int, tuple],
+        divider: int,
+        recording: Recording,
+        stats,
+    ):
         #: nid -> (label, criticality, pe coord, op).
         self.node_info = node_info
         #: Fabric clock divider: cycle ``now`` is tick ``now // divider``.
@@ -52,31 +63,21 @@ class CycleAttribution:
             nid: Counter() for nid in node_info
         }
         #: nid -> (bucket, tick number it was entered at): the open runs.
-        self._open: dict[int, tuple[str, int]] = {}
-        #: Totals, set by :meth:`on_finish`.
-        self.divider_gap = 0
-        self.ticks = 0
-        #: NUMA access locality (``numa-local`` / ``numa-remote``), read
-        #: off ``SimStats.numa`` at finish.
-        self.counters: Counter = Counter()
-
-    # -- hooks ------------------------------------------------------------
-
-    def on_tick(self, now: int, emitted, fired, changes, pushes) -> None:
-        tick = now // self.divider
-        runs = self._open
-        for nid, kind in changes:
-            run = runs.get(nid)
-            if run is not None:
-                self.per_node[nid][run[0]] += tick - run[1]
-            runs[nid] = (kind, tick)
-
-    def on_finish(self, stats) -> None:
-        self.ticks = stats.system_cycles // self.divider + 1
+        runs: dict[int, tuple[str, int]] = {}
+        for now, _emitted, _fired, changes in recording.each_tick():
+            tick = now // divider
+            for nid, bucket in changes:
+                run = runs.get(nid)
+                if run is not None:
+                    self.per_node[nid][run[0]] += tick - run[1]
+                runs[nid] = (TICK_KINDS[bucket], tick)
+        self.ticks = stats.system_cycles // divider + 1
         self.divider_gap = stats.system_cycles + 1 - self.ticks
-        for nid, (kind, since) in self._open.items():
+        for nid, (kind, since) in runs.items():
             self.per_node[nid][kind] += self.ticks - since
-        self._open.clear()
+        #: NUMA access locality (``numa-local`` / ``numa-remote``), read
+        #: off ``SimStats.numa``.
+        self.counters: Counter = Counter()
         for side in ("local", "remote"):
             if stats.numa.get(f"{side}_accesses"):
                 self.counters[f"numa-{side}"] = stats.numa[f"{side}_accesses"]
@@ -125,7 +126,7 @@ class CycleAttribution:
         """The stall taxonomy folded to class A/B/C (+ non-mem) totals."""
         lines = ["cycle attribution by criticality class (node-cycles):"]
         rolled = self.per_class()
-        if not rolled or not self.ticks:
+        if not rolled:
             lines.append("  (no events recorded)")
             return "\n".join(lines)
         width = 11
@@ -165,7 +166,7 @@ class CycleAttribution:
         """
         width = 11
         lines = ["per-node cycle attribution (system cycles):"]
-        if not self.ticks and not self.divider_gap:
+        if not self.per_node:
             lines.append("  (no events recorded)")
             return "\n".join(lines)
         lines.append(
@@ -198,12 +199,10 @@ class CycleAttribution:
             f"  global: divider-gap={self.divider_gap} "
             f"fabric-ticks={self.ticks}"
         )
-        if self.per_node:
-            nid = next(iter(self.per_node))
-            lines.append(
-                f"  attributed per node: {self.node_total(nid)} cycles "
-                "(= system_cycles + 1)"
-            )
+        lines.append(
+            f"  attributed per node: {self.node_total(ranked[0])} cycles "
+            "(= system_cycles + 1)"
+        )
         for name in sorted(self.counters):
             lines.append(f"  counter {name} = {self.counters[name]}")
         return "\n".join(lines)
@@ -216,24 +215,21 @@ class NocHeatmap:
     producing net's routed tree (the tree is shared across sinks, so this
     is a per-net upper bound — exact per-sink splits would need flit-level
     routing the engine does not model). Only pushes per producer are
-    counted during the run; the per-edge and per-channel tables follow
-    from the static fan-out and routed trees when read.
+    counted from the recording (every emission, every pushing firing);
+    the per-edge and per-channel tables follow from the static fan-out
+    and routed trees when read.
     """
 
-    SNAPSHOT_STATE = ("pushes",)
-
-    def __init__(self, edges: dict[tuple[int, int], tuple], fanout=()):
+    def __init__(
+        self, edges: dict[tuple[int, int], tuple], fanout, recording
+    ):
         #: :func:`repro.pnr.route.routed_edges` of the kernel.
         self.edges = edges
         #: producer nid -> consumer nid of each consumer *port* it feeds
         #: (a consumer wired to it twice takes two tokens per push).
         self.fanout: dict[int, tuple] = dict(fanout)
-        self.pushes: Counter = Counter()
-
-    def on_tick(self, now: int, emitted, fired, changes, pushes) -> None:
-        counts = self.pushes
-        for src, _value in pushes:
-            counts[src] += 1
+        self.pushes = Counter(recording.emitted[::10])
+        self.pushes.update(_firing_nids(recording, PUSH))
 
     @property
     def edge_tokens(self) -> Counter:
@@ -289,9 +285,7 @@ class FmnocHeatmap:
     per memory node are counted, and every request of a node crosses the
     stages :meth:`repro.arch.fmnoc.FMNoC.path` gives for its placed PE."""
 
-    SNAPSHOT_STATE = ("issues",)
-
-    def __init__(self, compiled, noc):
+    def __init__(self, compiled, noc, recording):
         #: memory nid -> ``("arb", row, domain)``... ``("port", port)``;
         #: empty when the frontend has no FM-NoC (``noc`` None).
         self.stages: dict[int, tuple] = {}
@@ -302,13 +296,7 @@ class FmnocHeatmap:
                 self.stages[node.nid] = tuple(
                     ("arb", arb.row, arb.domain) for arb in chain
                 ) + (("port", port),)
-        self.issues: Counter = Counter()
-
-    def on_tick(self, now: int, emitted, fired, changes, pushes) -> None:
-        issues = self.issues
-        for nid, _pops, mem, _emits in fired:
-            if mem:
-                issues[nid] += 1
+        self.issues = Counter(_firing_nids(recording, ISSUE))
 
     @property
     def stage_traffic(self) -> Counter:
@@ -345,119 +333,112 @@ class ChromeTraceSink:
     (per-node request lifecycles, per-bank service slices), pid 2 =
     scheduler (cycle-skip spans: the one lane that depends on which
     cycles the simulator executed). Timestamps are system cycles.
+    ``events`` follow the run: at each cycle, its bank services, then
+    its fabric tick (emissions, firings, the counter sample), then the
+    jump the scheduler takes from it.
     """
-
-    TAKES_BUCKETS = True
-    SNAPSHOT_STATE = ("events", "_bucket", "_stalls", "_sampled")
 
     def __init__(
         self,
         divider: int,
         node_info: dict[int, tuple[str, str, Coord, str]],
-        bank_of=None,
+        bank_of,
+        recording: Recording,
+        compiled,
     ):
         self.divider = divider
         self.node_info = node_info
-        self.bank_of = bank_of  # address -> bank index, or None
         self.events: list[dict] = []
+        # One merge keyed ``(cycle, phase)`` restores the run's order: a
+        # cycle's bank services (0), its fabric tick (1), and a jump the
+        # scheduler takes after it (2; a skip row's ``now`` is the cycle
+        # after the one it follows).
+        def service(now, complete, address, hit):
+            return (_slice(
+                "hit" if hit else "miss", "bank", now,
+                max(1, complete - now), 1, 10_000 + bank_of(address),
+                {"address": address},
+            ),)
+
+        def skip(now, target):
+            return (_slice(
+                "cycle-skip", "scheduler", now, target - now, 2, 0, {}
+            ),)
+
+        tick = self._tick_events(compiled)
+        streams = (
+            ((row[0], 1, tick, row) for row in recording.each_tick()),
+            ((row[0], 0, service, row) for row in recording.rows("services")),
+            ((row[0] - 1, 2, skip, row) for row in recording.rows("skips")),
+        )
+        for _cycle, _phase, make, row in heapq.merge(*streams):
+            self.events.extend(make(*row))
+
+    def _tick_events(self, compiled):
+        node_info, divider = self.node_info, self.divider
+        memory = {
+            node.nid: (
+                node.op, node.attrs["array"], compiled.domain_of(node.nid)
+            )
+            for node in compiled.dfg.memory_nodes()
+        }
         #: Each node's current bucket, the running nodes-per-bucket
         #: histogram, and its last sample on the ``stalls`` counter track.
-        self._bucket: dict[int, str] = {}
-        self._stalls: dict[str, int] = dict.fromkeys(TICK_KINDS, 0)
-        self._sampled: dict[str, int] | None = None
+        bucket: dict[int, str] = {}
+        stalls: dict[str, int] = dict.fromkeys(TICK_KINDS, 0)
+        sampled: dict | None = None
 
-    # -- hooks ------------------------------------------------------------
-
-    def on_tick(self, now: int, emitted, fired, changes, pushes) -> None:
-        append = self.events.append
-        for record, node, domain in emitted:
-            request = record.request
-            append(
-                {
-                    "name": f"{request.kind} {request.array}[{request.index}]",
-                    "cat": "mem",
-                    "ph": "X",
-                    "ts": record.issue_cycle,
-                    "dur": max(1, now - record.issue_cycle),
-                    "pid": 1,
-                    "tid": record.nid,
-                    "args": {
-                        "hit": bool(record.hit),
-                        "criticality": node.criticality,
+        def events(now, emitted, fired, changes):
+            nonlocal sampled
+            out = []
+            moved = False
+            for (nid, _seq, issue, enqueue, serve, _complete, _arrived,
+                 hops, hit, index) in emitted:
+                kind, array, domain = memory[nid]
+                out.append(_slice(
+                    f"{kind} {array}[{index}]", "mem", issue,
+                    max(1, now - issue), 1, nid,
+                    {
+                        "hit": bool(hit),
+                        "criticality": node_info[nid][1],
                         "domain": domain,
-                        "response_hops": record.response_hops,
-                        "bank_wait": max(
-                            0, record.serve_cycle - record.enqueue_cycle
-                        ),
+                        "response_hops": hops,
+                        "bank_wait": max(0, serve - enqueue),
                     },
-                }
-            )
-        for nid, _pops, _mem, _emits in fired:
-            label, _klass, pe, op = self.node_info[nid]
-            append(
-                {
-                    "name": label,
-                    "cat": op,
-                    "ph": "X",
-                    "ts": now,
-                    "dur": self.divider,
-                    "pid": 0,
-                    "tid": nid,
-                    "args": {"pe": f"{pe[0]},{pe[1]}"},
-                }
-            )
-        stalls = self._stalls
-        for nid, kind in changes:
-            was = self._bucket.get(nid)
-            if was is not None:
-                stalls[was] -= 1
-            stalls[kind] += 1
-            self._bucket[nid] = kind
-        if changes and stalls != self._sampled:
-            # A counter track holds its value until the next sample, so
-            # a tick that moves no node between buckets adds none — and
-            # the timeline does not depend on which ticks were executed.
-            self._sampled = dict(stalls)
-            append(
-                {
-                    "name": "stalls",
-                    "ph": "C",
-                    "ts": now,
-                    "pid": 0,
-                    "tid": 0,
-                    "args": self._sampled,
-                }
-            )
+                ))
+            for nid, _pops, _effect in fired:
+                label, _klass, pe, op = node_info[nid]
+                out.append(_slice(
+                    label, op, now, divider, 0, nid,
+                    {"pe": f"{pe[0]},{pe[1]}"},
+                ))
+            for nid, code in changes:
+                moved = True
+                kind = TICK_KINDS[code]
+                was = bucket.get(nid)
+                if was is not None:
+                    stalls[was] -= 1
+                stalls[kind] += 1
+                bucket[nid] = kind
+            if moved and stalls != sampled:
+                # A counter track holds its value until the next sample,
+                # so a tick that moves no node between buckets adds none
+                # — and the timeline does not depend on which ticks were
+                # executed.
+                sampled = dict(stalls)
+                out.append(
+                    {
+                        "name": "stalls",
+                        "ph": "C",
+                        "ts": now,
+                        "pid": 0,
+                        "tid": 0,
+                        "args": sampled,
+                    }
+                )
+            return out
 
-    def on_mem_service(self, now: int, record) -> None:
-        if self.bank_of is None:
-            return
-        self.events.append(
-            {
-                "name": "hit" if record.hit else "miss",
-                "cat": "bank",
-                "ph": "X",
-                "ts": record.serve_cycle,
-                "dur": max(1, record.complete_cycle - record.serve_cycle),
-                "pid": 1,
-                "tid": 10_000 + self.bank_of(record.address),
-                "args": {"address": record.address},
-            }
-        )
-
-    def on_skip(self, now: int, target: int) -> None:
-        self.events.append(
-            {
-                "name": "cycle-skip",
-                "cat": "scheduler",
-                "ph": "X",
-                "ts": now,
-                "dur": target - now,
-                "pid": 2,
-                "tid": 0,
-                "args": {},
-            }
-        )
+        return events
 
     # -- output -----------------------------------------------------------
 
@@ -498,27 +479,28 @@ def _meta(name: str, pid: int, tid: int, args: dict) -> dict:
     return {"name": name, "ph": "M", "pid": pid, "tid": tid, "args": args}
 
 
-class Observation(EventBus):
-    """The bus plus the sinks a run asked for (None when not attached).
+def _slice(name, cat, ts, dur, pid: int, tid: int, args: dict) -> dict:
+    """One complete (``"X"``) event."""
+    return {
+        "name": name, "cat": cat, "ph": "X", "ts": ts, "dur": dur,
+        "pid": pid, "tid": tid, "args": args,
+    }
 
-    Built by :func:`make_observation` inside ``simulate``; callers read
-    the sinks back off ``SimResult.obs``. Its state is its sinks'
-    (the handler table is bound to them, and a restore refills them in
-    place).
-    """
 
-    SNAPSHOT_STATE = ("sinks",)
+@dataclass
+class Observation:
+    """The probes a run asked for (None when not asked for), built by
+    :func:`make_observation` once ``simulate`` returns; callers read
+    them off ``SimResult.obs``. ``critpath`` is the
+    :mod:`repro.obs.critpath` recorder, ``check`` the
+    :mod:`repro.check.invariants` checker."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.attribution: CycleAttribution | None = None
-        self.noc_heatmap: NocHeatmap | None = None
-        self.fmnoc_heatmap: FmnocHeatmap | None = None
-        self.chrome: ChromeTraceSink | None = None
-        #: The critical-path recorder (:mod:`repro.obs.critpath`) and the
-        #: invariant checker (:mod:`repro.check.invariants`), when on.
-        self.critpath = None
-        self.check = None
+    attribution: CycleAttribution | None = None
+    noc_heatmap: NocHeatmap | None = None
+    fmnoc_heatmap: FmnocHeatmap | None = None
+    chrome: ChromeTraceSink | None = None
+    critpath: object = None
+    check: object = None
 
 
 def node_info_of(compiled) -> dict[int, tuple[str, str, Coord, str]]:
@@ -534,57 +516,50 @@ def node_info_of(compiled) -> dict[int, tuple[str, str, Coord, str]]:
     }
 
 
+def _firing_nids(recording: Recording, effect: int):
+    """The nid of every recorded firing with ``effect``, in run order."""
+    fired = recording.fired
+    return compress(fired[::3], [got == effect for got in fired[2::3]])
+
+
 def make_observation(
+    recording: Recording,
+    stats,
     compiled,
     divider: int,
     edges: dict[tuple[int, int], tuple],
-    address_map=None,
-    noc=None,
-    trace: bool = True,
-    chrome: bool = False,
-    critpath: bool = False,
-    check: bool = False,
-    fifo_capacity: int = 2,
-    max_outstanding: int = 2,
+    address_map,
+    noc,
+    sim,
 ) -> Observation:
-    """Assemble the sinks one run of ``compiled`` asked for: ``trace``
-    attaches attribution and both heatmaps, ``chrome`` the exporter,
-    ``critpath`` the recorder, ``check`` the invariant checker — each
-    switch pays only for what it names.
-    ``edges`` is :func:`repro.pnr.route.routed_edges` of the kernel,
-    ``noc`` the frontend's FM-NoC (None: it has none)."""
+    """Build the probes the run's ``sim`` (its ``SimParams``) asked for
+    from its ``recording`` and final ``stats``: ``trace`` the
+    attribution and both heatmaps, a ``trace_path`` the timeline,
+    ``critpath`` the critical path (whose compact report lands in
+    ``stats.critpath``). ``edges`` is
+    :func:`repro.pnr.route.routed_edges` of the kernel, ``noc`` the
+    frontend's FM-NoC (None: it has none). The invariant checker is
+    ``simulate``'s to build: it must also run when the engine fails."""
     obs = Observation()
-    info = node_info_of(compiled) if trace or chrome else None
-    if trace:
-        obs.attribution = CycleAttribution(info, divider)
-        obs.attach(obs.attribution)
+    info = node_info_of(compiled) if sim.trace else None
+    if sim.trace:
+        obs.attribution = CycleAttribution(info, divider, recording, stats)
         fanout = {
             src: tuple(dst for dst, _port in sinks)
             for src, sinks in compiled.dfg.consumers().items()
         }
-        obs.noc_heatmap = NocHeatmap(edges, fanout)
-        obs.attach(obs.noc_heatmap)
-        obs.fmnoc_heatmap = FmnocHeatmap(compiled, noc)
-        obs.attach(obs.fmnoc_heatmap)
-    if chrome:
-        bank_of = address_map.bank if address_map is not None else None
-        obs.chrome = ChromeTraceSink(divider, info, bank_of=bank_of)
-        obs.attach(obs.chrome)
-    if critpath:
+        obs.noc_heatmap = NocHeatmap(edges, fanout, recording)
+        obs.fmnoc_heatmap = FmnocHeatmap(compiled, noc, recording)
+    if sim.trace and sim.trace_path is not None:
+        obs.chrome = ChromeTraceSink(
+            divider, info, address_map.bank, recording, compiled
+        )
+    if sim.critpath:
         from repro.obs.critpath import CriticalPathRecorder
 
         obs.critpath = CriticalPathRecorder(
-            compiled,
-            divider,
-            fifo_capacity=fifo_capacity,
-            max_outstanding=max_outstanding,
+            recording, compiled, divider, stats.system_cycles,
+            sim.fifo_capacity, sim.max_outstanding,
         )
-        obs.attach(obs.critpath)
-    if check:
-        from repro.check.invariants import InvariantChecker
-
-        obs.check = InvariantChecker(
-            compiled.dfg, fifo_capacity, max_outstanding
-        )
-        obs.attach(obs.check)
+        stats.critpath = obs.critpath.compact()
     return obs

@@ -41,10 +41,11 @@ by the same test file. The tables are the state ``_Engine.SNAPSHOT_STATE``
 declares, so a snapshot captures them as they are laid out here
 (:mod:`repro.sim.snapshot`) and a restore refills them in place.
 
-Besides the fault injector the engine has one probe gate, ``obs``: every
-probe (attribution, heatmaps, Chrome trace, critical path, invariant
-checker) is a sink of that bus reading one record per executed fabric
-tick (``EventBus.tick``) and the final stats.
+Besides the fault injector the engine has one probe gate,
+``recording``: with any probe on, the fire and emit loops append a row
+per firing and emission to one :class:`repro.obs.events.Recording`, and
+every probe (attribution, heatmaps, Chrome trace, critical path,
+invariant checker) is built from it once the run ends.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ from repro.arch.memory import AddressMap
 from repro.arch.params import ArchParams
 from repro.dfg.graph import DFG, PortRef
 from repro.dfg.ops import NO_EMIT, compile_rule, fresh_state
-from repro.errors import DeadlockError, SimulationError
-from repro.obs.events import FIRE
+from repro.errors import DeadlockError, SimulationError, SimulationPreempted
+from repro.obs.events import FIRE, ISSUE, POPS, TICK_KINDS, Recording
 from repro.pnr.result import CompiledKernel
 from repro.pnr.route import routed_edges
 from repro.sim.fmnoc_sim import MonacoFrontend
@@ -67,14 +68,19 @@ from repro.sim.snapshot import capture, restore
 from repro.sim.stats import SimStats
 
 
+#: Stall bucket -> its index in a recorded ``changes`` row.
+_BUCKET_CODE = {kind: code for code, kind in enumerate(TICK_KINDS)}
+
+
 class SimResult:
     """Final memory state plus statistics for one run."""
 
     def __init__(self, memory: dict[str, list], stats: SimStats, obs=None):
         self.memory = memory
         self.stats = stats
-        #: The :class:`repro.obs.sinks.Observation` the run published
-        #: into, or None when every probe (trace, critpath, check) was off.
+        #: The :class:`repro.obs.sinks.Observation` built from the run's
+        #: recording, or None when every probe (trace, critpath, check)
+        #: was off. It holds the probes, not the recording.
         self.obs = obs
         #: ``{"from_cycle", "executed_before", "snapshot",
         #: "restore_wall_s"}`` when this run resumed from a snapshot
@@ -98,11 +104,15 @@ def simulate(
     """Run ``compiled`` to quiescence and return memory + stats.
 
     ``arch.sim.trace`` / ``arch.sim.critpath`` / ``arch.sim.check``
-    attach the probes they name (:func:`repro.obs.sinks.make_observation`):
-    the engine, memory system and frontend publish to them, and
-    ``SimResult.obs`` carries them back. The invariant checker's
-    quiescence ledger runs once ``run`` returns. With all three off
-    nothing is published and results are bit-identical.
+    ask for the probes they name: the engine records the run
+    (:class:`repro.obs.events.Recording`), the probes are built from the
+    recording once ``run`` returns
+    (:func:`repro.obs.sinks.make_observation`), and ``SimResult.obs``
+    carries them back. The invariant checker's rules replay the
+    recording before its quiescence ledger runs, and before an engine
+    error propagates, so a checked run raises the first violation in
+    tick order. With all three off nothing is recorded and results are
+    bit-identical.
     ``arrays`` supplies initial contents by declared name (the rest are
     zero-filled); a name the kernel does not declare raises
     :class:`~repro.errors.SimulationError` before cycle 0.
@@ -149,29 +159,18 @@ def simulate(
     memsys = MemorySystem(arch.memory, address_map, memory)
     frontend = frontend_factory(compiled.fabric, address_map)
     edges = routed_edges(dfg, compiled.routing)
-    obs = None
-    if arch.sim.trace or arch.sim.critpath or arch.sim.check:
-        from repro.obs.sinks import make_observation
-
-        obs = make_observation(
-            compiled,
-            divider,
-            edges,
-            address_map=address_map,
-            noc=getattr(frontend, "noc", None),
-            trace=arch.sim.trace,
-            chrome=arch.sim.trace and arch.sim.trace_path is not None,
-            critpath=arch.sim.critpath,
-            check=arch.sim.check,
-            fifo_capacity=arch.sim.fifo_capacity,
-            max_outstanding=arch.sim.max_outstanding,
-        )
+    sim = arch.sim
+    chrome = sim.trace and sim.trace_path is not None
+    recording = None
+    if sim.trace or sim.critpath or sim.check:
+        recording = Recording(buckets=sim.trace, services=chrome)
+        memsys.services = recording.services
     if injector is not None:
         memsys.faults = injector
         frontend.faults = injector
     engine = _Engine(
         compiled, params, arch, divider, memsys, frontend, address_map,
-        edges, obs=obs, faults=injector,
+        edges, recording=recording, faults=injector,
     )
 
     resume_info = None
@@ -201,13 +200,27 @@ def simulate(
         snapshots = Checkpointer(checkpoint, digest)
         engine.snapshots = snapshots
         snapshots.watchdog.install()
+    checker = None
+    if sim.check:
+        from repro.check.invariants import InvariantChecker
+
+        checker = InvariantChecker(dfg, sim.fifo_capacity, sim.max_outstanding)
     try:
         stats = engine.run()
+    except SimulationPreempted:
+        raise
+    except Exception:
+        if checker is not None:
+            # The first violation in tick order wins over the engine's
+            # error, which it precedes (and carries as its context).
+            checker.replay(recording)
+        raise
     finally:
         if snapshots is not None:
             snapshots.watchdog.uninstall()
-    if obs is not None and obs.check is not None:
-        obs.check.finish(stats, engine)
+    if checker is not None:
+        checker.replay(recording)
+        checker.finish(stats, engine)
     if snapshots is not None:
         # Only a *clean* completion retires the snapshot file; a
         # preempted run (or a quiescence violation) leaves it behind.
@@ -217,10 +230,17 @@ def simulate(
     if numa_counters is not None:
         # The one tally of access locality (the attribution reads it).
         stats.numa = numa_counters()
-    if obs is not None:
-        obs.finish(stats)
-        if obs.chrome is not None and arch.sim.trace_path:
-            obs.chrome.write(arch.sim.trace_path)
+    obs = None
+    if recording is not None:
+        from repro.obs.sinks import make_observation
+
+        obs = make_observation(
+            recording, stats, compiled, divider, edges, address_map,
+            getattr(frontend, "noc", None), sim,
+        )
+        obs.check = checker
+        if chrome:
+            obs.chrome.write(sim.trace_path)
     result = SimResult(memory, stats, obs=obs)
     result.resume_info = resume_info
     return result
@@ -229,15 +249,17 @@ def simulate(
 class _Engine:
     #: What a run changes (:mod:`repro.sim.snapshot`); the wiring (rules,
     #: consumer edges, producers, placement) is rebuilt from the kernel.
+    #: The recording keeps only its column lengths in a snapshot (see
+    #: :meth:`state_dict`); its rows go to the snapshot's sidecar.
     SNAPSHOT_STATE = (
         "now", "last_event", "fifos", "states", "resp_queue", "arrivals",
         "_arrival_order", "_seq", "tokens", "mem_inflight", "active",
-        "emit_candidates", "stats", "memsys", "frontend", "faults", "obs",
+        "emit_candidates", "stats", "memsys", "frontend", "faults",
     )
 
     def __init__(
         self, compiled, params, arch, divider, memsys, frontend,
-        address_map, edges, obs=None, faults=None,
+        address_map, edges, recording=None, faults=None,
     ):
         self.compiled = compiled
         self.dfg: DFG = compiled.dfg
@@ -274,23 +296,16 @@ class _Engine:
         self.tokens = 0
         self.mem_inflight = 0
         self.stats = SimStats(clock_divider=divider)
-        #: Observability bus, or None (every probe off — the
-        #: zero-overhead contract: every publish site below is gated on
-        #: this check). The memory system gets it only where a sink
-        #: reads what it publishes.
-        self.obs = obs
-        memsys.obs = obs if obs and obs.hears("mem_service") else None
+        #: The run's recording, or None (every probe off — the
+        #: zero-overhead contract: every record site below is gated on
+        #: this check).
+        self.recording = recording
         #: Fault injector, or None (off — same zero-overhead contract:
         #: every consult site below is gated on this check).
         self.faults = faults
-        #: The tick record under construction while ``obs`` is attached
-        #: (see ``EventBus.tick``): emitted responses, committed firings,
-        #: the nids whose matured response found a full consumer FIFO,
-        #: and the flag snapshots the emit and fire loops scanned.
-        self._tick_emitted: list = []
-        self._tick_fired: list = []
-        self._tick_blocked: list = []
-        self._tick_scanned: tuple[bytes, bytes] = (b"", b"")
+        #: While stall buckets are recorded: the nids whose matured
+        #: response found a full consumer FIFO this tick.
+        self._tick_blocked: list | None = None
         #: Stall-bucket cache (:meth:`_bucket_changes`): bucket per nid
         #: as of the last executed tick (None: classify every node), and
         #: the nids whose bucket then was an *event* (FIRE, emission-phase
@@ -504,8 +519,8 @@ class _Engine:
                     now, self.last_event, deadlock_after, max_cycles
                 )
                 if target > now:
-                    if self.obs is not None:
-                        self.obs.skip(now, target)
+                    if self.recording is not None:
+                        self.recording.skips.fromlist([now, target])
                     stats.skipped_cycles += target - now
                     now = target
             self.now = now
@@ -573,11 +588,11 @@ class _Engine:
     def _fabric_tick(self, now: int) -> bool:
         pushes: list = []
         progressed = False
-        obs = self.obs
-        if obs is not None:
-            self._tick_emitted = []
-            self._tick_fired = []
-            self._tick_blocked = []
+        rec = self.recording
+        if rec is not None:
+            e0, f0 = len(rec.emitted), len(rec.fired)
+            if rec.changes is not None:
+                self._tick_blocked = []
         # Each loop scans a *copy* of its flags, taken as it starts: a
         # node woken during the scan waits for the next tick, and the
         # emit loop's wakes are in the fire loop's copy.
@@ -586,26 +601,28 @@ class _Engine:
             progressed |= self._emit_responses(now, pushes, emit_scan)
         fire_scan = bytes(self.active)
         progressed |= self._fire_nodes(now, pushes, fire_scan)
-        if obs is not None:
-            self._tick_scanned = (emit_scan, fire_scan)
-            # One record per tick, built *before* committing pushes:
-            # tokens land at the next tick, so the pre-commit FIFO state
-            # is what this tick's firing rules actually saw.
-            obs.tick(
-                now,
-                self._tick_emitted,
-                self._tick_fired,
-                self._bucket_changes() if obs.wants_buckets else (),
-                pushes,
-            )
+        if rec is not None:
+            # The tick's row closes *before* its pushes commit: tokens
+            # land at the next tick, so the buckets classify the FIFO
+            # state this tick's firing rules actually saw.
+            c0 = c1 = 0
+            if rec.changes is not None:
+                c0 = len(rec.changes)
+                self._bucket_changes(e0, f0, (emit_scan, fire_scan))
+                c1 = len(rec.changes)
+            e1, f1 = len(rec.emitted), len(rec.fired)
+            if e1 != e0 or f1 != f0 or c1 != c0:
+                rec.ticks.fromlist([now, e1, f1, c1])
         if pushes:
             self.commit_pushes(pushes)
             progressed = True
         return progressed
 
-    def _bucket_changes(self) -> list[tuple[int, str]]:
-        """Attribute this executed fabric tick: ``(nid, bucket)`` for each
-        node whose bucket differs from the last executed tick's.
+    def _bucket_changes(self, e0: int, f0: int, scans: tuple) -> None:
+        """Attribute this executed fabric tick: record ``(nid, bucket)``
+        for each node whose bucket differs from the last executed tick's
+        (``e0``/``f0``: where the tick's emitted and fired rows start;
+        ``scans``: the flag snapshots the emit and fire loops scanned).
 
         Only nodes whose situation may have changed are re-derived — the
         ones the emit and fire loops scanned or woke this tick, plus last
@@ -625,19 +642,18 @@ class _Engine:
             size = self._size
             bits = int.from_bytes(self.emit_candidates, "little")
             bits |= int.from_bytes(self.active, "little")
-            for scan in self._tick_scanned:
+            for scan in scans:
                 bits |= int.from_bytes(scan, "little")
             touched = set(self._eventful)
             touched.update(
                 compress(range(size), bits.to_bytes(size, "little"))
             )
+        rec = self.recording
         events = dict.fromkeys(self._tick_blocked, "fifo-full")
-        for record, _node, _domain in self._tick_emitted:
-            events[record.nid] = FIRE
-        for firing in self._tick_fired:
-            events[firing[0]] = FIRE
+        events.update(dict.fromkeys(rec.emitted[e0::10], FIRE))
+        events.update(dict.fromkeys(rec.fired[f0::3], FIRE))
         self._eventful = events
-        changes = []
+        add = rec.changes.fromlist
         for nid in sorted(touched):
             bucket = events.get(nid)
             if bucket is None:
@@ -649,8 +665,7 @@ class _Engine:
                     bucket = "operand-wait"
             if bucket != cache[nid]:
                 cache[nid] = bucket
-                changes.append((nid, bucket))
-        return changes
+                add([nid, _BUCKET_CODE[bucket]])
 
     def _stall_reason(self, nid: int) -> str:
         """Why ``nid`` cannot fire right now (side-effect-free peek)."""
@@ -679,7 +694,9 @@ class _Engine:
 
     def _emit_responses(self, now: int, pushes: list, scan: bytes) -> bool:
         progressed = False
-        obs = self.obs
+        rec = self.recording
+        emitted = None if rec is None else rec.emitted.fromlist
+        blocked = self._tick_blocked
         emit_flags = self.emit_candidates
         active = self.active
         resp = self.resp_queue
@@ -699,8 +716,8 @@ class _Engine:
                     full = True
                     break
             if full:
-                if obs is not None:
-                    self._tick_blocked.append(nid)
+                if blocked is not None:
+                    blocked.append(nid)
                 continue  # retry next fabric tick
             queue.popleft()
             self.mem_inflight -= 1
@@ -713,8 +730,13 @@ class _Engine:
                 self.stats.record_load(
                     node.criticality, self.domain_of[nid], latency
                 )
-            if obs is not None:
-                self._tick_emitted.append((record, node, self.domain_of[nid]))
+            if emitted is not None:
+                emitted([
+                    nid, record.seq, record.issue_cycle,
+                    record.enqueue_cycle, record.serve_cycle,
+                    record.complete_cycle, record.arrived_cycle,
+                    record.response_hops, record.hit, record.request.index,
+                ])
             # The PE may issue again now that a slot freed up.
             active[nid] = 1
             if not queue or queue[0].arrived_cycle is None:
@@ -736,7 +758,8 @@ class _Engine:
         nid_op = self._nid_op
         capacity = self.capacity
         max_outstanding = self.max_outstanding
-        obs = self.obs
+        rec = self.recording
+        fired_row = None if rec is None else rec.fired.fromlist
         faults = self.faults
         tokens_popped = 0
         for nid in compress(range(len(scan)), scan):
@@ -784,11 +807,11 @@ class _Engine:
                 pushes.append((nid, emit))
                 pending[nid] = pending.get(nid, 0) + 1
             fire_counts[nid_op[nid]] += 1
-            if obs is not None:
-                self._tick_fired.append(
-                    (nid, pops, mem is not None,
-                     mem is None and emit is not NO_EMIT)
-                )
+            if fired_row is not None:
+                fired_row([
+                    nid, POPS[pops],
+                    ISSUE if mem is not None else emit is not NO_EMIT,
+                ])
             progressed = True
             # The node may be ready again next tick; keep it active.
         if tokens_popped:
@@ -813,22 +836,32 @@ class _Engine:
 
     def state_dict(self) -> dict:
         """:func:`~repro.sim.snapshot.capture` at a cycle boundary, the
-        interned firing counters folded into ``stats.firings`` first."""
+        interned firing counters folded into ``stats.firings`` first,
+        plus the recording's :meth:`~repro.obs.events.Recording.mark`."""
         self._fold_firings()
-        return capture(self)
+        state = capture(self)
+        rec = self.recording
+        state["recording"] = None if rec is None else rec.mark()
+        return state
 
     def load_state_dict(self, state: dict) -> None:
         """:func:`~repro.sim.snapshot.restore` a :meth:`state_dict` in
         place, then reset what is derived per tick: the interned firing
         deltas (the restored ``firings`` is the whole ledger) and the
-        stall-bucket cache (a restored sink takes a "change" to the same
-        bucket)."""
-        for side in ("faults", "obs"):
-            present = state[side] is not None
-            if present != (getattr(self, side) is not None):
+        stall-bucket cache (the next tick records every node's bucket
+        again, which no probe counts twice). The recording's rows are
+        the snapshot's to refill (:meth:`Snapshot.install
+        <repro.sim.snapshot.Snapshot.install>`); this run must record
+        the columns it recorded."""
+        state = dict(state)
+        mark, rec = state.pop("recording"), self.recording
+        for side, saved, live in (
+            ("faults", state["faults"] is not None, self.faults is not None),
+            ("recorded", mark and mark[0], rec and tuple(rec.lengths())),
+        ):
+            if saved != live:
                 raise SimulationError(
-                    f"snapshot has {side} {'on' if present else 'off'}, "
-                    "this run has it configured the other way"
+                    f"snapshot has {side} {saved}, this run {live}"
                 )
         restore(self, state)
         self.pending_pushes.clear()

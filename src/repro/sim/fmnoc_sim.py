@@ -58,15 +58,12 @@ class MonacoFrontend:
         #: port id -> list of sources (PE coords and/or ArbiterId).
         self.port_sources: dict[int, list] = {}
         self.port_rr: dict[int, int] = {}
-        shared = set(fabric.row_shared_port.values())
         for pe in fabric.ls_pes():
             if pe.direct_port is not None:
                 self.port_sources.setdefault(pe.direct_port, []).append(
                     pe.coord
                 )
         for row, port in fabric.row_shared_port.items():
-            if port not in shared:
-                continue
             arb = ArbiterId(row, 1)
             if arb in self.arbiters:
                 self.port_sources.setdefault(port, []).append(arb)

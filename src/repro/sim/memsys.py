@@ -168,8 +168,9 @@ class MemorySystem:
         self._completions: list[tuple[int, int, RequestRecord]] = []
         self._order = 0
         self.stats = MemStats()
-        #: Observability bus (see :mod:`repro.obs`); None = tracing off.
-        self.obs = None
+        #: The run's recorded bank services (:mod:`repro.obs.events`),
+        #: kept only for a Chrome timeline; None = off.
+        self.services = None
         #: Fault injector (see :mod:`repro.sim.faults`); None = off.
         self.faults = None
 
@@ -229,8 +230,10 @@ class MemorySystem:
             record.value = 0
         record.complete_cycle = now + latency
         self.stats.record_service(record)
-        if self.obs is not None:
-            self.obs.mem_service(now, record)
+        if self.services is not None:
+            self.services.fromlist(
+                [now, record.complete_cycle, record.address, record.hit]
+            )
         if self.faults is not None:
             # Draw both streams per service event (even when the drop
             # wins) so enabling one category never shifts the other's

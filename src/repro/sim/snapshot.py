@@ -6,13 +6,14 @@ point from cycle 0. A :class:`Checkpointer` armed on the engine writes
 periodic, crash-safe snapshots of the *complete* machine state: engine
 tick and cycle-skip bookkeeping, per-node FIFOs and firing state, memory
 bank queues and in-flight requests, FM-NoC arbitration latches and
-round-robin cursors, fault-injection LCG streams, and what the
-observability sinks accumulated. ``resume`` from any snapshot continues
-the run **bit-identically** — the same :class:`~repro.sim.stats.SimStats`,
-the same final memory, the same manifests — with cycle-skipping, fault
-injection and critical-path profiling each on or off.
+round-robin cursors, fault-injection LCG streams, and — for a probed
+run — how far its recording (:mod:`repro.obs.events`) had got.
+``resume`` from any snapshot continues the run **bit-identically** — the
+same :class:`~repro.sim.stats.SimStats`, the same final memory, the same
+manifests and probe outputs — with cycle-skipping, fault injection and
+every probe each on or off.
 
-Four properties carry the design:
+Five properties carry the design:
 
 * **Declared state.** Each stateful class names the attributes a run
   changes in one class-level tuple, ``SNAPSHOT_STATE``; :func:`capture`
@@ -22,6 +23,12 @@ Four properties carry the design:
   kernel, which the config digest guarantees. So a snapshot carries
   plain containers and a handful of value dataclasses, never the
   program.
+* **A recording is a sidecar.** A probed run's rows live in
+  append-only column files under ``<path>.rec`` beside the snapshot:
+  each write appends the columns' new tails and fsyncs them before the
+  snapshot is published, and the snapshot itself keeps only the column
+  lengths — so its size does not grow with the run. A resume reads
+  each file back truncated to those lengths.
 * **One pickle, shared identity.** A :class:`RequestRecord` in flight is
   simultaneously the engine's ``resp_queue`` entry *and* a bank-queue /
   completions-heap / frontend-latch entry. The whole captured state is
@@ -51,21 +58,25 @@ detached run's (``tests/test_snapshot.py``).
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import os
 import pickle
 import signal
+import shutil
+from array import array
 from collections import deque
 from dataclasses import dataclass
 
 from repro.errors import SimulationError, SimulationPreempted, SnapshotError
+from repro.obs.events import lengths_of
 
 SNAPSHOT_MAGIC = "repro-sim-snapshot"
 #: Bump on any change to a ``SNAPSHOT_STATE`` declaration or to what a
 #: declared attribute holds — resuming across versions is refused rather
 #: than silently mis-restored (history: docs/INTERNALS.md, Sec. 10).
-SNAPSHOT_VERSION = 9
+SNAPSHOT_VERSION = 10
 
 
 # -- configuration identity ------------------------------------------------
@@ -185,6 +196,48 @@ def _refill(live, saved, write: bool, where: str):
     return live
 
 
+# -- the recording's sidecar -----------------------------------------------
+
+
+def sidecar_path(path: str) -> str:
+    """The directory beside the snapshot at ``path`` holding its run's
+    recording: one file of native int64s per column."""
+    return path + ".rec"
+
+
+def append_sidecar(path: str, recording) -> None:
+    """Append each column's rows since the last append
+    (``recording.saved``) to its file and fsync it; rows past that (a
+    killed process's, never counted by a snapshot) are cut first."""
+    os.makedirs(path, exist_ok=True)
+    for name, length in recording.lengths().items():
+        start = recording.saved.get(name, 0)
+        with open(os.path.join(path, name), "ab") as handle:
+            handle.truncate(8 * start)
+            handle.write(getattr(recording, name)[start:length].tobytes())
+            handle.flush()
+            os.fsync(handle.fileno())
+        recording.saved[name] = length
+
+
+def read_sidecar(path: str, lengths: dict[str, int]) -> dict[str, array]:
+    """The first ``lengths`` items of each column file — the rows a
+    snapshot counted; a missing or short file is a
+    :class:`~repro.errors.SnapshotError`."""
+    columns = {}
+    for name, length in lengths.items():
+        column = columns[name] = array("q")
+        with contextlib.suppress(OSError, ValueError):  # missing, torn
+            with open(os.path.join(path, name), "rb") as handle:
+                column.frombytes(handle.read(8 * length))
+        if len(column) != length:
+            raise SnapshotError(
+                f"recording sidecar {path} holds fewer {name!r} rows than "
+                "its snapshot counts"
+            )
+    return columns
+
+
 # -- snapshot files --------------------------------------------------------
 
 
@@ -253,7 +306,11 @@ def load_snapshot(path: str, expect_digest: str | None = None) -> Snapshot:
         raise SnapshotError(
             f"snapshot {path} payload failed to deserialize: {exc}"
         ) from exc
-    return Snapshot(meta, state, path=path)
+    mark = state.get("recording") if isinstance(state, dict) else None
+    columns = None
+    if mark is not None:
+        columns = read_sidecar(sidecar_path(path), lengths_of(mark))
+    return Snapshot(meta, state, path=path, columns=columns)
 
 
 class Snapshot:
@@ -265,10 +322,12 @@ class Snapshot:
     two runs — refused instead).
     """
 
-    def __init__(self, meta: dict, state: dict, path: str):
+    def __init__(self, meta: dict, state: dict, path: str, columns=None):
         self.meta = meta
         self.path = path
         self._state = state
+        #: The recording's columns read back from the sidecar, or None.
+        self._columns = columns
 
     @property
     def cycle(self) -> int:
@@ -282,6 +341,8 @@ class Snapshot:
             )
         state, self._state = self._state, None
         engine.load_state_dict(state)
+        if self._columns is not None:
+            engine.recording.load(self._columns)
 
 
 def resolve_resume(path: str, expect_digest: str):
@@ -289,20 +350,24 @@ def resolve_resume(path: str, expect_digest: str):
 
     A missing, torn, foreign, version-skewed or configuration-mismatched
     snapshot (any :class:`SnapshotError` of :func:`load_snapshot`) is
-    discarded: the file is unlinked so the next checkpoint replaces it,
-    and None is returned. A bad snapshot must never wedge a retried
-    sweep point, and a ``repro run`` rerun under other settings simply
-    starts over (:func:`repro.exp.runner._run_sweep_job` is the one
+    discarded: the file and its sidecar are unlinked so the next
+    checkpoint replaces them, and None is returned. A bad snapshot must
+    never wedge a retried sweep point, and a ``repro run`` rerun under
+    other settings simply starts over (:func:`repro.exp.runner._run_sweep_job` is the one
     caller that decides where a point's snapshot lives).
     """
     try:
         return load_snapshot(path, expect_digest=expect_digest)
     except SnapshotError:
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
+        _discard(path)
         return None
+
+
+def _discard(path: str) -> None:
+    """Delete the snapshot at ``path`` and its sidecar, if there."""
+    with contextlib.suppress(OSError):
+        os.unlink(path)
+    shutil.rmtree(sidecar_path(path), ignore_errors=True)
 
 
 # -- cooperative preemption ------------------------------------------------
@@ -441,6 +506,10 @@ class Checkpointer:
         payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
         if engine.arch.sim.check:
             verify_roundtrip(state, payload)
+        if engine.recording is not None:
+            # The rows first: a published snapshot never counts rows
+            # its sidecar does not hold.
+            append_sidecar(sidecar_path(self.config.path), engine.recording)
         meta = {
             "config_digest": self.digest,
             "cycle": engine.now,
@@ -468,10 +537,7 @@ class Checkpointer:
 
     def finish(self) -> None:
         """Clean completion: the run no longer needs its snapshot."""
-        try:
-            os.unlink(self.config.path)
-        except FileNotFoundError:
-            pass
+        _discard(self.config.path)
 
 
 # -- integrity checks ------------------------------------------------------

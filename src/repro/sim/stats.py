@@ -122,7 +122,7 @@ class SimStats:
     #: Empty for uniform/Monaco runs, so their digests are unchanged.
     numa: dict[str, int] = field(default_factory=dict)
     #: Critical-path attribution (see :mod:`repro.obs.critpath`): the
-    #: compact report the recorder publishes at finish — category costs
+    #: compact report of the recorder built at finish — category costs
     #: summing exactly to ``system_cycles``, the coarse rollup, and the
     #: top critical loads. Empty when profiling is off; excluded from
     #: equality so profiled and unprofiled runs of the same point still

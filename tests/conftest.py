@@ -14,3 +14,20 @@ def per_cycle_loop(monkeypatch):
     monkeypatch.setattr(
         _Engine, "_skip_target", lambda engine, now, *_clamps: now
     )
+
+
+@pytest.fixture
+def recordings(monkeypatch):
+    """The recording of every probed run the test makes, in run order
+    (``SimResult.obs`` holds the probes built from it, not the rows)."""
+    import repro.obs.sinks
+
+    captured = []
+    build = repro.obs.sinks.make_observation
+
+    def capturing(recording, *args, **kwargs):
+        captured.append(recording)
+        return build(recording, *args, **kwargs)
+
+    monkeypatch.setattr(repro.obs.sinks, "make_observation", capturing)
+    return captured

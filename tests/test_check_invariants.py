@@ -9,9 +9,9 @@ Two layers of coverage:
   (``tests/test_cycle_skip.py`` runs it, checker armed, on the rest),
   and a checker replaying a run's records alone agrees;
 * **unit** — every rule in the catalog is driven to a violation through
-  the checker's rule methods (and ``on_tick``, the tick record they run
-  from) with hand-built histories, pinning both the trigger condition
-  and the diagnostic text.
+  the checker's rule methods (and ``replay``, which runs them over a
+  recording) with hand-built histories, pinning both the trigger
+  condition and the diagnostic text.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from repro.check.invariants import InvariantChecker, InvariantViolation
 from repro.dfg.graph import PortRef
 from repro.dfg.lower import lower_kernel
 from repro.errors import SimulationError
+from repro.obs.events import ISSUE, POPS, PUSH, Recording
 from repro.sim.engine import simulate
 from repro.sim.memsys import MemStats
 from repro.workloads.registry import ALL_WORKLOADS
@@ -74,37 +75,51 @@ def test_checked_run_is_bit_identical_and_skip_invariant(name, request):
     )
 
 
-def test_checker_is_a_function_of_the_tick_records(monkeypatch):
-    """A fresh checker fed only a checked run's tick records ends with
-    the live checker's ledgers and passes the same quiescence audit: the
-    rules need no engine state before ``finish``."""
+def test_checker_is_a_function_of_the_tick_records(recordings, monkeypatch):
+    """A fresh checker replaying a checked run's recording ends with the
+    run's own ledgers and passes the same quiescence audit: the rules
+    need no engine state before ``finish``."""
     from test_cycle_skip import _simulate
 
-    records, audited = [], []
-    real_tick = InvariantChecker.on_tick
+    checkers, audited = [], []
     real_finish = InvariantChecker.finish
 
-    def recorded(checker, now, emitted, fired, changes, pushes):
-        records.append((now, list(emitted), list(fired), list(pushes)))
-        real_tick(checker, now, emitted, fired, changes, pushes)
-
     def finish(checker, stats, engine):
+        checkers.append(checker)
         audited.append(engine)
         real_finish(checker, stats, engine)
 
-    monkeypatch.setattr(InvariantChecker, "on_tick", recorded)
     monkeypatch.setattr(InvariantChecker, "finish", finish)
     run = _simulate("spmspv", "upea2", "latency-bound", sim=dict(check=True))
     monkeypatch.undo()
     live = run.obs.check
-    assert live.issues > 0 and len(audited) == 1
+    assert checkers == [live] and live.issues > 0
+    (rec,) = recordings
 
     replay = InvariantChecker(live.dfg, live.capacity, live.max_outstanding)
-    for now, emitted, fired, pushes in records:
-        replay.on_tick(now, emitted, fired, (), pushes)
+    replay.replay(rec)
     for ledger in ("fired", "issues", "responses", "pushed", "popped"):
         assert getattr(replay, ledger) == getattr(live, ledger), ledger
     replay.finish(run.stats, audited[0])
+
+
+def test_engine_error_raises_the_first_violation(monkeypatch):
+    """A checked run whose engine fails (here: the ``max_cycles`` net)
+    raises the first violation its recording holds, not the engine's
+    error — the order a live checker gave."""
+    from test_cycle_skip import _simulate
+
+    def broken(checker, now, nid, pops):
+        if checker.fired:
+            checker._fail("token-conservation", f"injected at cycle {now}")
+        checker.fired[checker.dfg.nodes[nid].op] = 1
+
+    monkeypatch.setattr(InvariantChecker, "fire", broken)
+    with pytest.raises(InvariantViolation, match="injected") as info:
+        _simulate("spmspv", sim=dict(check=True, max_cycles=40))
+    assert isinstance(info.value.__context__, SimulationError)
+    with pytest.raises(SimulationError, match="max_cycles"):
+        _simulate("spmspv", sim=dict(max_cycles=40))
 
 
 def test_violation_is_a_simulation_error():
@@ -134,32 +149,41 @@ def test_pop_from_empty_shadow_is_token_conservation():
         checker.fire(5, consumer, (port,))
 
 
+def _recorded(*ticks):
+    """A recording of ``(now, fired rows)`` ticks, no emissions."""
+    rec = Recording(buckets=False, services=False)
+    for now, fired in ticks:
+        for nid, pops, effect in fired:
+            rec.fired.extend((nid, POPS[pops], effect))
+        rec.ticks.extend((now, 0, len(rec.fired), 0))
+    return rec
+
+
 def test_tick_record_drives_the_rules():
-    """``on_tick`` runs the rules over a hand-built record: a firing
+    """``replay`` runs the rules over a hand-built recording: a firing
     that pops an empty shadow FIFO, and an issue past the limit by the
     checker's own in-flight count."""
     checker, _dfg = make_checker()
     consumer, port = edge_key(checker)
     with pytest.raises(InvariantViolation, match="token-conservation"):
-        checker.on_tick(5, [], [(consumer, (port,), False, True)], (), [])
+        checker.replay(_recorded((5, [(consumer, (port,), PUSH)])))
 
     checker, dfg = make_checker(max_outstanding=2)
-    issue = [(mem_nid(dfg), (), True, False)]
-    checker.on_tick(3, [], issue, (), [])
-    checker.on_tick(4, [], issue, (), [])
+    issue = [(mem_nid(dfg), (), ISSUE)]
+    checker.replay(_recorded((3, issue), (4, issue)))
     with pytest.raises(InvariantViolation, match="max-outstanding"):
-        checker.on_tick(5, [], issue, (), [])
+        checker.replay(_recorded((5, issue)))
 
 
 def test_same_tick_consume_is_token_cadence():
     checker, dfg = make_checker()
     consumer, port = edge_key(checker)
     producer = dfg.nodes[consumer].inputs[port].src
-    checker.commit(7, [(producer, 1)])
+    checker.commit(7, [producer])
     with pytest.raises(InvariantViolation, match="token-cadence"):
         checker.fire(7, consumer, (port,))  # pushed at 7, popped at 7
     # ...but the next tick is fine.
-    checker.commit(7, [(producer, 1)])
+    checker.commit(7, [producer])
     checker.fire(8, consumer, (port,))
 
 
@@ -167,10 +191,10 @@ def test_overfull_fifo_is_fifo_capacity():
     checker, dfg = make_checker(capacity=2)
     consumer, port = edge_key(checker)
     producer = dfg.nodes[consumer].inputs[port].src
-    checker.commit(1, [(producer, 1)])
-    checker.commit(2, [(producer, 1)])
+    checker.commit(1, [producer])
+    checker.commit(2, [producer])
     with pytest.raises(InvariantViolation, match="fifo-capacity"):
-        checker.commit(3, [(producer, 1)])
+        checker.commit(3, [producer])
 
 
 def test_issue_over_limit_is_max_outstanding():
@@ -178,8 +202,7 @@ def test_issue_over_limit_is_max_outstanding():
     nid = mem_nid(dfg)
     checker.issue(3, nid)
     checker.issue(4, nid)  # two in flight by the checker's own count
-    reply = SimpleNamespace(seq=1, issue_cycle=3, arrived_cycle=5)
-    checker.response(5, nid, reply)
+    checker.response(5, nid, seq=1, issue=3, arrived=5)
     checker.issue(6, nid)  # a response freed a slot: fine
     with pytest.raises(InvariantViolation, match="max-outstanding"):
         checker.issue(7, nid)
@@ -208,32 +231,27 @@ def test_issue_before_predecessor_response_is_memory_ordering():
         checker.issue(9, nid)
     checker = InvariantChecker(dfg, 2, 2)
     # Predecessor responds at 9 -> issuing *at* 9 is still too early...
-    record = SimpleNamespace(seq=0, issue_cycle=1, arrived_cycle=8)
-    checker.response(9, pred, record)
+    reply = dict(seq=0, issue=1, arrived=8)
+    checker.response(9, pred, **reply)
     with pytest.raises(InvariantViolation, match="memory-ordering"):
         checker.issue(9, nid)
     # ...strictly after is legal.
     checker = InvariantChecker(dfg, 2, 2)
-    checker.response(9, pred, record)
+    checker.response(9, pred, **reply)
     checker.issue(10, nid)
 
 
 def test_response_timing_and_order_rules():
     checker, dfg = make_checker()
     nid = mem_nid(dfg)
-    bad = SimpleNamespace(seq=0, issue_cycle=5, arrived_cycle=3)
     with pytest.raises(InvariantViolation, match="response-timing"):
-        checker.response(6, nid, bad)  # arrived before issue
+        checker.response(6, nid, seq=0, issue=5, arrived=3)  # before issue
 
     checker2, dfg2 = make_checker()
     nid2 = mem_nid(dfg2)
-    checker2.response(
-        6, nid2, SimpleNamespace(seq=1, issue_cycle=1, arrived_cycle=5)
-    )
+    checker2.response(6, nid2, seq=1, issue=1, arrived=5)
     with pytest.raises(InvariantViolation, match="response-order"):
-        checker2.response(
-            7, nid2, SimpleNamespace(seq=1, issue_cycle=2, arrived_cycle=6)
-        )
+        checker2.response(7, nid2, seq=1, issue=2, arrived=6)
 
 
 def _quiescent_stats():
@@ -313,7 +331,7 @@ def test_finish_flags_leftover_tokens_per_edge():
     checker, dfg = make_checker()
     consumer, port = edge_key(checker)
     producer = dfg.nodes[consumer].inputs[port].src
-    checker.commit(1, [(producer, 1)])
+    checker.commit(1, [producer])
     stats, engine = _quiescent_stats()
     with pytest.raises(InvariantViolation, match="token-conservation"):
         checker.finish(stats, engine)

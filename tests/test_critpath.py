@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -38,6 +39,7 @@ from repro.exp.resilient import run_resilient
 from repro.exp.runner import compile_cached, run_point
 from repro.exp.spec import RunSpec, sweep_specs
 from repro.obs.critpath import CATEGORIES, ROLLUP, ROLLUP_ORDER
+from repro.obs.events import Recording
 from repro.obs.manifest import read_manifest, stable_view
 from repro.obs.sinks import CycleAttribution, FmnocHeatmap, NocHeatmap
 from repro.workloads.registry import ALL_WORKLOADS, make_workload
@@ -338,22 +340,29 @@ class TestManifests:
 # -- satellite: zero-event guards + by-class rollup -------------------------
 
 
+#: A run with no node and nothing recorded.
+EMPTY = Recording(buckets=True, services=False)
+EMPTY_STATS = SimpleNamespace(system_cycles=0, numa={})
+
+
 class TestSinkGuards:
     def test_attribution_render_guards_empty_run(self):
-        sink = CycleAttribution({}, 2)
+        sink = CycleAttribution({}, 2, EMPTY, EMPTY_STATS)
         assert "(no events recorded)" in sink.render()
         assert "(no events recorded)" in sink.render_by_class()
 
     def test_attribution_fractions_guard_empty_run(self):
-        fractions = CycleAttribution({}, 2).fractions()
+        fractions = CycleAttribution({}, 2, EMPTY, EMPTY_STATS).fractions()
         assert fractions
         assert all(value == 0.0 for value in fractions.values())
 
     def test_noc_heatmap_guards_empty_run(self):
-        assert "(no token traffic recorded)" in NocHeatmap({}).render(12, 12)
+        heatmap = NocHeatmap({}, {}, EMPTY)
+        assert "(no token traffic recorded)" in heatmap.render(12, 12)
 
     def test_fmnoc_heatmap_guards_empty_run(self):
-        assert "no arbitrated traffic" in FmnocHeatmap(None, None).render()
+        heatmap = FmnocHeatmap(None, None, EMPTY)
+        assert "no arbitrated traffic" in heatmap.render()
 
 
 class TestByClassRollup:

@@ -218,29 +218,20 @@ def test_snapshot_after_a_jump_resumes_to_the_same_report(tmp_path):
     assert _split(resumed.stats) == _split(full.stats)
 
 
-def test_attribution_is_a_function_of_the_tick_records(monkeypatch):
-    """A sink fed only a skip-heavy run's tick records and its final
-    stats reports what the live one does: the jumped-over ticks and the
-    divider gap need no event of their own."""
+def test_attribution_is_a_function_of_the_tick_records(recordings):
+    """An attribution built from a skip-heavy run's tick rows alone —
+    its skips dropped — and its final stats reports what the run's own
+    does: the jumped-over ticks and the divider gap need no row."""
     from repro.obs.sinks import CycleAttribution
 
-    records = []
-    real = CycleAttribution.on_tick
-
-    def recorded(sink, now, emitted, fired, changes, pushes):
-        records.append((now, list(changes)))
-        real(sink, now, emitted, fired, changes, pushes)
-
-    monkeypatch.setattr(CycleAttribution, "on_tick", recorded)
     run = _simulate("spmspv", "upea2", "latency-bound", sim=dict(trace=True))
-    monkeypatch.undo()
     live = run.obs.attribution
     assert run.stats.skipped_cycles > run.stats.executed_cycles
+    (rec,) = recordings
+    assert len(rec.skips) > 0
+    del rec.skips[:]
 
-    replay = CycleAttribution(live.node_info, live.divider)
-    for now, changes in records:
-        replay.on_tick(now, (), (), changes, ())
-    replay.on_finish(run.stats)
+    replay = CycleAttribution(live.node_info, live.divider, rec, run.stats)
     assert replay.per_node == live.per_node
     assert (replay.ticks, replay.divider_gap) == (live.ticks, live.divider_gap)
     assert replay.render() == live.render()

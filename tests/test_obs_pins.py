@@ -6,9 +6,9 @@ feedback-directed placement), so a cheaper probe path is only admissible
 if what the probes *report* does not move by a bit. The digests in
 ``tests/data/obs_digests.json`` were generated by the engine that
 re-classified every node on every executed fabric tick and published one
-bus event per firing, emission and consumer edge; the per-event probe
-path (incremental stall buckets, one batched tick record, sinks that
-count at the source) must land on exactly the same ones.
+bus event per firing, emission and consumer edge; the probes built
+from a run's recording (incremental stall buckets, integer rows per
+emission, firing and bucket change) must land on exactly the same ones.
 
 Pinned, per point: the ``per_node`` attribution table, ``render()`` and
 ``render_by_class()`` text, the data-NoC ``edge_tokens`` /
@@ -206,10 +206,11 @@ def test_bucket_cache_equals_a_recount_every_tick(
     #: executed tick cycle -> whether anything fired or emitted in it.
     eventful: dict[int, bool] = {}
 
-    def recounted(engine):
-        changes = real(engine)
-        fired = {firing[0] for firing in engine._tick_fired}
-        fired.update(record.nid for record, _n, _d in engine._tick_emitted)
+    def recounted(engine, e0, f0, scans):
+        rec = engine.recording
+        c0 = len(rec.changes)
+        real(engine, e0, f0, scans)
+        fired = set(rec.fired[f0::3]) | set(rec.emitted[e0::10])
         for nid in engine.dfg.nodes:
             if nid in fired:
                 want = FIRE
@@ -222,9 +223,8 @@ def test_bucket_cache_equals_a_recount_every_tick(
                 f"tick {len(changes_per_tick)} node {nid}: cached "
                 f"{engine._buckets[nid]!r}, recount says {want!r}"
             )
-        changes_per_tick.append(len(changes))
+        changes_per_tick.append((len(rec.changes) - c0) // 2)
         eventful[engine.now] = bool(fired)
-        return changes
 
     monkeypatch.setattr(_Engine, "_bucket_changes", recounted)
     run = probed_run(name, config, trace=True, **VARIANTS[variant])
@@ -242,33 +242,35 @@ def test_bucket_cache_equals_a_recount_every_tick(
     assert not skipped_after_event, (
         f"the scheduler jumped over the tick after {skipped_after_event}"
     )
-    # Published work is per change, not per node per tick.
+    # Recorded work is per change, not per node per tick.
     assert sum(changes_per_tick) < nodes * len(changes_per_tick)
 
 
-# -- a switch attaches the sinks it names ------------------------------------
+# -- a switch builds the probes it names ------------------------------------
 
 
-def test_critpath_only_attaches_the_recorder_alone():
+def test_critpath_only_attaches_the_recorder_alone(recordings):
     """``critpath=True`` alone pays for the recorder, not the taxonomy:
-    no attribution or heatmap sink exists, nothing takes bucket changes
-    (so the engine never classifies), and the report is the pinned one."""
+    no attribution, heatmap or timeline is built, no bucket change is
+    recorded (so the engine never classifies), and the report is the
+    pinned one."""
     run = probed_run("spmspv", "monaco", critpath=True)
     obs = run.obs
     assert obs.attribution is None
     assert obs.noc_heatmap is None and obs.fmnoc_heatmap is None
-    assert obs.chrome is None
-    assert obs.sinks == [obs.critpath]
-    assert not obs.wants_buckets
+    assert obs.chrome is None and obs.check is None
+    (rec,) = recordings
+    assert rec.changes is None and rec.services is None
     want = pinned()["spmspv/monaco/skip"]
     for key, digest in critpath_digests(obs.critpath).items():
         assert digest == want[key]
 
 
-def test_trace_only_and_trace_plus_critpath():
+def test_trace_only_and_trace_plus_critpath(recordings):
     run = probed_run("spmspv", "monaco", trace=True)
     assert run.obs.critpath is None
-    assert run.obs.attribution is not None and run.obs.wants_buckets
+    assert run.obs.attribution is not None
+    assert recordings[-1].changes is not None
     both = probed_run("spmspv", "monaco", trace=True, critpath=True)
     assert both.obs.attribution is not None
     assert both.obs.noc_heatmap is not None

@@ -13,8 +13,10 @@ Covers the tentpole contracts:
   between serial and parallel sweeps.
 """
 
+import io
 import json
-from collections import Counter
+import pickle
+from array import array
 
 import pytest
 
@@ -24,7 +26,7 @@ from repro.exp.configs import MONACO, hybrid, numa, upea
 from repro.exp.resilient import run_resilient
 from repro.exp.runner import run_parallel, run_point
 from repro.exp.spec import RunSpec, sweep_specs
-from repro.obs.events import FIRE, STALL_KINDS, TICK_KINDS, EventBus
+from repro.obs.events import FIELDS, FIRE, STALL_KINDS, TICK_KINDS
 from repro.obs.manifest import (
     MANIFEST_SCHEMA,
     config_digest,
@@ -296,37 +298,92 @@ class TestNumaAndEnergyReporting:
         assert a == b
 
 
-class TestEventBus:
-    def test_attach_binds_only_implemented_hooks(self):
-        class Sink:
-            def __init__(self):
-                self.ticks = []
+class TestRecording:
+    def test_a_recording_is_integer_columns_of_whole_rows(
+        self, recordings, tmp_path
+    ):
+        """A timelined run records all six columns as ``array('q')`` of
+        whole rows, and its tick rows account for every per-tick row."""
+        run = _run(_traced_arch(trace_path=str(tmp_path / "trace.json")))
+        (rec,) = recordings
+        assert tuple(rec.lengths()) == tuple(FIELDS)
+        assert set(vars(rec)) == set(FIELDS) | {"saved"}
+        for name, fields in FIELDS.items():
+            column = getattr(rec, name)
+            assert isinstance(column, array) and column.typecode == "q"
+            assert len(column) % len(fields) == 0, name
+        assert list(rec.ticks[-3:]) == [
+            len(getattr(rec, name))
+            for name in ("emitted", "fired", "changes")
+        ]
+        counted = [0, 0, 0]
+        for _now, *columns in rec.each_tick():
+            for k, rows in enumerate(columns):
+                counted[k] += len(list(rows))
+        assert counted == [
+            len(getattr(rec, name)) // len(FIELDS[name])
+            for name in ("emitted", "fired", "changes")
+        ]
+        assert len(rec.skips) // 2 == len(
+            [e for e in run.obs.chrome.events if e["pid"] == 2]
+        )
 
-            def on_tick(self, now, emitted, fired, changes, pushes):
-                self.ticks.append((now, emitted, fired, changes, pushes))
+    def test_only_a_bucket_reader_classifies_stalls(
+        self, recordings, monkeypatch
+    ):
+        """A run with only the critical path or the checker on never
+        classifies a stall bucket (no ``changes`` column, no
+        ``_stall_reason`` call); a run with attribution on does."""
+        from repro.sim.engine import _Engine
 
-        bus = EventBus()
-        sink = Sink()
-        bus.attach(sink)
-        record = ([], [(7, (0,), False, True)], [(7, FIRE)], [(7, 42)])
-        bus.tick(3, *record)
-        bus.skip(4, 8)  # no on_skip handler: a no-op, not an error
-        assert sink.ticks == [(3, *record)]
+        classified = []
+        real = _Engine._stall_reason
 
-    def test_bus_knows_at_attach_time_who_takes_bucket_changes(self):
-        class Plain:
-            def on_tick(self, now, emitted, fired, changes, pushes):
-                pass
+        def counted(engine, nid):
+            classified.append(nid)
+            return real(engine, nid)
 
-        class Bucketed(Plain):
-            TAKES_BUCKETS = True
+        monkeypatch.setattr(_Engine, "_stall_reason", counted)
+        for sim, buckets in (
+            (dict(critpath=True), False),
+            (dict(check=True), False),
+            (dict(critpath=True, check=True), False),
+            (dict(trace=True), True),
+        ):
+            classified.clear()
+            recordings.clear()
+            _run(ArchParams(sim=SimParams(**sim)))
+            (rec,) = recordings
+            assert (rec.changes is not None) == buckets, sim
+            assert bool(classified) == buckets, sim
+            if buckets:
+                assert len(rec.changes) > 0
 
-        bus = EventBus()
-        bus.attach(Plain())
-        assert not bus.wants_buckets
-        bus.attach(Bucketed())
-        bus.attach(Plain())
-        assert bus.wants_buckets
+
+#: ``pickle.dumps(run.obs)`` of the spmspv/tiny points below when every
+#: probe was a live sink of an event bus: what a pooled worker sent back.
+OBS_PICKLE_BYTES_BEFORE_RECORDING = {"probes": 55_157, "timeline": 309_348}
+
+
+def test_run_obs_carries_the_probes_not_the_recording(tmp_path):
+    """``SimResult.obs`` holds the built reports: its pickle names no
+    recording column and is no bigger than the live sinks' was."""
+    for case, sim in (
+        ("probes", dict(trace=True, critpath=True, check=True)),
+        ("timeline", dict(trace=True, trace_path=str(tmp_path / "t.json"))),
+    ):
+        blob = pickle.dumps(_run(ArchParams(sim=SimParams(**sim))).obs)
+        named = set()
+
+        class Globals(pickle.Unpickler):
+            def find_class(self, module, name):
+                named.add(f"{module}.{name}")
+                return super().find_class(module, name)
+
+        Globals(io.BytesIO(blob)).load()
+        assert not {"array.array", "array._array_reconstructor",
+                    "repro.obs.events.Recording"} & named, case
+        assert len(blob) <= OBS_PICKLE_BYTES_BEFORE_RECORDING[case], case
 
 
 class TestNumaCounters:
@@ -348,56 +405,11 @@ class TestNumaCounters:
         assert "counter numa-" in run.obs.attribution.render()
 
 
-def test_a_traced_run_publishes_four_event_kinds(monkeypatch):
-    """Only ``tick``, ``skip``, ``mem_service`` and ``finish`` reach the
-    bus: no per-cycle gap event, no per-request counter, no per-stage
-    FM-NoC event."""
-    import repro.obs.sinks
-
-    class Census:
-        """Takes every hook the bus can publish and counts its calls."""
-
-        def __init__(self):
-            self.kinds = Counter()
-
-        def __getattr__(self, hook):
-            if not hook.startswith("on_"):
-                raise AttributeError(hook)
-            return lambda *args: self.kinds.update([hook[3:]])
-
-    census = Census()
-    real = repro.obs.sinks.make_observation
-
-    def with_census(*args, **kwargs):
-        obs = real(*args, **kwargs)
-        obs.attach(census)
-        return obs
-
-    monkeypatch.setattr(repro.obs.sinks, "make_observation", with_census)
-    for config in (numa(2), MONACO):
-        census.kinds.clear()
-        run = _run(_traced_arch(), config=config)
-        assert run.stats.skipped_cycles > 0
-        assert set(census.kinds) <= {
-            "tick", "skip", "mem_service", "finish",
-        }, census.kinds
-        assert census.kinds["tick"] > 0 and census.kinds["finish"] == 1
-
-
-def test_publishers_get_the_bus_only_for_a_reader(monkeypatch, tmp_path):
-    """The memory system publishes only when a sink reads bank service
-    (the Chrome sink): a run without one makes no publish call into an
-    empty handler list."""
-    from repro.sim.engine import _Engine
-
-    wired = []
-    real = _Engine.run
-
-    def spy(engine):
-        wired.append(engine.memsys.obs is not None)
-        return real(engine)
-
-    monkeypatch.setattr(_Engine, "run", spy)
+def test_bank_services_are_recorded_only_for_a_timeline(
+    recordings, tmp_path
+):
+    """The memory system records bank services only for the Chrome
+    timeline, the one probe that draws them."""
     chrome = str(tmp_path / "trace.json")
     for sim, expected in (
         (dict(check=True), False),
@@ -405,10 +417,15 @@ def test_publishers_get_the_bus_only_for_a_reader(monkeypatch, tmp_path):
         (dict(trace=True), False),
         (dict(trace=True, trace_path=chrome), True),
     ):
-        wired.clear()
+        recordings.clear()
         run = _run(ArchParams(sim=SimParams(**sim)))
         assert run.obs is not None
-        assert wired == [expected], sim
+        (rec,) = recordings
+        assert (rec.services is not None) == expected, sim
+        if expected:
+            assert len(rec.services) // 4 == run.stats.mem.loads + (
+                run.stats.mem.stores
+            )
 
 
 class TestDeadlockReport:

@@ -59,6 +59,7 @@ from repro.exp.configs import MONACO, hybrid, numa, upea
 from repro.exp.resilient import SweepPolicy, call_with_timeout, run_resilient
 from repro.exp.runner import compile_cached
 from repro.exp.spec import RunSpec, sweep_specs
+from repro.obs.events import FIELDS
 from repro.obs.manifest import completed_points, read_manifest, stable_view
 from repro.sim.engine import _Engine, simulate
 from repro.sim.faults import _Stream
@@ -71,6 +72,7 @@ from repro.sim.snapshot import (
     check_boundary_invariants,
     load_snapshot,
     restore,
+    sidecar_path,
     sim_config_digest,
 )
 from repro.sim.stats import RESERVOIR_CAP, LatencyAccumulator
@@ -416,6 +418,24 @@ class TestRejection:
         assert written and {r["status"] for r in written} == {"snapshot"}
         assert read_manifest(torn, strict=False) == written
 
+    def test_short_sidecar_discards_the_probed_snapshot(self, tmp_path):
+        """A recording sidecar that holds fewer rows than its snapshot
+        counts is refused, so the point restarts from cycle 0."""
+        arch = _arch(critpath=True)
+        path = str(tmp_path / "probed.snap")
+        with pytest.raises(SimulationPreempted):
+            _simulate(
+                "spmspv", arch,
+                checkpoint=CheckpointConfig(path, cycle_budget=300),
+            )
+        fired = os.path.join(sidecar_path(path), "fired")
+        os.truncate(fired, os.path.getsize(fired) - 12)
+        with pytest.raises(SnapshotError, match="fewer 'fired' rows"):
+            load_snapshot(path)
+        run = _simulate("spmspv", arch, checkpoint=CheckpointConfig(path))
+        assert run.resume_info is None
+        assert _digest(run) == _digest(_simulate("spmspv", arch))
+
     def test_foreign_file_refused(self, tmp_path):
         path = str(tmp_path / "foreign.snap")
         with open(path, "wb") as handle:
@@ -424,7 +444,7 @@ class TestRejection:
             load_snapshot(path)
 
     def test_version_skew_refused(self, tmp_path):
-        # Versions 1-8 are real history: their state has another layout
+        # Versions 1-9 are real history: their state has another layout
         # (1: no open runs, per-edge token counters; 2: a ``skipped``
         # bucket beside the open runs; 3: a handler table naming
         # ``on_gap`` / ``on_counter``; 4: the invariant checker as a
@@ -432,10 +452,12 @@ class TestRejection:
         # stats state; 6: hand-keyed engine tables and the probe object
         # pickled whole; 7: an arbiter stall counter and a fault-stream
         # draw counter; 8: FM-NoC stage traffic counted per stage rather
-        # than issues per node), so a snapshot from those builds must be
-        # refused by name, up front.
+        # than issues per node; 9: every probe's accumulated state, event
+        # logs and timeline included, rather than the recording's
+        # lengths), so a snapshot from those builds must be refused by
+        # name, up front.
         path = self._snap(tmp_path)
-        for version in (99, 1, 2, 3, 4, 5, 6, 7, 8):
+        for version in (99, 1, 2, 3, 4, 5, 6, 7, 8, 9):
             self._rewrite(
                 path, lambda blob: blob.__setitem__("version", version)
             )
@@ -750,7 +772,33 @@ class TestSnapshotContents:
 
         state = Recording(io.BytesIO(payload)).load()
         assert named <= PAYLOAD_GLOBALS, sorted(named - PAYLOAD_GLOBALS)
-        assert len(state["obs"]["sinks"]) == 6
+        # The probes keep no state: the recording's lengths stand for
+        # the rows in the sidecar.
+        names, lengths = state["recording"]
+        assert names == tuple(FIELDS) and len(lengths) == 8 * len(FIELDS)
+        assert sorted(os.listdir(sidecar_path(path))) == sorted(names)
+
+    def test_probed_snapshot_does_not_grow_with_the_run(self, tmp_path):
+        """The probes' share of a snapshot — its bytes minus a plain
+        run's at the same cycle budget — is the same at 1,000 and 4,000
+        executed cycles, with the critical path and the timeline on."""
+        probed = _arch(
+            critpath=True, trace=True, trace_path=str(tmp_path / "t.json")
+        )
+        shares = []
+        for budget in (1_000, 4_000):
+            sizes = []
+            for arch in (probed, ArchParams()):
+                path = str(tmp_path / "point.snap")
+                with pytest.raises(SimulationPreempted):
+                    _simulate(
+                        "ic", arch,
+                        checkpoint=CheckpointConfig(path, cycle_budget=budget),
+                    )
+                sizes.append(os.path.getsize(path))
+                os.unlink(path)
+            shares.append(sizes[0] - sizes[1])
+        assert shares[0] == shares[1] > 0, shares
 
     def test_roundtrip_check_compares_the_probes(self, tmp_path, monkeypatch):
         """A clone whose probe state differs from the live machine's
@@ -760,8 +808,9 @@ class TestSnapshotContents:
 
         def tampered(payload):
             state = pickle.loads(payload)
-            if isinstance(state, dict) and isinstance(state.get("obs"), dict):
-                state["obs"]["sinks"][0]["issues"] += 1
+            if isinstance(state, dict) and state.get("recording"):
+                names, lengths = state["recording"]
+                state["recording"] = (names, bytes(len(lengths)))
             return state
 
         monkeypatch.setattr(
@@ -773,7 +822,9 @@ class TestSnapshotContents:
                 HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL,
             ),
         )
-        with pytest.raises(InvariantViolation, match="mismatch in 'obs'"):
+        with pytest.raises(
+            InvariantViolation, match="mismatch in 'recording'"
+        ):
             _simulate(
                 "spmspv",
                 _arch(check=True),
