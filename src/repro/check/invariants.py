@@ -1,11 +1,12 @@
 """Runtime invariant checkers for the cycle-level simulator.
 
 :class:`InvariantChecker` runs under ``ArchParams.sim.check``. Its
-rules read only the run's recording (:mod:`repro.obs.events`) — emitted
-responses, committed firings and the memory requests they issued, the
-pushes each tick commits — and it counts each node's requests in flight
-itself. ``simulate`` replays the recording through the rules once the
-run ends, and also before an engine error (deadlock, FIFO overflow,
+rules read only the run's recording, through its
+:class:`~repro.obs.events.Walk` — emitted responses, committed firings
+and the memory requests they issued, the token each pop consumed and
+the FIFOs each tick's pushes fill — and it counts each node's requests
+in flight itself. ``simulate`` replays the recording through the rules
+once the run ends, and also before an engine error (deadlock, FIFO overflow,
 ``max_cycles``) propagates, so a failing checked run raises the first
 violation in tick order; only :meth:`InvariantChecker.finish`, the live
 end-of-run audit, reads the final stats and the quiescent engine. It
@@ -15,19 +16,19 @@ only a *violation* changes behaviour, by raising
 
 Invariant catalog (see INTERNALS Sec. 8):
 
-**Shadow-FIFO timestamps** (token conservation + cadence).  The checker
-mirrors every token FIFO with a queue of *push cycles*. A push is
-replayed from its tick's rows, which the engine records just before
-committing it; a pop asserts the shadow queue is non-empty and that the
-front stamp is strictly older than the current cycle (pushes commit at
-end-of-tick and become consumable at the next fabric tick). Together with the per-edge ``pushed == popped`` audit at
-quiescence this proves no token is consumed twice, conjured from
-nothing, or consumed in the same tick it was produced.
+**Mirrored FIFOs** (token conservation + cadence).  The walk mirrors
+every token FIFO with a queue of the events that pushed its tokens,
+replayed from each tick's rows, which the engine records just before
+committing its pushes. A pop asserts the mirror was non-empty and that
+the token's push is strictly older than the current cycle (pushes
+commit at end-of-tick and become consumable at the next fabric tick).
+Together with the audit that every mirror is empty at quiescence this
+proves no token is consumed twice, conjured from nothing, or consumed
+in the same tick it was produced.
 
-**FIFO capacity.**  Each shadow push asserts the mirrored occupancy
-never exceeds ``fifo_capacity`` — independently of the engine's own
-overflow guard, so a bookkeeping bug in ``pending_pushes`` cannot mask
-an overflow.
+**FIFO capacity.**  No push may leave a mirrored FIFO above
+``fifo_capacity`` — independently of the engine's own overflow guard,
+so a bookkeeping bug in ``pending_pushes`` cannot mask an overflow.
 
 **Memory-ordering monotonicity.**  A load/store whose input is fed by
 another memory node (the lowering's ordering-token chains) must not
@@ -57,12 +58,12 @@ the checker's own count (its issues minus its responses).
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter
 
 from repro.dfg.graph import DFG, PortRef
 from repro.errors import SimulationError
 from repro.isa import MEMORY_OPS
-from repro.obs.events import ISSUE, POPS, PUSH
+from repro.obs.events import ISSUE, Walk
 
 
 class InvariantViolation(SimulationError):
@@ -81,15 +82,9 @@ class InvariantChecker:
         self.dfg = dfg
         self.capacity = capacity
         self.max_outstanding = max_outstanding
-        #: Producer nid -> the (consumer, port) keys its pushes land on.
-        self._fanout = dfg.consumers()
-        keys = [key for sinks in self._fanout.values() for key in sinks]
-        #: Shadow token FIFOs: push-cycle stamps per (consumer, port).
-        self.shadow: dict[tuple[int, int], deque[int]] = {
-            key: deque() for key in keys
-        }
-        self.pushed = dict.fromkeys(keys, 0)
-        self.popped = dict.fromkeys(keys, 0)
+        #: The walk's mirrored token FIFOs, once :meth:`replay` has
+        #: walked the recording.
+        self.fifos: dict = {}
         #: Independent firing ledger (per op kind).
         self.fired: dict[str, int] = {}
         self.issues = 0
@@ -124,48 +119,53 @@ class InvariantChecker:
     # -- the recording (see :mod:`repro.obs.events`) ----------------------
 
     def replay(self, recording) -> None:
-        """Run the rules over every recorded tick, in run order."""
-        for now, emitted, fired, _changes in recording.each_tick():
-            pushes = []
+        """Run the rules over every recorded tick, in run order, then
+        count the recorded firings into the ``fired`` ledger."""
+        walk = Walk(recording, self.dfg, self.capacity)
+        self.fifos, cycle = walk.fifos, walk.cycle
+        for now, emitted, fired, popped, _pushes, overfull, _changes in walk:
             for nid, seq, issue, _enq, _serve, _done, arrived, *_ in emitted:
                 self.response(now, nid, seq, issue, arrived)
-                pushes.append(nid)
-            for nid, mask, effect in fired:
-                self.fire(now, nid, POPS[mask])
+            for (nid, _mask, effect), tokens in zip(fired, popped):
+                for port, _full, source in tokens:
+                    if source is None or cycle[source] >= now:
+                        self._bad_pop(now, nid, port, source, cycle)
                 if effect == ISSUE:
                     self.issue(now, nid)
-                elif effect == PUSH:
-                    pushes.append(nid)
-            if pushes:
-                self.commit(now, pushes)
+            for (consumer, port), tokens in overfull:
+                node = self.dfg.nodes[consumer]
+                self._fail(
+                    "fifo-capacity",
+                    f"{self._describe(consumer)} port "
+                    f"{node.port_name(port)} holds {tokens} tokens "
+                    f"(capacity {self.capacity}) after the commit at "
+                    f"cycle {now}",
+                )
+        nodes = self.dfg.nodes
+        for nid, count in Counter(recording.fired[::3]).items():
+            op = nodes[nid].op
+            self.fired[op] = self.fired.get(op, 0) + count
 
     # -- rules --------------------------------------------------------------
 
-    def fire(self, now: int, nid: int, pops: tuple[int, ...]) -> None:
-        """A node committed a firing at fabric tick ``now``, consuming a
-        token from each input port index in ``pops``."""
-        node = self.dfg.nodes[nid]
-        self.fired[node.op] = self.fired.get(node.op, 0) + 1
-        for index in pops:
-            key = (nid, index)
-            queue = self.shadow[key]
-            if not queue:
-                self._fail(
-                    "token-conservation",
-                    f"{self._describe(nid)} popped port "
-                    f"{node.port_name(index)} but the shadow FIFO is "
-                    "empty — a token was consumed that was never pushed",
-                )
-            stamp = queue.popleft()
-            self.popped[key] += 1
-            if stamp >= now:
-                self._fail(
-                    "token-cadence",
-                    f"{self._describe(nid)} consumed a token on port "
-                    f"{node.port_name(index)} at cycle {now} that was "
-                    f"pushed at cycle {stamp}; tokens only become "
-                    "visible at the tick after their push commits",
-                )
+    def _bad_pop(self, now, nid, port, source, cycle) -> None:
+        """A firing at ``now`` popped a token the mirror did not hold
+        (``source`` None) or one pushed at or after ``now``."""
+        port = self.dfg.nodes[nid].port_name(port)
+        if source is None:
+            self._fail(
+                "token-conservation",
+                f"{self._describe(nid)} popped port {port} but the "
+                "mirrored FIFO is empty — a token was consumed that was "
+                "never pushed",
+            )
+        self._fail(
+            "token-cadence",
+            f"{self._describe(nid)} consumed a token on port {port} at "
+            f"cycle {now} that was pushed at cycle {cycle[source]}; "
+            "tokens only become visible at the tick after their push "
+            "commits",
+        )
 
     def issue(self, now: int, nid: int) -> None:
         """A memory node issued a request at cycle ``now``."""
@@ -221,26 +221,6 @@ class InvariantChecker:
         self._last_seq[nid] = seq
         self._first_emit.setdefault(nid, now)
 
-    def commit(self, now: int, pushes: list[int]) -> None:
-        """This tick's token pushes (their producers, in commit order),
-        which the engine commits next."""
-        fanout = self._fanout
-        for nid in pushes:
-            for key in fanout[nid]:
-                queue = self.shadow[key]
-                queue.append(now)
-                self.pushed[key] += 1
-                if len(queue) > self.capacity:
-                    consumer, index = key
-                    node = self.dfg.nodes[consumer]
-                    self._fail(
-                        "fifo-capacity",
-                        f"{self._describe(consumer)} port "
-                        f"{node.port_name(index)} holds {len(queue)} "
-                        f"tokens (capacity {self.capacity}) after the "
-                        f"commit at cycle {now}",
-                    )
-
     def finish(self, stats, engine) -> None:
         """Quiescence ledger identities (see module doc); the only read
         of engine state, once the run has returned."""
@@ -291,16 +271,14 @@ class InvariantChecker:
                 f"{engine.mem_inflight} memory requests still counted "
                 "in flight",
             )
-        for key, queue in self.shadow.items():
-            if queue or self.pushed[key] != self.popped[key]:
-                consumer, index = key
+        for (consumer, index), fifo in self.fifos.items():
+            if fifo:
                 node = self.dfg.nodes[consumer]
                 self._fail(
                     "token-conservation",
                     f"{self._describe(consumer)} port "
-                    f"{node.port_name(index)}: {self.pushed[key]} "
-                    f"pushed vs {self.popped[key]} popped "
-                    f"({len(queue)} stamp(s) left) at quiescence",
+                    f"{node.port_name(index)} still holds {len(fifo)} "
+                    "token(s) at quiescence",
                 )
         if self.fired != stats.firings:
             self._fail(

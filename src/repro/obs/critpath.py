@@ -49,9 +49,9 @@ from __future__ import annotations
 
 from collections import Counter, deque
 
-from repro.dfg.graph import PortRef, node_label
 from repro.errors import SimulationError
-from repro.obs.events import ISSUE, POPS, PUSH
+from repro.obs.events import ISSUE, PUSH, Walk
+from repro.obs.sinks import node_info_of
 
 #: Fine-grained attribution categories, in reporting order. Costs over
 #: the critical path sum exactly to ``system_cycles``.
@@ -102,17 +102,8 @@ SELF = 3  # the node's own previous firing (initiation interval)
 OPERAND = 4  # final operand token's push
 CHAIN = 5  # the memory round-trip back to the issuing firing
 
-_EDGE_NAMES = {
-    ROOT: "root",
-    ORDER: "order",
-    SPACE: "space",
-    SELF: "self",
-    OPERAND: "operand",
-    CHAIN: "chain",
-}
-
-_KIND_FIRE = 0
-_KIND_EMIT = 1
+#: Edge kind -> its name in ``report["edge_counts"]``.
+_EDGE_NAMES = ("root", "order", "space", "self", "operand", "chain")
 
 
 def blame_shares(report: dict) -> dict[int, dict]:
@@ -149,12 +140,12 @@ def blame_shares(report: dict) -> dict[int, dict]:
 class CriticalPathRecorder:
     """Backward-walk blame attribution over a run's recording.
 
-    Built once the run ends: :class:`_ReleaseEdges` replays the recorded
-    ticks — each emitted response with its
-    :class:`~repro.sim.memsys.RequestRecord` milestones, each committed
-    firing with its popped ports, and the pushes (mirroring the engine's
-    FIFOs) — into an event log, the walk over that log becomes
-    ``report``, and the log is dropped.
+    Built once the run ends: :func:`_release_edges` gives every event of
+    the recording's :class:`~repro.obs.events.Walk` — each emitted
+    response with its :class:`~repro.sim.memsys.RequestRecord`
+    milestones, each committed firing with the events whose tokens it
+    popped — its release edge, the backward walk over those edges
+    becomes ``report``, and the edges are dropped.
     """
 
     def __init__(
@@ -166,46 +157,41 @@ class CriticalPathRecorder:
         fifo_capacity: int = 2,
         max_outstanding: int = 2,
     ):
-        dfg = compiled.dfg
         self.divider = divider
-        #: nid -> (label, criticality class, op).
-        self.node_meta: dict[int, tuple[str, str, str]] = {
-            nid: (node_label(node), node.criticality, node.op)
-            for nid, node in dfg.nodes.items()
-        }
-        self._memory = {n.nid for n in dfg.memory_nodes()}
-        log = _ReleaseEdges(dfg, fifo_capacity, max_outstanding)
-        log.replay(recording)
+        log, slack = _release_edges(
+            recording, compiled.dfg, fifo_capacity, max_outstanding
+        )
         #: load nid -> Counter of observed operand slacks (cycles the
         #: response could have been later without delaying the consumer).
-        self.slack: dict[int, Counter] = log.slack
+        self.slack: dict[int, Counter] = slack
         #: The full report dict (see :meth:`_build_report`).
-        self.report: dict = self._build_report(log, system_cycles)
+        self.report: dict = self._build_report(log, system_cycles, compiled)
 
     # -- the backward walk -------------------------------------------------
 
     def _walk(self, log, system_cycles: int):
+        ev_cycle, ev_nid, ev_pred, ev_edge, ev_ms = log
         categories = {cat: 0 for cat in CATEGORIES}
         per_mem: dict[int, int] = {}
         path_events: Counter = Counter()
         edge_counts: Counter = Counter()
-        n = len(log.ev_cycle)
+        n = len(ev_cycle)
         if n == 0:
             # Zero-event run (nothing ever fired): the whole makespan is
             # unattributable residue, but the invariant still holds.
             categories["other"] = system_cycles
             return categories, per_mem, path_events, edge_counts
         cur = n - 1  # events are appended in cycle order; last = terminal
-        categories["other"] += system_cycles - log.ev_cycle[cur]  # drain
+        categories["other"] += system_cycles - ev_cycle[cur]  # drain
         divider = self.divider
         while cur != -1:
-            nid = log.ev_nid[cur]
+            nid = ev_nid[cur]
             path_events[nid] += 1
-            pred = log.ev_pred[cur]
-            edge = log.ev_edge[cur]
+            pred = ev_pred[cur]
+            edge = ev_edge[cur]
             edge_counts[_EDGE_NAMES[edge]] += 1
-            start = log.ev_cycle[pred] if pred != -1 else 0
-            span = log.ev_cycle[cur] - start
+            start = ev_cycle[pred] if pred != -1 else 0
+            span = ev_cycle[cur] - start
             if edge == ROOT:
                 categories["other"] += span
             elif edge == SPACE:
@@ -220,12 +206,12 @@ class CriticalPathRecorder:
                     categories["divider-stretch"] += stretch
                     categories["other"] += span - 1 - stretch
             else:  # CHAIN: the milestone ledger partitions the span.
-                issue, enqueue, serve, complete, arrived = log.ev_ms[cur]
+                issue, enqueue, serve, complete, arrived = ev_ms[cur]
                 categories["fmnoc-request"] += enqueue - issue
                 categories["mem-bank"] += serve - enqueue
                 categories["mem-service"] += complete - serve
                 categories["noc-response"] += arrived - complete
-                tail = log.ev_cycle[cur] - arrived
+                tail = ev_cycle[cur] - arrived
                 stretch = min(divider - 1, tail)
                 categories["divider-stretch"] += stretch
                 categories["other"] += tail - stretch
@@ -233,7 +219,7 @@ class CriticalPathRecorder:
             cur = pred
         return categories, per_mem, path_events, edge_counts
 
-    def _build_report(self, log, system_cycles: int) -> dict:
+    def _build_report(self, log, system_cycles: int, compiled) -> dict:
         categories, per_mem, path_events, edge_counts = self._walk(
             log, system_cycles
         )
@@ -248,9 +234,10 @@ class CriticalPathRecorder:
         for cat, cycles in categories.items():
             rollup[ROLLUP[cat]] += cycles
         denom = max(1, system_cycles)
+        info = node_info_of(compiled)
         mem_nodes = {}
-        for nid in sorted(self._memory):
-            label, klass, op = self.node_meta[nid]
+        for nid in sorted(n.nid for n in compiled.dfg.memory_nodes()):
+            label, klass, _pe, op = info[nid]
             cycles = per_mem.get(nid, 0)
             entry = {
                 "label": label,
@@ -296,7 +283,7 @@ class CriticalPathRecorder:
         ]
         return {
             "system_cycles": system_cycles,
-            "events": len(log.ev_cycle),
+            "events": len(log[0]),
             "path_events": sum(path_events.values()),
             "edge_counts": {k: edge_counts[k] for k in sorted(edge_counts)},
             "categories": categories,
@@ -384,145 +371,83 @@ class CriticalPathRecorder:
         return "\n".join(lines)
 
 
-class _ReleaseEdges:
-    """The last-arrival edge of every recorded event, replayed in run
-    order: shadow FIFOs of event ids mirror the engine's token FIFOs
-    (pushes commit at end-of-tick while pops see only earlier ticks, so
-    mirror order is exact), plus the release bookkeeping of backpressure
-    and memory ordering."""
+def _release_edges(recording, dfg, capacity: int, max_outstanding: int):
+    """The last-arrival edge of every event of the recording's mirrored
+    :class:`~repro.obs.events.Walk`, in run order (its event numbers are
+    the event ids): the walk names the event behind each popped token,
+    and the release bookkeeping of backpressure and memory ordering is
+    kept here.
 
-    def __init__(self, dfg, fifo_capacity: int, max_outstanding: int):
-        self.capacity = fifo_capacity
-        self.max_outstanding = max_outstanding
-        self._fifo: dict[tuple[int, int], deque] = {}
-        for node in dfg.nodes.values():
-            for index, inp in enumerate(node.inputs):
-                if isinstance(inp, PortRef):
-                    self._fifo[(node.nid, index)] = deque()
-        #: producer nid -> its consumer FIFO keys (for release edges).
-        self._consumer_keys: dict[int, tuple] = {
-            nid: tuple(sinks) for nid, sinks in dfg.consumers().items()
-        }
-        self._unblock: dict[tuple[int, int], tuple[int, int]] = {}
-        self._out_count: dict[int, int] = {}
-        self._out_unblock: dict[int, tuple[int, int]] = {}
-        self._issue: dict[int, deque] = {
-            n.nid: deque() for n in dfg.memory_nodes()
-        }
-        self._last_emit: dict[int, int] = {}
-        self._last_fire: dict[int, int] = {}
-        self._loads = {
-            n.nid for n in dfg.memory_nodes() if n.op == "load"
-        }
-        # The event log: parallel lists (compact, fast to index).
-        self.ev_cycle: list[int] = []
-        self.ev_kind: list[int] = []
-        self.ev_nid: list[int] = []
-        self.ev_pred: list[int] = []
-        self.ev_edge: list[int] = []
-        #: eid -> (issue, enqueue, serve, complete, arrived) milestones
-        #: of emission events.
-        self.ev_ms: dict[int, tuple[int, int, int, int, int]] = {}
-        #: See :attr:`CriticalPathRecorder.slack`.
-        self.slack: dict[int, Counter] = {}
-
-    def _append(
-        self, now: int, kind: int, nid: int, pred: int, edge: int
-    ) -> int:
-        eid = len(self.ev_cycle)
-        self.ev_cycle.append(now)
-        self.ev_kind.append(kind)
-        self.ev_nid.append(nid)
-        self.ev_pred.append(pred)
-        self.ev_edge.append(edge)
-        return eid
-
-    def replay(self, recording) -> None:
-        """Each recorded tick: emissions, then firings, then the pushes —
-        each mirrored into the consumers' shadow FIFOs tagged with the
-        event that produced it (a node's emission before its firing)."""
-        fifo, consumer_keys = self._fifo, self._consumer_keys
-        for now, emitted, fired, _changes in recording.each_tick():
-            produced = []
-            for nid, _seq, *milestones, _hops, _hit, _index in emitted:
-                produced.append((nid, self._emit(now, nid, *milestones)))
-            for nid, mask, effect in fired:
-                eid = self._fire(
-                    now, nid, POPS[mask], effect == ISSUE,
-                    effect == PUSH,
-                )
-                if effect == PUSH:
-                    produced.append((nid, eid))
-            for nid, eid in produced:
-                for key in consumer_keys.get(nid, ()):
-                    fifo[key].append(eid)
-
-    def _fire(self, now: int, nid: int, pops, mem: bool, emits: bool) -> int:
-        """A committed firing: ``pops`` port indices were consumed;
-        ``mem`` issued a memory request; ``emits`` pushes a token."""
-        cands: list[tuple[int, int, int]] = []
-        freed: list[tuple[int, int]] = []
-        for index in pops:
-            queue = self._fifo[(nid, index)]
-            if len(queue) >= self.capacity:
-                freed.append((nid, index))
-            src_ev = queue.popleft()
-            cands.append((self.ev_cycle[src_ev], src_ev, OPERAND))
-        prev = self._last_fire.get(nid)
-        if prev is not None:
-            cands.append((self.ev_cycle[prev], prev, SELF))
-        if emits:
-            for key in self._consumer_keys.get(nid, ()):
-                unblock = self._unblock.get(key)
-                if unblock is not None:
-                    cands.append((unblock[0], unblock[1], SPACE))
-        if mem:
-            unblock = self._out_unblock.get(nid)
-            if unblock is not None:
-                cands.append((unblock[0], unblock[1], ORDER))
-        if cands:
-            bind_cycle, pred_ev, edge = max(cands)
-            eid = self._append(now, _KIND_FIRE, nid, pred_ev, edge)
-            # Slack of every load-fed operand against the binding arrival.
-            for cycle, src_ev, kind in cands:
-                if kind != OPERAND or self.ev_kind[src_ev] != _KIND_EMIT:
-                    continue
-                src_nid = self.ev_nid[src_ev]
-                if src_nid in self._loads:
-                    self.slack.setdefault(src_nid, Counter())[
-                        bind_cycle - cycle
-                    ] += 1
-        else:
-            eid = self._append(now, _KIND_FIRE, nid, -1, ROOT)
-        for key in freed:
-            self._unblock[key] = (now, eid)
-        if mem:
-            self._issue[nid].append(eid)
-            self._out_count[nid] = self._out_count.get(nid, 0) + 1
-        self._last_fire[nid] = eid
-        return eid
-
-    def _emit(
-        self, now: int, nid: int, issue: int, enqueue: int, serve: int,
-        complete: int, arrived: int,
-    ) -> int:
-        """A memory response was emitted at its PE: chain back to the
-        issuing firing, unless ordering or backpressure bound later."""
-        issue_ev = self._issue[nid].popleft()
-        cands = [(arrived, issue_ev, CHAIN)]
-        prev = self._last_emit.get(nid)
-        if prev is not None:
-            cands.append((self.ev_cycle[prev], prev, ORDER))
-        for key in self._consumer_keys.get(nid, ()):
-            unblock = self._unblock.get(key)
-            if unblock is not None:
-                cands.append((unblock[0], unblock[1], SPACE))
-        _cycle, pred_ev, edge = max(cands)
-        eid = self._append(now, _KIND_EMIT, nid, pred_ev, edge)
-        self.ev_ms[eid] = (issue, enqueue, serve, complete, arrived)
-        was = self._out_count.get(nid, 0)
-        self._out_count[nid] = was - 1
-        if was >= self.max_outstanding:
-            self._out_unblock[nid] = (now, eid)
-        self._last_emit[nid] = eid
-        return eid
+    An emission's candidates are the issuing firing (its ``arrived``
+    stamp), the node's previous emission and its backpressure release; a
+    firing's, each popped token's push, its own previous firing, and the
+    release of its backpressure (if it pushes) or of its issue queue (if
+    it issues). The latest by ``(cycle, event, edge)`` binds. Returns the
+    event log ``(cycle, nid, pred, edge, milestones)`` — the walk's
+    per-event lists, each event's binding predecessor and edge kind, and
+    each emission's ``(issue, enqueue, serve, complete, arrived)`` — and
+    the slack histograms (:attr:`CriticalPathRecorder.slack`).
+    """
+    walk = Walk(recording, dfg, capacity)
+    cycle, node = walk.cycle, walk.nid
+    pred: list[int] = []
+    edges: list[int] = []
+    milestones: dict[int, tuple[int, int, int, int, int]] = {}
+    slack: dict[int, Counter] = {}
+    #: Producer nid -> ``(cycle, event)`` of the latest pop that freed a
+    #: full FIFO it feeds; memory nid -> that of the latest emission that
+    #: freed a full issue queue.
+    unblock: dict[int, tuple[int, int]] = {}
+    out_unblock: dict[int, tuple[int, int]] = {}
+    out_count: dict[int, int] = {}
+    issued = {n.nid: deque() for n in dfg.memory_nodes()}
+    last_emit: dict[int, int] = {}
+    last_fire: dict[int, int] = {}
+    loads = {n.nid for n in dfg.memory_nodes() if n.op == "load"}
+    for now, emitted, fired, popped, *_ in walk:
+        for nid, _seq, *stamps, _hops, _hit, _index in emitted:
+            cands = [(stamps[-1], issued[nid].popleft(), CHAIN)]
+            if nid in last_emit:
+                cands.append((cycle[last_emit[nid]], last_emit[nid], ORDER))
+            if nid in unblock:
+                cands.append((*unblock[nid], SPACE))
+            _cycle, src, edge = max(cands)
+            eid = len(pred)
+            pred.append(src)
+            edges.append(edge)
+            milestones[eid] = tuple(stamps)
+            was = out_count.get(nid, 0)
+            out_count[nid] = was - 1
+            if was >= max_outstanding:
+                out_unblock[nid] = (now, eid)
+            last_emit[nid] = eid
+        for (nid, _mask, effect), tokens in zip(fired, popped):
+            eid = len(pred)
+            cands, fed = [], []
+            if nid in last_fire:
+                cands.append((cycle[last_fire[nid]], last_fire[nid], SELF))
+            if effect == PUSH and nid in unblock:
+                cands.append((*unblock[nid], SPACE))
+            elif effect == ISSUE and nid in out_unblock:
+                cands.append((*out_unblock[nid], ORDER))
+            for _port, full, src in tokens:
+                cands.append((cycle[src], src, OPERAND))
+                if node[src] in loads:
+                    fed.append(src)
+                if full:
+                    unblock[node[src]] = (now, eid)
+            # No candidate: a root (e.g. a source's first firing).
+            bind_cycle, src, edge = max(cands, default=(0, -1, ROOT))
+            pred.append(src)
+            edges.append(edge)
+            # A load's tokens are its emissions (its firings issue, never
+            # push): the slack of each against the binding arrival.
+            for src in fed:
+                slack.setdefault(node[src], Counter())[
+                    bind_cycle - cycle[src]
+                ] += 1
+            if effect == ISSUE:
+                issued[nid].append(eid)
+                out_count[nid] = out_count.get(nid, 0) + 1
+            last_fire[nid] = eid
+    return (cycle, node, pred, edges, milestones), slack

@@ -5,7 +5,9 @@ system) appends what happened to one :class:`Recording`: integer
 columns of fixed-width rows, no Python object per event. Once the run
 ends, each probe is a function of that recording, the compiled kernel
 and the final ``SimStats`` (:func:`repro.obs.sinks.make_observation`,
-:meth:`repro.check.invariants.InvariantChecker.replay`).
+:meth:`repro.check.invariants.InvariantChecker.replay`), read through
+one :class:`Walk` of its ticks — the one place the recording's token
+traffic (which event pushed the token each pop consumes) is derived.
 
 Stall taxonomy (per DFG node, per fabric tick):
 
@@ -33,6 +35,8 @@ Stall taxonomy (per DFG node, per fabric tick):
 from __future__ import annotations
 
 from array import array
+from collections import Counter, deque
+from itertools import islice, repeat
 
 #: Classification of a node firing (not a stall, but the sixth bucket
 #: every attributed fabric tick falls into).
@@ -48,8 +52,12 @@ STALL_KINDS = (
 )
 
 #: Buckets a single fabric tick can put one node into; a ``changes``
-#: row stores a bucket as its index here.
+#: row stores a bucket as its index here, in its low :data:`BUCKET_BITS`.
 TICK_KINDS = (FIRE,) + STALL_KINDS[:4]
+
+#: A ``changes`` row is ``nid << BUCKET_BITS | bucket``.
+BUCKET_BITS = 3
+assert len(TICK_KINDS) <= 1 << BUCKET_BITS
 
 #: Column -> the fields of one of its rows, in order. ``ticks`` holds
 #: one row per executed fabric tick that emitted, fired or changed a
@@ -64,7 +72,7 @@ FIELDS = {
         "response_hops", "hit", "index",
     ),
     "fired": ("nid", "pops", "effect"),
-    "changes": ("nid", "bucket"),
+    "changes": ("nid_bucket",),
     "skips": ("now", "target"),
     "services": ("now", "complete", "address", "hit"),
 }
@@ -128,29 +136,119 @@ class Recording:
             getattr(self, name)[:] = data[name]
         self.saved = self.lengths()
 
-    def each_tick(self):
-        """Per recorded tick, ``(now, emitted, fired, changes)``: its rows
-        of each, as tuples of their :data:`FIELDS`."""
-        ticks, rows = self.ticks, self.rows
-        e0 = f0 = c0 = 0
-        for row in range(0, len(ticks), 4):
-            now, e1, f1, c1 = ticks[row:row + 4]
-            yield (
-                now, rows("emitted", e0, e1), rows("fired", f0, f1),
-                rows("changes", c0, c1),
-            )
-            e0, f0, c0 = e1, f1, c1
-
-    def rows(self, name: str, start: int = 0, end: int | None = None):
-        """The rows of column ``name`` between two item offsets (all of
-        them by default), as tuples of its :data:`FIELDS`."""
-        column, width = getattr(self, name), len(FIELDS[name])
-        if not column or start == end:
-            return ()
-        return zip(*[column[start + k:end:width] for k in range(width)])
+    def rows(self, name: str):
+        """The rows of column ``name`` in order (none when it is not
+        kept), as tuples of its :data:`FIELDS`: one zip over one
+        iterator of the column, so each is unpacked once, lazily."""
+        items = iter(getattr(self, name) or ())
+        return zip(*[items] * len(FIELDS[name]))
 
 
 def lengths_of(mark) -> dict[str, int]:
     """Column name -> length, from a :meth:`Recording.mark`."""
     names, packed = mark
     return dict(zip(names, array("Q", packed)))
+
+
+class Walk:
+    """One walk of a recording's ticks, in run order.
+
+    Iterating yields, per recorded tick, ``(now, emitted, fired, popped,
+    pushes, overfull, changes)``: its ``emitted`` and ``fired`` rows (as
+    :data:`FIELDS` tuples), the producer of each of its ``pushes`` — its
+    emissions, then its ``PUSH`` firings, each landing on every consumer
+    FIFO of its producer after the tick's pops — and its bucket
+    ``changes`` as ``(nid, index in TICK_KINDS)``.
+
+    Events are numbered in run order: each tick's emissions, then its
+    firings. Given the ``dfg``, the walk mirrors each token FIFO as a
+    queue of the events that pushed its tokens (:attr:`fifos`) and keeps
+    each event's :attr:`cycle` and :attr:`nid`; ``popped`` holds, per
+    firing, ``(port, full, source)`` per port it popped, ascending
+    (whether the FIFO held ``capacity`` tokens before the pop; the event
+    that pushed the token, None if the mirror was empty), and
+    ``overfull`` a ``((consumer, port), tokens)`` per push that left a
+    FIFO above ``capacity``. Without a ``dfg`` both are empty. The mirror
+    is the walk's state: iterate a walk once.
+    """
+
+    def __init__(self, recording: Recording, dfg=None, capacity: int = 0):
+        self.recording, self.capacity = recording, capacity
+        self._mirrored = dfg is not None
+        consumers = dfg.consumers() if self._mirrored else {}
+        #: ``(consumer, port)`` -> the events whose tokens it holds.
+        self.fifos: dict[tuple[int, int], deque] = {
+            key: deque() for keys in consumers.values() for key in keys
+        }
+        #: Producer nid -> ``(key, fifo)`` of each FIFO its pushes land on.
+        self._lands = {
+            nid: [(key, self.fifos[key]) for key in keys]
+            for nid, keys in consumers.items()
+        }
+        #: Event number -> its cycle, and its node (a mirrored walk).
+        self.cycle: list[int] = []
+        self.nid: list[int] = []
+
+    def push_counts(self) -> Counter:
+        """Producer nid -> its pushes over the run: what iterating yields
+        as ``pushes``, counted without walking tick by tick."""
+        rec = self.recording
+        counts = Counter(row[0] for row in rec.rows("emitted"))
+        counts.update(nid for nid, _, effect in rec.rows("fired")
+                      if effect == PUSH)
+        return counts
+
+    def __iter__(self):
+        rec, capacity, lands = self.recording, self.capacity, self._lands
+        e_width, f_width = len(FIELDS["emitted"]), len(FIELDS["fired"])
+        emitted, fired = rec.rows("emitted"), rec.rows("fired")
+        changes, split = rec.changes or (), 1 << BUCKET_BITS
+        ticks = rec.ticks
+        cycle, node, mirrored = self.cycle, self.nid, self._mirrored
+        # Consumer nid -> its FIFOs by port.
+        inputs: dict[int, dict[int, deque]] = {}
+        for (consumer, port), fifo in self.fifos.items():
+            inputs.setdefault(consumer, {})[port] = fifo
+        e0 = f0 = c0 = 0
+        for now, e1, f1, c1 in zip(
+            ticks[0::4], ticks[1::4], ticks[2::4], ticks[3::4]
+        ):
+            emits = list(islice(emitted, (e1 - e0) // e_width))
+            fires = list(islice(fired, (f1 - f0) // f_width))
+            pushes = [row[0] for row in emits]
+            pushes += [nid for nid, _mask, effect in fires if effect == PUSH]
+            popped = overfull = ()
+            if mirrored:
+                first = len(cycle)
+                sources = list(range(first, first + len(emits)))
+                popped = []
+                for event, (nid, mask, effect) in enumerate(
+                    fires, first + len(emits)
+                ):
+                    got = ()
+                    if mask:
+                        got = []
+                        ports = inputs[nid]
+                        for port in POPS[mask]:
+                            fifo = ports[port]
+                            # ``full`` is read before the pop frees a slot.
+                            got.append((
+                                port, len(fifo) >= capacity,
+                                fifo.popleft() if fifo else None,
+                            ))
+                    popped.append(got)
+                    if effect == PUSH:
+                        sources.append(event)
+                cycle.extend(repeat(now, len(emits) + len(fires)))
+                node += [row[0] for row in emits]
+                node += [row[0] for row in fires]
+                overfull = []
+                for nid, source in zip(pushes, sources):
+                    for key, fifo in lands[nid]:
+                        fifo.append(source)
+                        if len(fifo) > capacity:
+                            overfull.append((key, len(fifo)))
+            yield now, emits, fires, popped, pushes, overfull, [
+                divmod(row, split) for row in changes[c0:c1]
+            ]
+            e0, f0, c0 = e1, f1, c1

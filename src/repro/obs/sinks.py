@@ -13,7 +13,6 @@ import heapq
 import json
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
 
 from repro.arch.noc import Coord
 from repro.dfg.graph import node_label
@@ -21,10 +20,10 @@ from repro.isa import MEMORY_OPS
 from repro.obs.events import (
     FIRE,
     ISSUE,
-    PUSH,
     STALL_KINDS,
     TICK_KINDS,
     Recording,
+    Walk,
 )
 
 
@@ -64,7 +63,7 @@ class CycleAttribution:
         }
         #: nid -> (bucket, tick number it was entered at): the open runs.
         runs: dict[int, tuple[str, int]] = {}
-        for now, _emitted, _fired, changes in recording.each_tick():
+        for now, *_traffic, changes in Walk(recording):
             tick = now // divider
             for nid, bucket in changes:
                 run = runs.get(nid)
@@ -215,9 +214,9 @@ class NocHeatmap:
     producing net's routed tree (the tree is shared across sinks, so this
     is a per-net upper bound — exact per-sink splits would need flit-level
     routing the engine does not model). Only pushes per producer are
-    counted from the recording (every emission, every pushing firing);
-    the per-edge and per-channel tables follow from the static fan-out
-    and routed trees when read.
+    counted (:meth:`~repro.obs.events.Walk.push_counts`); the per-edge
+    and per-channel tables follow from the static fan-out and routed
+    trees when read.
     """
 
     def __init__(
@@ -228,8 +227,7 @@ class NocHeatmap:
         #: producer nid -> consumer nid of each consumer *port* it feeds
         #: (a consumer wired to it twice takes two tokens per push).
         self.fanout: dict[int, tuple] = dict(fanout)
-        self.pushes = Counter(recording.emitted[::10])
-        self.pushes.update(_firing_nids(recording, PUSH))
+        self.pushes = Walk(recording).push_counts()
 
     @property
     def edge_tokens(self) -> Counter:
@@ -296,7 +294,8 @@ class FmnocHeatmap:
                 self.stages[node.nid] = tuple(
                     ("arb", arb.row, arb.domain) for arb in chain
                 ) + (("port", port),)
-        self.issues = Counter(_firing_nids(recording, ISSUE))
+        self.issues = Counter(nid for nid, _, effect in recording.rows("fired")
+                              if effect == ISSUE)
 
     @property
     def stage_traffic(self) -> Counter:
@@ -367,7 +366,7 @@ class ChromeTraceSink:
 
         tick = self._tick_events(compiled)
         streams = (
-            ((row[0], 1, tick, row) for row in recording.each_tick()),
+            ((row[0], 1, tick, row) for row in Walk(recording)),
             ((row[0], 0, service, row) for row in recording.rows("services")),
             ((row[0] - 1, 2, skip, row) for row in recording.rows("skips")),
         )
@@ -388,7 +387,7 @@ class ChromeTraceSink:
         stalls: dict[str, int] = dict.fromkeys(TICK_KINDS, 0)
         sampled: dict | None = None
 
-        def events(now, emitted, fired, changes):
+        def events(now, emitted, fired, _popped, _pushes, _overfull, changes):
             nonlocal sampled
             out = []
             moved = False
@@ -514,12 +513,6 @@ def node_info_of(compiled) -> dict[int, tuple[str, str, Coord, str]]:
         )
         for nid, node in compiled.dfg.nodes.items()
     }
-
-
-def _firing_nids(recording: Recording, effect: int):
-    """The nid of every recorded firing with ``effect``, in run order."""
-    fired = recording.fired
-    return compress(fired[::3], [got == effect for got in fired[2::3]])
 
 
 def make_observation(

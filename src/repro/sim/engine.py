@@ -59,7 +59,9 @@ from repro.arch.params import ArchParams
 from repro.dfg.graph import DFG, PortRef
 from repro.dfg.ops import NO_EMIT, compile_rule, fresh_state
 from repro.errors import DeadlockError, SimulationError, SimulationPreempted
-from repro.obs.events import FIRE, ISSUE, POPS, TICK_KINDS, Recording
+from repro.obs.events import (
+    BUCKET_BITS, FIRE, ISSUE, POPS, TICK_KINDS, Recording,
+)
 from repro.pnr.result import CompiledKernel
 from repro.pnr.route import routed_edges
 from repro.sim.fmnoc_sim import MonacoFrontend
@@ -619,7 +621,7 @@ class _Engine:
         return progressed
 
     def _bucket_changes(self, e0: int, f0: int, scans: tuple) -> None:
-        """Attribute this executed fabric tick: record ``(nid, bucket)``
+        """Attribute this executed fabric tick: record a ``changes`` row
         for each node whose bucket differs from the last executed tick's
         (``e0``/``f0``: where the tick's emitted and fired rows start;
         ``scans``: the flag snapshots the emit and fire loops scanned).
@@ -653,7 +655,7 @@ class _Engine:
         events.update(dict.fromkeys(rec.emitted[e0::10], FIRE))
         events.update(dict.fromkeys(rec.fired[f0::3], FIRE))
         self._eventful = events
-        add = rec.changes.fromlist
+        add = rec.changes.append
         for nid in sorted(touched):
             bucket = events.get(nid)
             if bucket is None:
@@ -665,7 +667,7 @@ class _Engine:
                     bucket = "operand-wait"
             if bucket != cache[nid]:
                 cache[nid] = bucket
-                add([nid, _BUCKET_CODE[bucket]])
+                add(nid << BUCKET_BITS | _BUCKET_CODE[bucket])
 
     def _stall_reason(self, nid: int) -> str:
         """Why ``nid`` cannot fire right now (side-effect-free peek)."""

@@ -76,7 +76,7 @@ SNAPSHOT_MAGIC = "repro-sim-snapshot"
 #: Bump on any change to a ``SNAPSHOT_STATE`` declaration or to what a
 #: declared attribute holds — resuming across versions is refused rather
 #: than silently mis-restored (history: docs/INTERNALS.md, Sec. 10).
-SNAPSHOT_VERSION = 10
+SNAPSHOT_VERSION = 11
 
 
 # -- configuration identity ------------------------------------------------

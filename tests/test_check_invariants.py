@@ -9,8 +9,8 @@ Two layers of coverage:
   (``tests/test_cycle_skip.py`` runs it, checker armed, on the rest),
   and a checker replaying a run's records alone agrees;
 * **unit** — every rule in the catalog is driven to a violation through
-  the checker's rule methods (and ``replay``, which runs them over a
-  recording) with hand-built histories, pinning both the trigger
+  the checker's rule methods or ``replay`` (which runs them over a
+  recording's walk) with hand-built histories, pinning both the trigger
   condition and the diagnostic text.
 """
 
@@ -26,7 +26,7 @@ from repro.check.invariants import InvariantChecker, InvariantViolation
 from repro.dfg.graph import PortRef
 from repro.dfg.lower import lower_kernel
 from repro.errors import SimulationError
-from repro.obs.events import ISSUE, POPS, PUSH, Recording
+from repro.obs.events import ISSUE, POPS, PUSH, SILENT, Recording
 from repro.sim.engine import simulate
 from repro.sim.memsys import MemStats
 from repro.workloads.registry import ALL_WORKLOADS
@@ -98,8 +98,10 @@ def test_checker_is_a_function_of_the_tick_records(recordings, monkeypatch):
 
     replay = InvariantChecker(live.dfg, live.capacity, live.max_outstanding)
     replay.replay(rec)
-    for ledger in ("fired", "issues", "responses", "pushed", "popped"):
+    for ledger in ("fired", "issues", "responses"):
         assert getattr(replay, ledger) == getattr(live, ledger), ledger
+    assert replay.fifos.keys() == live.fifos.keys()
+    assert not any(replay.fifos.values())
     replay.finish(run.stats, audited[0])
 
 
@@ -109,12 +111,12 @@ def test_engine_error_raises_the_first_violation(monkeypatch):
     error — the order a live checker gave."""
     from test_cycle_skip import _simulate
 
-    def broken(checker, now, nid, pops):
-        if checker.fired:
+    def broken(checker, now, nid):
+        if checker.issues:
             checker._fail("token-conservation", f"injected at cycle {now}")
-        checker.fired[checker.dfg.nodes[nid].op] = 1
+        checker.issues = 1
 
-    monkeypatch.setattr(InvariantChecker, "fire", broken)
+    monkeypatch.setattr(InvariantChecker, "issue", broken)
     with pytest.raises(InvariantViolation, match="injected") as info:
         _simulate("spmspv", sim=dict(check=True, max_cycles=40))
     assert isinstance(info.value.__context__, SimulationError)
@@ -134,19 +136,16 @@ def make_checker(capacity=2, max_outstanding=2):
     return InvariantChecker(dfg, capacity, max_outstanding), dfg
 
 
-def edge_key(checker):
-    return next(iter(checker.shadow))
+def edge_key(dfg):
+    """The first (consumer, port) FIFO of ``dfg`` and its producer."""
+    consumer, port = next(
+        key for keys in dfg.consumers().values() for key in keys
+    )
+    return consumer, port, dfg.nodes[consumer].inputs[port].src
 
 
 def mem_nid(dfg, op="load"):
     return next(n.nid for n in dfg.nodes.values() if n.op == op)
-
-
-def test_pop_from_empty_shadow_is_token_conservation():
-    checker, _dfg = make_checker()
-    consumer, port = edge_key(checker)
-    with pytest.raises(InvariantViolation, match="token-conservation"):
-        checker.fire(5, consumer, (port,))
 
 
 def _recorded(*ticks):
@@ -159,15 +158,17 @@ def _recorded(*ticks):
     return rec
 
 
-def test_tick_record_drives_the_rules():
-    """``replay`` runs the rules over a hand-built recording: a firing
-    that pops an empty shadow FIFO, and an issue past the limit by the
-    checker's own in-flight count."""
-    checker, _dfg = make_checker()
-    consumer, port = edge_key(checker)
+def test_pop_from_empty_shadow_is_token_conservation():
+    checker, dfg = make_checker()
+    consumer, port, _producer = edge_key(dfg)
     with pytest.raises(InvariantViolation, match="token-conservation"):
         checker.replay(_recorded((5, [(consumer, (port,), PUSH)])))
 
+
+def test_tick_record_drives_the_rules():
+    """``replay`` runs the rules over a hand-built recording: an issue
+    past the limit by the checker's own in-flight count, carried across
+    two replays."""
     checker, dfg = make_checker(max_outstanding=2)
     issue = [(mem_nid(dfg), (), ISSUE)]
     checker.replay(_recorded((3, issue), (4, issue)))
@@ -176,25 +177,25 @@ def test_tick_record_drives_the_rules():
 
 
 def test_same_tick_consume_is_token_cadence():
+    """A token pushed in a tick recorded at cycle 7 and popped in a
+    later tick row of the same cycle; popped a cycle later, it is fine."""
     checker, dfg = make_checker()
-    consumer, port = edge_key(checker)
-    producer = dfg.nodes[consumer].inputs[port].src
-    checker.commit(7, [producer])
+    consumer, port, producer = edge_key(dfg)
+    push, pop = (producer, (), PUSH), (consumer, (port,), SILENT)
     with pytest.raises(InvariantViolation, match="token-cadence"):
-        checker.fire(7, consumer, (port,))  # pushed at 7, popped at 7
-    # ...but the next tick is fine.
-    checker.commit(7, [producer])
-    checker.fire(8, consumer, (port,))
+        checker.replay(_recorded((7, [push]), (7, [pop])))
+    make_checker()[0].replay(_recorded((7, [push]), (8, [pop])))
 
 
 def test_overfull_fifo_is_fifo_capacity():
     checker, dfg = make_checker(capacity=2)
-    consumer, port = edge_key(checker)
-    producer = dfg.nodes[consumer].inputs[port].src
-    checker.commit(1, [producer])
-    checker.commit(2, [producer])
+    _consumer, _port, producer = edge_key(dfg)
+    pushes = [(now, [(producer, (), PUSH)]) for now in (1, 2)]
+    checker.replay(_recorded(*pushes))
     with pytest.raises(InvariantViolation, match="fifo-capacity"):
-        checker.commit(3, [producer])
+        make_checker(capacity=2)[0].replay(
+            _recorded(*pushes, (3, [(producer, (), PUSH)]))
+        )
 
 
 def test_issue_over_limit_is_max_outstanding():
@@ -329,15 +330,15 @@ def test_finish_arrival_and_completion_ledgers():
 
 def test_finish_flags_leftover_tokens_per_edge():
     checker, dfg = make_checker()
-    consumer, port = edge_key(checker)
-    producer = dfg.nodes[consumer].inputs[port].src
-    checker.commit(1, [producer])
+    _consumer, _port, producer = edge_key(dfg)
+    checker.replay(_recorded((1, [(producer, (), PUSH)])))
     stats, engine = _quiescent_stats()
     with pytest.raises(InvariantViolation, match="token-conservation"):
         checker.finish(stats, engine)
 
 
 def test_shadow_mirrors_every_edge():
+    """The FIFOs the checker audits are the walk's mirror of every edge."""
     checker, dfg = make_checker()
     edges = {
         (node.nid, index)
@@ -345,4 +346,5 @@ def test_shadow_mirrors_every_edge():
         for index, inp in enumerate(node.inputs)
         if isinstance(inp, PortRef)
     }
-    assert set(checker.shadow) == edges
+    checker.replay(_recorded())
+    assert set(checker.fifos) == edges

@@ -223,7 +223,7 @@ def test_bucket_cache_equals_a_recount_every_tick(
                 f"tick {len(changes_per_tick)} node {nid}: cached "
                 f"{engine._buckets[nid]!r}, recount says {want!r}"
             )
-        changes_per_tick.append((len(rec.changes) - c0) // 2)
+        changes_per_tick.append(len(rec.changes) - c0)
         eventful[engine.now] = bool(fired)
 
     monkeypatch.setattr(_Engine, "_bucket_changes", recounted)

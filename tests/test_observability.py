@@ -17,6 +17,8 @@ import io
 import json
 import pickle
 from array import array
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,7 +28,17 @@ from repro.exp.configs import MONACO, hybrid, numa, upea
 from repro.exp.resilient import run_resilient
 from repro.exp.runner import run_parallel, run_point
 from repro.exp.spec import RunSpec, sweep_specs
-from repro.obs.events import FIELDS, FIRE, STALL_KINDS, TICK_KINDS
+from repro.obs.events import (
+    FIELDS,
+    FIRE,
+    POPS,
+    PUSH,
+    SILENT,
+    STALL_KINDS,
+    TICK_KINDS,
+    Recording,
+    Walk,
+)
 from repro.obs.manifest import (
     MANIFEST_SCHEMA,
     config_digest,
@@ -316,10 +328,14 @@ class TestRecording:
             len(getattr(rec, name))
             for name in ("emitted", "fired", "changes")
         ]
-        counted = [0, 0, 0]
-        for _now, *columns in rec.each_tick():
-            for k, rows in enumerate(columns):
-                counted[k] += len(list(rows))
+        counted, pushes = [0, 0, 0], Counter()
+        for _now, emitted, fired, _popped, pushed, _over, changes in Walk(
+            rec
+        ):
+            for k, rows in enumerate((emitted, fired, changes)):
+                counted[k] += len(rows)
+            pushes.update(pushed)
+        assert Walk(rec).push_counts() == pushes
         assert counted == [
             len(getattr(rec, name)) // len(FIELDS[name])
             for name in ("emitted", "fired", "changes")
@@ -358,6 +374,48 @@ class TestRecording:
             assert bool(classified) == buckets, sim
             if buckets:
                 assert len(rec.changes) > 0
+
+    def test_walk_names_the_push_behind_each_pop(self):
+        """A hand-built recording: producer 0 emits (event 0) and fires a
+        ``PUSH`` (event 1) at cycle 2, both tokens landing on consumer
+        2's port 0; node 2 pops them at cycles 4 and 6, in FIFO order,
+        while 0 pushes again at 4 (event 3) — after that tick's pop, so
+        the FIFO never exceeds its capacity of 2 and is full before
+        either pop — and pops that token at 8 from a FIFO no longer
+        full. The walk is format-level: which op could emit and push is
+        not its concern."""
+        dfg = SimpleNamespace(consumers=lambda: {0: [(2, 0)], 2: []})
+        rec = Recording(buckets=True, services=False)
+        pop = (2, POPS[(0,)], SILENT)
+        for now, emits, fired in (
+            (2, 1, [(0, 0, PUSH)]),
+            (4, 0, [pop, (0, 0, PUSH)]),
+            (6, 0, [pop]),
+            (8, 0, [pop]),
+        ):
+            rec.emitted.extend([0] * len(FIELDS["emitted"]) * emits)
+            for row in fired:
+                rec.fired.extend(row)
+            rec.ticks.extend((now, len(rec.emitted), len(rec.fired), 0))
+
+        walk = Walk(rec, dfg, capacity=2)
+        ticks = list(walk)
+        assert [tick[3] for tick in ticks] == [
+            [()], [[(0, True, 0)], ()], [[(0, True, 1)]], [[(0, False, 3)]]
+        ]
+        assert [tick[4] for tick in ticks] == [[0, 0], [0], [], []]
+        assert [tick[5] for tick in ticks] == [[], [], [], []]
+        assert walk.push_counts() == {0: 3}
+        assert walk.cycle == [2, 2, 4, 4, 6, 8]
+        assert walk.nid == [0, 0, 2, 0, 2, 2]
+        assert not walk.fifos[2, 0]
+        # One slot fewer: the first tick's second push overfills the FIFO.
+        first, *_ = Walk(rec, dfg, capacity=1)
+        assert first[5] == [((2, 0), 2)]
+        # Unmirrored, the same walk numbers nothing and pops nothing.
+        plain = Walk(rec)
+        assert [tick[3] for tick in plain] == [(), (), (), ()]
+        assert plain.cycle == []
 
 
 #: ``pickle.dumps(run.obs)`` of the spmspv/tiny points below when every

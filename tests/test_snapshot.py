@@ -274,9 +274,10 @@ class TestSplitRunBitIdentity:
         assert not os.path.exists(path)
 
     def test_checked_resume_keeps_the_checker_ledgers(self, tmp_path):
-        """The checker rides in the one pickled probe object: a checked
-        run preempted mid-way resumes to the uninterrupted digest, and
-        its restored checker ends on the same ledgers."""
+        """The checker replays the whole recording, the rows before the
+        snapshot read back from its sidecar: a checked run preempted
+        mid-way resumes to the uninterrupted digest, and its checker
+        ends on the same ledgers."""
         arch = _arch(check=True)
         full = _simulate("spmspv", arch)
         budget = full.stats.executed_cycles // 2
@@ -284,8 +285,8 @@ class TestSplitRunBitIdentity:
         assert resumed.resume_info["from_cycle"] > 0
         assert _digest(resumed) == _digest(full)
         a, b = resumed.obs.check, full.obs.check
-        assert (a.fired, a.issues, a.responses, a.pushed, a.popped) == (
-            b.fired, b.issues, b.responses, b.pushed, b.popped
+        assert (a.fired, a.issues, a.responses) == (
+            b.fired, b.issues, b.responses
         )
 
     def test_quiescence_violation_keeps_the_snapshot(
@@ -444,7 +445,7 @@ class TestRejection:
             load_snapshot(path)
 
     def test_version_skew_refused(self, tmp_path):
-        # Versions 1-9 are real history: their state has another layout
+        # Versions 1-10 are real history: their state has another layout
         # (1: no open runs, per-edge token counters; 2: a ``skipped``
         # bucket beside the open runs; 3: a handler table naming
         # ``on_gap`` / ``on_counter``; 4: the invariant checker as a
@@ -454,10 +455,11 @@ class TestRejection:
         # draw counter; 8: FM-NoC stage traffic counted per stage rather
         # than issues per node; 9: every probe's accumulated state, event
         # logs and timeline included, rather than the recording's
-        # lengths), so a snapshot from those builds must be refused by
-        # name, up front.
+        # lengths; 10: a stall-bucket change recorded as two int64s,
+        # ``nid`` and ``bucket``, not one), so a snapshot from those
+        # builds must be refused by name, up front.
         path = self._snap(tmp_path)
-        for version in (99, 1, 2, 3, 4, 5, 6, 7, 8, 9):
+        for version in (99, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10):
             self._rewrite(
                 path, lambda blob: blob.__setitem__("version", version)
             )
