@@ -53,7 +53,9 @@ the checker's own count (its issues minus its responses).
   remain, and the engine's ``firings`` ledger equals the checker's own
   independent count of commit events;
 * the fabric-memory frontend's ``audit()`` recount of requests inside
-  the network agrees with its ``in_network`` counter and is zero.
+  the network agrees with its ``in_network`` counter and is zero, and
+  Monaco's per-stage ``held`` counts equal its structural ``recount()``
+  (the first stage that disagrees is named).
 """
 
 from __future__ import annotations
@@ -300,3 +302,16 @@ class InvariantChecker:
                 f"frontend in_network counter ({in_network}) "
                 f"disagrees with the structural recount ({counted})",
             )
+        frontend = engine.frontend
+        held = getattr(frontend, "held", None)
+        if held is not None:
+            for stage, have, want in zip(
+                frontend.stages, held, frontend.recount()
+            ):
+                if have != want:
+                    name = f"port {stage}" if isinstance(stage, int) else stage
+                    self._fail(
+                        "frontend-audit",
+                        f"frontend stage {name} counts {have} source(s) "
+                        f"holding a request, its structural recount {want}",
+                    )

@@ -406,12 +406,16 @@ def _release_edges(recording, dfg, capacity: int, max_outstanding: int):
     loads = {n.nid for n in dfg.memory_nodes() if n.op == "load"}
     for now, emitted, fired, popped, *_ in walk:
         for nid, _seq, *stamps, _hops, _hit, _index in emitted:
-            cands = [(stamps[-1], issued[nid].popleft(), CHAIN)]
+            best = (stamps[-1], issued[nid].popleft(), CHAIN)
             if nid in last_emit:
-                cands.append((cycle[last_emit[nid]], last_emit[nid], ORDER))
+                cand = (cycle[last_emit[nid]], last_emit[nid], ORDER)
+                if cand > best:
+                    best = cand
             if nid in unblock:
-                cands.append((*unblock[nid], SPACE))
-            _cycle, src, edge = max(cands)
+                cand = (*unblock[nid], SPACE)
+                if cand > best:
+                    best = cand
+            _cycle, src, edge = best
             eid = len(pred)
             pred.append(src)
             edges.append(edge)
@@ -423,21 +427,31 @@ def _release_edges(recording, dfg, capacity: int, max_outstanding: int):
             last_emit[nid] = eid
         for (nid, _mask, effect), tokens in zip(fired, popped):
             eid = len(pred)
-            cands, fed = [], []
+            fed = []
+            # No candidate: a root (e.g. a source's first firing). Every
+            # candidate beats it: its cycle is >= 0 and its event >= 0.
+            best = (0, -1, ROOT)
             if nid in last_fire:
-                cands.append((cycle[last_fire[nid]], last_fire[nid], SELF))
+                cand = (cycle[last_fire[nid]], last_fire[nid], SELF)
+                if cand > best:
+                    best = cand
             if effect == PUSH and nid in unblock:
-                cands.append((*unblock[nid], SPACE))
+                cand = (*unblock[nid], SPACE)
+                if cand > best:
+                    best = cand
             elif effect == ISSUE and nid in out_unblock:
-                cands.append((*out_unblock[nid], ORDER))
+                cand = (*out_unblock[nid], ORDER)
+                if cand > best:
+                    best = cand
             for _port, full, src in tokens:
-                cands.append((cycle[src], src, OPERAND))
+                cand = (cycle[src], src, OPERAND)
+                if cand > best:
+                    best = cand
                 if node[src] in loads:
                     fed.append(src)
                 if full:
                     unblock[node[src]] = (now, eid)
-            # No candidate: a root (e.g. a source's first firing).
-            bind_cycle, src, edge = max(cands, default=(0, -1, ROOT))
+            bind_cycle, src, edge = best
             pred.append(src)
             edges.append(edge)
             # A load's tokens are its emissions (its firings issue, never

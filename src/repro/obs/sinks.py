@@ -18,6 +18,7 @@ from repro.arch.noc import Coord
 from repro.dfg.graph import node_label
 from repro.isa import MEMORY_OPS
 from repro.obs.events import (
+    BUCKET_BITS,
     FIRE,
     ISSUE,
     STALL_KINDS,
@@ -25,6 +26,9 @@ from repro.obs.events import (
     Recording,
     Walk,
 )
+
+#: The bucket field of a ``changes`` row.
+BUCKET_MASK = (1 << BUCKET_BITS) - 1
 
 
 class CycleAttribution:
@@ -63,13 +67,19 @@ class CycleAttribution:
         }
         #: nid -> (bucket, tick number it was entered at): the open runs.
         runs: dict[int, tuple[str, int]] = {}
-        for now, *_traffic, changes in Walk(recording):
+        # Only the ``ticks`` and ``changes`` columns: no walk, which
+        # would unpack every emission and firing to derive pushes.
+        ticks, changes = recording.ticks, recording.changes or ()
+        c0 = 0
+        for now, c1 in zip(ticks[0::4], ticks[3::4]):
             tick = now // divider
-            for nid, bucket in changes:
+            for row in changes[c0:c1]:
+                nid = row >> BUCKET_BITS
                 run = runs.get(nid)
                 if run is not None:
                     self.per_node[nid][run[0]] += tick - run[1]
-                runs[nid] = (TICK_KINDS[bucket], tick)
+                runs[nid] = (TICK_KINDS[row & BUCKET_MASK], tick)
+            c0 = c1
         self.ticks = stats.system_cycles // divider + 1
         self.divider_gap = stats.system_cycles + 1 - self.ticks
         for nid, (kind, since) in runs.items():

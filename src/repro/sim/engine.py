@@ -308,6 +308,12 @@ class _Engine:
         #: While stall buckets are recorded: the nids whose matured
         #: response found a full consumer FIFO this tick.
         self._tick_blocked: list | None = None
+        #: While stall buckets are recorded: nid -> the stall bucket the
+        #: fire loop reached for it this tick, or None for a node the
+        #: tick touched without settling (scanned only by the emit loop,
+        #: or woken after its verdict) — :meth:`_bucket_changes`
+        #: re-derives those.
+        self._verdicts: dict | None = None
         #: Stall-bucket cache (:meth:`_bucket_changes`): bucket per nid
         #: as of the last executed tick (None: classify every node), and
         #: the nids whose bucket then was an *event* (FIRE, emission-phase
@@ -595,6 +601,7 @@ class _Engine:
             e0, f0 = len(rec.emitted), len(rec.fired)
             if rec.changes is not None:
                 self._tick_blocked = []
+                self._verdicts = {}
         # Each loop scans a *copy* of its flags, taken as it starts: a
         # node woken during the scan waits for the next tick, and the
         # emit loop's wakes are in the fire loop's copy.
@@ -610,7 +617,7 @@ class _Engine:
             c0 = c1 = 0
             if rec.changes is not None:
                 c0 = len(rec.changes)
-                self._bucket_changes(e0, f0, (emit_scan, fire_scan))
+                self._bucket_changes(e0, f0)
                 c1 = len(rec.changes)
             e1, f1 = len(rec.emitted), len(rec.fired)
             if e1 != e0 or f1 != f0 or c1 != c0:
@@ -620,50 +627,45 @@ class _Engine:
             progressed = True
         return progressed
 
-    def _bucket_changes(self, e0: int, f0: int, scans: tuple) -> None:
+    def _bucket_changes(self, e0: int, f0: int) -> None:
         """Attribute this executed fabric tick: record a ``changes`` row
         for each node whose bucket differs from the last executed tick's
-        (``e0``/``f0``: where the tick's emitted and fired rows start;
-        ``scans``: the flag snapshots the emit and fire loops scanned).
+        (``e0``/``f0``: where the tick's emitted and fired rows start).
 
-        Only nodes whose situation may have changed are re-derived — the
-        ones the emit and fire loops scanned or woke this tick, plus last
-        tick's eventful nodes (nothing need wake a node that emitted its
-        last response, yet it stops being FIRE). Any other node keeps its
-        cached bucket: its input FIFOs, state, response queue and
-        ``can_emit`` only change through an event that sets one of its
-        two flags (argument in docs/INTERNALS.md, Sec. 6).
+        The loops settle most nodes themselves: the tick's emissions and
+        firings are FIRE, a blocked emission ``fifo-full``, and every
+        other node the fire loop visited keeps the verdict it reached
+        there (``_verdicts``). Only the nodes the tick touched without
+        settling — scanned only by the emit loop, woken after their
+        verdict or without a visit — and last tick's eventful nodes
+        (nothing need wake a node that emitted its last response, yet it
+        stops being FIRE) are re-derived by :meth:`_stall_reason`. Any
+        other node keeps its cached bucket: its input FIFOs, state,
+        response queue and ``can_emit`` only change through an event
+        that sets one of its two flags, and a node so woken is in
+        ``_verdicts`` (argument in docs/INTERNALS.md, Sec. 6).
         """
-        cache = self._buckets
-        if cache is None:
-            cache = self._buckets = [None] * self._size
-            touched = set(self.dfg.nodes)
-        else:
-            # Scanned (the two snapshots) or woken since (flags set now):
-            # OR the four byte strings as ints, then one pass.
-            size = self._size
-            bits = int.from_bytes(self.emit_candidates, "little")
-            bits |= int.from_bytes(self.active, "little")
-            for scan in scans:
-                bits |= int.from_bytes(scan, "little")
-            touched = set(self._eventful)
-            touched.update(
-                compress(range(size), bits.to_bytes(size, "little"))
-            )
         rec = self.recording
         events = dict.fromkeys(self._tick_blocked, "fifo-full")
         events.update(dict.fromkeys(rec.emitted[e0::10], FIRE))
         events.update(dict.fromkeys(rec.fired[f0::3], FIRE))
+        cache = self._buckets
+        if cache is None:
+            cache = self._buckets = [None] * self._size
+            touched = dict.fromkeys(self.dfg.nodes)
+        else:
+            touched = dict.fromkeys(self._eventful)
+        touched.update(self._verdicts)
+        touched.update(events)
         self._eventful = events
         add = rec.changes.append
-        for nid in sorted(touched):
-            bucket = events.get(nid)
+        for nid, bucket in touched.items():
             if bucket is None:
                 bucket = self._stall_reason(nid)
                 if bucket == "ready":
-                    # Tokens became visible (or a slot freed, or a fault
-                    # suppressed the firing) only after the fire phase
-                    # scanned the node: it was starved when it mattered.
+                    # Tokens became visible (or a slot freed) only after
+                    # the fire phase scanned the node: it was starved
+                    # when it mattered.
                     bucket = "operand-wait"
             if bucket != cache[nid]:
                 cache[nid] = bucket
@@ -699,6 +701,7 @@ class _Engine:
         rec = self.recording
         emitted = None if rec is None else rec.emitted.fromlist
         blocked = self._tick_blocked
+        verdicts = self._verdicts
         emit_flags = self.emit_candidates
         active = self.active
         resp = self.resp_queue
@@ -710,6 +713,8 @@ class _Engine:
             record = queue[0] if queue else None
             if record is None or record.arrived_cycle is None:
                 emit_flags[nid] = 0
+                if verdicts is not None:
+                    verdicts[nid] = None  # the fire loop may settle it
                 continue
             limit = capacity - pending.get(nid, 0)
             full = False
@@ -762,17 +767,25 @@ class _Engine:
         max_outstanding = self.max_outstanding
         rec = self.recording
         fired_row = None if rec is None else rec.fired.fromlist
+        verdicts = self._verdicts
         faults = self.faults
         tokens_popped = 0
         for nid in compress(range(len(scan)), scan):
             fired = rules[nid](states[nid])
             if fired is None:
                 active[nid] = 0
+                if verdicts is not None:
+                    # Waiting on its own requests, or starved.
+                    verdicts[nid] = (
+                        "memory-outstanding" if resp[nid] else "operand-wait"
+                    )
                 continue
             pops, emit, mem, new_state = fired
             if mem is not None:
                 if len(resp[nid]) >= max_outstanding:
                     active[nid] = 0
+                    if verdicts is not None:
+                        verdicts[nid] = "memory-outstanding"
                     continue
             elif emit is not NO_EMIT:
                 limit = capacity - pending.get(nid, 0)
@@ -783,12 +796,16 @@ class _Engine:
                         break
                 if full:
                     active[nid] = 0
+                    if verdicts is not None:
+                        verdicts[nid] = "output-backpressure"
                     continue
             if faults is not None and faults.stall_pe():
                 # Injected PE stall: the firing was legal but is
                 # suppressed this tick. The node stays active and
                 # retries at the next fabric tick (so the cycle-skip
                 # scheduler still schedules it).
+                if verdicts is not None:
+                    verdicts[nid] = "operand-wait"
                 continue
             # Commit the firing.
             if pops:
@@ -797,8 +814,11 @@ class _Engine:
                 for index in pops:
                     queue = fifo_row[index]
                     if len(queue) >= capacity:
-                        # A slot frees up: the blocked producer may emit.
+                        # A slot frees up: the blocked producer may emit
+                        # (and its verdict, if it has one, is stale).
                         active[producer_row[index]] = 1
+                        if verdicts is not None:
+                            verdicts[producer_row[index]] = None
                     queue.popleft()
                 tokens_popped += len(pops)
             if new_state is not None:

@@ -12,6 +12,7 @@ of one cycle per stage (``response_hops``).
 from __future__ import annotations
 
 from collections import deque
+from itertools import compress, islice
 
 from repro.arch.fabric import Fabric
 from repro.arch.fmnoc import ArbiterId, FMNoC
@@ -28,6 +29,16 @@ class _Arbiter:
         self.sources = sources  # PE coords and/or upstream ArbiterId
         self.rr = 0
         self.latch: RequestRecord | None = None
+        #: Plan stage this arbiter's latch feeds (set by the plans).
+        self.feeds = -1
+
+
+def _holds(handle) -> bool:
+    """Whether a source handle (an ``_Arbiter`` or a PE injection deque)
+    holds a request its stage could take."""
+    if type(handle) is _Arbiter:
+        return handle.latch is not None
+    return bool(handle)
 
 
 class MonacoFrontend:
@@ -81,6 +92,13 @@ class MonacoFrontend:
         in the sorted order and swap each source id for its live handle
         (the PE's injection deque, or the ``_Arbiter`` object itself);
         restore refills those in place, so handles never go stale.
+
+        Each plan entry is a *stage* — a port, then an arbiter — numbered
+        in plan order (ports first). Every source feeds exactly one
+        stage, so ``held[stage]``, the number of its sources holding a
+        request, changes only where a request enters a source (``inject``,
+        a latch fill) or leaves it (a take), and a tick visits only the
+        stages it is nonzero for.
         """
 
         def handle(source):
@@ -88,20 +106,49 @@ class MonacoFrontend:
                 return self.arbiters[source]
             return self.pe_queues[source]
 
-        #: (port, [source handles]) in ascending port order.
+        ports = sorted(self.port_sources)
+        arb_ids = sorted(self.arbiters, key=lambda a: (a.domain, a.row))
+        #: Stage -> its port id or ``ArbiterId`` (names a stage).
+        self.stages: list = ports + arb_ids
+        inputs = [self.port_sources[port] for port in ports]
+        inputs += [self.arbiters[arb_id].sources for arb_id in arb_ids]
+        feeds = {
+            source: stage
+            for stage, sources in enumerate(inputs)
+            for source in sources
+        }
+        #: PE coord -> the stage its injection queue feeds.
+        self._pe_stage = {coord: feeds[coord] for coord in self.pe_queues}
+        for arb_id, arbiter in self.arbiters.items():
+            arbiter.feeds = feeds[arb_id]
+        #: (stage, port, [source handles]) in ascending port order.
         self._port_plan = [
-            (port, [handle(s) for s in self.port_sources[port]])
-            for port in sorted(self.port_sources)
+            (stage, port, [handle(s) for s in inputs[stage]])
+            for stage, port in enumerate(ports)
         ]
-        #: (arbiter, [source handles]) nearest-to-memory domain first —
-        #: the order that advances a request one stage per cycle.
+        #: (stage, arbiter, [source handles]) nearest-to-memory domain
+        #: first — the order that advances a request one stage per cycle.
         self._arb_plan = [
-            (self.arbiters[arb_id],
-             [handle(s) for s in self.arbiters[arb_id].sources])
-            for arb_id in sorted(
-                self.arbiters, key=lambda a: (a.domain, a.row)
-            )
+            (stage, self.arbiters[arb_id], [handle(s) for s in inputs[stage]])
+            for stage, arb_id in enumerate(arb_ids, len(ports))
         ]
+        #: Per stage, how many of its sources hold a request (not
+        #: snapshotted: :meth:`restored` recounts it).
+        self.held = self.recount()
+
+    def recount(self) -> list[int]:
+        """Per stage, the sources holding a request, counted from the
+        queues and latches themselves (what :attr:`held` must equal)."""
+        return [
+            sum(map(_holds, handles))
+            for plan in (self._port_plan, self._arb_plan)
+            for _stage, _owner, handles in plan
+        ]
+
+    def restored(self) -> None:
+        """Snapshot hook: the queues and latches were written back, so
+        the held counts derived from them are rebuilt."""
+        self.held[:] = self.recount()
 
     # -- Frontend interface ------------------------------------------------
 
@@ -112,7 +159,10 @@ class MonacoFrontend:
                 f"memory request from non-LS PE {record.pe_coord}"
             )
         record.response_hops = self.noc.request_hops(pe)
-        self.pe_queues[record.pe_coord].append(record)
+        queue = self.pe_queues[record.pe_coord]
+        if not queue:
+            self.held[self._pe_stage[record.pe_coord]] += 1
+        queue.append(record)
         self.in_network += 1
 
     def tick(self, now: int, deliver) -> bool:
@@ -122,19 +172,28 @@ class MonacoFrontend:
         or an arbiter latch refilled. The engine's deadlock detector
         counts this as progress, so a request crawling through a long
         arbiter chain does not false-trip ``DeadlockError``.
+
+        Only stages with a held source are visited: a stage none of whose
+        sources holds a request would grant nothing, move no cursor and
+        draw no fault. A take empties its source (a latch, or a queue's
+        last request) for no stage but the one being visited, and a
+        latch fill counts for the stage downstream, already visited this
+        cycle, so the counts read lazily as the plan goes stay exact.
         """
         if not self.in_network:
             # Empty network: nothing to grant anywhere, no round-robin
             # cursor moves, no arbiter stall accrues (latches are all
-            # empty) — the full scan below would be a provable no-op.
+            # empty) — the scan below would be a provable no-op.
             return False
         moved = False
         faults = self.faults
+        held = self.held
+        port_rr = self.port_rr
         # 1. Ports consume (one request per port per cycle). A source
         # handle is either an upstream _Arbiter (take = drain its latch)
         # or a PE injection deque (take = popleft).
-        for port, handles in self._port_plan:
-            start = self.port_rr[port]
+        for stage, port, handles in compress(self._port_plan, held):
+            start = port_rr[port]
             n = len(handles)
             for offset in range(n):
                 handle = handles[(start + offset) % n]
@@ -151,16 +210,21 @@ class MonacoFrontend:
                         break
                     if type(handle) is _Arbiter:
                         handle.latch = None
+                        held[stage] -= 1
                     else:
                         handle.popleft()
-                    self.port_rr[port] = (start + offset + 1) % n
+                        if not handle:
+                            held[stage] -= 1
+                    port_rr[port] = (start + offset + 1) % n
                     self.in_network -= 1
                     deliver(record)
                     moved = True
                     break
         # 2. Arbiters refill their latches, nearest-to-memory domain first
         #    so a request advances at most one stage per cycle.
-        for arbiter, handles in self._arb_plan:
+        for stage, arbiter, handles in compress(
+            self._arb_plan, islice(held, len(self._port_plan), None)
+        ):
             if arbiter.latch is not None:
                 continue
             start = arbiter.rr
@@ -179,10 +243,14 @@ class MonacoFrontend:
                         break
                     if type(handle) is _Arbiter:
                         handle.latch = None
+                        held[stage] -= 1
                     else:
                         handle.popleft()
+                        if not handle:
+                            held[stage] -= 1
                     arbiter.rr = (start + offset + 1) % n
                     arbiter.latch = record
+                    held[arbiter.feeds] += 1
                     moved = True
                     break
         return moved

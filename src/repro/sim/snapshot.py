@@ -146,7 +146,9 @@ def restore(obj, state: dict) -> None:
     anything else replaced. Saved names that differ from a declaration,
     or another shape for a container the fresh object already fills (a
     table built from the configuration: bank queues, memory arrays,
-    per-node rows), is refused before anything is written."""
+    per-node rows), is refused before anything is written. A declared
+    object with a ``restored`` method has it called once its state is
+    written back, to rebuild what it derives from that state."""
     _refill(obj, state, False, type(obj).__name__)
     _refill(obj, state, True, type(obj).__name__)
 
@@ -166,6 +168,8 @@ def _refill(live, saved, write: bool, where: str):
             )
             if write:
                 setattr(live, name, value)
+        if write and hasattr(live, "restored"):
+            live.restored()
         return live
     if type(saved) is not type(live) or not isinstance(live, _REFILLED):
         return saved

@@ -308,6 +308,28 @@ def test_finish_rejects_each_broken_ledger(rule, mutate):
         checker.finish(stats, engine)
 
 
+def test_finish_names_the_stage_whose_held_count_is_wrong():
+    """A quiescent Monaco network whose per-stage held counts disagree
+    with their structural recount fails ``frontend-audit`` naming the
+    first stage that disagrees — though its request ledger is exact."""
+    from repro.arch.fabric import monaco
+    from repro.sim.fmnoc_sim import MonacoFrontend
+
+    checker, _dfg = make_checker()
+    stats, engine = _quiescent_stats()
+    engine.frontend = MonacoFrontend(monaco(12, 12))
+    checker.finish(stats, engine)  # a fresh network counts no request
+    stage = engine.frontend.stages.index(next(
+        arb for arb in engine.frontend.arbiters if arb.domain == 2
+    ))
+    engine.frontend.held[stage] = 1
+    engine.frontend.held[-1] = 1  # a later stage is not the one named
+    with pytest.raises(InvariantViolation, match="frontend-audit") as info:
+        checker.finish(stats, engine)
+    assert "stage Arb(row=1, D2) counts 1 source(s)" in str(info.value)
+    assert "its structural recount 0" in str(info.value)
+
+
 def test_finish_arrival_and_completion_ledgers():
     checker, _dfg = make_checker()
     stats, engine = _quiescent_stats()

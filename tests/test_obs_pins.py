@@ -206,10 +206,10 @@ def test_bucket_cache_equals_a_recount_every_tick(
     #: executed tick cycle -> whether anything fired or emitted in it.
     eventful: dict[int, bool] = {}
 
-    def recounted(engine, e0, f0, scans):
+    def recounted(engine, e0, f0):
         rec = engine.recording
         c0 = len(rec.changes)
-        real(engine, e0, f0, scans)
+        real(engine, e0, f0)
         fired = set(rec.fired[f0::3]) | set(rec.emitted[e0::10])
         for nid in engine.dfg.nodes:
             if nid in fired:

@@ -144,6 +144,37 @@ def _split(name, arch, budget, path, config=MONACO):
     return _simulate(name, arch, config, checkpoint=CheckpointConfig(path))
 
 
+class _LatchWatch:
+    """A machine config whose frontend notes, after each executed cycle,
+    whether a request sits in an arbiter latch: ``latched`` lists the
+    executed-cycle counts after which one does (a ``cycle_budget`` that
+    preempts there)."""
+
+    def __init__(self, config):
+        self.config, self.latched = config, []
+
+    def frontend_factory(self, divider):
+        make = self.config.frontend_factory(divider)
+
+        def build(fabric, address_map):
+            frontend = make(fabric, address_map)
+            tick, executed = frontend.tick, 0
+
+            def watched(now, deliver):
+                nonlocal executed
+                moved = tick(now, deliver)
+                executed += 1
+                if any(a.latch is not None
+                       for a in frontend.arbiters.values()):
+                    self.latched.append(executed)
+                return moved
+
+            frontend.tick = watched
+            return frontend
+
+        return build
+
+
 # -- split-run bit-identity, all workloads x all mode toggles ---------------
 
 
@@ -199,6 +230,35 @@ class TestSplitRunBitIdentity:
         assert a.noc_heatmap.channel_tokens == b.noc_heatmap.channel_tokens
         assert a.fmnoc_heatmap.stage_traffic == b.fmnoc_heatmap.stage_traffic
         assert a.chrome.events == b.chrome.events
+
+    @pytest.mark.parametrize(
+        "config", [MONACO, hybrid(2)], ids=lambda c: c.name
+    )
+    def test_resume_with_a_request_in_an_arbiter_latch(self, config, tmp_path):
+        """A snapshot taken while a request sits in an arbiter latch
+        restores the latches, and the per-stage held counts a tick skips
+        idle stages by are rebuilt from them: the resumed run reports
+        what the uninterrupted one does. The split cycle is read off the
+        uninterrupted run, not left to a random budget."""
+        arch = _arch(
+            trace=True, critpath=True,
+            trace_path=str(tmp_path / "trace.json"),
+        )
+        watched = _LatchWatch(config)
+        full = _simulate("spmspv", arch, watched)
+        assert watched.latched, "no request ever waited in a latch"
+        budget = watched.latched[len(watched.latched) // 2]
+        resumed = _split("spmspv", arch, budget, str(tmp_path / "p.snap"),
+                         config)
+
+        assert resumed.resume_info["executed_before"] == budget
+        assert _digest(resumed) == _digest(full)
+        assert resumed.memory == full.memory
+        a, b = resumed.obs, full.obs
+        assert a.attribution.per_node == b.attribution.per_node
+        assert a.fmnoc_heatmap.stage_traffic == b.fmnoc_heatmap.stage_traffic
+        assert a.chrome.events == b.chrome.events
+        assert a.critpath.report == b.critpath.report
 
     @pytest.mark.parametrize("name", ["spmspv", "dmv"])
     def test_budget_zero_snapshots_pristine_state(self, name, tmp_path):
