@@ -159,6 +159,11 @@ class SimParams:
             raise ArchError("max outstanding must be >= 1")
 
 
+#: The :class:`SimParams` switches that only ask for probes: a point's
+#: identity leaves them out, and a sweep runs its twins once.
+PROBE_SWITCHES = ("trace", "critpath", "check")
+
+
 @dataclass(frozen=True)
 class TimingParams:
     """Static-timing constants for the clock-divider computation.

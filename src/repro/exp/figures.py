@@ -9,13 +9,12 @@ NUMA+NUPEA extension. An entry declares its table's cells as
 results.
 
 :func:`run_figures` is the job graph ``repro figure NAME|all`` runs: in
-rounds, the union of the selected entries' points, deduplicated by
-``RunSpec`` equality, goes once through
+rounds, the union of the selected entries' points goes through
 :func:`~repro.exp.resilient.run_resilient` on ``Grid.jobs`` workers,
-until no entry asks for more; then every entry reduces. Entries share
-every point they have in common, and the tables are bit-identical for
-every ``jobs``. Nothing else in the repository builds a reproduced
-number.
+until no entry asks for more; then every entry reduces. The supervisor
+runs each point once, however many entries list it and with whatever
+probes, and the tables are bit-identical for every ``jobs``. Nothing
+else in the repository builds a reproduced number.
 
 Each entry carries the paper's claims about its table as data
 (:class:`Claim`: statement, paper value, measured value, holds).
@@ -1266,14 +1265,12 @@ def run_figures(
 
     done: dict[RunSpec, RunResult | None] = {}
     with _shared_cache(grid.jobs):
-        while wanted := list(
-            dict.fromkeys(
-                spec
-                for entry in entries.values()
-                for spec in entry.points(grid, done)
-                if spec not in done
-            )
-        ):
+        while wanted := [
+            spec
+            for entry in entries.values()
+            for spec in entry.points(grid, done)
+            if spec not in done
+        ]:
             outcome = run_resilient(
                 wanted,
                 max_workers=grid.jobs,

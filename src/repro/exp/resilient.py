@@ -50,6 +50,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from functools import partial
 
+from repro.arch.params import PROBE_SWITCHES
 from repro.errors import (
     DeadlockError,
     ExperimentError,
@@ -338,6 +339,15 @@ def _dispatch_pooled(
         pool.shutdown(wait=True, cancel_futures=True)
 
 
+def _probing(spec: RunSpec, twins) -> RunSpec:
+    """``spec`` with each probe switch on that one of ``twins`` sets."""
+    sim = replace(spec.arch.sim, **{
+        name: any(getattr(twin.arch.sim, name) for twin in twins)
+        for name in PROBE_SWITCHES
+    })
+    return replace(spec, arch=replace(spec.arch, sim=sim))
+
+
 def run_resilient(
     specs: list[RunSpec],
     max_workers: int | None = None,
@@ -357,7 +367,10 @@ def run_resilient(
     :func:`repro.exp.runner.run_parallel` is the results-only facade
     over that. With the default :data:`ABORT` policy the behavior —
     results, manifest records, raised exception — is bit-identical to
-    the historical fail-fast sweep.
+    the historical fail-fast sweep. Probe twins, specs that differ only
+    in :data:`~repro.arch.params.PROBE_SWITCHES`, run once with every
+    switch any of them sets; that run settles under each of them and is
+    journaled once.
 
     ``resume=True`` requires ``manifest_path`` and skips every point the
     journal proves complete (see
@@ -412,10 +425,14 @@ def run_resilient(
             else:
                 remaining.append(spec)
         specs = remaining
+    twins: dict[RunSpec, list[RunSpec]] = {}
+    for spec in specs:
+        twins.setdefault(_probing(spec, ()), []).append(spec)
+    runs = {_probing(plain, group): group for plain, group in twins.items()}
 
     def settle(spec: RunSpec, result) -> None:
-        """Settle ``spec`` once: ``result()`` returns its run or raises
-        its failure, which aborts the sweep or is journaled."""
+        """Settle the run ``spec`` once: ``result()`` returns its run,
+        kept for each twin, or raises its failure (abort or journal)."""
         try:
             run = result()
         except Exception as exc:
@@ -433,7 +450,7 @@ def run_resilient(
             if manifest_path is not None:
                 append_manifest(manifest_path, failure.to_manifest(spec))
         else:
-            outcome.results[spec] = run
+            outcome.results.update(dict.fromkeys(runs[spec], run))
             if manifest_path is not None:
                 append_manifest(manifest_path, build_manifest(run, spec))
 
@@ -444,7 +461,7 @@ def run_resilient(
         # caller gets its own disk layer back.
         disk_dir = GLOBAL_CACHE.disk_dir
         try:
-            for spec in specs:
+            for spec in runs:
                 settle(spec, partial(job_fn, spec, env))
         finally:
             GLOBAL_CACHE.disk_dir = disk_dir
@@ -459,7 +476,7 @@ def run_resilient(
         else contextlib.nullcontext(env.cache_dir)
     ) as shared_cache:
         _dispatch_pooled(
-            specs,
+            list(runs),
             max_workers or os.cpu_count() or 1,
             job_fn,
             _compile_sweep_job,

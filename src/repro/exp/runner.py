@@ -53,7 +53,8 @@ class RunResult:
     #: Wall-clock seconds the timed simulation took (excluded from
     #: equality — two bit-identical runs never take identical time).
     wall_time: float = field(default=0.0, compare=False)
-    #: Observability bus of the run (None with every probe off).
+    #: The run's probes (``SimResult.obs``; None with every probe off).
+    #: A probe twin's result carries every probe its twins asked for.
     obs: object = field(default=None, compare=False, repr=False)
     #: Compile-time telemetry (:class:`repro.pnr.result.PnRStats`) of the
     #: kernel this run simulated. Wall-clock data, so excluded from

@@ -142,8 +142,10 @@ class RunSpec:
         written under other ``noc_tracks`` / ``noc_model`` / ``timing``
         holds different artifacts' results. So are the simulator knobs
         that change the cycles (``memory``, ``fifo_capacity``,
-        ``max_outstanding``); the probes (``trace``, ``critpath``,
-        ``check``) are bit-identical and stay out.
+        ``max_outstanding``). The probe switches
+        (:data:`~repro.arch.params.PROBE_SWITCHES`) are bit-identical and
+        stay out: :func:`~repro.exp.resilient.run_resilient` runs specs
+        that differ only in them once.
         """
         sim = self.arch.sim
         faults = sim.faults

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -37,13 +38,14 @@ from repro.exp.resilient import (
     classify_failure,
     run_resilient,
 )
-from repro.exp.runner import _run_sweep_job
-from repro.exp.spec import sweep_specs
+from repro.exp.runner import RunResult, _run_sweep_job
+from repro.exp.spec import RunSpec, sweep_specs
 from repro.obs.manifest import (
     append_manifest,
     completed_points,
     read_manifest,
 )
+from repro.sim.stats import SimStats
 
 CONFIGS = [MONACO, upea(2)]
 
@@ -351,6 +353,94 @@ def test_worker_death_poisons_only_the_window(tmp_path, monkeypatch):
     assert {spec.config.name for spec in outcome.results} == {
         c.name for c in configs
     } - dead
+
+
+# -- probe twins: one point listed with different probe switches -------------
+
+
+def _probed(spec, **switches):
+    return replace(spec, arch=replace(spec.arch, sim=replace(
+        spec.arch.sim, **switches
+    )))
+
+
+def _logged_job(spec, env):
+    sim = spec.arch.sim
+    _log(env.cache_dir, "jobs.log", " ".join(map(str, (
+        spec.label, sim.trace, sim.critpath, sim.check, sim.trace_path
+    ))))
+    return RunResult(spec.workload, spec.config.name, 1, SimStats(), 1)
+
+
+def _twin_sweep(specs, workers, tmp_path, monkeypatch):
+    """``(outcome, job calls, manifest records)`` of a logged sweep."""
+    _patch_compile(monkeypatch, _noop_compile)
+    manifest = tmp_path / "man.jsonl"
+    outcome = run_resilient(
+        specs, max_workers=workers, cache_dir=tmp_path,
+        manifest_path=manifest, job_fn=_logged_job,
+    )
+    return outcome, _read_log(tmp_path, "jobs.log"), read_manifest(manifest)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_probe_twins_run_once_with_every_probe(workers, tmp_path, monkeypatch):
+    plain = RunSpec("dmv", MONACO, scale="tiny")
+    given = [
+        plain,
+        _probed(plain, trace=True),
+        _probed(plain, critpath=True),
+        RunSpec("dmv", MONACO, scale="tiny"),  # an exact duplicate
+    ]
+    outcome, jobs, records = _twin_sweep(given, workers, tmp_path, monkeypatch)
+    assert jobs == ["dmv/monaco/seed0 True True False None"]
+    assert outcome.ok and set(outcome.results) == set(given)
+    assert all(outcome.results[spec] is outcome.results[plain] for spec in given)
+    assert [r["point_digest"] for r in records] == [plain.point_digest()]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_twins_writing_different_chrome_files_are_not_merged(
+    workers, tmp_path, monkeypatch
+):
+    """Two Chrome files cannot come from one run."""
+    plain = RunSpec("dmv", MONACO, scale="tiny")
+    given = [
+        _probed(plain, trace=True, trace_path="a.json"),
+        _probed(plain, trace=True, critpath=True, trace_path="b.json"),
+    ]
+    outcome, jobs, records = _twin_sweep(given, workers, tmp_path, monkeypatch)
+    assert sorted(jobs) == [
+        "dmv/monaco/seed0 True False False a.json",
+        "dmv/monaco/seed0 True True False b.json",
+    ]
+    assert list(outcome.results) == given
+    assert outcome.results[given[0]] is not outcome.results[given[1]]
+    assert len(records) == 2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_sweep_without_twins_runs_every_spec_as_given(
+    workers, tmp_path, monkeypatch
+):
+    """No two specs name one point: one job per spec, with its own
+    switches, and results and records in the order given."""
+    specs = _specs(["spmspv", "dmv"])
+    specs[1] = _probed(specs[1], trace=True)
+    specs[2] = _probed(specs[2], critpath=True, check=True)
+    outcome, jobs, records = _twin_sweep(specs, workers, tmp_path, monkeypatch)
+    assert sorted(jobs) == sorted(
+        f"{s.label} {s.arch.sim.trace} {s.arch.sim.critpath} "
+        f"{s.arch.sim.check} None"
+        for s in specs
+    )
+    assert list(outcome.results) == specs
+    assert [(r.workload, r.config) for r in outcome.results.values()] == [
+        spec.key[:2] for spec in specs
+    ]
+    assert [r["point_digest"] for r in records] == [
+        spec.point_digest() for spec in specs
+    ]
 
 
 # -- real-simulator equivalence with a mid-sweep failure --------------------

@@ -19,6 +19,7 @@ import pytest
 
 from repro.arch.fabric import monaco
 from repro.arch.params import (
+    PROBE_SWITCHES,
     ArchParams,
     FaultParams,
     MemoryParams,
@@ -97,7 +98,7 @@ POINT_SUBSET = {
 }
 #: Flips that must NOT move the journal digest: the probes, whose
 #: results are bit-identical.
-POINT_INVARIANT = {"arch.sim.trace", "arch.sim.critpath", "arch.sim.check"}
+POINT_INVARIANT = {f"arch.sim.{name}" for name in PROBE_SWITCHES}
 #: Flips of anything ``compile_once`` reads.
 COMPILE_SUBSET = {
     "workload", "scale", "seed", "policy", "fabric",

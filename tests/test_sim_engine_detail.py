@@ -6,9 +6,11 @@ from repro.arch.fabric import monaco
 from repro.arch.params import ArchParams, MemoryParams, SimParams
 from repro.core.policy import EFFCC
 from repro.dfg.graph import DFG, ImmRef, PortRef
+from repro.exp.runner import compile_cached
 from repro.pnr.flow import compile_once
 from repro.sim.engine import _Engine, simulate  # noqa: F401
 from repro.sim.upea import UniformFrontend
+from repro.workloads.registry import make_workload
 
 from kernels import zoo_instance
 
@@ -82,6 +84,29 @@ def test_max_outstanding_limits_pipelining():
     slow = simulate(ck, params, arrays, shallow)
     fast = simulate(ck, params, arrays, deep)
     assert fast.stats.system_cycles <= slow.stats.system_cycles
+
+
+def test_the_outstanding_cap_binds_under_slow_uncached_memory():
+    """At default memory no LS PE ever reaches the cap (its index
+    recurrence is slower than a round trip); with 64-cycle hits and no
+    cache, dmv's loads do. One request in flight is then slower than
+    two (1,248 against 798 cycles), and the checked run at one is clean:
+    the engine stalls exactly where ``max-outstanding`` would fire."""
+    instance = make_workload("dmv", scale="tiny")
+    kernel = compile_cached(instance, monaco(), ArchParams())
+    memory = MemoryParams(hit_cycles=64, cache_lines=0)
+
+    def cycles(outstanding, check=False):
+        sim = SimParams(max_outstanding=outstanding, check=check)
+        result = simulate(
+            kernel, instance.params, instance.arrays,
+            ArchParams(memory=memory, sim=sim), divider=2,
+        )
+        instance.check(result.memory)
+        return result.stats.system_cycles
+
+    assert cycles(1) > cycles(2)
+    assert cycles(1, check=True) == cycles(1)
 
 
 def test_noc_hops_scale_with_placement_spread():
