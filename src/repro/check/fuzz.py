@@ -335,7 +335,7 @@ def _oracle(kernel: Kernel, arrays: dict, seed: int):
     reference, a finding: it becomes a ``protocol`` divergence on layer
     ``pnr``, shrunk and written like any other.
     """
-    from repro.check.oracle import ConformanceReport, Divergence, check_kernel
+    from repro.check.oracle import ConformanceReport, check_kernel
 
     try:
         return check_kernel(
@@ -349,18 +349,8 @@ def _oracle(kernel: Kernel, arrays: dict, seed: int):
     except PnRError as error:
         return error
     except PnRVerifyError as error:
-        return ConformanceReport(
-            name=kernel.name,
-            config="-",
-            layers=(),
-            divergences=[
-                Divergence(
-                    "protocol",
-                    ("pnr",),
-                    detail=f"{type(error).__name__}: {error}",
-                )
-            ],
-            op_counts={},
+        return ConformanceReport.failed(
+            kernel.name, "pnr", f"{type(error).__name__}: {error}"
         )
 
 

@@ -39,9 +39,10 @@ import json
 from repro.arch.params import ArchParams
 from repro.check.pnr import verify_placement, verify_routing
 from repro.dfg.interp import run_dfg
-from repro.errors import DFGError, PnRError, ReproError, SimulationError
+from repro.errors import PnRError, ReproError
 from repro.ir.ast import Kernel
 from repro.ir.interp import run_kernel
+from repro.isa import mismatches
 from repro.obs.manifest import config_digest
 from repro.sim.engine import simulate
 
@@ -103,6 +104,13 @@ class ConformanceReport:
     #: Timed-simulation system cycles (0 when the sim layer failed).
     cycles: int = 0
 
+    @classmethod
+    def failed(cls, name: str, layer: str, detail: str) -> ConformanceReport:
+        """A run stopped before any layer could be compared: one
+        ``protocol`` divergence on ``layer``."""
+        divergence = Divergence("protocol", (layer,), detail=detail)
+        return cls(name, "-", (), [divergence], {})
+
     @property
     def ok(self) -> bool:
         return not self.divergences
@@ -160,44 +168,26 @@ def _with_check(arch: ArchParams) -> ArchParams:
     )
 
 
-def _diff_memory(
-    reference: dict[str, list],
-    ref_layer: str,
-    memory: dict[str, list],
-    layer: str,
-    out: list[Divergence],
-) -> None:
-    for array in sorted(reference):
-        want = reference[array]
-        got = memory.get(array)
-        if got is None or len(got) != len(want):
-            out.append(
-                Divergence(
-                    "array",
-                    (ref_layer, layer),
-                    array=array,
-                    detail=(
-                        f"array missing or wrong length "
-                        f"({None if got is None else len(got)} vs "
-                        f"{len(want)})"
-                    ),
-                )
-            )
-            continue
-        for index, (w, g) in enumerate(zip(want, got)):
-            if g != w:
-                out.append(
-                    Divergence(
-                        "array",
-                        (ref_layer, layer),
-                        array=array,
-                        index=index,
-                        values=((ref_layer, w), (layer, g)),
-                    )
-                )
-                break  # first divergent index per array is enough
-        if len(out) >= MAX_DIVERGENCES:
-            return
+def _raised(layer: str, error: ReproError) -> Divergence:
+    """``layer`` raised ``error``: a ``protocol`` divergence naming it."""
+    detail = f"{type(error).__name__}: {error}"
+    return Divergence("protocol", (layer,), detail=detail)
+
+
+def _diff(kind, want, want_layer, got, layer, out, tolerance=0.0) -> None:
+    """Append a ``kind`` divergence of ``layer`` from ``want_layer`` per
+    array of ``want``, by name, that ``got`` disagrees on
+    (:func:`repro.isa.mismatches`)."""
+    pair = (want_layer, layer)
+    for array, index, g, w in mismatches(
+        dict(sorted(want.items())), got, tolerance
+    ):
+        if index is None:
+            detail = f"array missing or wrong length ({g} vs {w})"
+            out.append(Divergence(kind, pair, array=array, detail=detail))
+        else:
+            values = ((want_layer, w), (layer, g))
+            out.append(Divergence(kind, pair, array, index, values))
 
 
 def check_kernel(
@@ -217,12 +207,14 @@ def check_kernel(
     """Run ``kernel`` through all three layers and diff the results.
 
     The IR interpreter is the ground truth: if *it* fails the kernel is
-    invalid and the error propagates. DFG/sim-layer failures (token
-    leaks, deadlocks, invariant violations) are *findings* — recorded as
-    ``protocol`` divergences so the fuzzer can shrink them. ``compiled``
-    short-circuits compilation (the workload harness passes its cached
-    :class:`~repro.pnr.result.CompiledKernel`); otherwise the kernel is
-    compiled at parallelism 1 on Monaco 12x12. The DFG layer runs under
+    invalid and the error propagates. Any
+    :class:`~repro.errors.ReproError` of a DFG or sim layer (a token
+    leak, a deadlock, an invariant violation, an out-of-range access, a
+    division by zero) is a *finding* — a ``protocol`` divergence on that
+    layer, the others' results kept — so the fuzzer can shrink it.
+    ``compiled`` short-circuits compilation (the workload harness passes
+    its cached :class:`~repro.pnr.result.CompiledKernel`); otherwise the
+    kernel is compiled at parallelism 1 on Monaco 12x12. The DFG layer runs under
     every order of :data:`DEFAULT_ORDERS`, the simulator on Monaco's
     frontend.
     :class:`~repro.errors.PnRError` propagates — an unroutable kernel is
@@ -289,13 +281,11 @@ def check_kernel(
         layers.append(layer)
         try:
             interp = run_dfg(dfg, params, arrays, order=order, seed=seed)
-        except DFGError as error:
-            divergences.append(
-                Divergence("protocol", (layer,), detail=str(error))
-            )
+        except ReproError as error:
+            divergences.append(_raised(layer, error))
             continue
         op_counts[layer] = dict(sorted(interp.firings.items()))
-        _diff_memory(ir_memory, "ir", interp.memory, layer, divergences)
+        _diff("array", ir_memory, "ir", interp.memory, layer, divergences)
         if dfg_firings is None:
             dfg_firings = interp.firings
         elif interp.firings != dfg_firings:
@@ -318,18 +308,12 @@ def check_kernel(
         result = simulate(
             compiled, params, arrays, _with_check(arch), divider=divider
         )
-    except (SimulationError, DFGError) as error:
-        divergences.append(
-            Divergence(
-                "protocol",
-                ("sim",),
-                detail=f"{type(error).__name__}: {error}",
-            )
-        )
+    except ReproError as error:
+        divergences.append(_raised("sim", error))
     else:
         cycles = result.stats.system_cycles
         op_counts["sim"] = dict(sorted(result.stats.firings.items()))
-        _diff_memory(ir_memory, "ir", result.memory, "sim", divergences)
+        _diff("array", ir_memory, "ir", result.memory, "sim", divergences)
         if dfg_firings is not None and result.stats.firings != dfg_firings:
             divergences.append(
                 Divergence(
@@ -343,9 +327,8 @@ def check_kernel(
                 )
             )
         if reference_outputs is not None:
-            _diff_reference(
-                reference_outputs, result.memory, tolerance, divergences
-            )
+            _diff("reference", reference_outputs, "golden",
+                  result.memory, "sim", divergences, tolerance)
 
     # IR vs DFG on the memory-op subset (see module doc). Stores are
     # never optimized away, so their counts match exactly; loads are
@@ -388,30 +371,6 @@ def check_kernel(
         op_counts=op_counts,
         cycles=cycles,
     )
-
-
-def _diff_reference(
-    reference: dict[str, list],
-    memory: dict[str, list],
-    tolerance: float,
-    out: list[Divergence],
-) -> None:
-    for array in sorted(reference):
-        want = reference[array]
-        got = memory.get(array, [])
-        for index, (w, g) in enumerate(zip(want, got)):
-            bad = abs(g - w) > tolerance if tolerance else g != w
-            if bad:
-                out.append(
-                    Divergence(
-                        "reference",
-                        ("sim", "golden"),
-                        array=array,
-                        index=index,
-                        values=(("sim", g), ("golden", w)),
-                    )
-                )
-                break
 
 
 def check_workload(
@@ -463,34 +422,10 @@ def run_conformance(
     for name in names or ALL_WORKLOADS:
         try:
             reports.append(check_workload(name, scale, seed))
-        except PnRError as error:
-            reports.append(
-                ConformanceReport(
-                    name=f"{name}@{scale}",
-                    config="-",
-                    layers=(),
-                    divergences=[
-                        Divergence(
-                            "protocol", ("pnr",), detail=str(error)
-                        )
-                    ],
-                    op_counts={},
-                )
-            )
         except ReproError as error:
+            kind = type(error).__name__
+            layer = "pnr" if isinstance(error, PnRError) else kind
             reports.append(
-                ConformanceReport(
-                    name=f"{name}@{scale}",
-                    config="-",
-                    layers=(),
-                    divergences=[
-                        Divergence(
-                            "protocol",
-                            (type(error).__name__,),
-                            detail=str(error),
-                        )
-                    ],
-                    op_counts={},
-                )
+                ConformanceReport.failed(f"{name}@{scale}", layer, str(error))
             )
     return reports

@@ -184,6 +184,14 @@ class DFG:
         self.arrays[name] = size
         self.array_dtypes[name] = dtype
 
+    def declared(self) -> dict[str, tuple[int, str]]:
+        """Array name -> ``(size, dtype)``, as
+        :func:`repro.isa.launch_memory` takes it."""
+        return {
+            name: (size, self.array_dtypes.get(name, "i"))
+            for name, size in self.arrays.items()
+        }
+
     # -- queries ---------------------------------------------------------
 
     def consumers(self) -> dict[int, list[tuple[int, int]]]:

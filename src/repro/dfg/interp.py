@@ -16,8 +16,9 @@ import random as _random
 from collections import deque
 
 from repro.dfg.graph import DFG, PortRef
-from repro.dfg.ops import NO_EMIT, compile_rule, fresh_state
+from repro.dfg.ops import NO_EMIT, compile_rule, fresh_state, unfinished
 from repro.errors import DFGError
+from repro.isa import launch_memory
 
 #: Safety net against graphs that never quiesce.
 MAX_FIRINGS = 100_000_000
@@ -55,29 +56,13 @@ def run_dfg(
     """Execute ``dfg`` to quiescence and return final memory + stats.
 
     Raises :class:`DFGError` if tokens remain in flight at quiescence or if
-    any node is left mid-protocol (a carry outside its INIT phase, a held
-    invariant) — both indicate a lowering bug — and, before the first
-    firing, if ``arrays`` names an array the kernel does not declare.
+    any node is left mid-protocol (:func:`repro.dfg.ops.unfinished`) —
+    both indicate a lowering bug —, when a load or store rule refuses its
+    index, and, before the first firing, if ``arrays`` names an array
+    the kernel does not declare (:func:`repro.isa.launch_memory`).
     """
     params = dict(params or {})
-    unknown = sorted(set(arrays or ()) - set(dfg.arrays))
-    if unknown:
-        raise DFGError(
-            f"arrays {unknown} are not declared by kernel {dfg.name!r} "
-            f"(declared: {sorted(dfg.arrays)})"
-        )
-    memory: dict[str, list] = {}
-    for name, size in dfg.arrays.items():
-        if arrays and name in arrays:
-            data = list(arrays[name])
-            if len(data) != size:
-                raise DFGError(
-                    f"array {name!r}: got {len(data)} words, declared {size}"
-                )
-        else:
-            zero = 0 if dfg.array_dtypes.get(name, "i") == "i" else 0.0
-            data = [zero] * size
-        memory[name] = data
+    memory = launch_memory(dfg.name, dfg.declared(), arrays, DFGError)
 
     # Per node: one unbounded deque per port input (None for immediates),
     # the firing rule compiled over them, and the deques it feeds.
@@ -89,7 +74,7 @@ def run_dfg(
         for nid, node in dfg.nodes.items()
     }
     rules = {
-        nid: compile_rule(node, rows[nid], params)
+        nid: compile_rule(node, rows[nid], params, dfg.arrays)
         for nid, node in dfg.nodes.items()
     }
     sinks = {
@@ -139,11 +124,6 @@ def run_dfg(
             states[nid].update(new_state)
         if request is not None:
             data = memory[request.array]
-            if not 0 <= request.index < len(data):
-                raise DFGError(
-                    f"node {nid}: index {request.index} out of bounds for "
-                    f"array {request.array!r} of size {len(data)}"
-                )
             if request.kind == "load":
                 emit = data[request.index]
             else:
@@ -176,13 +156,7 @@ def _check_quiescent(dfg: DFG, rows: dict, states: dict) -> None:
             f"first: node {nid} ({node.op} {node.tag!r}) port "
             f"{node.port_name(idx)} holds {depth} token(s)"
         )
-    for nid, state in states.items():
-        node = dfg.nodes[nid]
-        if node.op == "carry" and state["phase"] != "init":
-            raise DFGError(
-                f"carry node {nid} ({node.tag!r}) left in RUN phase"
-            )
-        if node.op == "invariant" and state["held"]:
-            raise DFGError(
-                f"invariant node {nid} ({node.tag!r}) left holding a value"
-            )
+    for nid, node in dfg.nodes.items():
+        fault = unfinished(node, states[nid])
+        if fault is not None:
+            raise DFGError(fault)

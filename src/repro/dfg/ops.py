@@ -67,6 +67,15 @@ def fresh_state(node: Node) -> dict:
     return {}
 
 
+def unfinished(node: Node, state: dict) -> str | None:
+    """What ``node`` left mid-protocol at the end of a run (a carry out
+    of INIT, a held invariant), or None: both executors' final audit."""
+    where = f"{node.op} node {node.nid} ({node.tag!r})"
+    if node.op == "carry" and state["phase"] != "init":
+        return f"{where} finished in RUN phase"
+    if node.op == "invariant" and state["held"]:
+        return f"{where} finished holding a value"
+    return None
 
 
 # -- rule compilation -------------------------------------------------------
@@ -103,7 +112,7 @@ def _operator(node: Node, table: dict, arity: str):
         ) from None
 
 
-def _source(node, ins, ports, params):
+def _source(node, ins, ports, params, sizes):
     fire = ((), 0, None, {"fired": True})
 
     def rule(state):
@@ -112,7 +121,7 @@ def _source(node, ins, ports, params):
     return rule
 
 
-def _inject(node, ins, ports, params):
+def _inject(node, ins, ports, params, sizes):
     (trig,) = ins
     fire = (ports(0), _resolve(node, node.attrs["value"], params), None, None)
 
@@ -122,7 +131,7 @@ def _inject(node, ins, ports, params):
     return rule
 
 
-def _binop(node, ins, ports, params):
+def _binop(node, ins, ports, params, sizes):
     impl = _operator(node, BINARY_IMPLS, "binary")
     lhs, rhs = ins
     pops = ports(0, 1)
@@ -152,7 +161,7 @@ def _binop(node, ins, ports, params):
     return rule
 
 
-def _unop(node, ins, ports, params):
+def _unop(node, ins, ports, params, sizes):
     impl = _operator(node, UNARY_IMPLS, "unary")
     (a,) = ins
     pops = ports(0)
@@ -165,7 +174,7 @@ def _unop(node, ins, ports, params):
     return rule
 
 
-def _steer(node, ins, ports, params):
+def _steer(node, ins, ports, params, sizes):
     dec, val = ins
     polarity = node.attrs["polarity"]
     pops = ports(0, 1)
@@ -181,7 +190,7 @@ def _steer(node, ins, ports, params):
     return rule
 
 
-def _invariant(node, ins, ports, params):
+def _invariant(node, ins, ports, params, sizes):
     # Port 0: val (once per region activation); port 1: dec.
     val, dec = ins
     take = ports(0, 1)
@@ -206,7 +215,7 @@ def _invariant(node, ins, ports, params):
     return rule
 
 
-def _carry(node, ins, ports, params):
+def _carry(node, ins, ports, params, sizes):
     init, back, dec = ins
     enter = ports(0)
     step = ports(1, 2)
@@ -229,7 +238,7 @@ def _carry(node, ins, ports, params):
     return rule
 
 
-def _merge(node, ins, ports, params):
+def _merge(node, ins, ports, params, sizes):
     # Peek the decider, then wait for the chosen arm only.
     dec, on_true, on_false = ins
     pops_true = ports(0, 1)
@@ -249,7 +258,7 @@ def _merge(node, ins, ports, params):
     return rule
 
 
-def _select(node, ins, ports, params):
+def _select(node, ins, ports, params, sizes):
     # Eager ternary: both arms are computed unconditionally; consume all
     # three inputs and forward the chosen value.
     dec, on_true, on_false = ins
@@ -263,12 +272,13 @@ def _select(node, ins, ports, params):
     return rule
 
 
-def _memory(node, ins, ports, params):
+def _memory(node, ins, ports, params, sizes):
     # The emitted token (loaded value, or 0 for a store's ordering token)
     # is produced by the executor when the access completes.
     kind = node.op
     nid = node.nid
     array = node.attrs["array"]
+    size = sizes[array]
     idx = ins[0]
     data = ins[1] if kind == "store" else None
     pops = ports()
@@ -283,13 +293,18 @@ def _memory(node, ins, ports, params):
             raise DFGError(
                 f"node {nid}: non-integer index {index!r} into {array!r}"
             )
+        if not 0 <= whole < size:
+            raise DFGError(
+                f"node {nid}: index {whole} out of bounds for array "
+                f"{array!r} of size {size}"
+            )
         value = None if data is None else data[0]
         return pops, NO_EMIT, MemRequest(kind, array, whole, value), None
 
     return rule
 
 
-def _join(node, ins, ports, params):
+def _join(node, ins, ports, params, sizes):
     fire = (ports(), 0, None, None)
 
     def rule(state):
@@ -318,14 +333,16 @@ _BUILDERS = {
 }
 
 
-def compile_rule(node: Node, row, params: dict):
+def compile_rule(node: Node, row, params: dict, sizes: dict[str, int]):
     """Compile ``node``'s firing rule (see the module docstring).
 
     ``row[i]`` is input ``i``'s FIFO deque, or ``None`` where the input
     is an immediate. The rule closes over exactly those deques, so an
     executor that restores state must refill them in place. Immediates
     and operator names are resolved here: an unbound kernel parameter or
-    an unknown operator raises before anything runs.
+    an unknown operator raises before anything runs. ``sizes`` maps each
+    array of the kernel to its words (``DFG.arrays``): a load or store
+    rule refuses an index outside its array.
     """
     try:
         build = _BUILDERS[node.op]
@@ -342,4 +359,4 @@ def compile_rule(node: Node, row, params: dict):
             i for i in indices or range(len(row)) if row[i] is not None
         )
 
-    return build(node, ins, ports, params)
+    return build(node, ins, ports, params, sizes)

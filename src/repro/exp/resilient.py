@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import shutil
 import signal
 import tempfile
 import threading
@@ -339,9 +340,19 @@ def _dispatch_pooled(
         pool.shutdown(wait=True, cancel_futures=True)
 
 
+def _chrome_paths(twins) -> list[str]:
+    """The Chrome-file paths ``twins`` ask for, first asked first."""
+    sims = [twin.arch.sim for twin in twins]
+    return list(dict.fromkeys(
+        sim.trace_path for sim in sims if sim.trace and sim.trace_path
+    ))
+
+
 def _probing(spec: RunSpec, twins) -> RunSpec:
-    """``spec`` with each probe switch on that one of ``twins`` sets."""
-    sim = replace(spec.arch.sim, **{
+    """``spec`` with each probe switch on that one of ``twins`` sets, its
+    timeline written where the first traced twin asks for one."""
+    paths = _chrome_paths(twins)
+    sim = replace(spec.arch.sim, trace_path=paths[0] if paths else None, **{
         name: any(getattr(twin.arch.sim, name) for twin in twins)
         for name in PROBE_SWITCHES
     })
@@ -369,8 +380,10 @@ def run_resilient(
     results, manifest records, raised exception — is bit-identical to
     the historical fail-fast sweep. Probe twins, specs that differ only
     in :data:`~repro.arch.params.PROBE_SWITCHES`, run once with every
-    switch any of them sets; that run settles under each of them and is
-    journaled once.
+    switch any of them sets, and write the Chrome file of the first that
+    asks for one (``sim.trace_path``), copied afterwards to every other
+    path asked for; that run settles under each of them and is journaled
+    once.
 
     ``resume=True`` requires ``manifest_path`` and skips every point the
     journal proves complete (see
@@ -451,6 +464,8 @@ def run_resilient(
                 append_manifest(manifest_path, failure.to_manifest(spec))
         else:
             outcome.results.update(dict.fromkeys(runs[spec], run))
+            for path in _chrome_paths(runs[spec])[1:]:
+                shutil.copyfile(spec.arch.sim.trace_path, path)
             if manifest_path is not None:
                 append_manifest(manifest_path, build_manifest(run, spec))
 

@@ -26,7 +26,7 @@ from repro.ir.ast import (
     Var,
     While,
 )
-from repro.isa import apply_binop, apply_unop, truthy
+from repro.isa import apply_binop, apply_unop, launch_memory, truthy
 
 #: Safety net against kernels that never terminate.
 MAX_LOOP_ITERATIONS = 50_000_000
@@ -56,26 +56,8 @@ def run_kernel(
     missing = set(kernel.params) - set(params)
     if missing:
         raise IRError(f"missing kernel parameters: {sorted(missing)}")
-    declared = [spec.name for spec in kernel.arrays]
-    unknown = sorted(set(arrays or ()) - set(declared))
-    if unknown:
-        raise IRError(
-            f"arrays {unknown} are not declared by kernel {kernel.name!r} "
-            f"(declared: {sorted(declared)})"
-        )
-    memory: dict[str, list] = {}
-    for spec in kernel.arrays:
-        if arrays and spec.name in arrays:
-            initial = list(arrays[spec.name])
-            if len(initial) != spec.size:
-                raise IRError(
-                    f"array {spec.name!r}: got {len(initial)} words, "
-                    f"declared {spec.size}"
-                )
-            memory[spec.name] = initial
-        else:
-            zero = 0 if spec.dtype == "i" else 0.0
-            memory[spec.name] = [zero] * spec.size
+    declared = {spec.name: (spec.size, spec.dtype) for spec in kernel.arrays}
+    memory = launch_memory(kernel.name, declared, arrays, IRError)
     interp = _Interp(memory, counts, max_iterations)
     interp.run_block(kernel.body, dict(params))
     return memory

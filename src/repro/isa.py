@@ -9,7 +9,9 @@ Integer division and modulo follow C semantics (truncation toward zero),
 matching what effcc-compiled C kernels would compute.
 
 It also names the memory operations (:data:`MEMORY_OPS`), one set for
-every layer that singles them out.
+every layer that singles them out, and holds the two memory rules every
+level shares: how a run's memory starts (:func:`launch_memory`) and when
+two memories agree (:func:`mismatches`).
 """
 
 from __future__ import annotations
@@ -95,3 +97,46 @@ def apply_unop(op: str, operand: Number) -> Number:
 def truthy(value: Number) -> bool:
     """Steering-control truth test: nonzero means taken."""
     return value != 0
+
+
+def launch_memory(
+    kernel: str, declared: dict, arrays: dict | None, error: type
+) -> dict[str, list]:
+    """A run's starting memory. ``declared`` maps each array of ``kernel``
+    to ``(size, dtype)``; ``arrays`` gives contents (copied) by name, the
+    rest are zero-filled. An undeclared name or a wrong length raises
+    ``error``, the calling level's own class."""
+    arrays = arrays or {}
+    unknown = sorted(set(arrays) - set(declared))
+    if unknown:
+        raise error(
+            f"arrays {unknown} are not declared by kernel {kernel!r} "
+            f"(declared: {sorted(declared)})"
+        )
+    memory: dict[str, list] = {}
+    for name, (size, dtype) in declared.items():
+        data = list(arrays.get(name, [0 if dtype == "i" else 0.0] * size))
+        if len(data) != size:
+            raise error(
+                f"array {name!r}: got {len(data)} words, declared {size}"
+            )
+        memory[name] = data
+    return memory
+
+
+def mismatches(want: dict, got: dict, tolerance: float = 0.0):
+    """Yield ``(array, index, got, want)`` for each array of ``want``, in
+    order, that ``got`` disagrees on: the first index whose values differ
+    (by more than ``tolerance``, or at all when it is 0), or, with
+    ``index`` None, the two lengths (``got`` None: the array is missing).
+    """
+    for name, expected in want.items():
+        actual = got.get(name)
+        if actual is None or len(actual) != len(expected):
+            length = None if actual is None else len(actual)
+            yield name, None, length, len(expected)
+            continue
+        for index, (g, w) in enumerate(zip(actual, expected)):
+            if abs(g - w) > tolerance if tolerance else g != w:
+                yield name, index, g, w
+                break

@@ -57,8 +57,9 @@ from itertools import compress
 from repro.arch.memory import AddressMap
 from repro.arch.params import ArchParams
 from repro.dfg.graph import DFG, PortRef
-from repro.dfg.ops import NO_EMIT, compile_rule, fresh_state
+from repro.dfg.ops import NO_EMIT, compile_rule, fresh_state, unfinished
 from repro.errors import DeadlockError, SimulationError, SimulationPreempted
+from repro.isa import launch_memory
 from repro.obs.events import (
     BUCKET_BITS, FIRE, ISSUE, POPS, TICK_KINDS, Recording,
 )
@@ -117,7 +118,10 @@ def simulate(
     bit-identical.
     ``arrays`` supplies initial contents by declared name (the rest are
     zero-filled); a name the kernel does not declare raises
-    :class:`~repro.errors.SimulationError` before cycle 0.
+    :class:`~repro.errors.SimulationError` before cycle 0
+    (:func:`repro.isa.launch_memory`). An out-of-range load or store
+    raises the :class:`~repro.errors.DFGError` naming its node that its
+    rule raises, as in :func:`repro.dfg.interp.run_dfg`.
 
     ``checkpoint`` is an optional
     :class:`repro.sim.snapshot.CheckpointConfig` arming mid-run
@@ -138,24 +142,7 @@ def simulate(
 
     injector = make_injector(arch.sim)
 
-    unknown = sorted(set(arrays or ()) - set(dfg.arrays))
-    if unknown:
-        raise SimulationError(
-            f"arrays {unknown} are not declared by kernel {dfg.name!r} "
-            f"(declared: {sorted(dfg.arrays)})"
-        )
-    memory: dict[str, list] = {}
-    for name, size in dfg.arrays.items():
-        if arrays and name in arrays:
-            data = list(arrays[name])
-            if len(data) != size:
-                raise SimulationError(
-                    f"array {name!r}: got {len(data)} words, declared {size}"
-                )
-        else:
-            zero = 0 if dfg.array_dtypes.get(name, "i") == "i" else 0.0
-            data = [zero] * size
-        memory[name] = data
+    memory = launch_memory(dfg.name, dfg.declared(), arrays, SimulationError)
 
     address_map = AddressMap(dfg.arrays, arch.memory)
     memsys = MemorySystem(arch.memory, address_map, memory)
@@ -379,7 +366,9 @@ class _Engine:
                     )
             self.fifos[nid] = row
             self.producers[nid] = producers
-            self._rules[nid] = compile_rule(node, row, self.params)
+            self._rules[nid] = compile_rule(
+                node, row, self.params, self.dfg.arrays
+            )
             self._nid_op[nid] = op_index.setdefault(node.op, len(op_index))
             self.placement[nid] = placement.get(nid)
             if node.is_memory():
@@ -948,12 +937,6 @@ class _Engine:
 
     def _check_final_state(self) -> None:
         for nid, node in self.dfg.nodes.items():
-            state = self.states[nid]
-            if node.op == "carry" and state["phase"] != "init":
-                raise SimulationError(
-                    f"carry node {nid} ({node.tag!r}) finished in RUN phase"
-                )
-            if node.op == "invariant" and state["held"]:
-                raise SimulationError(
-                    f"invariant node {nid} ({node.tag!r}) finished held"
-                )
+            fault = unfinished(node, self.states[nid])
+            if fault is not None:
+                raise SimulationError(fault)

@@ -218,11 +218,6 @@ class MemorySystem:
         )
         record.serve_cycle = now
         array = self.data[request.array]
-        if not 0 <= request.index < len(array):
-            raise SimulationError(
-                f"node {record.nid}: index {request.index} out of bounds "
-                f"for array {request.array!r}"
-            )
         if request.kind == "load":
             record.value = array[request.index]
         else:

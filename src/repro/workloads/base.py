@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import ReproError, ValidationError
 from repro.ir.ast import Kernel
+from repro.isa import mismatches
 
 #: Input scales. ``tiny`` keeps unit tests fast; ``small`` drives the
 #: benchmark harness; ``paper`` records the Table 1 sizes (instantiable,
@@ -37,41 +38,23 @@ class WorkloadInstance:
 
         The error carries (workload, array, index, got, want) so the sweep
         supervisor (:mod:`repro.exp.resilient`) can classify wrong-answer
-        runs separately from infrastructure failures.
+        runs separately from infrastructure failures; a missing or
+        wrong-length output has ``index`` None and the two lengths
+        (:func:`repro.isa.mismatches`).
         """
-        for name in self.outputs:
-            got = memory[name]
-            want = self.reference[name]
-            if len(got) != len(want):
-                raise ValidationError(
-                    f"{self.name}: output {name!r} length {len(got)} != "
-                    f"{len(want)}",
-                    workload=self.name,
-                    array=name,
-                    got=len(got),
-                    want=len(want),
-                )
-            for i, (g, w) in enumerate(zip(got, want)):
-                if self.tolerance:
-                    if abs(g - w) > self.tolerance:
-                        raise ValidationError(
-                            f"{self.name}: {name}[{i}] = {g} != {w} "
-                            f"(tol {self.tolerance})",
-                            workload=self.name,
-                            array=name,
-                            index=i,
-                            got=g,
-                            want=w,
-                        )
-                elif g != w:
-                    raise ValidationError(
-                        f"{self.name}: {name}[{i}] = {g} != {w}",
-                        workload=self.name,
-                        array=name,
-                        index=i,
-                        got=g,
-                        want=w,
-                    )
+        want = {name: self.reference[name] for name in self.outputs}
+        for name, index, got, expected in mismatches(
+            want, memory, self.tolerance
+        ):
+            if index is None:
+                message = f"output {name!r} length {got} != {expected}"
+            else:
+                tol = f" (tol {self.tolerance})" if self.tolerance else ""
+                message = f"{name}[{index}] = {got} != {expected}{tol}"
+            raise ValidationError(
+                f"{self.name}: {message}", workload=self.name, array=name,
+                index=index, got=got, want=expected,
+            )
 
 
 def require_scale(scale: str) -> None:

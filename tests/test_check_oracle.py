@@ -92,6 +92,31 @@ def test_reference_divergence_is_reported():
     assert "out" in first.describe()
 
 
+def test_any_error_of_a_lower_layer_is_a_finding(monkeypatch):
+    """A bare ``ReproError`` from the simulator is the sim layer's
+    ``protocol`` divergence; the IR and DFG results are kept."""
+    import repro.check.oracle as oracle
+    from repro.errors import ReproError
+
+    def broken(*args, **kwargs):
+        raise ReproError("integer division by zero in kernel")
+
+    monkeypatch.setattr(oracle, "simulate", broken)
+    report = check_kernel(dot_kernel(), {"n": 4}, anneal_moves=400)
+    (divergence,) = report.divergences
+    assert (divergence.kind, divergence.layers) == ("protocol", ("sim",))
+    assert divergence.detail == (
+        "ReproError: integer division by zero in kernel"
+    )
+    lower = ("ir", "dfg-fifo", "dfg-lifo", "dfg-random")
+    assert report.layers == (*lower, "sim")
+    assert tuple(report.op_counts) == lower  # the IR and DFG results kept
+    assert report.op_counts["dfg-fifo"]["store"] == (
+        report.op_counts["ir"]["store"]
+    )
+    assert report.cycles == 0
+
+
 def test_dead_load_is_not_a_divergence():
     """Regression: the fuzzer's first findings were all this shape.
 

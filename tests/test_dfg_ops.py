@@ -33,6 +33,10 @@ class Fifos:
         return self.queues[(node.nid, index)].popleft()
 
 
+#: Array sizes the rules are compiled against (the memory tests use "A").
+SIZES = {"A": 4}
+
+
 def fire(node, state, fifos, params):
     """Evaluate ``node``'s rule once. The rule is compiled on first use
     over the double's deques (``row``: a deque per port input, None per
@@ -43,7 +47,7 @@ def fire(node, state, fifos, params):
             fifos.queue(node.nid, index) if isinstance(inp, PortRef) else None
             for index, inp in enumerate(node.inputs)
         ]
-        rule = fifos.rules[node.nid] = compile_rule(node, row, params)
+        rule = fifos.rules[node.nid] = compile_rule(node, row, params, SIZES)
     fired = rule(state)
     return None if fired is None else Firing(*fired)
 
@@ -290,6 +294,22 @@ class TestMemoryOps:
         with pytest.raises(DFGError, match="non-integer"):
             fire(node, {}, fifos, {})
 
+    @pytest.mark.parametrize("op", ["load", "store"])
+    @pytest.mark.parametrize("index", [4, 7, -1])
+    def test_out_of_range_index_raises_naming_the_node(self, op, index):
+        """The bounds check is the rule's: both executors raise this."""
+        inputs = [SRC] if op == "load" else [SRC, PortRef(98)]
+        node = Node(2, op, inputs, {"array": "A", "has_ord": False})
+        fifos = Fifos()
+        fifos.feed(2, 0, index)
+        fifos.feed(2, 1, 55)
+        with pytest.raises(
+            DFGError,
+            match=rf"^node 2: index {index} out of bounds for array 'A' "
+            r"of size 4$",
+        ):
+            fire(node, {}, fifos, {})
+
 
 class TestJoin:
     def test_waits_for_all(self):
@@ -363,12 +383,12 @@ class TestCompileTimeErrors:
     def test_unbound_parameter_names_node_and_parameter(self):
         node = Node(7, "binop", [SRC, ImmRef("param", "n")], {"opname": "+"})
         with pytest.raises(DFGError, match=r"node 7 .*unbound.*'n'"):
-            compile_rule(node, [deque(), None], {})
+            compile_rule(node, [deque(), None], {}, {})
 
     def test_unbound_inject_value(self):
         node = Node(4, "inject", [SRC], {"value": ImmRef("param", "n")})
         with pytest.raises(DFGError, match=r"node 4 .*unbound.*'n'"):
-            compile_rule(node, [deque()], {})
+            compile_rule(node, [deque()], {}, {})
 
     @pytest.mark.parametrize(
         "op,inputs,kind",
@@ -377,13 +397,13 @@ class TestCompileTimeErrors:
     def test_unknown_operator_names_node_and_operator(self, op, inputs, kind):
         node = Node(5, op, inputs, {"opname": "**"})
         with pytest.raises(ReproError, match=rf"node 5 .*{kind}.*'\*\*'"):
-            compile_rule(node, [deque() for _ in inputs], {})
+            compile_rule(node, [deque() for _ in inputs], {}, {})
 
     def test_unknown_op(self):
         with pytest.raises(DFGError, match="node 3: unknown op 'teleport'"):
-            compile_rule(Node(3, "teleport"), [], {})
+            compile_rule(Node(3, "teleport"), [], {}, {})
 
     def test_port_input_without_a_fifo(self):
         node = node_of("unop", [SRC], opname="-")
         with pytest.raises(DFGError, match="no FIFO"):
-            compile_rule(node, [None], {})
+            compile_rule(node, [None], {}, {})

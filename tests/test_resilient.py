@@ -366,9 +366,12 @@ def _probed(spec, **switches):
 
 def _logged_job(spec, env):
     sim = spec.arch.sim
-    _log(env.cache_dir, "jobs.log", " ".join(map(str, (
+    line = " ".join(map(str, (
         spec.label, sim.trace, sim.critpath, sim.check, sim.trace_path
-    ))))
+    )))
+    _log(env.cache_dir, "jobs.log", line)
+    if sim.trace and sim.trace_path:
+        Path(sim.trace_path).write_text(line)  # the run's timeline
     return RunResult(spec.workload, spec.config.name, 1, SimStats(), 1)
 
 
@@ -400,23 +403,23 @@ def test_probe_twins_run_once_with_every_probe(workers, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_twins_writing_different_chrome_files_are_not_merged(
+def test_twins_writing_different_chrome_files_run_once(
     workers, tmp_path, monkeypatch
 ):
-    """Two Chrome files cannot come from one run."""
+    """One run writes the first twin's Chrome file; the supervisor
+    copies it to the other twin's path."""
     plain = RunSpec("dmv", MONACO, scale="tiny")
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
     given = [
-        _probed(plain, trace=True, trace_path="a.json"),
-        _probed(plain, trace=True, critpath=True, trace_path="b.json"),
+        _probed(plain, trace=True, trace_path=str(first)),
+        _probed(plain, trace=True, critpath=True, trace_path=str(second)),
     ]
     outcome, jobs, records = _twin_sweep(given, workers, tmp_path, monkeypatch)
-    assert sorted(jobs) == [
-        "dmv/monaco/seed0 True False False a.json",
-        "dmv/monaco/seed0 True True False b.json",
-    ]
-    assert list(outcome.results) == given
-    assert outcome.results[given[0]] is not outcome.results[given[1]]
-    assert len(records) == 2
+    assert jobs == [f"dmv/monaco/seed0 True True False {first}"]
+    assert outcome.ok and list(outcome.results) == given
+    assert outcome.results[given[0]] is outcome.results[given[1]]
+    assert [r["point_digest"] for r in records] == [plain.point_digest()]
+    assert first.read_bytes() == second.read_bytes() == jobs[0].encode()
 
 
 @pytest.mark.parametrize("workers", [1, 2])

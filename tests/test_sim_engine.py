@@ -1,5 +1,7 @@
 """Integration tests for the timed simulator engine."""
 
+import re
+
 import pytest
 
 from repro.arch.fabric import monaco
@@ -11,6 +13,7 @@ from repro.errors import (
     ReproError,
     SimulationError,
 )
+from repro.dfg.interp import run_dfg
 from repro.ir.interp import run_kernel
 from repro.pnr.flow import compile_once
 from repro.sim.engine import simulate
@@ -158,6 +161,22 @@ def test_deadlock_detection():
     victim.inputs[0] = PortRef(victim.nid)
     with pytest.raises(DeadlockError, match="Stuck FIFOs|stranded"):
         simulate(ck, params, arrays, arch)
+
+
+def test_out_of_range_access_raises_the_interpreters_error():
+    """The bounds check is the load rule's: the simulator names the node
+    exactly as the untimed interpreter does."""
+    ck, params, _arrays = compiled("chase")
+    arrays = {"next": [100] * 8}
+    with pytest.raises(DFGError) as untimed:
+        run_dfg(ck.dfg, params, arrays)
+    with pytest.raises(DFGError) as timed:
+        simulate(ck, params, arrays, ARCH)
+    assert str(timed.value) == str(untimed.value)
+    assert re.fullmatch(
+        r"node \d+: index 100 out of bounds for array 'next' of size 8",
+        str(timed.value),
+    )
 
 
 def test_frontend_name_recorded():

@@ -122,21 +122,3 @@ class TestMemorySystem:
         assert memsys.stats.loads == 2
         assert memsys.stats.stores == 1
         assert memsys.stats.misses == 3
-
-    def test_out_of_bounds_detected(self):
-        import pytest
-
-        from repro.errors import SimulationError
-
-        memsys, amap = make_memsys()
-        bad = RequestRecord(
-            nid=1,
-            seq=0,
-            request=MemRequest("load", "a", 999),
-            address=0,
-            pe_coord=(0, 0),
-            issue_cycle=0,
-        )
-        memsys.enqueue(bad, now=0)
-        with pytest.raises(SimulationError):
-            memsys.tick(1)

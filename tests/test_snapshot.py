@@ -290,9 +290,9 @@ class TestSplitRunBitIdentity:
         compiles = []
         real = engine_mod.compile_rule
 
-        def counting(node, row, params):
+        def counting(node, row, params, sizes):
             compiles.append(node.nid)
-            return real(node, row, params)
+            return real(node, row, params, sizes)
 
         monkeypatch.setattr(engine_mod, "compile_rule", counting)
         _instance, compiled = _compiled("spmspv")

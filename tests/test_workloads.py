@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ReproError
+from repro.errors import ReproError, ValidationError
 from repro.ir.interp import run_kernel
 from repro.workloads.data import (
     bit_reverse_permutation,
@@ -67,6 +67,17 @@ def test_check_reports_mismatches():
     wrong["y"][0] += 1
     with pytest.raises(ReproError, match="y\\[0\\]"):
         inst.check(wrong)
+
+
+def test_check_names_a_missing_output():
+    inst = make_workload("dmv", scale="tiny")
+    memory = {name: list(ref) for name, ref in inst.reference.items()}
+    del memory["y"]
+    with pytest.raises(
+        ValidationError, match=r"^dmv: output 'y' length None != \d+$"
+    ) as caught:
+        inst.check(memory)
+    assert (caught.value.array, caught.value.got) == ("y", None)
 
 
 def test_fft_reference_agrees_with_numpy():
