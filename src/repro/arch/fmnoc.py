@@ -41,6 +41,7 @@ class FMNoC:
         self._arbiters: list[ArbiterId] = []
         self._inputs: dict[ArbiterId, list] = {}
         if self.max_domain >= 1:
+            ls_pes = fabric.ls_pes()
             for row in fabric.ls_rows():
                 if row not in fabric.row_shared_port:
                     raise ArchError(
@@ -52,7 +53,7 @@ class FMNoC:
                     self._arbiters.append(arb)
                     members = [
                         pe
-                        for pe in fabric.ls_pes()
+                        for pe in ls_pes
                         if pe.y == row and pe.domain == domain
                     ]
                     inputs: list = sorted(members, key=lambda p: p.column_rank)

@@ -27,8 +27,8 @@ proves no token is consumed twice, conjured from nothing, or consumed
 in the same tick it was produced.
 
 **FIFO capacity.**  No push may leave a mirrored FIFO above
-``fifo_capacity`` — independently of the engine's own overflow guard,
-so a bookkeeping bug in ``pending_pushes`` cannot mask an overflow.
+``fifo_capacity`` — independently of the engine's own checks, so a
+producer pushing twice in one tick past one check cannot hide one.
 
 **Memory-ordering monotonicity.**  A load/store whose input is fed by
 another memory node (the lowering's ordering-token chains) must not

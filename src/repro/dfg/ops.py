@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.dfg.graph import ImmRef, Node
-from repro.errors import DFGError, ReproError
+from repro.errors import DFGError, KernelFault, ReproError
 from repro.isa import BINARY_IMPLS, UNARY_IMPLS
 
 
@@ -290,11 +290,11 @@ def _memory(node, ins, ports, params, sizes):
         index = idx[0]
         whole = int(index)
         if index != whole:
-            raise DFGError(
+            raise KernelFault(
                 f"node {nid}: non-integer index {index!r} into {array!r}"
             )
         if not 0 <= whole < size:
-            raise DFGError(
+            raise KernelFault(
                 f"node {nid}: index {whole} out of bounds for array "
                 f"{array!r} of size {size}"
             )

@@ -21,6 +21,12 @@ class DFGError(ReproError):
     """Malformed dataflow graph or illegal DFG operation."""
 
 
+class KernelFault(DFGError):
+    """A running kernel's fault (a load/store index out of range or not an
+    integer, a division or modulo by zero), raised by the rules every
+    executor shares; a sweep files it as ``simulation``, not ``repro``."""
+
+
 class ArchError(ReproError):
     """Inconsistent architecture description (fabric, NoC, memory)."""
 

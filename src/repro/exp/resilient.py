@@ -56,6 +56,7 @@ from repro.errors import (
     DeadlockError,
     ExperimentError,
     JobTimeout,
+    KernelFault,
     PlacementError,
     PnRError,
     ReproError,
@@ -100,7 +101,7 @@ def classify_failure(exc: BaseException) -> str:
         return "placement"
     if isinstance(exc, PnRError):
         return "pnr"
-    if isinstance(exc, SimulationError):
+    if isinstance(exc, (SimulationError, KernelFault)):
         return "simulation"
     if isinstance(exc, BrokenProcessPool):
         return "worker-death"

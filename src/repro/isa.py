@@ -16,14 +16,14 @@ two memories agree (:func:`mismatches`).
 
 from __future__ import annotations
 
-from repro.errors import ReproError
+from repro.errors import KernelFault, ReproError
 
 Number = int | float
 
 
 def _c_div(a: Number, b: Number) -> Number:
     if b == 0:
-        raise ReproError("integer division by zero in kernel")
+        raise KernelFault("integer division by zero in kernel")
     quotient = abs(a) // abs(b)
     if (a < 0) != (b < 0):
         quotient = -quotient
@@ -32,7 +32,7 @@ def _c_div(a: Number, b: Number) -> Number:
 
 def _c_mod(a: Number, b: Number) -> Number:
     if b == 0:
-        raise ReproError("integer modulo by zero in kernel")
+        raise KernelFault("integer modulo by zero in kernel")
     return a - _c_div(a, b) * b
 
 

@@ -530,7 +530,6 @@ def make_observation(
     stats,
     compiled,
     divider: int,
-    edges: dict[tuple[int, int], tuple],
     address_map,
     noc,
     sim,
@@ -539,8 +538,7 @@ def make_observation(
     from its ``recording`` and final ``stats``: ``trace`` the
     attribution and both heatmaps, a ``trace_path`` the timeline,
     ``critpath`` the critical path (whose compact report lands in
-    ``stats.critpath``). ``edges`` is
-    :func:`repro.pnr.route.routed_edges` of the kernel, ``noc`` the
+    ``stats.critpath``). ``noc`` is the
     frontend's FM-NoC (None: it has none). The invariant checker is
     ``simulate``'s to build: it must also run when the engine fails."""
     obs = Observation()
@@ -551,7 +549,9 @@ def make_observation(
             src: tuple(dst for dst, _port in sinks)
             for src, sinks in compiled.dfg.consumers().items()
         }
-        obs.noc_heatmap = NocHeatmap(edges, fanout, recording)
+        obs.noc_heatmap = NocHeatmap(
+            compiled.routed_edges(), fanout, recording
+        )
         obs.fmnoc_heatmap = FmnocHeatmap(compiled, noc, recording)
     if sim.trace and sim.trace_path is not None:
         obs.chrome = ChromeTraceSink(

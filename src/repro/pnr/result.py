@@ -9,7 +9,7 @@ from repro.arch.noc import Coord
 from repro.core.criticality import CriticalityReport
 from repro.core.policy import PlacementPolicy
 from repro.dfg.graph import DFG
-from repro.pnr.route import RoutingResult
+from repro.pnr.route import RoutingResult, routed_edges
 from repro.pnr.timing import TimingReport
 
 
@@ -65,9 +65,21 @@ class CompiledKernel:
     meta: dict = field(default_factory=dict)
     pnr: PnRStats | None = None
 
+    #: :meth:`routed_edges`, built by its first call; never pickled.
+    _edges = None
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_edges"}
+
     @property
     def clock_divider(self) -> int:
         return self.timing.clock_divider
+
+    def routed_edges(self) -> dict[tuple[int, int], tuple]:
+        """:func:`repro.pnr.route.routed_edges` of the kernel, built once."""
+        if self._edges is None:
+            self._edges = routed_edges(self.dfg, self.routing)
+        return self._edges
 
     def domain_of(self, nid: int) -> int | None:
         """NUPEA domain of the PE hosting node ``nid``."""

@@ -32,7 +32,9 @@ waking a node stores 1, putting it to sleep stores 0, and a fabric tick
 visits ``compress(range(size), bytes(flags))`` — an ascending scan of a
 *copy*, so a node woken during the scan waits for the next tick, the
 order a per-tick ``sorted(set)`` gives. The fire and emit loops inline
-their capacity checks and pushes: on the plain path the compiled rule
+their capacity checks and pushes; a producer pushes at most once per
+tick, after its only check (docs/INTERNALS.md, Sec. 11), so the check
+counts no uncommitted pushes. On the plain path the compiled rule
 (and ``_issue_memory`` for a memory op) is the only Python call per
 visited node, which ``tests/test_engine_hot.py`` pins as calls per
 firing. Per-op firing counts accumulate in an interned int array folded
@@ -64,7 +66,6 @@ from repro.obs.events import (
     BUCKET_BITS, FIRE, ISSUE, POPS, TICK_KINDS, Recording,
 )
 from repro.pnr.result import CompiledKernel
-from repro.pnr.route import routed_edges
 from repro.sim.fmnoc_sim import MonacoFrontend
 from repro.sim.memsys import MemorySystem, RequestRecord
 from repro.sim.snapshot import capture, restore
@@ -147,7 +148,6 @@ def simulate(
     address_map = AddressMap(dfg.arrays, arch.memory)
     memsys = MemorySystem(arch.memory, address_map, memory)
     frontend = frontend_factory(compiled.fabric, address_map)
-    edges = routed_edges(dfg, compiled.routing)
     sim = arch.sim
     chrome = sim.trace and sim.trace_path is not None
     recording = None
@@ -159,7 +159,7 @@ def simulate(
         frontend.faults = injector
     engine = _Engine(
         compiled, params, arch, divider, memsys, frontend, address_map,
-        edges, recording=recording, faults=injector,
+        recording=recording, faults=injector,
     )
 
     resume_info = None
@@ -224,7 +224,7 @@ def simulate(
         from repro.obs.sinks import make_observation
 
         obs = make_observation(
-            recording, stats, compiled, divider, edges, address_map,
+            recording, stats, compiled, divider, address_map,
             getattr(frontend, "noc", None), sim,
         )
         obs.check = checker
@@ -248,7 +248,7 @@ class _Engine:
 
     def __init__(
         self, compiled, params, arch, divider, memsys, frontend,
-        address_map, edges, recording=None, faults=None,
+        address_map, recording=None, faults=None,
     ):
         self.compiled = compiled
         self.dfg: DFG = compiled.dfg
@@ -263,7 +263,7 @@ class _Engine:
         self.max_outstanding = arch.sim.max_outstanding
         #: The nid-indexed tables; see the module docstring.
         self._size = max(self.dfg.nodes, default=-1) + 1
-        self._init_tables(edges)
+        self._init_tables()
         #: Scheduler flags, one byte per nid: ``active[nid]`` has the
         #: fire loop visit the node at the next fabric tick,
         #: ``emit_candidates[nid]`` the emit loop. Every node starts
@@ -272,13 +272,6 @@ class _Engine:
         for nid in self.dfg.nodes:
             self.active[nid] = 1
         self.emit_candidates = bytearray(self._size)
-        #: Tokens pushed earlier in the *current* fabric tick but not yet
-        #: committed, per producer nid — a FIFO has exactly one producer,
-        #: so this is the uncommitted count of every FIFO it feeds. Every
-        #: capacity check counts these so two checks within one tick
-        #: cannot both claim the same remaining slot (intra-tick
-        #: FIFO-overflow fix).
-        self.pending_pushes: dict[int, int] = {}
         self.arrivals: list[tuple[int, int, RequestRecord]] = []
         self._arrival_order = 0
         self._seq = 0
@@ -315,14 +308,14 @@ class _Engine:
         #: same zero-overhead contract: ``run`` polls one attribute).
         self.snapshots = None
 
-    def _init_tables(self, edges) -> None:
+    def _init_tables(self) -> None:
         """Build the nid-indexed tables, the machine's only state.
 
         The wiring (``consumer_edges``, the rules) holds the FIFO deques
         themselves, so restore refills every container in place.
-        ``edges`` is :func:`repro.pnr.route.routed_edges` of the kernel.
         """
         size = self._size
+        edges = self.compiled.routed_edges()
         #: Per nid, per input port: the token FIFO (None: an immediate).
         #: ``fifos[nid]`` is the row the node's rule is compiled over.
         self.fifos: list[list[deque | None]] = [[] for _ in range(size)]
@@ -404,9 +397,8 @@ class _Engine:
         The probes' side-effect-free peek; the emit and fire loops run
         the same check inline.
         """
-        limit = self.capacity - self.pending_pushes.get(nid, 0)
         for edge in self.consumer_edges[nid]:
-            if len(edge[0]) >= limit:
+            if len(edge[0]) >= self.capacity:
                 return False
         return True
 
@@ -431,7 +423,6 @@ class _Engine:
                 active[consumer] = 1
         self.tokens += tokens
         self.stats.noc_hops += hops_total
-        self.pending_pushes.clear()
 
     # -- main loop ---------------------------------------------------------
 
@@ -442,6 +433,7 @@ class _Engine:
         stats = self.stats
         memsys = self.memsys
         memsys_tick = memsys.tick
+        busy_banks = memsys._busy_banks  # idle memory is not ticked
         # The completions heap object is stable across restore (refilled
         # in place), so peeking it directly skips a generator set-up per
         # cycle on the (common) idle-completions path.
@@ -459,14 +451,15 @@ class _Engine:
 
         while True:
             if self.snapshots is not None:
-                # Cycle boundary: pending_pushes is empty and the
+                # Cycle boundary: every push is committed and the
                 # executed/skipped ledger is closed — the only points
                 # where the machine may be snapshotted or preempted.
                 self.snapshots.boundary(self)
             now = self.now
             stats.executed_cycles += 1
             progressed = False
-            memsys_tick(now)
+            if busy_banks:
+                memsys_tick(now)
             if completions and completions[0][0] <= now:
                 for record in memsys.completions(now):
                     self._arrival_order += 1
@@ -498,7 +491,7 @@ class _Engine:
                     progressed = True
             if progressed:
                 self.last_event = now
-            if self._finished(now):
+            if self.tokens == 0 and self._finished(now):
                 break
             if now - self.last_event > deadlock_after:
                 self._raise_deadlock(now)
@@ -561,8 +554,7 @@ class _Engine:
         if now == 0:
             return False
         return (
-            self.tokens == 0
-            and self.mem_inflight == 0
+            self.mem_inflight == 0
             and not self.arrivals
             and not self.frontend.busy()
             and not self.memsys.busy()
@@ -696,7 +688,6 @@ class _Engine:
         resp = self.resp_queue
         edges = self.consumer_edges
         capacity = self.capacity
-        pending = self.pending_pushes
         for nid in compress(range(len(scan)), scan):
             queue = resp[nid]
             record = queue[0] if queue else None
@@ -705,10 +696,9 @@ class _Engine:
                 if verdicts is not None:
                     verdicts[nid] = None  # the fire loop may settle it
                 continue
-            limit = capacity - pending.get(nid, 0)
             full = False
             for edge in edges[nid]:
-                if len(edge[0]) >= limit:
+                if len(edge[0]) >= capacity:
                     full = True
                     break
             if full:
@@ -718,7 +708,6 @@ class _Engine:
             queue.popleft()
             self.mem_inflight -= 1
             pushes.append((nid, record.value))
-            pending[nid] = pending.get(nid, 0) + 1
             self.stats.fmnoc_hops += 2 * record.response_hops
             node = self.dfg.nodes[nid]
             latency = record.arrived_cycle - record.issue_cycle
@@ -749,7 +738,6 @@ class _Engine:
         producers = self.producers
         in_fifos = self.fifos
         edges = self.consumer_edges
-        pending = self.pending_pushes
         fire_counts = self._fire_counts
         nid_op = self._nid_op
         capacity = self.capacity
@@ -777,10 +765,9 @@ class _Engine:
                         verdicts[nid] = "memory-outstanding"
                     continue
             elif emit is not NO_EMIT:
-                limit = capacity - pending.get(nid, 0)
                 full = False
                 for edge in edges[nid]:
-                    if len(edge[0]) >= limit:
+                    if len(edge[0]) >= capacity:
                         full = True
                         break
                 if full:
@@ -816,7 +803,6 @@ class _Engine:
                 self._issue_memory(nid, mem, now)
             elif emit is not NO_EMIT:
                 pushes.append((nid, emit))
-                pending[nid] = pending.get(nid, 0) + 1
             fire_counts[nid_op[nid]] += 1
             if fired_row is not None:
                 fired_row([
@@ -875,7 +861,6 @@ class _Engine:
                     f"snapshot has {side} {saved}, this run {live}"
                 )
         restore(self, state)
-        self.pending_pushes.clear()
         self._fire_counts = [0] * len(self._fire_counts)
         self._buckets = None
 

@@ -194,8 +194,6 @@ class MemorySystem:
         order keeps that remainder sorted, so it is a valid heap as-is.
         """
         busy = self._busy_banks
-        if not busy:
-            return
         queues = self.bank_queues
         still_busy: list[int] = []
         while busy:

@@ -464,8 +464,8 @@ class Checkpointer:
     def boundary(self, engine) -> None:
         """Cycle-boundary hook: periodic snapshot + preemption checks.
 
-        Called at the top of the engine loop, where ``pending_pushes``
-        is empty and ``executed + skipped == now`` — the only points at
+        Called at the top of the engine loop, where every push is
+        committed and ``executed + skipped == now`` — the only points at
         which the machine state is closed under serialization.
         """
         now = engine.now
@@ -559,10 +559,6 @@ def check_boundary_invariants(engine) -> None:
         raise SimulationError(
             f"snapshot boundary: executed ({stats.executed_cycles}) + "
             f"skipped ({stats.skipped_cycles}) != now ({engine.now})"
-        )
-    if engine.pending_pushes:
-        raise SimulationError(
-            "snapshot boundary: uncommitted pushes mid-fabric-tick"
         )
     held = sum(
         len(queue)

@@ -316,13 +316,13 @@ def test_a_pnr_self_check_failure_is_a_finding(monkeypatch, tmp_path):
 
 
 def test_any_error_of_a_lower_layer_is_a_finding(monkeypatch, tmp_path):
-    """A simulator that raises a bare ``ReproError`` (the division by
-    zero of :mod:`repro.isa`) is shrunk and written, never a traceback."""
+    """A simulator that raises a kernel's fault (the division by zero of
+    :mod:`repro.isa`) is shrunk and written, never a traceback."""
     import repro.check.oracle as oracle
-    from repro.errors import ReproError
+    from repro.errors import KernelFault
 
     def broken(*args, **kwargs):
-        raise ReproError("integer division by zero in kernel")
+        raise KernelFault("integer division by zero in kernel")
 
     monkeypatch.setattr(oracle, "simulate", broken)
     result = fuzz(1, seed=0, corpus_dir=tmp_path)
@@ -333,5 +333,5 @@ def test_any_error_of_a_lower_layer_is_a_finding(monkeypatch, tmp_path):
     assert len(failure.shrunk.body) < len(failure.kernel.body)
     payload = json.loads(failure.path.read_text())
     assert payload["report"]["divergences"][0]["detail"] == (
-        "ReproError: integer division by zero in kernel"
+        "KernelFault: integer division by zero in kernel"
     )

@@ -93,20 +93,21 @@ def test_reference_divergence_is_reported():
 
 
 def test_any_error_of_a_lower_layer_is_a_finding(monkeypatch):
-    """A bare ``ReproError`` from the simulator is the sim layer's
-    ``protocol`` divergence; the IR and DFG results are kept."""
+    """A kernel's fault raised by the simulator (the division by zero of
+    :mod:`repro.isa`) is the sim layer's ``protocol`` divergence; the IR
+    and DFG results are kept."""
     import repro.check.oracle as oracle
-    from repro.errors import ReproError
+    from repro.errors import KernelFault
 
     def broken(*args, **kwargs):
-        raise ReproError("integer division by zero in kernel")
+        raise KernelFault("integer division by zero in kernel")
 
     monkeypatch.setattr(oracle, "simulate", broken)
     report = check_kernel(dot_kernel(), {"n": 4}, anneal_moves=400)
     (divergence,) = report.divergences
     assert (divergence.kind, divergence.layers) == ("protocol", ("sim",))
     assert divergence.detail == (
-        "ReproError: integer division by zero in kernel"
+        "KernelFault: integer division by zero in kernel"
     )
     lower = ("ir", "dfg-fifo", "dfg-lifo", "dfg-random")
     assert report.layers == (*lower, "sim")

@@ -1,7 +1,7 @@
 """Regression tests for engine correctness fixes.
 
-1. Intra-tick FIFO overflow: capacity checks must count pushes already
-   pending in the current fabric tick, and ``commit_pushes`` must reject
+1. Intra-tick FIFO overflow: a producer pushes at most once per fabric
+   tick, after its one capacity check, and ``commit_pushes`` must reject
    any commit that would exceed ``fifo_capacity``.
 2. Deadlock detector: requests advancing through the fabric-memory NoC
    (Monaco's arbiter chain) are forward progress — a long arbiter
@@ -14,18 +14,21 @@ import pytest
 
 from repro.arch.fabric import monaco
 from repro.arch.memory import AddressMap
-from repro.arch.params import ArchParams, MemoryParams, SimParams
+from repro.arch.params import ArchParams, FaultParams, MemoryParams, SimParams
 from repro.core.policy import DOMAIN_UNAWARE, EFFCC
 from repro.dfg.ops import MemRequest
 from repro.errors import SimulationError
+from repro.exp.configs import MONACO, numa, upea
+from repro.exp.runner import run_point
+from repro.exp.spec import RunSpec
 from repro.pnr.flow import compile_once
-from repro.pnr.route import routed_edges
 from repro.sim.engine import _Engine, simulate
 from repro.sim.fmnoc_sim import MonacoFrontend
 from repro.sim.memsys import MemorySystem, RequestRecord
-from repro.workloads.registry import make_workload
+from repro.workloads.registry import ALL_WORKLOADS, make_workload
 
 from kernels import zoo_instance
+from test_engine_hot import compiled_for
 
 ARCH = ArchParams()
 FABRIC = monaco(12, 12)
@@ -42,7 +45,7 @@ def make_engine(name="join", arch=ARCH):
     frontend = MonacoFrontend(ck.fabric)
     return _Engine(
         ck, dict(params), arch, ck.timing.clock_divider, memsys, frontend,
-        amap, routed_edges(ck.dfg, ck.routing),
+        amap,
     )
 
 
@@ -54,25 +57,38 @@ class TestIntraTickFifoCapacity:
                 return nid, edges[0][0]
         raise AssertionError("no edges")
 
-    def test_can_emit_counts_pending_pushes(self):
-        engine = make_engine()
-        producer, queue = self._producer_consumer(engine)
-        # Fill the consumer FIFO to capacity - 1 committed tokens...
-        for _ in range(engine.capacity - 1):
-            queue.append(0)
-        assert engine.can_emit(producer)
-        # ...then stage one pending push in the same fabric tick: the
-        # remaining slot is spoken for, so a second capacity check within
-        # this tick must refuse. (Pre-fix, can_emit only saw committed
-        # tokens and both checks would claim the same slot.)
-        pushes = [(producer, 1)]
-        engine.pending_pushes[producer] = 1
-        assert not engine.can_emit(producer)
-        # Committing the staged push lands exactly at capacity.
-        engine.commit_pushes(pushes)
-        assert len(queue) == engine.capacity
-        assert engine.pending_pushes == {}
-        assert engine.can_emit(producer) is False
+    @pytest.mark.parametrize("name", sorted(ALL_WORKLOADS))
+    def test_no_producer_pushes_twice_in_one_tick(self, name, monkeypatch):
+        """The capacity checks count no uncommitted pushes, which is sound
+        because a producer pushes at most once per fabric tick: each loop
+        visits a node once, the emit loop pushes only memory responses
+        and the fire loop only non-memory tokens. Every tick's push batch
+        names each producer once, on every config and under PE stalls
+        and delayed responses."""
+        original = _Engine.commit_pushes
+        batches = []
+
+        def checked(self, pushes):
+            producers = [nid for nid, _value in pushes]
+            assert len(set(producers)) == len(producers), producers
+            batches.append(len(producers))
+            original(self, pushes)
+
+        monkeypatch.setattr(_Engine, "commit_pushes", checked)
+        instance, compiled = compiled_for(name)
+        runs = [(config, SimParams()) for config in (MONACO, upea(2), numa(2))]
+        if name == "spmspv":
+            faults = FaultParams(
+                seed=3, mem_delay_prob=0.3, mem_delay_cycles=4,
+                pe_stall_prob=0.2,
+            )
+            runs.append((MONACO, SimParams(faults=faults)))
+        for config, sim in runs:
+            spec = RunSpec(
+                name, config, scale="tiny", arch=ArchParams(sim=sim)
+            )
+            run_point(spec, instance, compiled)
+        assert max(batches) > 1
 
     def test_commit_rejects_overflow(self):
         """commit_pushes enforces len(queue) <= capacity at every commit."""

@@ -19,9 +19,11 @@ import pytest
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.errors import (
+    DFGError,
     DeadlockError,
     ExperimentError,
     JobTimeout,
+    KernelFault,
     PlacementError,
     PnRError,
     PnRVerifyError,
@@ -40,12 +42,15 @@ from repro.exp.resilient import (
 )
 from repro.exp.runner import RunResult, _run_sweep_job
 from repro.exp.spec import RunSpec, sweep_specs
+from repro.ir.builder import KernelBuilder
 from repro.obs.manifest import (
     append_manifest,
     completed_points,
     read_manifest,
 )
 from repro.sim.stats import SimStats
+from repro.workloads.base import WorkloadInstance
+from repro.workloads.registry import BUILDERS
 
 CONFIGS = [MONACO, upea(2)]
 
@@ -79,6 +84,52 @@ def test_classify_failure_taxonomy():
     ]
     for exc, kind in cases:
         assert classify_failure(exc) == kind, kind
+
+
+def test_a_kernels_run_time_fault_is_a_simulation_failure():
+    """The shared rules' run-time faults are the point's, not library
+    misuse; a DFG that does not compile stays ``repro``."""
+    from repro.dfg.graph import Node
+    from repro.dfg.ops import compile_rule
+    from repro.isa import apply_binop
+
+    raised = []
+    for op in ("//", "%"):
+        with pytest.raises(KernelFault) as fault:
+            apply_binop(op, 1, 0)
+        raised.append(fault.value)
+    assert [classify_failure(exc) for exc in raised] == ["simulation"] * 2
+    with pytest.raises(DFGError) as unknown:
+        compile_rule(Node(0, "frob", [], {}), [], {}, {})
+    assert not isinstance(unknown.value, KernelFault)
+    assert classify_failure(unknown.value) == "repro"
+
+
+def _out_of_range_workload(scale, seed):
+    """A hand-built kernel whose one load reads past its array."""
+    b = KernelBuilder("oob")
+    x = b.array("x", 4)
+    out = b.array("out", 1)
+    out.store(0, x.load(7))
+    return WorkloadInstance("oob", b.build(), {}, {}, ["out"], {"out": [0]})
+
+
+def test_skip_sweep_journals_an_out_of_range_kernel_as_simulation(
+    monkeypatch, tmp_path
+):
+    monkeypatch.setitem(BUILDERS, "oob", _out_of_range_workload)
+    manifest = tmp_path / "sweep.jsonl"
+    outcome = run_resilient(
+        _specs(["oob"], [MONACO]),
+        max_workers=1,
+        manifest_path=manifest,
+        sweep_policy=SweepPolicy(on_failure="skip"),
+    )
+    (failure,) = outcome.failures
+    assert failure.kind == "simulation"
+    assert "index 7 out of bounds for array 'x' of size 4" in failure.message
+    (record,) = read_manifest(manifest)
+    assert (record["status"], record["kind"]) == ("failed", "simulation")
 
 
 def test_failure_with_an_empty_message_describes_itself():

@@ -170,3 +170,32 @@ def test_edge_hops_fallback_for_unrouted_edges():
     ck.routing.sink_hops = {}
     result = simulate(ck, params, arrays, ARCH)
     assert result.stats.noc_hops > 0
+
+
+def test_routed_edges_are_derived_once_per_compiled_kernel(monkeypatch):
+    # The engine and the probes share one edge table per compiled
+    # kernel, which the kernel never pickles: a run leaves its pickle
+    # (what the compile cache stores) byte for byte as it was.
+    import pickle
+
+    import repro.pnr.route as route
+
+    ck, params, arrays = compiled("dot")
+    before = pickle.dumps(ck)
+    build = route.build_netlist
+    calls = []
+
+    def counting(dfg):
+        calls.append(dfg)
+        return build(dfg)
+
+    monkeypatch.setattr(route, "build_netlist", counting)
+    arch = ArchParams(sim=SimParams(trace=True))
+    first, second = (simulate(ck, params, arrays, arch) for _ in range(2))
+    assert len(calls) == 1
+    edges = ck.routed_edges()
+    assert first.obs.noc_heatmap.edges is edges
+    assert second.obs.noc_heatmap.edges is edges
+    assert edges == route.routed_edges(ck.dfg, ck.routing)
+    assert first.stats.to_dict() == second.stats.to_dict()
+    assert pickle.dumps(ck) == before

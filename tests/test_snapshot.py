@@ -598,7 +598,6 @@ class TestRejection:
         engine = types.SimpleNamespace(
             stats=types.SimpleNamespace(executed_cycles=3, skipped_cycles=0),
             now=5,
-            pending_pushes=[],
             fifos=types.SimpleNamespace(queues={}),
             tokens=0,
             resp_queue={},
