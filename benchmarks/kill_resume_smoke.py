@@ -1,7 +1,10 @@
 """CI guard: a SIGKILLed sweep or probed run resumes bit-identically.
 
 Two end-to-end preemption drills, driven through the real CLI in real
-subprocesses (no cooperation from the victim). The sweep drill:
+subprocesses (no cooperation from the victim). The sweep drill runs once
+per machine configuration in ``CONFIGS`` — on Monaco a killed point's
+requests sit in arbiter latches, on UPEA they wait out a fixed delay on
+the engine's calendar:
 
 1. run a clean reference sweep and key its manifest by point digest;
 2. launch the same sweep with ``--snapshot-dir``/``--checkpoint-every``,
@@ -55,7 +58,8 @@ sys.path.insert(0, str(REPO / "src"))
 from repro.obs.manifest import read_manifest, stable_view  # noqa: E402
 
 WORKLOADS = ["spmspv", "dmv"]
-CONFIGS = ["monaco"]
+#: One sweep drill each (module docstring).
+CONFIGS = ["monaco", "upea2"]
 SCALE = "small"
 CHECKPOINT_EVERY = "500"
 #: How long to wait for the victim's first snapshot file.
@@ -72,6 +76,7 @@ PROBED_OUTPUTS = {
 def sweep_cmd(
     manifest: Path,
     cache: Path,
+    config: str,
     stats_json: Path | None = None,
     snapshot_dir: Path | None = None,
     resume: bool = False,
@@ -84,7 +89,7 @@ def sweep_cmd(
         "--workloads",
         *WORKLOADS,
         "--configs",
-        *CONFIGS,
+        config,
         "--scale",
         SCALE,
         "--jobs",
@@ -172,8 +177,10 @@ def keyed_ok(manifest: Path) -> dict:
     }
 
 
-def sweep_drill(workdir: Path) -> None:
-    cache = workdir / "cache"
+def sweep_drill(workdir: Path, config: str) -> None:
+    cache = workdir / "cache"  # shared by every configuration's drill
+    workdir = workdir / config
+    workdir.mkdir(parents=True, exist_ok=True)
     snaps = workdir / "snaps"
     clean_manifest = workdir / "clean.jsonl"
     victim_manifest = workdir / "victim.jsonl"
@@ -182,9 +189,9 @@ def sweep_drill(workdir: Path) -> None:
     # 1. Reference sweep — also warms the shared compile cache, so the
     #    victim spends its wall time simulating, not compiling.
     print(f"[1/4] clean reference sweep -> {clean_manifest}")
-    run(sweep_cmd(clean_manifest, cache), log)
+    run(sweep_cmd(clean_manifest, cache, config), log)
     clean = keyed_ok(clean_manifest)
-    expected_points = len(WORKLOADS) * len(CONFIGS)
+    expected_points = len(WORKLOADS)
     assert len(clean) == expected_points, (
         f"clean sweep journaled {len(clean)} ok points, "
         f"expected {expected_points}"
@@ -193,7 +200,9 @@ def sweep_drill(workdir: Path) -> None:
     # 2. Victim sweep: SIGKILL as soon as the first snapshot publishes.
     print("[2/4] victim sweep, SIGKILL after first snapshot")
     killed, _returncode = kill_after_first_snapshot(
-        sweep_cmd(victim_manifest, cache, snapshot_dir=snaps), snaps, log
+        sweep_cmd(victim_manifest, cache, config, snapshot_dir=snaps),
+        snaps,
+        log,
     )
     first = clean_manifest.read_text().splitlines()[0]
     torn = first[: len(first) // 2]
@@ -208,6 +217,7 @@ def sweep_drill(workdir: Path) -> None:
         sweep_cmd(
             victim_manifest,
             cache,
+            config,
             stats_json=workdir / "resumed-stats.json",
             snapshot_dir=snaps,
             resume=True,
@@ -327,8 +337,9 @@ def main() -> int:
 
     workdir = args.workdir or Path(tempfile.mkdtemp(prefix="kill-resume-"))
     workdir.mkdir(parents=True, exist_ok=True)
-    print("sweep drill")
-    sweep_drill(workdir)
+    for config in CONFIGS:
+        print(f"sweep drill on {config}")
+        sweep_drill(workdir, config)
     print("probed-run drill")
     probed_run_drill(workdir)
     if not args.keep and args.workdir is None:

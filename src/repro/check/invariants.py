@@ -295,8 +295,8 @@ class InvariantChecker:
                 f"frontend audit recounted {counted} request(s) "
                 "still inside the fabric-memory network at quiescence",
             )
-        in_network = getattr(engine.frontend, "in_network", None)
-        if in_network is not None and in_network != counted:
+        in_network = engine.frontend.in_network
+        if in_network != counted:
             self._fail(
                 "frontend-audit",
                 f"frontend in_network counter ({in_network}) "

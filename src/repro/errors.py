@@ -21,10 +21,12 @@ class DFGError(ReproError):
     """Malformed dataflow graph or illegal DFG operation."""
 
 
-class KernelFault(DFGError):
+class KernelFault(ReproError):
     """A running kernel's fault (a load/store index out of range or not an
-    integer, a division or modulo by zero), raised by the rules every
-    executor shares; a sweep files it as ``simulation``, not ``repro``."""
+    integer, a division or modulo by zero), raised alike by every executor
+    — the IR interpreter, the DFG interpreter and the simulator — so it
+    belongs to no level's hierarchy; a sweep files it as ``simulation``,
+    not ``repro``."""
 
 
 class ArchError(ReproError):

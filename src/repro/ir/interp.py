@@ -7,7 +7,7 @@ simulator are validated against (see DESIGN.md, "three-level equivalence").
 
 from __future__ import annotations
 
-from repro.errors import IRError
+from repro.errors import IRError, KernelFault
 from repro.ir.ast import (
     Assign,
     BinOp,
@@ -113,11 +113,11 @@ class _Interp:
 
     def _access(self, array: str, index: int | float) -> int:
         if index != int(index):
-            raise IRError(f"non-integer index {index!r} into {array!r}")
+            raise KernelFault(f"non-integer index {index!r} into {array!r}")
         index = int(index)
         data = self.memory[array]
         if not 0 <= index < len(data):
-            raise IRError(
+            raise KernelFault(
                 f"index {index} out of bounds for array {array!r} "
                 f"of size {len(data)}"
             )

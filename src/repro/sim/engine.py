@@ -4,11 +4,14 @@ The engine advances the *system* clock one cycle at a time; the fabric
 fires on cycles divisible by the clock divider chosen by PnR's static
 timing (ratio-synchronous clocks, Sec. 4.2). Per system cycle:
 
-1. banks serve queued requests and completed accesses travel back over the
-   response network (one cycle per arbitration hop);
-2. the fabric-memory frontend advances — Monaco's arbiter tree, or a
-   UPEA/NUMA fixed-delay pipe;
-3. on a fabric tick, PEs emit arrived memory responses and fire ready
+1. banks serve queued requests;
+2. the due entries of the engine's :class:`~repro.sim.memsys.Calendar`,
+   where memory and the frontend book every fixed delay, act: a bank
+   access completes (its response then travels back one cycle per
+   arbitration hop), a response reaches its PE, a request leaves a
+   fixed-delay frontend (UPEA/NUMA, the hybrid's crossing) for its bank;
+3. Monaco's arbiter tree advances while a request is inside it;
+4. on a fabric tick, PEs emit arrived memory responses and fire ready
    nodes; tokens land in consumer FIFOs at the next tick (the bufferless
    data NoC crosses any routed path within one fabric clock).
 
@@ -67,7 +70,9 @@ from repro.obs.events import (
 )
 from repro.pnr.result import CompiledKernel
 from repro.sim.fmnoc_sim import MonacoFrontend
-from repro.sim.memsys import MemorySystem, RequestRecord
+from repro.sim.memsys import (
+    ARRIVE, COMPLETE, Calendar, MemorySystem, RequestRecord,
+)
 from repro.sim.snapshot import capture, restore
 from repro.sim.stats import SimStats
 
@@ -121,8 +126,8 @@ def simulate(
     zero-filled); a name the kernel does not declare raises
     :class:`~repro.errors.SimulationError` before cycle 0
     (:func:`repro.isa.launch_memory`). An out-of-range load or store
-    raises the :class:`~repro.errors.DFGError` naming its node that its
-    rule raises, as in :func:`repro.dfg.interp.run_dfg`.
+    raises the :class:`~repro.errors.KernelFault` naming its node that
+    its rule raises, as in :func:`repro.dfg.interp.run_dfg`.
 
     ``checkpoint`` is an optional
     :class:`repro.sim.snapshot.CheckpointConfig` arming mid-run
@@ -241,8 +246,8 @@ class _Engine:
     #: The recording keeps only its column lengths in a snapshot (see
     #: :meth:`state_dict`); its rows go to the snapshot's sidecar.
     SNAPSHOT_STATE = (
-        "now", "last_event", "fifos", "states", "resp_queue", "arrivals",
-        "_arrival_order", "_seq", "tokens", "mem_inflight", "active",
+        "now", "last_event", "fifos", "states", "resp_queue", "calendar",
+        "_seq", "tokens", "mem_inflight", "active",
         "emit_candidates", "stats", "memsys", "frontend", "faults",
     )
 
@@ -272,8 +277,9 @@ class _Engine:
         for nid in self.dfg.nodes:
             self.active[nid] = 1
         self.emit_candidates = bytearray(self._size)
-        self.arrivals: list[tuple[int, int, RequestRecord]] = []
-        self._arrival_order = 0
+        #: The timed hops of the requests in flight (module docstring).
+        self.calendar = Calendar()
+        memsys.schedule = frontend.schedule = self.calendar.schedule
         self._seq = 0
         self.tokens = 0
         self.mem_inflight = 0
@@ -434,14 +440,12 @@ class _Engine:
         memsys = self.memsys
         memsys_tick = memsys.tick
         busy_banks = memsys._busy_banks  # idle memory is not ticked
-        # The completions heap object is stable across restore (refilled
-        # in place), so peeking it directly skips a generator set-up per
-        # cycle on the (common) idle-completions path.
-        completions = memsys._completions
-        arrivals = self.arrivals
+        calendar = self.calendar.entries  # refilled in place by a restore
+        schedule = self.calendar.schedule
+        heappop = heapq.heappop
         active = self.active
         emit_candidates = self.emit_candidates
-        frontend_tick = self.frontend.tick
+        frontend = self.frontend  # ticked only while a request is inside
         enqueue = memsys.enqueue
 
         def deliver(record):
@@ -460,31 +464,26 @@ class _Engine:
             progressed = False
             if busy_banks:
                 memsys_tick(now)
-            if completions and completions[0][0] <= now:
-                for record in memsys.completions(now):
-                    self._arrival_order += 1
-                    heapq.heappush(
-                        arrivals,
-                        (
-                            record.complete_cycle + record.response_hops,
-                            self._arrival_order,
-                            record,
-                        ),
-                    )
+            if calendar and calendar[0][0] <= now:
                 progressed = True
-            while arrivals and arrivals[0][0] <= now:
-                record = heapq.heappop(arrivals)[2]
-                record.arrived_cycle = now
-                if record.request.kind == "load":
-                    # Arrival-side latency ledger (fault-dropped replies
-                    # never reach this point, so they never contribute).
-                    memsys.stats.record_arrival(record, now)
-                emit_candidates[record.nid] = 1
-                progressed = True
-            if frontend_tick(now, deliver):
+                while calendar and calendar[0][0] <= now:
+                    _, kind, _, record = heappop(calendar)
+                    if kind == COMPLETE:  # the response network's hops
+                        arrive = record.complete_cycle + record.response_hops
+                        schedule(arrive, ARRIVE, record)
+                    elif kind == ARRIVE:
+                        record.arrived_cycle = now
+                        if record.request.kind == "load":
+                            # Arrival-side latency ledger (fault-dropped
+                            # replies never get here, so never count).
+                            memsys.stats.record_arrival(record, now)
+                        emit_candidates[record.nid] = 1
+                    else:
+                        enqueue(record, now)
+            if frontend.in_network and frontend.tick(now, deliver):
                 # Requests advancing through the fabric-memory network
-                # (e.g. Monaco's arbiter chain) count as forward progress
-                # for the deadlock detector.
+                # (Monaco's arbiter chain) count as forward progress for
+                # the deadlock detector.
                 progressed = True
             if now % divider == 0:
                 if self._fabric_tick(now):
@@ -504,7 +503,7 @@ class _Engine:
                 and 1 not in emit_candidates
             ):
                 # The fabric sleeps: no state and no stall bucket changes
-                # before memory, the frontend or an arrival wakes it.
+                # before a busy bank, the network or the calendar wakes it.
                 target = self._skip_target(
                     now, self.last_event, deadlock_after, max_cycles
                 )
@@ -528,26 +527,22 @@ class _Engine:
         """Earliest cycle >= ``now`` at which a sleeping fabric can wake.
 
         ``run`` asks only after a cycle that made no progress and left
-        both flag arrays clear, so no PE acts before memory, the frontend
-        or an arrival hands it something. Each contributes a
-        ``next_event`` hint; up to their minimum the machine is provably
-        quiescent (docs/INTERNALS.md, Sec. 5). The jump is clamped so the
-        deadlock detector and the ``max_cycles`` safety net still trip at
-        exactly the cycle the per-cycle loop would have raised.
+        both flag arrays clear, so no PE acts before something wakes it:
+        a busy bank or a request inside the network (both act every
+        cycle) or the calendar's head. Up to the earliest of those the
+        machine is provably quiescent (docs/INTERNALS.md, Sec. 5). The
+        jump is clamped so the deadlock detector and the ``max_cycles``
+        safety net still trip at exactly the cycle the per-cycle loop
+        would have raised.
         """
-        # Start from the clamps (where the per-cycle loop would diagnose
-        # the deadlock, and the ``max_cycles`` net), then take the
-        # minimum with every hint; the final ``max`` keeps a stale hint
-        # from moving time backwards.
+        if self.memsys._busy_banks or self.frontend.in_network:
+            return now
+        # The clamps: where the per-cycle loop would diagnose the
+        # deadlock, and the ``max_cycles`` net.
         target = min(last_event + deadlock_after + 1, max_cycles + 1)
-        nxt = self.memsys.next_event(now)
-        if nxt is not None and nxt < target:
-            target = nxt
-        if self.arrivals and self.arrivals[0][0] < target:
-            target = self.arrivals[0][0]
-        nxt = self.frontend.next_event(now)
-        if nxt is not None and nxt < target:
-            target = nxt
+        calendar = self.calendar.entries
+        if calendar and calendar[0][0] < target:
+            target = calendar[0][0]
         return max(now, target)
 
     def _finished(self, now: int) -> bool:
@@ -555,9 +550,9 @@ class _Engine:
             return False
         return (
             self.mem_inflight == 0
-            and not self.arrivals
-            and not self.frontend.busy()
-            and not self.memsys.busy()
+            and not self.calendar.entries
+            and not self.memsys._busy_banks
+            and not self.frontend.in_network
             and not self._any_ready()
         )
 

@@ -80,6 +80,9 @@ class MonacoFrontend:
                 self.port_sources.setdefault(port, []).append(arb)
         for port in self.port_sources:
             self.port_rr[port] = 0
+        #: Requests between ``inject`` and their port's delivery, PE
+        #: queues and latches alike (:meth:`audit` recounts them); the
+        #: engine ticks the network only while this is non-zero.
         self.in_network = 0
         self._build_plans()
 
@@ -118,7 +121,7 @@ class MonacoFrontend:
             for source in sources
         }
         #: PE coord -> the stage its injection queue feeds.
-        self._pe_stage = {coord: feeds[coord] for coord in self.pe_queues}
+        self._pe_feeds = {coord: feeds[coord] for coord in self.pe_queues}
         for arb_id, arbiter in self.arbiters.items():
             arbiter.feeds = feeds[arb_id]
         #: (stage, port, [source handles]) in ascending port order.
@@ -142,7 +145,7 @@ class MonacoFrontend:
         return [
             sum(map(_holds, handles))
             for plan in (self._port_plan, self._arb_plan)
-            for _stage, _owner, handles in plan
+            for _, _, handles in plan
         ]
 
     def restored(self) -> None:
@@ -161,7 +164,7 @@ class MonacoFrontend:
         record.response_hops = self.noc.request_hops(pe)
         queue = self.pe_queues[record.pe_coord]
         if not queue:
-            self.held[self._pe_stage[record.pe_coord]] += 1
+            self.held[self._pe_feeds[record.pe_coord]] += 1
         queue.append(record)
         self.in_network += 1
 
@@ -179,12 +182,9 @@ class MonacoFrontend:
         last request) for no stage but the one being visited, and a
         latch fill counts for the stage downstream, already visited this
         cycle, so the counts read lazily as the plan goes stay exact.
+        The engine calls it only while :attr:`in_network` is non-zero:
+        an empty network grants nothing and moves no cursor.
         """
-        if not self.in_network:
-            # Empty network: nothing to grant anywhere, no round-robin
-            # cursor moves, no arbiter stall accrues (latches are all
-            # empty) — the scan below would be a provable no-op.
-            return False
         moved = False
         faults = self.faults
         held = self.held
@@ -255,12 +255,6 @@ class MonacoFrontend:
                     break
         return moved
 
-    def busy(self) -> bool:
-        # in_network counts every request between inject() and the port
-        # deliver — PE queues and latches alike (audit() recounts and
-        # the conformance layer proves the ledger exact).
-        return self.in_network > 0
-
     # -- snapshots ---------------------------------------------------------
 
     def signature(self) -> str:
@@ -282,8 +276,3 @@ class MonacoFrontend:
             1 for a in self.arbiters.values() if a.latch is not None
         )
         return held
-
-    def next_event(self, now: int) -> int | None:
-        """Cycle-skip hint: arbiters move every cycle while any request
-        is in flight; with nothing in the network there is no event."""
-        return now if self.busy() else None

@@ -9,17 +9,17 @@ a request leaving its local region pays an extra crossing delay.
 
 Unlike the NUMA-UPEA baseline's random PE-to-domain assignment, the hybrid
 assignment is *spatial*: consecutive LS rows share a region, matching how
-a physical design would place bank groups beside row groups.
+a physical design would place bank groups beside row groups. A remote
+request's crossing is a fixed delay, booked on the engine's calendar
+when its port grants it.
 """
 
 from __future__ import annotations
 
-import heapq
-
 from repro.arch.fabric import Fabric
 from repro.arch.memory import AddressMap
 from repro.sim.fmnoc_sim import MonacoFrontend
-from repro.sim.memsys import RequestRecord
+from repro.sim.memsys import DELIVER, RequestRecord
 
 #: NUMA regions the LS rows (and the line-interleaved banks) split into.
 N_REGIONS = 4
@@ -30,8 +30,9 @@ class HybridFrontend(MonacoFrontend):
 
     name = "monaco-numa"
     SNAPSHOT_STATE = MonacoFrontend.SNAPSHOT_STATE + (
-        "_stage", "_order", "local_accesses", "remote_accesses",
+        "local_accesses", "remote_accesses",
     )
+    schedule = None  # the engine's Calendar.schedule
 
     def __init__(
         self,
@@ -47,8 +48,6 @@ class HybridFrontend(MonacoFrontend):
             row: index * N_REGIONS // len(rows)
             for index, row in enumerate(rows)
         }
-        self._stage: list[tuple[int, int, RequestRecord]] = []
-        self._order = 0
         self.local_accesses = 0
         self.remote_accesses = 0
 
@@ -74,20 +73,9 @@ class HybridFrontend(MonacoFrontend):
             else:
                 self.remote_accesses += 1
                 record.response_hops += self.remote_cycles
-                self._order += 1
-                heapq.heappush(
-                    self._stage,
-                    (now + self.remote_cycles, self._order, record),
-                )
+                self.schedule(now + self.remote_cycles, DELIVER, record)
 
-        moved = False
-        while self._stage and self._stage[0][0] <= now:
-            deliver(heapq.heappop(self._stage)[2])
-            moved = True
-        return super().tick(now, stage) or moved
-
-    def busy(self) -> bool:
-        return bool(self._stage) or super().busy()
+        return super().tick(now, stage)
 
     # -- snapshots ---------------------------------------------------------
 
@@ -98,12 +86,3 @@ class HybridFrontend(MonacoFrontend):
             f"monaco-numa:{self.fabric.rows}x{self.fabric.cols}"
             f":regions={N_REGIONS}:remote={self.remote_cycles}"
         )
-
-    def next_event(self, now: int) -> int | None:
-        """Cycle-skip hint: the arbiter hierarchy moves every cycle while
-        occupied; otherwise the next staged NUMA crossing matters."""
-        nxt = now if MonacoFrontend.busy(self) else None
-        if self._stage:
-            staged = max(now, self._stage[0][0])
-            nxt = staged if nxt is None else min(nxt, staged)
-        return nxt

@@ -23,6 +23,10 @@ for the same prefix of serviced requests (asserted in
 ``tests/test_check_satellites.py``). Only :attr:`MemStats.latency_total`
 and :attr:`MemStats.responses` are arrival-side: they accumulate when a
 load's response reaches its PE, so dropped responses never contribute.
+
+Memory holds only its bank queues: a served access's completion, like
+every fixed delay of a round trip, is an entry of the engine's
+:class:`Calendar`, booked through ``schedule``.
 """
 
 from __future__ import annotations
@@ -35,6 +39,28 @@ from repro.arch.memory import AddressMap
 from repro.arch.params import MemoryParams
 from repro.dfg.ops import MemRequest
 from repro.errors import SimulationError
+
+#: Kinds of calendar entry, in the order a cycle drains a tie: a bank
+#: access completes, a response reaches its PE, a request leaves a
+#: fixed-delay frontend for its bank.
+COMPLETE, ARRIVE, DELIVER = range(3)
+
+
+class Calendar:
+    """The requests' timed hops, a heap of ``(cycle, kind, order,
+    record)``: ``order`` counts bookings, so one kind's entries drain in
+    booking order (docs/INTERNALS.md, Sec. 5)."""
+
+    SNAPSHOT_STATE = ("entries", "booked")
+
+    def __init__(self):
+        self.entries: list[tuple] = []
+        self.booked = 0
+
+    def schedule(self, cycle: int, kind: int, record) -> None:
+        """Book ``record``'s next timed hop, of ``kind``, at ``cycle``."""
+        self.booked += 1
+        heapq.heappush(self.entries, (cycle, kind, self.booked, record))
 
 
 @dataclass
@@ -139,10 +165,7 @@ class MemorySystem:
 
     #: See :mod:`repro.sim.snapshot`. ``data`` is refilled in place: it
     #: is the dict the engine hands back as the run's final memory.
-    SNAPSHOT_STATE = (
-        "data", "cache", "bank_queues", "_busy_banks", "_queued",
-        "_completions", "_order", "stats",
-    )
+    SNAPSHOT_STATE = ("data", "cache", "bank_queues", "_busy_banks", "stats")
 
     def __init__(
         self,
@@ -157,17 +180,13 @@ class MemorySystem:
         self.bank_queues: list[deque] = [
             deque() for _ in range(params.n_banks)
         ]
-        #: Busy-bank calendar: a heap of the indices of non-empty bank
-        #: queues (each exactly once), plus a total queued-request
-        #: counter. ``tick``/``busy``/``next_event`` consult these
-        #: instead of scanning all ``n_banks`` queues — on quiet cycles
-        #: that is O(1), and a tick serves only the banks that actually
-        #: hold work, in the same ascending-index order as the scan.
+        #: A heap of the indices of non-empty bank queues, each exactly
+        #: once: a tick serves only the banks that hold work, in the
+        #: ascending-index order of a scan of all ``n_banks`` queues, and
+        #: memory is idle exactly when it is empty.
         self._busy_banks: list[int] = []
-        self._queued = 0
-        self._completions: list[tuple[int, int, RequestRecord]] = []
-        self._order = 0
         self.stats = MemStats()
+        self.schedule = None  # the engine's Calendar.schedule
         #: The run's recorded bank services (:mod:`repro.obs.events`),
         #: kept only for a Chrome timeline; None = off.
         self.services = None
@@ -181,7 +200,6 @@ class MemorySystem:
         if not queue:
             heapq.heappush(self._busy_banks, bank)
         queue.append(record)
-        self._queued += 1
         record.enqueue_cycle = now
 
     def tick(self, now: int) -> None:
@@ -199,7 +217,6 @@ class MemorySystem:
         while busy:
             bank = heapq.heappop(busy)
             queue = queues[bank]
-            self._queued -= 1
             self._serve(queue.popleft(), now)
             if queue:
                 still_busy.append(bank)
@@ -239,28 +256,4 @@ class MemorySystem:
                 # deadlock detector must catch it.
                 record.dropped = True
                 return
-        self._order += 1
-        heapq.heappush(
-            self._completions, (record.complete_cycle, self._order, record)
-        )
-
-    def completions(self, now: int):
-        """Yield records whose bank access completes at or before ``now``."""
-        while self._completions and self._completions[0][0] <= now:
-            yield heapq.heappop(self._completions)[2]
-
-    def busy(self) -> bool:
-        return bool(self._completions) or self._queued > 0
-
-    def next_event(self, now: int) -> int | None:
-        """Earliest system cycle >= ``now`` the memory system must run.
-
-        Used by the engine's cycle-skipping scheduler: non-empty bank
-        queues need service every cycle; otherwise the next interesting
-        cycle is the earliest pending completion. ``None`` means idle.
-        """
-        if self._queued:
-            return now
-        if self._completions:
-            return max(now, self._completions[0][0])
-        return None
+        self.schedule(record.complete_cycle, COMPLETE, record)

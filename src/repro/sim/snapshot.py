@@ -31,7 +31,7 @@ Five properties carry the design:
   each file back truncated to those lengths.
 * **One pickle, shared identity.** A :class:`RequestRecord` in flight is
   simultaneously the engine's ``resp_queue`` entry *and* a bank-queue /
-  completions-heap / frontend-latch entry. The whole captured state is
+  calendar / frontend-latch entry. The whole captured state is
   serialized in a single ``pickle.dumps`` call, whose memo preserves that
   aliasing — restore rebuilds the same object graph, not per-container
   copies that would decouple on the next mutation.
@@ -76,7 +76,7 @@ SNAPSHOT_MAGIC = "repro-sim-snapshot"
 #: Bump on any change to a ``SNAPSHOT_STATE`` declaration or to what a
 #: declared attribute holds — resuming across versions is refused rather
 #: than silently mis-restored (history: docs/INTERNALS.md, Sec. 10).
-SNAPSHOT_VERSION = 11
+SNAPSHOT_VERSION = 12
 
 
 # -- configuration identity ------------------------------------------------

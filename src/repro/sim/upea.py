@@ -11,17 +11,19 @@
   interleaved across domains at cache-line granularity; an access to the
   local domain bypasses the UPEA delay entirely (so local accesses may
   overtake older remote ones, exactly as in a real NUMA interconnect).
+
+Neither holds a request: ``inject`` books its hand-over to the bank on
+the engine's calendar, so ``in_network`` stays 0 and nothing ticks them.
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
 import random
 
 from repro.arch.fabric import Fabric
 from repro.arch.memory import AddressMap
-from repro.sim.memsys import RequestRecord
+from repro.sim.memsys import DELIVER, RequestRecord
 
 
 class UniformFrontend:
@@ -33,44 +35,24 @@ class UniformFrontend:
     #: grants to perturb — memory-response faults still apply to them
     #: through :class:`repro.sim.memsys.MemorySystem`.
     faults = None
-    SNAPSHOT_STATE = ("_pipe", "_order")
+    SNAPSHOT_STATE = ()
+    in_network = 0  # module docstring
+    schedule = None  # the engine's Calendar.schedule
 
     def __init__(self, delay_system_cycles: int):
         if delay_system_cycles < 0:
             raise ValueError("delay must be non-negative")
         self.delay = delay_system_cycles
-        self._pipe: list[tuple[int, int, RequestRecord]] = []
-        self._order = 0
-
-    def _schedule(self, record: RequestRecord, ready: int) -> None:
-        self._order += 1
-        heapq.heappush(self._pipe, (ready, self._order, record))
 
     def inject(self, record: RequestRecord, now: int) -> None:
         record.response_hops = 0
-        self._schedule(record, now + self.delay)
-
-    def tick(self, now: int, deliver) -> bool:
-        moved = False
-        while self._pipe and self._pipe[0][0] <= now:
-            deliver(heapq.heappop(self._pipe)[2])
-            moved = True
-        return moved
-
-    def busy(self) -> bool:
-        return bool(self._pipe)
+        self.schedule(now + self.delay, DELIVER, record)
 
     def audit(self) -> int:
-        """Structural recount of requests still inside the delay pipe
-        (see :meth:`repro.sim.fmnoc_sim.MonacoFrontend.audit`)."""
-        return len(self._pipe)
-
-    def next_event(self, now: int) -> int | None:
-        """Cycle-skip hint: nothing happens until the pipe's head matures,
-        so the engine may jump straight over the fixed UPEA delay."""
-        if not self._pipe:
-            return None
-        return max(now, self._pipe[0][0])
+        """Structural recount of requests inside the frontend (see
+        :meth:`repro.sim.fmnoc_sim.MonacoFrontend.audit`): a delayed
+        request waits on the engine's calendar, not in here."""
+        return 0
 
     # -- snapshots ---------------------------------------------------------
 
@@ -85,9 +67,7 @@ class NumaFrontend(UniformFrontend):
     """UPEA with NUMA domains: local accesses skip the uniform delay."""
 
     name = "numa-upea"
-    SNAPSHOT_STATE = UniformFrontend.SNAPSHOT_STATE + (
-        "local_accesses", "remote_accesses",
-    )
+    SNAPSHOT_STATE = ("local_accesses", "remote_accesses")
 
     def __init__(
         self,
@@ -127,10 +107,10 @@ class NumaFrontend(UniformFrontend):
         )
         if local:
             self.local_accesses += 1
-            self._schedule(record, now)
+            self.schedule(now, DELIVER, record)
         else:
             self.remote_accesses += 1
-            self._schedule(record, now + self.delay)
+            self.schedule(now + self.delay, DELIVER, record)
 
     # -- snapshots ---------------------------------------------------------
 

@@ -237,25 +237,70 @@ def test_attribution_is_a_function_of_the_tick_records(recordings):
     assert replay.render() == live.render()
 
 
-def test_frontends_expose_next_event_hints():
-    """Idle components report None; busy ones report a concrete cycle."""
+def test_skip_target_wakes_at_the_first_of_three_sources():
+    """A sleeping fabric is woken by the calendar's head, or at once by
+    a busy bank or a request inside the network (both act every cycle);
+    with none of them, the deadlock and ``max_cycles`` clamps decide."""
     from repro.arch.memory import AddressMap
-    from repro.sim.memsys import MemorySystem
-
-    fe = UniformFrontend(7)
-    assert fe.next_event(3) is None
-    amap = AddressMap({"a": 64}, MemoryParams())
-    memsys = MemorySystem(MemoryParams(), amap, {"a": [0] * 64})
-    assert memsys.next_event(5) is None
-
     from repro.dfg.ops import MemRequest
-    from repro.sim.memsys import RequestRecord
+    from repro.sim.engine import _Engine
+    from repro.sim.fmnoc_sim import MonacoFrontend
+    from repro.sim.memsys import DELIVER, MemorySystem, RequestRecord
 
-    record = RequestRecord(
-        nid=1, seq=1, request=MemRequest("load", "a", 0),
-        address=0, pe_coord=(0, 0), issue_cycle=3,
+    instance, compiled = compiled_for("dmv")
+    arch = ArchParams()
+    amap = AddressMap(compiled.dfg.arrays, arch.memory)
+    data = {name: [0] * size for name, size in compiled.dfg.arrays.items()}
+    memsys = MemorySystem(arch.memory, amap, data)
+    frontend = MonacoFrontend(compiled.fabric)
+    engine = _Engine(
+        compiled, instance.params, arch, PAPER_DIVIDER, memsys, frontend, amap
     )
-    fe.inject(record, 3)
-    assert fe.next_event(3) == 10  # now + delay
-    memsys.enqueue(record, 10)
-    assert memsys.next_event(10) == 10  # bank queues run every cycle
+    array = next(iter(data))
+    pe = next(p.coord for p in compiled.fabric.ls_pes() if p.domain == 0)
+
+    def record():
+        return RequestRecord(
+            nid=0, seq=0, request=MemRequest("load", array, 0),
+            address=amap.address(array, 0), pe_coord=pe, issue_cycle=0,
+        )
+
+    def target(now=110):  # last progress at 100, a 50-cycle window
+        return engine._skip_target(now, 100, 50, 1_000)
+
+    assert target() == 151  # nothing pending: the deadlock clamp
+    assert engine._skip_target(110, 100, 50, 120) == 121  # max_cycles
+    engine.calendar.schedule(200, DELIVER, record())
+    assert target() == 151  # beyond the clamp
+    engine.calendar.schedule(130, DELIVER, record())
+    assert target() == 130  # the calendar's head
+    assert target(now=131) == 131  # never back in time
+    frontend.inject(record(), 110)
+    assert target() == 110  # a request inside the network
+    frontend.tick(111, lambda request: memsys.enqueue(request, 111))
+    assert frontend.in_network == 0 and memsys._busy_banks
+    assert target() == 110  # a busy bank
+
+
+def test_a_frontend_is_ticked_only_with_a_request_inside(monkeypatch):
+    """On the 39 points of the ``sim_plain`` benchmark (13 workloads x
+    monaco, upea2 and numa-upea2, ``tiny``, seed 0) no frontend's
+    ``tick`` is entered while its network is empty, and a fixed-delay
+    frontend, whose requests wait on the engine's calendar, has no
+    ``tick`` at all."""
+    from repro.sim.fmnoc_sim import MonacoFrontend
+    from repro.sim.hybrid import HybridFrontend
+
+    ticks = []
+    for cls in (MonacoFrontend, HybridFrontend):
+
+        def entered(frontend, now, deliver, tick=cls.__dict__["tick"]):
+            assert frontend.in_network, f"empty {frontend.name} ticked"
+            ticks.append(now)
+            return tick(frontend, now, deliver)
+
+        monkeypatch.setattr(cls, "tick", entered)
+    assert not hasattr(UniformFrontend, "tick")
+    for name, config in product(sorted(ALL_WORKLOADS), CONFIGS):
+        _simulate(name, config)
+    assert ticks  # Monaco's requests did cross its arbiter tree

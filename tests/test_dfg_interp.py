@@ -5,7 +5,7 @@ import pytest
 from repro.dfg.graph import DFG, ImmRef, PortRef
 from repro.dfg.interp import run_dfg
 from repro.dfg.lower import lower_kernel
-from repro.errors import DFGError, ReproError
+from repro.errors import DFGError, KernelFault, ReproError
 from repro.ir.interp import run_kernel
 
 from kernels import ZOO, zoo_instance
@@ -104,7 +104,7 @@ def test_undeclared_array_name_rejected():
 def test_out_of_bounds_index_rejected():
     kernel, params, _ = zoo_instance("chase")
     dfg = lower_kernel(kernel)
-    with pytest.raises(DFGError, match="out of bounds"):
+    with pytest.raises(KernelFault, match="out of bounds"):
         run_dfg(dfg, {"steps": 3}, {"next": [100] * 8})
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.dfg.graph import DFG, ImmRef, Node, PortRef
 from repro.dfg.ops import NO_EMIT, compile_rule, fresh_state
-from repro.errors import DFGError, ReproError
+from repro.errors import DFGError, KernelFault, ReproError
 from repro.isa import apply_binop
 
 #: A rule's result, named for readable assertions.
@@ -291,7 +291,7 @@ class TestMemoryOps:
         node = node_of("load", [SRC], array="A", has_ord=False)
         fifos = Fifos()
         fifos.feed(0, 0, 2.5)
-        with pytest.raises(DFGError, match="non-integer"):
+        with pytest.raises(KernelFault, match="non-integer"):
             fire(node, {}, fifos, {})
 
     @pytest.mark.parametrize("op", ["load", "store"])
@@ -304,7 +304,7 @@ class TestMemoryOps:
         fifos.feed(2, 0, index)
         fifos.feed(2, 1, 55)
         with pytest.raises(
-            DFGError,
+            KernelFault,
             match=rf"^node 2: index {index} out of bounds for array 'A' "
             r"of size 4$",
         ):

@@ -4,8 +4,9 @@
    tick, after its one capacity check, and ``commit_pushes`` must reject
    any commit that would exceed ``fifo_capacity``.
 2. Deadlock detector: requests advancing through the fabric-memory NoC
-   (Monaco's arbiter chain) are forward progress — a long arbiter
-   pipeline with a small ``deadlock_cycles`` must not false-trip.
+   (Monaco's arbiter chain, a fixed-delay frontend's hand-over to memory)
+   are forward progress — a long trip with a small ``deadlock_cycles``
+   must not false-trip.
 3. ``RequestRecord.enqueue_cycle`` replaces the ``id(record)``-keyed side
    dict in the memory system (robust under pickling and object reuse).
 """
@@ -149,7 +150,7 @@ class TestDeadlockDetectorSeesFrontendProgress:
             ticks += 1
         # One cycle per arbitration stage plus the port hop.
         assert ticks == far_pe.domain + 1
-        assert frontend.busy() is False
+        assert frontend.in_network == 0
         assert frontend.tick(ticks, delivered.append) is False
 
     def test_small_deadlock_window_survives_arbiter_chain(self):
@@ -167,25 +168,38 @@ class TestDeadlockDetectorSeesFrontendProgress:
         result = simulate(ck, instance.params, instance.arrays, arch)
         instance.check(result.memory)
 
-    def test_upea_tick_reports_delivery(self):
-        from repro.sim.upea import UniformFrontend
+    @pytest.mark.parametrize("config", ["upea", "numa"])
+    def test_fixed_delay_delivery_counts_as_progress(self, config):
+        """A fixed delay exactly as long as the deadlock window: the last
+        request of a quiet stretch reaches memory ``deadlock_cycles``
+        after its issue, and its response arrives some cycles later. The
+        run completes only if that hand-over to memory counts as
+        progress; otherwise the detector trips in between."""
+        from repro.sim.upea import NumaFrontend, UniformFrontend
 
-        frontend = UniformFrontend(3)
-        record = RequestRecord(
-            nid=0, seq=1, request=MemRequest("load", "a", 0),
-            address=0, pe_coord=(0, 0), issue_cycle=0,
+        window = 24
+        if config == "upea":
+            factory = lambda fabric, amap: UniformFrontend(window)
+        else:
+            factory = lambda fabric, amap: NumaFrontend(window, fabric, amap)
+        instance = make_workload("spmspv", scale="tiny")
+        arch = ArchParams(sim=SimParams(deadlock_cycles=window))
+        ck = compile_once(
+            instance.kernel, FABRIC, arch, DOMAIN_UNAWARE, parallelism=1
         )
-        frontend.inject(record, 0)
-        assert frontend.tick(1, lambda r: None) is False
-        out = []
-        assert frontend.tick(3, out.append) is True
-        assert out == [record]
+        result = simulate(
+            ck, instance.params, instance.arrays, arch,
+            frontend_factory=factory,
+        )
+        instance.check(result.memory)
 
 
 class TestEnqueueCycleField:
     def make_memsys(self):
         amap = AddressMap({"a": 64}, MemoryParams())
-        return MemorySystem(MemoryParams(), amap, {"a": list(range(64))})
+        memsys = MemorySystem(MemoryParams(), amap, {"a": list(range(64))})
+        memsys.schedule = lambda cycle, kind, record: None  # no engine
+        return memsys
 
     def make_record(self, seq=1, index=0):
         return RequestRecord(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import IRError
+from repro.errors import DFGError, IRError, KernelFault
 from repro.ir.builder import KernelBuilder
 from repro.ir.interp import run_kernel
 
@@ -66,7 +66,7 @@ def test_out_of_bounds_load_raises():
     b = KernelBuilder("oob")
     a = b.array("A", 2)
     a.load(5)
-    with pytest.raises(IRError, match="out of bounds"):
+    with pytest.raises(KernelFault, match="out of bounds"):
         run_kernel(b.build())
 
 
@@ -74,7 +74,7 @@ def test_out_of_bounds_store_raises():
     b = KernelBuilder("oob")
     a = b.array("A", 2)
     a.store(-1, 0)
-    with pytest.raises(IRError, match="out of bounds"):
+    with pytest.raises(KernelFault, match="out of bounds"):
         run_kernel(b.build())
 
 
@@ -83,8 +83,20 @@ def test_non_integer_index_raises():
     a = b.array("A", 4)
     x = b.let("x", 2.5)
     a.load(x)
-    with pytest.raises(IRError, match="non-integer"):
+    with pytest.raises(KernelFault, match="non-integer"):
         run_kernel(b.build())
+
+
+def test_a_running_kernels_faults_share_one_class():
+    """An IR run reports a bad index and a division by zero with the one
+    class the DFG executors raise, which is no level's error."""
+    b = KernelBuilder("div0")
+    a = b.array("A", 1)
+    zero = b.let("zero", 0)
+    a.store(0, b.let("q", 1) // zero)
+    with pytest.raises(KernelFault, match="division by zero"):
+        run_kernel(b.build())
+    assert not issubclass(KernelFault, (IRError, DFGError))
 
 
 def test_float_arrays():

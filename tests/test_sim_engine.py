@@ -10,6 +10,7 @@ from repro.core.policy import EFFCC
 from repro.errors import (
     DeadlockError,
     DFGError,
+    KernelFault,
     ReproError,
     SimulationError,
 )
@@ -168,9 +169,9 @@ def test_out_of_range_access_raises_the_interpreters_error():
     exactly as the untimed interpreter does."""
     ck, params, _arrays = compiled("chase")
     arrays = {"next": [100] * 8}
-    with pytest.raises(DFGError) as untimed:
+    with pytest.raises(KernelFault) as untimed:
         run_dfg(ck.dfg, params, arrays)
-    with pytest.raises(DFGError) as timed:
+    with pytest.raises(KernelFault) as timed:
         simulate(ck, params, arrays, ARCH)
     assert str(timed.value) == str(untimed.value)
     assert re.fullmatch(

@@ -1,4 +1,8 @@
-"""Unit tests for the fabric-memory interconnect frontends."""
+"""Unit tests for the fabric-memory interconnect frontends.
+
+A fixed delay — UPEA/NUMA's, the hybrid's NUMA crossing — is booked on
+the engine's calendar; here a list stands in for it (:func:`booking`).
+"""
 
 import random
 
@@ -11,7 +15,7 @@ from repro.dfg.ops import MemRequest
 from repro.sim.faults import FaultInjector
 from repro.sim.fmnoc_sim import MonacoFrontend
 from repro.sim.hybrid import HybridFrontend
-from repro.sim.memsys import RequestRecord
+from repro.sim.memsys import DELIVER, RequestRecord
 from repro.sim.upea import NumaFrontend, UniformFrontend
 
 
@@ -26,6 +30,14 @@ def record_at(coord, address=0, seq=0):
     )
 
 
+def booking(frontend):
+    """Hand ``frontend`` a list-backed calendar: its bookings, as
+    ``(cycle, kind, record)`` in booking order."""
+    booked = []
+    frontend.schedule = lambda *entry: booked.append(entry)
+    return booked
+
+
 def drain(frontend, cycles, start=0):
     delivered = []
     for t in range(start, start + cycles):
@@ -36,31 +48,27 @@ def drain(frontend, cycles, start=0):
 class TestUniformFrontend:
     def test_exact_delay(self):
         fe = UniformFrontend(5)
+        booked = booking(fe)
         rec = record_at((0, 0))
         fe.inject(rec, now=3)
-        out = []
-        for t in range(3, 8):
-            fe.tick(t, out.append)
-            assert not out or t >= 8
-        fe.tick(8, out.append)
-        assert out == [rec]
-        assert not fe.busy()
+        assert booked == [(8, DELIVER, rec)]
+        assert fe.in_network == 0 and fe.audit() == 0  # never ticked
 
     def test_zero_delay_delivers_same_cycle(self):
         fe = UniformFrontend(0)
+        booked = booking(fe)
         rec = record_at((0, 0))
         fe.inject(rec, now=4)
-        out = []
-        fe.tick(4, out.append)
-        assert out == [rec]
+        assert booked == [(4, DELIVER, rec)]  # due the cycle it issued
 
     def test_fifo_order_preserved(self):
         fe = UniformFrontend(2)
+        booked = booking(fe)
         a, b = record_at((0, 0), seq=1), record_at((0, 0), seq=2)
         fe.inject(a, now=0)
         fe.inject(b, now=0)
-        out = drain(fe, 5)
-        assert out == [a, b]
+        # One cycle, booked a then b: the calendar drains them so.
+        assert booked == [(2, DELIVER, a), (2, DELIVER, b)]
 
 
 class TestNumaFrontend:
@@ -91,14 +99,13 @@ class TestNumaFrontend:
         )
         local = record_at(pe, local_addr, seq=1)
         remote = record_at(pe, remote_addr, seq=2)
+        booked = booking(fe)
         fe.inject(remote, now=0)
         fe.inject(local, now=0)
-        out = []
-        fe.tick(0, out.append)
-        assert out == [local]  # local overtakes older remote
-        out2 = drain(fe, 7, start=1)
-        assert out2 == [remote]
+        # The local request is due first: it overtakes the older remote.
+        assert booked == [(6, DELIVER, remote), (0, DELIVER, local)]
         assert fe.local_accesses == 1 and fe.remote_accesses == 1
+        assert fe.in_network == 0
 
     def test_interleave_is_line_granular(self):
         fe, _, amap = self.make()
@@ -162,7 +169,7 @@ class TestMonacoFrontend:
             out = []
             fe.tick(t, out.append)
             assert len(out) == 1
-        assert not fe.busy()
+        assert fe.in_network == 0
 
     def test_round_robin_on_shared_port(self):
         fe, fab = self.make()
@@ -192,13 +199,39 @@ class TestMonacoFrontend:
         assert order.count(True) == 4
         assert any(order[i] != order[i + 1] for i in range(len(order) - 1))
 
-    def test_busy_reflects_inflight(self):
+    def test_in_network_counts_inflight(self):
         fe, fab = self.make()
-        assert not fe.busy()
+        assert fe.in_network == 0
         fe.inject(record_at(self.far_pe(fab).coord), now=0)
-        assert fe.busy()
+        fe.inject(record_at(self.d0_pe(fab).coord), now=0)
+        assert fe.in_network == 2
         drain(fe, 10, start=1)
-        assert not fe.busy()
+        assert fe.in_network == 0 == fe.audit()
+
+
+class TestHybridFrontend:
+    def test_remote_crossing_is_booked_when_granted(self):
+        """A request leaving its region is booked ``remote_cycles``
+        after its port grants it, with the crossing added to its
+        response hops; a local one goes straight to memory."""
+        fab = monaco(12, 12)
+        fe = HybridFrontend(
+            fab, AddressMap({"a": 4096}, MemoryParams()), remote_cycles=3
+        )
+        booked = booking(fe)
+        pe = next(p for p in fab.ls_pes() if p.domain == 0)
+        home = fe.row_region[pe.y]
+        lw = fe.address_map.memory.line_words
+        local = record_at(pe.coord, home * lw, seq=1)
+        remote = record_at(pe.coord, (home + 1) % 4 * lw, seq=2)
+        fe.inject(local, now=0)
+        fe.inject(remote, now=0)
+        assert drain(fe, 1, start=1) == [local] and booked == []
+        assert drain(fe, 1, start=2) == []
+        assert booked == [(5, DELIVER, remote)]
+        assert remote.response_hops == 3 and local.response_hops == 0
+        assert fe.in_network == 0
+        assert (fe.local_accesses, fe.remote_accesses) == (1, 1)
 
 
 @pytest.mark.parametrize("skip", [0.0, 0.3], ids=["clean", "grant-skip"])
@@ -218,6 +251,7 @@ def test_held_counts_equal_a_recount_every_tick(kind, skip):
         fe.faults = FaultInjector(FaultParams(seed=5, grant_skip_prob=skip))
     rng = random.Random(f"{kind}:{skip}")
     pes = [pe.coord for pe in fab.ls_pes()]
+    crossing = booking(fe)  # the hybrid's remote requests leave here
     delivered, injected, latched = [], 0, 0
     for now in range(400):
         # Bursts early on, then a drain with nothing injected.
@@ -229,5 +263,6 @@ def test_held_counts_equal_a_recount_every_tick(kind, skip):
         assert fe.in_network == fe.audit(), f"cycle {now}"
         latched += sum(a.latch is not None for a in fe.arbiters.values())
     assert latched and injected > 200
-    assert len(delivered) == injected and not fe.busy()
+    assert len(delivered) + len(crossing) == injected
+    assert bool(crossing) == (kind == "hybrid") and fe.in_network == 0
     assert not any(fe.held)

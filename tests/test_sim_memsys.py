@@ -1,16 +1,24 @@
-"""Unit tests for the banked memory system and shared cache."""
+"""Unit tests for the banked memory system and shared cache.
+
+Memory books each served access's completion on the engine's calendar;
+here a list stands in for the calendar and records each booking.
+"""
 
 from repro.arch.memory import AddressMap
 from repro.arch.params import MemoryParams
 from repro.dfg.ops import MemRequest
-from repro.sim.memsys import MemorySystem, RequestRecord, SharedCache
+from repro.sim.memsys import COMPLETE, MemorySystem, RequestRecord, SharedCache
 
 
 def make_memsys(**overrides):
+    """Memory over one 256-word array, its bookings kept in
+    ``memsys.booked`` as ``(cycle, kind, record)`` in booking order."""
     params = MemoryParams(**overrides) if overrides else MemoryParams()
     amap = AddressMap({"a": 256}, params)
-    data = {"a": list(range(256))}
-    return MemorySystem(params, amap, data), amap
+    memsys = MemorySystem(params, amap, {"a": list(range(256))})
+    memsys.booked = []
+    memsys.schedule = lambda *entry: memsys.booked.append(entry)
+    return memsys, amap
 
 
 def record_for(amap, index, kind="load", value=None, seq=0):
@@ -91,9 +99,7 @@ class TestMemorySystem:
         assert memsys.stats.bank_wait_cycles >= 2
 
     def test_different_banks_parallel(self):
-        params = MemoryParams(n_banks=4, line_words=8)
-        amap = AddressMap({"a": 256}, params)
-        memsys = MemorySystem(params, amap, {"a": [0] * 256})
+        memsys, amap = make_memsys(n_banks=4, line_words=8)
         a = record_for(amap, 0)
         b = record_for(amap, 8)  # next line, next bank
         memsys.enqueue(a, now=0)
@@ -105,11 +111,34 @@ class TestMemorySystem:
         memsys, amap = make_memsys()
         a = record_for(amap, 0)
         memsys.enqueue(a, now=0)
+        assert memsys.booked == [] and memsys._busy_banks
         memsys.tick(1)
-        assert list(memsys.completions(1)) == []
-        done = list(memsys.completions(a.complete_cycle))
-        assert done == [a]
-        assert not memsys.busy()
+        assert memsys.booked == [(a.complete_cycle, COMPLETE, a)]
+        assert a.complete_cycle == 1 + memsys.params.miss_latency()
+        assert not memsys._busy_banks  # idle: the engine stops ticking it
+
+    def test_completions_booked_in_service_order(self):
+        """One tick serves its busy banks in ascending index order, and
+        books their completions in that order — a hit served after a
+        miss completes first, which the calendar's cycle key sorts."""
+        memsys, amap = make_memsys(n_banks=4, line_words=8)
+        warm = record_for(amap, 16)
+        memsys.enqueue(warm, now=0)
+        memsys.tick(0)  # line 2 now cached
+        del memsys.booked[:]
+        miss = record_for(amap, 0, seq=1)  # bank 0
+        queued = record_for(amap, 1, seq=2)  # bank 0 again: waits a cycle
+        hit = record_for(amap, 17, seq=3)  # bank 2, cached
+        for record in (hit, miss, queued):
+            memsys.enqueue(record, now=1)
+        memsys.tick(1)
+        memsys.tick(2)
+        hit_cycles = memsys.params.hit_cycles
+        assert memsys.booked == [
+            (1 + memsys.params.miss_latency(), COMPLETE, miss),
+            (1 + hit_cycles, COMPLETE, hit),
+            (2 + hit_cycles, COMPLETE, queued),  # its line came in at 1
+        ]
 
     def test_stats_accumulate(self):
         memsys, amap = make_memsys()

@@ -63,7 +63,7 @@ from repro.obs.events import FIELDS
 from repro.obs.manifest import completed_points, read_manifest, stable_view
 from repro.sim.engine import _Engine, simulate
 from repro.sim.faults import _Stream
-from repro.sim.memsys import MemorySystem
+from repro.sim.memsys import DELIVER, MemorySystem
 from repro.sim.snapshot import (
     SNAPSHOT_MAGIC,
     CheckpointConfig,
@@ -129,8 +129,9 @@ def _digest(result) -> str:
     return json.dumps(result.stats.to_dict(), sort_keys=True)
 
 
-def _split(name, arch, budget, path, config=MONACO):
-    """Preempt after ``budget`` executed cycles, then resume to the end."""
+def _split(name, arch, budget, path, config=MONACO, at_split=None):
+    """Preempt after ``budget`` executed cycles, then resume to the end;
+    ``at_split`` must hold of the machine state the snapshot holds."""
     with pytest.raises(SimulationPreempted) as info:
         _simulate(
             name,
@@ -141,38 +142,69 @@ def _split(name, arch, budget, path, config=MONACO):
     assert info.value.kind == "preempted"
     assert info.value.snapshot_path == path
     assert os.path.exists(path)
+    if at_split is not None:
+        with open(path, "rb") as handle:
+            state = pickle.loads(pickle.loads(handle.read())["payload"])
+        assert at_split(state), "the snapshot does not hold the state"
     return _simulate(name, arch, config, checkpoint=CheckpointConfig(path))
 
 
-class _LatchWatch:
-    """A machine config whose frontend notes, after each executed cycle,
-    whether a request sits in an arbiter latch: ``latched`` lists the
-    executed-cycle counts after which one does (a ``cycle_budget`` that
-    preempts there)."""
+class _BoundaryWatch:
+    """Stands on ``engine.snapshots`` as a checkpointer does, so it is
+    polled at every cycle boundary: ``budgets`` lists the executed-cycle
+    counts at whose boundary ``holds(engine)`` is true — the cycle
+    budgets that split a run there."""
 
-    def __init__(self, config):
-        self.config, self.latched = config, []
+    def __init__(self, holds):
+        self.holds, self.budgets = holds, []
 
-    def frontend_factory(self, divider):
-        make = self.config.frontend_factory(divider)
+    def boundary(self, engine):
+        if self.holds(engine):
+            self.budgets.append(engine.stats.executed_cycles)
 
-        def build(fabric, address_map):
-            frontend = make(fabric, address_map)
-            tick, executed = frontend.tick, 0
 
-            def watched(now, deliver):
-                nonlocal executed
-                moved = tick(now, deliver)
-                executed += 1
-                if any(a.latch is not None
-                       for a in frontend.arbiters.values()):
-                    self.latched.append(executed)
-                return moved
+def _watched(name, arch, config, holds, monkeypatch):
+    """An uninterrupted run, and the budgets at which ``holds``."""
+    watch, run = _BoundaryWatch(holds), _Engine.run
 
-            frontend.tick = watched
-            return frontend
+    def watched(engine):
+        engine.snapshots = watch
+        return run(engine)
 
-        return build
+    with monkeypatch.context() as patch:
+        patch.setattr(_Engine, "run", watched)
+        full = _simulate(name, arch, config)
+    return full, watch.budgets
+
+
+def _split_where(name, config, live, saved, tmp_path, monkeypatch):
+    """Split a probed run at the middle one of the boundaries at which
+    ``live(engine)`` holds, read off the uninterrupted run, check
+    ``saved`` of the snapshot's state, resume, and return the resumed
+    and the uninterrupted results."""
+    arch = _arch(
+        trace=True, critpath=True, trace_path=str(tmp_path / "trace.json"),
+    )
+    full, budgets = _watched(name, arch, config, live, monkeypatch)
+    assert budgets, "the state to split at never arose"
+    budget = budgets[len(budgets) // 2]
+    resumed = _split(
+        name, arch, budget, str(tmp_path / "p.snap"), config,
+        at_split=saved,
+    )
+    assert resumed.resume_info["executed_before"] == budget
+    return resumed, full
+
+
+def _assert_reports_alike(resumed, full):
+    """Digest, final memory and every probe output agree."""
+    assert _digest(resumed) == _digest(full)
+    assert resumed.memory == full.memory
+    a, b = resumed.obs, full.obs
+    assert a.attribution.per_node == b.attribution.per_node
+    assert a.fmnoc_heatmap.stage_traffic == b.fmnoc_heatmap.stage_traffic
+    assert a.chrome.events == b.chrome.events
+    assert a.critpath.report == b.critpath.report
 
 
 # -- split-run bit-identity, all workloads x all mode toggles ---------------
@@ -234,31 +266,49 @@ class TestSplitRunBitIdentity:
     @pytest.mark.parametrize(
         "config", [MONACO, hybrid(2)], ids=lambda c: c.name
     )
-    def test_resume_with_a_request_in_an_arbiter_latch(self, config, tmp_path):
+    def test_resume_with_a_request_in_an_arbiter_latch(
+        self, config, tmp_path, monkeypatch
+    ):
         """A snapshot taken while a request sits in an arbiter latch
         restores the latches, and the per-stage held counts a tick skips
         idle stages by are rebuilt from them: the resumed run reports
         what the uninterrupted one does. The split cycle is read off the
         uninterrupted run, not left to a random budget."""
-        arch = _arch(
-            trace=True, critpath=True,
-            trace_path=str(tmp_path / "trace.json"),
+        resumed, full = _split_where(
+            "spmspv", config,
+            lambda engine: any(
+                arbiter.latch is not None
+                for arbiter in engine.frontend.arbiters.values()
+            ),
+            lambda state: any(
+                arbiter["latch"] is not None
+                for arbiter in state["frontend"]["arbiters"].values()
+            ),
+            tmp_path, monkeypatch,
         )
-        watched = _LatchWatch(config)
-        full = _simulate("spmspv", arch, watched)
-        assert watched.latched, "no request ever waited in a latch"
-        budget = watched.latched[len(watched.latched) // 2]
-        resumed = _split("spmspv", arch, budget, str(tmp_path / "p.snap"),
-                         config)
+        _assert_reports_alike(resumed, full)
 
-        assert resumed.resume_info["executed_before"] == budget
-        assert _digest(resumed) == _digest(full)
-        assert resumed.memory == full.memory
-        a, b = resumed.obs, full.obs
-        assert a.attribution.per_node == b.attribution.per_node
-        assert a.fmnoc_heatmap.stage_traffic == b.fmnoc_heatmap.stage_traffic
-        assert a.chrome.events == b.chrome.events
-        assert a.critpath.report == b.critpath.report
+    @pytest.mark.parametrize(
+        "config", [upea(2), numa(2), hybrid(2)], ids=lambda c: c.name
+    )
+    def test_resume_with_a_request_on_a_fixed_delay(
+        self, config, tmp_path, monkeypatch
+    ):
+        """A snapshot taken while a request waits out a fixed delay on
+        its way to memory — an entry of the engine's calendar — restores
+        the calendar: the resumed run reports what the uninterrupted one
+        does."""
+
+        def waiting(calendar):
+            return any(kind == DELIVER for _, kind, _, _ in calendar)
+
+        resumed, full = _split_where(
+            "spmspv", config,
+            lambda engine: waiting(engine.calendar.entries),
+            lambda state: waiting(state["calendar"]["entries"]),
+            tmp_path, monkeypatch,
+        )
+        _assert_reports_alike(resumed, full)
 
     @pytest.mark.parametrize("name", ["spmspv", "dmv"])
     def test_budget_zero_snapshots_pristine_state(self, name, tmp_path):
@@ -505,7 +555,7 @@ class TestRejection:
             load_snapshot(path)
 
     def test_version_skew_refused(self, tmp_path):
-        # Versions 1-10 are real history: their state has another layout
+        # Versions 1-11 are real history: their state has another layout
         # (1: no open runs, per-edge token counters; 2: a ``skipped``
         # bucket beside the open runs; 3: a handler table naming
         # ``on_gap`` / ``on_counter``; 4: the invariant checker as a
@@ -516,10 +566,12 @@ class TestRejection:
         # than issues per node; 9: every probe's accumulated state, event
         # logs and timeline included, rather than the recording's
         # lengths; 10: a stall-bucket change recorded as two int64s,
-        # ``nid`` and ``bucket``, not one), so a snapshot from those
-        # builds must be refused by name, up front.
+        # ``nid`` and ``bucket``, not one; 11: a request's timed hops on
+        # four heaps — the engine's arrivals, memory's completions, a
+        # UPEA pipe, the hybrid's stage — not on one calendar), so a
+        # snapshot from those builds must be refused by name, up front.
         path = self._snap(tmp_path)
-        for version in (99, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10):
+        for version in (99, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11):
             self._rewrite(
                 path, lambda blob: blob.__setitem__("version", version)
             )
