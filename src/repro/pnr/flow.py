@@ -30,7 +30,9 @@ from repro.errors import PnRError
 from repro.ir.ast import Kernel
 from repro.ir.transform import parallelize
 from repro.pnr.netlist import build_netlist
-from repro.pnr.place import Placement, anneal, initial_placement
+from repro.pnr.place import (
+    Placement, anneal, check_capacity, initial_placement,
+)
 from repro.pnr.result import CompiledKernel, PnRStats
 from repro.pnr.route import route_design
 from repro.pnr.timing import analyze_timing
@@ -61,6 +63,12 @@ def compile_once(
 ) -> CompiledKernel:
     """Compile at a fixed parallelism degree; raises PnRError on failure.
 
+    A lowered DFG with more nodes than the fabric has PEs, or more memory
+    nodes than it has LS PEs, fails at once
+    (:func:`~repro.pnr.place.check_capacity`), before the analyses the
+    flow would otherwise throw away — the degree search ends on such a
+    failure.
+
     Placement and routing negotiate: if the routed design's clock divider
     is poor (long paths from memory-preference congestion), placement is
     retried with a weaker near-memory pull and the best-timed routable
@@ -84,6 +92,7 @@ def compile_once(
     t0 = time.perf_counter()
     program = parallelize(kernel, parallelism) if parallelism > 1 else kernel
     dfg = lower_kernel(program, mem_mode=mem_mode)
+    check_capacity(dfg, fabric)
     meta: dict = {}
     if profile is not None:
         from repro.core.profile import analyze_with_profile

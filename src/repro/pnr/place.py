@@ -125,6 +125,22 @@ class Placement:
         return cost
 
 
+def check_capacity(dfg: DFG, fabric: Fabric) -> None:
+    """Raise :class:`~repro.errors.PlacementError` if ``dfg`` cannot fit
+    ``fabric`` at all: more nodes than PEs, or more memory nodes than LS
+    PEs (every node is a netlist cell, one per PE). The flow asks right
+    after lowering, before any analysis it would throw away."""
+    if len(dfg.nodes) > fabric.size():
+        raise PlacementError(
+            f"{len(dfg.nodes)} nodes exceed fabric capacity {fabric.size()}"
+        )
+    memory = sum(1 for node in dfg.nodes.values() if node.is_memory())
+    if memory > len(fabric.ls_pes()):
+        raise PlacementError(
+            f"{memory} memory nodes exceed {len(fabric.ls_pes())} LS PEs"
+        )
+
+
 def initial_placement(
     netlist: Netlist,
     fabric: Fabric,
@@ -149,17 +165,7 @@ def initial_placement(
     ``None`` map reproduces the class-weight path bit for bit.
     """
     dfg = netlist.dfg
-    if len(netlist.cells) > fabric.size():
-        raise PlacementError(
-            f"{len(netlist.cells)} nodes exceed fabric capacity "
-            f"{fabric.size()}"
-        )
-    mem_nodes = [n for n in netlist.cells if dfg.nodes[n].is_memory()]
-    if len(mem_nodes) > len(fabric.ls_pes()):
-        raise PlacementError(
-            f"{len(mem_nodes)} memory nodes exceed {len(fabric.ls_pes())} "
-            "LS PEs"
-        )
+    check_capacity(dfg, fabric)
     placement = Placement(
         netlist, fabric, policy, mem_scale=mem_scale,
         node_weights=node_weights,

@@ -30,11 +30,17 @@ edges (each with its FIFO deque and hop count pre-resolved), producer
 ids per input port, placement, memory domain, and one firing rule per
 node compiled by :func:`repro.dfg.ops.compile_rule` — the firing loop
 and the probe path's ``_stall_reason`` call the same rules. Scheduling
-is two flag arrays, one byte per nid (``active``, ``emit_candidates``):
-waking a node stores 1, putting it to sleep stores 0, and a fabric tick
-visits ``compress(range(size), bytes(flags))`` — an ascending scan of a
-*copy*, so a node woken during the scan waits for the next tick, the
-order a per-tick ``sorted(set)`` gives. The fire and emit loops inline
+is two flag arrays, one byte per nid (``active``, ``emit_candidates``),
+each with a due list beside it naming its flagged nids (``active_due``,
+``emit_due``; derived state, rebuilt from the flags by :meth:`_Engine.
+restored`). Every wake is ``if not flags[n]: flags[n] = 1;
+due.append(n)``, a node goes to sleep only at its own visit (a store
+of 0, not re-appended), and a loop takes its list, swaps in an empty
+one to collect the wakes and the visited nodes that stay awake, and
+visits the list it took in ascending order — so a node woken during
+the loop waits for the next tick, the order a per-tick ``sorted(set)``
+gives, and a tick costs the nodes it visits, not a scan of every flag.
+The fire and emit loops inline
 their capacity checks and pushes; a producer pushes at most once per
 tick, after its only check (docs/INTERNALS.md, Sec. 11), so the check
 counts no uncommitted pushes. On the plain path the compiled rule
@@ -57,7 +63,6 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from itertools import compress
 
 from repro.arch.memory import AddressMap
 from repro.arch.params import ArchParams
@@ -277,6 +282,13 @@ class _Engine:
         for nid in self.dfg.nodes:
             self.active[nid] = 1
         self.emit_candidates = bytearray(self._size)
+        #: The flagged nids of each array, in no order: derived from the
+        #: flags (:meth:`restored`), appended to by every wake
+        #: (``if not flags[n]: flags[n] = 1; due.append(n)``) and by
+        #: every visit that leaves its node awake, and swapped for an
+        #: empty list as its loop starts (:meth:`_fabric_tick`).
+        self.active_due = list(self.dfg.nodes)
+        self.emit_due: list[int] = []
         #: The timed hops of the requests in flight (module docstring).
         self.calendar = Calendar()
         memsys.schedule = frontend.schedule = self.calendar.schedule
@@ -412,6 +424,7 @@ class _Engine:
         capacity = self.capacity
         edges = self.consumer_edges
         active = self.active
+        wake = self.active_due.append
         tokens = 0
         hops_total = 0
         for nid, value in pushes:
@@ -426,7 +439,9 @@ class _Engine:
                     )
                 tokens += 1
                 hops_total += hops
-                active[consumer] = 1
+                if not active[consumer]:
+                    active[consumer] = 1
+                    wake(consumer)
         self.tokens += tokens
         self.stats.noc_hops += hops_total
 
@@ -443,7 +458,6 @@ class _Engine:
         calendar = self.calendar.entries  # refilled in place by a restore
         schedule = self.calendar.schedule
         heappop = heapq.heappop
-        active = self.active
         emit_candidates = self.emit_candidates
         frontend = self.frontend  # ticked only while a request is inside
         enqueue = memsys.enqueue
@@ -477,7 +491,9 @@ class _Engine:
                             # Arrival-side latency ledger (fault-dropped
                             # replies never get here, so never count).
                             memsys.stats.record_arrival(record, now)
-                        emit_candidates[record.nid] = 1
+                        if not emit_candidates[record.nid]:
+                            emit_candidates[record.nid] = 1
+                            self.emit_due.append(record.nid)
                     else:
                         enqueue(record, now)
             if frontend.in_network and frontend.tick(now, deliver):
@@ -497,11 +513,7 @@ class _Engine:
             if now > max_cycles:
                 raise SimulationError("simulation exceeded max_cycles")
             now += 1
-            if (
-                not progressed
-                and 1 not in active
-                and 1 not in emit_candidates
-            ):
+            if not progressed and not self.active_due and not self.emit_due:
                 # The fabric sleeps: no state and no stall bucket changes
                 # before a busy bank, the network or the calendar wakes it.
                 target = self._skip_target(
@@ -578,14 +590,21 @@ class _Engine:
             if rec.changes is not None:
                 self._tick_blocked = []
                 self._verdicts = {}
-        # Each loop scans a *copy* of its flags, taken as it starts: a
-        # node woken during the scan waits for the next tick, and the
-        # emit loop's wakes are in the fire loop's copy.
-        emit_scan = bytes(self.emit_candidates)
-        if 1 in emit_scan:
-            progressed |= self._emit_responses(now, pushes, emit_scan)
-        fire_scan = bytes(self.active)
-        progressed |= self._fire_nodes(now, pushes, fire_scan)
+        # Each loop visits its due list as it stood when the loop
+        # started, sorted, and swaps in an empty one to collect the
+        # wakes and the visited nodes that stay awake: a node woken
+        # during the loop waits for the next tick, and the emit loop's
+        # wakes are in the fire loop's list.
+        visit = self.emit_due
+        if visit:
+            self.emit_due = []
+            visit.sort()
+            progressed |= self._emit_responses(now, pushes, visit)
+        visit = self.active_due
+        if visit:
+            self.active_due = []
+            visit.sort()
+            progressed |= self._fire_nodes(now, pushes, visit)
         if rec is not None:
             # The tick's row closes *before* its pushes commit: tokens
             # land at the next tick, so the buckets classify the FIFO
@@ -672,18 +691,20 @@ class _Engine:
             return "output-backpressure"
         return "ready"
 
-    def _emit_responses(self, now: int, pushes: list, scan: bytes) -> bool:
+    def _emit_responses(self, now: int, pushes: list, visit: list) -> bool:
         progressed = False
         rec = self.recording
         emitted = None if rec is None else rec.emitted.fromlist
         blocked = self._tick_blocked
         verdicts = self._verdicts
         emit_flags = self.emit_candidates
+        stay = self.emit_due.append
         active = self.active
+        wake = self.active_due.append
         resp = self.resp_queue
         edges = self.consumer_edges
         capacity = self.capacity
-        for nid in compress(range(len(scan)), scan):
+        for nid in visit:
             queue = resp[nid]
             record = queue[0] if queue else None
             if record is None or record.arrived_cycle is None:
@@ -699,7 +720,8 @@ class _Engine:
             if full:
                 if blocked is not None:
                     blocked.append(nid)
-                continue  # retry next fabric tick
+                stay(nid)  # retry next fabric tick
+                continue
             queue.popleft()
             self.mem_inflight -= 1
             pushes.append((nid, record.value))
@@ -718,15 +740,20 @@ class _Engine:
                     record.response_hops, record.hit, record.request.index,
                 ])
             # The PE may issue again now that a slot freed up.
-            active[nid] = 1
-            if not queue or queue[0].arrived_cycle is None:
+            if not active[nid]:
+                active[nid] = 1
+                wake(nid)
+            if queue and queue[0].arrived_cycle is not None:
+                stay(nid)
+            else:
                 emit_flags[nid] = 0
             progressed = True
         return progressed
 
-    def _fire_nodes(self, now: int, pushes: list, scan: bytes) -> bool:
+    def _fire_nodes(self, now: int, pushes: list, visit: list) -> bool:
         progressed = False
         active = self.active
+        wake = stay = self.active_due.append
         rules = self._rules
         states = self.states
         resp = self.resp_queue
@@ -742,7 +769,7 @@ class _Engine:
         verdicts = self._verdicts
         faults = self.faults
         tokens_popped = 0
-        for nid in compress(range(len(scan)), scan):
+        for nid in visit:
             fired = rules[nid](states[nid])
             if fired is None:
                 active[nid] = 0
@@ -777,6 +804,7 @@ class _Engine:
                 # scheduler still schedules it).
                 if verdicts is not None:
                     verdicts[nid] = "operand-wait"
+                stay(nid)
                 continue
             # Commit the firing.
             if pops:
@@ -787,9 +815,12 @@ class _Engine:
                     if len(queue) >= capacity:
                         # A slot frees up: the blocked producer may emit
                         # (and its verdict, if it has one, is stale).
-                        active[producer_row[index]] = 1
+                        producer = producer_row[index]
+                        if not active[producer]:
+                            active[producer] = 1
+                            wake(producer)
                         if verdicts is not None:
-                            verdicts[producer_row[index]] = None
+                            verdicts[producer] = None
                     queue.popleft()
                 tokens_popped += len(pops)
             if new_state is not None:
@@ -806,6 +837,7 @@ class _Engine:
                 ])
             progressed = True
             # The node may be ready again next tick; keep it active.
+            stay(nid)
         if tokens_popped:
             self.tokens -= tokens_popped
         return progressed
@@ -825,6 +857,14 @@ class _Engine:
         self.frontend.inject(record, now)
 
     # -- snapshots ---------------------------------------------------------
+
+    def restored(self) -> None:
+        """Rebuild the due lists from the restored flags (called by
+        :func:`~repro.sim.snapshot.restore`)."""
+        self.active_due = [n for n, flag in enumerate(self.active) if flag]
+        self.emit_due = [
+            n for n, flag in enumerate(self.emit_candidates) if flag
+        ]
 
     def state_dict(self) -> dict:
         """:func:`~repro.sim.snapshot.capture` at a cycle boundary, the

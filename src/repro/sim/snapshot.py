@@ -577,6 +577,16 @@ def check_boundary_invariants(engine) -> None:
             f"snapshot boundary: {outstanding} responses outstanding, "
             f"ledger says {engine.mem_inflight}"
         )
+    for flags, due in (
+        ("active", "active_due"), ("emit_candidates", "emit_due"),
+    ):
+        flagged = [n for n, flag in enumerate(getattr(engine, flags)) if flag]
+        named = sorted(getattr(engine, due))
+        if named != flagged:
+            raise SimulationError(
+                f"snapshot boundary: {due} names {named}, "
+                f"{flags} flags {flagged}"
+            )
 
 
 def verify_roundtrip(state: dict, payload: bytes) -> None:

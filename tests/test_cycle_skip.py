@@ -23,15 +23,17 @@ import pytest
 
 # The session's tiny seed-0 artifacts, fault mix, machine configurations
 # and probe digests of the two pinned-digest modules.
-from test_engine_hot import FABRIC, FAULTS, compiled_for
+from test_engine_hot import (
+    FABRIC, FAULTS, assert_due_lists_name_the_flags, compiled_for,
+)
 from test_obs_pins import CONFIGS, obs_digests, pinned
 
 from repro.arch.clocks import PAPER_DIVIDER
-from repro.arch.params import ArchParams, MemoryParams, SimParams
+from repro.arch.params import ArchParams, FaultParams, MemoryParams, SimParams
 from repro.core.policy import EFFCC
 from repro.errors import DeadlockError, SimulationError, SimulationPreempted
 from repro.pnr.flow import compile_once
-from repro.sim.engine import simulate
+from repro.sim.engine import _Engine, simulate
 from repro.sim.snapshot import CheckpointConfig
 from repro.sim.upea import NumaFrontend, UniformFrontend
 from repro.workloads.registry import ALL_WORKLOADS
@@ -304,3 +306,41 @@ def test_a_frontend_is_ticked_only_with_a_request_inside(monkeypatch):
     for name, config in product(sorted(ALL_WORKLOADS), CONFIGS):
         _simulate(name, config)
     assert ticks  # Monaco's requests did cross its arbiter tree
+
+
+def test_due_lists_name_the_flagged_nodes(monkeypatch, tmp_path):
+    """At every fabric-tick boundary each due list holds exactly its
+    flag array's set nids, once each, so the skip gate may read "no
+    flag set" off the lists. On the 39 ``sim_plain`` points, on
+    ``spmspv`` under PE stalls (a stalled node stays awake without
+    firing), and on both sides of a checkpoint split, whose resumed run
+    starts from the lists the restore rebuilds."""
+    ticks = []
+    tick = _Engine._fabric_tick
+
+    def checked(engine, now):
+        assert_due_lists_name_the_flags(engine)
+        progressed = tick(engine, now)
+        assert_due_lists_name_the_flags(engine)
+        ticks.append(now)
+        return progressed
+
+    monkeypatch.setattr(_Engine, "_fabric_tick", checked)
+    for name, config in product(sorted(ALL_WORKLOADS), CONFIGS):
+        _simulate(name, config)
+    stalls = dict(faults=FaultParams(seed=5, pe_stall_prob=0.2))
+    full = _simulate("spmspv", sim=stalls)
+    assert full.stats.faults_injected["pe-stall"] > 0
+    path = str(tmp_path / "split.snap")
+    budget = full.stats.executed_cycles // 2
+    with pytest.raises(SimulationPreempted):
+        _simulate(
+            "spmspv", sim=stalls,
+            checkpoint=CheckpointConfig(path=path, cycle_budget=budget),
+        )
+    del ticks[:]
+    resumed = _simulate(
+        "spmspv", sim=stalls, checkpoint=CheckpointConfig(path)
+    )
+    assert resumed.resume_info["executed_before"] == budget
+    assert ticks and resumed.stats == full.stats

@@ -20,7 +20,8 @@ Three layers of evidence (plus a mid-run checkpoint round trip):
 
 2. **Order property**: a fabric tick must visit exactly the nodes
    ``sorted(set)`` would, under adversarial wake/sleep interleavings
-   (the pre-PR loop's snapshot semantics).
+   (the replaced loop's snapshot semantics), and each due list must name
+   exactly the flagged nodes.
 
 3. **Calls per firing**: the plain path's only Python call per visited
    node is its compiled rule; a count of Python-level calls, which does
@@ -161,6 +162,24 @@ def flagged(flags) -> set[int]:
     return set(compress(range(len(flags)), flags))
 
 
+def wake(flags, due, nid) -> None:
+    """The engine's one wake discipline, as its loops and ``run``'s
+    ARRIVE write it."""
+    if not flags[nid]:
+        flags[nid] = 1
+        due.append(nid)
+
+
+def assert_due_lists_name_the_flags(engine) -> None:
+    """Each due list holds exactly its array's flagged nids, once each
+    (so ``not due`` is the skip gate's "no flag set")."""
+    for flags, due in (
+        (engine.active, engine.active_due),
+        (engine.emit_candidates, engine.emit_due),
+    ):
+        assert sorted(due) == sorted(flagged(flags))
+
+
 class _DrivenScheduler:
     """The real ``_Engine`` of ``ic`` with its firing rules swapped for
     scripted ones, so a test decides per visit whether the node sleeps
@@ -169,7 +188,10 @@ class _DrivenScheduler:
     ``live`` / ``emit_live`` are the reference sets. Every visit of
     either loop first asserts that the flags equal the reference — so
     nothing but the node just visited was cleared since the last visit
-    (INTERNALS Sec. 11, case 3: the loops need no membership guard).
+    (INTERNALS Sec. 11, case 3: the loops need no membership guard) —
+    and every tick ends with the due lists naming the reference.
+    Scripted wakes go through :func:`wake`; a node sleeps only at its
+    own visit, as in the engine.
     """
 
     def __init__(self, monkeypatch):
@@ -208,7 +230,7 @@ class _DrivenScheduler:
             assert flagged(self.engine.active) == self.live
             self.visits.append(nid)
             for woken in self.wakes.get(nid, ()):
-                self.engine.active[woken] = 1
+                wake(self.engine.active, self.engine.active_due, woken)
                 self.live.add(woken)
             if nid in self.sleepers:
                 self.live.discard(nid)
@@ -223,38 +245,59 @@ class _DrivenScheduler:
         self.engine._fabric_tick(now)
         assert flagged(self.engine.active) == self.live
         assert flagged(self.engine.emit_candidates) == self.emit_live
+        assert_due_lists_name_the_flags(self.engine)
 
 
 def test_active_list_order_property(monkeypatch):
     """Each tick visits exactly sorted(reference set).
 
-    400 ticks of adversarial wake / sleep / sleep-then-rewake between
-    ticks (as ``run`` and ``commit_pushes`` store flags) and during them
-    (scripted rules), against a reference Python set.
+    400 ticks of adversarial wakes between ticks (``commit_pushes``
+    waking a producer's consumers, :func:`wake` as ``run``'s ARRIVE
+    does), sleep-then-rewake across a restore (a node leaves the flags
+    only at its own visit or by a restore, which rebuilds the due
+    lists) and wakes during ticks (scripted rules), against a reference
+    Python set.
     """
     rng = random.Random(20250808)
     driven = _DrivenScheduler(monkeypatch)
     engine, nids, live = driven.engine, driven.nids, driven.live
     memory_nids = [n for n in nids if engine.resp_queue[n] is not None]
+    fed = [n for n in nids if any(p is not None for p in engine.producers[n])]
+
+    def push_to(nid):
+        # A token from one of ``nid``'s producers wakes every consumer
+        # of that producer, ``nid`` among them.
+        producer = rng.choice(
+            [p for p in engine.producers[nid] if p is not None]
+        )
+        engine.commit_pushes([(producer, 0)])
+        for queue, consumer, _port, _hops in engine.consumer_edges[producer]:
+            queue.clear()  # the scripted rules never pop
+            live.add(consumer)
+        engine.tokens = 0
+
+    def restore_asleep(nid):
+        engine.active[nid] = 0
+        engine.restored()
+        live.discard(nid)
+
     for now in range(400):
         for _ in range(rng.randrange(8)):
             op = rng.randrange(3)
-            nid = rng.choice(nids)
+            nid = rng.choice(fed)
             if op == 0:
-                engine.active[nid] = 1
-                live.add(nid)
+                push_to(nid)
             elif op == 1:
-                engine.active[nid] = 0
-                live.discard(nid)
+                restore_asleep(nid)
             else:
-                engine.active[nid] = 0
-                engine.active[nid] = 1
-                live.add(nid)
+                restore_asleep(nid)
+                push_to(nid)
         for nid in rng.sample(memory_nids, rng.randrange(4)):
-            engine.emit_candidates[nid] = 1
+            wake(engine.emit_candidates, engine.emit_due, nid)
             driven.emit_live.add(nid)
-        assert (1 in engine.active) == bool(live)
-        assert (1 in engine.emit_candidates) == bool(driven.emit_live)
+        assert_due_lists_name_the_flags(engine)
+        assert bool(engine.active_due) == bool(live)
+        assert bool(engine.emit_due) == bool(driven.emit_live)
         expected = sorted(live)
         expected_emit = sorted(driven.emit_live)
         driven.sleepers = {n for n in expected if rng.random() < 0.4}

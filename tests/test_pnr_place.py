@@ -89,6 +89,31 @@ class TestInitialPlacement:
         with pytest.raises(PlacementError, match="memory nodes"):
             initial_placement(netlist, fab, EFFCC, random.Random(0))
 
+    def test_a_degree_that_cannot_fit_fails_before_analysis(
+        self, monkeypatch
+    ):
+        """The flow checks capacity right after lowering: a DFG with more
+        nodes than PEs is never analysed, netlisted or seeded."""
+        import repro.pnr.flow as flow
+        from repro.arch.params import ArchParams
+        from repro.workloads.registry import make_workload
+
+        def wasted(*args, **kwargs):
+            raise AssertionError("work done for a DFG that cannot fit")
+
+        for stage in (
+            "analyze_criticality", "build_netlist", "build_channel_graph",
+            "initial_placement",
+        ):
+            monkeypatch.setattr(flow, stage, wasted)
+        kernel = make_workload("ic", scale="tiny").kernel
+        with pytest.raises(
+            PlacementError, match="^260 nodes exceed fabric capacity 144$"
+        ):
+            flow.compile_once(
+                kernel, monaco(12, 12), ArchParams(), EFFCC, parallelism=2
+            )
+
     def test_deterministic(self):
         netlist = compiled_netlist()
         fab = monaco(12, 12)

@@ -657,6 +657,24 @@ class TestRejection:
         )
         with pytest.raises(SimulationError, match="executed"):
             check_boundary_invariants(engine)
+        # Ledgers sound, but a due list disagrees with its flags: a
+        # flagged node missing from its list is never visited by the live
+        # run, yet a resume's restore rebuilds the list from the flags,
+        # so the snapshot would not continue the run it was taken from.
+        engine = types.SimpleNamespace(
+            stats=types.SimpleNamespace(executed_cycles=5, skipped_cycles=0),
+            now=5, fifos=[], tokens=0, resp_queue=[], mem_inflight=0,
+            active=bytearray([1, 0, 1]), active_due=[2, 0],
+            emit_candidates=bytearray([0, 1, 0]), emit_due=[1],
+        )
+        check_boundary_invariants(engine)
+        for name, due in (
+            ("active_due", [2]), ("active_due", [0, 1, 2]),
+            ("active_due", [0, 2, 2]), ("emit_due", []),
+        ):
+            corrupt = types.SimpleNamespace(**{**vars(engine), name: due})
+            with pytest.raises(SimulationError, match=name):
+                check_boundary_invariants(corrupt)
 
 
 # -- configuration identity --------------------------------------------------
